@@ -3,13 +3,16 @@
 Exit codes are stable: 0 success, 2 usage/input error, 3 backend failure,
 4 empty result.  Every command serializes its effective configuration into
 the output directory so a run can be reproduced from its artifacts; all
-randomness flows from --seed.
+randomness flows from --seed.  Every command writes its files before it
+prints, so a stdout closed early (``| head``) loses nothing and is not an
+error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -38,7 +41,7 @@ from .evalkit import (
     write_records_jsonl,
     write_report,
 )
-from .oracle import TableOracle
+from .oracle import ChartNotFound, TableOracle
 from .prompts import PromptStyle
 from .symbolic import SkippedTemplate, SymbolicReasoner, gen_questions
 from .synth import random_tables
@@ -81,7 +84,7 @@ def _add_shared_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=None, help="master random seed")
     parser.add_argument("--config", default=None, help="JSON config file; flags win")
     parser.add_argument("--out-dir", dest="out_dir", default=None, help="output directory")
-    parser.add_argument("--backend", choices=["oracle", "symbolic", "http", "scripted"],
+    parser.add_argument("--backend", choices=["symbolic", "http", "scripted"],
                         default=None, help="reasoner backend")
     parser.add_argument("--reasoner-url", dest="reasoner_url", default=None)
     parser.add_argument("--reader-url", dest="reader_url", default=None)
@@ -140,7 +143,6 @@ def _parse_buckets(text: str) -> tuple[int, ...]:
 def _episode_config(cfg: dict) -> EpisodeConfig:
     return EpisodeConfig(
         max_steps=cfg["max_steps"],
-        describe_first=not cfg["no_describe"],
         temperature=cfg["temperature"],
         prompt_style=_PROMPT_STYLES[cfg["prompt_style"]],
     )
@@ -148,7 +150,9 @@ def _episode_config(cfg: dict) -> EpisodeConfig:
 
 def _reasoner_factory(cfg: dict) -> Callable[[], object]:
     backend = cfg["backend"]
-    if backend in ("symbolic", "oracle"):
+    if cfg["no_describe"] and backend != "symbolic":
+        raise UsageError("--no-describe needs --backend symbolic")
+    if backend == "symbolic":
         reasoner = SymbolicReasoner(describe_first=not cfg["no_describe"])
         return lambda: reasoner
     if backend == "http":
@@ -159,6 +163,9 @@ def _reasoner_factory(cfg: dict) -> Callable[[], object]:
         return lambda: reasoner
     if not cfg.get("script"):
         raise UsageError("--script is required with --backend scripted")
+    if cfg["sc"] > 1:
+        # A replay script is one deterministic episode: there is nothing to vote over.
+        raise UsageError("--backend scripted cannot be combined with --sc above 1")
     script_path = cfg["script"]
     return lambda: ScriptedReasoner.from_file(script_path)
 
@@ -217,7 +224,9 @@ def cmd_run(cfg: dict) -> int:
     if config.prompt_style is not PromptStyle.STEPWISE_5SHOT:
         if corpus is None:
             raise UsageError("baseline prompt styles need --corpus for the context table")
-        context_table = corpus.chart_index()[cfg["chart"]]
+        context_table = corpus.chart_index().get(cfg["chart"])
+        if context_table is None:
+            raise ChartNotFound(cfg["chart"])
     _write_run_config(cfg, out_dir, "run")
     question, chart = cfg["question"], cfg["chart"]
     if cfg["sc"] > 1:
@@ -225,9 +234,6 @@ def cmd_run(cfg: dict) -> int:
         final, traces = run_self_consistency(
             question, chart, make_reasoner(), reader, config, sc, context_table=context_table
         )
-        for index, trace in enumerate(traces):
-            print(f"--- episode {index} ---")
-            _print_trace(trace)
         payload = {
             "question": question,
             "chart_id": chart,
@@ -237,16 +243,19 @@ def cmd_run(cfg: dict) -> int:
         with open(out_dir / "trace.json", "w", encoding="utf-8") as handle:
             json.dump(payload, handle, ensure_ascii=False, indent=2)
             handle.write("\n")
+        for index, trace in enumerate(traces):
+            print(f"--- episode {index} ---")
+            _print_trace(trace)
         print(f"Voted answer: {final.raw if final else '(none)'}")
         return EXIT_OK if final is not None else EXIT_EMPTY
     trace = run_episode(question, chart, make_reasoner(), reader, config,
                         context_table=context_table)
-    _print_trace(trace)
     payload = {"question": question, "chart_id": chart}
     payload.update(trace.to_dict())
     with open(out_dir / "trace.json", "w", encoding="utf-8") as handle:
         json.dump(payload, handle, ensure_ascii=False, indent=2)
         handle.write("\n")
+    _print_trace(trace)
     if trace.terminated_by is Termination.BACKEND_ERROR:
         print("backend error; partial trace written", file=sys.stderr)
         return EXIT_BACKEND
@@ -446,13 +455,25 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if cfg.get("tagged") is None:
         cfg["tagged"] = False
     try:
-        return args.func(cfg)
+        code = args.func(cfg)
+        sys.stdout.flush()
+        return code
     except (UsageError, CorpusError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except ChartNotFound as exc:
+        print(f"error: chart {exc} not found", file=sys.stderr)
         return EXIT_USAGE
     except BackendError as exc:
         print(f"backend error: {exc}", file=sys.stderr)
         return EXIT_BACKEND
+    except BrokenPipeError:
+        # Backends wrap their own socket errors, so this is stdout's reader
+        # leaving.  Point stdout at devnull so the final flush stays quiet.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -33,7 +33,6 @@ STOP_MARKERS = ("\n",)
 @dataclass(frozen=True)
 class EpisodeConfig:
     max_steps: int = 8
-    describe_first: bool = True
     temperature: float = 0.0
     max_tokens_per_segment: int = 256
     prompt_style: PromptStyle = PromptStyle.STEPWISE_5SHOT

@@ -9,6 +9,12 @@ Three jobs, kept deliberately separable so the closed loop is verifiable:
   into atomic queries, then fold the reader's answers into a concluding
   sentence ending "So the answer is X.".
 
+Each question form is written once, in the ordered ``_TEMPLATES`` table: a
+surface string with slots (``{name}`` matches any text, ``{name:regex}``
+only ``regex``) and a builder from slot values to queries and reduce.  The
+surface string renders generated questions and compiles to the regex that
+``decompose`` matches, so the two cannot drift apart.
+
 Running decompose -> reader -> deduce against compute_gold is the package's
 main correctness oracle: the two answer paths share no extraction code.
 """
@@ -21,7 +27,7 @@ import re
 from dataclasses import dataclass
 from decimal import Decimal, ROUND_HALF_UP
 from enum import Enum
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .oracle import edit_similarity
 from .protocol import (
@@ -97,105 +103,117 @@ def stable_seed(*parts: object) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Question grammar: the same patterns drive generation and decomposition.
+# Question grammar: one table drives both generation and decomposition.
 # ---------------------------------------------------------------------------
 
-def _with_describe(queries: Sequence[AtomicQuery], describe_first: bool) -> tuple[AtomicQuery, ...]:
-    if describe_first:
-        return (describe_query(), *queries)
-    return tuple(queries)
+_SLOT_RE = re.compile(r"\{(\w+)(?::([^{}]*))?\}")
 
 
-def _pattern_table() -> list[tuple[TemplateType, re.Pattern, object]]:
-    P = re.compile
-    return [
-        (TemplateType.STRUCTURAL, P(r"^How many legend labels are there\?$"),
-         lambda m: ((), Reduce.COUNT_SERIES, ())),
-        (TemplateType.STRUCTURAL, P(r"^How many x-axis labels are there\?$"),
-         lambda m: ((), Reduce.COUNT_X_LABELS, ())),
-        (TemplateType.DATA_RETRIEVAL,
-         P(r"^In which (?:year|category) is the value of (.+) equal to (.+)\?$"),
-         lambda m: ((group_query(m.group(1)),), Reduce.ARG_MATCH, (Value.from_raw(m.group(2)),))),
-        (TemplateType.DATA_RETRIEVAL,
-         P(r"^In which \w+ the (.+) in (.+) is (.+)\?$"),
-         lambda m: ((group_query(m.group(2)),), Reduce.ARG_MATCH, (Value.from_raw(m.group(3)),))),
-        (TemplateType.ARITHMETIC,
-         P(r"^By how many points does (.+) surpass (.+) in (.+) in the year of .+\?$"),
-         lambda m: ((point_query(m.group(1), m.group(3)), point_query(m.group(2), m.group(3))),
-                    Reduce.DIFFERENCE, ())),
-        (TemplateType.ARITHMETIC,
-         P(r"^By how many points does the value in (.+) surpass the value in (.+)\?$"),
-         lambda m: ((point_query(m.group(1)), point_query(m.group(2))), Reduce.DIFFERENCE, ())),
-        (TemplateType.ARITHMETIC,
-         P(r"^By how many points does (.+) surpass (.+) in (.+)\?$"),
-         lambda m: ((point_query(m.group(1), m.group(3)), point_query(m.group(2), m.group(3))),
-                    Reduce.DIFFERENCE, ())),
-        (TemplateType.ARITHMETIC,
-         P(r"^What is the sum of the values of (.+) and (.+) in (.+)\?$"),
-         lambda m: ((point_query(m.group(1), m.group(3)), point_query(m.group(2), m.group(3))),
-                    Reduce.SUM, ())),
-        (TemplateType.ARITHMETIC,
-         P(r"^What is the sum of the values in (.+) and (.+)\?$"),
-         lambda m: ((point_query(m.group(1)), point_query(m.group(2))), Reduce.SUM, ())),
-        (TemplateType.ARITHMETIC,
-         P(r"^What is the average of the values of (.+) and (.+) in (.+)\?$"),
-         lambda m: ((point_query(m.group(1), m.group(3)), point_query(m.group(2), m.group(3))),
-                    Reduce.AVERAGE, ())),
-        (TemplateType.ARITHMETIC,
-         P(r"^What is the average value of (.+) across all (?:years|categories)\?$"),
-         lambda m: ((group_query(m.group(1)),), Reduce.AVERAGE, ())),
-        (TemplateType.COMPOUND,
-         P(r"^In how many (?:years|categories), is the value of the bar (greater than|below) (.+)\?$"),
-         lambda m: ((group_query(None),),
-                    Reduce.COUNT_GREATER if m.group(1) == "greater than" else Reduce.COUNT_LESS,
-                    (Value.from_raw(m.group(2)),))),
-        (TemplateType.COMPOUND,
-         P(r"^In how many (?:years|categories), is the value of (.+) (greater than|below) (.+)\?$"),
-         lambda m: ((group_query(m.group(1)),),
-                    Reduce.COUNT_GREATER if m.group(2) == "greater than" else Reduce.COUNT_LESS,
-                    (Value.from_raw(m.group(3)),))),
-        (TemplateType.COMPARISON,
-         P(r"^What is the ratio of the value of (.+) in (.+) to that in (.+)\?$"),
-         lambda m: ((point_query(m.group(1), m.group(2)), point_query(m.group(1), m.group(3))),
-                    Reduce.RATIO, ())),
-        (TemplateType.COMPARISON,
-         P(r"^What is the ratio of the value in (.+) to that in (.+)\?$"),
-         lambda m: ((point_query(m.group(1)), point_query(m.group(2))), Reduce.RATIO, ())),
-        (TemplateType.COMPARISON,
-         P(r"^Is the value of (.+) in (.+) greater than the value of (.+) in (.+)\?$"),
-         lambda m: ((point_query(m.group(1), m.group(2)), point_query(m.group(3), m.group(4))),
-                    Reduce.COMPARE_YES_NO, ())),
-        (TemplateType.COMPARISON,
-         P(r"^Is the value in (.+) greater than the value in (.+)\?$"),
-         lambda m: ((point_query(m.group(1)), point_query(m.group(2))), Reduce.COMPARE_YES_NO, ())),
-        (TemplateType.COMPARISON,
-         P(r"^Is the sum of (?:the )?two smallest segments greater than the largest segment\?$"),
-         lambda m: ((group_query(None),), Reduce.SUM_TWO_SMALLEST_VS_LARGEST, ())),
-        (TemplateType.MIN_MAX,
-         P(r"^Across all (?:years|categories), what is the (minimum|maximum) value of (.+)\?$"),
-         lambda m: ((group_query(m.group(2)),),
-                    Reduce.MIN if m.group(1) == "minimum" else Reduce.MAX, ())),
-        (TemplateType.MIN_MAX,
-         P(r"^Across all \w+, what is the (minimum|maximum) (?:.+ )?in (.+)\?$"),
-         lambda m: ((group_query(m.group(2)),),
-                    Reduce.MIN if m.group(1) == "minimum" else Reduce.MAX, ())),
-        (TemplateType.MIN_MAX,
-         P(r"^In which (?:year|category) is the value of (.+) the (highest|lowest)\?$"),
-         lambda m: ((group_query(m.group(1)),),
-                    Reduce.ARGMAX if m.group(2) == "highest" else Reduce.ARGMIN, ())),
-        (TemplateType.MIN_MAX,
-         P(r"^Which (?:year|category) has the second highest value of (.+)\?$"),
-         lambda m: ((group_query(m.group(1)),), Reduce.SECOND_HIGHEST, ())),
-        (TemplateType.DATA_RETRIEVAL,
-         P(r"^What is the value of (.+) in (.+)\?$"),
-         lambda m: ((point_query(m.group(1), m.group(2)),), Reduce.IDENTITY, ())),
-        (TemplateType.DATA_RETRIEVAL,
-         P(r"^What is the value of (.+)\?$"),
-         lambda m: ((point_query(m.group(1)),), Reduce.IDENTITY, ())),
-    ]
+def _surface_regex(surface: str) -> re.Pattern:
+    """Compile a surface string: ``{name}`` matches ``.+``, ``{name:regex}`` matches regex."""
+    regex, end = "", 0
+    for slot in _SLOT_RE.finditer(surface):
+        regex += re.escape(surface[end:slot.start()]) + f"(?P<{slot[1]}>{slot[2] or '.+'})"
+        end = slot.end()
+    return re.compile(regex + re.escape(surface[end:]))
 
 
-_PATTERNS = _pattern_table()
+class _Template:
+    """One question form: its type, its surface string and its plan builder."""
+
+    __slots__ = ("template_type", "pattern", "form", "build")
+
+    def __init__(self, template_type: TemplateType, surface: str, build: Callable):
+        self.template_type = template_type
+        self.pattern = _surface_regex(surface)
+        self.form = _SLOT_RE.sub(r"{\1}", surface)
+        self.build = build
+
+    def plan(self, slots: dict, describe_first: bool) -> QuestionPlan:
+        queries, reduce, args = self.build(slots)
+        if describe_first:
+            queries = (describe_query(), *queries)
+        return QuestionPlan(self.template_type, queries, reduce, args)
+
+
+def _points(reduce: Reduce) -> Callable:
+    """Read {a} (in {x}), then {b} (in {y}) if either slot exists; {b} defaults
+    to {a} and {y} to {x}."""
+    def build(s: dict):
+        a, x = s["a"], s.get("x")
+        queries = (point_query(a, x),)
+        if "b" in s or "y" in s:
+            queries += (point_query(s.get("b", a), s.get("y", x)),)
+        return queries, reduce, ()
+    return build
+
+
+def _group(reduce) -> Callable:
+    """Read the group of {a} (the only series when absent); a dict ``reduce``
+    is keyed by the {op} slot, and {target} becomes the reduce argument."""
+    def build(s: dict):
+        chosen = reduce[s["op"]] if isinstance(reduce, dict) else reduce
+        args = (Value.from_raw(s["target"]),) if "target" in s else ()
+        return (group_query(s.get("a")),), chosen, args
+    return build
+
+
+_THRESHOLD = {"greater than": Reduce.COUNT_GREATER, "below": Reduce.COUNT_LESS}
+_EXTREME = {"minimum": Reduce.MIN, "maximum": Reduce.MAX}
+_DR, _ST, _AR = TemplateType.DATA_RETRIEVAL, TemplateType.STRUCTURAL, TemplateType.ARITHMETIC
+_CP, _CM, _MM = TemplateType.COMPOUND, TemplateType.COMPARISON, TemplateType.MIN_MAX
+
+# Matched in order, so a more specific form precedes any form that would also
+# match it.  Keys are what the generators return; the entries no generator
+# returns cover wordings found only in human-authored questions.
+_TEMPLATES: dict[str, _Template] = {key: _Template(*entry) for key, *entry in (
+    ("count_series", _ST, "How many legend labels are there?",
+     lambda s: ((), Reduce.COUNT_SERIES, ())),
+    ("count_x_labels", _ST, "How many x-axis labels are there?",
+     lambda s: ((), Reduce.COUNT_X_LABELS, ())),
+    ("arg_match", _DR, "In which {word:year|category} is the value of {a} equal to {target}?",
+     _group(Reduce.ARG_MATCH)),
+    ("arg_match_measure", _DR, r"In which {unit:\w+} the {measure} in {a} is {target}?",
+     _group(Reduce.ARG_MATCH)),
+    ("difference_year_of", _AR,
+     "By how many points does {a} surpass {b} in {x} in the year of {year}?",
+     _points(Reduce.DIFFERENCE)),
+    ("difference", _AR, "By how many points does the value in {a} surpass the value in {b}?",
+     _points(Reduce.DIFFERENCE)),
+    ("difference_in", _AR, "By how many points does {a} surpass {b} in {x}?",
+     _points(Reduce.DIFFERENCE)),
+    ("sum_in", _AR, "What is the sum of the values of {a} and {b} in {x}?", _points(Reduce.SUM)),
+    ("sum", _AR, "What is the sum of the values in {a} and {b}?", _points(Reduce.SUM)),
+    ("average_in", _AR, "What is the average of the values of {a} and {b} in {x}?",
+     _points(Reduce.AVERAGE)),
+    ("average_all", _AR, "What is the average value of {a} across all {words:years|categories}?",
+     _group(Reduce.AVERAGE)),
+    ("count_bar", _CP, "In how many {words:years|categories}, is the value of the bar "
+     "{op:greater than|below} {target}?", _group(_THRESHOLD)),
+    ("count", _CP, "In how many {words:years|categories}, is the value of {a} "
+     "{op:greater than|below} {target}?", _group(_THRESHOLD)),
+    ("ratio_in", _CM, "What is the ratio of the value of {a} in {x} to that in {y}?",
+     _points(Reduce.RATIO)),
+    ("ratio", _CM, "What is the ratio of the value in {a} to that in {b}?", _points(Reduce.RATIO)),
+    ("greater_in", _CM, "Is the value of {a} in {x} greater than the value of {b} in {y}?",
+     _points(Reduce.COMPARE_YES_NO)),
+    ("greater", _CM, "Is the value in {a} greater than the value in {b}?",
+     _points(Reduce.COMPARE_YES_NO)),
+    ("two_smallest", _CM,
+     "Is the sum of {det:the |}two smallest segments greater than the largest segment?",
+     _group(Reduce.SUM_TWO_SMALLEST_VS_LARGEST)),
+    ("extreme", _MM, "Across all {words:years|categories}, what is the {op:minimum|maximum} "
+     "value of {a}?", _group(_EXTREME)),
+    ("extreme_measure", _MM,
+     r"Across all {unit:\w+}, what is the {op:minimum|maximum} {measure:(?:.+ )?}in {a}?",
+     _group(_EXTREME)),
+    ("arg_extreme", _MM, "In which {word:year|category} is the value of {a} the "
+     "{op:highest|lowest}?", _group({"highest": Reduce.ARGMAX, "lowest": Reduce.ARGMIN})),
+    ("second_highest", _MM, "Which {word:year|category} has the second highest value of {a}?",
+     _group(Reduce.SECOND_HIGHEST)),
+    ("value_in", _DR, "What is the value of {a} in {x}?", _points(Reduce.IDENTITY)),
+    ("value", _DR, "What is the value of {a}?", _points(Reduce.IDENTITY)),
+)}
 
 
 def decompose(
@@ -214,19 +232,13 @@ def decompose(
     if plan_hint is not None:
         return plan_hint
     text = question.strip()
-    for template_type, pattern, build in _PATTERNS:
-        m = pattern.match(text)
+    for template in _TEMPLATES.values():
+        m = template.pattern.fullmatch(text)
         if not m:
             continue
-        queries, reduce, args = build(m)
-        if template_type is TemplateType.STRUCTURAL and not describe_first:
+        if template.template_type is TemplateType.STRUCTURAL and not describe_first:
             raise NotTemplated("structural questions need the figure description")
-        return QuestionPlan(
-            template_type=template_type,
-            queries=_with_describe(queries, describe_first),
-            reduce=reduce,
-            reduce_args=tuple(args),
-        )
+        return template.plan(m.groupdict(), describe_first)
     raise NotTemplated(question)
 
 
@@ -525,7 +537,9 @@ def deduce(
 
 
 # ---------------------------------------------------------------------------
-# Template question generation.
+# Template question generation.  Each generator draws from the rng and
+# returns a _TEMPLATES key with its slot values; changing the order of the
+# draws changes every generated question set.
 # ---------------------------------------------------------------------------
 
 _YEAR_RE = re.compile(r"\d{4}")
@@ -546,34 +560,23 @@ def _numeric_rows(table: ChartTable) -> list[int]:
 
 
 def _gen_data_retrieval(table: ChartTable, rng: random.Random):
-    single = len(table.series) == 1
     word, _ = _x_word(table)
     rows = _numeric_rows(table)
     choices = ["point"] + (["arg_match"] if rows else [])
     kind = rng.choice(choices)
     if kind == "point":
         si = rng.randrange(len(table.series))
-        xi = rng.randrange(len(table.x_labels))
-        if single:
-            question = f"What is the value of {table.x_labels[xi]}?"
-            queries = (point_query(table.x_labels[xi]),)
-        else:
-            name = table.series[si].name
-            question = f"What is the value of {name} in {table.x_labels[xi]}?"
-            queries = (point_query(name, table.x_labels[xi]),)
-        return question, queries, Reduce.IDENTITY, ()
+        x = table.x_labels[rng.randrange(len(table.x_labels))]
+        if len(table.series) == 1:
+            return "value", {"a": x}
+        return "value_in", {"a": table.series[si].name, "x": x}
     si = rng.choice(rows)
-    xi = rng.randrange(len(table.x_labels))
-    target = table.cells[si][xi]
-    name = table.series[si].name
-    question = f"In which {word} is the value of {name} equal to {target.raw}?"
-    return question, (group_query(name),), Reduce.ARG_MATCH, (target,)
+    target = table.cells[si][rng.randrange(len(table.x_labels))]
+    return "arg_match", {"word": word, "a": table.series[si].name, "target": target.raw}
 
 
 def _gen_structural(table: ChartTable, rng: random.Random):
-    if rng.random() < 0.5:
-        return "How many legend labels are there?", (), Reduce.COUNT_SERIES, ()
-    return "How many x-axis labels are there?", (), Reduce.COUNT_X_LABELS, ()
+    return ("count_series" if rng.random() < 0.5 else "count_x_labels"), {}
 
 
 def _two_distinct(rng: random.Random, n: int) -> tuple[int, int]:
@@ -585,25 +588,17 @@ def _two_distinct(rng: random.Random, n: int) -> tuple[int, int]:
 
 
 def _gen_arithmetic(table: ChartTable, rng: random.Random):
-    single = len(table.series) == 1
     _, words = _x_word(table)
-    if single:
+    if len(table.series) == 1:
         if len(table.x_labels) < 2 or not _numeric_row(table, 0):
             raise SkippedTemplate("arithmetic needs two numeric cells")
         kind = rng.choice(["difference", "sum", "average"])
         if kind == "average":
-            name = table.series[0].name
-            question = f"What is the average value of {name} across all {words}?"
-            return question, (group_query(name),), Reduce.AVERAGE, ()
+            return "average_all", {"a": table.series[0].name, "words": words}
         xa, xb = _two_distinct(rng, len(table.x_labels))
         if kind == "difference" and table.cells[0][xa].number < table.cells[0][xb].number:
             xa, xb = xb, xa
-        la, lb = table.x_labels[xa], table.x_labels[xb]
-        if kind == "difference":
-            question = f"By how many points does the value in {la} surpass the value in {lb}?"
-            return question, (point_query(la), point_query(lb)), Reduce.DIFFERENCE, ()
-        question = f"What is the sum of the values in {la} and {lb}?"
-        return question, (point_query(la), point_query(lb)), Reduce.SUM, ()
+        return kind, {"a": table.x_labels[xa], "b": table.x_labels[xb]}
     rows = _numeric_rows(table)
     if len(rows) < 2:
         raise SkippedTemplate("arithmetic needs two numeric series")
@@ -613,14 +608,8 @@ def _gen_arithmetic(table: ChartTable, rng: random.Random):
     xi = rng.randrange(len(table.x_labels))
     if kind == "difference" and table.cells[sa][xi].number < table.cells[sb][xi].number:
         sa, sb = sb, sa
-    na, nb = table.series[sa].name, table.series[sb].name
-    x = table.x_labels[xi]
-    queries = (point_query(na, x), point_query(nb, x))
-    if kind == "difference":
-        return f"By how many points does {na} surpass {nb} in {x}?", queries, Reduce.DIFFERENCE, ()
-    if kind == "sum":
-        return f"What is the sum of the values of {na} and {nb} in {x}?", queries, Reduce.SUM, ()
-    return f"What is the average of the values of {na} and {nb} in {x}?", queries, Reduce.AVERAGE, ()
+    slots = {"a": table.series[sa].name, "b": table.series[sb].name, "x": table.x_labels[xi]}
+    return kind + "_in", slots
 
 
 def _gen_compound(table: ChartTable, rng: random.Random):
@@ -630,15 +619,11 @@ def _gen_compound(table: ChartTable, rng: random.Random):
     _, words = _x_word(table)
     si = rng.choice(rows)
     threshold = table.cells[si][rng.randrange(len(table.x_labels))]
-    greater = rng.random() < 0.5
-    relation = "greater than" if greater else "below"
-    reduce = Reduce.COUNT_GREATER if greater else Reduce.COUNT_LESS
+    op = "greater than" if rng.random() < 0.5 else "below"
+    slots = {"words": words, "op": op, "target": threshold.raw}
     if len(table.series) == 1:
-        question = f"In how many {words}, is the value of the bar {relation} {threshold.raw}?"
-        return question, (group_query(None),), reduce, (threshold,)
-    name = table.series[si].name
-    question = f"In how many {words}, is the value of {name} {relation} {threshold.raw}?"
-    return question, (group_query(name),), reduce, (threshold,)
+        return "count_bar", slots
+    return "count", {**slots, "a": table.series[si].name}
 
 
 def _gen_comparison(table: ChartTable, rng: random.Random):
@@ -655,15 +640,12 @@ def _gen_comparison(table: ChartTable, rng: random.Random):
         raise SkippedTemplate("comparison needs two numeric cells")
     kind = rng.choice(kinds)
     if kind == "two_smallest":
-        question = "Is the sum of the two smallest segments greater than the largest segment?"
-        return question, (group_query(None),), Reduce.SUM_TWO_SMALLEST_VS_LARGEST, ()
+        return "two_smallest", {"det": "the "}
     if kind == "greater_series":
         ia, ib = _two_distinct(rng, len(rows))
-        sa, sb = rows[ia], rows[ib]
         x = table.x_labels[rng.randrange(len(table.x_labels))]
-        na, nb = table.series[sa].name, table.series[sb].name
-        question = f"Is the value of {na} in {x} greater than the value of {nb} in {x}?"
-        return question, (point_query(na, x), point_query(nb, x)), Reduce.COMPARE_YES_NO, ()
+        na, nb = table.series[rows[ia]].name, table.series[rows[ib]].name
+        return "greater_in", {"a": na, "x": x, "b": nb, "y": x}
     si = rng.choice(rows)
     for _ in range(20):
         xa, xb = _two_distinct(rng, len(table.x_labels))
@@ -673,19 +655,11 @@ def _gen_comparison(table: ChartTable, rng: random.Random):
         raise SkippedTemplate("no nonzero denominator available")
     la, lb = table.x_labels[xa], table.x_labels[xb]
     if single:
-        queries = (point_query(la), point_query(lb))
-        if kind == "ratio":
-            question = f"What is the ratio of the value in {la} to that in {lb}?"
-            return question, queries, Reduce.RATIO, ()
-        question = f"Is the value in {la} greater than the value in {lb}?"
-        return question, queries, Reduce.COMPARE_YES_NO, ()
+        return kind, {"a": la, "b": lb}
     name = table.series[si].name
-    queries = (point_query(name, la), point_query(name, lb))
     if kind == "ratio":
-        question = f"What is the ratio of the value of {name} in {la} to that in {lb}?"
-        return question, queries, Reduce.RATIO, ()
-    question = f"Is the value of {name} in {la} greater than the value of {name} in {lb}?"
-    return question, (point_query(name, la), point_query(name, lb)), Reduce.COMPARE_YES_NO, ()
+        return "ratio_in", {"a": name, "x": la, "y": lb}
+    return "greater_in", {"a": name, "x": la, "b": name, "y": lb}
 
 
 def _gen_min_max(table: ChartTable, rng: random.Random):
@@ -693,27 +667,16 @@ def _gen_min_max(table: ChartTable, rng: random.Random):
     if not rows:
         raise SkippedTemplate("min-max needs a numeric series")
     word, words = _x_word(table)
-    si = rng.choice(rows)
-    name = table.series[si].name
-    kinds = ["min", "max", "argmin", "argmax"]
+    name = table.series[rng.choice(rows)].name
+    ops = ["minimum", "maximum", "lowest", "highest"]
     if len(table.x_labels) >= 2:
-        kinds.append("second_highest")
-    kind = rng.choice(kinds)
-    queries = (group_query(name),)
-    if kind == "min":
-        return (f"Across all {words}, what is the minimum value of {name}?",
-                queries, Reduce.MIN, ())
-    if kind == "max":
-        return (f"Across all {words}, what is the maximum value of {name}?",
-                queries, Reduce.MAX, ())
-    if kind == "argmin":
-        return (f"In which {word} is the value of {name} the lowest?",
-                queries, Reduce.ARGMIN, ())
-    if kind == "argmax":
-        return (f"In which {word} is the value of {name} the highest?",
-                queries, Reduce.ARGMAX, ())
-    return (f"Which {word} has the second highest value of {name}?",
-            queries, Reduce.SECOND_HIGHEST, ())
+        ops.append("second_highest")
+    op = rng.choice(ops)
+    if op in _EXTREME:
+        return "extreme", {"words": words, "op": op, "a": name}
+    if op == "second_highest":
+        return "second_highest", {"word": word, "a": name}
+    return "arg_extreme", {"word": word, "a": name, "op": op}
 
 
 _GENERATORS = {
@@ -743,14 +706,11 @@ def gen_questions(
     generate = _GENERATORS[template_type]
     out: list[tuple[QAInstance, QuestionPlan]] = []
     for _ in range(n):
-        question, queries, reduce, args = generate(table, rng)
-        plan = QuestionPlan(
-            template_type=template_type,
-            queries=_with_describe(queries, describe_first),
-            reduce=reduce,
-            reduce_args=tuple(args),
-        )
+        key, slots = generate(table, rng)
+        template = _TEMPLATES[key]
+        plan = template.plan(slots, describe_first)
         gold = compute_gold(table, plan)
+        question = template.form.format(**slots)
         out.append((QAInstance(question, gold.answer, table.source_id, template_type), plan))
     return out
 

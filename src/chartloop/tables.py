@@ -11,7 +11,7 @@ import re
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 from enum import Enum
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 
 class TableError(ValueError):
@@ -65,16 +65,8 @@ class Value:
         return Value(ValueKind.TEXT, raw)
 
     @staticmethod
-    def numeric(d: Decimal) -> "Value":
-        return Value(ValueKind.NUMERIC, canonical_decimal(d), d)
-
-    @staticmethod
     def yes_no(flag: bool) -> "Value":
         return Value(ValueKind.YES_NO, "yes" if flag else "no")
-
-    @staticmethod
-    def text(s: str) -> "Value":
-        return Value(ValueKind.TEXT, s)
 
     def render(self) -> str:
         return self.raw
@@ -159,9 +151,6 @@ class ChartTable:
             for j, cell in enumerate(row):
                 if not cell.raw.strip():
                     raise TableError(f"{self.source_id}: empty cell at [{i}][{j}]")
-
-    def cell(self, series_index: int, x_index: int) -> Value:
-        return self.cells[series_index][x_index]
 
     def to_dict(self) -> dict:
         return {
@@ -315,9 +304,3 @@ def validate_trace(trace: ReasoningTrace) -> None:
     else:
         if trace.final is not None:
             raise TraceError(f"final value set for {trace.terminated_by.value} termination")
-
-
-def iter_cells(table: ChartTable) -> Iterable[tuple[int, int, Value]]:
-    for i in range(len(table.series)):
-        for j in range(len(table.x_labels)):
-            yield i, j, table.cells[i][j]

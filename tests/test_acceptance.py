@@ -38,7 +38,7 @@ def _verdict(name: str, ok: bool) -> bool:
 
 
 def _closed_loop_accuracy(tables, templates, describe_first):
-    config = EpisodeConfig(describe_first=describe_first)
+    config = EpisodeConfig()
     reasoner = SymbolicReasoner(describe_first=describe_first)
     total = correct = skipped = 0
     describe_seen = False

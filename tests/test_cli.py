@@ -1,4 +1,8 @@
 import json
+import os
+import sys
+
+import pytest
 
 from chartloop.cli import main
 
@@ -251,3 +255,48 @@ def test_rerun_from_recorded_config(small_corpus_path, tmp_path):
     assert run_cli(["datagen", "--config", out1 / "run_config.json",
                     "--corpus", small_corpus_path, "--out-dir", out2]) == 0
     assert (out1 / "system1.jsonl").read_bytes() == (out2 / "system1.jsonl").read_bytes()
+
+
+@pytest.mark.parametrize("style", ["stepwise5", "deplot1"])
+def test_run_unknown_chart_exits_2(small_corpus_path, tmp_path, capsys, style):
+    code = run_cli(["run", "--question", "What is the value of Q3?",
+                    "--chart", "no-such-chart", "--corpus", small_corpus_path,
+                    "--prompt-style", style, "--out-dir", tmp_path / "run"])
+    assert code == 2
+    assert capsys.readouterr().err == "error: chart 'no-such-chart' not found\n"
+
+
+def test_run_scripted_with_self_consistency_exits_2(small_corpus_path, tmp_path):
+    script = tmp_path / "script.json"
+    script.write_text(json.dumps(["The value is 7.0. So the answer is 7.0."]),
+                      encoding="utf-8")
+    code = run_cli(["run", "--question", "What is the value of Q3?",
+                    "--chart", "solo-chart", "--corpus", small_corpus_path,
+                    "--backend", "scripted", "--script", script, "--sc", 3,
+                    "--out-dir", tmp_path / "run"])
+    assert code == 2
+    assert not (tmp_path / "run" / "run_config.json").exists()
+
+
+@pytest.mark.parametrize("backend_flags", [
+    ["--backend", "http", "--reasoner-url", "http://127.0.0.1:9/complete"],
+    ["--backend", "scripted", "--script", "unused.json"],
+])
+def test_no_describe_needs_symbolic_backend(small_corpus_path, tmp_path, backend_flags):
+    code = run_cli(["run", "--question", "What is the value of Q3?",
+                    "--chart", "solo-chart", "--corpus", small_corpus_path,
+                    "--no-describe", *backend_flags, "--out-dir", tmp_path / "run"])
+    assert code == 2
+    assert not (tmp_path / "run" / "run_config.json").exists()
+
+
+def test_eval_into_closed_pipe_keeps_files(tmp_path, monkeypatch):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    out = tmp_path / "eval"
+    with open(write_end, "w", encoding="utf-8") as closed_pipe:
+        monkeypatch.setattr(sys, "stdout", closed_pipe)
+        code = run_cli(["eval", "--synthetic", 3, "--out-dir", out])
+    assert code == 0
+    assert (out / "records.jsonl").exists()
+    assert (out / "report.json").exists()

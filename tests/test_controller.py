@@ -89,7 +89,7 @@ def test_describe_first_on_and_off(costa_rica):
     first_query = next(s for s in trace.steps if s.role is StepRole.REASONER_QUERY)
     assert parse_step(first_query.text).query.op is QueryOp.DESCRIBE
 
-    config = EpisodeConfig(describe_first=False)
+    config = EpisodeConfig()
     trace = run_episode(question, "pupil-teacher", SymbolicReasoner(describe_first=False),
                         oracle, config)
     for step in trace.steps:
@@ -177,7 +177,7 @@ def test_single_series_group_falls_back_to_all_values(neonatal):
         "neonatal-deaths",
         SymbolicReasoner(describe_first=False),
         reader,
-        EpisodeConfig(describe_first=False),
+        EpisodeConfig(),
     )
     assert reader.calls[0][0] == "Let's extract all the values."
 

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 
 import pytest
@@ -10,6 +12,7 @@ from chartloop.protocol import (
     point_query,
 )
 from chartloop.symbolic import (
+    _TEMPLATES,
     NotTemplated,
     QuestionPlan,
     Reduce,
@@ -21,7 +24,7 @@ from chartloop.symbolic import (
     gen_questions,
     stable_seed,
 )
-from chartloop.synth import random_table
+from chartloop.synth import random_table, random_tables
 from chartloop.tables import ChartTable, TemplateType, Value
 
 
@@ -189,12 +192,63 @@ def test_gen_deterministic_under_seed(costa_rica):
     ]
 
 
+# Wordings that occur only in human-authored questions; the decompose tests
+# above pin their plans.
+_HUMAN_ONLY_QUESTIONS = (
+    "By how many points does NET Excellent/good surpass NET Only fair/poor "
+    "in German in the year of 2018?",
+    "In which year the private health expenditure per person in Oman is 210.69?",
+    "Across all years, what is the minimum pupil-teacher ratio in Costa Rica?",
+)
+
+
+def _template_key(question):
+    return next(key for key, template in _TEMPLATES.items()
+                if template.pattern.fullmatch(question))
+
+
 def test_gen_questions_decompose_back_to_plan():
-    for index in range(12):
+    generated_keys = set()
+    for index in range(40):
         table = random_table(77, index)
         for template in TemplateType:
-            for qa, plan in gen_questions(table, template, seed=3, n=2):
-                assert decompose(qa.question) == plan
+            for describe_first in (True, False):
+                for qa, plan in gen_questions(table, template, seed=3, n=2,
+                                              describe_first=describe_first):
+                    generated_keys.add(_template_key(qa.question))
+                    if template is TemplateType.STRUCTURAL and not describe_first:
+                        with pytest.raises(NotTemplated):
+                            decompose(qa.question, describe_first=False)
+                    else:
+                        assert decompose(qa.question, describe_first=describe_first) == plan
+    human_keys = {_template_key(q) for q in _HUMAN_ONLY_QUESTIONS}
+    assert len(human_keys) == len(_HUMAN_ONLY_QUESTIONS)
+    assert human_keys.isdisjoint(generated_keys)
+    assert generated_keys | human_keys == set(_TEMPLATES)
+
+
+def _generation_digest(seeds, n_charts):
+    digest = hashlib.sha256()
+    for seed in seeds:
+        for table in random_tables(seed, n_charts):
+            for template in TemplateType:
+                for describe_first in (True, False):
+                    try:
+                        pairs = gen_questions(table, template, seed, n=3,
+                                              describe_first=describe_first)
+                    except SkippedTemplate:
+                        digest.update(b"skipped")
+                        continue
+                    for qa, plan in pairs:
+                        digest.update(json.dumps(qa.to_dict(), sort_keys=True).encode())
+                        digest.update(repr(plan).encode())
+    return digest.hexdigest()
+
+
+def test_gen_questions_golden_digest():
+    # Pins question wording, gold answers, plans and the RNG call order.
+    assert _generation_digest(seeds=(0, 1, 2), n_charts=40) == (
+        "7246c0187ba5b9a6866dd1cdf936cf7147e85876310523cbef00df0c808618ad")
 
 
 def test_gen_skips_too_small_tables():
