@@ -1,7 +1,18 @@
 """Command-line entry point wiring ingestion, generation, episodes, and eval.
 
 Exit codes are stable: 0 success, 2 usage/input error, 3 backend failure,
-4 empty result.  Every command serializes its effective configuration into
+4 empty result.  ``run`` exits 3 when every episode ended in a backend error,
+else 4 when there is no final answer; ``eval`` exits 3, after writing its
+files, when every episode of every question ended in a backend error.
+
+``run`` and ``eval`` answer each question the same way: ``--sc N`` episodes
+(one by default) majority-voted by normalized answer, the vote returning the
+winning answer as the model wrote it.  The temperature is ``--temperature``
+if given, else 0.4 with ``--sc`` above 1 and 0.0 otherwise.
+
+Each subcommand takes only the flags it reads, and each flag's argparse
+default is its only default; ``--config`` JSON replaces those defaults and
+flags still win.  Every command serializes its effective configuration into
 the output directory so a run can be reproduced from its artifacts; all
 randomness flows from --seed.  Every command writes its files before it
 prints, so a stdout closed early (``| head``) loses nothing and is not an
@@ -19,11 +30,11 @@ from pathlib import Path
 from typing import Callable, Optional, Sequence
 
 from .backends import BackendError, HttpReader, HttpReasoner, ScriptedReasoner
-from .controller import EpisodeConfig, SelfConsistencyConfig, run_episode, run_self_consistency
+from .controller import EpisodeConfig, SelfConsistencyConfig, run_self_consistency
 from .datagen import (
     Corpus,
     CorpusError,
-    examples_from_traces,
+    example_from_trace,
     export_system2_sft,
     generate_system1_corpus,
     load_corpus,
@@ -45,7 +56,8 @@ from .oracle import ChartNotFound, TableOracle
 from .prompts import PromptStyle
 from .symbolic import SkippedTemplate, SymbolicReasoner, gen_questions
 from .synth import random_tables
-from .tables import ChartTable, QAInstance, ReasoningTrace, StepRole, Termination, TemplateType, underlying_length
+from .tables import (ChartTable, QAInstance, ReasoningTrace, StepRole, Termination, TemplateType,
+                     Value, underlying_length)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -58,75 +70,58 @@ _PROMPT_STYLES = {
     "deplot5": PromptStyle.DEPLOT_5SHOT,
 }
 
-_DEFAULTS = {
-    "seed": 0,
-    "format": "internal_json",
-    "backend": "symbolic",
-    "prompt_style": "stepwise5",
-    "temperature": 0.0,
-    "sc": 1,
-    "max_steps": 8,
-    "workers": 1,
-    "buckets": ",".join(str(e) for e in DEFAULT_BUCKET_EDGES),
-    "out_dir": "out",
-    "templates": ",".join(t.value for t in TemplateType),
-    "sample": 0,
-    "synthetic": 0,
-    "per_template": 1,
-}
+_FORMATS = ["internal_json", "chartqa_like", "plotqa_like"]
+_DEFAULT_BUCKETS = ",".join(str(e) for e in DEFAULT_BUCKET_EDGES)
+# Namespace entries that are not options of the command being run.
+_NOT_OPTIONS = ("command", "config", "func", "subparser")
 
 
 class UsageError(ValueError):
     pass
 
 
-def _add_shared_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=None, help="master random seed")
-    parser.add_argument("--config", default=None, help="JSON config file; flags win")
-    parser.add_argument("--out-dir", dest="out_dir", default=None, help="output directory")
-    parser.add_argument("--backend", choices=["symbolic", "http", "scripted"],
-                        default=None, help="reasoner backend")
-    parser.add_argument("--reasoner-url", dest="reasoner_url", default=None)
-    parser.add_argument("--reader-url", dest="reader_url", default=None)
-    parser.add_argument("--model", default=None, help="model name for HTTP backends")
-    parser.add_argument("--api-key", dest="api_key", default=None,
-                        help="bearer token for HTTP backends")
-    parser.add_argument("--script", default=None, help="scripted reasoner JSON file")
-    parser.add_argument("--sc", type=int, default=None, help="self-consistency sample count")
-    parser.add_argument("--temperature", type=float, default=None)
-    parser.add_argument("--max-steps", dest="max_steps", type=int, default=None)
-    parser.add_argument("--no-describe", dest="no_describe", action="store_true", default=None)
-    parser.add_argument("--prompt-style", dest="prompt_style",
-                        choices=sorted(_PROMPT_STYLES), default=None)
-    parser.add_argument("--buckets", default=None, help="comma-separated bucket edges")
+def _config_value(action: argparse.Action, key: str, value: object) -> object:
+    """Check one config-file value against its flag: strings get the flag's
+    type conversion, anything else must already have the flag's type."""
+    if value is None and action.default is None:
+        return value
+    kind = bool if action.nargs == 0 else (action.type or str)
+    converted = value
+    if kind is not bool and (isinstance(value, str) or (kind is float and type(value) is int)):
+        try:
+            converted = kind(value)
+        except ValueError:
+            pass
+    if type(converted) is not kind or (action.choices and converted not in action.choices):
+        raise UsageError(f"config key {key!r} has a bad value {value!r}")
+    return converted
 
 
-def _merge_config(args: argparse.Namespace) -> dict:
-    merged: dict = {}
-    if args.config:
-        with open(args.config, encoding="utf-8") as handle:
-            merged.update(json.load(handle))
-    for key, value in vars(args).items():
-        if key in ("config", "func", "command"):
-            continue
-        if value is not None or key not in merged:
-            if value is not None:
-                merged[key] = value
-            elif key not in merged:
-                merged[key] = None
-    for key, fallback in _DEFAULTS.items():
-        if merged.get(key) is None and key in merged:
-            merged[key] = fallback
-    if merged.get("no_describe") is None:
-        merged["no_describe"] = False
-    return merged
+def _config_defaults(sub: argparse.ArgumentParser, command: str, path: str) -> dict:
+    """Read a JSON config file into defaults for the ``command`` subparser."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            loaded = json.load(handle)
+    except OSError as exc:
+        raise UsageError(f"cannot read config {path}: {exc.strerror}") from None
+    except ValueError as exc:
+        raise UsageError(f"config {path} is not valid JSON: {exc}") from None
+    if not isinstance(loaded, dict):
+        raise UsageError(f"config {path} must hold a JSON object")
+    named = loaded.pop("command", command)
+    if named != command:
+        raise UsageError(f"config {path} is for {named!r}, not {command!r}")
+    actions = {a.dest: a for a in sub._actions if a.dest not in ("help", "config")}
+    for key in loaded:
+        if key not in actions:
+            raise UsageError(f"config key {key!r} is not an option of {command}")
+    return {key: _config_value(actions[key], key, value) for key, value in loaded.items()}
 
 
 def _write_run_config(cfg: dict, out_dir: Path, command: str) -> None:
-    payload = {"command": command}
-    payload.update({k: cfg[k] for k in sorted(cfg)})
     with open(out_dir / "run_config.json", "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, ensure_ascii=False, indent=2, sort_keys=True)
+        json.dump({"command": command, **cfg}, handle, ensure_ascii=False, indent=2,
+                  sort_keys=True)
         handle.write("\n")
 
 
@@ -140,12 +135,14 @@ def _parse_buckets(text: str) -> tuple[int, ...]:
     return edges
 
 
-def _episode_config(cfg: dict) -> EpisodeConfig:
-    return EpisodeConfig(
-        max_steps=cfg["max_steps"],
-        temperature=cfg["temperature"],
-        prompt_style=_PROMPT_STYLES[cfg["prompt_style"]],
-    )
+def _load_corpus(cfg: dict) -> Optional[Corpus]:
+    """Load ``--corpus`` if given, printing each dropped row once."""
+    if not cfg["corpus"]:
+        return None
+    corpus = load_corpus(cfg["corpus"], cfg["format"])
+    for issue in corpus.issues:
+        print(f"warning: {issue}", file=sys.stderr)
+    return corpus
 
 
 def _reasoner_factory(cfg: dict) -> Callable[[], object]:
@@ -156,12 +153,11 @@ def _reasoner_factory(cfg: dict) -> Callable[[], object]:
         reasoner = SymbolicReasoner(describe_first=not cfg["no_describe"])
         return lambda: reasoner
     if backend == "http":
-        if not cfg.get("reasoner_url"):
+        if not cfg["reasoner_url"]:
             raise UsageError("--reasoner-url is required with --backend http")
-        reasoner = HttpReasoner(cfg["reasoner_url"], model=cfg.get("model"),
-                                api_key=cfg.get("api_key"))
+        reasoner = HttpReasoner(cfg["reasoner_url"], model=cfg["model"], api_key=cfg["api_key"])
         return lambda: reasoner
-    if not cfg.get("script"):
+    if not cfg["script"]:
         raise UsageError("--script is required with --backend scripted")
     if cfg["sc"] > 1:
         # A replay script is one deterministic episode: there is nothing to vote over.
@@ -170,25 +166,43 @@ def _reasoner_factory(cfg: dict) -> Callable[[], object]:
     return lambda: ScriptedReasoner.from_file(script_path)
 
 
-def _reader_for(cfg: dict, corpus: Optional[Corpus], extra_charts: Sequence[ChartTable] = ()):
-    if cfg.get("reader_url"):
-        return HttpReader(cfg["reader_url"], api_key=cfg.get("api_key"))
-    charts: dict[str, ChartTable] = {}
-    if corpus is not None:
-        charts.update(corpus.chart_index())
-    for table in extra_charts:
-        charts[table.source_id] = table
-    if not charts:
+def _answerer(cfg: dict, charts: dict[str, ChartTable]) -> Callable[[str, str], tuple]:
+    """Build the one answer path of ``run`` and ``eval``: ``--sc`` episodes,
+    majority-voted (one episode at ``--sc 1``).  Settles ``cfg["temperature"]``:
+    0.4 when voting over several samples and 0.0 otherwise, unless given."""
+    make_reasoner = _reasoner_factory(cfg)
+    if cfg["temperature"] is None:
+        cfg["temperature"] = 0.4 if cfg["sc"] > 1 else 0.0
+    if cfg["reader_url"]:
+        reader = HttpReader(cfg["reader_url"], api_key=cfg["api_key"])
+    elif charts:
+        reader = TableOracle(charts)
+    else:
         raise UsageError("no charts available for the table reader")
-    return TableOracle(charts)
+    config = EpisodeConfig(max_steps=cfg["max_steps"],
+                           prompt_style=_PROMPT_STYLES[cfg["prompt_style"]])
+    sc = SelfConsistencyConfig(n_samples=cfg["sc"], temperature=cfg["temperature"])
+
+    def answer(question: str, chart: str) -> tuple[Optional[Value], list[ReasoningTrace]]:
+        context = None
+        if config.prompt_style is not PromptStyle.STEPWISE_5SHOT:
+            context = charts.get(chart)
+            if context is None:
+                raise ChartNotFound(chart)
+        return run_self_consistency(question, chart, make_reasoner(), reader, config, sc,
+                                    context_table=context)
+
+    return answer
+
+
+def _all_backend_errors(traces: Sequence[ReasoningTrace]) -> bool:
+    return all(t.terminated_by is Termination.BACKEND_ERROR for t in traces)
 
 
 def cmd_datagen(cfg: dict) -> int:
     out_dir = Path(cfg["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
-    corpus = load_corpus(cfg["corpus"], cfg["format"])
-    for issue in corpus.issues:
-        print(f"warning: {issue}", file=sys.stderr)
+    corpus = _load_corpus(cfg)
     pairs, manifest = generate_system1_corpus(corpus.charts, cfg["seed"])
     write_system1_jsonl(pairs, out_dir / "system1.jsonl")
     with open(out_dir / "manifest.json", "w", encoding="utf-8") as handle:
@@ -203,64 +217,38 @@ def cmd_datagen(cfg: dict) -> int:
 
 
 def _print_trace(trace: ReasoningTrace) -> None:
-    role_tags = {
-        StepRole.REASONER_QUERY: "reasoner",
-        StepRole.READER_ANSWER: "reader",
-        StepRole.CONCLUSION: "reasoner",
-        StepRole.PROTOCOL_ERROR: "reasoner",
-    }
     for step in trace.steps:
-        print(f"[{role_tags[step.role]}] {step.text}")
+        tag = "reader" if step.role is StepRole.READER_ANSWER else "reasoner"
+        print(f"[{tag}] {step.text}")
 
 
 def cmd_run(cfg: dict) -> int:
     out_dir = Path(cfg["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
-    corpus = load_corpus(cfg["corpus"], cfg["format"]) if cfg.get("corpus") else None
-    reader = _reader_for(cfg, corpus)
-    make_reasoner = _reasoner_factory(cfg)
-    config = _episode_config(cfg)
-    context_table = None
-    if config.prompt_style is not PromptStyle.STEPWISE_5SHOT:
-        if corpus is None:
-            raise UsageError("baseline prompt styles need --corpus for the context table")
-        context_table = corpus.chart_index().get(cfg["chart"])
-        if context_table is None:
-            raise ChartNotFound(cfg["chart"])
+    corpus = _load_corpus(cfg)
+    answer = _answerer(cfg, corpus.chart_index() if corpus else {})
     _write_run_config(cfg, out_dir, "run")
     question, chart = cfg["question"], cfg["chart"]
-    if cfg["sc"] > 1:
-        sc = SelfConsistencyConfig(n_samples=cfg["sc"], temperature=cfg["temperature"] or 0.4)
-        final, traces = run_self_consistency(
-            question, chart, make_reasoner(), reader, config, sc, context_table=context_table
-        )
-        payload = {
-            "question": question,
-            "chart_id": chart,
-            "final": final.raw if final else None,
-            "episodes": [t.to_dict() for t in traces],
-        }
-        with open(out_dir / "trace.json", "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, ensure_ascii=False, indent=2)
-            handle.write("\n")
-        for index, trace in enumerate(traces):
-            print(f"--- episode {index} ---")
-            _print_trace(trace)
-        print(f"Voted answer: {final.raw if final else '(none)'}")
-        return EXIT_OK if final is not None else EXIT_EMPTY
-    trace = run_episode(question, chart, make_reasoner(), reader, config,
-                        context_table=context_table)
+    final, traces = answer(question, chart)
     payload = {"question": question, "chart_id": chart}
-    payload.update(trace.to_dict())
+    if len(traces) == 1:
+        payload.update(traces[0].to_dict())
+    else:
+        payload["final"] = final.raw if final else None
+        payload["episodes"] = [t.to_dict() for t in traces]
     with open(out_dir / "trace.json", "w", encoding="utf-8") as handle:
         json.dump(payload, handle, ensure_ascii=False, indent=2)
         handle.write("\n")
-    _print_trace(trace)
-    if trace.terminated_by is Termination.BACKEND_ERROR:
+    for index, trace in enumerate(traces):
+        if len(traces) > 1:
+            print(f"--- episode {index} ---")
+        _print_trace(trace)
+    if _all_backend_errors(traces):
         print("backend error; partial trace written", file=sys.stderr)
         return EXIT_BACKEND
-    print(f"Final answer: {trace.final.raw if trace.final else '(none)'}")
-    return EXIT_OK
+    label = "Final" if len(traces) == 1 else "Voted"
+    print(f"{label} answer: {final.raw if final else '(none)'}")
+    return EXIT_OK if final is not None else EXIT_EMPTY
 
 
 def _synthetic_eval_set(cfg: dict) -> tuple[list[ChartTable], list[QAInstance]]:
@@ -281,62 +269,45 @@ def cmd_eval(cfg: dict) -> int:
     out_dir = Path(cfg["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
     edges = _parse_buckets(cfg["buckets"])
-    corpus = load_corpus(cfg["corpus"], cfg["format"]) if cfg.get("corpus") else None
-    extra_charts: list[ChartTable] = []
+    corpus = _load_corpus(cfg)
+    charts = corpus.chart_index() if corpus else {}
     if cfg["synthetic"] > 0:
-        extra_charts, instances = _synthetic_eval_set(cfg)
+        synthetic, instances = _synthetic_eval_set(cfg)
+        charts.update((t.source_id, t) for t in synthetic)
+    elif corpus is None:
+        raise UsageError("eval needs --corpus or --synthetic N")
     else:
-        if corpus is None:
-            raise UsageError("eval needs --corpus or --synthetic N")
         instances = corpus.all_qa()
     if cfg["sample"] > 0:
         instances = sample_eval_set(instances, cfg["sample"], cfg["seed"])
     if not instances:
         print("no QA instances to evaluate", file=sys.stderr)
         return EXIT_EMPTY
-    reader = _reader_for(cfg, corpus, extra_charts)
-    make_reasoner = _reasoner_factory(cfg)
-    config = _episode_config(cfg)
-    chart_lengths = {t.source_id: underlying_length(t) for t in extra_charts}
-    if corpus is not None:
-        chart_lengths.update(
-            {t.source_id: underlying_length(t) for t in corpus.charts}
-        )
-    chart_tables = {t.source_id: t for t in extra_charts}
-    if corpus is not None:
-        chart_tables.update(corpus.chart_index())
+    answer = _answerer(cfg, charts)
+    chart_lengths = {chart_id: underlying_length(t) for chart_id, t in charts.items()}
     _write_run_config(cfg, out_dir, "eval")
 
     def score(item: tuple[int, QAInstance]):
         index, qa = item
-        context_table = None
-        if config.prompt_style is not PromptStyle.STEPWISE_5SHOT:
-            context_table = chart_tables[qa.chart_id]
-        if cfg["sc"] > 1:
-            sc = SelfConsistencyConfig(n_samples=cfg["sc"], temperature=cfg["temperature"] or 0.4)
-            final, _ = run_self_consistency(
-                qa.question, qa.chart_id, make_reasoner(), reader, config, sc,
-                context_table=context_table,
-            )
-        else:
-            trace = run_episode(qa.question, qa.chart_id, make_reasoner(), reader, config,
-                                context_table=context_table)
-            final = trace.final
-        return make_record(qa, final, chart_lengths.get(qa.chart_id, 0), f"episode-{index}")
+        final, traces = answer(qa.question, qa.chart_id)
+        record = make_record(qa, final, chart_lengths.get(qa.chart_id, 0), f"episode-{index}")
+        return record, _all_backend_errors(traces)
 
     items = list(enumerate(instances))
     if cfg["workers"] > 1:
         with ThreadPoolExecutor(max_workers=cfg["workers"]) as pool:
-            records = list(pool.map(score, items))
+            scored = list(pool.map(score, items))
     else:
-        records = [score(item) for item in items]
-    if not records:
-        return EXIT_EMPTY
+        scored = [score(item) for item in items]
+    records = [record for record, _ in scored]
     report = evaluate_run(records, edges)
     write_report(report, out_dir / "report.json", out_dir / "report.txt")
     write_records_jsonl(records, out_dir / "records.jsonl")
     write_records_csv(records, out_dir / "records.csv")
     print(render_report_text(report))
+    if all(failed for _, failed in scored):
+        print("backend error: every episode failed", file=sys.stderr)
+        return EXIT_BACKEND
     return EXIT_OK
 
 
@@ -345,40 +316,31 @@ def cmd_export_ft(cfg: dict) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     examples = []
     skipped = 0
-    if cfg.get("annotations"):
+    if cfg["annotations"]:
         path = Path(cfg["annotations"])
         if not path.exists():
             raise UsageError(f"annotations file not found: {path}")
         examples.extend(parse_annotated_examples(path.read_text(encoding="utf-8")))
-    if cfg.get("traces"):
+    if cfg["traces"]:
         traces_dir = Path(cfg["traces"])
         if not traces_dir.is_dir():
             raise UsageError(f"traces directory not found: {traces_dir}")
-        triples = []
         for trace_path in sorted(traces_dir.glob("*.json")):
             try:
                 payload = json.loads(trace_path.read_text(encoding="utf-8"))
                 trace = ReasoningTrace.from_dict(payload)
-                triples.append((trace, payload["question"], payload["chart_id"]))
-            except (json.JSONDecodeError, KeyError, ValueError) as exc:
+                examples.append(example_from_trace(trace, payload["question"], payload["chart_id"]))
+            except (KeyError, ValueError) as exc:
                 skipped += 1
                 print(f"warning: {trace_path}: {exc}", file=sys.stderr)
-        converted, bad = examples_from_traces(triples)
-        skipped += bad
-        examples.extend(converted)
     _write_run_config(cfg, out_dir, "export-ft")
     if not examples:
         print("no valid fine-tuning examples", file=sys.stderr)
         return EXIT_EMPTY
     count = export_system2_sft(examples, out_dir / "system2.jsonl", cfg["tagged"])
-    masked_chars = sum(
-        len(s.text) for e in examples for s in e.segments if s.masked
-    )
+    masked_chars = sum(len(s.text) for e in examples for s in e.segments if s.masked)
     total_chars = sum(len(s.text) for e in examples for s in e.segments)
-    print(
-        f"examples={count} skipped={skipped} "
-        f"masked_chars={masked_chars}/{total_chars}"
-    )
+    print(f"examples={count} skipped={skipped} masked_chars={masked_chars}/{total_chars}")
     return EXIT_OK
 
 
@@ -396,6 +358,34 @@ def cmd_report(cfg: dict) -> int:
     return EXIT_OK
 
 
+def _output_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--config", default=None, help="JSON config file; flags win")
+    p.add_argument("--out-dir", dest="out_dir", default="out", help="output directory")
+
+
+def _corpus_flags(p: argparse.ArgumentParser, required: bool = False) -> None:
+    p.add_argument("--corpus", required=required, default=None)
+    p.add_argument("--format", choices=_FORMATS, default="internal_json")
+
+
+def _episode_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--backend", choices=["symbolic", "http", "scripted"], default="symbolic",
+                   help="reasoner backend")
+    p.add_argument("--reasoner-url", dest="reasoner_url", default=None)
+    p.add_argument("--reader-url", dest="reader_url", default=None)
+    p.add_argument("--model", default=None, help="model name for HTTP backends")
+    p.add_argument("--api-key", dest="api_key", default=None,
+                   help="bearer token for HTTP backends")
+    p.add_argument("--script", default=None, help="scripted reasoner JSON file")
+    p.add_argument("--sc", type=int, default=1, help="self-consistency sample count")
+    p.add_argument("--temperature", type=float, default=None,
+                   help="sampling temperature (default 0.4 with --sc above 1, else 0.0)")
+    p.add_argument("--max-steps", dest="max_steps", type=int, default=8)
+    p.add_argument("--no-describe", dest="no_describe", action="store_true")
+    p.add_argument("--prompt-style", dest="prompt_style", choices=sorted(_PROMPT_STYLES),
+                   default="stepwise5")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="chartloop",
@@ -403,47 +393,44 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("datagen", help="generate reader training pairs from a corpus")
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--format", choices=["internal_json", "chartqa_like", "plotqa_like"],
-                   default=None)
-    _add_shared_flags(p)
-    p.set_defaults(func=cmd_datagen)
+    def command(name: str, func: Callable[[dict], int], help: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func, subparser=p)
+        _output_flags(p)
+        return p
 
-    p = sub.add_parser("run", help="run a single question through the loop")
+    p = command("datagen", cmd_datagen, "generate reader training pairs from a corpus")
+    _corpus_flags(p, required=True)
+    p.add_argument("--seed", type=int, default=0, help="master random seed")
+
+    p = command("run", cmd_run, "run a single question through the loop")
     p.add_argument("--question", required=True)
     p.add_argument("--chart", required=True, help="chart id, resolved by the reader")
-    p.add_argument("--corpus", default=None)
-    p.add_argument("--format", choices=["internal_json", "chartqa_like", "plotqa_like"],
-                   default=None)
-    _add_shared_flags(p)
-    p.set_defaults(func=cmd_run)
+    _corpus_flags(p)
+    _episode_flags(p)
 
-    p = sub.add_parser("eval", help="score an eval set and write a report")
-    p.add_argument("--corpus", default=None)
-    p.add_argument("--format", choices=["internal_json", "chartqa_like", "plotqa_like"],
-                   default=None)
-    p.add_argument("--synthetic", type=int, default=None,
+    p = command("eval", cmd_eval, "score an eval set and write a report")
+    _corpus_flags(p)
+    p.add_argument("--seed", type=int, default=0, help="master random seed")
+    p.add_argument("--synthetic", type=int, default=0,
                    help="generate N random charts with template questions")
-    p.add_argument("--templates", default=None, help="comma-separated template types")
-    p.add_argument("--per-template", dest="per_template", type=int, default=None)
-    p.add_argument("--sample", type=int, default=None, help="sample N instances (0 = all)")
-    p.add_argument("--workers", type=int, default=None)
-    _add_shared_flags(p)
-    p.set_defaults(func=cmd_eval)
+    p.add_argument("--templates", default=",".join(t.value for t in TemplateType),
+                   help="comma-separated template types")
+    p.add_argument("--per-template", dest="per_template", type=int, default=1)
+    p.add_argument("--sample", type=int, default=0, help="sample N instances (0 = all)")
+    p.add_argument("--workers", type=int, default=1)
+    _episode_flags(p)
+    p.add_argument("--buckets", default=_DEFAULT_BUCKETS, help="comma-separated bucket edges")
 
-    p = sub.add_parser("export-ft", help="export loss-masked reasoner SFT data")
+    p = command("export-ft", cmd_export_ft, "export loss-masked reasoner SFT data")
     p.add_argument("--traces", default=None, help="directory of trace JSON files")
     p.add_argument("--annotations", default=None, help="[INST]-tagged annotation file")
-    p.add_argument("--tagged", action="store_true", default=None,
+    p.add_argument("--tagged", action="store_true",
                    help="include the [INST]-wrapped rendering")
-    _add_shared_flags(p)
-    p.set_defaults(func=cmd_export_ft)
 
-    p = sub.add_parser("report", help="re-render a report from saved records")
+    p = command("report", cmd_report, "re-render a report from saved records")
     p.add_argument("--records", required=True)
-    _add_shared_flags(p)
-    p.set_defaults(func=cmd_report)
+    p.add_argument("--buckets", default=_DEFAULT_BUCKETS, help="comma-separated bucket edges")
 
     return parser
 
@@ -451,10 +438,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    cfg = _merge_config(args)
-    if cfg.get("tagged") is None:
-        cfg["tagged"] = False
     try:
+        if args.config:
+            # Config values become the subcommand's defaults; parsing again
+            # lets every flag given on the command line win over them.
+            args.subparser.set_defaults(**_config_defaults(args.subparser, args.command,
+                                                           args.config))
+            args = parser.parse_args(argv)
+        cfg = {k: v for k, v in vars(args).items() if k not in _NOT_OPTIONS}
         code = args.func(cfg)
         sys.stdout.flush()
         return code

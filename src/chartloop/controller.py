@@ -5,7 +5,7 @@ end-of-line stop marker, the completed line is classified, atomic queries are
 dispatched to the reader, and the reader's sentence is spliced back verbatim
 before generation resumes.  A hard cap on protocol-line decisions bounds the
 loop regardless of backend behavior.  Self-consistency runs several episodes
-at a sampling temperature and majority-votes the normalized finals.
+at a sampling temperature and majority-votes their finals by normalized form.
 """
 
 from __future__ import annotations

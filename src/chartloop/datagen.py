@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import csv
 import json
-import logging
 import random
 import re
 from dataclasses import dataclass
@@ -32,9 +31,6 @@ from .tables import (
     Value,
     validate_trace,
 )
-
-log = logging.getLogger(__name__)
-
 
 class CorpusError(ValueError):
     """Fatal ingestion failure: unreadable path or zero valid charts."""
@@ -83,9 +79,7 @@ class Corpus:
 
 
 def _report(issues: list[str], where: str, message: str) -> None:
-    issue = f"{where}: {message}"
-    issues.append(issue)
-    log.warning("%s", issue)
+    issues.append(f"{where}: {message}")
 
 
 def _qa_from_obj(obj: dict, chart_id: str) -> QAInstance:
@@ -377,7 +371,6 @@ def examples_from_traces(
     for trace, question, chart_id in traces:
         try:
             out.append(example_from_trace(trace, question, chart_id))
-        except ValueError as exc:
+        except ValueError:
             skipped += 1
-            log.warning("skipping trace for %s: %s", chart_id, exc)
     return out, skipped

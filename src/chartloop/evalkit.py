@@ -97,14 +97,15 @@ def vote_key(value: Value) -> str:
 
 
 def majority_vote(finals: Sequence[Value]) -> Optional[Value]:
-    """Mode of the normalized finals; ties go to the lexicographically
-    smaller canonical rendering; an empty pool means no answer."""
+    """Mode of the finals by ``vote_key``; ties go to the lexicographically
+    smaller key.  Returns the winning class's smallest raw member as written,
+    so one final votes for itself; an empty pool means no answer."""
     if not finals:
         return None
-    normalized = [normalize_value(v) for v in finals]
-    counts = Counter(v.raw for v in normalized)
+    keys = [vote_key(v) for v in finals]
+    counts = Counter(keys)
     winner = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))[0][0]
-    return next(v for v in normalized if v.raw == winner)
+    return min((v for v, key in zip(finals, keys) if key == winner), key=lambda v: v.raw)
 
 
 @dataclass(frozen=True)

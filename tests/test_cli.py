@@ -1,10 +1,14 @@
 import json
 import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import chartloop
 from chartloop.cli import main
+from chartloop.datagen import load_corpus
 
 
 def run_cli(args):
@@ -89,11 +93,11 @@ def test_run_self_consistency_votes(small_corpus_path, tmp_path, capsys):
                     "--chart", "solo-chart", "--corpus", small_corpus_path,
                     "--sc", 3, "--out-dir", out])
     assert code == 0
-    # The vote runs over normalized finals, so "7.0" canonicalizes to "7".
-    assert "Voted answer: 7" in capsys.readouterr().out
+    # The vote counts normalized finals but returns the answer as written.
+    assert "Voted answer: 7.0" in capsys.readouterr().out
     payload = json.loads((out / "trace.json").read_text())
     assert len(payload["episodes"]) == 3
-    assert payload["final"] == "7"
+    assert payload["final"] == "7.0"
 
 
 def test_run_symbolic_closed_loop(small_corpus_path, tmp_path, capsys):
@@ -300,3 +304,120 @@ def test_eval_into_closed_pipe_keeps_files(tmp_path, monkeypatch):
     assert code == 0
     assert (out / "records.jsonl").exists()
     assert (out / "report.json").exists()
+
+
+@pytest.mark.parametrize("flags, used", [
+    (["--sc", 3, "--temperature", 0], 0.0),
+    (["--sc", 3], 0.4),
+    (["--sc", 1], 0.0),
+])
+def test_temperature_follows_sc_unless_given(tmp_path, monkeypatch, flags, used):
+    import chartloop.cli as cli
+
+    seen = []
+    original = cli.run_self_consistency
+
+    def spy(question, chart, reasoner, reader, config, sc, **kwargs):
+        seen.append(sc.temperature)
+        return original(question, chart, reasoner, reader, config, sc, **kwargs)
+
+    monkeypatch.setattr(cli, "run_self_consistency", spy)
+    out = tmp_path / "eval"
+    assert run_cli(["eval", "--synthetic", 1, *flags, "--out-dir", out]) == 0
+    assert seen and set(seen) == {used}
+    assert json.loads((out / "run_config.json").read_text())["temperature"] == used
+
+
+@pytest.mark.parametrize("command, content", [
+    (["report", "--records", "r.jsonl"], None),
+    (["report", "--records", "r.jsonl"], "{not json"),
+    (["eval", "--synthetic", 1], "[1, 2]"),
+    (["report", "--records", "r.jsonl"], '{"sc": "3"}'),
+    (["eval", "--synthetic", 1], '{"sc": "three"}'),
+    (["eval", "--synthetic", 1], '{"sc": true}'),
+    (["eval", "--synthetic", 1], '{"backend": "oracle"}'),
+    (["eval", "--synthetic", 1], '{"unknown_key": 1}'),
+    (["report", "--records", "r.jsonl"], '{"command": "eval", "sc": 3, "synthetic": 2}'),
+])
+def test_bad_config_file_exits_2(tmp_path, capsys, command, content):
+    config = tmp_path / "config.json"
+    if content is not None:
+        config.write_text(content, encoding="utf-8")
+    out = tmp_path / "out"
+    assert run_cli([*command, "--config", config, "--out-dir", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (out / "run_config.json").exists()
+
+
+def test_config_strings_take_the_flag_type(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text('{"sc": "3", "temperature": "0.2", "command": "eval"}', encoding="utf-8")
+    out = tmp_path / "eval"
+    assert run_cli(["eval", "--synthetic", 1, "--config", config, "--out-dir", out]) == 0
+    recorded = json.loads((out / "run_config.json").read_text())
+    assert (recorded["sc"], recorded["temperature"]) == (3, 0.2)
+
+
+@pytest.mark.parametrize("argv", [
+    ["datagen", "--corpus", "c", "--sc", 4],
+    ["export-ft", "--annotations", "a.txt", "--backend", "http"],
+    ["report", "--records", "r.jsonl", "--no-describe"],
+    ["run", "--question", "q", "--chart", "c", "--workers", 2],
+])
+def test_commands_reject_flags_they_do_not_read(argv):
+    with pytest.raises(SystemExit) as exited:
+        run_cli(argv)
+    assert exited.value.code == 2
+
+
+@pytest.mark.parametrize("sc", [1, 3])
+def test_dead_backend_exits_3(small_corpus_path, tmp_path, sc):
+    dead = ["--backend", "http", "--reasoner-url", "http://127.0.0.1:9/complete", "--sc", sc]
+    assert run_cli(["run", "--question", "What is the value of Q3?", "--chart", "solo-chart",
+                    "--corpus", small_corpus_path, *dead, "--out-dir", tmp_path / "run"]) == 3
+    out = tmp_path / "eval"
+    assert run_cli(["eval", "--corpus", small_corpus_path, *dead, "--out-dir", out]) == 3
+    assert len((out / "records.jsonl").read_text().splitlines()) == 2
+    assert (out / "report.json").exists()
+
+
+def test_run_without_final_exits_4(small_corpus_path, tmp_path):
+    script = tmp_path / "script.json"
+    script.write_text(json.dumps(["Let's describe the figure.", ""]), encoding="utf-8")
+    code = run_cli(["run", "--question", "What is the value of Q3?",
+                    "--chart", "solo-chart", "--corpus", small_corpus_path,
+                    "--backend", "scripted", "--script", script, "--out-dir", tmp_path / "run"])
+    assert code == 4
+
+
+def test_eval_prediction_does_not_depend_on_sc(small_corpus_path, tmp_path):
+    predictions = []
+    for sc in (1, 3):
+        out = tmp_path / f"sc{sc}"
+        assert run_cli(["eval", "--corpus", small_corpus_path, "--sc", sc,
+                        "--out-dir", out]) == 0
+        lines = (out / "records.jsonl").read_text().splitlines()
+        predictions.append([json.loads(line)["prediction"] for line in lines])
+    assert predictions[0] == predictions[1] == ["11.0", "7.0"]
+
+
+@pytest.mark.parametrize("command", [
+    ["datagen"],
+    ["run", "--question", "What is the value of Q3?", "--chart", "solo-chart"],
+    ["eval"],
+])
+def test_ingestion_issues_print_once(small_corpus_path, tmp_path, command):
+    with open(small_corpus_path / "charts.jsonl", "a", encoding="utf-8") as handle:
+        handle.write("{not json\n")
+    src = Path(chartloop.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    result = subprocess.run(
+        [sys.executable, "-m", "chartloop", *command, "--corpus", str(small_corpus_path),
+         "--out-dir", str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    issues = load_corpus(small_corpus_path).issues
+    assert len(issues) == 1
+    assert result.stderr == f"warning: {issues[0]}\n"

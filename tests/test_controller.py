@@ -213,7 +213,7 @@ def test_self_consistency_votes_across_scripts(retail):
         EpisodeConfig(), SelfConsistencyConfig(n_samples=3, temperature=0.4),
     )
     assert len(traces) == 3
-    assert final.raw == "15"
+    assert final.raw == "15.00"
 
 
 def test_all_failed_episodes_vote_none(retail):

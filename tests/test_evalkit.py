@@ -77,6 +77,8 @@ def test_majority_vote_examples():
     assert majority_vote([Value.from_raw(r) for r in ["15", "15.00", "14"]]).raw == "15"
     assert majority_vote([Value.from_raw("yes"), Value.from_raw("no")]).raw == "no"
     assert majority_vote([Value.from_raw("b"), Value.from_raw("a")]).raw == "a"
+    assert majority_vote([Value.from_raw(r) for r in ["7.0", "7"]]).raw == "7"
+    assert majority_vote([Value.from_raw(r) for r in ["Leisure", "leisure", "x"]]).raw == "Leisure"
     assert majority_vote([]) is None
 
 
