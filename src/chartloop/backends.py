@@ -33,8 +33,14 @@ class ScriptedReasoner:
     """Replays a fixed sequence of continuations, one per completion call."""
 
     def __init__(self, lines: Sequence[str] | dict):
+        """``lines`` is a list of strings, or a mapping of them by integer step keys."""
         if isinstance(lines, dict):
-            lines = [lines[k] for k in sorted(lines, key=int)]
+            try:
+                lines = [lines[k] for k in sorted(lines, key=int)]
+            except (TypeError, ValueError):
+                lines = None  # a key that is not an integer
+        if not isinstance(lines, (list, tuple)) or not all(isinstance(x, str) for x in lines):
+            raise ValueError("a script must be a list of strings or an object with integer keys")
         self._lines = list(lines)
         self._cursor = 0
 

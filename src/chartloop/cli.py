@@ -12,11 +12,12 @@ if given, else 0.4 with ``--sc`` above 1 and 0.0 otherwise.
 
 Each subcommand takes only the flags it reads, and each flag's argparse
 default is its only default; ``--config`` JSON replaces those defaults and
-flags still win.  Every command serializes its effective configuration into
-the output directory so a run can be reproduced from its artifacts; all
-randomness flows from --seed.  Every command writes its files before it
-prints, so a stdout closed early (``| head``) loses nothing and is not an
-error.
+flags still win, and required flags are checked after that merge.  A usage
+or input error prints one ``error:`` line and exits 2.  Every command
+serializes its effective configuration into the output directory so a run
+can be reproduced from its artifacts; all randomness flows from --seed.
+Every command writes its files before it prints, so a stdout closed early
+(``| head``) loses nothing and is not an error.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
-from typing import Callable, Optional, Sequence
+from typing import Callable, NoReturn, Optional, Sequence
 
 from .backends import BackendError, HttpReader, HttpReasoner, ScriptedReasoner
 from .controller import EpisodeConfig, SelfConsistencyConfig, run_self_consistency
@@ -56,8 +57,8 @@ from .oracle import ChartNotFound, TableOracle
 from .prompts import PromptStyle
 from .symbolic import SkippedTemplate, SymbolicReasoner, gen_questions
 from .synth import random_tables
-from .tables import (ChartTable, QAInstance, ReasoningTrace, StepRole, Termination, TemplateType,
-                     Value, underlying_length)
+from .tables import (SHAPE_ERRORS, ChartTable, QAInstance, ReasoningTrace, StepRole, Termination,
+                     TemplateType, Value, underlying_length)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -80,6 +81,31 @@ class UsageError(ValueError):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """Prints a usage error as the one line ``<prog>: error: <message>``."""
+
+    def error(self, message: str) -> NoReturn:
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
+def _require(cfg: dict, *keys: str) -> None:
+    """Required flags are checked after ``--config`` is merged, so a recorded
+    config can supply them."""
+    missing = [f"--{key.replace('_', '-')}" for key in keys if cfg[key] is None]
+    if missing:
+        raise UsageError(f"the following arguments are required: {', '.join(missing)}")
+
+
+def _read_json(path: str, what: str) -> object:
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return json.load(handle)
+    except OSError as exc:
+        raise UsageError(f"cannot read {what} {path}: {exc.strerror}") from None
+    except (ValueError, RecursionError) as exc:
+        raise UsageError(f"{what} {path} is not valid JSON: {exc}") from None
+
+
 def _config_value(action: argparse.Action, key: str, value: object) -> object:
     """Check one config-file value against its flag: strings get the flag's
     type conversion, anything else must already have the flag's type."""
@@ -99,13 +125,7 @@ def _config_value(action: argparse.Action, key: str, value: object) -> object:
 
 def _config_defaults(sub: argparse.ArgumentParser, command: str, path: str) -> dict:
     """Read a JSON config file into defaults for the ``command`` subparser."""
-    try:
-        with open(path, encoding="utf-8") as handle:
-            loaded = json.load(handle)
-    except OSError as exc:
-        raise UsageError(f"cannot read config {path}: {exc.strerror}") from None
-    except ValueError as exc:
-        raise UsageError(f"config {path} is not valid JSON: {exc}") from None
+    loaded = _read_json(path, "config")
     if not isinstance(loaded, dict):
         raise UsageError(f"config {path} must hold a JSON object")
     named = loaded.pop("command", command)
@@ -162,8 +182,12 @@ def _reasoner_factory(cfg: dict) -> Callable[[], object]:
     if cfg["sc"] > 1:
         # A replay script is one deterministic episode: there is nothing to vote over.
         raise UsageError("--backend scripted cannot be combined with --sc above 1")
-    script_path = cfg["script"]
-    return lambda: ScriptedReasoner.from_file(script_path)
+    lines = _read_json(cfg["script"], "script")
+    try:
+        ScriptedReasoner(lines)  # checked once, before any episode or output
+    except ValueError as exc:
+        raise UsageError(f"script {cfg['script']}: {exc}") from None
+    return lambda: ScriptedReasoner(lines)
 
 
 def _answerer(cfg: dict, charts: dict[str, ChartTable]) -> Callable[[str, str], tuple]:
@@ -200,6 +224,7 @@ def _all_backend_errors(traces: Sequence[ReasoningTrace]) -> bool:
 
 
 def cmd_datagen(cfg: dict) -> int:
+    _require(cfg, "corpus")
     out_dir = Path(cfg["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
     corpus = _load_corpus(cfg)
@@ -223,6 +248,7 @@ def _print_trace(trace: ReasoningTrace) -> None:
 
 
 def cmd_run(cfg: dict) -> int:
+    _require(cfg, "question", "chart")
     out_dir = Path(cfg["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
     corpus = _load_corpus(cfg)
@@ -317,10 +343,12 @@ def cmd_export_ft(cfg: dict) -> int:
     examples = []
     skipped = 0
     if cfg["annotations"]:
-        path = Path(cfg["annotations"])
-        if not path.exists():
-            raise UsageError(f"annotations file not found: {path}")
-        examples.extend(parse_annotated_examples(path.read_text(encoding="utf-8")))
+        path = cfg["annotations"]
+        try:
+            text = Path(path).read_text(encoding="utf-8")
+        except OSError as exc:
+            raise UsageError(f"cannot read annotations {path}: {exc.strerror}") from None
+        examples.extend(parse_annotated_examples(text))
     if cfg["traces"]:
         traces_dir = Path(cfg["traces"])
         if not traces_dir.is_dir():
@@ -330,7 +358,7 @@ def cmd_export_ft(cfg: dict) -> int:
                 payload = json.loads(trace_path.read_text(encoding="utf-8"))
                 trace = ReasoningTrace.from_dict(payload)
                 examples.append(example_from_trace(trace, payload["question"], payload["chart_id"]))
-            except (KeyError, ValueError) as exc:
+            except (*SHAPE_ERRORS, OSError) as exc:
                 skipped += 1
                 print(f"warning: {trace_path}: {exc}", file=sys.stderr)
     _write_run_config(cfg, out_dir, "export-ft")
@@ -345,9 +373,13 @@ def cmd_export_ft(cfg: dict) -> int:
 
 
 def cmd_report(cfg: dict) -> int:
+    _require(cfg, "records")
+    try:
+        records = read_records_jsonl(cfg["records"])
+    except OSError as exc:
+        raise UsageError(f"cannot read records {cfg['records']}: {exc.strerror}") from None
     out_dir = Path(cfg["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
-    records = read_records_jsonl(cfg["records"])
     if not records:
         print("no records to report", file=sys.stderr)
         return EXIT_EMPTY
@@ -363,8 +395,8 @@ def _output_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out-dir", dest="out_dir", default="out", help="output directory")
 
 
-def _corpus_flags(p: argparse.ArgumentParser, required: bool = False) -> None:
-    p.add_argument("--corpus", required=required, default=None)
+def _corpus_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--corpus", default=None)
     p.add_argument("--format", choices=_FORMATS, default="internal_json")
 
 
@@ -387,7 +419,7 @@ def _episode_flags(p: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="chartloop",
         description="Interleaved reasoner/reader runs over chart tables.",
     )
@@ -400,12 +432,12 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     p = command("datagen", cmd_datagen, "generate reader training pairs from a corpus")
-    _corpus_flags(p, required=True)
+    _corpus_flags(p)
     p.add_argument("--seed", type=int, default=0, help="master random seed")
 
     p = command("run", cmd_run, "run a single question through the loop")
-    p.add_argument("--question", required=True)
-    p.add_argument("--chart", required=True, help="chart id, resolved by the reader")
+    p.add_argument("--question", default=None, help="question text (required)")
+    p.add_argument("--chart", default=None, help="chart id, resolved by the reader (required)")
     _corpus_flags(p)
     _episode_flags(p)
 
@@ -429,7 +461,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="include the [INST]-wrapped rendering")
 
     p = command("report", cmd_report, "re-render a report from saved records")
-    p.add_argument("--records", required=True)
+    p.add_argument("--records", default=None, help="records.jsonl to re-render (required)")
     p.add_argument("--buckets", default=_DEFAULT_BUCKETS, help="comma-separated bucket edges")
 
     return parser

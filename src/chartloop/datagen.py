@@ -1,5 +1,8 @@
 """Dataset ingestion, reader training-pair generation, and SFT exports.
 
+Every corpus layout lists its rows lazily; :func:`load_corpus` alone turns
+them into charts and QA instances, so all layouts share one set of row rules.
+
 The reader corpus is generated per chart from templates: one description
 pair, one point pair per cell (BY form on multi-series charts, entity-only
 form on single-series charts), and group pairs along both axes of
@@ -16,11 +19,12 @@ import random
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
 from . import oracle
 from .protocol import AtomicQuery, describe_query, format_query, group_query, point_query
 from .tables import (
+    SHAPE_ERRORS,
     ChartTable,
     QAInstance,
     ReasoningTrace,
@@ -33,7 +37,7 @@ from .tables import (
 )
 
 class CorpusError(ValueError):
-    """Fatal ingestion failure: unreadable path or zero valid charts."""
+    """Fatal ingestion failure: missing path, unreadable or misshapen file, or no valid chart."""
 
 
 @dataclass(frozen=True)
@@ -78,140 +82,137 @@ class Corpus:
         return {table.source_id: table for table in self.charts}
 
 
-def _report(issues: list[str], where: str, message: str) -> None:
-    issues.append(f"{where}: {message}")
+# A corpus row: where it is, how to decode it (None if decoded already), and its raw form.
+Row = tuple[str, Optional[Callable[[Any], Any]], Any]
+# What one row can raise: a malformed object, or an unreadable or bad CSV file.
+_ROW_ERRORS = (*SHAPE_ERRORS, OSError, csv.Error)
 
 
-def _qa_from_obj(obj: dict, chart_id: str) -> QAInstance:
-    template = obj.get("template_type")
-    return QAInstance(
-        question=str(obj.get("question") or obj.get("query")),
-        gold=Value.from_raw(str(obj.get("answer") if obj.get("answer") is not None else obj.get("label"))),
-        chart_id=chart_id,
-        template_type=TemplateType(template) if template else None,
-    )
-
-
-def _load_internal_json(path: Path, issues: list[str]) -> list[tuple[ChartTable, list[QAInstance]]]:
-    charts_file = path / "charts.jsonl" if path.is_dir() else path
-    qa_file = path / "qa.jsonl" if path.is_dir() else None
-    tables: dict[str, ChartTable] = {}
-    with open(charts_file, encoding="utf-8") as handle:
+def _jsonl_rows(path: Path) -> Iterator[Row]:
+    name = str(path)
+    with open(path, encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            try:
-                table = ChartTable.from_dict(json.loads(line))
-                table.validate()
-                tables[table.source_id] = table
-            except (json.JSONDecodeError, KeyError, TableError, TypeError) as exc:
-                _report(issues, f"{charts_file}:{lineno}", str(exc))
-    qa_by_chart: dict[str, list[QAInstance]] = {cid: [] for cid in tables}
-    if qa_file is not None and qa_file.exists():
-        with open(qa_file, encoding="utf-8") as handle:
-            for lineno, line in enumerate(handle, start=1):
-                if not line.strip():
-                    continue
-                try:
-                    obj = json.loads(line)
-                    chart_id = str(obj["chart_id"])
-                    if chart_id not in tables:
-                        raise KeyError(f"unknown chart {chart_id}")
-                    qa_by_chart[chart_id].append(_qa_from_obj(obj, chart_id))
-                except (json.JSONDecodeError, KeyError, ValueError) as exc:
-                    _report(issues, f"{qa_file}:{lineno}", str(exc))
-    return [(table, qa_by_chart[cid]) for cid, table in tables.items()]
+            if line.strip():
+                yield f"{name}:{lineno}", json.loads, line
 
 
-_CSV_ID_RE = re.compile(r"\.csv$")
+def _array_rows(label: str, items: Any) -> Iterator[Row]:
+    if not isinstance(items, list):
+        raise ValueError(f"{label} must be a JSON array")
+    return ((f"{label}[{index}]", None, item) for index, item in enumerate(items))
 
 
-def _load_chartqa_like(path: Path, issues: list[str]) -> list[tuple[ChartTable, list[QAInstance]]]:
+def _csv_chart(path: Path) -> dict:
+    """A ChartQA table: a header row of series names, then one row per x-label."""
+    with open(path, encoding="utf-8", newline="") as handle:
+        rows = [row for row in csv.reader(handle) if row]
+    if len(rows) < 2 or len(rows[0]) < 2:
+        raise TableError("need a header row plus data rows")
+    return {
+        "id": path.stem,
+        "series": [{"name": name} for name in rows[0][1:]],
+        "x_labels": [row[0] for row in rows[1:]],
+        "cells": [[row[i] for row in rows[1:]] for i in range(1, len(rows[0]))],
+    }
+
+
+def _internal_json(path: Path) -> tuple[Iterable[Row], Iterable[Row]]:
+    if not path.is_dir():
+        return _jsonl_rows(path), ()
+    qa_file = path / "qa.jsonl"
+    return _jsonl_rows(path / "charts.jsonl"), _jsonl_rows(qa_file) if qa_file.exists() else ()
+
+
+def _chartqa_like(path: Path) -> tuple[Iterable[Row], Iterable[Row]]:
     tables_dir = path / "tables"
     if not tables_dir.is_dir():
-        raise CorpusError(f"{path}: missing tables/ directory")
-    tables: dict[str, ChartTable] = {}
-    for csv_path in sorted(tables_dir.glob("*.csv")):
-        chart_id = _CSV_ID_RE.sub("", csv_path.name)
-        try:
-            with open(csv_path, encoding="utf-8", newline="") as handle:
-                rows = [row for row in csv.reader(handle) if row]
-            if len(rows) < 2 or len(rows[0]) < 2:
-                raise TableError("need a header row plus data rows")
-            series = [(name, None) for name in rows[0][1:]]
-            x_labels = [row[0] for row in rows[1:]]
-            cells = [[rows[1 + j][1 + i] for j in range(len(x_labels))]
-                     for i in range(len(series))]
-            table = ChartTable.build(chart_id, series, x_labels, cells)
-            table.validate()
-            tables[chart_id] = table
-        except (TableError, IndexError, OSError) as exc:
-            _report(issues, str(csv_path), str(exc))
-    qa_by_chart: dict[str, list[QAInstance]] = {cid: [] for cid in tables}
+        raise ValueError("missing tables/ directory")
+    charts = ((str(p), _csv_chart, p) for p in sorted(tables_dir.glob("*.csv")))
     qa_path = path / "qa.json"
-    if qa_path.exists():
-        with open(qa_path, encoding="utf-8") as handle:
-            entries = json.load(handle)
-        for index, obj in enumerate(entries):
-            try:
-                chart_id = str(obj.get("chart_id") or Path(str(obj["imgname"])).stem)
-                if chart_id not in tables:
-                    raise KeyError(f"unknown chart {chart_id}")
-                qa_by_chart[chart_id].append(_qa_from_obj(obj, chart_id))
-            except (KeyError, ValueError) as exc:
-                _report(issues, f"{qa_path}[{index}]", str(exc))
-    return [(table, qa_by_chart[cid]) for cid, table in tables.items()]
+    qa = json.loads(qa_path.read_text(encoding="utf-8")) if qa_path.exists() else []
+    return charts, _array_rows(str(qa_path), qa)
 
 
-def _load_plotqa_like(path: Path, issues: list[str]) -> list[tuple[ChartTable, list[QAInstance]]]:
-    with open(path, encoding="utf-8") as handle:
-        payload = json.load(handle)
-    tables: dict[str, ChartTable] = {}
-    for index, obj in enumerate(payload.get("charts", [])):
-        try:
-            table = ChartTable.from_dict(obj)
-            table.validate()
-            tables[table.source_id] = table
-        except (KeyError, TableError, TypeError) as exc:
-            _report(issues, f"{path}#charts[{index}]", str(exc))
-    qa_by_chart: dict[str, list[QAInstance]] = {cid: [] for cid in tables}
-    for index, obj in enumerate(payload.get("qa", [])):
-        try:
-            chart_id = str(obj["chart_id"])
-            if chart_id not in tables:
-                raise KeyError(f"unknown chart {chart_id}")
-            qa_by_chart[chart_id].append(_qa_from_obj(obj, chart_id))
-        except (KeyError, ValueError) as exc:
-            _report(issues, f"{path}#qa[{index}]", str(exc))
-    return [(table, qa_by_chart[cid]) for cid, table in tables.items()]
+def _plotqa_like(path: Path) -> tuple[Iterable[Row], Iterable[Row]]:
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    if not isinstance(payload, dict):
+        raise ValueError(f"{path} must hold a JSON object")
+    return _array_rows(f"{path}#charts", payload.get("charts", [])), \
+        _array_rows(f"{path}#qa", payload.get("qa", []))
 
 
-_LOADERS = {
-    "internal_json": _load_internal_json,
-    "chartqa_like": _load_chartqa_like,
-    "plotqa_like": _load_plotqa_like,
+_LAYOUTS = {
+    "internal_json": _internal_json,
+    "chartqa_like": _chartqa_like,
+    "plotqa_like": _plotqa_like,
 }
+
+
+def _field(obj: dict, key: str, alias: str) -> str:
+    """``obj[key]``, else ``obj[alias]``, as text; a missing or empty value does not count."""
+    value = obj.get(key)
+    if value is None or value == "":
+        value = obj.get(alias)
+        if value is None or value == "":
+            raise ValueError(f"missing {key} or {alias}")
+    return str(value)
+
+
+def _qa_from_obj(obj: dict) -> QAInstance:
+    """A QA row: ``question``/``query``, ``answer``/``label``, ``chart_id``/``imgname``."""
+    template = obj.get("template_type")
+    chart_id = _field(obj, "chart_id", "imgname")
+    return QAInstance(
+        question=_field(obj, "question", "query"),
+        gold=Value.from_raw(_field(obj, "answer", "label")),
+        chart_id=chart_id if obj.get("chart_id") not in (None, "") else Path(chart_id).stem,
+        template_type=TemplateType(template) if template else None,
+    )
 
 
 def load_corpus(path: str | Path, format: str = "internal_json") -> Corpus:
     """Load charts (and any QA annotations) in one of the supported layouts.
 
-    Malformed entries are reported with file/line context and skipped; an
-    unreadable path or an entirely empty corpus is fatal.
+    One row loop serves every layout.  A chart row becomes a validated
+    ``ChartTable``; a repeated chart id keeps the first.  A QA row needs a
+    question, an answer and a loaded chart.  A bad row is skipped and reported
+    in ``issues`` as ``where: reason``; a missing path, an unreadable or
+    misshapen file, or a corpus without a valid chart raises ``CorpusError``.
     """
-    if format not in _LOADERS:
+    if format not in _LAYOUTS:
         raise CorpusError(f"unknown corpus format {format!r}")
     location = Path(path)
     if not location.exists():
         raise CorpusError(f"corpus path does not exist: {location}")
+    entries: dict[str, tuple[ChartTable, list[QAInstance]]] = {}
     issues: list[str] = []
+
+    def add_chart(obj: dict) -> None:
+        table = ChartTable.from_dict(obj)
+        table.validate()
+        if table.source_id in entries:
+            raise ValueError(f"duplicate chart id {table.source_id!r}, first kept")
+        entries[table.source_id] = (table, [])
+
+    def add_qa(obj: dict) -> None:
+        qa = _qa_from_obj(obj)
+        if qa.chart_id not in entries:
+            raise ValueError(f"unknown chart {qa.chart_id!r}")
+        entries[qa.chart_id][1].append(qa)
+
     try:
-        entries = _LOADERS[format](location, issues)
-    except (OSError, json.JSONDecodeError) as exc:
+        for rows, add in zip(_LAYOUTS[format](location), (add_chart, add_qa)):
+            for where, decode, raw in rows:
+                try:
+                    add(decode(raw) if decode else raw)
+                except _ROW_ERRORS as exc:
+                    issues.append(f"{where}: {exc}")
+    except (OSError, ValueError, RecursionError) as exc:
+        # Reading a whole file failed, not decoding one of its rows.
         raise CorpusError(f"cannot read corpus at {location}: {exc}") from exc
     if not entries:
         raise CorpusError(f"no valid charts in {location}")
-    return Corpus(entries, issues)
+    return Corpus(list(entries.values()), issues)
 
 
 def sample_eval_set(instances: Sequence[QAInstance], n: int, seed: int) -> list[QAInstance]:

@@ -17,6 +17,7 @@ from decimal import Decimal, InvalidOperation
 from typing import Optional, Sequence
 
 from .tables import (
+    SHAPE_ERRORS,
     QAInstance,
     TemplateType,
     Value,
@@ -304,11 +305,15 @@ def write_records_jsonl(records: Sequence[EvalRecord], path) -> None:
 
 
 def read_records_jsonl(path) -> list[EvalRecord]:
+    """Read records back; a malformed line raises ValueError naming ``path:line``."""
     records = []
     with open(path, encoding="utf-8") as handle:
-        for line in handle:
+        for lineno, line in enumerate(handle, start=1):
             if line.strip():
-                records.append(EvalRecord.from_dict(json.loads(line)))
+                try:
+                    records.append(EvalRecord.from_dict(json.loads(line)))
+                except SHAPE_ERRORS as exc:
+                    raise ValueError(f"{path}:{lineno}: {exc}") from exc
     return records
 
 

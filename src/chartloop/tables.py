@@ -22,6 +22,13 @@ class TraceError(ValueError):
     """Raised when a reasoning trace violates the trace invariants."""
 
 
+# What the ``from_dict`` constructors raise on a decoded object of the wrong
+# shape: a missing key, a wrong type or a bad value, plus the
+# ``RecursionError`` of JSON nested too deep to decode.  ``TableError``,
+# ``TraceError`` and JSON decode errors are ``ValueError``s.
+SHAPE_ERRORS = (KeyError, IndexError, TypeError, AttributeError, ValueError, RecursionError)
+
+
 class ValueKind(str, Enum):
     NUMERIC = "numeric"
     TEXT = "text"

@@ -421,3 +421,99 @@ def test_ingestion_issues_print_once(small_corpus_path, tmp_path, command):
     issues = load_corpus(small_corpus_path).issues
     assert len(issues) == 1
     assert result.stderr == f"warning: {issues[0]}\n"
+
+
+@pytest.mark.parametrize("content", [None, "[1, 2]\n", '{"question": "q", "chart_id": "c"}\n',
+                                     pytest.param("[" * 100_000 + "\n", id="too-deeply-nested")])
+def test_report_bad_records_exit_2(tmp_path, capsys, content):
+    records = tmp_path / "records.jsonl"
+    if content is not None:
+        records.write_text(content, encoding="utf-8")
+    assert run_cli(["report", "--records", records, "--out-dir", tmp_path / "out"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    if content is not None:
+        assert err.startswith(f"error: {records}:1: ")
+
+
+@pytest.mark.parametrize("content", ["[1, 2]", '{"steps": "abc", "final": null}',
+                                     pytest.param("[" * 100_000, id="too-deeply-nested")])
+def test_export_ft_skips_malformed_trace(tmp_path, capsys, content):
+    traces = tmp_path / "traces"
+    traces.mkdir()
+    bad = traces / "t0.json"
+    bad.write_text(content, encoding="utf-8")
+    assert run_cli(["export-ft", "--traces", traces, "--out-dir", tmp_path / "ft"]) == 4
+    warning = capsys.readouterr().err.splitlines()[0]
+    assert warning.startswith(f"warning: {bad}: ")
+
+
+@pytest.mark.parametrize("content", [None, "5", "[1, 2]", '{"first": "x"}', "{not json",
+                                     '"abc"', '{"0": 1}',
+                                     pytest.param("[" * 100_000, id="too-deeply-nested")])
+def test_bad_script_exits_2_before_run_config(small_corpus_path, tmp_path, capsys, content):
+    script = tmp_path / "script.json"
+    if content is not None:
+        script.write_text(content, encoding="utf-8")
+    out = tmp_path / "run"
+    code = run_cli(["run", "--question", "What is the value of Q3?", "--chart", "solo-chart",
+                    "--corpus", small_corpus_path, "--backend", "scripted", "--script", script,
+                    "--out-dir", out])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (out / "run_config.json").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "--synthetic", 1, "--config", "deep.json"],
+    ["report", "--records", "."],
+    ["export-ft", "--annotations", "."],
+])
+def test_unreadable_input_exits_2_with_one_line(tmp_path, capsys, argv):
+    """Too deeply nested JSON and a directory where a file belongs."""
+    (tmp_path / "deep.json").write_text("[" * 100_000, encoding="utf-8")
+    argv = [tmp_path / arg if arg in ("deep.json", ".") else arg for arg in argv]
+    assert run_cli([*argv, "--out-dir", tmp_path / "out"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_scripted_eval_replays_the_script_for_each_question(small_corpus_path, tmp_path):
+    script = tmp_path / "script.json"
+    script.write_text(json.dumps({"0": "The value is 7.0. So the answer is 7.0."}),
+                      encoding="utf-8")
+    out = tmp_path / "eval"
+    assert run_cli(["eval", "--corpus", small_corpus_path, "--backend", "scripted",
+                    "--script", script, "--out-dir", out]) == 0
+    lines = (out / "records.jsonl").read_text().splitlines()
+    assert [json.loads(line)["prediction"] for line in lines] == ["7.0", "7.0"]
+
+
+@pytest.mark.parametrize("command, artifact", [
+    (["datagen", "--seed", 4], "system1.jsonl"),
+    (["run", "--question", "What is the value of Q3?", "--chart", "solo-chart"], "trace.json"),
+    (["report", "--buckets", "0,5"], "report.json"),
+])
+def test_recorded_config_alone_reruns_a_command(small_corpus_path, tmp_path, command, artifact):
+    if command[0] == "report":
+        eval_out = tmp_path / "eval"
+        assert run_cli(["eval", "--corpus", small_corpus_path, "--out-dir", eval_out]) == 0
+        inputs = ["--records", tmp_path / "eval" / "records.jsonl"]
+    else:
+        inputs = ["--corpus", small_corpus_path]
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert run_cli([*command, *inputs, "--out-dir", first]) == 0
+    assert run_cli([command[0], "--config", first / "run_config.json", "--out-dir", second]) == 0
+    assert (first / artifact).read_bytes() == (second / artifact).read_bytes()
+
+
+@pytest.mark.parametrize("argv", [["datagen", "--corpus", "c", "--sc", "4"], ["report"]])
+def test_usage_error_is_one_line(tmp_path, capsys, argv):
+    try:
+        code = run_cli([*argv, "--out-dir", tmp_path / "out"])
+    except SystemExit as exited:
+        code = exited.code
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "error: " in err

@@ -5,6 +5,7 @@ import pytest
 
 from chartloop.controller import run_episode
 from chartloop.datagen import (
+    Corpus,
     CorpusError,
     example_from_trace,
     examples_from_traces,
@@ -93,6 +94,128 @@ def test_load_plotqa_like(tmp_path):
     path.write_text(json.dumps(payload), encoding="utf-8")
     corpus = load_corpus(path, "plotqa_like")
     assert corpus.all_qa()[0].template_type is TemplateType.DATA_RETRIEVAL
+
+
+LAYOUTS = ["internal_json", "chartqa_like", "plotqa_like"]
+CHART = {"id": "c1", "series": [{"name": "A", "color": None}],
+         "x_labels": ["x", "y"], "cells": [["1", "2"]]}
+CHART_2 = {"id": "c2", "series": [{"name": "A", "color": None}, {"name": "B", "color": None}],
+           "x_labels": ["x"], "cells": [["3"], ["4"]]}
+QA = {"chart_id": "c1", "question": "What is the value of x?", "answer": "1"}
+
+
+def _write_layout(root, layout, charts, qa):
+    """Write chart objects and QA rows (any JSON values) in ``layout``; returns
+    the path to load."""
+    root.mkdir()
+    if layout == "plotqa_like":
+        path = root / "plotqa.json"
+        path.write_text(json.dumps({"charts": charts, "qa": qa}), encoding="utf-8")
+        return path
+    if layout == "internal_json":
+        for name, rows in (("charts.jsonl", charts), ("qa.jsonl", qa)):
+            text = "".join(json.dumps(row) + "\n" for row in rows)
+            (root / name).write_text(text, encoding="utf-8")
+        return root
+    (root / "tables").mkdir()
+    for chart in charts:
+        rows = [["label", *(s["name"] for s in chart["series"])]]
+        rows += [[x, *(row[j] for row in chart["cells"])] for j, x in enumerate(chart["x_labels"])]
+        text = "".join(",".join(row) + "\n" for row in rows)
+        (root / "tables" / f"{chart['id']}.csv").write_text(text, encoding="utf-8")
+    (root / "qa.json").write_text(json.dumps(qa), encoding="utf-8")
+    return root
+
+
+@pytest.mark.parametrize("layout, charts, qa, damage, fatal", [
+    *(pytest.param(layout, [CHART], [QA, [1, 2]], None, False, id=f"{layout}-qa-row-list")
+      for layout in LAYOUTS),
+    *(pytest.param(layout, [CHART], [QA, {"chart_id": "c1", "answer": "2"}], None, False,
+                   id=f"{layout}-qa-row-without-question")
+      for layout in LAYOUTS),
+    *(pytest.param(layout, [CHART, {**CHART, "x_labels": ["p", "q"]}], [QA], None, False,
+                   id=f"{layout}-duplicate-chart-id")
+      for layout in ("internal_json", "plotqa_like")),
+    pytest.param("chartqa_like", [CHART], [QA], ("tables/c2.csv", b"label,A\n\xff,1\n"), False,
+                 id="chartqa_like-non-utf8-csv"),
+    pytest.param("chartqa_like", [CHART], [QA], ("qa.json", b'{"qa": []}'), True,
+                 id="chartqa_like-qa-json-object"),
+    pytest.param("plotqa_like", [CHART], [QA], ("plotqa.json", json.dumps([CHART]).encode()), True,
+                 id="plotqa_like-file-list"),
+    pytest.param("internal_json", [CHART], [QA],
+                 ("charts.jsonl", json.dumps(CHART).encode() + b"\n\xff\n"), True,
+                 id="internal_json-non-utf8-line"),
+    pytest.param("internal_json", [CHART], [QA],
+                 ("charts.jsonl", json.dumps(CHART).encode() + b"\n" + b"[" * 100_000 + b"\n"),
+                 False, id="internal_json-too-deeply-nested-line"),
+    pytest.param("plotqa_like", [CHART], [QA], ("plotqa.json", b"[" * 100_000), True,
+                 id="plotqa_like-too-deeply-nested-file"),
+])
+def test_bad_rows_are_skipped_and_bad_files_are_fatal(tmp_path, layout, charts, qa, damage, fatal):
+    path = _write_layout(tmp_path / "corpus", layout, charts, qa)
+    if damage:
+        (tmp_path / "corpus" / damage[0]).write_bytes(damage[1])
+    if fatal:
+        with pytest.raises(CorpusError, match="cannot read corpus"):
+            load_corpus(path, layout)
+        return
+    corpus = load_corpus(path, layout)
+    assert len(corpus.issues) == 1
+    assert [table.to_dict() for table in corpus.charts] == [CHART]
+    assert [qa.question for qa in corpus.entries[0][1]] == [QA["question"]]
+
+
+def _mutate(rng, value):
+    """A copy of a JSON value with one random change: a key dropped, a child
+    changed, or the value replaced by one of another type."""
+    kind = rng.randrange(3)
+    if kind == 0 and isinstance(value, dict) and value:
+        dropped = rng.choice(sorted(value))
+        return {k: v for k, v in value.items() if k != dropped}
+    if kind == 1 and isinstance(value, dict) and value:
+        key = rng.choice(sorted(value))
+        return {**value, key: _mutate(rng, value[key])}
+    if kind == 1 and isinstance(value, list) and value:
+        index = rng.randrange(len(value))
+        return value[:index] + [_mutate(rng, value[index])] + value[index + 1:]
+    return rng.choice([None, 0, 2.5, True, "", "x", [], [1, 2], {}, {"id": 1}])
+
+
+def _damage_bytes(rng, data):
+    """Truncate, drop a line, or overwrite a byte with a structural or non-UTF-8 one."""
+    kind = rng.randrange(3)
+    if kind == 0:
+        return data[:rng.randrange(len(data) + 1)]
+    if kind == 1:
+        lines = data.split(b"\n")
+        del lines[rng.randrange(len(lines))]
+        return b"\n".join(lines)
+    index = rng.randrange(max(len(data), 1))
+    return data[:index] + rng.choice([b",", b'"', b"{", b"]", b"\n", b"\xff"]) + data[index + 1:]
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+def test_load_corpus_fuzz_returns_corpus_or_corpus_error(tmp_path, layout):
+    rng = random.Random(f"corpus-fuzz-{layout}")
+    qa_rows = [QA, {"imgname": "c2.png", "query": "Is B above 3?", "label": "yes"},
+               {"chart_id": "c2", "question": "What is the value of B?", "answer": "4",
+                "template_type": "data_retrieval"}]
+    for case in range(300):
+        charts = [CHART, CHART_2]
+        if layout != "chartqa_like":  # CSV tables are damaged as bytes below
+            charts = [_mutate(rng, c) if rng.random() < 0.3 else c for c in charts]
+        qa = [_mutate(rng, row) if rng.random() < 0.3 else row for row in qa_rows]
+        root = tmp_path / str(case)
+        path = _write_layout(root, layout, charts, qa)
+        if rng.random() < 0.5:
+            target = rng.choice(sorted(p for p in root.rglob("*") if p.is_file()))
+            target.write_bytes(_damage_bytes(rng, target.read_bytes()))
+        try:
+            corpus = load_corpus(path, layout)
+        except CorpusError:
+            continue
+        assert isinstance(corpus, Corpus)
+        assert all("\n" not in issue for issue in corpus.issues)
 
 
 def test_sample_eval_set_deterministic():
