@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import urllib.error
 import urllib.request
-from pathlib import Path
 from typing import Optional, Protocol, Sequence
 
 
@@ -44,11 +43,6 @@ class ScriptedReasoner:
         self._lines = list(lines)
         self._cursor = 0
 
-    @staticmethod
-    def from_file(path: str | Path) -> "ScriptedReasoner":
-        with open(path, encoding="utf-8") as handle:
-            return ScriptedReasoner(json.load(handle))
-
     def complete(
         self, prompt: str, stop_markers: Sequence[str], temperature: float, max_tokens: int
     ) -> str:
@@ -59,7 +53,7 @@ class ScriptedReasoner:
         return line
 
 
-def _post_json(url: str, payload: dict, timeout: float, headers: dict) -> dict:
+def _post_json(url: str, payload: dict, timeout: float, headers: dict):
     data = json.dumps(payload).encode("utf-8")
     request = urllib.request.Request(
         url, data=data, headers={"Content-Type": "application/json", **headers}
@@ -67,7 +61,7 @@ def _post_json(url: str, payload: dict, timeout: float, headers: dict) -> dict:
     try:
         with urllib.request.urlopen(request, timeout=timeout) as response:
             return json.loads(response.read().decode("utf-8"))
-    except (urllib.error.URLError, OSError, ValueError) as exc:
+    except (urllib.error.URLError, OSError, ValueError, RecursionError) as exc:
         raise BackendError(f"request to {url} failed: {exc}") from exc
 
 
@@ -82,13 +76,19 @@ def _with_retry(call, retries: int):
     raise AssertionError("unreachable")
 
 
-def _extract_text(payload: dict) -> str:
-    if "text" in payload:
-        return str(payload["text"])
-    choices = payload.get("choices")
-    if isinstance(choices, list) and choices and "text" in choices[0]:
-        return str(choices[0]["text"])
-    raise BackendError(f"no text field in response: {list(payload)}")
+def _extract_text(payload) -> str:
+    """The string ``text`` of a response body, at the top level or in its
+    first ``choices`` object; any other body is a BackendError."""
+    if isinstance(payload, dict):
+        text = payload.get("text")
+        if isinstance(text, str):
+            return text
+        choices = payload.get("choices")
+        if isinstance(choices, list) and choices and isinstance(choices[0], dict):
+            text = choices[0].get("text")
+            if isinstance(text, str):
+                return text
+    raise BackendError(f"no string text field in response: {payload!r:.200}")
 
 
 class HttpReasoner:

@@ -58,7 +58,7 @@ from .prompts import PromptStyle
 from .symbolic import SkippedTemplate, SymbolicReasoner, gen_questions
 from .synth import random_tables
 from .tables import (SHAPE_ERRORS, ChartTable, QAInstance, ReasoningTrace, StepRole, Termination,
-                     TemplateType, Value, underlying_length)
+                     TemplateType, Value, check_bucket_edges, underlying_length)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -150,8 +150,10 @@ def _parse_buckets(text: str) -> tuple[int, ...]:
         edges = tuple(int(part) for part in text.split(",") if part.strip() != "")
     except ValueError as exc:
         raise UsageError(f"bad bucket edges {text!r}") from exc
-    if not edges:
-        raise UsageError("bucket edges must be non-empty")
+    try:
+        check_bucket_edges(edges)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     return edges
 
 
@@ -292,9 +294,9 @@ def _synthetic_eval_set(cfg: dict) -> tuple[list[ChartTable], list[QAInstance]]:
 
 
 def cmd_eval(cfg: dict) -> int:
+    edges = _parse_buckets(cfg["buckets"])
     out_dir = Path(cfg["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
-    edges = _parse_buckets(cfg["buckets"])
     corpus = _load_corpus(cfg)
     charts = corpus.chart_index() if corpus else {}
     if cfg["synthetic"] > 0:

@@ -1,21 +1,23 @@
 """The interleaved generation loop.
 
-One episode grows a single text sequence: the reasoner completes up to an
-end-of-line stop marker, the completed line is classified, atomic queries are
-dispatched to the reader, and the reader's sentence is spliced back verbatim
-before generation resumes.  A hard cap on protocol-line decisions bounds the
-loop regardless of backend behavior.  Self-consistency runs several episodes
-at a sampling temperature and majority-votes their finals by normalized form.
+One episode grows a single text sequence.  It starts as the prompt style's
+shipped prefix (plus the linearized table for the DePlot styles) and the
+question stub; the reasoner completes up to the end-of-line stop, the
+completed line is classified, atomic queries are dispatched to the reader,
+and the reader's sentence is spliced back verbatim before generation resumes.
+A hard cap on protocol-line decisions bounds the loop regardless of backend
+behavior.  Self-consistency runs several episodes at a sampling temperature
+and majority-votes their finals by normalized form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import Optional
 
 from .backends import BackendError, ReaderBackend, ReasonerBackend
 from .evalkit import majority_vote
-from .prompts import PromptStyle, StepExemplar, build_prompt, linearize_table
+from .prompts import PromptStyle, build_prompt, linearize_table
 from .protocol import StepKind, parse_step
 from .tables import (
     ChartTable,
@@ -27,14 +29,16 @@ from .tables import (
     validate_trace,
 )
 
-STOP_MARKERS = ("\n",)
+# The reasoner's line ends at the first newline; a backend that ignores the
+# stop request is cut there on the client side.
+STOP_MARKER = "\n"
+MAX_TOKENS_PER_SEGMENT = 256
 
 
 @dataclass(frozen=True)
 class EpisodeConfig:
     max_steps: int = 8
     temperature: float = 0.0
-    max_tokens_per_segment: int = 256
     prompt_style: PromptStyle = PromptStyle.STEPWISE_5SHOT
 
     def __post_init__(self) -> None:
@@ -52,23 +56,12 @@ class SelfConsistencyConfig:
             raise ValueError("n_samples must be at least 1")
 
 
-def truncate_at_markers(text: str, markers: Sequence[str]) -> str:
-    """Client-side stop: cut the continuation at the first marker occurrence."""
-    cut = len(text)
-    for marker in markers:
-        index = text.find(marker)
-        if index >= 0:
-            cut = min(cut, index)
-    return text[:cut]
-
-
 def run_episode(
     question: str,
     chart_ref: str,
     reasoner: ReasonerBackend,
     reader: ReaderBackend,
     config: EpisodeConfig = EpisodeConfig(),
-    exemplars: Optional[Sequence[StepExemplar]] = None,
     context_table: Optional[ChartTable] = None,
 ) -> ReasoningTrace:
     """Drive one reasoning episode to a conclusion or a step cap.
@@ -83,7 +76,7 @@ def run_episode(
         if context_table is None:
             raise ValueError(f"{config.prompt_style.value} episodes need a context table")
         context = linearize_table(context_table)
-    sequence = build_prompt(config.prompt_style, exemplars, question, context)
+    sequence = build_prompt(config.prompt_style, question, context)
 
     steps: list[Step] = []
 
@@ -96,13 +89,13 @@ def run_episode(
         try:
             continuation = reasoner.complete(
                 sequence,
-                stop_markers=list(STOP_MARKERS),
+                stop_markers=[STOP_MARKER],
                 temperature=config.temperature,
-                max_tokens=config.max_tokens_per_segment,
+                max_tokens=MAX_TOKENS_PER_SEGMENT,
             )
         except BackendError:
             return finish(None, Termination.BACKEND_ERROR)
-        line = truncate_at_markers(continuation, STOP_MARKERS).rstrip("\r")
+        line = continuation.partition(STOP_MARKER)[0].rstrip("\r")
         if not line.strip():
             steps.append(Step(StepRole.PROTOCOL_ERROR, line))
             return finish(None, Termination.PARSE_ERROR)
@@ -131,7 +124,6 @@ def run_self_consistency(
     reader: ReaderBackend,
     config: EpisodeConfig,
     sc: SelfConsistencyConfig,
-    exemplars: Optional[Sequence[StepExemplar]] = None,
     context_table: Optional[ChartTable] = None,
 ) -> tuple[Optional[Value], list[ReasoningTrace]]:
     """Sample n episodes at the voting temperature and majority-vote finals.
@@ -142,7 +134,7 @@ def run_self_consistency(
     episode_config = replace(config, temperature=sc.temperature)
     traces = [
         run_episode(question, chart_ref, reasoner, reader, episode_config,
-                    exemplars=exemplars, context_table=context_table)
+                    context_table=context_table)
         for _ in range(sc.n_samples)
     ]
     finals = [t.final for t in traces if t.final is not None]

@@ -321,15 +321,16 @@ _INST_LINE_RE = re.compile(r"^\[INST\] (?P<body>.*) \[/INST\]$")
 EXAMPLE_SEPARATOR = "----"
 
 
-def parse_annotated_examples(text: str, chart_ids: Optional[Sequence[str]] = None) -> list[System2Example]:
+def parse_annotated_examples(text: str) -> list[System2Example]:
     """Parse hand-annotated examples in the [INST]-tagged line format.
 
     Examples are separated by a line of four dashes; each [INST]-wrapped line
-    is a masked segment, every other non-blank line is unmasked.
+    is a masked segment, every other non-blank line is unmasked.  The
+    examples name no chart, so their ``chart_id`` is empty.
     """
     examples: list[System2Example] = []
     blocks = [block for block in re.split(rf"^{EXAMPLE_SEPARATOR}$", text, flags=re.M) if block.strip()]
-    for index, block in enumerate(blocks):
+    for block in blocks:
         lines = [line for line in block.splitlines() if line.strip()]
         segments: list[Segment] = []
         for line_index, line in enumerate(lines):
@@ -337,8 +338,7 @@ def parse_annotated_examples(text: str, chart_ids: Optional[Sequence[str]] = Non
             body = m.group("body") if m else line
             trailing = "" if line_index == len(lines) - 1 else "\n"
             segments.append(Segment(body + trailing, m is not None))
-        chart_id = chart_ids[index] if chart_ids and index < len(chart_ids) else ""
-        examples.append(System2Example(chart_id, tuple(segments)))
+        examples.append(System2Example("", tuple(segments)))
     return examples
 
 

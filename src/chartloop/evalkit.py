@@ -119,10 +119,7 @@ class EvalRecord:
 
     def to_dict(self) -> dict:
         return {
-            "question": self.qa.question,
-            "gold": self.qa.gold.raw,
-            "chart_id": self.qa.chart_id,
-            "template_type": self.qa.template_type.value if self.qa.template_type else None,
+            **self.qa.to_dict(),
             "prediction": self.prediction.raw if self.prediction else None,
             "correct": self.correct,
             "table_length": self.table_length,
@@ -131,17 +128,9 @@ class EvalRecord:
 
     @staticmethod
     def from_dict(obj: dict) -> "EvalRecord":
-        qa = QAInstance.from_dict(
-            {
-                "question": obj["question"],
-                "gold": obj["gold"],
-                "chart_id": obj["chart_id"],
-                "template_type": obj.get("template_type"),
-            }
-        )
         prediction = Value.from_raw(obj["prediction"]) if obj.get("prediction") is not None else None
-        return EvalRecord(qa, prediction, bool(obj["correct"]), int(obj["table_length"]),
-                          str(obj.get("trace_ref", "")))
+        return EvalRecord(QAInstance.from_dict(obj), prediction, bool(obj["correct"]),
+                          int(obj["table_length"]), str(obj.get("trace_ref", "")))
 
 
 def make_record(
@@ -192,82 +181,54 @@ class EvalReport:
         }
 
 
-class ReportAccumulator:
-    """Single-pass aggregation with an associative, commutative merge, so
-    concurrent record producers can be folded in any grouping or order."""
-
-    def __init__(self) -> None:
-        self.total = 0
-        self.correct = 0
-        self.template_total: Counter = Counter()
-        self.template_correct: Counter = Counter()
-        self.length_total: Counter = Counter()
-        self.length_correct: Counter = Counter()
-
-    def add(self, record: EvalRecord) -> "ReportAccumulator":
-        self.total += 1
-        self.correct += int(record.correct)
-        key = record.qa.template_type
-        self.template_total[key] += 1
-        self.template_correct[key] += int(record.correct)
-        self.length_total[record.table_length] += 1
-        self.length_correct[record.table_length] += int(record.correct)
-        return self
-
-    def merge(self, other: "ReportAccumulator") -> "ReportAccumulator":
-        merged = ReportAccumulator()
-        merged.total = self.total + other.total
-        merged.correct = self.correct + other.correct
-        merged.template_total = self.template_total + other.template_total
-        merged.template_correct = self.template_correct + other.template_correct
-        merged.length_total = self.length_total + other.length_total
-        merged.length_correct = self.length_correct + other.length_correct
-        return merged
-
-    def report(self, bucket_edges: Sequence[int] = DEFAULT_BUCKET_EDGES) -> EvalReport:
-        if self.total == 0:
-            raise ValueError("no records to report")
-        labels = bucket_labels(bucket_edges)
-        bucket_total = [0] * len(labels)
-        bucket_correct = [0] * len(labels)
-        for length, count in self.length_total.items():
-            index = bucket_length(length, bucket_edges)
-            bucket_total[index] += count
-            bucket_correct[index] += self.length_correct[length]
-        by_template = {
-            key: TemplateStats(
-                count=self.template_total[key],
-                errors=self.template_total[key] - self.template_correct[key],
-                accuracy=self.template_correct[key] / self.template_total[key],
-            )
-            for key in sorted(self.template_total, key=lambda k: k.value if k else "~")
-        }
-        buckets = [
-            BucketStats(
-                bucket=labels[i],
-                count=bucket_total[i],
-                ratio=bucket_total[i] / self.total,
-                accuracy=(bucket_correct[i] / bucket_total[i]) if bucket_total[i] else 0.0,
-            )
-            for i in range(len(labels))
-        ]
-        return EvalReport(
-            n=self.total,
-            overall_accuracy=self.correct / self.total,
-            by_template=by_template,
-            by_length_bucket=buckets,
-            bucket_edges=tuple(bucket_edges),
-        )
-
-
 def evaluate_run(
     records: Sequence[EvalRecord], bucket_edges: Sequence[int] = DEFAULT_BUCKET_EDGES
 ) -> EvalReport:
     """Aggregate records into overall, per-template, and per-bucket accuracy."""
-    acc = ReportAccumulator()
+    if not records:
+        raise ValueError("no records to report")
+    template_total: Counter = Counter()
+    template_correct: Counter = Counter()
+    length_total: Counter = Counter()
+    length_correct: Counter = Counter()
     for record in records:
-        acc.add(record)
-    return acc.report(bucket_edges)
+        key = record.qa.template_type
+        template_total[key] += 1
+        template_correct[key] += int(record.correct)
+        length_total[record.table_length] += 1
+        length_correct[record.table_length] += int(record.correct)
+    total, correct = len(records), sum(template_correct.values())
+    labels = bucket_labels(bucket_edges)
+    bucket_total = [0] * len(labels)
+    bucket_correct = [0] * len(labels)
+    for length, count in length_total.items():
+        index = bucket_length(length, bucket_edges)
+        bucket_total[index] += count
+        bucket_correct[index] += length_correct[length]
+    by_template = {
+        key: TemplateStats(
+            count=template_total[key],
+            errors=template_total[key] - template_correct[key],
+            accuracy=template_correct[key] / template_total[key],
+        )
+        for key in sorted(template_total, key=lambda k: k.value if k else "~")
+    }
+    buckets = [
+        BucketStats(
+            bucket=labels[i],
+            count=bucket_total[i],
+            ratio=bucket_total[i] / total,
+            accuracy=(bucket_correct[i] / bucket_total[i]) if bucket_total[i] else 0.0,
+        )
+        for i in range(len(labels))
+    ]
+    return EvalReport(
+        n=total,
+        overall_accuracy=correct / total,
+        by_template=by_template,
+        by_length_bucket=buckets,
+        bucket_edges=tuple(bucket_edges),
+    )
 
 
 def render_report_text(report: EvalReport) -> str:

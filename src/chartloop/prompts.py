@@ -1,24 +1,21 @@
 """Few-shot prompt construction for both prompting regimes.
 
-The stepwise style interleaves queries and reader answers line by line; the
-two baseline styles put a linearized table in front of plain CoT answers.
-The shipped exemplar texts are package data and render byte-identically to
-the stored prompt files, which the tests pin.
+Each prompt style is one shipped prefix file in the package data, read once
+per process.  The stepwise style interleaves queries and reader answers line
+by line; the two DePlot baseline styles put a linearized table between their
+prefix and the question and answer with plain chain of thought.  A new prompt
+is a new ``PromptStyle`` with its own shipped file.
 """
 
 from __future__ import annotations
 
-import json
+import functools
 from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
-from typing import Optional, Sequence
+from typing import Optional
 
 from .tables import ChartTable
-
-STEPWISE_HEADER = "Answer the following questions step by step."
-DEPLOT_1SHOT_HEADER = "Read the table below to answer the following questions."
-DEPLOT_5SHOT_HEADER = "Read the table to answer the following question."
 
 
 class PromptStyle(str, Enum):
@@ -28,7 +25,11 @@ class PromptStyle(str, Enum):
 
 
 class PromptConfigError(ValueError):
-    """Raised on style/context mismatches or empty exemplar lists."""
+    """Raised when a style gets a context table it forbids or lacks one it needs."""
+
+
+# What follows the linearized table in each DePlot style, as in its exemplars.
+_CONTEXT_END = {PromptStyle.DEPLOT_1SHOT: "\n\n", PromptStyle.DEPLOT_5SHOT: "\n"}
 
 
 @dataclass(frozen=True)
@@ -38,27 +39,31 @@ class StepExemplar:
     question: str
     steps: tuple[str, ...]
 
-    def render(self) -> str:
-        lines = [f"Q: {self.question}", f"A: {self.steps[0]}"]
-        lines.extend(self.steps[1:])
-        return "\n".join(lines)
-
 
 def _data_text(name: str) -> str:
     return resources.files("chartloop.data").joinpath(name).read_text(encoding="utf-8")
 
 
-def default_step_exemplars() -> tuple[StepExemplar, ...]:
-    """The five shipped interleaved exemplars."""
-    payload = json.loads(_data_text("stepwise_exemplars.json"))
-    return tuple(
-        StepExemplar(e["question"], tuple(e["steps"])) for e in payload["exemplars"]
-    )
-
-
+@functools.cache
 def shipped_prompt_text(style: PromptStyle) -> str:
     """The stored prompt prefix for a style (everything before the question)."""
     return _data_text(f"{style.value}.txt")
+
+
+def default_step_exemplars() -> tuple[StepExemplar, ...]:
+    """The five worked examples of the shipped stepwise prefix.
+
+    The prefix is a header paragraph, then one "Q: ...\\nA: ..." block per
+    exemplar, blocks separated by a blank line.
+    """
+    blocks = shipped_prompt_text(PromptStyle.STEPWISE_5SHOT).strip("\n").split("\n\n")[1:]
+    exemplars = []
+    for block in blocks:
+        question, first, *rest = block.split("\n")
+        exemplars.append(
+            StepExemplar(question.removeprefix("Q: "), (first.removeprefix("A: "), *rest))
+        )
+    return tuple(exemplars)
 
 
 def annotated_examples_text() -> str:
@@ -85,31 +90,19 @@ def linearize_table(table: ChartTable) -> str:
     return "\n".join(lines)
 
 
-def build_prompt(
-    style: PromptStyle,
-    exemplars: Optional[Sequence[StepExemplar]],
-    question: str,
-    context: Optional[str] = None,
-) -> str:
-    """Assemble the full prompt ending with the question stub "Q: ...\\nA: ".
+def build_prompt(style: PromptStyle, question: str, context: Optional[str] = None) -> str:
+    """The style's shipped prefix, then the context table for the DePlot
+    styles, then the question stub "Q: ...\\nA: ".
 
-    The stepwise style takes structured exemplars and forbids a context
-    table; the baseline styles use their shipped exemplar text and require a
-    linearized context table for the new question.
+    The stepwise style forbids a context table; the DePlot styles require the
+    linearized table of the question's chart.
     """
+    prefix = shipped_prompt_text(style)
     if style is PromptStyle.STEPWISE_5SHOT:
         if context is not None:
             raise PromptConfigError("stepwise prompts take no context table")
-        if exemplars is None:
-            exemplars = default_step_exemplars()
-        if not exemplars:
-            raise PromptConfigError("at least one exemplar is required")
-        blocks = "\n\n".join(e.render() for e in exemplars)
-        return f"{STEPWISE_HEADER}\n\n{blocks}\n\nQ: {question}\nA: "
-    if context is None:
+    elif context is None:
         raise PromptConfigError(f"{style.value} prompts require a context table")
-    prefix = shipped_prompt_text(style)
-    if style is PromptStyle.DEPLOT_1SHOT:
-        # The 1-shot block already ends with the repeated instruction line.
-        return f"{prefix}{context}\n\nQ: {question}\nA: "
-    return f"{prefix}{context}\nQ: {question}\nA: "
+    else:
+        prefix += context + _CONTEXT_END[style]
+    return f"{prefix}Q: {question}\nA: "

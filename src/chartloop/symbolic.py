@@ -216,11 +216,7 @@ _TEMPLATES: dict[str, _Template] = {key: _Template(*entry) for key, *entry in (
 )}
 
 
-def decompose(
-    question: str,
-    plan_hint: Optional[QuestionPlan] = None,
-    describe_first: bool = True,
-) -> QuestionPlan:
+def decompose(question: str, describe_first: bool = True) -> QuestionPlan:
     """Pattern-match a question into a QuestionPlan.
 
     Entities are taken verbatim from the question text; spelling is aligned
@@ -229,8 +225,6 @@ def decompose(
     a real language model).  Structural questions are answered entirely from
     the description, so they are also NotTemplated when describe is disabled.
     """
-    if plan_hint is not None:
-        return plan_hint
     text = question.strip()
     for template in _TEMPLATES.values():
         m = template.pattern.fullmatch(text)

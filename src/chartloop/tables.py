@@ -75,12 +75,6 @@ class Value:
     def yes_no(flag: bool) -> "Value":
         return Value(ValueKind.YES_NO, "yes" if flag else "no")
 
-    def render(self) -> str:
-        return self.raw
-
-    def __str__(self) -> str:  # pragma: no cover - convenience
-        return self.raw
-
 
 @dataclass(frozen=True)
 class SeriesLabel:
@@ -186,16 +180,21 @@ def underlying_length(table: ChartTable) -> int:
     return len(table.series) * len(table.x_labels)
 
 
+def check_bucket_edges(edges: Sequence[int]) -> None:
+    """Raise ValueError unless the edges are non-empty and strictly increasing."""
+    if not edges:
+        raise ValueError("bucket edges must be non-empty")
+    if any(b <= a for a, b in zip(edges, edges[1:])):
+        raise ValueError("bucket edges must be strictly increasing")
+
+
 def bucket_length(length: int, edges: Sequence[int]) -> int:
     """Index of the half-open interval [edge_i, edge_{i+1}) containing length.
 
     Values at or beyond the last edge fall into the final bucket; values below
     the first edge clamp to bucket 0.
     """
-    if not edges:
-        raise ValueError("bucket edges must be non-empty")
-    if any(b <= a for a, b in zip(edges, edges[1:])):
-        raise ValueError("bucket edges must be strictly increasing")
+    check_bucket_edges(edges)
     index = 0
     for i, edge in enumerate(edges):
         if length >= edge:

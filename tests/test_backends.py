@@ -5,6 +5,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import pytest
 
 from chartloop.backends import BackendError, HttpReader, HttpReasoner, ScriptedReasoner
+from chartloop.cli import main
 from chartloop.controller import run_episode
 from chartloop.oracle import TableOracle
 from chartloop.symbolic import SymbolicReasoner
@@ -16,7 +17,7 @@ def http_stub(costa_rica):
     """Tiny completion+reader server backed by the table oracle."""
     oracle = TableOracle([costa_rica])
     reasoner = SymbolicReasoner()
-    state = {"requests": [], "fail_next": 0}
+    state = {"requests": [], "fail_next": 0, "malformed": ""}
 
     class Handler(BaseHTTPRequestHandler):
         def do_POST(self):
@@ -36,6 +37,11 @@ def http_stub(costa_rica):
                 body = {"text": text}
             elif self.path == "/complete-openai":
                 body = {"choices": [{"text": "The answer is 41."}]}
+            elif self.path == "/malformed":
+                self.send_response(200)
+                self.end_headers()
+                self.wfile.write(state["malformed"].encode("utf-8"))
+                return
             elif self.path == "/read":
                 body = {"text": oracle.read(payload["chart_ref"], payload["query"])}
             else:
@@ -117,7 +123,7 @@ def test_unreachable_backend_is_backend_error():
 
 
 def test_full_episode_over_http(http_stub, costa_rica):
-    url, _ = http_stub
+    url, state = http_stub
     reasoner = HttpReasoner(f"{url}/complete")
     reader = HttpReader(f"{url}/read")
     trace = run_episode(
@@ -126,6 +132,9 @@ def test_full_episode_over_http(http_stub, costa_rica):
     )
     assert trace.terminated_by is Termination.CONCLUSION
     assert trace.final == Value.from_raw("14.92")
+    completions = [payload for path, payload, _ in state["requests"] if path == "/complete"]
+    assert completions and all(
+        p["stop"] == ["\n"] and p["max_tokens"] == 256 for p in completions)
 
 
 def test_episode_with_dead_backend_terminates(costa_rica):
@@ -138,8 +147,37 @@ def test_scripted_reasoner_from_mapping(tmp_path):
     script = {"1": "second", "0": "first"}
     path = tmp_path / "script.json"
     path.write_text(json.dumps(script), encoding="utf-8")
-    reasoner = ScriptedReasoner.from_file(path)
+    reasoner = ScriptedReasoner(json.loads(path.read_text(encoding="utf-8")))
     assert reasoner.complete("", ["\n"], 0.0, 8) == "first"
     assert reasoner.complete("", ["\n"], 0.0, 8) == "second"
     with pytest.raises(BackendError):
         reasoner.complete("", ["\n"], 0.0, 8)
+
+
+MALFORMED_BODIES = ['[1]', '"abc"', '5', '{"choices": ["text"]}', '{"text": null}',
+                    pytest.param("[" * 100_000, id="too-deeply-nested")]
+
+
+@pytest.mark.parametrize("body", MALFORMED_BODIES)
+def test_malformed_response_is_backend_error(http_stub, costa_rica, body):
+    url, state = http_stub
+    state["malformed"] = body
+    oracle = TableOracle([costa_rica])
+    question = "Across all years, what is the minimum pupil-teacher ratio in Costa Rica?"
+    trace = run_episode(question, "pupil-teacher", HttpReasoner(f"{url}/malformed"), oracle)
+    assert trace.terminated_by is Termination.BACKEND_ERROR
+    trace = run_episode(question, "pupil-teacher", SymbolicReasoner(),
+                        HttpReader(f"{url}/malformed"))
+    assert trace.terminated_by is Termination.BACKEND_ERROR
+
+
+@pytest.mark.parametrize("body", MALFORMED_BODIES)
+def test_run_with_malformed_response_exits_3(http_stub, small_corpus_path, tmp_path, capsys,
+                                             body):
+    url, state = http_stub
+    state["malformed"] = body
+    code = main(["run", "--question", "What is the value of Q3?", "--chart", "solo-chart",
+                 "--corpus", str(small_corpus_path), "--backend", "http",
+                 "--reasoner-url", f"{url}/malformed", "--out-dir", str(tmp_path / "run")])
+    assert code == 3
+    assert "Traceback" not in capsys.readouterr().err

@@ -177,6 +177,14 @@ def test_eval_synthetic_records_flags(tmp_path):
     assert report["overall_accuracy"] == 1.0
 
 
+def test_bad_buckets_exit_2_before_any_episode(tmp_path, capsys):
+    out = tmp_path / "eval"
+    assert run_cli(["eval", "--synthetic", 1, "--buckets", "10,5", "--out-dir", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (out / "run_config.json").exists()
+
+
 def test_eval_without_instances_exits_4(tmp_path):
     charts = tmp_path / "charts.jsonl"
     charts.write_text(json.dumps({

@@ -6,7 +6,6 @@ from chartloop.controller import (
     SelfConsistencyConfig,
     run_episode,
     run_self_consistency,
-    truncate_at_markers,
 )
 from chartloop.oracle import TableOracle
 from chartloop.protocol import QueryOp, StepKind, parse_step
@@ -35,11 +34,6 @@ class BabblingReasoner:
 class FailingReasoner:
     def complete(self, prompt, stop_markers, temperature, max_tokens):
         raise BackendError("connection refused")
-
-
-def test_truncate_at_markers():
-    assert truncate_at_markers("one line\nleftover", ["\n"]) == "one line"
-    assert truncate_at_markers("clean", ["\n"]) == "clean"
 
 
 def test_scripted_replay_difference(retail):

@@ -5,7 +5,6 @@ import pytest
 
 from chartloop.evalkit import (
     EvalRecord,
-    ReportAccumulator,
     evaluate_run,
     majority_vote,
     make_record,
@@ -151,32 +150,6 @@ def test_report_matches_recount():
         subset = [r for r in records if r.qa.template_type == template]
         assert stats.count == len(subset)
         assert stats.errors == sum(not r.correct for r in subset)
-
-
-def test_accumulator_merge_is_associative_and_commutative():
-    rng = random.Random(14)
-    records = [
-        _record(rng.random() < 0.6,
-                template=rng.choice(list(TemplateType)),
-                length=rng.randrange(1, 60))
-        for _ in range(120)
-    ]
-    chunks = [records[0:40], records[40:90], records[90:120]]
-    accs = []
-    for chunk in chunks:
-        acc = ReportAccumulator()
-        for record in chunk:
-            acc.add(record)
-        accs.append(acc)
-    left = accs[0].merge(accs[1]).merge(accs[2])
-    right = accs[0].merge(accs[1].merge(accs[2]))
-    swapped = accs[2].merge(accs[0]).merge(accs[1])
-    edges = [0, 10, 30]
-    assert left.report(edges) == right.report(edges) == swapped.report(edges)
-    sequential = ReportAccumulator()
-    for record in records:
-        sequential.add(record)
-    assert sequential.report(edges) == left.report(edges)
 
 
 def test_records_jsonl_round_trip(tmp_path):

@@ -1,25 +1,30 @@
+import hashlib
+import json
+
 import pytest
 
 from chartloop.prompts import (
     PromptConfigError,
     PromptStyle,
-    StepExemplar,
     build_prompt,
     default_step_exemplars,
     linearize_table,
     shipped_prompt_text,
 )
+from chartloop.symbolic import SkippedTemplate, gen_questions
+from chartloop.synth import random_tables
+from chartloop.tables import TemplateType
 
 
 def test_stepwise_prompt_matches_shipped_text_bytes():
     question = "What is the value of Oman in 2010?"
-    prompt = build_prompt(PromptStyle.STEPWISE_5SHOT, None, question)
+    prompt = build_prompt(PromptStyle.STEPWISE_5SHOT, question)
     shipped = shipped_prompt_text(PromptStyle.STEPWISE_5SHOT)
     assert prompt == shipped + f"Q: {question}\nA: "
 
 
 def test_stepwise_prompt_shape():
-    prompt = build_prompt(PromptStyle.STEPWISE_5SHOT, None, "Why?")
+    prompt = build_prompt(PromptStyle.STEPWISE_5SHOT, "Why?")
     assert prompt.startswith("Answer the following questions step by step.\n\n")
     assert prompt.endswith("Q: Why?\nA: ")
     assert prompt.count("\nQ: ") == 6  # five exemplars plus the live question
@@ -36,9 +41,9 @@ def test_default_exemplars_alternate_roles():
 
 def test_deplot_prompts_require_context(oman_samoa):
     with pytest.raises(PromptConfigError):
-        build_prompt(PromptStyle.DEPLOT_1SHOT, None, "q")
+        build_prompt(PromptStyle.DEPLOT_1SHOT, "q")
     context = linearize_table(oman_samoa)
-    prompt = build_prompt(PromptStyle.DEPLOT_1SHOT, None, "In which year?", context)
+    prompt = build_prompt(PromptStyle.DEPLOT_1SHOT, "In which year?", context)
     assert prompt.startswith("Read the table below to answer the following questions.")
     assert prompt.rstrip().endswith("A:")
     assert context in prompt
@@ -48,30 +53,38 @@ def test_deplot_prompts_require_context(oman_samoa):
 
 def test_deplot_5shot_prompt(oman_samoa):
     context = linearize_table(oman_samoa)
-    prompt = build_prompt(PromptStyle.DEPLOT_5SHOT, None, "q?", context)
+    prompt = build_prompt(PromptStyle.DEPLOT_5SHOT, "q?", context)
     assert prompt.startswith("Read the table to answer the following question.")
     assert prompt.endswith(f"{context}\nQ: q?\nA: ")
 
 
-def test_stepwise_rejects_context_and_empty_exemplars(oman_samoa):
+def test_stepwise_rejects_context(oman_samoa):
     with pytest.raises(PromptConfigError):
-        build_prompt(PromptStyle.STEPWISE_5SHOT, None, "q", linearize_table(oman_samoa))
-    with pytest.raises(PromptConfigError):
-        build_prompt(PromptStyle.STEPWISE_5SHOT, [], "q")
+        build_prompt(PromptStyle.STEPWISE_5SHOT, "q", linearize_table(oman_samoa))
 
 
-def test_custom_exemplars_render_in_order():
-    exemplars = [
-        StepExemplar("One?", ("Let's describe the figure.", "The figure shows the data of: A. The x-axis shows: x.", "The answer is 1.")),
-    ]
-    prompt = build_prompt(PromptStyle.STEPWISE_5SHOT, exemplars, "Two?")
-    assert prompt == (
-        "Answer the following questions step by step.\n\n"
-        "Q: One?\nA: Let's describe the figure.\n"
-        "The figure shows the data of: A. The x-axis shows: x.\n"
-        "The answer is 1.\n\n"
-        "Q: Two?\nA: "
-    )
+def test_prompt_bytes_are_pinned():
+    """Every style's prompts for the generated questions of 40 synthetic
+    tables, and the stepwise exemplars, hash to fixed digests: a prompt that
+    changes by one byte loses a server's cached prefix."""
+    digest = hashlib.sha256()
+    for table in random_tables(0, 40):
+        context = linearize_table(table)
+        for template in TemplateType:
+            try:
+                generated = gen_questions(table, template, 0, n=2)
+            except SkippedTemplate:
+                continue
+            for qa, _ in generated:
+                for style in PromptStyle:
+                    table_text = None if style is PromptStyle.STEPWISE_5SHOT else context
+                    prompt = build_prompt(style, qa.question, table_text)
+                    digest.update(prompt.encode("utf-8") + b"\0")
+    assert digest.hexdigest() == (
+        "e0a4ef4f68a91c4175f5a046975e6596ed62c5f9196e24104b37db6f13f409ec")
+    exemplars = [[e.question, list(e.steps)] for e in default_step_exemplars()]
+    assert hashlib.sha256(json.dumps(exemplars).encode("utf-8")).hexdigest() == (
+        "5cc625bd19e255c9bc2832335091636a6cd34fcc7aa2a40ff8f19107f4500d46")
 
 
 def test_linearize_multi_series(oman_samoa):

@@ -84,11 +84,6 @@ def test_decompose_free_form_not_templated():
         decompose("What do you think of this chart?")
 
 
-def test_decompose_uses_plan_hint():
-    hint = _plan(Reduce.IDENTITY, [point_query("Oman", "2010")])
-    assert decompose("anything at all", plan_hint=hint) is hint
-
-
 def test_compute_gold_difference(net_ratings):
     plan = _plan(
         Reduce.DIFFERENCE,

