@@ -8,16 +8,19 @@ files, when every episode of every question ended in a backend error.
 ``run`` and ``eval`` answer each question the same way: ``--sc N`` episodes
 (one by default) majority-voted by normalized answer, the vote returning the
 winning answer as the model wrote it.  The temperature is ``--temperature``
-if given, else 0.4 with ``--sc`` above 1 and 0.0 otherwise.
+if given, else 0.4 with ``--sc`` above 1 and 0.0 otherwise.  Both write
+every episode to ``traces.jsonl`` (one line per question, in input order, in
+``datagen``'s trace format), which ``export-ft --traces`` reads.
 
 Each subcommand takes only the flags it reads, and each flag's argparse
 default is its only default; ``--config`` JSON replaces those defaults and
-flags still win, and required flags are checked after that merge.  A usage
-or input error prints one ``error:`` line and exits 2.  Every command
-serializes its effective configuration into the output directory so a run
-can be reproduced from its artifacts; all randomness flows from --seed.
-Every command writes its files before it prints, so a stdout closed early
-(``| head``) loses nothing and is not an error.
+flags still win, and required flags and the lower limits of numeric flags
+are checked after that merge.  A usage or input error prints one ``error:``
+line and exits 2.  Every command serializes its effective configuration into
+the output directory so a run can be reproduced from its artifacts; all
+randomness flows from --seed.  Every command writes its files before it
+prints, so a stdout closed early (``| head``) loses nothing and is not an
+error.
 """
 
 from __future__ import annotations
@@ -35,13 +38,15 @@ from .controller import EpisodeConfig, SelfConsistencyConfig, run_self_consisten
 from .datagen import (
     Corpus,
     CorpusError,
-    example_from_trace,
+    examples_from_traces,
     export_system2_sft,
     generate_system1_corpus,
     load_corpus,
     parse_annotated_examples,
+    read_traces_jsonl,
     sample_eval_set,
     write_system1_jsonl,
+    write_trace_line,
 )
 from .evalkit import (
     DEFAULT_BUCKET_EDGES,
@@ -57,8 +62,8 @@ from .oracle import ChartNotFound, TableOracle
 from .prompts import PromptStyle
 from .symbolic import SkippedTemplate, SymbolicReasoner, gen_questions
 from .synth import random_tables
-from .tables import (SHAPE_ERRORS, ChartTable, QAInstance, ReasoningTrace, StepRole, Termination,
-                     TemplateType, Value, check_bucket_edges, underlying_length)
+from .tables import (ChartTable, QAInstance, ReasoningTrace, StepRole, Termination, TemplateType,
+                     Value, check_bucket_edges, underlying_length)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -73,6 +78,9 @@ _PROMPT_STYLES = {
 
 _FORMATS = ["internal_json", "chartqa_like", "plotqa_like"]
 _DEFAULT_BUCKETS = ",".join(str(e) for e in DEFAULT_BUCKET_EDGES)
+# Lowest accepted value of each numeric flag; main checks them after the --config merge.
+_MINIMUMS = {"sc": 1, "max_steps": 1, "per_template": 1, "workers": 1, "sample": 0,
+             "synthetic": 0, "temperature": 0.0}
 # Namespace entries that are not options of the command being run.
 _NOT_OPTIONS = ("command", "config", "func", "subparser")
 
@@ -243,12 +251,6 @@ def cmd_datagen(cfg: dict) -> int:
     return EXIT_OK
 
 
-def _print_trace(trace: ReasoningTrace) -> None:
-    for step in trace.steps:
-        tag = "reader" if step.role is StepRole.READER_ANSWER else "reasoner"
-        print(f"[{tag}] {step.text}")
-
-
 def cmd_run(cfg: dict) -> int:
     _require(cfg, "question", "chart")
     out_dir = Path(cfg["out_dir"])
@@ -258,19 +260,14 @@ def cmd_run(cfg: dict) -> int:
     _write_run_config(cfg, out_dir, "run")
     question, chart = cfg["question"], cfg["chart"]
     final, traces = answer(question, chart)
-    payload = {"question": question, "chart_id": chart}
-    if len(traces) == 1:
-        payload.update(traces[0].to_dict())
-    else:
-        payload["final"] = final.raw if final else None
-        payload["episodes"] = [t.to_dict() for t in traces]
-    with open(out_dir / "trace.json", "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, ensure_ascii=False, indent=2)
-        handle.write("\n")
+    with open(out_dir / "traces.jsonl", "w", encoding="utf-8") as handle:
+        write_trace_line(handle, "episode-0", question, chart, final, traces)
     for index, trace in enumerate(traces):
         if len(traces) > 1:
             print(f"--- episode {index} ---")
-        _print_trace(trace)
+        for step in trace.steps:
+            tag = "reader" if step.role is StepRole.READER_ANSWER else "reasoner"
+            print(f"[{tag}] {step.text}")
     if _all_backend_errors(traces):
         print("backend error; partial trace written", file=sys.stderr)
         return EXIT_BACKEND
@@ -318,30 +315,32 @@ def cmd_eval(cfg: dict) -> int:
     def score(item: tuple[int, QAInstance]):
         index, qa = item
         final, traces = answer(qa.question, qa.chart_id)
-        record = make_record(qa, final, chart_lengths.get(qa.chart_id, 0), f"episode-{index}")
-        return record, _all_backend_errors(traces)
+        return make_record(qa, final, chart_lengths.get(qa.chart_id, 0), f"episode-{index}"), traces
 
-    items = list(enumerate(instances))
-    if cfg["workers"] > 1:
-        with ThreadPoolExecutor(max_workers=cfg["workers"]) as pool:
-            scored = list(pool.map(score, items))
-    else:
-        scored = [score(item) for item in items]
-    records = [record for record, _ in scored]
+    records, every_episode_failed = [], True
+    with ThreadPoolExecutor(max_workers=cfg["workers"]) as pool, \
+            open(out_dir / "traces.jsonl", "w", encoding="utf-8") as traces_file:
+        # Both maps yield in input order, so each trace line is written as its
+        # result arrives.  The pool starts no thread at --workers 1.
+        for record, traces in (pool.map if cfg["workers"] > 1 else map)(score, enumerate(instances)):
+            write_trace_line(traces_file, record.trace_ref, record.qa.question, record.qa.chart_id,
+                             record.prediction, traces)
+            records.append(record)
+            every_episode_failed = every_episode_failed and _all_backend_errors(traces)
     report = evaluate_run(records, edges)
     write_report(report, out_dir / "report.json", out_dir / "report.txt")
     write_records_jsonl(records, out_dir / "records.jsonl")
     write_records_csv(records, out_dir / "records.csv")
     print(render_report_text(report))
-    if all(failed for _, failed in scored):
+    if every_episode_failed:
         print("backend error: every episode failed", file=sys.stderr)
         return EXIT_BACKEND
     return EXIT_OK
 
 
 def cmd_export_ft(cfg: dict) -> int:
-    out_dir = Path(cfg["out_dir"])
-    out_dir.mkdir(parents=True, exist_ok=True)
+    if not cfg["traces"] and not cfg["annotations"]:
+        raise UsageError("export-ft needs --traces or --annotations")
     examples = []
     skipped = 0
     if cfg["annotations"]:
@@ -352,17 +351,14 @@ def cmd_export_ft(cfg: dict) -> int:
             raise UsageError(f"cannot read annotations {path}: {exc.strerror}") from None
         examples.extend(parse_annotated_examples(text))
     if cfg["traces"]:
-        traces_dir = Path(cfg["traces"])
-        if not traces_dir.is_dir():
-            raise UsageError(f"traces directory not found: {traces_dir}")
-        for trace_path in sorted(traces_dir.glob("*.json")):
-            try:
-                payload = json.loads(trace_path.read_text(encoding="utf-8"))
-                trace = ReasoningTrace.from_dict(payload)
-                examples.append(example_from_trace(trace, payload["question"], payload["chart_id"]))
-            except (*SHAPE_ERRORS, OSError) as exc:
-                skipped += 1
-                print(f"warning: {trace_path}: {exc}", file=sys.stderr)
+        triples, issues = read_traces_jsonl(cfg["traces"])
+        for issue in issues:
+            print(f"warning: {issue}", file=sys.stderr)
+        from_traces, not_concluded = examples_from_traces(triples)
+        examples.extend(from_traces)
+        skipped = len(issues) + not_concluded
+    out_dir = Path(cfg["out_dir"])
+    out_dir.mkdir(parents=True, exist_ok=True)
     _write_run_config(cfg, out_dir, "export-ft")
     if not examples:
         print("no valid fine-tuning examples", file=sys.stderr)
@@ -457,7 +453,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--buckets", default=_DEFAULT_BUCKETS, help="comma-separated bucket edges")
 
     p = command("export-ft", cmd_export_ft, "export loss-masked reasoner SFT data")
-    p.add_argument("--traces", default=None, help="directory of trace JSON files")
+    p.add_argument("--traces", default=None, help="traces.jsonl written by run or eval")
     p.add_argument("--annotations", default=None, help="[INST]-tagged annotation file")
     p.add_argument("--tagged", action="store_true",
                    help="include the [INST]-wrapped rendering")
@@ -480,6 +476,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                                                            args.config))
             args = parser.parse_args(argv)
         cfg = {k: v for k, v in vars(args).items() if k not in _NOT_OPTIONS}
+        for key, lowest in _MINIMUMS.items():
+            if cfg.get(key) is not None and cfg[key] < lowest:
+                raise UsageError(f"--{key.replace('_', '-')} must be at least {lowest}")
         code = args.func(cfg)
         sys.stdout.flush()
         return code

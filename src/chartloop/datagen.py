@@ -9,6 +9,10 @@ form on single-series charts), and group pairs along both axes of
 multi-series charts.  Reasoner fine-tuning examples are exported with
 segment-level loss masks: the question and every reader answer are masked,
 queries and the conclusion are not.
+
+Reasoning traces have one file format, ``traces.jsonl``, with one record per
+question; :func:`write_trace_line` is its only writer and
+:func:`read_traces_jsonl` its only reader, which shares the corpus row loop.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ import random
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
+from typing import Any, Callable, Iterable, Iterator, Optional, Sequence, TextIO
 
 from . import oracle
 from .protocol import AtomicQuery, describe_query, format_query, group_query, point_query
@@ -100,6 +104,16 @@ def _array_rows(label: str, items: Any) -> Iterator[Row]:
     if not isinstance(items, list):
         raise ValueError(f"{label} must be a JSON array")
     return ((f"{label}[{index}]", None, item) for index, item in enumerate(items))
+
+
+def _add_rows(rows: Iterable[Row], add: Callable[[Any], None], issues: list[str]) -> None:
+    """The row loop: decode each row and ``add`` it; a row that raises one of
+    ``_ROW_ERRORS`` is skipped and reported as ``where: reason``."""
+    for where, decode, raw in rows:
+        try:
+            add(decode(raw) if decode else raw)
+        except _ROW_ERRORS as exc:
+            issues.append(f"{where}: {exc}")
 
 
 def _csv_chart(path: Path) -> dict:
@@ -202,11 +216,7 @@ def load_corpus(path: str | Path, format: str = "internal_json") -> Corpus:
 
     try:
         for rows, add in zip(_LAYOUTS[format](location), (add_chart, add_qa)):
-            for where, decode, raw in rows:
-                try:
-                    add(decode(raw) if decode else raw)
-                except _ROW_ERRORS as exc:
-                    issues.append(f"{where}: {exc}")
+            _add_rows(rows, add, issues)
     except (OSError, ValueError, RecursionError) as exc:
         # Reading a whole file failed, not decoding one of its rows.
         raise CorpusError(f"cannot read corpus at {location}: {exc}") from exc
@@ -375,3 +385,54 @@ def examples_from_traces(
         except ValueError:
             skipped += 1
     return out, skipped
+
+
+def write_trace_line(
+    handle: TextIO,
+    trace_ref: str,
+    question: str,
+    chart_id: str,
+    final: Optional[Value],
+    episodes: Sequence[ReasoningTrace],
+) -> None:
+    """Append one question's trace record to an open ``traces.jsonl``.
+
+    The record is ``{"trace_ref", "question", "chart_id", "final",
+    "episodes"}``: ``final`` is the voted answer as written (or null) and
+    each episode is a ``ReasoningTrace.to_dict()``.
+    """
+    record = {
+        "trace_ref": trace_ref,
+        "question": question,
+        "chart_id": chart_id,
+        "final": final.raw if final else None,
+        "episodes": [trace.to_dict() for trace in episodes],
+    }
+    handle.write(json.dumps(record, ensure_ascii=False) + "\n")
+
+
+def read_traces_jsonl(path: str | Path) -> tuple[list[tuple[ReasoningTrace, str, str]], list[str]]:
+    """Every episode of a ``traces.jsonl`` as a ``(trace, question, chart_id)``
+    triple, in file order, plus one issue per line skipped.
+
+    A line that is not a trace record, or holds an episode that fails
+    ``validate_trace``, is skipped and reported as ``path:line: reason``.  A
+    file that cannot be opened or decoded raises ValueError.
+    """
+    triples: list[tuple[ReasoningTrace, str, str]] = []
+    issues: list[str] = []
+
+    def add(record: dict) -> None:
+        question, chart_id = str(record["question"]), str(record["chart_id"])
+        episodes = [ReasoningTrace.from_dict(obj) for obj in record["episodes"]]
+        for trace in episodes:
+            validate_trace(trace)
+        triples.extend((trace, question, chart_id) for trace in episodes)
+
+    try:
+        _add_rows(_jsonl_rows(Path(path)), add, issues)
+    except (OSError, ValueError) as exc:
+        # Opening or decoding the file failed, not parsing one of its lines.
+        reason = exc.strerror if isinstance(exc, OSError) else exc
+        raise ValueError(f"cannot read traces {path}: {reason}") from exc
+    return triples, issues

@@ -128,9 +128,16 @@ class EvalRecord:
 
     @staticmethod
     def from_dict(obj: dict) -> "EvalRecord":
+        """Raises ValueError unless ``correct`` is a JSON bool and
+        ``table_length`` a non-negative integer, so no verdict is guessed."""
         prediction = Value.from_raw(obj["prediction"]) if obj.get("prediction") is not None else None
-        return EvalRecord(QAInstance.from_dict(obj), prediction, bool(obj["correct"]),
-                          int(obj["table_length"]), str(obj.get("trace_ref", "")))
+        correct, table_length = obj["correct"], obj["table_length"]
+        if type(correct) is not bool:
+            raise ValueError(f"correct must be true or false, not {correct!r}")
+        if type(table_length) is not int or table_length < 0:
+            raise ValueError(f"table_length must be a non-negative integer, not {table_length!r}")
+        return EvalRecord(QAInstance.from_dict(obj), prediction, correct, table_length,
+                          str(obj.get("trace_ref", "")))
 
 
 def make_record(

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -8,11 +9,16 @@ import pytest
 
 import chartloop
 from chartloop.cli import main
-from chartloop.datagen import load_corpus
+from chartloop.datagen import example_from_trace, load_corpus
+from chartloop.tables import ReasoningTrace
 
 
 def run_cli(args):
     return main([str(a) for a in args])
+
+
+def read_jsonl(path):
+    return [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
 
 
 def test_datagen_counts_and_determinism(small_corpus_path, tmp_path, capsys):
@@ -54,9 +60,10 @@ def test_run_scripted_replay(small_corpus_path, tmp_path, capsys):
     printed = capsys.readouterr().out
     assert "So the answer is 11.0." in printed
     assert "Final answer: 11.0" in printed
-    trace = json.loads((out / "trace.json").read_text())
-    assert trace["final"] == "11.0"
-    assert trace["question"] == "What is the value of Alpha in 2002?"
+    [record] = read_jsonl(out / "traces.jsonl")
+    assert record["final"] == record["episodes"][0]["final"] == "11.0"
+    assert record["question"] == "What is the value of Alpha in 2002?"
+    assert record["trace_ref"] == "episode-0"
 
 
 def test_run_scripted_difference_replay(tmp_path, capsys):
@@ -95,9 +102,9 @@ def test_run_self_consistency_votes(small_corpus_path, tmp_path, capsys):
     assert code == 0
     # The vote counts normalized finals but returns the answer as written.
     assert "Voted answer: 7.0" in capsys.readouterr().out
-    payload = json.loads((out / "trace.json").read_text())
-    assert len(payload["episodes"]) == 3
-    assert payload["final"] == "7.0"
+    [record] = read_jsonl(out / "traces.jsonl")
+    assert len(record["episodes"]) == 3
+    assert record["final"] == "7.0"
 
 
 def test_run_symbolic_closed_loop(small_corpus_path, tmp_path, capsys):
@@ -115,7 +122,8 @@ def test_run_no_describe_has_no_describe_query(small_corpus_path, tmp_path, caps
                     "--chart", "solo-chart", "--corpus", small_corpus_path,
                     "--no-describe", "--out-dir", out])
     assert code == 0
-    trace = json.loads((out / "trace.json").read_text())
+    [record] = read_jsonl(out / "traces.jsonl")
+    trace = record["episodes"][0]
     texts = [s["text"] for s in trace["steps"]]
     assert all("describe the figure" not in t for t in texts)
     assert trace["final"] == "7.0"
@@ -213,25 +221,72 @@ def test_export_ft_annotations(tmp_path):
     assert "[INST]" in json.loads(lines[0])["rendered"]
 
 
-def test_export_ft_trace_chain(small_corpus_path, tmp_path):
+def test_export_ft_trace_chain(small_corpus_path, tmp_path, capsys):
     run_out = tmp_path / "run"
     assert run_cli(["run", "--question", "What is the value of Q3?",
                     "--chart", "solo-chart", "--corpus", small_corpus_path,
                     "--out-dir", run_out]) == 0
-    traces_dir = tmp_path / "traces"
-    traces_dir.mkdir()
-    (traces_dir / "t0.json").write_text((run_out / "trace.json").read_text())
+    traces = run_out / "traces.jsonl"
+    with open(traces, "a", encoding="utf-8") as handle:
+        handle.write("{not json\n")
+    capsys.readouterr()
     out = tmp_path / "ft"
-    assert run_cli(["export-ft", "--traces", traces_dir, "--out-dir", out]) == 0
+    assert run_cli(["export-ft", "--traces", traces, "--out-dir", out]) == 0
+    captured = capsys.readouterr()
+    assert "examples=1 skipped=1 " in captured.out
+    assert captured.err.startswith(f"warning: {traces}:2: ") and captured.err.count("\n") == 1
     record = json.loads((out / "system2.jsonl").read_text().splitlines()[0])
     texts = "".join(s["text"] for s in record["segments"])
     assert texts.startswith("Q: What is the value of Q3?\n")
 
 
-def test_export_ft_empty_dir_exits_4(tmp_path):
-    empty = tmp_path / "traces"
-    empty.mkdir()
+def test_export_ft_empty_file_exits_4(tmp_path):
+    empty = tmp_path / "traces.jsonl"
+    empty.write_text("", encoding="utf-8")
     assert run_cli(["export-ft", "--traces", empty, "--out-dir", tmp_path / "ft"]) == 4
+
+
+def test_run_sc_traces_export_one_example_per_episode(small_corpus_path, tmp_path, capsys):
+    run_out = tmp_path / "run"
+    assert run_cli(["run", "--question", "What is the value of Q3?", "--chart", "solo-chart",
+                    "--corpus", small_corpus_path, "--sc", 3, "--out-dir", run_out]) == 0
+    out = tmp_path / "ft"
+    assert run_cli(["export-ft", "--traces", run_out / "traces.jsonl", "--out-dir", out]) == 0
+    assert "examples=3 skipped=0 " in capsys.readouterr().out
+    assert len(read_jsonl(out / "system2.jsonl")) == 3
+
+
+def test_eval_traces_export_one_example_per_concluded_episode(tmp_path, capsys):
+    eval_out = tmp_path / "eval"
+    assert run_cli(["eval", "--synthetic", 5, "--sc", 2, "--out-dir", eval_out]) == 0
+    records = read_jsonl(eval_out / "records.jsonl")
+    lines = read_jsonl(eval_out / "traces.jsonl")
+    assert [line["trace_ref"] for line in lines] == [r["trace_ref"] for r in records]
+    assert [(line["question"], line["chart_id"], line["final"]) for line in lines] == \
+        [(r["question"], r["chart_id"], r["prediction"]) for r in records]
+    expected = []
+    for line in lines:
+        for episode in line["episodes"]:
+            trace = ReasoningTrace.from_dict(episode)
+            if trace.final is not None:
+                expected.append(example_from_trace(trace, line["question"], line["chart_id"]))
+    assert len(expected) == 2 * len(records)
+    out = tmp_path / "ft"
+    assert run_cli(["export-ft", "--traces", eval_out / "traces.jsonl", "--out-dir", out]) == 0
+    assert f"examples={len(expected)} skipped=0 " in capsys.readouterr().out
+    exported = read_jsonl(out / "system2.jsonl")
+    assert [[(s["text"], s["masked"]) for s in e["segments"]] for e in exported] == \
+        [[(s.text, s.masked) for s in e.segments] for e in expected]
+    assert [e["chart_id"] for e in exported] == [e.chart_id for e in expected]
+
+
+@pytest.mark.parametrize("sc", [1, 3])
+def test_eval_records_bytes_are_pinned(tmp_path, sc):
+    out = tmp_path / "eval"
+    assert run_cli(["eval", "--synthetic", 20, "--per-template", 2, "--seed", 0, "--sc", sc,
+                    "--out-dir", out]) == 0
+    digest = hashlib.sha256((out / "records.jsonl").read_bytes()).hexdigest()
+    assert digest == "0c3540dad9a16ad33b8e961d4c4442f1be89ea65b36bd4bfad2ea8a37bc061f4"
 
 
 def test_report_from_records(small_corpus_path, tmp_path, capsys):
@@ -346,6 +401,7 @@ def test_temperature_follows_sc_unless_given(tmp_path, monkeypatch, flags, used)
     (["eval", "--synthetic", 1], '{"backend": "oracle"}'),
     (["eval", "--synthetic", 1], '{"unknown_key": 1}'),
     (["report", "--records", "r.jsonl"], '{"command": "eval", "sc": 3, "synthetic": 2}'),
+    (["eval", "--synthetic", 1], '{"workers": 0}'),
 ])
 def test_bad_config_file_exits_2(tmp_path, capsys, command, content):
     config = tmp_path / "config.json"
@@ -431,8 +487,16 @@ def test_ingestion_issues_print_once(small_corpus_path, tmp_path, command):
     assert result.stderr == f"warning: {issues[0]}\n"
 
 
-@pytest.mark.parametrize("content", [None, "[1, 2]\n", '{"question": "q", "chart_id": "c"}\n',
-                                     pytest.param("[" * 100_000 + "\n", id="too-deeply-nested")])
+_RECORD = {"question": "q", "gold": "1", "chart_id": "c", "template_type": None,
+           "prediction": "1", "correct": True, "table_length": 4, "trace_ref": "episode-0"}
+
+
+@pytest.mark.parametrize("content", [
+    None, "[1, 2]\n", '{"question": "q", "chart_id": "c"}\n',
+    pytest.param("[" * 100_000 + "\n", id="too-deeply-nested"),
+    pytest.param(json.dumps({**_RECORD, "correct": "false"}) + "\n", id="correct-is-a-string"),
+    pytest.param(json.dumps({**_RECORD, "table_length": -1}) + "\n", id="negative-table-length"),
+])
 def test_report_bad_records_exit_2(tmp_path, capsys, content):
     records = tmp_path / "records.jsonl"
     if content is not None:
@@ -444,16 +508,21 @@ def test_report_bad_records_exit_2(tmp_path, capsys, content):
         assert err.startswith(f"error: {records}:1: ")
 
 
-@pytest.mark.parametrize("content", ["[1, 2]", '{"steps": "abc", "final": null}',
-                                     pytest.param("[" * 100_000, id="too-deeply-nested")])
+@pytest.mark.parametrize("content", [
+    "[1, 2]", '{"steps": "abc", "final": null}',
+    pytest.param("[" * 100_000, id="too-deeply-nested"),
+    pytest.param(json.dumps({"trace_ref": "episode-0", "question": "q", "chart_id": "c",
+                             "final": None, "episodes": [{
+                                 "steps": [{"role": "reader_answer", "text": "x"}],
+                                 "final": None, "terminated_by": "max_steps"}]}),
+                 id="episode-fails-validate_trace"),
+])
 def test_export_ft_skips_malformed_trace(tmp_path, capsys, content):
-    traces = tmp_path / "traces"
-    traces.mkdir()
-    bad = traces / "t0.json"
+    bad = tmp_path / "traces.jsonl"
     bad.write_text(content, encoding="utf-8")
-    assert run_cli(["export-ft", "--traces", traces, "--out-dir", tmp_path / "ft"]) == 4
+    assert run_cli(["export-ft", "--traces", bad, "--out-dir", tmp_path / "ft"]) == 4
     warning = capsys.readouterr().err.splitlines()[0]
-    assert warning.startswith(f"warning: {bad}: ")
+    assert warning.startswith(f"warning: {bad}:1: ")
 
 
 @pytest.mark.parametrize("content", [None, "5", "[1, 2]", '{"first": "x"}', "{not json",
@@ -477,14 +546,21 @@ def test_bad_script_exits_2_before_run_config(small_corpus_path, tmp_path, capsy
     ["eval", "--synthetic", 1, "--config", "deep.json"],
     ["report", "--records", "."],
     ["export-ft", "--annotations", "."],
+    ["export-ft", "--traces", "."],
+    ["export-ft", "--traces", "missing.jsonl"],
+    ["export-ft", "--traces", "latin1.jsonl"],
 ])
 def test_unreadable_input_exits_2_with_one_line(tmp_path, capsys, argv):
-    """Too deeply nested JSON and a directory where a file belongs."""
+    """Too deeply nested JSON, a directory where a file belongs, a missing
+    file and a file that is not UTF-8."""
     (tmp_path / "deep.json").write_text("[" * 100_000, encoding="utf-8")
-    argv = [tmp_path / arg if arg in ("deep.json", ".") else arg for arg in argv]
+    (tmp_path / "latin1.jsonl").write_bytes(b'{"question": "caf\xe9"}\n')
+    argv = [tmp_path / arg if arg in ("deep.json", ".", "missing.jsonl", "latin1.jsonl") else arg
+            for arg in argv]
     assert run_cli([*argv, "--out-dir", tmp_path / "out"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
 
 
 def test_scripted_eval_replays_the_script_for_each_question(small_corpus_path, tmp_path):
@@ -500,7 +576,7 @@ def test_scripted_eval_replays_the_script_for_each_question(small_corpus_path, t
 
 @pytest.mark.parametrize("command, artifact", [
     (["datagen", "--seed", 4], "system1.jsonl"),
-    (["run", "--question", "What is the value of Q3?", "--chart", "solo-chart"], "trace.json"),
+    (["run", "--question", "What is the value of Q3?", "--chart", "solo-chart"], "traces.jsonl"),
     (["report", "--buckets", "0,5"], "report.json"),
 ])
 def test_recorded_config_alone_reruns_a_command(small_corpus_path, tmp_path, command, artifact):
@@ -516,7 +592,19 @@ def test_recorded_config_alone_reruns_a_command(small_corpus_path, tmp_path, com
     assert (first / artifact).read_bytes() == (second / artifact).read_bytes()
 
 
-@pytest.mark.parametrize("argv", [["datagen", "--corpus", "c", "--sc", "4"], ["report"]])
+@pytest.mark.parametrize("argv", [
+    ["datagen", "--corpus", "c", "--sc", "4"],
+    ["report"],
+    ["export-ft"],
+    ["eval", "--synthetic", 3, "--workers", -2],
+    ["eval", "--synthetic", 3, "--workers", 0],
+    ["eval", "--synthetic", 3, "--per-template", -1],
+    ["eval", "--synthetic", 3, "--sample", -2],
+    ["eval", "--synthetic", -1],
+    ["eval", "--synthetic", 3, "--temperature", -1],
+    ["eval", "--synthetic", 3, "--sc", 0],
+    ["run", "--question", "q", "--chart", "c", "--max-steps", 0],
+])
 def test_usage_error_is_one_line(tmp_path, capsys, argv):
     try:
         code = run_cli([*argv, "--out-dir", tmp_path / "out"])
@@ -525,3 +613,4 @@ def test_usage_error_is_one_line(tmp_path, capsys, argv):
     assert code == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "error: " in err
+    assert not (tmp_path / "out").exists()
