@@ -2,16 +2,19 @@
 
 Both contracts are tiny: a reasoner completes text up to a stop marker, a
 reader answers one query about one chart.  HTTP clients speak a minimal JSON
-schema compatible with common completion servers; the scripted reasoner
-replays a fixed list of lines for regression tests.
+schema compatible with common completion servers, over one persistent
+``http.client`` connection per client per thread: an episode's sub-steps
+reuse one connection to each backend instead of opening one per call.  The
+scripted reasoner replays a fixed list of lines for regression tests.
 """
 
 from __future__ import annotations
 
+import http.client
 import json
-import urllib.error
-import urllib.request
+import threading
 from typing import Optional, Protocol, Sequence
+from urllib.parse import urlsplit
 
 
 class BackendError(RuntimeError):
@@ -53,27 +56,117 @@ class ScriptedReasoner:
         return line
 
 
-def _post_json(url: str, payload: dict, timeout: float, headers: dict):
-    data = json.dumps(payload).encode("utf-8")
-    request = urllib.request.Request(
-        url, data=data, headers={"Content-Type": "application/json", **headers}
-    )
-    try:
-        with urllib.request.urlopen(request, timeout=timeout) as response:
-            return json.loads(response.read().decode("utf-8"))
-    except (urllib.error.URLError, OSError, ValueError, RecursionError) as exc:
-        raise BackendError(f"request to {url} failed: {exc}") from exc
+# Statuses a later attempt may get past: server errors, request timeout and
+# rate limit.  Any other non-2xx status would come back the same.
+_RETRIED_STATUSES = frozenset(range(500, 600)) | {408, 429}
+# How a server's close of an idle kept-alive connection shows on the next
+# request, before any status line arrives.
+_STALE_CONNECTION = (http.client.RemoteDisconnected, ConnectionResetError, BrokenPipeError)
 
 
-def _with_retry(call, retries: int):
-    attempts = retries + 1
-    for attempt in range(attempts):
+class _Rejected(BackendError):
+    """A status that is not retried: sending the request again cannot help."""
+
+
+class _HttpClient:
+    """POSTs JSON to one ``http``/``https`` URL and decodes the JSON reply.
+
+    Each thread keeps one connection open across calls, so threads share no
+    socket.  A kept-alive connection the server has closed since the last
+    call gets the request once more on a fresh connection, outside the
+    ``retries`` count.  Timeouts, connection errors, malformed bodies and the
+    statuses 5xx, 408 and 429 are retried up to ``retries`` times; any other
+    non-2xx status, 3xx included, fails at once.  ``close`` closes the
+    connections of every thread.
+    """
+
+    def __init__(
+        self, url: str, api_key: Optional[str] = None, timeout: float = 60.0, retries: int = 1
+    ):
         try:
-            return call()
-        except BackendError:
-            if attempt == attempts - 1:
-                raise
-    raise AssertionError("unreachable")
+            parts = urlsplit(url)
+            port = parts.port
+        except ValueError:  # a malformed host or a port outside 0-65535
+            parts = port = None
+        if parts is None or parts.scheme not in ("http", "https") or not parts.hostname:
+            raise ValueError(f"backend URL {url!r} is not an http or https URL with a host")
+        self.url = url
+        self.api_key = api_key
+        self.timeout = timeout
+        self.retries = retries
+        self._connection_type = (http.client.HTTPSConnection if parts.scheme == "https"
+                                 else http.client.HTTPConnection)
+        self._address = (parts.hostname, port)
+        self._target = (parts.path or "/") + (f"?{parts.query}" if parts.query else "")
+        self._headers = {"Content-Type": "application/json"}
+        if api_key:
+            self._headers["Authorization"] = f"Bearer {api_key}"
+        self._local = threading.local()
+        self._lock = threading.Lock()
+        self._open: set[http.client.HTTPConnection] = set()
+
+    def close(self) -> None:
+        """Close the connection of every thread that called this client."""
+        with self._lock:
+            connections, self._open = self._open, set()
+        for connection in connections:
+            connection.close()
+
+    def _post(self, payload: dict):
+        body = json.dumps(payload).encode("utf-8")
+        for retries_left in range(self.retries, -1, -1):
+            try:
+                return self._attempt(body)
+            except BackendError as exc:
+                if not retries_left or isinstance(exc, _Rejected):
+                    raise
+        raise AssertionError("unreachable")
+
+    def _attempt(self, body: bytes):
+        try:
+            response = self._send(body)
+            data = response.read()
+        except (OSError, http.client.HTTPException, ValueError) as exc:
+            self._drop()
+            raise BackendError(f"request to {self.url} failed: {exc}") from exc
+        if response.will_close:
+            self._drop()
+        if not 200 <= response.status < 300:
+            error = BackendError if response.status in _RETRIED_STATUSES else _Rejected
+            raise error(f"request to {self.url} failed: "
+                        f"HTTP Error {response.status}: {response.reason}")
+        try:
+            return json.loads(data.decode("utf-8"))
+        except (ValueError, RecursionError) as exc:
+            raise BackendError(f"request to {self.url} failed: {exc}") from exc
+
+    def _send(self, body: bytes) -> http.client.HTTPResponse:
+        """Send on this thread's connection and wait for the status line."""
+        connection = getattr(self._local, "connection", None)
+        if connection is not None and connection.sock is not None:  # not closed by close()
+            try:
+                return self._exchange(connection, body)
+            except _STALE_CONNECTION:
+                self._drop()
+        connection = self._connection_type(*self._address, timeout=self.timeout)
+        self._local.connection = connection
+        with self._lock:
+            self._open.add(connection)
+        return self._exchange(connection, body)
+
+    def _exchange(self, connection: http.client.HTTPConnection,
+                  body: bytes) -> http.client.HTTPResponse:
+        connection.request("POST", self._target, body, self._headers)
+        return connection.getresponse()
+
+    def _drop(self) -> None:
+        """Close this thread's connection; its next call opens a new one."""
+        connection = getattr(self._local, "connection", None)
+        if connection is not None:
+            self._local.connection = None
+            with self._lock:
+                self._open.discard(connection)
+            connection.close()
 
 
 def _extract_text(payload) -> str:
@@ -91,11 +184,11 @@ def _extract_text(payload) -> str:
     raise BackendError(f"no string text field in response: {payload!r:.200}")
 
 
-class HttpReasoner:
+class HttpReasoner(_HttpClient):
     """Completion client: POST {prompt, stop, temperature, max_tokens} -> {text}.
 
     Also accepts the common ``{"choices": [{"text": ...}]}`` response shape.
-    One configurable retry; anything beyond that is the caller's problem.
+    One retry by default, with the transport and retry rules of ``_HttpClient``.
     """
 
     def __init__(
@@ -106,11 +199,8 @@ class HttpReasoner:
         timeout: float = 60.0,
         retries: int = 1,
     ):
-        self.url = url
+        super().__init__(url, api_key, timeout, retries)
         self.model = model
-        self.api_key = api_key
-        self.timeout = timeout
-        self.retries = retries
 
     def complete(
         self, prompt: str, stop_markers: Sequence[str], temperature: float, max_tokens: int
@@ -123,32 +213,12 @@ class HttpReasoner:
         }
         if self.model:
             payload["model"] = self.model
-        headers = {"Authorization": f"Bearer {self.api_key}"} if self.api_key else {}
-        response = _with_retry(
-            lambda: _post_json(self.url, payload, self.timeout, headers), self.retries
-        )
-        return _extract_text(response)
+        return _extract_text(self._post(payload))
 
 
-class HttpReader:
+class HttpReader(_HttpClient):
     """Reader client: POST {chart_ref, query} -> {text}."""
 
-    def __init__(
-        self,
-        url: str,
-        api_key: Optional[str] = None,
-        timeout: float = 60.0,
-        retries: int = 1,
-    ):
-        self.url = url
-        self.api_key = api_key
-        self.timeout = timeout
-        self.retries = retries
-
     def read(self, chart_ref: str, query: str) -> str:
-        payload = {"chart_ref": chart_ref, "query": query}
-        headers = {"Authorization": f"Bearer {self.api_key}"} if self.api_key else {}
-        response = _with_retry(
-            lambda: _post_json(self.url, payload, self.timeout, headers), self.retries
-        )
-        return _extract_text(response)
+        return _extract_text(self._post({"chart_ref": chart_ref, "query": query}))
+

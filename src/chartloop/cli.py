@@ -16,11 +16,12 @@ Each subcommand takes only the flags it reads, and each flag's argparse
 default is its only default; ``--config`` JSON replaces those defaults and
 flags still win, and required flags and the lower limits of numeric flags
 are checked after that merge.  A usage or input error prints one ``error:``
-line and exits 2.  Every command serializes its effective configuration into
-the output directory so a run can be reproduced from its artifacts; all
-randomness flows from --seed.  Every command writes its files before it
-prints, so a stdout closed early (``| head``) loses nothing and is not an
-error.
+line and exits 2; each check that does not answer a question runs before
+``--out-dir`` is created.  Every command serializes its effective
+configuration into the output directory so a run can be reproduced from its
+artifacts; all randomness flows from --seed.  Every command writes its files
+before it prints, so a stdout closed early (``| head``) loses nothing and is
+not an error.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ import json
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import ExitStack
 from pathlib import Path
 from typing import Callable, NoReturn, Optional, Sequence
 
@@ -175,7 +177,7 @@ def _load_corpus(cfg: dict) -> Optional[Corpus]:
     return corpus
 
 
-def _reasoner_factory(cfg: dict) -> Callable[[], object]:
+def _reasoner_factory(cfg: dict, backends: ExitStack) -> Callable[[], object]:
     backend = cfg["backend"]
     if cfg["no_describe"] and backend != "symbolic":
         raise UsageError("--no-describe needs --backend symbolic")
@@ -186,6 +188,7 @@ def _reasoner_factory(cfg: dict) -> Callable[[], object]:
         if not cfg["reasoner_url"]:
             raise UsageError("--reasoner-url is required with --backend http")
         reasoner = HttpReasoner(cfg["reasoner_url"], model=cfg["model"], api_key=cfg["api_key"])
+        backends.callback(reasoner.close)
         return lambda: reasoner
     if not cfg["script"]:
         raise UsageError("--script is required with --backend scripted")
@@ -200,15 +203,18 @@ def _reasoner_factory(cfg: dict) -> Callable[[], object]:
     return lambda: ScriptedReasoner(lines)
 
 
-def _answerer(cfg: dict, charts: dict[str, ChartTable]) -> Callable[[str, str], tuple]:
+def _answerer(cfg: dict, charts: dict[str, ChartTable],
+              backends: ExitStack) -> Callable[[str, str], tuple]:
     """Build the one answer path of ``run`` and ``eval``: ``--sc`` episodes,
     majority-voted (one episode at ``--sc 1``).  Settles ``cfg["temperature"]``:
-    0.4 when voting over several samples and 0.0 otherwise, unless given."""
-    make_reasoner = _reasoner_factory(cfg)
+    0.4 when voting over several samples and 0.0 otherwise, unless given.
+    HTTP clients are closed when ``backends`` is."""
+    make_reasoner = _reasoner_factory(cfg, backends)
     if cfg["temperature"] is None:
         cfg["temperature"] = 0.4 if cfg["sc"] > 1 else 0.0
     if cfg["reader_url"]:
         reader = HttpReader(cfg["reader_url"], api_key=cfg["api_key"])
+        backends.callback(reader.close)
     elif charts:
         reader = TableOracle(charts)
     else:
@@ -235,9 +241,9 @@ def _all_backend_errors(traces: Sequence[ReasoningTrace]) -> bool:
 
 def cmd_datagen(cfg: dict) -> int:
     _require(cfg, "corpus")
+    corpus = _load_corpus(cfg)
     out_dir = Path(cfg["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
-    corpus = _load_corpus(cfg)
     pairs, manifest = generate_system1_corpus(corpus.charts, cfg["seed"])
     write_system1_jsonl(pairs, out_dir / "system1.jsonl")
     with open(out_dir / "manifest.json", "w", encoding="utf-8") as handle:
@@ -253,13 +259,15 @@ def cmd_datagen(cfg: dict) -> int:
 
 def cmd_run(cfg: dict) -> int:
     _require(cfg, "question", "chart")
+    corpus = _load_corpus(cfg)
+    backends = ExitStack()
+    answer = _answerer(cfg, corpus.chart_index() if corpus else {}, backends)
     out_dir = Path(cfg["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
-    corpus = _load_corpus(cfg)
-    answer = _answerer(cfg, corpus.chart_index() if corpus else {})
     _write_run_config(cfg, out_dir, "run")
     question, chart = cfg["question"], cfg["chart"]
-    final, traces = answer(question, chart)
+    with backends:
+        final, traces = answer(question, chart)
     with open(out_dir / "traces.jsonl", "w", encoding="utf-8") as handle:
         write_trace_line(handle, "episode-0", question, chart, final, traces)
     for index, trace in enumerate(traces):
@@ -292,8 +300,6 @@ def _synthetic_eval_set(cfg: dict) -> tuple[list[ChartTable], list[QAInstance]]:
 
 def cmd_eval(cfg: dict) -> int:
     edges = _parse_buckets(cfg["buckets"])
-    out_dir = Path(cfg["out_dir"])
-    out_dir.mkdir(parents=True, exist_ok=True)
     corpus = _load_corpus(cfg)
     charts = corpus.chart_index() if corpus else {}
     if cfg["synthetic"] > 0:
@@ -308,8 +314,11 @@ def cmd_eval(cfg: dict) -> int:
     if not instances:
         print("no QA instances to evaluate", file=sys.stderr)
         return EXIT_EMPTY
-    answer = _answerer(cfg, charts)
+    backends = ExitStack()
+    answer = _answerer(cfg, charts, backends)
     chart_lengths = {chart_id: underlying_length(t) for chart_id, t in charts.items()}
+    out_dir = Path(cfg["out_dir"])
+    out_dir.mkdir(parents=True, exist_ok=True)
     _write_run_config(cfg, out_dir, "eval")
 
     def score(item: tuple[int, QAInstance]):
@@ -318,7 +327,7 @@ def cmd_eval(cfg: dict) -> int:
         return make_record(qa, final, chart_lengths.get(qa.chart_id, 0), f"episode-{index}"), traces
 
     records, every_episode_failed = [], True
-    with ThreadPoolExecutor(max_workers=cfg["workers"]) as pool, \
+    with backends, ThreadPoolExecutor(max_workers=cfg["workers"]) as pool, \
             open(out_dir / "traces.jsonl", "w", encoding="utf-8") as traces_file:
         # Both maps yield in input order, so each trace line is written as its
         # result arrives.  The pool starts no thread at --workers 1.
@@ -376,12 +385,13 @@ def cmd_report(cfg: dict) -> int:
         records = read_records_jsonl(cfg["records"])
     except OSError as exc:
         raise UsageError(f"cannot read records {cfg['records']}: {exc.strerror}") from None
+    edges = _parse_buckets(cfg["buckets"])
     out_dir = Path(cfg["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
     if not records:
         print("no records to report", file=sys.stderr)
         return EXIT_EMPTY
-    report = evaluate_run(records, _parse_buckets(cfg["buckets"]))
+    report = evaluate_run(records, edges)
     write_report(report, out_dir / "report.json", out_dir / "report.txt")
     _write_run_config(cfg, out_dir, "report")
     print(render_report_text(report))

@@ -1,4 +1,5 @@
 import json
+import sys
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -9,25 +10,42 @@ from chartloop.cli import main
 from chartloop.controller import run_episode
 from chartloop.oracle import TableOracle
 from chartloop.symbolic import SymbolicReasoner
+from chartloop.synth import random_tables
 from chartloop.tables import Termination, Value
 
 
-@pytest.fixture
-def http_stub(costa_rica):
-    """Tiny completion+reader server backed by the table oracle."""
-    oracle = TableOracle([costa_rica])
+def _serve(tables, protocol_version):
+    """Start a completion+reader server backed by the table oracle over
+    ``tables``; yields its base URL and a state dict the tests read and set."""
+    oracle = TableOracle(tables)
     reasoner = SymbolicReasoner()
-    state = {"requests": [], "fail_next": 0, "malformed": ""}
+    lock = threading.Lock()
+    state = {"requests": [], "fail_next": 0, "fail_status": 500, "malformed": "",
+             "connections": 0, "drop_after_response": False}
 
     class Handler(BaseHTTPRequestHandler):
+        # Headers and body go out as two writes; without this, Nagle's
+        # algorithm holds the body until the client's delayed ACK (about
+        # 40 ms) on a connection that stays open.
+        disable_nagle_algorithm = True
+
+        def setup(self):
+            super().setup()
+            with lock:
+                state["connections"] += 1
+
         def do_POST(self):
             length = int(self.headers.get("Content-Length", "0"))
             payload = json.loads(self.rfile.read(length))
-            state["requests"].append((self.path, payload, dict(self.headers)))
-            if state["fail_next"] > 0:
-                state["fail_next"] -= 1
-                self.send_response(500)
-                self.end_headers()
+            with lock:
+                state["requests"].append((self.path, payload, dict(self.headers)))
+                fail = state["fail_next"] > 0
+                state["fail_next"] -= fail
+            # Close after this response without saying so, as a server that
+            # times out idle connections does.
+            self.close_connection = state["drop_after_response"]
+            if fail:
+                self.send_error(state["fail_status"])
                 return
             if self.path == "/complete":
                 text = reasoner.complete(
@@ -38,15 +56,16 @@ def http_stub(costa_rica):
             elif self.path == "/complete-openai":
                 body = {"choices": [{"text": "The answer is 41."}]}
             elif self.path == "/malformed":
+                data = state["malformed"].encode("utf-8")
                 self.send_response(200)
+                self.send_header("Content-Length", str(len(data)))
                 self.end_headers()
-                self.wfile.write(state["malformed"].encode("utf-8"))
+                self.wfile.write(data)
                 return
             elif self.path == "/read":
                 body = {"text": oracle.read(payload["chart_ref"], payload["query"])}
             else:
-                self.send_response(404)
-                self.end_headers()
+                self.send_error(404)
                 return
             data = json.dumps(body).encode("utf-8")
             self.send_response(200)
@@ -58,14 +77,32 @@ def http_stub(costa_rica):
         def log_message(self, fmt, *args):
             pass
 
+    Handler.protocol_version = protocol_version
     server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    # A short poll keeps each teardown's shutdown() from waiting half a second.
+    thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.02},
+                              daemon=True)
     thread.start()
     try:
         yield f"http://127.0.0.1:{server.server_address[1]}", state
     finally:
         server.shutdown()
-        thread.join()
+        server.server_close()
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+
+
+@pytest.fixture
+def http_stub(costa_rica):
+    """HTTP/1.0 server: the connection closes after every response."""
+    yield from _serve([costa_rica], "HTTP/1.0")
+
+
+@pytest.fixture
+def keepalive_stub(costa_rica):
+    """HTTP/1.1 server that keeps connections open and counts them; it also
+    knows the charts of ``eval --synthetic 20 --seed 0``."""
+    yield from _serve([costa_rica, *random_tables(0, 20)], "HTTP/1.1")
 
 
 def test_http_reasoner_request_schema(http_stub):
@@ -114,6 +151,102 @@ def test_http_retry_exhausted_raises(http_stub):
     reader = HttpReader(f"{url}/read", retries=1)
     with pytest.raises(BackendError):
         reader.read("pupil-teacher", "Let's describe the figure.")
+
+
+@pytest.mark.parametrize("status, requests", [
+    (404, 1), (400, 1), (401, 1), (302, 1), (408, 2), (429, 2), (500, 2), (503, 2),
+])
+def test_only_retryable_statuses_are_retried(http_stub, status, requests):
+    url, state = http_stub
+    state["fail_next"], state["fail_status"] = 2, status
+    reader = HttpReader(f"{url}/read", retries=1)
+    with pytest.raises(BackendError, match=f"HTTP Error {status}"):
+        reader.read("pupil-teacher", "Let's describe the figure.")
+    assert len(state["requests"]) == requests
+
+
+@pytest.mark.parametrize("url", [
+    "foo", "file:///dev/null", "ftp://127.0.0.1/complete", "http://", "http:///complete",
+    "http://127.0.0.1:99999/complete", "http://[::1/complete",
+])
+def test_backend_url_must_be_http_with_a_host(url):
+    with pytest.raises(ValueError, match="not an http or https URL with a host"):
+        HttpReasoner(url)
+    with pytest.raises(ValueError, match="not an http or https URL with a host"):
+        HttpReader(url)
+
+
+def test_episode_keeps_one_connection_per_backend(keepalive_stub):
+    url, state = keepalive_stub
+    reasoner, reader = HttpReasoner(f"{url}/complete"), HttpReader(f"{url}/read")
+    trace = run_episode(
+        "Across all years, what is the minimum pupil-teacher ratio in Costa Rica?",
+        "pupil-teacher", reasoner, reader,
+    )
+    assert trace.final == Value.from_raw("14.92")
+    assert len(state["requests"]) > 2
+    assert state["connections"] == 2
+    reasoner.close()
+    reader.close()
+    reader.read("pupil-teacher", "Let's describe the figure.")
+    assert state["connections"] == 3
+    reader.close()
+
+
+def test_connection_closed_by_the_server_is_reopened(keepalive_stub):
+    url, state = keepalive_stub
+    state["drop_after_response"] = True
+    reader = HttpReader(f"{url}/read", retries=0)
+    for _ in range(5):
+        assert reader.read("pupil-teacher", "Let's describe the figure.").startswith(
+            "The figure shows the data of:")
+    assert len(state["requests"]) == 5
+    assert state["connections"] == 5
+    reader.close()
+
+
+def test_threads_share_no_connection(keepalive_stub):
+    url, state = keepalive_stub
+    reader = HttpReader(f"{url}/read", retries=0)
+    barrier, answers, errors = threading.Barrier(4), [], []
+
+    def work():
+        try:
+            barrier.wait(timeout=10)
+            for _ in range(25):
+                answers.append(reader.read("pupil-teacher", "Let's describe the figure."))
+        except Exception as exc:  # reported below; a thread cannot fail the test itself
+            errors.append(exc)
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=work) for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert len(answers) == 100
+    assert all(a.startswith("The figure shows the data of:") for a in answers)
+    assert state["connections"] == 4
+    reader.close()
+
+
+def test_eval_over_http_is_the_same_at_any_worker_count(keepalive_stub, tmp_path):
+    url, _ = keepalive_stub
+    common = ["eval", "--synthetic", "20", "--per-template", "2", "--seed", "0"]
+    assert main([*common, "--out-dir", str(tmp_path / "symbolic")]) == 0
+    expected = (tmp_path / "symbolic" / "records.jsonl").read_bytes()
+    for workers in ("1", "2"):
+        out = tmp_path / f"workers{workers}"
+        assert main([*common, "--backend", "http", "--reasoner-url", f"{url}/complete",
+                     "--reader-url", f"{url}/read", "--workers", workers,
+                     "--out-dir", str(out)]) == 0
+        assert (out / "records.jsonl").read_bytes() == expected
 
 
 def test_unreachable_backend_is_backend_error():

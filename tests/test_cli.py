@@ -43,6 +43,7 @@ def test_datagen_counts_and_determinism(small_corpus_path, tmp_path, capsys):
 def test_datagen_missing_path_exits_2(tmp_path):
     assert run_cli(["datagen", "--corpus", tmp_path / "nope", "--out-dir",
                     tmp_path / "out"]) == 2
+    assert not (tmp_path / "out").exists()
 
 
 def test_run_scripted_replay(small_corpus_path, tmp_path, capsys):
@@ -190,7 +191,12 @@ def test_bad_buckets_exit_2_before_any_episode(tmp_path, capsys):
     assert run_cli(["eval", "--synthetic", 1, "--buckets", "10,5", "--out-dir", out]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
-    assert not (out / "run_config.json").exists()
+    assert not out.exists()
+    records = tmp_path / "records.jsonl"
+    records.write_text(json.dumps(_RECORD) + "\n", encoding="utf-8")
+    out = tmp_path / "report"
+    assert run_cli(["report", "--records", records, "--buckets", "10,5", "--out-dir", out]) == 2
+    assert not out.exists()
 
 
 def test_eval_without_instances_exits_4(tmp_path):
@@ -604,6 +610,12 @@ def test_recorded_config_alone_reruns_a_command(small_corpus_path, tmp_path, com
     ["eval", "--synthetic", 3, "--temperature", -1],
     ["eval", "--synthetic", 3, "--sc", 0],
     ["run", "--question", "q", "--chart", "c", "--max-steps", 0],
+    ["eval"],
+    ["run", "--question", "q", "--chart", "c", "--backend", "http"],
+    ["eval", "--synthetic", 2, "--backend", "http", "--reasoner-url", "foo"],
+    ["eval", "--synthetic", 2, "--reader-url", "file:///dev/null"],
+    ["run", "--question", "q", "--chart", "c", "--backend", "http",
+     "--reasoner-url", "file:///dev/null"],
 ])
 def test_usage_error_is_one_line(tmp_path, capsys, argv):
     try:
