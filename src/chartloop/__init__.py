@@ -2,7 +2,7 @@
 
 A text reasoner and a chart reader alternate over a small atomic-query
 protocol; this package provides the protocol, a ground-truth reader, a
-rule-based reasoner with brute-force gold answers, the interleaving
+rule-based reasoner with gold answers read off the tables, the interleaving
 controller with self-consistency voting, relaxed-accuracy evaluation, and
 the training-data exporters.
 """

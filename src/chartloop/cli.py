@@ -260,12 +260,18 @@ def cmd_datagen(cfg: dict) -> int:
 def cmd_run(cfg: dict) -> int:
     _require(cfg, "question", "chart")
     corpus = _load_corpus(cfg)
+    charts = corpus.chart_index() if corpus else {}
     backends = ExitStack()
-    answer = _answerer(cfg, corpus.chart_index() if corpus else {}, backends)
+    answer = _answerer(cfg, charts, backends)
+    question, chart = cfg["question"], cfg["chart"]
+    # The table reader and the DePlot styles read the chart from the corpus;
+    # only a reader server prompted stepwise owns the chart ids.
+    stepwise = _PROMPT_STYLES[cfg["prompt_style"]] is PromptStyle.STEPWISE_5SHOT
+    if chart not in charts and not (cfg["reader_url"] and stepwise):
+        raise ChartNotFound(chart)
     out_dir = Path(cfg["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_run_config(cfg, out_dir, "run")
-    question, chart = cfg["question"], cfg["chart"]
     with backends:
         final, traces = answer(question, chart)
     with open(out_dir / "traces.jsonl", "w", encoding="utf-8") as handle:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping, Optional
+from typing import Mapping, Optional, Sequence
 
 from .protocol import (
     AtomicQuery,
@@ -77,6 +77,27 @@ def edit_similarity(a: str, b: str) -> float:
     return 1.0 - _edit_distance(na, nb) / longest
 
 
+def closest_name(
+    name: str, names: Sequence[str], threshold: float = FUZZY_THRESHOLD
+) -> Optional[tuple[int, float]]:
+    """Index and score of the entry of ``names`` that ``name`` means, or None.
+
+    An exact normalized match wins outright; otherwise the highest
+    edit-similarity entry at or above the threshold is taken, the first entry
+    winning ties.
+    """
+    wanted = normalize_name(name)
+    for index, candidate in enumerate(names):
+        if normalize_name(candidate) == wanted:
+            return index, 1.0
+    best: Optional[tuple[int, float]] = None
+    for index, candidate in enumerate(names):
+        score = edit_similarity(name, candidate)
+        if score >= threshold and (best is None or score > best[1]):
+            best = index, score
+    return best
+
+
 def _candidates(table: ChartTable, axis: Optional[Axis]) -> list[tuple[Axis, int, str]]:
     out: list[tuple[Axis, int, str]] = []
     if axis in (None, Axis.SERIES):
@@ -101,19 +122,12 @@ def resolve_entity(
     """
     if not name:
         raise EntityNotFound("empty entity name")
-    wanted = normalize_name(name)
     candidates = _candidates(table, axis)
-    for cand_axis, index, cand_name in candidates:
-        if normalize_name(cand_name) == wanted:
-            return EntityResolution(cand_axis, index, cand_name, 1.0)
-    best: Optional[EntityResolution] = None
-    for cand_axis, index, cand_name in candidates:
-        score = edit_similarity(name, cand_name)
-        if score >= threshold and (best is None or score > best.score):
-            best = EntityResolution(cand_axis, index, cand_name, score)
-    if best is None:
+    match = closest_name(name, [cand_name for _, _, cand_name in candidates], threshold)
+    if match is None:
         raise EntityNotFound(f"no entity close to {name!r} in chart {table.source_id}")
-    return best
+    cand_axis, index, cand_name = candidates[match[0]]
+    return EntityResolution(cand_axis, index, cand_name, match[1])
 
 
 def describe(table: ChartTable) -> str:

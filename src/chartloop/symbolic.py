@@ -3,8 +3,8 @@
 Three jobs, kept deliberately separable so the closed loop is verifiable:
 
 * ``gen_questions`` instantiates template questions over a table,
-* ``compute_gold`` answers a plan by brute force straight from the table
-  cells (never through the step protocol), and
+* ``compute_gold`` answers a plan from values it reads straight off the
+  table cells (never through the step protocol), and
 * ``decompose``/``deduce`` drive the live episode: pattern-match the question
   into atomic queries, then fold the reader's answers into a concluding
   sentence ending "So the answer is X.".
@@ -16,7 +16,10 @@ surface string renders generated questions and compiles to the regex that
 ``decompose`` matches, so the two cannot drift apart.
 
 Running decompose -> reader -> deduce against compute_gold is the package's
-main correctness oracle: the two answer paths share no extraction code.
+main correctness oracle for extraction: the two answer paths read their
+values independently, table cells on one side and reader text on the other.
+Both then apply the one ``_reduce``; its arithmetic and wording are pinned
+by a hand-computed case table in the tests, not by the closed loop.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from decimal import Decimal, ROUND_HALF_UP
 from enum import Enum
 from typing import Callable, Optional, Sequence
 
-from .oracle import edit_similarity
+from .oracle import closest_name
 from .protocol import (
     AnswerKind,
     AtomicQuery,
@@ -93,7 +96,7 @@ class QuestionPlan:
 @dataclass(frozen=True)
 class GoldComputation:
     answer: Value
-    derivation: str
+    derivation: str  # the concluding sentence deduce gives for the same values
 
 
 def stable_seed(*parts: object) -> int:
@@ -237,7 +240,7 @@ def decompose(question: str, describe_first: bool = True) -> QuestionPlan:
 
 
 # ---------------------------------------------------------------------------
-# Gold computation: brute force over the table, independent of the protocol.
+# Gold computation: table extraction, independent of the protocol.
 # ---------------------------------------------------------------------------
 
 def _find_exact(names: Sequence[str], wanted: str) -> Optional[int]:
@@ -284,115 +287,27 @@ def _gold_group(table: ChartTable, query: AtomicQuery) -> list[tuple[str, Value]
     raise UndefinedResult(f"cannot locate group {query.entity!r}")
 
 
-def _require_numbers(values: Sequence[Value]) -> list[Decimal]:
-    numbers = []
-    for v in values:
-        if v.number is None:
-            raise UndefinedResult(f"non-numeric value {v.raw!r}")
-        numbers.append(v.number)
-    return numbers
-
-
 def compute_gold(table: ChartTable, plan: QuestionPlan) -> GoldComputation:
-    """Evaluate the plan's reduce by exhaustively reading cells off the table.
+    """Answer the plan by reading its cells straight off the table.
 
-    This path never touches the query/answer strings, so it stays an
-    independent check on the episode pipeline.
+    Extraction never touches the query/answer strings, so it stays an
+    independent check on the episode's reader; the reduce is ``deduce``'s own.
     """
     scalars: list[Value] = []
     groups: list[list[tuple[str, Value]]] = []
     for query in plan.queries:
-        if query.op is QueryOp.DESCRIBE:
-            continue
         if query.op is QueryOp.EXTRACT_POINT:
             scalars.append(_gold_point(table, query))
-        else:
+        elif query.op is QueryOp.EXTRACT_GROUP:
             groups.append(_gold_group(table, query))
-    reduce = plan.reduce
-
-    if reduce is Reduce.COUNT_SERIES:
-        n = len(table.series)
-        return GoldComputation(Value.from_raw(str(n)), f"len(series)={n}")
-    if reduce is Reduce.COUNT_X_LABELS:
-        n = len(table.x_labels)
-        return GoldComputation(Value.from_raw(str(n)), f"len(x_labels)={n}")
-    if reduce is Reduce.IDENTITY:
-        v = scalars[0]
-        return GoldComputation(v, f"cell={v.raw}")
-    if reduce in (Reduce.SUM, Reduce.DIFFERENCE, Reduce.RATIO, Reduce.AVERAGE,
-                  Reduce.COMPARE_YES_NO) and scalars:
-        numbers = _require_numbers(scalars)
-        if reduce is Reduce.SUM:
-            total = sum(numbers, Decimal(0))
-            return GoldComputation(Value.from_raw(str(total)), f"sum{numbers}={total}")
-        if reduce is Reduce.DIFFERENCE:
-            d = numbers[0] - numbers[1]
-            return GoldComputation(Value.from_raw(str(d)), f"{numbers[0]}-{numbers[1]}={d}")
-        if reduce is Reduce.RATIO:
-            if numbers[1] == 0:
-                raise UndefinedResult("ratio with zero denominator")
-            r = (numbers[0] / numbers[1]).quantize(_RATIO_STEP, rounding=ROUND_HALF_UP)
-            return GoldComputation(Value.from_raw(str(r)), f"{numbers[0]}/{numbers[1]}={r}")
-        if reduce is Reduce.AVERAGE:
-            m = (sum(numbers, Decimal(0)) / len(numbers)).quantize(
-                _AVERAGE_STEP, rounding=ROUND_HALF_UP)
-            return GoldComputation(Value.from_raw(str(m)), f"avg{numbers}={m}")
-        flag = numbers[0] > numbers[1]
-        return GoldComputation(Value.yes_no(flag), f"{numbers[0]}>{numbers[1]}={flag}")
-
-    pairs = groups[0]
-    keys = [k for k, _ in pairs]
-    values = [v for _, v in pairs]
-    numbers = _require_numbers(values)
-
-    if reduce is Reduce.AVERAGE:
-        m = (sum(numbers, Decimal(0)) / len(numbers)).quantize(_AVERAGE_STEP, ROUND_HALF_UP)
-        return GoldComputation(Value.from_raw(str(m)), f"avg{numbers}={m}")
-    if reduce in (Reduce.MIN, Reduce.ARGMIN):
-        ordered = sorted(range(len(numbers)), key=lambda i: (numbers[i], i))
-        i = ordered[0]
-        answer = values[i] if reduce is Reduce.MIN else Value.from_raw(keys[i])
-        return GoldComputation(answer, f"min at {keys[i]}={values[i].raw}")
-    if reduce in (Reduce.MAX, Reduce.ARGMAX):
-        ordered = sorted(range(len(numbers)), key=lambda i: (-numbers[i], i))
-        i = ordered[0]
-        answer = values[i] if reduce is Reduce.MAX else Value.from_raw(keys[i])
-        return GoldComputation(answer, f"max at {keys[i]}={values[i].raw}")
-    if reduce in (Reduce.COUNT_GREATER, Reduce.COUNT_LESS):
-        threshold = _require_numbers(plan.reduce_args)[0]
-        if reduce is Reduce.COUNT_GREATER:
-            hits = [v for v in numbers if v > threshold]
-        else:
-            hits = [v for v in numbers if v < threshold]
-        return GoldComputation(Value.from_raw(str(len(hits))), f"{len(hits)} of {numbers}")
-    if reduce is Reduce.SECOND_HIGHEST:
-        ordered = sorted(range(len(numbers)), key=lambda i: (-numbers[i], i))
-        i = ordered[1]
-        return GoldComputation(Value.from_raw(keys[i]), f"2nd highest at {keys[i]}")
-    if reduce is Reduce.ARG_MATCH:
-        target = plan.reduce_args[0]
-        for k, v in pairs:
-            if target.number is not None and v.number is not None:
-                if v.number == target.number:
-                    return GoldComputation(Value.from_raw(k), f"{target.raw} at {k}")
-            elif v.raw == target.raw:
-                return GoldComputation(Value.from_raw(k), f"{target.raw} at {k}")
-        raise UndefinedResult(f"no cell equals {target.raw!r}")
-    if reduce is Reduce.SUM_TWO_SMALLEST_VS_LARGEST:
-        asc = sorted(numbers)
-        total = asc[0] + asc[1]
-        flag = total > asc[-1]
-        return GoldComputation(Value.yes_no(flag), f"{asc[0]}+{asc[1]} vs {asc[-1]}")
-    raise UndefinedResult(f"unsupported reduce {reduce}")
+    counts = (len(table.series), len(table.x_labels))
+    sentence, answer = _reduce(plan, scalars, groups[0] if groups else (), counts)
+    return GoldComputation(answer, sentence)
 
 
 # ---------------------------------------------------------------------------
 # Deduction over reader answers.
 # ---------------------------------------------------------------------------
-
-def _unknown() -> tuple[str, Optional[Value]]:
-    return UNKNOWN_CONCLUSION, None
-
 
 def deduce(
     plan: QuestionPlan, reader_answers: Sequence[ReaderAnswer]
@@ -402,132 +317,151 @@ def deduce(
     Any unavailable or misaligned answer produces the unknown conclusion (a
     no-answer verdict downstream) rather than an exception.
     """
-    if len(reader_answers) != len(plan.queries):
-        return _unknown()
-    if any(a.kind is AnswerKind.UNAVAILABLE for a in reader_answers):
-        return _unknown()
-
+    if len(reader_answers) != len(plan.queries) or any(
+            a.kind is AnswerKind.UNAVAILABLE for a in reader_answers):
+        return UNKNOWN_CONCLUSION, None
     description = next((a for a in reader_answers if a.kind is AnswerKind.DESCRIPTION), None)
     scalars = [a.scalar for a in reader_answers if a.kind is AnswerKind.SCALAR and a.scalar]
-    groups = [list(a.pairs) for a in reader_answers if a.kind is AnswerKind.GROUP]
-    reduce = plan.reduce
-
+    groups = [a.pairs for a in reader_answers if a.kind is AnswerKind.GROUP]
+    counts = None if description is None else (len(description.series),
+                                               len(description.x_labels))
     try:
-        if reduce is Reduce.COUNT_SERIES:
-            if description is None:
-                return _unknown()
-            n = len(description.series)
-            return f"There are {n} legend labels. So the answer is {n}.", Value.from_raw(str(n))
-        if reduce is Reduce.COUNT_X_LABELS:
-            if description is None:
-                return _unknown()
-            n = len(description.x_labels)
-            return f"There are {n} x-axis labels. So the answer is {n}.", Value.from_raw(str(n))
-        if reduce is Reduce.IDENTITY:
-            v = scalars[0]
-            return f"The value is {v.raw}. So the answer is {v.raw}.", v
-        if reduce is Reduce.SUM:
-            numbers = _require_numbers(scalars)
-            total = sum(numbers, Decimal(0))
-            expr = "+".join(v.raw for v in scalars)
-            return f"The sum is {expr}={total}. So the answer is {total}.", Value.from_raw(str(total))
-        if reduce is Reduce.DIFFERENCE:
-            a, b = scalars[0], scalars[1]
-            (na, nb) = _require_numbers([a, b])
-            d = na - nb
-            text = f"{a.raw} surpasses {b.raw} by {a.raw}-{b.raw}={d}. So the answer is {d}."
-            return text, Value.from_raw(str(d))
-        if reduce is Reduce.RATIO:
-            a, b = scalars[0], scalars[1]
-            (na, nb) = _require_numbers([a, b])
-            if nb == 0:
-                return _unknown()
-            r = (na / nb).quantize(_RATIO_STEP, rounding=ROUND_HALF_UP)
-            text = f"The ratio is {a.raw}/{b.raw}={r}. So the answer is {r}."
-            return text, Value.from_raw(str(r))
-        if reduce is Reduce.AVERAGE:
-            pool = scalars if scalars else [v for _, v in groups[0]]
-            numbers = _require_numbers(pool)
-            m = (sum(numbers, Decimal(0)) / len(numbers)).quantize(_AVERAGE_STEP, ROUND_HALF_UP)
-            expr = "(" + "+".join(v.raw for v in pool) + f")/{len(numbers)}"
-            return f"The average is {expr}={m}. So the answer is {m}.", Value.from_raw(str(m))
-        if reduce is Reduce.COMPARE_YES_NO:
-            a, b = scalars[0], scalars[1]
-            (na, nb) = _require_numbers([a, b])
-            if na > nb:
-                return f"{a.raw} is greater than {b.raw}. So the answer is yes.", Value.yes_no(True)
-            return f"{a.raw} is not greater than {b.raw}. So the answer is no.", Value.yes_no(False)
-
-        pairs = groups[0]
-        keys = [k for k, _ in pairs]
-        values = [v for _, v in pairs]
-        numbers = _require_numbers(values)
-
-        if reduce in (Reduce.MIN, Reduce.ARGMIN):
-            i = sorted(range(len(numbers)), key=lambda i: (numbers[i], i))[0]
-            v, k = values[i], keys[i]
-            answer = v.raw if reduce is Reduce.MIN else k
-            text = f"The minimum value is {v.raw} in {k}. So the answer is {answer}."
-            return text, Value.from_raw(answer)
-        if reduce in (Reduce.MAX, Reduce.ARGMAX):
-            i = sorted(range(len(numbers)), key=lambda i: (-numbers[i], i))[0]
-            v, k = values[i], keys[i]
-            answer = v.raw if reduce is Reduce.MAX else k
-            text = f"The maximum value is {v.raw} in {k}. So the answer is {answer}."
-            return text, Value.from_raw(answer)
-        if reduce in (Reduce.COUNT_GREATER, Reduce.COUNT_LESS):
-            threshold = plan.reduce_args[0]
-            t = _require_numbers([threshold])[0]
-            if reduce is Reduce.COUNT_GREATER:
-                hits = [v for v in values if v.number is not None and v.number > t]
-                relation = "greater than"
-            else:
-                hits = [v for v in values if v.number is not None and v.number < t]
-                relation = "below"
-            listing = ", ".join(v.raw for v in hits)
-            n = len(hits)
-            text = (f"The values that are {relation} {threshold.raw} are [{listing}]. "
-                    f"So the answer is {n}.")
-            return text, Value.from_raw(str(n))
-        if reduce is Reduce.SECOND_HIGHEST:
-            i = sorted(range(len(numbers)), key=lambda i: (-numbers[i], i))[1]
-            v, k = values[i], keys[i]
-            text = f"The second highest value is {v.raw} in {k}. So the answer is {k}."
-            return text, Value.from_raw(k)
-        if reduce is Reduce.ARG_MATCH:
-            target = plan.reduce_args[0]
-            for k, v in pairs:
-                matched = (
-                    v.number == target.number
-                    if (v.number is not None and target.number is not None)
-                    else v.raw == target.raw
-                )
-                if matched:
-                    text = f"The value {target.raw} is in {k}. So the answer is {k}."
-                    return text, Value.from_raw(k)
-            return _unknown()
-        if reduce is Reduce.SUM_TWO_SMALLEST_VS_LARGEST:
-            order = sorted(range(len(numbers)), key=lambda i: (numbers[i], i))
-            # The two smallest read in list order, as the worked traces do.
-            first, second = sorted(order[:2])
-            a, b = values[first], values[second]
-            c = values[order[-1]]
-            total = numbers[first] + numbers[second]
-            largest = numbers[order[-1]]
-            if total > largest:
-                relation, verdict = "greater than", Value.yes_no(True)
-            elif total < largest:
-                relation, verdict = "smaller than", Value.yes_no(False)
-            else:
-                relation, verdict = "equal to", Value.yes_no(False)
-            listing = ", ".join(v.raw for v in values)
-            text = (f"Among [{listing}], the two smallest values are {a.raw} and {b.raw} "
-                    f"while the largest value is {c.raw}. {a.raw}+{b.raw}={total}, "
-                    f"which is {relation} {c.raw}. So the answer is {verdict.raw}.")
-            return text, verdict
+        return _reduce(plan, scalars, groups[0] if groups else (), counts)
     except (IndexError, UndefinedResult):
-        return _unknown()
-    return _unknown()
+        return UNKNOWN_CONCLUSION, None
+
+
+# ---------------------------------------------------------------------------
+# The one reduce of both answer paths.
+# ---------------------------------------------------------------------------
+
+_POINT_REDUCES = (Reduce.IDENTITY, Reduce.SUM, Reduce.DIFFERENCE, Reduce.RATIO,
+                  Reduce.COMPARE_YES_NO)
+
+
+def _require_numbers(values: Sequence[Value]) -> list[Decimal]:
+    numbers = []
+    for v in values:
+        if v.number is None:
+            raise UndefinedResult(f"non-numeric value {v.raw!r}")
+        numbers.append(v.number)
+    return numbers
+
+
+def _reduce(
+    plan: QuestionPlan,
+    scalars: Sequence[Value],
+    pairs: Sequence[tuple[str, Value]],
+    counts: Optional[tuple[int, int]],
+) -> tuple[str, Value]:
+    """Apply the plan's reduce to extracted values: the concluding sentence
+    and the answer.
+
+    ``scalars`` are the point values in query order, ``pairs`` the first
+    group's (key, value) pairs and ``counts`` the chart's series and x-label
+    counts (None without a figure description).  Raises UndefinedResult when
+    the result is undefined and IndexError when too few values came in.
+    """
+    reduce = plan.reduce
+    if reduce in (Reduce.COUNT_SERIES, Reduce.COUNT_X_LABELS):
+        if counts is None:
+            raise UndefinedResult("counting labels needs the figure description")
+        n_series, n_x_labels = counts
+        n, labels = ((n_series, "legend") if reduce is Reduce.COUNT_SERIES
+                     else (n_x_labels, "x-axis"))
+        return f"There are {n} {labels} labels. So the answer is {n}.", Value.from_raw(str(n))
+    if reduce in _POINT_REDUCES or (reduce is Reduce.AVERAGE and scalars):
+        keys, values = [], list(scalars)
+    else:
+        keys, values = [k for k, _ in pairs], [v for _, v in pairs]
+    if not values:
+        raise IndexError(f"no values to reduce by {reduce.value}")
+    if reduce is Reduce.IDENTITY:
+        v = values[0]
+        return f"The value is {v.raw}. So the answer is {v.raw}.", v
+    numbers = _require_numbers(values)
+
+    if reduce is Reduce.SUM:
+        total = sum(numbers, Decimal(0))
+        expr = "+".join(v.raw for v in values)
+        return f"The sum is {expr}={total}. So the answer is {total}.", Value.from_raw(str(total))
+    if reduce is Reduce.DIFFERENCE:
+        a, b = values[0].raw, values[1].raw
+        d = numbers[0] - numbers[1]
+        return f"{a} surpasses {b} by {a}-{b}={d}. So the answer is {d}.", Value.from_raw(str(d))
+    if reduce is Reduce.RATIO:
+        a, b = values[0].raw, values[1].raw
+        if numbers[1] == 0:
+            raise UndefinedResult("ratio with zero denominator")
+        r = (numbers[0] / numbers[1]).quantize(_RATIO_STEP, rounding=ROUND_HALF_UP)
+        return f"The ratio is {a}/{b}={r}. So the answer is {r}.", Value.from_raw(str(r))
+    if reduce is Reduce.COMPARE_YES_NO:
+        a, b = values[0].raw, values[1].raw
+        if numbers[0] > numbers[1]:
+            return f"{a} is greater than {b}. So the answer is yes.", Value.yes_no(True)
+        return f"{a} is not greater than {b}. So the answer is no.", Value.yes_no(False)
+    if reduce is Reduce.AVERAGE:
+        m = (sum(numbers, Decimal(0)) / len(numbers)).quantize(_AVERAGE_STEP, ROUND_HALF_UP)
+        expr = "(" + "+".join(v.raw for v in values) + f")/{len(numbers)}"
+        return f"The average is {expr}={m}. So the answer is {m}.", Value.from_raw(str(m))
+    if reduce in (Reduce.MIN, Reduce.ARGMIN):
+        i = sorted(range(len(numbers)), key=lambda i: (numbers[i], i))[0]
+        v, k = values[i], keys[i]
+        answer = v.raw if reduce is Reduce.MIN else k
+        text = f"The minimum value is {v.raw} in {k}. So the answer is {answer}."
+        return text, Value.from_raw(answer)
+    if reduce in (Reduce.MAX, Reduce.ARGMAX):
+        i = sorted(range(len(numbers)), key=lambda i: (-numbers[i], i))[0]
+        v, k = values[i], keys[i]
+        answer = v.raw if reduce is Reduce.MAX else k
+        text = f"The maximum value is {v.raw} in {k}. So the answer is {answer}."
+        return text, Value.from_raw(answer)
+    if reduce in (Reduce.COUNT_GREATER, Reduce.COUNT_LESS):
+        threshold = plan.reduce_args[0]
+        t = _require_numbers([threshold])[0]
+        if reduce is Reduce.COUNT_GREATER:
+            hits = [v for v, n in zip(values, numbers) if n > t]
+            relation = "greater than"
+        else:
+            hits = [v for v, n in zip(values, numbers) if n < t]
+            relation = "below"
+        listing = ", ".join(v.raw for v in hits)
+        n = len(hits)
+        text = (f"The values that are {relation} {threshold.raw} are [{listing}]. "
+                f"So the answer is {n}.")
+        return text, Value.from_raw(str(n))
+    if reduce is Reduce.SECOND_HIGHEST:
+        i = sorted(range(len(numbers)), key=lambda i: (-numbers[i], i))[1]
+        v, k = values[i], keys[i]
+        text = f"The second highest value is {v.raw} in {k}. So the answer is {k}."
+        return text, Value.from_raw(k)
+    if reduce is Reduce.ARG_MATCH:
+        # Every cell is a number by now, so a text target matches none.
+        target = plan.reduce_args[0]
+        for k, n in zip(keys, numbers):
+            if n == target.number:
+                return f"The value {target.raw} is in {k}. So the answer is {k}.", Value.from_raw(k)
+        raise UndefinedResult(f"no cell equals {target.raw!r}")
+    if reduce is Reduce.SUM_TWO_SMALLEST_VS_LARGEST:
+        order = sorted(range(len(numbers)), key=lambda i: (numbers[i], i))
+        # The two smallest read in list order, as the worked traces do.
+        first, second = sorted(order[:2])
+        a, b = values[first].raw, values[second].raw
+        c = values[order[-1]].raw
+        total = numbers[first] + numbers[second]
+        largest = numbers[order[-1]]
+        if total > largest:
+            relation, verdict = "greater than", Value.yes_no(True)
+        elif total < largest:
+            relation, verdict = "smaller than", Value.yes_no(False)
+        else:
+            relation, verdict = "equal to", Value.yes_no(False)
+        listing = ", ".join(v.raw for v in values)
+        text = (f"Among [{listing}], the two smallest values are {a} and {b} while the "
+                f"largest value is {c}. {a}+{b}={total}, which is {relation} {c}. "
+                f"So the answer is {verdict.raw}.")
+        return text, verdict
+    raise UndefinedResult(f"unsupported reduce {reduce}")
 
 
 # ---------------------------------------------------------------------------
@@ -692,7 +626,7 @@ def gen_questions(
 ) -> list[tuple[QAInstance, QuestionPlan]]:
     """Instantiate template questions over a table, deterministic under seed.
 
-    Gold answers come from compute_gold's brute force, not from the plan's
+    Gold answers come from compute_gold's table reads, not from the plan's
     eventual execution.  Raises SkippedTemplate when the table cannot host
     the template (too small, non-numeric).
     """
@@ -716,18 +650,8 @@ def gen_questions(
 def _align_entity(name: Optional[str], pool: Sequence[str]) -> Optional[str]:
     if name is None:
         return None
-    want = normalize_name(name)
-    for candidate in pool:
-        if normalize_name(candidate) == want:
-            return candidate
-    best, best_score = None, 0.0
-    for candidate in pool:
-        score = edit_similarity(name, candidate)
-        if score > best_score:
-            best, best_score = candidate, score
-    if best is not None and best_score >= 0.8:
-        return best
-    return name
+    match = closest_name(name, pool)
+    return name if match is None else pool[match[0]]
 
 
 class SymbolicReasoner:

@@ -249,6 +249,14 @@ def test_eval_over_http_is_the_same_at_any_worker_count(keepalive_stub, tmp_path
         assert (out / "records.jsonl").read_bytes() == expected
 
 
+def test_run_leaves_chart_ids_to_a_stepwise_reader_server(http_stub, tmp_path, capsys):
+    url, _ = http_stub
+    assert main(["run", "--question", "How many legend labels are there?",
+                 "--chart", "pupil-teacher", "--reader-url", f"{url}/read",
+                 "--out-dir", str(tmp_path / "run")]) == 0
+    assert "Final answer: 4" in capsys.readouterr().out
+
+
 def test_unreachable_backend_is_backend_error():
     client = HttpReasoner("http://127.0.0.1:9/complete", timeout=0.3, retries=0)
     with pytest.raises(BackendError):

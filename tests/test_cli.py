@@ -337,6 +337,7 @@ def test_run_unknown_chart_exits_2(small_corpus_path, tmp_path, capsys, style):
                     "--prompt-style", style, "--out-dir", tmp_path / "run"])
     assert code == 2
     assert capsys.readouterr().err == "error: chart 'no-such-chart' not found\n"
+    assert not (tmp_path / "run").exists()
 
 
 def test_run_scripted_with_self_consistency_exits_2(small_corpus_path, tmp_path):
@@ -616,8 +617,12 @@ def test_recorded_config_alone_reruns_a_command(small_corpus_path, tmp_path, com
     ["eval", "--synthetic", 2, "--reader-url", "file:///dev/null"],
     ["run", "--question", "q", "--chart", "c", "--backend", "http",
      "--reasoner-url", "file:///dev/null"],
+    ["run", "--question", "What is the value of x?", "--chart", "nope", "--corpus", "corpus"],
+    ["run", "--question", "What is the value of x?", "--chart", "nope", "--corpus", "corpus",
+     "--reader-url", "http://127.0.0.1:9", "--prompt-style", "deplot1"],
 ])
-def test_usage_error_is_one_line(tmp_path, capsys, argv):
+def test_usage_error_is_one_line(small_corpus_path, tmp_path, capsys, argv):
+    argv = [small_corpus_path if arg == "corpus" else arg for arg in argv]
     try:
         code = run_cli([*argv, "--out-dir", tmp_path / "out"])
     except SystemExit as exited:

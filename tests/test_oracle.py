@@ -6,6 +6,7 @@ from chartloop.oracle import (
     ChartNotFound,
     EntityNotFound,
     TableOracle,
+    closest_name,
     describe,
     edit_similarity,
     extract_group,
@@ -81,6 +82,12 @@ def test_resolve_fuzzy_tolerates_spacing(net_ratings):
 def test_resolve_not_found(oman_samoa):
     with pytest.raises(EntityNotFound):
         resolve_entity(oman_samoa, "Atlantis")
+
+
+def test_closest_name_exact_first_then_first_best_fuzzy():
+    assert closest_name("ALPHX", ["Alpha", "alphx"]) == (1, 1.0)
+    assert closest_name("Alphz", ["Alpha", "Alphb"]) == (0, 0.8)
+    assert closest_name("Zeta", ["Alpha"]) is None
 
 
 def test_edit_similarity_bounds():
