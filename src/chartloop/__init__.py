@@ -23,7 +23,7 @@ from .evalkit import (
     normalize_answer,
     relaxed_match,
 )
-from .oracle import TableOracle, describe, extract_group, extract_point, resolve_entity
+from .oracle import TableOracle, describe, execute_query, resolve_entity
 from .prompts import PromptStyle, build_prompt, default_step_exemplars, linearize_table
 from .protocol import (
     AtomicQuery,
@@ -85,8 +85,7 @@ __all__ = [
     "default_step_exemplars",
     "describe",
     "evaluate_run",
-    "extract_group",
-    "extract_point",
+    "execute_query",
     "format_query",
     "format_reader_answer",
     "gen_questions",

@@ -305,6 +305,9 @@ def _synthetic_eval_set(cfg: dict) -> tuple[list[ChartTable], list[QAInstance]]:
 
 
 def cmd_eval(cfg: dict) -> int:
+    # Threads only overlap waits on a server; in-process backends hold the GIL.
+    if cfg["workers"] > 1 and cfg["backend"] != "http" and not cfg["reader_url"]:
+        raise UsageError("--workers above 1 needs --backend http or --reader-url")
     edges = _parse_buckets(cfg["buckets"])
     corpus = _load_corpus(cfg)
     charts = corpus.chart_index() if corpus else {}
@@ -464,7 +467,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated template types")
     p.add_argument("--per-template", dest="per_template", type=int, default=1)
     p.add_argument("--sample", type=int, default=0, help="sample N instances (0 = all)")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1,
+                   help="threads; above 1 only with an HTTP backend")
     _episode_flags(p)
     p.add_argument("--buckets", default=_DEFAULT_BUCKETS, help="comma-separated bucket edges")
 

@@ -73,10 +73,10 @@ def normalize_value(value: Value) -> Value:
     return normalize_answer(value.raw)
 
 
-def relaxed_match(prediction: Value, gold: Value, tolerance: Decimal = TOLERANCE) -> bool:
+def relaxed_match(prediction: Value, gold: Value) -> bool:
     """Relaxed accuracy verdict for one prediction against gold.
 
-    Numeric gold: |pred - gold| / |gold| <= tolerance, inclusive; gold zero
+    Numeric gold: |pred - gold| / |gold| <= TOLERANCE, inclusive; gold zero
     requires exact zero.  Text and yes/no: exact normalized match.  A kind
     mismatch that survives numeric coercion is simply false.
     """
@@ -86,7 +86,7 @@ def relaxed_match(prediction: Value, gold: Value, tolerance: Decimal = TOLERANCE
             return False
         if g.number == 0:
             return p.number == 0
-        return abs(p.number - g.number) / abs(g.number) <= tolerance
+        return abs(p.number - g.number) / abs(g.number) <= TOLERANCE
     if g.kind is not p.kind:
         return False
     return p.raw == g.raw

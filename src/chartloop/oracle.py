@@ -1,11 +1,13 @@
 """Deterministic reader over ground-truth tables.
 
 Executes atomic queries against a ChartTable and returns the exact answer
-strings a perfect visual reader would produce.  Entity resolution is exact
-after case/whitespace normalization, with an edit-similarity fallback (0.8
-threshold) so lightly paraphrased reasoner queries still land; out-of-chart
-entities get a fixed "not available" sentence rather than an exception, and
-the episode continues.
+strings a perfect visual reader would produce.  ``execute_query`` is the one
+dispatcher, and it answers a query as its formatted line reads, so an
+``AtomicQuery`` built in code and the line it formats to get one answer.
+Entity resolution is exact after case/whitespace normalization, with an
+edit-similarity fallback (0.8 threshold) so lightly paraphrased reasoner
+queries still land; out-of-chart entities get a fixed "not available"
+sentence rather than an exception, and the episode continues.
 """
 
 from __future__ import annotations
@@ -77,14 +79,12 @@ def edit_similarity(a: str, b: str) -> float:
     return 1.0 - _edit_distance(na, nb) / longest
 
 
-def closest_name(
-    name: str, names: Sequence[str], threshold: float = FUZZY_THRESHOLD
-) -> Optional[tuple[int, float]]:
+def closest_name(name: str, names: Sequence[str]) -> Optional[tuple[int, float]]:
     """Index and score of the entry of ``names`` that ``name`` means, or None.
 
     An exact normalized match wins outright; otherwise the highest
-    edit-similarity entry at or above the threshold is taken, the first entry
-    winning ties.
+    edit-similarity entry at or above ``FUZZY_THRESHOLD`` is taken, the first
+    entry winning ties.
     """
     wanted = normalize_name(name)
     for index, candidate in enumerate(names):
@@ -93,25 +93,13 @@ def closest_name(
     best: Optional[tuple[int, float]] = None
     for index, candidate in enumerate(names):
         score = edit_similarity(name, candidate)
-        if score >= threshold and (best is None or score > best[1]):
+        if score >= FUZZY_THRESHOLD and (best is None or score > best[1]):
             best = index, score
     return best
 
 
-def _candidates(table: ChartTable, axis: Optional[Axis]) -> list[tuple[Axis, int, str]]:
-    out: list[tuple[Axis, int, str]] = []
-    if axis in (None, Axis.SERIES):
-        out.extend((Axis.SERIES, i, s.name) for i, s in enumerate(table.series))
-    if axis in (None, Axis.X_LABEL):
-        out.extend((Axis.X_LABEL, j, x) for j, x in enumerate(table.x_labels))
-    return out
-
-
 def resolve_entity(
-    table: ChartTable,
-    name: str,
-    axis: Optional[Axis] = None,
-    threshold: float = FUZZY_THRESHOLD,
+    table: ChartTable, name: str, axis: Optional[Axis] = None
 ) -> EntityResolution:
     """Resolve a name to a series or x-label, series axis first, then x-labels.
 
@@ -122,12 +110,16 @@ def resolve_entity(
     """
     if not name:
         raise EntityNotFound("empty entity name")
-    candidates = _candidates(table, axis)
-    match = closest_name(name, [cand_name for _, _, cand_name in candidates], threshold)
+    series = [] if axis is Axis.X_LABEL else [s.name for s in table.series]
+    x_labels = () if axis is Axis.SERIES else table.x_labels
+    match = closest_name(name, [*series, *x_labels])
     if match is None:
         raise EntityNotFound(f"no entity close to {name!r} in chart {table.source_id}")
-    cand_axis, index, cand_name = candidates[match[0]]
-    return EntityResolution(cand_axis, index, cand_name, match[1])
+    index, score = match
+    if index < len(series):
+        return EntityResolution(Axis.SERIES, index, series[index], score)
+    index -= len(series)
+    return EntityResolution(Axis.X_LABEL, index, x_labels[index], score)
 
 
 def describe(table: ChartTable) -> str:
@@ -135,85 +127,50 @@ def describe(table: ChartTable) -> str:
     return format_reader_answer(description_answer(table.series, table.x_labels))
 
 
-def extract_point(table: ChartTable, entity: str, by: Optional[str] = None) -> str:
-    """Answer a point lookup with the cell's printed value.
-
-    With a BY qualifier, entity and qualifier are resolved to opposite axes
-    (either orientation is accepted).  Without one, the coordinates are only
-    unambiguous on a single-series chart (entity names an x-label) or a
-    single-column chart (entity names a series); anything else gets the
-    not-available sentinel.
-    """
-    try:
-        if by is not None:
-            series_idx, x_idx = _resolve_pair(table, entity, by)
-        elif len(table.series) == 1:
-            series_idx, x_idx = 0, resolve_entity(table, entity, Axis.X_LABEL).index
-        elif len(table.x_labels) == 1:
-            series_idx, x_idx = resolve_entity(table, entity, Axis.SERIES).index, 0
-        else:
-            return UNAVAILABLE_ANSWER
-    except EntityNotFound:
-        return UNAVAILABLE_ANSWER
-    return format_reader_answer(scalar_answer(table.cells[series_idx][x_idx]))
-
-
-def _resolve_pair(table: ChartTable, entity: str, by: str) -> tuple[int, int]:
-    try:
-        return (
-            resolve_entity(table, entity, Axis.SERIES).index,
-            resolve_entity(table, by, Axis.X_LABEL).index,
-        )
-    except EntityNotFound:
-        return (
-            resolve_entity(table, by, Axis.SERIES).index,
-            resolve_entity(table, entity, Axis.X_LABEL).index,
-        )
-
-
-def extract_group(table: ChartTable, entity: Optional[str] = None) -> str:
-    """Answer a group extraction: one series across x-labels, or one x-label
-    across series.  An absent entity means all values of a single-series
-    chart."""
-    try:
-        if entity is None:
-            if len(table.series) != 1:
-                return UNAVAILABLE_ANSWER
-            resolution = EntityResolution(Axis.SERIES, 0, table.series[0].name, 1.0)
-        else:
-            resolution = resolve_entity(table, entity)
-    except EntityNotFound:
-        return UNAVAILABLE_ANSWER
-    if resolution.axis is Axis.SERIES:
-        pairs = [
-            (x, table.cells[resolution.index][j]) for j, x in enumerate(table.x_labels)
-        ]
-    else:
-        pairs = [
-            (s.name, table.cells[i][resolution.index]) for i, s in enumerate(table.series)
-        ]
-    return format_reader_answer(group_answer(pairs))
-
-
 def execute_query(table: ChartTable, query: AtomicQuery) -> str:
-    """Dispatch a parsed atomic query against a table.
+    """Answer an atomic query as its formatted line reads.
 
-    The shared entity-only surface form arrives as a group query; when its
-    entity is an x-label of a single-series chart the intended semantics is a
-    point lookup, so that case answers with the scalar form.
+    ``E BY F`` is the cell at E and F in either orientation: E resolves over
+    series first and then x-labels, F on the other axis, and only when F is
+    not there are both read the other way round.  The entity-only line
+    resolves E the same way and gives a series' row, or an x-label's column,
+    except that an x-label of a single-series chart gives that one cell.  No
+    entity gives every value of a single-series chart.  Anything else gets
+    the not-available sentinel.  A point query without BY formats to the
+    entity-only line, so it gets that line's answer.
     """
     if query.op is QueryOp.DESCRIBE:
         return describe(table)
-    if query.op is QueryOp.EXTRACT_POINT:
-        return extract_point(table, query.entity or "", query.by)
-    if query.entity is not None and len(table.series) == 1:
-        try:
-            resolution = resolve_entity(table, query.entity)
-        except EntityNotFound:
+    single_series = len(table.series) == 1
+    try:
+        if query.entity is not None:
+            found = resolve_entity(table, query.entity)
+            axis, index = found.axis, found.index
+        elif single_series:
+            axis, index = Axis.SERIES, 0
+        else:
             return UNAVAILABLE_ANSWER
-        if resolution.axis is Axis.X_LABEL:
-            return extract_point(table, query.entity)
-    return extract_group(table, query.entity)
+        by = None
+        if query.by is not None:
+            other = Axis.X_LABEL if axis is Axis.SERIES else Axis.SERIES
+            try:
+                by = resolve_entity(table, query.by, other).index
+            except EntityNotFound:
+                # E may name both axes, as "Total" does in "Total BY <series>".
+                by = resolve_entity(table, query.by, axis).index
+                axis, index = other, resolve_entity(table, query.entity, other).index
+    except EntityNotFound:
+        return UNAVAILABLE_ANSWER
+    if by is None and axis is Axis.X_LABEL and single_series:
+        by = 0
+    if by is not None:
+        row, column = (index, by) if axis is Axis.SERIES else (by, index)
+        return format_reader_answer(scalar_answer(table.cells[row][column]))
+    if axis is Axis.SERIES:
+        pairs = [(x, table.cells[index][j]) for j, x in enumerate(table.x_labels)]
+    else:
+        pairs = [(s.name, table.cells[i][index]) for i, s in enumerate(table.series)]
+    return format_reader_answer(group_answer(pairs))
 
 
 class TableOracle:

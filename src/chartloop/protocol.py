@@ -7,9 +7,10 @@ formatting a parsed protocol line reproduces it byte for byte, which the test
 suite pins against the shipped few-shot prompt.
 
 One surface form is genuinely shared: ``Let's extract the data of <entity>.``
-is the template for both a point lookup on a single-series chart and a group
-extraction.  The parser maps it to a group query and readers resolve the
-point-vs-group semantics against the chart (see ``oracle``).
+is what both a point query without BY and a group query with that entity
+format to.  The parser maps it to a group query, and a line has one answer
+whichever query it came from: the entity's row or column, or its one cell
+on a single-series chart (see ``oracle.execute_query``).
 """
 
 from __future__ import annotations
@@ -78,14 +79,10 @@ def format_query(query: AtomicQuery) -> str:
     """Render the canonical surface form of an atomic query."""
     if query.op is QueryOp.DESCRIBE:
         return DESCRIBE_QUERY
-    if query.op is QueryOp.EXTRACT_POINT:
-        entity = _escape_entity(query.entity or "")
-        if query.by is not None:
-            return f"{EXTRACT_PREFIX}{entity}{BY_SEPARATOR}{_escape_entity(query.by)}."
-        return f"{EXTRACT_PREFIX}{entity}."
     if query.entity is None:
         return EXTRACT_ALL_QUERY
-    return f"{EXTRACT_PREFIX}{_escape_entity(query.entity)}."
+    by = "" if query.by is None else f"{BY_SEPARATOR}{_escape_entity(query.by)}"
+    return f"{EXTRACT_PREFIX}{_escape_entity(query.entity)}{by}."
 
 
 class StepKind(str, Enum):

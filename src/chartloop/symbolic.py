@@ -28,7 +28,7 @@ import hashlib
 import random
 import re
 from dataclasses import dataclass
-from decimal import Decimal, ROUND_HALF_UP
+from decimal import Decimal, DecimalException, ROUND_HALF_UP
 from enum import Enum
 from typing import Callable, Optional, Sequence
 
@@ -360,8 +360,21 @@ def _reduce(
     ``scalars`` are the point values in query order, ``pairs`` the first
     group's (key, value) pairs and ``counts`` the chart's series and x-label
     counts (None without a figure description).  Raises UndefinedResult when
-    the result is undefined and IndexError when too few values came in.
+    the result is undefined or cannot be rounded at Decimal's precision, and
+    IndexError when too few values came in.
     """
+    try:
+        return _apply_reduce(plan, scalars, pairs, counts)
+    except DecimalException as exc:
+        raise UndefinedResult(f"{plan.reduce.value} is not representable") from exc
+
+
+def _apply_reduce(
+    plan: QuestionPlan,
+    scalars: Sequence[Value],
+    pairs: Sequence[tuple[str, Value]],
+    counts: Optional[tuple[int, int]],
+) -> tuple[str, Value]:
     reduce = plan.reduce
     if reduce in (Reduce.COUNT_SERIES, Reduce.COUNT_X_LABELS):
         if counts is None:
@@ -697,10 +710,12 @@ class SymbolicReasoner:
         series = list(description.series_names)
         pool = series + list(description.x_labels)
         if query.op is QueryOp.EXTRACT_POINT:
-            return point_query(
-                _align_entity(query.entity, pool) or "",
-                _align_entity(query.by, pool),
-            )
+            by = _align_entity(query.by, pool)
+            if by is None and len(series) > 1 and len(description.x_labels) == 1:
+                # The entity-only line reads as a whole row here; name the
+                # only x-label so the line reads as the one cell.
+                by = description.x_labels[0]
+            return point_query(_align_entity(query.entity, pool) or "", by)
         if query.entity is None:
             # Name the only series explicitly, as the annotated traces do.
             if len(series) == 1:

@@ -11,6 +11,7 @@ import json
 
 import pytest
 
+from chartloop.synth import random_tables
 from chartloop.tables import ChartTable
 
 
@@ -214,6 +215,21 @@ def university_shares() -> ChartTable:
         ["Malaysia", "Philippines", "Ghana", "Switzerland"],
         [["45.01", "38.92", "27.58", "52.33"]],
     )
+
+
+@pytest.fixture
+def norway_chile() -> ChartTable:
+    """Two series over a single x-label."""
+    return ChartTable.build("norway-chile", [("Norway", "blue"), ("Chile", "red")], ["2019"],
+                            [["3.5"], ["7.25"]])
+
+
+@pytest.fixture
+def line_charts(norway_chile) -> list[ChartTable]:
+    """Random charts plus two shapes where a query line can read two ways: a
+    single series named like one of its x-labels, and a single x-label."""
+    total = ChartTable.build("total-collision", [("Total", None)], ["Total", "Other"], [["5", "7"]])
+    return [*random_tables(17, 25), total, norway_chile]
 
 
 @pytest.fixture

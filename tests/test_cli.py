@@ -176,7 +176,7 @@ def test_eval_corpus_closed_loop(small_corpus_path, tmp_path, capsys):
 def test_eval_synthetic_records_flags(tmp_path):
     out = tmp_path / "eval"
     code = run_cli(["eval", "--synthetic", 3, "--out-dir", out, "--seed", 11,
-                    "--sc", 5, "--temperature", 0.4, "--workers", 2])
+                    "--sc", 5, "--temperature", 0.4])
     assert code == 0
     config = json.loads((out / "run_config.json").read_text())
     assert config["sc"] == 5
@@ -620,6 +620,7 @@ def test_recorded_config_alone_reruns_a_command(small_corpus_path, tmp_path, com
     ["run", "--question", "What is the value of x?", "--chart", "nope", "--corpus", "corpus"],
     ["run", "--question", "What is the value of x?", "--chart", "nope", "--corpus", "corpus",
      "--reader-url", "http://127.0.0.1:9", "--prompt-style", "deplot1"],
+    ["eval", "--synthetic", 3, "--workers", 2],
 ])
 def test_usage_error_is_one_line(small_corpus_path, tmp_path, capsys, argv):
     argv = [small_corpus_path if arg == "corpus" else arg for arg in argv]

@@ -9,7 +9,7 @@ from chartloop.controller import (
 )
 from chartloop.oracle import TableOracle
 from chartloop.protocol import QueryOp, StepKind, parse_step
-from chartloop.symbolic import SymbolicReasoner, gen_questions
+from chartloop.symbolic import SymbolicReasoner, compute_gold, decompose, gen_questions
 from chartloop.tables import StepRole, TemplateType, Termination, Value
 
 
@@ -235,3 +235,11 @@ def test_closed_loop_matches_gold_small(costa_rica):
             from chartloop.evalkit import relaxed_match
 
             assert relaxed_match(trace.final, qa.gold), (qa.question, trace.final, qa.gold)
+
+
+def test_point_on_a_single_column_chart_concludes_gold(norway_chile):
+    question = "What is the value of Chile?"
+    trace = run_episode(question, norway_chile.source_id, SymbolicReasoner(),
+                        TableOracle([norway_chile]))
+    gold = compute_gold(norway_chile, decompose(question))
+    assert trace.final == gold.answer == Value.from_raw("7.25")

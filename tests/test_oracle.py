@@ -9,18 +9,19 @@ from chartloop.oracle import (
     closest_name,
     describe,
     edit_similarity,
-    extract_group,
-    extract_point,
+    execute_query,
     resolve_entity,
 )
 from chartloop.protocol import (
     UNAVAILABLE_ANSWER,
+    describe_query,
     format_query,
     group_query,
     parse_reader_answer,
     point_query,
 )
 from chartloop.synth import random_table
+from chartloop.tables import ChartTable
 
 
 def test_describe_matches_prompt_exemplar(oman_samoa):
@@ -59,8 +60,6 @@ def test_resolve_exact_case_insensitive(oman_samoa):
 
 
 def test_resolve_prefers_series_axis():
-    from chartloop.tables import ChartTable
-
     table = ChartTable.build("clash", [("2015", None), ("Other", None)],
                              ["2015", "2016"], [["1", "2"], ["3", "4"]])
     resolution = resolve_entity(table, "2015")
@@ -97,52 +96,60 @@ def test_edit_similarity_bounds():
 
 
 def test_extract_point_by_form(oman_samoa, activision):
-    assert extract_point(oman_samoa, "Oman", "2010") == "The data is 210.69."
-    assert extract_point(activision, "Consoles", "2020") == "The data is 2784.00."
+    assert execute_query(oman_samoa, point_query("Oman", "2010")) == "The data is 210.69."
+    assert execute_query(activision, point_query("Consoles", "2020")) == "The data is 2784.00."
 
 
 def test_extract_point_flipped_orientation(oman_samoa):
-    assert extract_point(oman_samoa, "2010", "Oman") == "The data is 210.69."
+    assert execute_query(oman_samoa, point_query("2010", "Oman")) == "The data is 210.69."
+    # "Total" names a series and an x-label; only the x-label reading fits "BY A".
+    clash = ChartTable.build("clash", [("Total", None), ("A", None)], ["Total", "Other"],
+                             [["1", "2"], ["3", "4"]])
+    assert execute_query(clash, point_query("Total", "A")) == "The data is 3."
+    assert execute_query(clash, point_query("Total", "Other")) == "The data is 2."
 
 
 def test_extract_point_single_series_entity_only(export_2015):
-    assert extract_point(export_2015, "2015") == "The data is 296.0."
+    assert execute_query(export_2015, point_query("2015")) == "The data is 296.0."
 
 
-def test_extract_point_ambiguous_gets_sentinel(oman_samoa):
-    assert extract_point(oman_samoa, "2010") == UNAVAILABLE_ANSWER
-    assert extract_point(oman_samoa, "Oman", "1999") == UNAVAILABLE_ANSWER
+def test_extract_point_without_by_gets_its_line_answer(oman_samoa):
+    # The entity-only line names the 2010 column on a two-series chart.
+    assert execute_query(oman_samoa, point_query("2010")) == (
+        "The data is 210.69 in Oman, 39.21 in Samoa."
+    )
+    assert execute_query(oman_samoa, point_query("Oman", "1999")) == UNAVAILABLE_ANSWER
 
 
 def test_extract_group_series(total_market):
-    assert extract_group(total_market, "Total market") == (
+    assert execute_query(total_market, group_query("Total market")) == (
         "The data is 18 in 2019, 20.0 in 2018, 22.0 in 2017, 23.0 in 2016, "
         "24.0 in 2015, 25.0 in 2014, 26.0 in 2013, 27.0 in 2012, 26.0 in 2011."
     )
 
 
 def test_extract_group_x_label(merchandise):
-    assert extract_group(merchandise, "1994") == (
+    assert execute_query(merchandise, group_query("1994")) == (
         "The data is 0.16 in Merchandise exports, 0.36 in Merchandise imports."
     )
 
 
 def test_extract_group_costa_rica(costa_rica):
-    assert extract_group(costa_rica, "Costa Rica") == (
+    assert execute_query(costa_rica, group_query("Costa Rica")) == (
         "The data is 18.84 in 2000, 19.57 in 2001, 17.79 in 2006, "
         "17.91 in 2007, 15.64 in 2008, 14.92 in 2011."
     )
 
 
 def test_extract_group_absent_entity(segments, oman_samoa):
-    assert extract_group(segments) == (
+    assert execute_query(segments, group_query()) == (
         "The data is 81.00 in Decreased, 16.00 in No impact, 3.00 in Increased."
     )
-    assert extract_group(oman_samoa) == UNAVAILABLE_ANSWER
+    assert execute_query(oman_samoa, group_query()) == UNAVAILABLE_ANSWER
 
 
 def test_extract_group_not_found(oman_samoa):
-    assert extract_group(oman_samoa, "Atlantis") == UNAVAILABLE_ANSWER
+    assert execute_query(oman_samoa, group_query("Atlantis")) == UNAVAILABLE_ANSWER
 
 
 def test_read_dispatches_entity_only_point(export_2015):
@@ -162,14 +169,35 @@ def test_read_junk_query_gets_sentinel(export_2015):
     assert oracle.read("export-value", "What even is this?") == UNAVAILABLE_ANSWER
 
 
+def _every_query(table):
+    yield describe_query()
+    yield group_query()
+    names = [s.name for s in table.series]
+    for name in [*names, *table.x_labels]:
+        yield group_query(name)
+        yield point_query(name)
+    for name in names:
+        for x in table.x_labels:
+            yield point_query(name, x)
+            yield point_query(x, name)
+
+
+def test_execute_query_answers_what_its_line_reads(line_charts):
+    for table in line_charts:
+        oracle = TableOracle([table])
+        for query in _every_query(table):
+            line = format_query(query)
+            assert execute_query(table, query) == oracle.read(table.source_id, line), line
+
+
 def test_determinism_and_consistency_on_random_tables():
     for index in range(25):
         table = random_table(17, index)
         for i, label in enumerate(table.series):
             for j, x in enumerate(table.x_labels):
                 query = point_query(label.name, x) if len(table.series) > 1 else point_query(x)
-                first = extract_point(table, query.entity, query.by)
-                assert first == extract_point(table, query.entity, query.by)
+                first = execute_query(table, query)
+                assert first == execute_query(table, query)
                 parsed = parse_reader_answer(first)
                 assert parsed.scalar == table.cells[i][j]
 
@@ -179,13 +207,11 @@ def test_group_point_coherence_on_random_tables():
         table = random_table(18, index)
         multi = len(table.series) > 1
         for i, label in enumerate(table.series):
-            group = parse_reader_answer(extract_group(table, label.name))
+            group = parse_reader_answer(execute_query(table, group_query(label.name)))
             points = []
             for x in table.x_labels:
-                if multi:
-                    answer = extract_point(table, label.name, x)
-                else:
-                    answer = extract_point(table, x)
+                query = point_query(label.name, x) if multi else point_query(x)
+                answer = execute_query(table, query)
                 points.append(parse_reader_answer(answer).scalar)
             assert [v for _, v in group.pairs] == points
             assert [k for k, _ in group.pairs] == list(table.x_labels)

@@ -134,12 +134,18 @@ _HAND_TABLE = [
          None, _UNKNOWN),
     # 0.25/2 = 0.125: half-up gives 0.13 where banker's rounding gives 0.12.
     _row("average-points-round-half-up", _chart("x", A=["0.12"], B=["0.13"]), Reduce.AVERAGE,
-         [_P("A"), _P("B")], ["The data is 0.12.", "The data is 0.13."],
+         [_P("A", "x"), _P("B", "x")], ["The data is 0.12.", "The data is 0.13."],
          "0.13", "The average is (0.12+0.13)/2=0.13. So the answer is 0.13."),
     # 4.02/4 = 1.005: half-up gives 1.01 where banker's rounding gives 1.00.
     _row("average-group-rounds-half-up", _chart("x1 x2 x3 x4", A=["1", "1", "1", "1.02"]),
          Reduce.AVERAGE, [_G("A")], ["The data is 1 in x1, 1 in x2, 1 in x3, 1.02 in x4."],
          "1.01", "The average is (1+1+1+1.02)/4=1.01. So the answer is 1.01."),
+    # Rounding to the step needs more digits than Decimal's 28-digit context.
+    _row("ratio-past-precision", _chart("x1 x2", A=["1" + "0" * 29, "3"]), Reduce.RATIO,
+         [_P("x1"), _P("x2")], ["The data is 1" + "0" * 29 + ".", "The data is 3."],
+         None, _UNKNOWN),
+    _row("average-past-precision", _chart("x1 x2", A=["1" + "0" * 29, "3"]), Reduce.AVERAGE,
+         [_G("A")], ["The data is 1" + "0" * 29 + " in x1, 3 in x2."], None, _UNKNOWN),
     _row("min-keeps-printed-form", _chart("x1 x2 x3", A=["3", "1.50", "2"]), Reduce.MIN,
          [_G("A")], ["The data is 3 in x1, 1.50 in x2, 2 in x3."],
          "1.50", "The minimum value is 1.50 in x2. So the answer is 1.50."),
