@@ -28,6 +28,6 @@ for template in TemplateType:
         for step in trace.steps:
             print(f"  {step.role.value:>15} | {step.text}")
         gold = compute_gold(table, decompose(qa.question))
-        verdict = relaxed_match(trace.final, gold.answer)
-        print(f"  gold={gold.answer.raw}  final={trace.final.raw}  match={verdict}")
+        verdict = relaxed_match(trace.final, gold)
+        print(f"  gold={gold.raw}  final={trace.final.raw}  match={verdict}")
         print()

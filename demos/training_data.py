@@ -18,7 +18,7 @@ from chartloop.tables import TemplateType
 charts = random_tables(seed=5, count=2)
 pairs, manifest = generate_system1_corpus(charts, seed=5)
 
-print(f"manifest: {json.dumps(manifest.to_dict())}")
+print(f"manifest: {json.dumps(manifest)}")
 print("\nfirst reader pairs:")
 for pair in pairs[:5]:
     print(f"  {pair.query!r} -> {pair.answer!r}")

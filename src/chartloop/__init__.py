@@ -16,7 +16,6 @@ from .controller import (
 )
 from .evalkit import (
     EvalRecord,
-    EvalReport,
     evaluate_run,
     majority_vote,
     make_record,
@@ -61,7 +60,6 @@ __all__ = [
     "ChartTable",
     "EpisodeConfig",
     "EvalRecord",
-    "EvalReport",
     "HttpReader",
     "HttpReasoner",
     "PromptStyle",

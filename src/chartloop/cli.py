@@ -247,12 +247,12 @@ def cmd_datagen(cfg: dict) -> int:
     pairs, manifest = generate_system1_corpus(corpus.charts, cfg["seed"])
     write_system1_jsonl(pairs, out_dir / "system1.jsonl")
     with open(out_dir / "manifest.json", "w", encoding="utf-8") as handle:
-        json.dump(manifest.to_dict(), handle, indent=2, sort_keys=True)
+        json.dump(manifest, handle, indent=2, sort_keys=True)
         handle.write("\n")
     _write_run_config(cfg, out_dir, "datagen")
     print(
-        f"charts={manifest.n_charts} describe={manifest.n_describe} "
-        f"point={manifest.n_point} group={manifest.n_group}"
+        f"charts={manifest['n_charts']} describe={manifest['n_describe']} "
+        f"point={manifest['n_point']} group={manifest['n_group']}"
     )
     return EXIT_OK
 

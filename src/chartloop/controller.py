@@ -69,13 +69,11 @@ def run_episode(
     The reader is invoked exactly once per query line and its answer is
     spliced back verbatim.  Unparseable (empty) continuations terminate as
     parse_error; transport failures terminate as backend_error with the
-    partial trace; the trace validator runs before returning.
+    partial trace; the trace validator runs before returning.  A context
+    table the prompt style does not take, or a missing one it needs, raises
+    ``PromptConfigError``.
     """
-    context = None
-    if config.prompt_style is not PromptStyle.STEPWISE_5SHOT:
-        if context_table is None:
-            raise ValueError(f"{config.prompt_style.value} episodes need a context table")
-        context = linearize_table(context_table)
+    context = None if context_table is None else linearize_table(context_table)
     sequence = build_prompt(config.prompt_style, question, context)
 
     steps: list[Step] = []

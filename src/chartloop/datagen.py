@@ -21,12 +21,13 @@ import csv
 import json
 import random
 import re
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Optional, Sequence, TextIO
 
 from . import oracle
-from .protocol import AtomicQuery, describe_query, format_query, group_query, point_query
+from .protocol import AtomicQuery, QueryOp, describe_query, format_query, group_query, point_query
 from .tables import (
     SHAPE_ERRORS,
     ChartTable,
@@ -50,24 +51,6 @@ class System1Pair:
     query: str
     answer: str
     op: AtomicQuery
-
-
-@dataclass(frozen=True)
-class CorpusManifest:
-    n_charts: int
-    n_describe: int
-    n_point: int
-    n_group: int
-    seed: int
-
-    def to_dict(self) -> dict:
-        return {
-            "n_charts": self.n_charts,
-            "n_describe": self.n_describe,
-            "n_point": self.n_point,
-            "n_group": self.n_group,
-            "seed": self.seed,
-        }
 
 
 @dataclass
@@ -234,40 +217,32 @@ def sample_eval_set(instances: Sequence[QAInstance], n: int, seed: int) -> list[
 
 def generate_system1_corpus(
     charts: Sequence[ChartTable], seed: int = 0
-) -> tuple[list[System1Pair], CorpusManifest]:
-    """Template-generate reader training pairs with oracle answers.
+) -> tuple[list[System1Pair], dict]:
+    """Template-generate reader training pairs with oracle answers, and the
+    ``manifest.json`` dict that counts them.
 
     Per chart: one describe pair; one point pair per cell; group pairs for
     every series and every x-label on multi-series charts, and a single
     series-named group on single-series charts.
     """
     pairs: list[System1Pair] = []
-    n_describe = n_point = n_group = 0
-
-    def emit(table: ChartTable, op: AtomicQuery) -> None:
-        query = format_query(op)
-        answer = oracle.execute_query(table, op)
-        pairs.append(System1Pair(table.source_id, query, answer, op))
-
     for table in charts:
-        emit(table, describe_query())
-        n_describe += 1
-        multi = len(table.series) > 1
-        for i, label in enumerate(table.series):
-            for j, x in enumerate(table.x_labels):
-                emit(table, point_query(label.name, x) if multi else point_query(x))
-                n_point += 1
-        if multi:
-            for label in table.series:
-                emit(table, group_query(label.name))
-                n_group += 1
-            for x in table.x_labels:
-                emit(table, group_query(x))
-                n_group += 1
-        else:
-            emit(table, group_query(table.series[0].name))
-            n_group += 1
-    manifest = CorpusManifest(len(charts), n_describe, n_point, n_group, seed)
+        names = [label.name for label in table.series]
+        multi = len(names) > 1
+        queries = [describe_query()]
+        queries += [point_query(name, x) if multi else point_query(x)
+                    for name in names for x in table.x_labels]
+        queries += [group_query(name) for name in ([*names, *table.x_labels] if multi else names)]
+        pairs += [System1Pair(table.source_id, format_query(query),
+                              oracle.execute_query(table, query), query) for query in queries]
+    ops = Counter(pair.op.op for pair in pairs)
+    manifest = {
+        "n_charts": len(charts),
+        "n_describe": ops[QueryOp.DESCRIBE],
+        "n_point": ops[QueryOp.EXTRACT_POINT],
+        "n_group": ops[QueryOp.EXTRACT_GROUP],
+        "seed": seed,
+    }
     return pairs, manifest
 
 

@@ -19,7 +19,6 @@ from typing import Optional, Sequence
 from .tables import (
     SHAPE_ERRORS,
     QAInstance,
-    TemplateType,
     Value,
     ValueKind,
     bucket_labels,
@@ -147,51 +146,10 @@ def make_record(
     return EvalRecord(qa, prediction, correct, table_length, trace_ref)
 
 
-@dataclass(frozen=True)
-class TemplateStats:
-    count: int
-    errors: int
-    accuracy: float
-
-
-@dataclass(frozen=True)
-class BucketStats:
-    bucket: str
-    count: int
-    ratio: float
-    accuracy: float
-
-
-@dataclass(frozen=True)
-class EvalReport:
-    n: int
-    overall_accuracy: float
-    by_template: dict[Optional[TemplateType], TemplateStats]
-    by_length_bucket: list[BucketStats]
-    bucket_edges: tuple[int, ...]
-
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "overall_accuracy": self.overall_accuracy,
-            "by_template": {
-                (k.value if k else "untemplated"): {
-                    "count": v.count, "errors": v.errors, "accuracy": v.accuracy
-                }
-                for k, v in self.by_template.items()
-            },
-            "by_length_bucket": [
-                {"bucket": b.bucket, "count": b.count, "ratio": b.ratio, "accuracy": b.accuracy}
-                for b in self.by_length_bucket
-            ],
-            "bucket_edges": list(self.bucket_edges),
-        }
-
-
 def evaluate_run(
     records: Sequence[EvalRecord], bucket_edges: Sequence[int] = DEFAULT_BUCKET_EDGES
-) -> EvalReport:
-    """Aggregate records into overall, per-template, and per-bucket accuracy."""
+) -> dict:
+    """The ``report.json`` dict: overall, per-template and per-bucket accuracy."""
     if not records:
         raise ValueError("no records to report")
     template_total: Counter = Counter()
@@ -204,7 +162,7 @@ def evaluate_run(
         template_correct[key] += int(record.correct)
         length_total[record.table_length] += 1
         length_correct[record.table_length] += int(record.correct)
-    total, correct = len(records), sum(template_correct.values())
+    total = len(records)
     labels = bucket_labels(bucket_edges)
     bucket_total = [0] * len(labels)
     bucket_correct = [0] * len(labels)
@@ -212,55 +170,48 @@ def evaluate_run(
         index = bucket_length(length, bucket_edges)
         bucket_total[index] += count
         bucket_correct[index] += length_correct[length]
-    by_template = {
-        key: TemplateStats(
-            count=template_total[key],
-            errors=template_total[key] - template_correct[key],
-            accuracy=template_correct[key] / template_total[key],
-        )
-        for key in sorted(template_total, key=lambda k: k.value if k else "~")
+    return {
+        "n": total,
+        "overall_accuracy": sum(template_correct.values()) / total,
+        "by_template": {
+            (key.value if key else "untemplated"): {
+                "count": template_total[key],
+                "errors": template_total[key] - template_correct[key],
+                "accuracy": template_correct[key] / template_total[key],
+            }
+            for key in sorted(template_total, key=lambda k: k.value if k else "~")
+        },
+        "by_length_bucket": [
+            {"bucket": label, "count": count, "ratio": count / total,
+             "accuracy": correct / count if count else 0.0}
+            for label, count, correct in zip(labels, bucket_total, bucket_correct)
+        ],
+        "bucket_edges": list(bucket_edges),
     }
-    buckets = [
-        BucketStats(
-            bucket=labels[i],
-            count=bucket_total[i],
-            ratio=bucket_total[i] / total,
-            accuracy=(bucket_correct[i] / bucket_total[i]) if bucket_total[i] else 0.0,
-        )
-        for i in range(len(labels))
-    ]
-    return EvalReport(
-        n=total,
-        overall_accuracy=correct / total,
-        by_template=by_template,
-        by_length_bucket=buckets,
-        bucket_edges=tuple(bucket_edges),
-    )
 
 
-def render_report_text(report: EvalReport) -> str:
+def render_report_text(report: dict) -> str:
     """Plain-text table alongside the JSON report."""
     lines = [
-        f"records: {report.n}",
-        f"overall accuracy: {report.overall_accuracy:.4f}",
+        f"records: {report['n']}",
+        f"overall accuracy: {report['overall_accuracy']:.4f}",
         "",
         f"{'template':<16}{'count':>8}{'errors':>8}{'accuracy':>10}",
     ]
-    for key, stats in report.by_template.items():
-        name = key.value if key else "untemplated"
-        lines.append(f"{name:<16}{stats.count:>8}{stats.errors:>8}{stats.accuracy:>10.4f}")
+    for name, stats in report["by_template"].items():
+        lines.append(f"{name:<16}{stats['count']:>8}{stats['errors']:>8}"
+                     f"{stats['accuracy']:>10.4f}")
     lines.append("")
     lines.append(f"{'table length':<16}{'count':>8}{'ratio':>8}{'accuracy':>10}")
-    for bucket in report.by_length_bucket:
-        lines.append(
-            f"{bucket.bucket:<16}{bucket.count:>8}{bucket.ratio:>8.3f}{bucket.accuracy:>10.4f}"
-        )
+    for bucket in report["by_length_bucket"]:
+        lines.append(f"{bucket['bucket']:<16}{bucket['count']:>8}{bucket['ratio']:>8.3f}"
+                     f"{bucket['accuracy']:>10.4f}")
     return "\n".join(lines)
 
 
-def write_report(report: EvalReport, json_path, text_path) -> None:
+def write_report(report: dict, json_path, text_path) -> None:
     with open(json_path, "w", encoding="utf-8") as handle:
-        json.dump(report.to_dict(), handle, ensure_ascii=False, indent=2)
+        json.dump(report, handle, ensure_ascii=False, indent=2)
         handle.write("\n")
     with open(text_path, "w", encoding="utf-8") as handle:
         handle.write(render_report_text(report) + "\n")

@@ -94,7 +94,6 @@ class StepKind(str, Enum):
 @dataclass(frozen=True)
 class ParsedStep:
     kind: StepKind
-    text: str
     query: Optional[AtomicQuery] = None
     final: Optional[Value] = None
 
@@ -111,25 +110,25 @@ def parse_step(line: str) -> ParsedStep:
     """
     stripped = line.rstrip("\r\n")
     if stripped == DESCRIBE_QUERY:
-        return ParsedStep(StepKind.QUERY, line, query=describe_query())
+        return ParsedStep(StepKind.QUERY, query=describe_query())
     if stripped == EXTRACT_ALL_QUERY:
-        return ParsedStep(StepKind.QUERY, line, query=group_query())
+        return ParsedStep(StepKind.QUERY, query=group_query())
     if stripped.startswith(EXTRACT_PREFIX) and stripped.endswith("."):
         payload = stripped[len(EXTRACT_PREFIX):-1]
         if payload:
             if BY_SEPARATOR in payload:
                 entity, _, by = payload.rpartition(BY_SEPARATOR)
                 if entity and by:
-                    return ParsedStep(StepKind.QUERY, line, query=point_query(entity, by))
-            return ParsedStep(StepKind.QUERY, line, query=group_query(payload))
+                    return ParsedStep(StepKind.QUERY, query=point_query(entity, by))
+            return ParsedStep(StepKind.QUERY, query=group_query(payload))
     if stripped.endswith(".") and _CONCLUSION_MARKER in stripped:
         tail = stripped[stripped.rfind(_CONCLUSION_MARKER) + len(_CONCLUSION_MARKER):]
         token = tail[:-1].strip()
         # A sentence boundary inside the tail means "answer is" was not part
         # of the terminal sentence.
         if token and ". " not in token:
-            return ParsedStep(StepKind.CONCLUSION, line, final=Value.from_raw(token))
-    return ParsedStep(StepKind.OTHER, line)
+            return ParsedStep(StepKind.CONCLUSION, final=Value.from_raw(token))
+    return ParsedStep(StepKind.OTHER)
 
 
 class AnswerKind(str, Enum):

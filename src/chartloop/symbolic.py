@@ -3,11 +3,13 @@
 Three jobs, kept deliberately separable so the closed loop is verifiable:
 
 * ``gen_questions`` instantiates template questions over a table,
-* ``compute_gold`` answers a plan from values it reads straight off the
-  table cells (never through the step protocol), and
+* ``compute_gold`` returns a plan's answer ``Value`` from cells it reads
+  straight off the table (never through the step protocol), and
 * ``decompose``/``deduce`` drive the live episode: pattern-match the question
   into atomic queries, then fold the reader's answers into a concluding
-  sentence ending "So the answer is X.".
+  sentence ending "So the answer is X.".  A point query without BY is sent
+  as the entity-only line, which may read as a row or column; ``deduce``
+  then takes the pair keyed by the query's entity, or else the only pair.
 
 Each question form is written once, in the ordered ``_TEMPLATES`` table: a
 surface string with slots (``{name}`` matches any text, ``{name:regex}``
@@ -91,12 +93,6 @@ class QuestionPlan:
     queries: tuple[AtomicQuery, ...]
     reduce: Reduce
     reduce_args: tuple[Value, ...] = ()
-
-
-@dataclass(frozen=True)
-class GoldComputation:
-    answer: Value
-    derivation: str  # the concluding sentence deduce gives for the same values
 
 
 def stable_seed(*parts: object) -> int:
@@ -287,11 +283,12 @@ def _gold_group(table: ChartTable, query: AtomicQuery) -> list[tuple[str, Value]
     raise UndefinedResult(f"cannot locate group {query.entity!r}")
 
 
-def compute_gold(table: ChartTable, plan: QuestionPlan) -> GoldComputation:
-    """Answer the plan by reading its cells straight off the table.
+def compute_gold(table: ChartTable, plan: QuestionPlan) -> Value:
+    """The plan's answer, from cells read straight off the table.
 
     Extraction never touches the query/answer strings, so it stays an
-    independent check on the episode's reader; the reduce is ``deduce``'s own.
+    independent check on the episode's reader; the reduce is ``deduce``'s own,
+    and its concluding sentence is dropped.
     """
     scalars: list[Value] = []
     groups: list[list[tuple[str, Value]]] = []
@@ -301,8 +298,7 @@ def compute_gold(table: ChartTable, plan: QuestionPlan) -> GoldComputation:
         elif query.op is QueryOp.EXTRACT_GROUP:
             groups.append(_gold_group(table, query))
     counts = (len(table.series), len(table.x_labels))
-    sentence, answer = _reduce(plan, scalars, groups[0] if groups else (), counts)
-    return GoldComputation(answer, sentence)
+    return _reduce(plan, scalars, groups[0] if groups else (), counts)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -314,21 +310,40 @@ def deduce(
 ) -> tuple[str, Optional[Value]]:
     """Fold the reader's answers into a concluding sentence and final value.
 
-    Any unavailable or misaligned answer produces the unknown conclusion (a
-    no-answer verdict downstream) rather than an exception.
+    A point query without BY reads as an entity-only line, which can answer
+    with a row or column; its value is then the pair keyed by the query's
+    entity, or else the only pair.  Any unavailable or misaligned answer
+    produces the unknown conclusion (a no-answer verdict downstream) rather
+    than an exception.
     """
     if len(reader_answers) != len(plan.queries) or any(
             a.kind is AnswerKind.UNAVAILABLE for a in reader_answers):
         return UNKNOWN_CONCLUSION, None
     description = next((a for a in reader_answers if a.kind is AnswerKind.DESCRIPTION), None)
-    scalars = [a.scalar for a in reader_answers if a.kind is AnswerKind.SCALAR and a.scalar]
-    groups = [a.pairs for a in reader_answers if a.kind is AnswerKind.GROUP]
     counts = None if description is None else (len(description.series),
                                                len(description.x_labels))
+    scalars: list[Value] = []
+    groups: list[tuple[tuple[str, Value], ...]] = []
     try:
+        for query, answer in zip(plan.queries, reader_answers):
+            if answer.kind is AnswerKind.SCALAR and answer.scalar:
+                scalars.append(answer.scalar)
+            elif answer.kind is AnswerKind.GROUP and query.op is QueryOp.EXTRACT_POINT \
+                    and query.by is None:
+                scalars.append(_keyed_value(query.entity or "", answer.pairs))
+            elif answer.kind is AnswerKind.GROUP:
+                groups.append(answer.pairs)
         return _reduce(plan, scalars, groups[0] if groups else (), counts)
     except (IndexError, UndefinedResult):
         return UNKNOWN_CONCLUSION, None
+
+
+def _keyed_value(entity: str, pairs: Sequence[tuple[str, Value]]) -> Value:
+    """The value of the pair ``closest_name`` picks for ``entity``, else of the only pair."""
+    match = closest_name(entity, [key for key, _ in pairs])
+    if match is None and len(pairs) != 1:
+        raise UndefinedResult(f"no pair for {entity!r}")
+    return pairs[match[0] if match else 0][1]
 
 
 # ---------------------------------------------------------------------------
@@ -652,7 +667,7 @@ def gen_questions(
         plan = template.plan(slots, describe_first)
         gold = compute_gold(table, plan)
         question = template.form.format(**slots)
-        out.append((QAInstance(question, gold.answer, table.source_id, template_type), plan))
+        out.append((QAInstance(question, gold, table.source_id, template_type), plan))
     return out
 
 
@@ -710,12 +725,8 @@ class SymbolicReasoner:
         series = list(description.series_names)
         pool = series + list(description.x_labels)
         if query.op is QueryOp.EXTRACT_POINT:
-            by = _align_entity(query.by, pool)
-            if by is None and len(series) > 1 and len(description.x_labels) == 1:
-                # The entity-only line reads as a whole row here; name the
-                # only x-label so the line reads as the one cell.
-                by = description.x_labels[0]
-            return point_query(_align_entity(query.entity, pool) or "", by)
+            entity = _align_entity(query.entity, pool) or ""
+            return point_query(entity, _align_entity(query.by, pool))
         if query.entity is None:
             # Name the only series explicitly, as the annotated traces do.
             if len(series) == 1:

@@ -217,10 +217,10 @@ def test_datagen_formula(small_corpus_path):
         for t in corpus.charts
     )
     ok = (
-        manifest_a.n_charts == len(corpus.charts)
-        and manifest_a.n_describe == len(corpus.charts)
-        and manifest_a.n_point == expected_points
-        and manifest_a.n_group == expected_groups
+        manifest_a["n_charts"] == len(corpus.charts)
+        and manifest_a["n_describe"] == len(corpus.charts)
+        and manifest_a["n_point"] == expected_points
+        and manifest_a["n_group"] == expected_groups
         and manifest_a == manifest_b
         and pairs_a == pairs_b
     )

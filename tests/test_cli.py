@@ -35,6 +35,8 @@ def test_datagen_counts_and_determinism(small_corpus_path, tmp_path, capsys):
                     "--seed", 5]) == 0
     assert (out1 / "system1.jsonl").read_bytes() == (out2 / "system1.jsonl").read_bytes()
     assert (out1 / "manifest.json").read_bytes() == (out2 / "manifest.json").read_bytes()
+    assert hashlib.sha256((out1 / "manifest.json").read_bytes()).hexdigest() == \
+        "bca8c82a4f7c92b9fa9ef55262b9f81f9578e3503c8a20277136442145cc7071"
     config = json.loads((out1 / "run_config.json").read_text())
     assert config["command"] == "datagen"
     assert config["seed"] == 5
@@ -291,8 +293,13 @@ def test_eval_records_bytes_are_pinned(tmp_path, sc):
     out = tmp_path / "eval"
     assert run_cli(["eval", "--synthetic", 20, "--per-template", 2, "--seed", 0, "--sc", sc,
                     "--out-dir", out]) == 0
-    digest = hashlib.sha256((out / "records.jsonl").read_bytes()).hexdigest()
-    assert digest == "0c3540dad9a16ad33b8e961d4c4442f1be89ea65b36bd4bfad2ea8a37bc061f4"
+    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+               for name in ("records.jsonl", "report.json", "report.txt")}
+    assert digests == {
+        "records.jsonl": "0c3540dad9a16ad33b8e961d4c4442f1be89ea65b36bd4bfad2ea8a37bc061f4",
+        "report.json": "21afc29ae036cc6428b4db6092936a4c41c1cc6c905496dde62f1e23c1a5065d",
+        "report.txt": "13537a154557f8c301b3c37e76b96519ac72acd949253e5b4283bf0401646286",
+    }
 
 
 def test_report_from_records(small_corpus_path, tmp_path, capsys):

@@ -8,9 +8,10 @@ from chartloop.controller import (
     run_self_consistency,
 )
 from chartloop.oracle import TableOracle
+from chartloop.prompts import PromptConfigError, PromptStyle
 from chartloop.protocol import QueryOp, StepKind, parse_step
 from chartloop.symbolic import SymbolicReasoner, compute_gold, decompose, gen_questions
-from chartloop.tables import StepRole, TemplateType, Termination, Value
+from chartloop.tables import ChartTable, StepRole, TemplateType, Termination, Value
 
 
 class RecordingReader:
@@ -226,6 +227,13 @@ def test_config_validation():
         SelfConsistencyConfig(n_samples=0)
 
 
+def test_deplot_episode_without_table_raises(costa_rica):
+    config = EpisodeConfig(prompt_style=PromptStyle.DEPLOT_1SHOT)
+    with pytest.raises(PromptConfigError):
+        run_episode("What is the value of Costa Rica in 2010?", costa_rica.source_id,
+                    SymbolicReasoner(), TableOracle([costa_rica]), config)
+
+
 def test_closed_loop_matches_gold_small(costa_rica):
     oracle = TableOracle([costa_rica])
     for template in TemplateType:
@@ -242,4 +250,26 @@ def test_point_on_a_single_column_chart_concludes_gold(norway_chile):
     trace = run_episode(question, norway_chile.source_id, SymbolicReasoner(),
                         TableOracle([norway_chile]))
     gold = compute_gold(norway_chile, decompose(question))
-    assert trace.final == gold.answer == Value.from_raw("7.25")
+    assert trace.final == gold == Value.from_raw("7.25")
+
+
+_TOTAL = ChartTable.build("total", [("Total", None)], ["Total", "Other"], [["5", "7"]])
+_SALES = ChartTable.build("sales", [("Sales", None)], ["2020"], [["42"]])
+
+
+@pytest.mark.parametrize("table, question, describe_first, gold", [
+    ("norway_chile", "What is the value of Chile?", False, "7.25"),
+    (_TOTAL, "What is the value of Total?", True, "5"),
+    (_SALES, "What is the value of Sales?", True, "42"),
+    (_SALES, "What is the value of Sales?", False, "42"),
+])
+def test_point_line_read_as_a_row_concludes_gold(request, table, question, describe_first,
+                                                 gold):
+    """The entity-only line reads as a row or column here; the episode takes
+    the entity's pair, or the only pair, and concludes the gold answer."""
+    if isinstance(table, str):
+        table = request.getfixturevalue(table)
+    trace = run_episode(question, table.source_id, SymbolicReasoner(describe_first),
+                        TableOracle([table]))
+    plan = decompose(question, describe_first=describe_first)
+    assert trace.final == compute_gold(table, plan) == Value.from_raw(gold)

@@ -254,11 +254,11 @@ def test_sample_eval_set_is_roughly_uniform():
 def test_generate_counts_formula(small_corpus_path):
     corpus = load_corpus(small_corpus_path)
     pairs, manifest = generate_system1_corpus(corpus.charts, seed=3)
-    assert manifest.n_charts == 2
-    assert manifest.n_describe == 2
-    assert manifest.n_point == 10   # 2x3 cells + 1x4 cells
-    assert manifest.n_group == 6    # (2 series + 3 x-labels) + 1 single-series group
-    assert manifest.seed == 3
+    assert manifest["n_charts"] == 2
+    assert manifest["n_describe"] == 2
+    assert manifest["n_point"] == 10   # 2x3 cells + 1x4 cells
+    assert manifest["n_group"] == 6    # (2 series + 3 x-labels) + 1 single-series group
+    assert manifest["seed"] == 3
     assert len(pairs) == 2 + 10 + 6
 
 
@@ -269,10 +269,10 @@ def test_generated_counts_on_random_charts():
     expected_groups = sum(
         (len(t.series) + len(t.x_labels)) if len(t.series) > 1 else 1 for t in charts
     )
-    assert manifest.n_describe == len(charts)
-    assert manifest.n_point == expected_points
-    assert manifest.n_group == expected_groups
-    assert len(pairs) == manifest.n_describe + manifest.n_point + manifest.n_group
+    assert manifest["n_describe"] == len(charts)
+    assert manifest["n_point"] == expected_points
+    assert manifest["n_group"] == expected_groups
+    assert len(pairs) == manifest["n_describe"] + manifest["n_point"] + manifest["n_group"]
 
 
 def test_pairs_reverify_against_oracle(line_charts):

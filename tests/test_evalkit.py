@@ -112,16 +112,16 @@ def test_make_record_flags():
 def test_evaluate_run_overall_accuracy():
     records = [_record(True)] * 9 + [_record(False)]
     report = evaluate_run(records, [0, 10, 20, 40])
-    assert report.n == 10
-    assert report.overall_accuracy == pytest.approx(0.9)
+    assert report["n"] == 10
+    assert report["overall_accuracy"] == pytest.approx(0.9)
 
 
 def test_evaluate_run_single_template_errors():
     records = [_record(True, TemplateType.MIN_MAX), _record(False, TemplateType.MIN_MAX)]
     report = evaluate_run(records)
-    stats = report.by_template[TemplateType.MIN_MAX]
-    assert stats.count == 2
-    assert stats.errors == 1
+    stats = report["by_template"][TemplateType.MIN_MAX.value]
+    assert stats["count"] == 2
+    assert stats["errors"] == 1
 
 
 def test_bucket_ratios_sum_to_one():
@@ -130,8 +130,8 @@ def test_bucket_ratios_sum_to_one():
         _record(rng.random() < 0.7, length=rng.randrange(1, 120)) for _ in range(200)
     ]
     report = evaluate_run(records, [0, 10, 20, 40])
-    assert sum(b.ratio for b in report.by_length_bucket) == pytest.approx(1.0, abs=1e-9)
-    assert len(report.by_length_bucket) == 4
+    assert sum(b["ratio"] for b in report["by_length_bucket"]) == pytest.approx(1.0, abs=1e-9)
+    assert len(report["by_length_bucket"]) == 4
 
 
 def test_report_matches_recount():
@@ -143,13 +143,13 @@ def test_report_matches_recount():
         for _ in range(300)
     ]
     report = evaluate_run(records, [0, 20, 40])
-    assert report.overall_accuracy == pytest.approx(
+    assert report["overall_accuracy"] == pytest.approx(
         sum(r.correct for r in records) / len(records)
     )
-    for template, stats in report.by_template.items():
-        subset = [r for r in records if r.qa.template_type == template]
-        assert stats.count == len(subset)
-        assert stats.errors == sum(not r.correct for r in subset)
+    for template, stats in report["by_template"].items():
+        subset = [r for r in records if r.qa.template_type.value == template]
+        assert stats["count"] == len(subset)
+        assert stats["errors"] == sum(not r.correct for r in subset)
 
 
 def test_records_jsonl_round_trip(tmp_path):

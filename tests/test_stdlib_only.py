@@ -1,9 +1,12 @@
 """The package has no runtime dependencies: every absolute import in it names
-a standard-library module or ``chartloop`` itself."""
+a standard-library module or ``chartloop`` itself.  Every name it exports
+resolves."""
 
 import ast
 import sys
 from pathlib import Path
+
+import chartloop
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "chartloop"
 
@@ -23,3 +26,8 @@ def test_package_imports_only_the_standard_library():
             foreign += [f"{path.name}: {m}" for m in modules
                         if m.split(".")[0] not in sys.stdlib_module_names | {"chartloop"}]
     assert foreign == []
+
+
+def test_every_exported_name_resolves():
+    missing = [name for name in chartloop.__all__ if not hasattr(chartloop, name)]
+    assert chartloop.__all__ and missing == []
