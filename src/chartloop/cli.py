@@ -8,9 +8,12 @@ files, when every episode of every question ended in a backend error.
 ``run`` and ``eval`` answer each question the same way: ``--sc N`` episodes
 (one by default) majority-voted by normalized answer, the vote returning the
 winning answer as the model wrote it.  The temperature is ``--temperature``
-if given, else 0.4 with ``--sc`` above 1 and 0.0 otherwise.  Both write
-every episode to ``traces.jsonl`` (one line per question, in input order, in
-``datagen``'s trace format), which ``export-ft --traces`` reads.
+if given, else 0.4 with ``--sc`` above 1 and 0.0 otherwise.  Flags choose
+the backends they configure: ``--reasoner-url`` an HTTP reasoner, ``--script``
+a replay, neither the symbolic reasoner; ``--reader-url`` an HTTP reader,
+else the table oracle.  A flag for a backend not in use is a usage error.
+Both write every episode to ``traces.jsonl`` (one line per question, in input
+order, in ``datagen``'s trace format), which ``export-ft --traces`` reads.
 
 Each subcommand takes only the flags it reads, and each flag's argparse
 default is its only default; ``--config`` JSON replaces those defaults and
@@ -38,6 +41,7 @@ from typing import Callable, NoReturn, Optional, Sequence
 from .backends import BackendError, HttpReader, HttpReasoner, ScriptedReasoner
 from .controller import EpisodeConfig, SelfConsistencyConfig, run_self_consistency
 from .datagen import (
+    CORPUS_LAYOUTS,
     Corpus,
     CorpusError,
     examples_from_traces,
@@ -78,7 +82,6 @@ _PROMPT_STYLES = {
     "deplot5": PromptStyle.DEPLOT_5SHOT,
 }
 
-_FORMATS = ["internal_json", "chartqa_like", "plotqa_like"]
 _DEFAULT_BUCKETS = ",".join(str(e) for e in DEFAULT_BUCKET_EDGES)
 # Lowest accepted value of each numeric flag; main checks them after the --config merge.
 _MINIMUMS = {"sc": 1, "max_steps": 1, "per_template": 1, "workers": 1, "sample": 0,
@@ -178,41 +181,43 @@ def _load_corpus(cfg: dict) -> Optional[Corpus]:
 
 
 def _reasoner_factory(cfg: dict, backends: ExitStack) -> Callable[[], object]:
-    backend = cfg["backend"]
-    if cfg["no_describe"] and backend != "symbolic":
-        raise UsageError("--no-describe needs --backend symbolic")
-    if backend == "symbolic":
-        reasoner = SymbolicReasoner(describe_first=not cfg["no_describe"])
-        return lambda: reasoner
-    if backend == "http":
-        if not cfg["reasoner_url"]:
-            raise UsageError("--reasoner-url is required with --backend http")
-        reasoner = HttpReasoner(cfg["reasoner_url"], model=cfg["model"], api_key=cfg["api_key"])
+    url, script = cfg["reasoner_url"], cfg["script"]
+    if url is not None and script is not None:
+        raise UsageError("--reasoner-url and --script cannot be combined")
+    if cfg["model"] is not None and url is None:
+        raise UsageError("--model needs --reasoner-url")
+    if cfg["api_key"] is not None and url is None and cfg["reader_url"] is None:
+        raise UsageError("--api-key needs --reasoner-url or --reader-url")
+    if cfg["no_describe"] and (url is not None or script is not None):
+        raise UsageError("--no-describe cannot be combined with --reasoner-url or --script")
+    if url is not None:
+        reasoner = HttpReasoner(url, model=cfg["model"], api_key=cfg["api_key"])
         backends.callback(reasoner.close)
         return lambda: reasoner
-    if not cfg["script"]:
-        raise UsageError("--script is required with --backend scripted")
+    if script is None:
+        reasoner = SymbolicReasoner(describe_first=not cfg["no_describe"])
+        return lambda: reasoner
     if cfg["sc"] > 1:
         # A replay script is one deterministic episode: there is nothing to vote over.
-        raise UsageError("--backend scripted cannot be combined with --sc above 1")
-    lines = _read_json(cfg["script"], "script")
+        raise UsageError("--script cannot be combined with --sc above 1")
+    lines = _read_json(script, "script")
     try:
         ScriptedReasoner(lines)  # checked once, before any episode or output
     except ValueError as exc:
-        raise UsageError(f"script {cfg['script']}: {exc}") from None
+        raise UsageError(f"script {script}: {exc}") from None
     return lambda: ScriptedReasoner(lines)
 
 
-def _answerer(cfg: dict, charts: dict[str, ChartTable],
-              backends: ExitStack) -> Callable[[str, str], tuple]:
+def _answerer(cfg: dict, charts: dict[str, ChartTable]) -> tuple[Callable, ExitStack]:
     """Build the one answer path of ``run`` and ``eval``: ``--sc`` episodes,
     majority-voted (one episode at ``--sc 1``).  Settles ``cfg["temperature"]``:
     0.4 when voting over several samples and 0.0 otherwise, unless given.
-    HTTP clients are closed when ``backends`` is."""
+    Closing the returned stack closes the HTTP clients."""
+    backends = ExitStack()
     make_reasoner = _reasoner_factory(cfg, backends)
     if cfg["temperature"] is None:
         cfg["temperature"] = 0.4 if cfg["sc"] > 1 else 0.0
-    if cfg["reader_url"]:
+    if cfg["reader_url"] is not None:
         reader = HttpReader(cfg["reader_url"], api_key=cfg["api_key"])
         backends.callback(reader.close)
     elif charts:
@@ -224,15 +229,12 @@ def _answerer(cfg: dict, charts: dict[str, ChartTable],
     sc = SelfConsistencyConfig(n_samples=cfg["sc"], temperature=cfg["temperature"])
 
     def answer(question: str, chart: str) -> tuple[Optional[Value], list[ReasoningTrace]]:
-        context = None
-        if config.prompt_style is not PromptStyle.STEPWISE_5SHOT:
-            context = charts.get(chart)
-            if context is None:
-                raise ChartNotFound(chart)
+        # run checks the chart before it answers; eval loads every chart it asks about.
+        context = None if config.prompt_style is PromptStyle.STEPWISE_5SHOT else charts[chart]
         return run_self_consistency(question, chart, make_reasoner(), reader, config, sc,
                                     context_table=context)
 
-    return answer
+    return answer, backends
 
 
 def _all_backend_errors(traces: Sequence[ReasoningTrace]) -> bool:
@@ -261,13 +263,12 @@ def cmd_run(cfg: dict) -> int:
     _require(cfg, "question", "chart")
     corpus = _load_corpus(cfg)
     charts = corpus.chart_index() if corpus else {}
-    backends = ExitStack()
-    answer = _answerer(cfg, charts, backends)
+    answer, backends = _answerer(cfg, charts)
     question, chart = cfg["question"], cfg["chart"]
     # The table reader and the DePlot styles read the chart from the corpus;
     # only a reader server prompted stepwise owns the chart ids.
     stepwise = _PROMPT_STYLES[cfg["prompt_style"]] is PromptStyle.STEPWISE_5SHOT
-    if chart not in charts and not (cfg["reader_url"] and stepwise):
+    if chart not in charts and not (cfg["reader_url"] is not None and stepwise):
         raise ChartNotFound(chart)
     out_dir = Path(cfg["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -306,8 +307,8 @@ def _synthetic_eval_set(cfg: dict) -> tuple[list[ChartTable], list[QAInstance]]:
 
 def cmd_eval(cfg: dict) -> int:
     # Threads only overlap waits on a server; in-process backends hold the GIL.
-    if cfg["workers"] > 1 and cfg["backend"] != "http" and not cfg["reader_url"]:
-        raise UsageError("--workers above 1 needs --backend http or --reader-url")
+    if cfg["workers"] > 1 and cfg["reasoner_url"] is None and cfg["reader_url"] is None:
+        raise UsageError("--workers above 1 needs --reasoner-url or --reader-url")
     edges = _parse_buckets(cfg["buckets"])
     corpus = _load_corpus(cfg)
     charts = corpus.chart_index() if corpus else {}
@@ -323,9 +324,7 @@ def cmd_eval(cfg: dict) -> int:
     if not instances:
         print("no QA instances to evaluate", file=sys.stderr)
         return EXIT_EMPTY
-    backends = ExitStack()
-    answer = _answerer(cfg, charts, backends)
-    chart_lengths = {chart_id: underlying_length(t) for chart_id, t in charts.items()}
+    answer, backends = _answerer(cfg, charts)
     out_dir = Path(cfg["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_run_config(cfg, out_dir, "eval")
@@ -333,7 +332,8 @@ def cmd_eval(cfg: dict) -> int:
     def score(item: tuple[int, QAInstance]):
         index, qa = item
         final, traces = answer(qa.question, qa.chart_id)
-        return make_record(qa, final, chart_lengths.get(qa.chart_id, 0), f"episode-{index}"), traces
+        length = underlying_length(charts[qa.chart_id])
+        return make_record(qa, final, length, f"episode-{index}"), traces
 
     records, every_episode_failed = [], True
     with backends, ThreadPoolExecutor(max_workers=cfg["workers"]) as pool, \
@@ -414,18 +414,18 @@ def _output_flags(p: argparse.ArgumentParser) -> None:
 
 def _corpus_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--corpus", default=None)
-    p.add_argument("--format", choices=_FORMATS, default="internal_json")
+    p.add_argument("--format", choices=list(CORPUS_LAYOUTS), default="internal_json")
 
 
 def _episode_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--backend", choices=["symbolic", "http", "scripted"], default="symbolic",
-                   help="reasoner backend")
-    p.add_argument("--reasoner-url", dest="reasoner_url", default=None)
-    p.add_argument("--reader-url", dest="reader_url", default=None)
-    p.add_argument("--model", default=None, help="model name for HTTP backends")
+    p.add_argument("--reasoner-url", dest="reasoner_url", default=None,
+                   help="HTTP reasoner (default: the symbolic reasoner)")
+    p.add_argument("--reader-url", dest="reader_url", default=None,
+                   help="HTTP reader (default: the table oracle)")
+    p.add_argument("--model", default=None, help="model name for the HTTP reasoner")
     p.add_argument("--api-key", dest="api_key", default=None,
-                   help="bearer token for HTTP backends")
-    p.add_argument("--script", default=None, help="scripted reasoner JSON file")
+                   help="bearer token for the HTTP backends")
+    p.add_argument("--script", default=None, help="replay this JSON list of reasoner lines")
     p.add_argument("--sc", type=int, default=1, help="self-consistency sample count")
     p.add_argument("--temperature", type=float, default=None,
                    help="sampling temperature (default 0.4 with --sc above 1, else 0.0)")

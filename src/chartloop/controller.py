@@ -4,7 +4,7 @@ One episode grows a single text sequence.  It starts as the prompt style's
 shipped prefix (plus the linearized table for the DePlot styles) and the
 question stub; the reasoner completes up to the end-of-line stop, the
 completed line is classified, atomic queries are dispatched to the reader,
-and the reader's sentence is spliced back verbatim before generation resumes.
+and the first line of the reader's answer is spliced back before resuming.
 A hard cap on protocol-line decisions bounds the loop regardless of backend
 behavior.  Self-consistency runs several episodes at a sampling temperature
 and majority-votes their finals by normalized form.
@@ -29,8 +29,8 @@ from .tables import (
     validate_trace,
 )
 
-# The reasoner's line ends at the first newline; a backend that ignores the
-# stop request is cut there on the client side.
+# A protocol line ends at the first newline: a reasoner that ignores the stop
+# request, or a reader that answers in several lines, is cut there.
 STOP_MARKER = "\n"
 MAX_TOKENS_PER_SEGMENT = 256
 
@@ -66,12 +66,12 @@ def run_episode(
 ) -> ReasoningTrace:
     """Drive one reasoning episode to a conclusion or a step cap.
 
-    The reader is invoked exactly once per query line and its answer is
-    spliced back verbatim.  Unparseable (empty) continuations terminate as
-    parse_error; transport failures terminate as backend_error with the
-    partial trace; the trace validator runs before returning.  A context
-    table the prompt style does not take, or a missing one it needs, raises
-    ``PromptConfigError``.
+    The reader is invoked exactly once per query line and its answer, up to
+    its first newline, is spliced back as one line.  Unparseable (empty)
+    continuations terminate as parse_error; transport failures terminate as
+    backend_error with the partial trace; the trace validator runs before
+    returning.  A context table the prompt style does not take, or a missing
+    one it needs, raises ``PromptConfigError``.
     """
     context = None if context_table is None else linearize_table(context_table)
     sequence = build_prompt(config.prompt_style, question, context)
@@ -104,7 +104,7 @@ def run_episode(
         if parsed.kind is StepKind.QUERY:
             steps.append(Step(StepRole.REASONER_QUERY, line))
             try:
-                answer = reader.read(chart_ref, line)
+                answer = reader.read(chart_ref, line).partition(STOP_MARKER)[0].rstrip("\r")
             except BackendError:
                 return finish(None, Termination.BACKEND_ERROR)
             steps.append(Step(StepRole.READER_ANSWER, answer))

@@ -138,7 +138,7 @@ def _plotqa_like(path: Path) -> tuple[Iterable[Row], Iterable[Row]]:
         _array_rows(f"{path}#qa", payload.get("qa", []))
 
 
-_LAYOUTS = {
+CORPUS_LAYOUTS = {
     "internal_json": _internal_json,
     "chartqa_like": _chartqa_like,
     "plotqa_like": _plotqa_like,
@@ -176,7 +176,7 @@ def load_corpus(path: str | Path, format: str = "internal_json") -> Corpus:
     in ``issues`` as ``where: reason``; a missing path, an unreadable or
     misshapen file, or a corpus without a valid chart raises ``CorpusError``.
     """
-    if format not in _LAYOUTS:
+    if format not in CORPUS_LAYOUTS:
         raise CorpusError(f"unknown corpus format {format!r}")
     location = Path(path)
     if not location.exists():
@@ -198,7 +198,7 @@ def load_corpus(path: str | Path, format: str = "internal_json") -> Corpus:
         entries[qa.chart_id][1].append(qa)
 
     try:
-        for rows, add in zip(_LAYOUTS[format](location), (add_chart, add_qa)):
+        for rows, add in zip(CORPUS_LAYOUTS[format](location), (add_chart, add_qa)):
             _add_rows(rows, add, issues)
     except (OSError, ValueError, RecursionError) as exc:
         # Reading a whole file failed, not decoding one of its rows.

@@ -751,5 +751,5 @@ def _lines_after_answer_marker(prompt: str) -> list[str]:
     marker = prompt.rfind("\nA: ")
     if marker < 0:
         return []
-    text = prompt[marker + 4:]
-    return [line for line in text.split("\n") if line]
+    # Every spliced line, an empty reader answer too, ends in "\n".
+    return prompt[marker + 4:].split("\n")[:-1]

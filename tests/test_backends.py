@@ -243,9 +243,8 @@ def test_eval_over_http_is_the_same_at_any_worker_count(keepalive_stub, tmp_path
     expected = (tmp_path / "symbolic" / "records.jsonl").read_bytes()
     for workers in ("1", "2"):
         out = tmp_path / f"workers{workers}"
-        assert main([*common, "--backend", "http", "--reasoner-url", f"{url}/complete",
-                     "--reader-url", f"{url}/read", "--workers", workers,
-                     "--out-dir", str(out)]) == 0
+        assert main([*common, "--reasoner-url", f"{url}/complete", "--reader-url", f"{url}/read",
+                     "--workers", workers, "--out-dir", str(out)]) == 0
         assert (out / "records.jsonl").read_bytes() == expected
 
 
@@ -255,6 +254,27 @@ def test_run_leaves_chart_ids_to_a_stepwise_reader_server(http_stub, tmp_path, c
                  "--chart", "pupil-teacher", "--reader-url", f"{url}/read",
                  "--out-dir", str(tmp_path / "run")]) == 0
     assert "Final answer: 4" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("flags, final, completions", [
+    pytest.param(["--reasoner-url", "{url}/complete-openai"], "41", 1, id="reasoner-url"),
+    pytest.param(["--script", "{script}"], "99", 0, id="script"),
+    pytest.param([], "7.0", 0, id="symbolic"),
+])
+def test_reasoner_is_chosen_by_the_flags_that_configure_it(http_stub, small_corpus_path,
+                                                           tmp_path, capsys, flags, final,
+                                                           completions):
+    """--reasoner-url asks the server, --script replays the file, and neither
+    runs the symbolic reasoner; the table oracle reads in every case."""
+    url, state = http_stub
+    script = tmp_path / "script.json"
+    script.write_text(json.dumps(["So the answer is 99."]), encoding="utf-8")
+    flags = [flag.format(url=url, script=script) for flag in flags]
+    assert main(["run", "--question", "What is the value of Q3?", "--chart", "solo-chart",
+                 "--corpus", str(small_corpus_path), *flags,
+                 "--out-dir", str(tmp_path / "run")]) == 0
+    assert f"Final answer: {final}" in capsys.readouterr().out
+    assert len(state["requests"]) == completions
 
 
 def test_unreachable_backend_is_backend_error():
@@ -318,7 +338,7 @@ def test_run_with_malformed_response_exits_3(http_stub, small_corpus_path, tmp_p
     url, state = http_stub
     state["malformed"] = body
     code = main(["run", "--question", "What is the value of Q3?", "--chart", "solo-chart",
-                 "--corpus", str(small_corpus_path), "--backend", "http",
-                 "--reasoner-url", f"{url}/malformed", "--out-dir", str(tmp_path / "run")])
+                 "--corpus", str(small_corpus_path), "--reasoner-url", f"{url}/malformed",
+                 "--out-dir", str(tmp_path / "run")])
     assert code == 3
     assert "Traceback" not in capsys.readouterr().err

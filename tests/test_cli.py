@@ -1,6 +1,8 @@
 import hashlib
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -8,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import chartloop
-from chartloop.cli import main
+from chartloop.cli import build_parser, main
 from chartloop.datagen import example_from_trace, load_corpus
 from chartloop.tables import ReasoningTrace
 
@@ -58,7 +60,7 @@ def test_run_scripted_replay(small_corpus_path, tmp_path, capsys):
     out = tmp_path / "run"
     code = run_cli(["run", "--question", "What is the value of Alpha in 2002?",
                     "--chart", "pair-chart", "--corpus", small_corpus_path,
-                    "--backend", "scripted", "--script", script, "--out-dir", out])
+                    "--script", script, "--out-dir", out])
     assert code == 0
     printed = capsys.readouterr().out
     assert "So the answer is 11.0." in printed
@@ -89,8 +91,7 @@ def test_run_scripted_difference_replay(tmp_path, capsys):
     code = run_cli(["run", "--question",
                     "What is the difference between Macy's and Bloomingdale's in 2019?",
                     "--chart", "store-revenue", "--corpus", charts,
-                    "--backend", "scripted", "--script", script,
-                    "--out-dir", tmp_path / "run"])
+                    "--script", script, "--out-dir", tmp_path / "run"])
     assert code == 0
     printed = capsys.readouterr().out
     assert "So the answer is 558." in printed
@@ -113,8 +114,7 @@ def test_run_self_consistency_votes(small_corpus_path, tmp_path, capsys):
 def test_run_symbolic_closed_loop(small_corpus_path, tmp_path, capsys):
     out = tmp_path / "run"
     code = run_cli(["run", "--question", "What is the value of Q3?",
-                    "--chart", "solo-chart", "--corpus", small_corpus_path,
-                    "--backend", "symbolic", "--out-dir", out])
+                    "--chart", "solo-chart", "--corpus", small_corpus_path, "--out-dir", out])
     assert code == 0
     assert "Final answer: 7.0" in capsys.readouterr().out
 
@@ -136,16 +136,14 @@ def test_run_backend_unreachable_exits_3(small_corpus_path, tmp_path):
     out = tmp_path / "run"
     code = run_cli(["run", "--question", "What is the value of Q3?",
                     "--chart", "solo-chart", "--corpus", small_corpus_path,
-                    "--backend", "http", "--reasoner-url",
-                    "http://127.0.0.1:9/complete", "--out-dir", out])
+                    "--reasoner-url", "http://127.0.0.1:9/complete", "--out-dir", out])
     assert code == 3
 
 
 def test_http_model_and_key_recorded(small_corpus_path, tmp_path):
     out = tmp_path / "run"
     code = run_cli(["run", "--question", "q", "--chart", "solo-chart",
-                    "--corpus", small_corpus_path, "--backend", "http",
-                    "--reasoner-url", "http://127.0.0.1:9/complete",
+                    "--corpus", small_corpus_path, "--reasoner-url", "http://127.0.0.1:9/complete",
                     "--model", "local-7b", "--api-key", "tok",
                     "--out-dir", out])
     assert code == 3  # backend is unreachable, but the flags must be accepted
@@ -154,11 +152,34 @@ def test_http_model_and_key_recorded(small_corpus_path, tmp_path):
     assert config["api_key"] == "tok"
 
 
-def test_run_http_without_url_exits_2(small_corpus_path, tmp_path):
+def test_run_reasoner_url_with_script_exits_2(small_corpus_path, tmp_path, capsys):
     code = run_cli(["run", "--question", "q", "--chart", "solo-chart",
-                    "--corpus", small_corpus_path, "--backend", "http",
-                    "--out-dir", tmp_path / "run"])
+                    "--corpus", small_corpus_path, "--reasoner-url", "http://127.0.0.1:9/complete",
+                    "--script", "unused.json", "--out-dir", tmp_path / "run"])
     assert code == 2
+    err = capsys.readouterr().err
+    assert err == "error: --reasoner-url and --script cannot be combined\n"
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--model", "m"], "--model needs --reasoner-url"),
+    (["--api-key", "k"], "--api-key needs --reasoner-url or --reader-url"),
+])
+def test_flag_for_a_backend_not_in_use_exits_2(tmp_path, capsys, flags, message):
+    out = tmp_path / "eval"
+    assert run_cli(["eval", "--synthetic", 3, *flags, "--out-dir", out]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_eval_with_reasoner_url_alone_runs_the_http_reasoner(tmp_path):
+    out = tmp_path / "eval"
+    assert run_cli(["eval", "--synthetic", 3, "--reasoner-url", "http://127.0.0.1:9/complete",
+                    "--out-dir", out]) == 3
+    report = json.loads((out / "report.json").read_text())
+    assert report["overall_accuracy"] == 0.0
+    assert "backend" not in json.loads((out / "run_config.json").read_text())
 
 
 def test_eval_corpus_closed_loop(small_corpus_path, tmp_path, capsys):
@@ -353,15 +374,15 @@ def test_run_scripted_with_self_consistency_exits_2(small_corpus_path, tmp_path)
                       encoding="utf-8")
     code = run_cli(["run", "--question", "What is the value of Q3?",
                     "--chart", "solo-chart", "--corpus", small_corpus_path,
-                    "--backend", "scripted", "--script", script, "--sc", 3,
+                    "--script", script, "--sc", 3,
                     "--out-dir", tmp_path / "run"])
     assert code == 2
     assert not (tmp_path / "run" / "run_config.json").exists()
 
 
 @pytest.mark.parametrize("backend_flags", [
-    ["--backend", "http", "--reasoner-url", "http://127.0.0.1:9/complete"],
-    ["--backend", "scripted", "--script", "unused.json"],
+    ["--reasoner-url", "http://127.0.0.1:9/complete"],
+    ["--script", "unused.json"],
 ])
 def test_no_describe_needs_symbolic_backend(small_corpus_path, tmp_path, backend_flags):
     code = run_cli(["run", "--question", "What is the value of Q3?",
@@ -451,7 +472,7 @@ def test_commands_reject_flags_they_do_not_read(argv):
 
 @pytest.mark.parametrize("sc", [1, 3])
 def test_dead_backend_exits_3(small_corpus_path, tmp_path, sc):
-    dead = ["--backend", "http", "--reasoner-url", "http://127.0.0.1:9/complete", "--sc", sc]
+    dead = ["--reasoner-url", "http://127.0.0.1:9/complete", "--sc", sc]
     assert run_cli(["run", "--question", "What is the value of Q3?", "--chart", "solo-chart",
                     "--corpus", small_corpus_path, *dead, "--out-dir", tmp_path / "run"]) == 3
     out = tmp_path / "eval"
@@ -465,7 +486,7 @@ def test_run_without_final_exits_4(small_corpus_path, tmp_path):
     script.write_text(json.dumps(["Let's describe the figure.", ""]), encoding="utf-8")
     code = run_cli(["run", "--question", "What is the value of Q3?",
                     "--chart", "solo-chart", "--corpus", small_corpus_path,
-                    "--backend", "scripted", "--script", script, "--out-dir", tmp_path / "run"])
+                    "--script", script, "--out-dir", tmp_path / "run"])
     assert code == 4
 
 
@@ -548,7 +569,7 @@ def test_bad_script_exits_2_before_run_config(small_corpus_path, tmp_path, capsy
         script.write_text(content, encoding="utf-8")
     out = tmp_path / "run"
     code = run_cli(["run", "--question", "What is the value of Q3?", "--chart", "solo-chart",
-                    "--corpus", small_corpus_path, "--backend", "scripted", "--script", script,
+                    "--corpus", small_corpus_path, "--script", script,
                     "--out-dir", out])
     assert code == 2
     err = capsys.readouterr().err
@@ -582,8 +603,8 @@ def test_scripted_eval_replays_the_script_for_each_question(small_corpus_path, t
     script.write_text(json.dumps({"0": "The value is 7.0. So the answer is 7.0."}),
                       encoding="utf-8")
     out = tmp_path / "eval"
-    assert run_cli(["eval", "--corpus", small_corpus_path, "--backend", "scripted",
-                    "--script", script, "--out-dir", out]) == 0
+    assert run_cli(["eval", "--corpus", small_corpus_path, "--script", script,
+                    "--out-dir", out]) == 0
     lines = (out / "records.jsonl").read_text().splitlines()
     assert [json.loads(line)["prediction"] for line in lines] == ["7.0", "7.0"]
 
@@ -619,11 +640,10 @@ def test_recorded_config_alone_reruns_a_command(small_corpus_path, tmp_path, com
     ["eval", "--synthetic", 3, "--sc", 0],
     ["run", "--question", "q", "--chart", "c", "--max-steps", 0],
     ["eval"],
-    ["run", "--question", "q", "--chart", "c", "--backend", "http"],
-    ["eval", "--synthetic", 2, "--backend", "http", "--reasoner-url", "foo"],
+    ["run", "--question", "q", "--chart", "c", "--model", "m"],
+    ["eval", "--synthetic", 2, "--reasoner-url", "foo"],
     ["eval", "--synthetic", 2, "--reader-url", "file:///dev/null"],
-    ["run", "--question", "q", "--chart", "c", "--backend", "http",
-     "--reasoner-url", "file:///dev/null"],
+    ["run", "--question", "q", "--chart", "c", "--reasoner-url", "file:///dev/null"],
     ["run", "--question", "What is the value of x?", "--chart", "nope", "--corpus", "corpus"],
     ["run", "--question", "What is the value of x?", "--chart", "nope", "--corpus", "corpus",
      "--reader-url", "http://127.0.0.1:9", "--prompt-style", "deplot1"],
@@ -639,3 +659,26 @@ def test_usage_error_is_one_line(small_corpus_path, tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "error: " in err
     assert not (tmp_path / "out").exists()
+
+
+def _readme_commands():
+    """Every ``chartloop`` command in the README's fenced blocks, with its
+    backslash continuations joined."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```[^\n]*\n(.*?)^```", readme, flags=re.M | re.S)
+    lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
+    return [shlex.split(line, comments=True) for line in lines
+            if line.lstrip().startswith("chartloop ")]
+
+
+def test_readme_commands_parse():
+    """A flag removed from the parser must not stay in the documented commands.
+    The commands are only parsed, never run."""
+    commands = _readme_commands()
+    assert {argv[1] for argv in commands} == {"datagen", "run", "eval", "export-ft", "report"}
+    parser = build_parser()
+    for argv in commands:
+        try:
+            parser.parse_args(argv[1:])
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {shlex.join(argv)}")

@@ -273,3 +273,47 @@ def test_point_line_read_as_a_row_concludes_gold(request, table, question, descr
                         TableOracle([table]))
     plan = decompose(question, describe_first=describe_first)
     assert trace.final == compute_gold(table, plan) == Value.from_raw(gold)
+
+
+_SUM = ChartTable.build("sum", [("A", "blue"), ("B", "red")], ["2019", "2020"],
+                        [["1", "5"], ["3", "2"]])
+
+
+class PromptKeepingReasoner(SymbolicReasoner):
+    def __init__(self):
+        super().__init__()
+        self.prompts = []
+
+    def complete(self, prompt, stop_markers, temperature, max_tokens):
+        self.prompts.append(prompt)
+        return super().complete(prompt, stop_markers, temperature, max_tokens)
+
+
+@pytest.mark.parametrize("rewrite, final", [
+    pytest.param(lambda answer: answer + "\n", "4", id="trailing-newline"),
+    pytest.param(lambda answer: "", "unknown", id="empty"),
+    pytest.param(lambda answer: answer + "\nNote", "4", id="second-line"),
+])
+def test_reader_answer_is_one_protocol_line(rewrite, final):
+    """A reader answer is kept up to its first newline, and an empty one
+    still answers its query: each query is read once and each prompt's
+    answer block is exactly the lines of the trace so far."""
+    oracle = TableOracle([_SUM])
+    queries = []
+
+    class RewritingReader:
+        def read(self, chart_ref, query):
+            queries.append(query)
+            return rewrite(oracle.read(chart_ref, query))
+
+    reasoner = PromptKeepingReasoner()
+    trace = run_episode("What is the sum of the values of A and B in 2019?", "sum", reasoner,
+                        RewritingReader())
+    assert trace.final == Value.from_raw(final)
+    assert queries == ["Let's describe the figure.", "Let's extract the data of A BY 2019.",
+                       "Let's extract the data of B BY 2019."]
+    texts = [step.text for step in trace.steps]
+    assert not any("\n" in text for text in texts)
+    for index, prompt in enumerate(reasoner.prompts):
+        block = prompt[prompt.rfind("\nA: ") + 4:]
+        assert block == "".join(text + "\n" for text in texts[:2 * index])
