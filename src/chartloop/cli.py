@@ -195,8 +195,9 @@ def _reasoner_factory(cfg: dict, backends: ExitStack) -> Callable[[], object]:
         backends.callback(reasoner.close)
         return lambda: reasoner
     if script is None:
-        reasoner = SymbolicReasoner(describe_first=not cfg["no_describe"])
-        return lambda: reasoner
+        # One reasoner per answer: its per-episode slot is not shared by workers.
+        describe_first = not cfg["no_describe"]
+        return lambda: SymbolicReasoner(describe_first=describe_first)
     if cfg["sc"] > 1:
         # A replay script is one deterministic episode: there is nothing to vote over.
         raise UsageError("--script cannot be combined with --sc above 1")

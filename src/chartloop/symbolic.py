@@ -32,8 +32,9 @@ import re
 from dataclasses import dataclass
 from decimal import Decimal, DecimalException, ROUND_HALF_UP
 from enum import Enum
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
+from . import protocol  # parse_reader_answer is looked up per call, so wrappers see it
 from .oracle import closest_name
 from .protocol import (
     AnswerKind,
@@ -682,17 +683,39 @@ def _align_entity(name: Optional[str], pool: Sequence[str]) -> Optional[str]:
     return name if match is None else pool[match[0]]
 
 
+class _Episode(NamedTuple):
+    """What ``SymbolicReasoner.complete`` derived from one prompt."""
+
+    prompt: str
+    describe_first: bool
+    question: str
+    plan: Optional[QuestionPlan]  # None: the question is not templated
+    n_lines: int  # complete protocol lines after the stub's "A: "
+    rest: str  # the unterminated text after them
+    answers: tuple[ReaderAnswer, ...]  # the parsed reader lines among them
+
+
 class SymbolicReasoner:
     """Deterministic reasoner backend over the template grammar.
 
-    Stateless across calls: each completion re-derives its position from the
-    prompt, emits the next planned query (with entity spellings aligned to
-    the figure description once it is available), and finally deduces the
-    concluding sentence from the spliced reader answers.
+    Each completion finds its position in the prompt, emits the next planned
+    query (with entity spellings aligned to the figure description once it
+    is available), and finally deduces the concluding sentence from the
+    spliced reader answers.
+
+    The reasoner keeps one slot: the last prompt it completed, with that
+    prompt's question, plan and parsed reader answers.  An episode's next
+    prompt extends its last one, so only the new lines are parsed; a prompt
+    that repeats the last question (another self-consistency sample) reuses
+    the plan.  Every reuse is checked against the prompt itself, so
+    ``complete(prompt)`` returns what a fresh reasoner returns whatever came
+    before.  Threads may share a reasoner without a lock: the slot is read
+    once and replaced whole, and a lost update only costs a re-parse.
     """
 
     def __init__(self, describe_first: bool = True):
         self.describe_first = describe_first
+        self._last: Optional[_Episode] = None
 
     def complete(
         self,
@@ -701,22 +724,51 @@ class SymbolicReasoner:
         temperature: float,
         max_tokens: int,
     ) -> str:
-        from .protocol import parse_reader_answer
-
-        question = _last_question(prompt)
-        if question is None:
+        last = self._last
+        episode = None if last is None else self._extend(last, prompt)
+        if episode is None:
+            episode = self._parse(last, prompt)
+            if episode is None:
+                return UNKNOWN_CONCLUSION
+        self._last = episode
+        plan = episode.plan
+        if plan is None:
             return UNKNOWN_CONCLUSION
-        try:
-            plan = decompose(question, describe_first=self.describe_first)
-        except NotTemplated:
-            return UNKNOWN_CONCLUSION
-        lines = _lines_after_answer_marker(prompt)
-        answers = [parse_reader_answer(line) for line in lines[1::2]]
-        index = len(lines) // 2
+        index = episode.n_lines // 2
         if index < len(plan.queries):
-            return format_query(self._grounded(plan.queries[index], answers))
-        text, _ = deduce(plan, answers)
+            return format_query(self._grounded(plan.queries[index], episode.answers))
+        text, _ = deduce(plan, episode.answers)
         return text
+
+    def _extend(self, last: _Episode, prompt: str) -> Optional[_Episode]:
+        """``last`` plus the lines ``prompt`` appends to its prompt, or None
+        if ``prompt`` does not extend it or might hold a later stub."""
+        if last.describe_first != self.describe_first or not prompt.startswith(last.prompt):
+            return None
+        start = len(last.prompt)
+        # A later stub needs a new line beginning "A: ", which would start at
+        # most two characters before the old end (an old prompt holds "\nA: ").
+        if prompt.find("A: ", start - 2) >= 0:
+            return None
+        return _appended(last, prompt, start)
+
+    def _parse(self, last: Optional[_Episode], prompt: str) -> Optional[_Episode]:
+        """The whole of ``prompt``, reusing ``last``'s plan for the same
+        question; None if it holds no stub."""
+        stub = _find_stub(prompt)
+        if stub is None:
+            return None
+        question, begin = stub
+        if last is not None and last.question == question \
+                and last.describe_first == self.describe_first:
+            plan = last.plan
+        else:
+            try:
+                plan = decompose(question, describe_first=self.describe_first)
+            except NotTemplated:
+                plan = None
+        return _appended(_Episode(prompt, self.describe_first, question, plan, 0, "", ()),
+                         prompt, begin)
 
     def _grounded(self, query: AtomicQuery, answers: Sequence[ReaderAnswer]) -> AtomicQuery:
         description = next((a for a in answers if a.kind is AnswerKind.DESCRIPTION), None)
@@ -735,21 +787,28 @@ class SymbolicReasoner:
         return group_query(_align_entity(query.entity, pool))
 
 
-def _last_question(prompt: str) -> Optional[str]:
-    marker = prompt.rfind("\nQ: ")
-    if marker < 0:
-        if prompt.startswith("Q: "):
-            marker = -1
-        else:
-            return None
-    start = marker + 4
-    end = prompt.find("\n", start)
-    return prompt[start:] if end < 0 else prompt[start:end]
+def _find_stub(prompt: str) -> Optional[tuple[str, int]]:
+    """The episode's question and where its protocol lines begin.
+
+    The stub is the last "Q: " line directly followed by a line beginning
+    "A: "; the protocol lines start after that "A: ".  A spliced line that
+    itself begins "Q: " or "A: " therefore moves neither.
+    """
+    end = len(prompt)
+    while (answer := prompt.rfind("\nA: ", 0, end)) >= 0:
+        line = prompt.rfind("\n", 0, answer) + 1
+        if prompt.startswith("Q: ", line):
+            return prompt[line + 3:answer], answer + 4
+        end = answer
+    return None
 
 
-def _lines_after_answer_marker(prompt: str) -> list[str]:
-    marker = prompt.rfind("\nA: ")
-    if marker < 0:
-        return []
-    # Every spliced line, an empty reader answer too, ends in "\n".
-    return prompt[marker + 4:].split("\n")[:-1]
+def _appended(episode: _Episode, prompt: str, start: int) -> _Episode:
+    """``episode`` for ``prompt``, with the protocol lines of ``prompt[start:]``
+    added; the reader answers are the odd lines of the whole block."""
+    lines = (episode.rest + prompt[start:]).split("\n")
+    rest = lines.pop()
+    parse = protocol.parse_reader_answer
+    answers = tuple(parse(line) for line in lines[(episode.n_lines + 1) % 2::2])
+    return episode._replace(prompt=prompt, n_lines=episode.n_lines + len(lines), rest=rest,
+                            answers=episode.answers + answers)

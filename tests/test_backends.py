@@ -6,6 +6,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import pytest
 
 from chartloop.backends import BackendError, HttpReader, HttpReasoner, ScriptedReasoner
+from chartloop import cli
 from chartloop.cli import main
 from chartloop.controller import run_episode
 from chartloop.oracle import TableOracle
@@ -246,6 +247,29 @@ def test_eval_over_http_is_the_same_at_any_worker_count(keepalive_stub, tmp_path
         assert main([*common, "--reasoner-url", f"{url}/complete", "--reader-url", f"{url}/read",
                      "--workers", workers, "--out-dir", str(out)]) == 0
         assert (out / "records.jsonl").read_bytes() == expected
+
+
+def test_eval_workers_with_a_reader_url_take_one_reasoner_per_answer(keepalive_stub, tmp_path,
+                                                                    monkeypatch):
+    """The symbolic reasoner keeps per-episode state, so worker threads must
+    not share one; each answer gets its own and the records do not move."""
+    url, _ = keepalive_stub
+    common = ["eval", "--synthetic", "20", "--per-template", "2", "--seed", "0"]
+    assert main([*common, "--out-dir", str(tmp_path / "in-process")]) == 0
+    made = []
+
+    class CountedReasoner(SymbolicReasoner):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+    monkeypatch.setattr(cli, "SymbolicReasoner", CountedReasoner)
+    out = tmp_path / "workers2"
+    assert main([*common, "--reader-url", f"{url}/read", "--workers", "2",
+                 "--out-dir", str(out)]) == 0
+    records = (out / "records.jsonl").read_bytes()
+    assert records == (tmp_path / "in-process" / "records.jsonl").read_bytes()
+    assert len(made) == len(records.splitlines())
 
 
 def test_run_leaves_chart_ids_to_a_stepwise_reader_server(http_stub, tmp_path, capsys):

@@ -293,11 +293,15 @@ class PromptKeepingReasoner(SymbolicReasoner):
     pytest.param(lambda answer: answer + "\n", "4", id="trailing-newline"),
     pytest.param(lambda answer: "", "unknown", id="empty"),
     pytest.param(lambda answer: answer + "\nNote", "4", id="second-line"),
+    pytest.param(lambda answer: "A: " + answer, "unknown", id="answer-marker"),
+    pytest.param(lambda answer: "Q: " + answer, "unknown", id="question-marker"),
 ])
 def test_reader_answer_is_one_protocol_line(rewrite, final):
     """A reader answer is kept up to its first newline, and an empty one
     still answers its query: each query is read once and each prompt's
-    answer block is exactly the lines of the trace so far."""
+    answer block is exactly the lines of the trace so far.  A reader line
+    that begins like the stub's "Q: " or "A: " line moves neither the
+    question nor the answer block; the reasoner cannot use it."""
     oracle = TableOracle([_SUM])
     queries = []
 
@@ -314,6 +318,7 @@ def test_reader_answer_is_one_protocol_line(rewrite, final):
                        "Let's extract the data of B BY 2019."]
     texts = [step.text for step in trace.steps]
     assert not any("\n" in text for text in texts)
+    stub = "Q: What is the sum of the values of A and B in 2019?\nA: "
     for index, prompt in enumerate(reasoner.prompts):
-        block = prompt[prompt.rfind("\nA: ") + 4:]
+        block = prompt[prompt.rfind(stub) + len(stub):]
         assert block == "".join(text + "\n" for text in texts[:2 * index])

@@ -1,0 +1,240 @@
+"""The symbolic reasoner's one slot of per-episode state.
+
+A warm reasoner must answer every prompt exactly as a fresh one does, in
+whatever order prompts arrive and from however many threads; and an episode
+decomposes its question once and parses each reader answer once.
+"""
+
+import random
+import sys
+import threading
+
+import pytest
+
+from chartloop import protocol, symbolic
+from chartloop.controller import (
+    EpisodeConfig,
+    SelfConsistencyConfig,
+    run_episode,
+    run_self_consistency,
+)
+from chartloop.oracle import TableOracle
+from chartloop.prompts import PromptStyle
+from chartloop.symbolic import _TEMPLATES, SkippedTemplate, SymbolicReasoner, gen_questions
+from chartloop.synth import random_table
+from chartloop.tables import ChartTable, TemplateType
+
+# Every (prompt style, describe_first) pair; episode i takes pair i mod 6.
+_SETTINGS = [(style, describe_first) for style in PromptStyle for describe_first in (True, False)]
+# Reader lines that begin like a stub line, so that a warm reasoner must
+# fall back to a full parse; episode i takes prefix (i // 6) mod 3.
+_READER_PREFIXES = ("", "A: ", "Q: ")
+
+
+class _Recorder(SymbolicReasoner):
+    def __init__(self, describe_first):
+        super().__init__(describe_first)
+        self.prompts = []
+
+    def complete(self, prompt, stop_markers, temperature, max_tokens):
+        self.prompts.append(prompt)
+        return super().complete(prompt, stop_markers, temperature, max_tokens)
+
+
+class _PrefixingReader:
+    def __init__(self, oracle, prefix):
+        self.oracle, self.prefix = oracle, prefix
+
+    def read(self, chart_ref, query):
+        return self.prefix + self.oracle.read(chart_ref, query)
+
+
+def _questions():
+    """(table, question) pairs: 30 seeded tables host every question form a
+    generator writes; the three human-only forms come on small tables."""
+    for index in range(30):
+        table = random_table(5, index)
+        for template in TemplateType:
+            try:
+                for qa, _ in gen_questions(table, template, seed=5, n=1):
+                    yield table, qa.question
+            except SkippedTemplate:
+                pass
+    net = ChartTable.build("net", [("NET Excellent/good", "blue"), ("NET Only fair/poor", "red")],
+                           ["German", "Japan"], [["54", "42"], ["39", "50"]])
+    yield net, ("By how many points does NET Excellent/good surpass NET Only fair/poor "
+                "in German in the year of 2018?")
+    oman = ChartTable.build("oman", [("Oman", None)], ["2009", "2010"], [["233.80", "210.69"]])
+    yield oman, "In which year the private health expenditure per person in Oman is 210.69?"
+    costa = ChartTable.build("costa", [("Costa Rica", None)], ["2000", "2010"],
+                             [["18.84", "14.92"]])
+    yield costa, "Across all years, what is the minimum pupil-teacher ratio in Costa Rica?"
+
+
+@pytest.fixture(scope="module")
+def episodes():
+    """Per closed-loop episode: its describe_first, every prompt its
+    reasoner saw, and what a fresh reasoner answers to each."""
+    recorded, forms = [], set()
+    for number, (table, question) in enumerate(_questions()):
+        style, describe_first = _SETTINGS[number % len(_SETTINGS)]
+        prefix = _READER_PREFIXES[number // len(_SETTINGS) % len(_READER_PREFIXES)]
+        context = None if style is PromptStyle.STEPWISE_5SHOT else table
+        recorder = _Recorder(describe_first)
+        run_episode(question, table.source_id, recorder,
+                    _PrefixingReader(TableOracle([table]), prefix),
+                    EpisodeConfig(prompt_style=style), context_table=context)
+        fresh = [SymbolicReasoner(describe_first).complete(p, ["\n"], 0.0, 256)
+                 for p in recorder.prompts]
+        recorded.append((describe_first, recorder.prompts, fresh))
+        forms.add(next(key for key, t in _TEMPLATES.items() if t.pattern.fullmatch(question)))
+    assert forms == set(_TEMPLATES)
+    return recorded
+
+
+def _episode_order(episodes):
+    return [(e, i) for e, (_, prompts, _) in enumerate(episodes) for i in range(len(prompts))]
+
+
+def _interleaved_order(episodes):
+    """Episodes in pairs, their prompts alternating: a0 b0 a1 b1 ..."""
+    order = []
+    for first in range(0, len(episodes), 2):
+        pair = [e for e in (first, first + 1) if e < len(episodes)]
+        longest = max(len(episodes[e][1]) for e in pair)
+        order += [(e, i) for i in range(longest) for e in pair if i < len(episodes[e][1])]
+    return order
+
+
+def _sc_order(episodes):
+    """Each episode three times over, as self-consistency samples arrive."""
+    return [(e, i) for e, (_, prompts, _) in enumerate(episodes)
+            for _ in range(3) for i in range(len(prompts))]
+
+
+def _replay(episodes, order, reasoners, cut=None):
+    """Send the prompts in ``order`` to the reasoner of their describe_first;
+    return the (expected, actual) pairs.  With ``cut``, each prompt is first
+    sent cut at a seeded point of its last 300 characters."""
+    results = []
+    for e, i in order:
+        describe_first, prompts, fresh = episodes[e]
+        reasoner = reasoners[describe_first]
+        prompt = prompts[i]
+        if cut is not None:
+            short = prompt[:cut.randrange(max(0, len(prompt) - 300), len(prompt) + 1)]
+            results.append((SymbolicReasoner(describe_first).complete(short, ["\n"], 0.0, 256),
+                            reasoner.complete(short, ["\n"], 0.0, 256)))
+        results.append((fresh[i], reasoner.complete(prompt, ["\n"], 0.0, 256)))
+    return results
+
+
+def _warm_reasoners():
+    return {True: SymbolicReasoner(True), False: SymbolicReasoner(False)}
+
+
+@pytest.mark.parametrize("order", [_episode_order, _interleaved_order, _sc_order],
+                         ids=["episode", "interleaved", "sc"])
+def test_warm_reasoner_answers_like_a_fresh_one(episodes, order):
+    results = _replay(episodes, order(episodes), _warm_reasoners())
+    assert [actual for _, actual in results] == [expected for expected, _ in results]
+
+
+def test_warm_reasoner_answers_cut_prompts_like_a_fresh_one(episodes):
+    """A prompt that ends mid-line, then the prompt that completes it."""
+    results = _replay(episodes, _episode_order(episodes), _warm_reasoners(), random.Random(7))
+    assert [actual for _, actual in results] == [expected for expected, _ in results]
+
+
+def test_warm_reasoner_follows_a_changed_describe_first(episodes):
+    """Each prompt twice, with describe_first on and then off: neither the
+    prompt's lines nor its question's plan carry over to the other setting."""
+    reasoner, expected, actual = SymbolicReasoner(), [], []
+    for _, prompts, _ in episodes:
+        for prompt in prompts:
+            for describe_first in (True, False):
+                reasoner.describe_first = describe_first
+                expected.append(SymbolicReasoner(describe_first).complete(prompt, ["\n"], 0.0, 256))
+                actual.append(reasoner.complete(prompt, ["\n"], 0.0, 256))
+    assert actual == expected
+
+
+def test_reasoner_shared_by_threads_answers_like_a_fresh_one(episodes):
+    """Four threads, more than the cores of a small machine, share the two
+    reasoners, each thread sending every fourth prompt."""
+    order = _episode_order(episodes)
+    reasoners = _warm_reasoners()
+    shares, results, errors = [order[k::4] for k in range(4)], [], []
+    barrier = threading.Barrier(len(shares))
+
+    def work(share):
+        try:
+            barrier.wait(timeout=10)
+            results.extend(_replay(episodes, share, reasoners))
+        except Exception as exc:  # reported below; a thread cannot fail the test itself
+            errors.append(exc)
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=work, args=(share,)) for share in shares]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert len(results) == len(order)
+    assert [actual for _, actual in results] == [expected for expected, _ in results]
+
+
+@pytest.fixture
+def counted(monkeypatch):
+    """Count calls of ``decompose`` and ``parse_reader_answer`` where the
+    reasoner looks them up at call time."""
+    counts = {"decompose": 0, "parse_reader_answer": 0}
+
+    def counting(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    counting(symbolic, "decompose")
+    counting(protocol, "parse_reader_answer")
+    return counts
+
+
+class _CountingReader:
+    def __init__(self, table):
+        self.oracle, self.reads = TableOracle([table]), 0
+
+    def read(self, chart_ref, query):
+        self.reads += 1
+        return self.oracle.read(chart_ref, query)
+
+
+_TABLE = ChartTable.build("sum", [("Fiji", "blue"), ("Senegal", "red")], ["2001", "2002"],
+                          [["1", "5"], ["3", "2"]])
+_QUESTION = "What is the sum of the values of Fiji and Senegal in 2002?"
+
+
+def test_an_episode_decomposes_once_and_parses_each_answer_once(counted):
+    reader = _CountingReader(_TABLE)
+    trace = run_episode(_QUESTION, "sum", SymbolicReasoner(), reader)
+    assert trace.final.raw == "7"
+    assert reader.reads == 3
+    assert counted == {"decompose": 1, "parse_reader_answer": 3}
+
+
+def test_self_consistency_samples_share_one_decompose(counted):
+    reader = _CountingReader(_TABLE)
+    final, traces = run_self_consistency(_QUESTION, "sum", SymbolicReasoner(), reader,
+                                         EpisodeConfig(), SelfConsistencyConfig(n_samples=3))
+    assert final.raw == "7" and len(traces) == 3
+    assert reader.reads == 9
+    assert counted == {"decompose": 1, "parse_reader_answer": 9}
