@@ -1,19 +1,22 @@
 """Command-line entry point wiring ingestion, generation, episodes, and eval.
 
 Exit codes are stable: 0 success, 2 usage/input error, 3 backend failure,
-4 empty result.  ``run`` exits 3 when every episode ended in a backend error,
+4 empty result, 130 interrupted (Ctrl-C: one ``interrupted`` line, no
+traceback).  ``run`` exits 3 when every episode ended in a backend error,
 else 4 when there is no final answer; ``eval`` exits 3, after writing its
 files, when every episode of every question ended in a backend error.
 
-``run`` and ``eval`` answer each question the same way: ``--sc N`` episodes
-(one by default) majority-voted by normalized answer, the vote returning the
-winning answer as the model wrote it.  The temperature is ``--temperature``
+``run`` and ``eval`` answer each question the same way: at most ``--sc N``
+episodes (one by default), stopping once the vote is decided, majority-voted
+by normalized answer, the vote returning the winning answer as the model
+wrote it among the episodes drawn.  The temperature is ``--temperature``
 if given, else 0.4 with ``--sc`` above 1 and 0.0 otherwise.  Flags choose
 the backends they configure: ``--reasoner-url`` an HTTP reasoner, ``--script``
 a replay, neither the symbolic reasoner; ``--reader-url`` an HTTP reader,
 else the table oracle.  A flag for a backend not in use is a usage error.
-Both write every episode to ``traces.jsonl`` (one line per question, in input
-order, in ``datagen``'s trace format), which ``export-ft --traces`` reads.
+Both write every episode drawn to ``traces.jsonl`` (one line per question, in
+input order, in ``datagen``'s trace format), which ``export-ft --traces``
+reads, one example per episode.
 
 Each subcommand takes only the flags it reads, and each flag's argparse
 default is its only default; ``--config`` JSON replaces those defaults and
@@ -75,6 +78,7 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_BACKEND = 3
 EXIT_EMPTY = 4
+EXIT_INTERRUPTED = 130
 
 _PROMPT_STYLES = {
     "stepwise5": PromptStyle.STEPWISE_5SHOT,
@@ -210,10 +214,11 @@ def _reasoner_factory(cfg: dict, backends: ExitStack) -> Callable[[], object]:
 
 
 def _answerer(cfg: dict, charts: dict[str, ChartTable]) -> tuple[Callable, ExitStack]:
-    """Build the one answer path of ``run`` and ``eval``: ``--sc`` episodes,
-    majority-voted (one episode at ``--sc 1``).  Settles ``cfg["temperature"]``:
-    0.4 when voting over several samples and 0.0 otherwise, unless given.
-    Closing the returned stack closes the HTTP clients."""
+    """Build the one answer path of ``run`` and ``eval``: at most ``--sc``
+    episodes, majority-voted (one episode at ``--sc 1``).  Settles
+    ``cfg["temperature"]``: 0.4 when voting over several samples and 0.0
+    otherwise, unless given.  Closing the returned stack closes the HTTP
+    clients."""
     backends = ExitStack()
     make_reasoner = _reasoner_factory(cfg, backends)
     if cfg["temperature"] is None:
@@ -427,7 +432,8 @@ def _episode_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--api-key", dest="api_key", default=None,
                    help="bearer token for the HTTP backends")
     p.add_argument("--script", default=None, help="replay this JSON list of reasoner lines")
-    p.add_argument("--sc", type=int, default=1, help="self-consistency sample count")
+    p.add_argument("--sc", type=int, default=1,
+                   help="self-consistency samples: at most N, stopping once the vote is decided")
     p.add_argument("--temperature", type=float, default=None,
                    help="sampling temperature (default 0.4 with --sc above 1, else 0.0)")
     p.add_argument("--max-steps", dest="max_steps", type=int, default=8)
@@ -512,6 +518,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except BackendError as exc:
         print(f"backend error: {exc}", file=sys.stderr)
         return EXIT_BACKEND
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
     except BrokenPipeError:
         # Backends wrap their own socket errors, so this is stdout's reader
         # leaving.  Point stdout at devnull so the final flush stays quiet.

@@ -6,17 +6,19 @@ question stub; the reasoner completes up to the end-of-line stop, the
 completed line is classified, atomic queries are dispatched to the reader,
 and the first line of the reader's answer is spliced back before resuming.
 A hard cap on protocol-line decisions bounds the loop regardless of backend
-behavior.  Self-consistency runs several episodes at a sampling temperature
-and majority-votes their finals by normalized form.
+behavior.  Self-consistency runs at most N episodes at a sampling
+temperature, stopping once the vote is decided, and majority-votes their
+finals by normalized form.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Optional
 
 from .backends import BackendError, ReaderBackend, ReasonerBackend
-from .evalkit import majority_vote
+from .evalkit import majority_vote, vote_decided, vote_key
 from .prompts import PromptStyle, build_prompt, linearize_table
 from .protocol import StepKind, parse_step
 from .tables import (
@@ -48,6 +50,7 @@ class EpisodeConfig:
 
 @dataclass(frozen=True)
 class SelfConsistencyConfig:
+    # At most this many episodes, stopping once the vote is decided.
     n_samples: int = 1
     temperature: float = 0.4
 
@@ -124,16 +127,27 @@ def run_self_consistency(
     sc: SelfConsistencyConfig,
     context_table: Optional[ChartTable] = None,
 ) -> tuple[Optional[Value], list[ReasoningTrace]]:
-    """Sample n episodes at the voting temperature and majority-vote finals.
+    """Sample at most n episodes at the voting temperature, stopping once the
+    vote is decided, and majority-vote their finals.
 
-    Episodes that produced no final answer are excluded before voting; if
-    every episode failed the vote is None (a no-answer verdict).
+    Episodes are drawn one at a time until the samples still to draw could
+    not change the winning class (``evalkit.vote_decided``), so agreeing
+    samples at n=5 stop after 3.  An episode that produced no final casts no
+    vote but uses up a sample; if every episode failed the vote is None (a
+    no-answer verdict).  The class is the one the full n would elect, but its
+    raw form is the smallest among the samples drawn: ``7.0, 7.0, 7.0`` stops
+    and returns ``7.0`` where two more ``7`` would have returned ``7``.
     """
     episode_config = replace(config, temperature=sc.temperature)
-    traces = [
-        run_episode(question, chart_ref, reasoner, reader, episode_config,
-                    context_table=context_table)
-        for _ in range(sc.n_samples)
-    ]
+    traces: list[ReasoningTrace] = []
+    counts: Counter[str] = Counter()
+    for remaining in range(sc.n_samples - 1, -1, -1):
+        trace = run_episode(question, chart_ref, reasoner, reader, episode_config,
+                            context_table=context_table)
+        traces.append(trace)
+        if trace.final is not None:
+            counts[vote_key(trace.final)] += 1
+        if vote_decided(counts, remaining):
+            break
     finals = [t.final for t in traces if t.final is not None]
     return majority_vote(finals), traces

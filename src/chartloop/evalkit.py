@@ -14,7 +14,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
-from typing import Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from .tables import (
     SHAPE_ERRORS,
@@ -96,15 +96,36 @@ def vote_key(value: Value) -> str:
     return normalize_value(value).raw
 
 
+def leading_key(counts: Mapping[str, int]) -> str:
+    """The class a vote over ``counts`` (vote key to votes, not empty) elects:
+    the most votes, ties to the lexicographically smaller key."""
+    return min(counts, key=lambda key: (-counts[key], key))
+
+
+def vote_decided(counts: Mapping[str, int], remaining: int) -> bool:
+    """True once ``remaining`` more votes cannot change the leading class.
+
+    The leader must have more votes than remain, so no class not yet seen can
+    reach it, and every other class, given all the remaining votes, must
+    still fall short of it or tie it with a larger key.  No votes decide
+    nothing."""
+    if not counts:
+        return False
+    leader = leading_key(counts)
+    lead = counts[leader]
+    return lead > remaining and all(
+        count + remaining < lead or (count + remaining == lead and leader < key)
+        for key, count in counts.items() if key != leader)
+
+
 def majority_vote(finals: Sequence[Value]) -> Optional[Value]:
-    """Mode of the finals by ``vote_key``; ties go to the lexicographically
-    smaller key.  Returns the winning class's smallest raw member as written,
-    so one final votes for itself; an empty pool means no answer."""
+    """Mode of the finals by ``vote_key``, chosen by ``leading_key``.
+    Returns the winning class's smallest raw member as written, so one final
+    votes for itself; an empty pool means no answer."""
     if not finals:
         return None
     keys = [vote_key(v) for v in finals]
-    counts = Counter(keys)
-    winner = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))[0][0]
+    winner = leading_key(Counter(keys))
     return min((v for v, key in zip(finals, keys) if key == winner), key=lambda v: v.raw)
 
 

@@ -107,7 +107,8 @@ def test_run_self_consistency_votes(small_corpus_path, tmp_path, capsys):
     # The vote counts normalized finals but returns the answer as written.
     assert "Voted answer: 7.0" in capsys.readouterr().out
     [record] = read_jsonl(out / "traces.jsonl")
-    assert len(record["episodes"]) == 3
+    # Two agreeing episodes decide a vote of at most three.
+    assert len(record["episodes"]) == 2
     assert record["final"] == "7.0"
 
 
@@ -281,8 +282,9 @@ def test_run_sc_traces_export_one_example_per_episode(small_corpus_path, tmp_pat
                     "--corpus", small_corpus_path, "--sc", 3, "--out-dir", run_out]) == 0
     out = tmp_path / "ft"
     assert run_cli(["export-ft", "--traces", run_out / "traces.jsonl", "--out-dir", out]) == 0
-    assert "examples=3 skipped=0 " in capsys.readouterr().out
-    assert len(read_jsonl(out / "system2.jsonl")) == 3
+    # The vote was decided after two of the three episodes.
+    assert "examples=2 skipped=0 " in capsys.readouterr().out
+    assert len(read_jsonl(out / "system2.jsonl")) == 2
 
 
 def test_eval_traces_export_one_example_per_concluded_episode(tmp_path, capsys):
@@ -424,6 +426,24 @@ def test_temperature_follows_sc_unless_given(tmp_path, monkeypatch, flags, used)
     assert run_cli(["eval", "--synthetic", 1, *flags, "--out-dir", out]) == 0
     assert seen and set(seen) == {used}
     assert json.loads((out / "run_config.json").read_text())["temperature"] == used
+
+
+def test_eval_interrupted_exits_130_with_one_line(tmp_path, monkeypatch, capsys):
+    import chartloop.cli as cli
+
+    original, asked = cli.run_self_consistency, []
+
+    def interrupt_third(*args, **kwargs):
+        asked.append(args[0])
+        if len(asked) == 3:
+            raise KeyboardInterrupt
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "run_self_consistency", interrupt_third)
+    out = tmp_path / "eval"
+    assert run_cli(["eval", "--synthetic", 2, "--out-dir", out]) == 130
+    assert capsys.readouterr().err == "interrupted\n"
+    assert [line["question"] for line in read_jsonl(out / "traces.jsonl")] == asked[:2]
 
 
 @pytest.mark.parametrize("command, content", [

@@ -1,3 +1,6 @@
+import functools
+import itertools
+
 import pytest
 
 from chartloop.backends import BackendError, ScriptedReasoner
@@ -7,6 +10,7 @@ from chartloop.controller import (
     run_episode,
     run_self_consistency,
 )
+from chartloop.evalkit import majority_vote, relaxed_match, vote_key
 from chartloop.oracle import TableOracle
 from chartloop.prompts import PromptConfigError, PromptStyle
 from chartloop.protocol import QueryOp, StepKind, parse_step
@@ -207,7 +211,8 @@ def test_self_consistency_votes_across_scripts(retail):
         "q", "store-revenue", Flaky(), TableOracle([retail]),
         EpisodeConfig(), SelfConsistencyConfig(n_samples=3, temperature=0.4),
     )
-    assert len(traces) == 3
+    # Two votes for 15 out of at most three decide the vote: the 14 is never drawn.
+    assert len(traces) == 2
     assert final.raw == "15.00"
 
 
@@ -218,6 +223,85 @@ def test_all_failed_episodes_vote_none(retail):
     )
     assert final is None
     assert all(t.terminated_by is Termination.BACKEND_ERROR for t in traces)
+
+
+class FinalsReasoner:
+    """Concludes episode i with ``finals[i]`` in one step; None is an empty
+    line, so that episode ends with no final."""
+
+    def __init__(self, finals):
+        self.finals = iter(finals)
+
+    def complete(self, prompt, stop_markers, temperature, max_tokens):
+        final = next(self.finals)
+        return "" if final is None else f"So the answer is {final}."
+
+
+class NoReader:
+    def read(self, chart_ref, query):
+        raise AssertionError("a one-step episode reads nothing")
+
+
+def _sc(finals, n):
+    """(vote, episodes drawn) of run_self_consistency over ``finals``, at most n."""
+    final, traces = run_self_consistency(
+        "q", "chart", FinalsReasoner(finals), NoReader(), EpisodeConfig(),
+        SelfConsistencyConfig(n_samples=n))
+    assert [t.final and t.final.raw for t in traces] == list(finals[:len(traces)])
+    return final, len(traces)
+
+
+@functools.cache
+def _vote_class(votes):
+    """The class a full vote over ``votes`` (sorted finals, failures left
+    out) elects; the vote does not depend on their order."""
+    vote = majority_vote([Value.from_raw(f) for f in votes])
+    return None if vote is None else vote_key(vote)
+
+
+def _votes(finals):
+    return tuple(sorted(f for f in finals if f is not None))
+
+
+_FINALS = (None, "7", "7.0", "a", "b")
+# A class none of _FINALS has, with a smaller key than all of theirs.  With
+# it among the possible draws, "no draw changes the class" is exactly the
+# stop rule: a leader with no more votes than remain could lose to it.
+_UNSEEN = "0"
+
+
+@functools.cache
+def _settled(votes, remaining):
+    """True when no way of drawing ``remaining`` more samples changes the
+    class that ``votes`` elect."""
+    now = _vote_class(votes)
+    return all(_vote_class(_votes(votes + rest)) == now
+               for rest in itertools.combinations_with_replacement(_FINALS + (_UNSEEN,), remaining))
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_self_consistency_stops_at_the_first_settled_prefix(n):
+    """Every sequence of n finals: the vote elects the class all n would,
+    and drawing stops at the first prefix whose class no draw can change."""
+    for finals in itertools.product(_FINALS, repeat=n):
+        final, drawn = _sc(finals, n)
+        assert (None if final is None else vote_key(final)) == _vote_class(_votes(finals)), finals
+        first = next(k for k in range(1, n + 1) if _settled(_votes(finals[:k]), n - k))
+        assert drawn == first, finals
+
+
+def test_self_consistency_draw_table():
+    assert [_sc(["7"] * n, n)[1] for n in range(1, 8)] == [1, 2, 2, 3, 3, 4, 4]
+    assert [_sc([None] * n, n) for n in range(1, 8)] == [(None, n) for n in range(1, 8)]
+
+
+def test_early_stop_keeps_the_class_not_the_raw_form():
+    finals = ["7.0", "7.0", "7.0", "7", "7"]
+    final, drawn = _sc(finals, 5)
+    full = majority_vote([Value.from_raw(f) for f in finals])
+    assert (drawn, final.raw, full.raw) == (3, "7.0", "7")
+    assert vote_key(final) == vote_key(full)
+    assert relaxed_match(final, Value.from_raw("7")) and relaxed_match(full, Value.from_raw("7"))
 
 
 def test_config_validation():
