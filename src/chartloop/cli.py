@@ -16,18 +16,22 @@ a replay, neither the symbolic reasoner; ``--reader-url`` an HTTP reader,
 else the table oracle.  A flag for a backend not in use is a usage error.
 Both write every episode drawn to ``traces.jsonl`` (one line per question, in
 input order, in ``datagen``'s trace format), which ``export-ft --traces``
-reads, one example per episode.
+reads, one example per episode.  ``eval`` writes each ``records.jsonl`` line
+right after its trace line, as results arrive, so an interrupt or an error
+keeps every finished question; ``report --records`` then builds the report
+that such a run did not write.
 
 Each subcommand takes only the flags it reads, and each flag's argparse
 default is its only default; ``--config`` JSON replaces those defaults and
 flags still win, and required flags and the lower limits of numeric flags
 are checked after that merge.  A usage or input error prints one ``error:``
-line and exits 2; each check that does not answer a question runs before
-``--out-dir`` is created.  Every command serializes its effective
-configuration into the output directory so a run can be reproduced from its
-artifacts; all randomness flows from --seed.  Every command writes its files
-before it prints, so a stdout closed early (``| head``) loses nothing and is
-not an error.
+line and exits 2, and so does an ``--out-dir`` that cannot be created or
+written; each check that does not answer a question, the exit-4 checks of
+``report`` and ``export-ft`` included, runs before ``--out-dir`` is created.
+Every command serializes its effective configuration into the output
+directory so a run can be reproduced from its artifacts; all randomness
+flows from --seed.  Every command writes its files before it prints, so a
+stdout closed early (``| head``) loses nothing and is not an error.
 """
 
 from __future__ import annotations
@@ -63,8 +67,8 @@ from .evalkit import (
     make_record,
     read_records_jsonl,
     render_report_text,
+    write_record_line,
     write_records_csv,
-    write_records_jsonl,
     write_report,
 )
 from .oracle import ChartNotFound, TableOracle
@@ -199,7 +203,8 @@ def _reasoner_factory(cfg: dict, backends: ExitStack) -> Callable[[], object]:
         backends.callback(reasoner.close)
         return lambda: reasoner
     if script is None:
-        # One reasoner per answer: its per-episode slot is not shared by workers.
+        # One reasoner per answer: its memo of the question's plan and reader
+        # lines serves that answer's samples, and workers do not evict it.
         describe_first = not cfg["no_describe"]
         return lambda: SymbolicReasoner(describe_first=describe_first)
     if cfg["sc"] > 1:
@@ -343,17 +348,19 @@ def cmd_eval(cfg: dict) -> int:
 
     records, every_episode_failed = [], True
     with backends, ThreadPoolExecutor(max_workers=cfg["workers"]) as pool, \
-            open(out_dir / "traces.jsonl", "w", encoding="utf-8") as traces_file:
-        # Both maps yield in input order, so each trace line is written as its
-        # result arrives.  The pool starts no thread at --workers 1.
+            open(out_dir / "traces.jsonl", "w", encoding="utf-8") as traces_file, \
+            open(out_dir / "records.jsonl", "w", encoding="utf-8") as records_file:
+        # Both maps yield in input order, so each trace line, then its record
+        # line, is written as its result arrives: an interrupt or error keeps
+        # every finished question.  The pool starts no thread at --workers 1.
         for record, traces in (pool.map if cfg["workers"] > 1 else map)(score, enumerate(instances)):
             write_trace_line(traces_file, record.trace_ref, record.qa.question, record.qa.chart_id,
                              record.prediction, traces)
+            write_record_line(records_file, record)
             records.append(record)
             every_episode_failed = every_episode_failed and _all_backend_errors(traces)
     report = evaluate_run(records, edges)
     write_report(report, out_dir / "report.json", out_dir / "report.txt")
-    write_records_jsonl(records, out_dir / "records.jsonl")
     write_records_csv(records, out_dir / "records.csv")
     print(render_report_text(report))
     if every_episode_failed:
@@ -381,12 +388,12 @@ def cmd_export_ft(cfg: dict) -> int:
         from_traces, not_concluded = examples_from_traces(triples)
         examples.extend(from_traces)
         skipped = len(issues) + not_concluded
-    out_dir = Path(cfg["out_dir"])
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _write_run_config(cfg, out_dir, "export-ft")
     if not examples:
         print("no valid fine-tuning examples", file=sys.stderr)
         return EXIT_EMPTY
+    out_dir = Path(cfg["out_dir"])
+    out_dir.mkdir(parents=True, exist_ok=True)
+    _write_run_config(cfg, out_dir, "export-ft")
     count = export_system2_sft(examples, out_dir / "system2.jsonl", cfg["tagged"])
     masked_chars = sum(len(s.text) for e in examples for s in e.segments if s.masked)
     total_chars = sum(len(s.text) for e in examples for s in e.segments)
@@ -398,14 +405,15 @@ def cmd_report(cfg: dict) -> int:
     _require(cfg, "records")
     try:
         records = read_records_jsonl(cfg["records"])
-    except OSError as exc:
-        raise UsageError(f"cannot read records {cfg['records']}: {exc.strerror}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = exc.strerror if isinstance(exc, OSError) else exc
+        raise UsageError(f"cannot read records {cfg['records']}: {reason}") from None
     edges = _parse_buckets(cfg["buckets"])
-    out_dir = Path(cfg["out_dir"])
-    out_dir.mkdir(parents=True, exist_ok=True)
     if not records:
         print("no records to report", file=sys.stderr)
         return EXIT_EMPTY
+    out_dir = Path(cfg["out_dir"])
+    out_dir.mkdir(parents=True, exist_ok=True)
     report = evaluate_run(records, edges)
     write_report(report, out_dir / "report.json", out_dir / "report.txt")
     _write_run_config(cfg, out_dir, "report")
@@ -528,6 +536,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return EXIT_OK
+    except OSError as exc:
+        # Inputs are read behind UsageError, so this is an output that cannot
+        # be created or written, such as an --out-dir that names a file.
+        print(f"error: cannot write {exc.filename or args.out_dir}: {exc.strerror or exc}",
+              file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

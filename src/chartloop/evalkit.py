@@ -14,7 +14,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence, TextIO
 
 from .tables import (
     SHAPE_ERRORS,
@@ -238,10 +238,15 @@ def write_report(report: dict, json_path, text_path) -> None:
         handle.write(render_report_text(report) + "\n")
 
 
+def write_record_line(handle: TextIO, record: EvalRecord) -> None:
+    """Append one record to an open ``records.jsonl``."""
+    handle.write(json.dumps(record.to_dict(), ensure_ascii=False) + "\n")
+
+
 def write_records_jsonl(records: Sequence[EvalRecord], path) -> None:
     with open(path, "w", encoding="utf-8") as handle:
         for record in records:
-            handle.write(json.dumps(record.to_dict(), ensure_ascii=False) + "\n")
+            write_record_line(handle, record)
 
 
 def read_records_jsonl(path) -> list[EvalRecord]:

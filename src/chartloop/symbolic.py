@@ -32,7 +32,7 @@ import re
 from dataclasses import dataclass
 from decimal import Decimal, DecimalException, ROUND_HALF_UP
 from enum import Enum
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from . import protocol  # parse_reader_answer is looked up per call, so wrappers see it
 from .oracle import closest_name
@@ -683,39 +683,29 @@ def _align_entity(name: Optional[str], pool: Sequence[str]) -> Optional[str]:
     return name if match is None else pool[match[0]]
 
 
-class _Episode(NamedTuple):
-    """What ``SymbolicReasoner.complete`` derived from one prompt."""
-
-    prompt: str
-    describe_first: bool
-    question: str
-    plan: Optional[QuestionPlan]  # None: the question is not templated
-    n_lines: int  # complete protocol lines after the stub's "A: "
-    rest: str  # the unterminated text after them
-    answers: tuple[ReaderAnswer, ...]  # the parsed reader lines among them
-
-
 class SymbolicReasoner:
     """Deterministic reasoner backend over the template grammar.
 
-    Each completion finds its position in the prompt, emits the next planned
-    query (with entity spellings aligned to the figure description once it
-    is available), and finally deduces the concluding sentence from the
-    spliced reader answers.
+    Each completion finds the episode's stub in the prompt, emits the next
+    planned query (with entity spellings aligned to the figure description
+    once it is available), and finally deduces the concluding sentence from
+    the spliced reader answers.
 
-    The reasoner keeps one slot: the last prompt it completed, with that
-    prompt's question, plan and parsed reader answers.  An episode's next
-    prompt extends its last one, so only the new lines are parsed; a prompt
-    that repeats the last question (another self-consistency sample) reuses
-    the plan.  Every reuse is checked against the prompt itself, so
-    ``complete(prompt)`` returns what a fresh reasoner returns whatever came
-    before.  Threads may share a reasoner without a lock: the slot is read
-    once and replaced whole, and a lost update only costs a re-parse.
+    Every prompt is read whole, so ``complete(prompt)`` returns what a fresh
+    reasoner returns whatever came before.  What repeats is memoized for the
+    last question only: its plan, and the parse of each reader line seen with
+    it, which the episode's later steps and its self-consistency samples
+    share.  Both are pure functions of text in the prompt.  Threads may share
+    a reasoner without a lock: the memo is read once and replaced whole for a
+    new question, and two threads parsing one line store equal answers.
     """
 
     def __init__(self, describe_first: bool = True):
         self.describe_first = describe_first
-        self._last: Optional[_Episode] = None
+        # ((question, describe_first), plan or None if not templated,
+        #  {reader line: its parse})
+        self._memo: Optional[tuple[tuple[str, bool], Optional[QuestionPlan],
+                                   dict[str, ReaderAnswer]]] = None
 
     def complete(
         self,
@@ -724,51 +714,33 @@ class SymbolicReasoner:
         temperature: float,
         max_tokens: int,
     ) -> str:
-        last = self._last
-        episode = None if last is None else self._extend(last, prompt)
-        if episode is None:
-            episode = self._parse(last, prompt)
-            if episode is None:
-                return UNKNOWN_CONCLUSION
-        self._last = episode
-        plan = episode.plan
-        if plan is None:
-            return UNKNOWN_CONCLUSION
-        index = episode.n_lines // 2
-        if index < len(plan.queries):
-            return format_query(self._grounded(plan.queries[index], episode.answers))
-        text, _ = deduce(plan, episode.answers)
-        return text
-
-    def _extend(self, last: _Episode, prompt: str) -> Optional[_Episode]:
-        """``last`` plus the lines ``prompt`` appends to its prompt, or None
-        if ``prompt`` does not extend it or might hold a later stub."""
-        if last.describe_first != self.describe_first or not prompt.startswith(last.prompt):
-            return None
-        start = len(last.prompt)
-        # A later stub needs a new line beginning "A: ", which would start at
-        # most two characters before the old end (an old prompt holds "\nA: ").
-        if prompt.find("A: ", start - 2) >= 0:
-            return None
-        return _appended(last, prompt, start)
-
-    def _parse(self, last: Optional[_Episode], prompt: str) -> Optional[_Episode]:
-        """The whole of ``prompt``, reusing ``last``'s plan for the same
-        question; None if it holds no stub."""
         stub = _find_stub(prompt)
         if stub is None:
-            return None
+            return UNKNOWN_CONCLUSION
         question, begin = stub
-        if last is not None and last.question == question \
-                and last.describe_first == self.describe_first:
-            plan = last.plan
-        else:
+        key = (question, self.describe_first)
+        memo = self._memo
+        if memo is None or memo[0] != key:
             try:
                 plan = decompose(question, describe_first=self.describe_first)
             except NotTemplated:
                 plan = None
-        return _appended(_Episode(prompt, self.describe_first, question, plan, 0, "", ()),
-                         prompt, begin)
+            memo = self._memo = (key, plan, {})
+        _, plan, parsed = memo
+        if plan is None:
+            return UNKNOWN_CONCLUSION
+        lines = prompt[begin:].split("\n")[:-1]  # the unterminated rest is not a line
+        answers = []
+        for line in lines[1::2]:
+            answer = parsed.get(line)
+            if answer is None:
+                answer = parsed[line] = protocol.parse_reader_answer(line)
+            answers.append(answer)
+        index = len(lines) // 2
+        if index < len(plan.queries):
+            return format_query(self._grounded(plan.queries[index], answers))
+        text, _ = deduce(plan, answers)
+        return text
 
     def _grounded(self, query: AtomicQuery, answers: Sequence[ReaderAnswer]) -> AtomicQuery:
         description = next((a for a in answers if a.kind is AnswerKind.DESCRIPTION), None)
@@ -802,13 +774,3 @@ def _find_stub(prompt: str) -> Optional[tuple[str, int]]:
         end = answer
     return None
 
-
-def _appended(episode: _Episode, prompt: str, start: int) -> _Episode:
-    """``episode`` for ``prompt``, with the protocol lines of ``prompt[start:]``
-    added; the reader answers are the odd lines of the whole block."""
-    lines = (episode.rest + prompt[start:]).split("\n")
-    rest = lines.pop()
-    parse = protocol.parse_reader_answer
-    answers = tuple(parse(line) for line in lines[(episode.n_lines + 1) % 2::2])
-    return episode._replace(prompt=prompt, n_lines=episode.n_lines + len(lines), rest=rest,
-                            answers=episode.answers + answers)

@@ -251,8 +251,9 @@ def test_eval_over_http_is_the_same_at_any_worker_count(keepalive_stub, tmp_path
 
 def test_eval_workers_with_a_reader_url_take_one_reasoner_per_answer(keepalive_stub, tmp_path,
                                                                     monkeypatch):
-    """The symbolic reasoner keeps per-episode state, so worker threads must
-    not share one; each answer gets its own and the records do not move."""
+    """The symbolic reasoner memoizes its last question, which worker threads
+    sharing one would evict from each other; each answer gets its own and the
+    records do not move."""
     url, _ = keepalive_stub
     common = ["eval", "--synthetic", "20", "--per-template", "2", "--seed", "0"]
     assert main([*common, "--out-dir", str(tmp_path / "in-process")]) == 0

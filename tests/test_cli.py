@@ -3,8 +3,10 @@ import json
 import os
 import re
 import shlex
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -274,6 +276,15 @@ def test_export_ft_empty_file_exits_4(tmp_path):
     empty = tmp_path / "traces.jsonl"
     empty.write_text("", encoding="utf-8")
     assert run_cli(["export-ft", "--traces", empty, "--out-dir", tmp_path / "ft"]) == 4
+    assert not (tmp_path / "ft").exists()
+
+
+def test_report_empty_file_exits_4(tmp_path, capsys):
+    empty = tmp_path / "records.jsonl"
+    empty.write_text("", encoding="utf-8")
+    assert run_cli(["report", "--records", empty, "--out-dir", tmp_path / "out"]) == 4
+    assert capsys.readouterr().err == "no records to report\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_run_sc_traces_export_one_example_per_episode(small_corpus_path, tmp_path, capsys):
@@ -444,6 +455,62 @@ def test_eval_interrupted_exits_130_with_one_line(tmp_path, monkeypatch, capsys)
     assert run_cli(["eval", "--synthetic", 2, "--out-dir", out]) == 130
     assert capsys.readouterr().err == "interrupted\n"
     assert [line["question"] for line in read_jsonl(out / "traces.jsonl")] == asked[:2]
+    assert [record["question"] for record in read_jsonl(out / "records.jsonl")] == asked[:2]
+
+
+def test_eval_error_keeps_the_records_before_it(tmp_path, monkeypatch, capsys):
+    import chartloop.cli as cli
+
+    original, asked = cli.run_self_consistency, []
+
+    def fail_fifth(*args, **kwargs):
+        asked.append(args[0])
+        if len(asked) == 5:
+            raise ValueError("the fifth question breaks")
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "run_self_consistency", fail_fifth)
+    out = tmp_path / "eval"
+    assert run_cli(["eval", "--synthetic", 2, "--out-dir", out]) == 2
+    assert capsys.readouterr().err == "error: the fifth question breaks\n"
+    records = read_jsonl(out / "records.jsonl")
+    assert [record["question"] for record in records] == asked[:4]
+    assert [line["trace_ref"] for line in read_jsonl(out / "traces.jsonl")] == \
+        [record["trace_ref"] for record in records]
+
+
+def test_eval_sigint_keeps_a_trace_line_for_every_record(tmp_path):
+    """Ctrl-C in the middle of a real eval process: each record on disk has
+    its trace line, and the records rebuild a report."""
+    out = tmp_path / "eval"
+    src = Path(chartloop.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    with subprocess.Popen(
+        [sys.executable, "-m", "chartloop", "eval", "--synthetic", "1000", "--per-template", "2",
+         "--out-dir", str(out)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+        # A shell without job control starts background jobs ignoring SIGINT,
+        # which the interpreter would then keep ignoring.
+        preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL),
+    ) as process:
+        try:
+            deadline = time.monotonic() + 60
+            while not ((out / "records.jsonl").exists() and (out / "records.jsonl").stat().st_size):
+                assert process.poll() is None and time.monotonic() < deadline
+                time.sleep(0.01)
+            process.send_signal(signal.SIGINT)
+            stdout, stderr = process.communicate(timeout=60)
+        finally:
+            process.kill()
+    assert (process.returncode, stdout, stderr) == (130, "", "interrupted\n")
+    records = read_jsonl(out / "records.jsonl")
+    traces = read_jsonl(out / "traces.jsonl")
+    assert 0 < len(records) <= len(traces) < 12_000
+    assert [line["trace_ref"] for line in traces[:len(records)]] == \
+        [record["trace_ref"] for record in records] == \
+        [f"episode-{index}" for index in range(len(records))]
+    assert run_cli(["report", "--records", out / "records.jsonl",
+                    "--out-dir", tmp_path / "report"]) == 0
 
 
 @pytest.mark.parametrize("command, content", [
@@ -604,10 +671,11 @@ def test_bad_script_exits_2_before_run_config(small_corpus_path, tmp_path, capsy
     ["export-ft", "--traces", "."],
     ["export-ft", "--traces", "missing.jsonl"],
     ["export-ft", "--traces", "latin1.jsonl"],
+    ["report", "--records", "latin1.jsonl"],
 ])
 def test_unreadable_input_exits_2_with_one_line(tmp_path, capsys, argv):
     """Too deeply nested JSON, a directory where a file belongs, a missing
-    file and a file that is not UTF-8."""
+    file and a file that is not UTF-8; the message names the file."""
     (tmp_path / "deep.json").write_text("[" * 100_000, encoding="utf-8")
     (tmp_path / "latin1.jsonl").write_bytes(b'{"question": "caf\xe9"}\n')
     argv = [tmp_path / arg if arg in ("deep.json", ".", "missing.jsonl", "latin1.jsonl") else arg
@@ -615,7 +683,35 @@ def test_unreadable_input_exits_2_with_one_line(tmp_path, capsys, argv):
     assert run_cli([*argv, "--out-dir", tmp_path / "out"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(next(arg for arg in argv if isinstance(arg, Path))) in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("out_dir, blocked", [
+    ("file", "file"),
+    ("file/sub", "file/sub"),
+    ("out", "out/{artifact}"),
+], ids=["an-existing-file", "under-a-file", "artifact-is-a-directory"])
+@pytest.mark.parametrize("command, artifact", [
+    (["datagen", "--corpus", "{corpus}"], "system1.jsonl"),
+    (["run", "--question", "What is the value of Q3?", "--chart", "solo-chart",
+      "--corpus", "{corpus}"], "traces.jsonl"),
+    (["eval", "--synthetic", "1"], "traces.jsonl"),
+    (["export-ft", "--traces", "{inputs}/traces.jsonl"], "system2.jsonl"),
+    (["report", "--records", "{inputs}/records.jsonl"], "report.json"),
+], ids=["datagen", "run", "eval", "export-ft", "report"])
+def test_unusable_out_dir_exits_2_with_one_line(small_corpus_path, tmp_path, capsys,
+                                                command, artifact, out_dir, blocked):
+    inputs = tmp_path / "inputs"
+    assert run_cli(["eval", "--corpus", small_corpus_path, "--out-dir", inputs]) == 0
+    (tmp_path / "file").write_text("", encoding="utf-8")
+    (tmp_path / "out" / artifact).mkdir(parents=True)
+    capsys.readouterr()
+    argv = [arg.format(corpus=small_corpus_path, inputs=inputs) for arg in command]
+    assert run_cli([*argv, "--out-dir", tmp_path / out_dir]) == 2
+    err = capsys.readouterr().err
+    blocked = tmp_path / blocked.format(artifact=artifact)
+    assert err.startswith(f"error: cannot write {blocked}: ") and err.count("\n") == 1
 
 
 def test_scripted_eval_replays_the_script_for_each_question(small_corpus_path, tmp_path):

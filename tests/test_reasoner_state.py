@@ -1,11 +1,14 @@
-"""The symbolic reasoner's one slot of per-episode state.
+"""The symbolic reasoner's per-question memo.
 
 A warm reasoner must answer every prompt exactly as a fresh one does, in
-whatever order prompts arrive and from however many threads; and an episode
-decomposes its question once and parses each reader answer once.
+whatever order prompts arrive and from however many threads; a question is
+decomposed once and each distinct reader line parsed once, across an
+episode's steps and its self-consistency samples; and the memo holds only the
+last question.
 """
 
 import random
+import re
 import sys
 import threading
 
@@ -26,8 +29,9 @@ from chartloop.tables import ChartTable, TemplateType
 
 # Every (prompt style, describe_first) pair; episode i takes pair i mod 6.
 _SETTINGS = [(style, describe_first) for style in PromptStyle for describe_first in (True, False)]
-# Reader lines that begin like a stub line, so that a warm reasoner must
-# fall back to a full parse; episode i takes prefix (i // 6) mod 3.
+# Reader lines that begin like a stub line, so that a reasoner which found
+# the stub anywhere but in the last "Q: " line directly followed by an "A: "
+# line would go wrong; episode i takes prefix (i // 6) mod 3.
 _READER_PREFIXES = ("", "A: ", "Q: ")
 
 
@@ -238,4 +242,49 @@ def test_self_consistency_samples_share_one_decompose(counted):
     # Two agreeing samples decide a vote of at most three.
     assert final.raw == "7" and len(traces) == 2
     assert reader.reads == 6
-    assert counted == {"decompose": 1, "parse_reader_answer": 6}
+    # The samples read the same three lines, parsed once between them.
+    assert counted == {"decompose": 1, "parse_reader_answer": 3}
+
+
+class _RespellingReader(_CountingReader):
+    """Writes every other sample's numbers as ``N.0``: each of the question's
+    three reads per sample then has two spellings across samples."""
+
+    def __init__(self, table):
+        super().__init__(table)
+        self.lines = []
+
+    def read(self, chart_ref, query):
+        line = super().read(chart_ref, query)
+        if (self.reads - 1) // 3 % 2:
+            line = re.sub(r"^(The data is \d+)\.$", r"\1.0.", line)
+        self.lines.append(line)
+        return line
+
+
+def test_self_consistency_samples_parse_each_distinct_line_once(counted):
+    reader = _RespellingReader(_TABLE)
+    final, traces = run_self_consistency(_QUESTION, "sum", SymbolicReasoner(), reader,
+                                         EpisodeConfig(), SelfConsistencyConfig(n_samples=5))
+    assert [trace.final.raw for trace in traces] == ["7", "7.0", "7"]
+    assert reader.reads == 9
+    assert len(set(reader.lines)) == 5
+    assert counted == {"decompose": 1, "parse_reader_answer": 5}
+
+
+def test_memo_holds_only_the_last_question(episodes):
+    """After many distinct questions the memo keeps the last one's plan and
+    the reader lines of its prompts, nothing of the questions before."""
+    reasoner = SymbolicReasoner(True)
+    lines = set()
+    for describe_first, prompts, _ in episodes:
+        if describe_first:
+            lines = set()
+            for prompt in prompts:
+                reasoner.complete(prompt, ["\n"], 0.0, 256)
+                question, begin = symbolic._find_stub(prompt)
+                lines.update(prompt[begin:].split("\n")[1:-1:2])
+    (last_question, describe_first), plan, parsed = reasoner._memo
+    assert (last_question, describe_first) == (question, True)
+    assert plan == symbolic.decompose(question, describe_first=True)
+    assert set(parsed) == lines
