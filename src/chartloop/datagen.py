@@ -33,6 +33,7 @@ from .tables import (
     ChartTable,
     QAInstance,
     ReasoningTrace,
+    SeriesLabel,
     StepRole,
     TableError,
     TemplateType,
@@ -145,23 +146,79 @@ CORPUS_LAYOUTS = {
 }
 
 
+_JSON_TYPE_NAMES = {bool: "a boolean", dict: "an object", list: "an array"}
+
+
+def _text(raw: Any, field: str, *index: int) -> str:
+    """A text field as text: a string as it is, a number (not a boolean) through
+    ``str()``.  Null or any other JSON value raises ValueError naming the field,
+    ``field`` followed by each ``index`` in brackets.  Callers that run once per
+    cell or label test for ``str`` first and skip the call, which cost about
+    5% of loading a 10-chart corpus."""
+    if isinstance(raw, str):
+        return raw
+    if isinstance(raw, (int, float)) and not isinstance(raw, bool):
+        return str(raw)
+    where = field + "".join(f"[{i}]" for i in index)
+    if raw is None:
+        raise ValueError(f"missing {where}")
+    kind = _JSON_TYPE_NAMES.get(type(raw), type(raw).__name__)
+    raise ValueError(f"{where} must be a string or a number, not {kind}")
+
+
+def _cells(row: list, i: int, values: dict[str, Value]) -> tuple[Value, ...]:
+    """Series ``i``'s row of cells.  ``values`` maps each printed text parsed so
+    far in this load to its ``Value``: a repeated text is parsed once, and every
+    cell and answer that prints it shares that immutable ``Value``."""
+    parsed = []
+    for j, cell in enumerate(row):
+        text = cell if type(cell) is str else _text(cell, "cells", i, j)
+        value = values.get(text)
+        if value is None:
+            value = values[text] = Value.from_raw(text)
+        parsed.append(value)
+    return tuple(parsed)
+
+
+def _chart_from_obj(obj: dict, values: dict[str, Value]) -> ChartTable:
+    """A chart row: ``id``, ``series`` (``name``, optional ``color``),
+    ``x_labels`` and ``cells``, one row of cells per series."""
+    series = tuple(
+        SeriesLabel(_text(s.get("name"), f"series[{i}].name"),
+                    None if s.get("color") is None else _text(s["color"], f"series[{i}].color"))
+        for i, s in enumerate(obj["series"])
+    )
+    x_labels = tuple([x if type(x) is str else _text(x, "x_labels", j)
+                      for j, x in enumerate(obj["x_labels"])])
+    cells = tuple([_cells(row, i, values) for i, row in enumerate(obj["cells"])])
+    table = ChartTable(_text(obj.get("id"), "id"), series, x_labels, cells)
+    table.validate()
+    return table
+
+
 def _field(obj: dict, key: str, alias: str) -> str:
-    """``obj[key]``, else ``obj[alias]``, as text; a missing or empty value does not count."""
+    """``obj[key]``, else ``obj[alias]``, as text; a missing, null or empty value does not count."""
     value = obj.get(key)
     if value is None or value == "":
         value = obj.get(alias)
         if value is None or value == "":
             raise ValueError(f"missing {key} or {alias}")
-    return str(value)
+        key = alias
+    return value if type(value) is str else _text(value, key)
 
 
-def _qa_from_obj(obj: dict) -> QAInstance:
-    """A QA row: ``question``/``query``, ``answer``/``label``, ``chart_id``/``imgname``."""
+def _qa_from_obj(obj: dict, values: dict[str, Value]) -> QAInstance:
+    """A QA row: ``question``/``query``, ``answer``/``label``, ``chart_id``/``imgname``.
+    The gold answer is looked up in, or added to, ``values`` as in :func:`_cells`."""
     template = obj.get("template_type")
     chart_id = _field(obj, "chart_id", "imgname")
+    answer = _field(obj, "answer", "label")
+    gold = values.get(answer)
+    if gold is None:
+        gold = values[answer] = Value.from_raw(answer)
     return QAInstance(
         question=_field(obj, "question", "query"),
-        gold=Value.from_raw(_field(obj, "answer", "label")),
+        gold=gold,
         chart_id=chart_id if obj.get("chart_id") not in (None, "") else Path(chart_id).stem,
         template_type=TemplateType(template) if template else None,
     )
@@ -172,9 +229,12 @@ def load_corpus(path: str | Path, format: str = "internal_json") -> Corpus:
 
     One row loop serves every layout.  A chart row becomes a validated
     ``ChartTable``; a repeated chart id keeps the first.  A QA row needs a
-    question, an answer and a loaded chart.  A bad row is skipped and reported
-    in ``issues`` as ``where: reason``; a missing path, an unreadable or
-    misshapen file, or a corpus without a valid chart raises ``CorpusError``.
+    question, an answer and a loaded chart.  A text field takes a string as it
+    is and a number through ``str()``.  A bad row is skipped and reported in
+    ``issues`` as ``where: reason``; a missing path, an unreadable or misshapen
+    file, or a corpus without a valid chart raises ``CorpusError``.  Each
+    distinct printed cell or answer is parsed once per call, and every row
+    that prints it shares that ``Value``.
     """
     if format not in CORPUS_LAYOUTS:
         raise CorpusError(f"unknown corpus format {format!r}")
@@ -183,16 +243,16 @@ def load_corpus(path: str | Path, format: str = "internal_json") -> Corpus:
         raise CorpusError(f"corpus path does not exist: {location}")
     entries: dict[str, tuple[ChartTable, list[QAInstance]]] = {}
     issues: list[str] = []
+    values: dict[str, Value] = {}
 
     def add_chart(obj: dict) -> None:
-        table = ChartTable.from_dict(obj)
-        table.validate()
+        table = _chart_from_obj(obj, values)
         if table.source_id in entries:
             raise ValueError(f"duplicate chart id {table.source_id!r}, first kept")
         entries[table.source_id] = (table, [])
 
     def add_qa(obj: dict) -> None:
-        qa = _qa_from_obj(obj)
+        qa = _qa_from_obj(obj, values)
         if qa.chart_id not in entries:
             raise ValueError(f"unknown chart {qa.chart_id!r}")
         entries[qa.chart_id][1].append(qa)

@@ -30,6 +30,7 @@ TOLERANCE = Decimal("0.05")
 DEFAULT_BUCKET_EDGES = (0, 10, 20, 40)
 
 _THOUSANDS_RE = re.compile(r"^[+-]?\d{1,3}(,\d{3})+(\.\d+)?$")
+_PLAIN_NUMBER_RE = re.compile(r"[+-]?(\d+(\.\d*)?|\.\d+)")
 
 
 def _numeric_candidate(text: str) -> Optional[Decimal]:
@@ -40,7 +41,7 @@ def _numeric_candidate(text: str) -> Optional[Decimal]:
         candidate = candidate[:-1].strip()
     if _THOUSANDS_RE.match(candidate):
         candidate = candidate.replace(",", "")
-    if not candidate or not re.fullmatch(r"[+-]?(\d+(\.\d*)?|\.\d+)", candidate):
+    if not candidate or not _PLAIN_NUMBER_RE.fullmatch(candidate):
         return None
     try:
         return Decimal(candidate)

@@ -189,6 +189,7 @@ _DESCRIPTION_RE = re.compile(
 )
 _COLOR_RE = re.compile(r"^(?P<name>.*) \((?P<color>[^()]*)\)$")
 _PAIR_SPLIT_RE = re.compile(r", (?=\S+ in )")
+_PAIR_ITEM_RE = re.compile(r"^\S+ in .+$")
 
 
 def _parse_series_item(item: str) -> SeriesLabel:
@@ -217,7 +218,7 @@ def parse_reader_answer(text: str) -> ReaderAnswer:
         payload = stripped[len(DATA_PREFIX):-1]
         if payload:
             items = _PAIR_SPLIT_RE.split(payload)
-            if all(re.match(r"^\S+ in .+$", item) for item in items):
+            if all(_PAIR_ITEM_RE.match(item) for item in items):
                 pairs = []
                 for item in items:
                     value_text, key = item.split(" in ", 1)

@@ -161,11 +161,6 @@ class ChartTable:
             "cells": [[v.raw for v in row] for row in self.cells],
         }
 
-    @staticmethod
-    def from_dict(obj: dict) -> "ChartTable":
-        series = [(s["name"], s.get("color")) for s in obj["series"]]
-        return ChartTable.build(str(obj["id"]), series, [str(x) for x in obj["x_labels"]], obj["cells"])
-
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), ensure_ascii=False)
 

@@ -14,7 +14,9 @@ import pytest
 import chartloop
 from chartloop.cli import build_parser, main
 from chartloop.datagen import example_from_trace, load_corpus
-from chartloop.tables import ReasoningTrace
+from chartloop.symbolic import SkippedTemplate, gen_questions
+from chartloop.synth import random_tables
+from chartloop.tables import ReasoningTrace, TemplateType
 
 
 def run_cli(args):
@@ -322,11 +324,37 @@ def test_eval_traces_export_one_example_per_concluded_episode(tmp_path, capsys):
     assert [e["chart_id"] for e in exported] == [e.chart_id for e in expected]
 
 
-@pytest.mark.parametrize("sc", [1, 3])
-def test_eval_records_bytes_are_pinned(tmp_path, sc):
+def write_synthetic_corpus(root, seed, n_charts, per_template):
+    """Write the charts and questions of ``eval --synthetic n_charts`` as an
+    internal_json corpus (``charts.jsonl``, ``qa.jsonl``) under ``root``."""
+    root.mkdir()
+    charts = random_tables(seed, n_charts)
+    with open(root / "charts.jsonl", "w", encoding="utf-8") as handle:
+        handle.writelines(table.to_json() + "\n" for table in charts)
+    with open(root / "qa.jsonl", "w", encoding="utf-8") as handle:
+        for table in charts:
+            for template in TemplateType:
+                try:
+                    generated = gen_questions(table, template, seed, n=per_template)
+                except SkippedTemplate:
+                    continue
+                for qa, _ in generated:
+                    row = {"question": qa.question, "answer": qa.gold.raw,
+                           "chart_id": qa.chart_id, "template_type": template.value}
+                    handle.write(json.dumps(row, ensure_ascii=False) + "\n")
+
+
+@pytest.mark.parametrize("sc, source", [(1, "synthetic"), (3, "synthetic"), (1, "corpus")],
+                         ids=["1", "3", "corpus"])
+def test_eval_records_bytes_are_pinned(tmp_path, sc, source):
     out = tmp_path / "eval"
-    assert run_cli(["eval", "--synthetic", 20, "--per-template", 2, "--seed", 0, "--sc", sc,
-                    "--out-dir", out]) == 0
+    if source == "corpus":
+        # The synthetic cases' charts and questions, read back by load_corpus: same bytes.
+        write_synthetic_corpus(tmp_path / "corpus", 0, 20, 2)
+        assert run_cli(["eval", "--corpus", tmp_path / "corpus", "--out-dir", out]) == 0
+    else:
+        assert run_cli(["eval", "--synthetic", 20, "--per-template", 2, "--seed", 0,
+                        "--sc", sc, "--out-dir", out]) == 0
     digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
                for name in ("records.jsonl", "report.json", "report.txt")}
     assert digests == {

@@ -22,6 +22,7 @@ from chartloop.protocol import QueryOp
 from chartloop.symbolic import SymbolicReasoner
 from chartloop.synth import random_tables
 from chartloop.tables import (
+    ChartTable,
     QAInstance,
     ReasoningTrace,
     Step,
@@ -150,6 +151,12 @@ def _write_layout(root, layout, charts, qa):
                  False, id="internal_json-too-deeply-nested-line"),
     pytest.param("plotqa_like", [CHART], [QA], ("plotqa.json", b"[" * 100_000), True,
                  id="plotqa_like-too-deeply-nested-file"),
+    *(pytest.param(layout, [CHART, {**CHART_2, "cells": [["3"], [None]]}], [QA], None, False,
+                   id=f"{layout}-null-cell")
+      for layout in ("internal_json", "plotqa_like")),
+    *(pytest.param(layout, [CHART, {**CHART_2, "x_labels": [None]}], [QA], None, False,
+                   id=f"{layout}-null-x-label")
+      for layout in ("internal_json", "plotqa_like")),
 ])
 def test_bad_rows_are_skipped_and_bad_files_are_fatal(tmp_path, layout, charts, qa, damage, fatal):
     path = _write_layout(tmp_path / "corpus", layout, charts, qa)
@@ -216,6 +223,102 @@ def test_load_corpus_fuzz_returns_corpus_or_corpus_error(tmp_path, layout):
             continue
         assert isinstance(corpus, Corpus)
         assert all("\n" not in issue for issue in corpus.issues)
+
+
+@pytest.mark.parametrize("layout", ["internal_json", "plotqa_like"])
+@pytest.mark.parametrize("chart, qa, field, kind", [
+    pytest.param({**CHART_2, "id": ["c2"]}, None, "id", "an array", id="id-array"),
+    pytest.param({**CHART_2, "id": None}, None, "id", None, id="id-null"),
+    pytest.param({**CHART_2, "series": [{"name": "A"}, {"name": {"n": 1}}]}, None,
+                 "series[1].name", "an object", id="series-name-object"),
+    pytest.param({**CHART_2, "series": [{"name": "A"}, {"color": "red"}]}, None,
+                 "series[1].name", None, id="series-name-missing"),
+    pytest.param({**CHART_2, "series": [{"name": "A", "color": True}, {"name": "B"}]}, None,
+                 "series[0].color", "a boolean", id="color-boolean"),
+    pytest.param({**CHART_2, "x_labels": [False]}, None, "x_labels[0]", "a boolean",
+                 id="x-label-boolean"),
+    pytest.param({**CHART_2, "cells": [["3"], [True]]}, None, "cells[1][0]", "a boolean",
+                 id="cell-boolean"),
+    pytest.param({**CHART_2, "cells": [[["3"]], ["4"]]}, None, "cells[0][0]", "an array",
+                 id="cell-array"),
+    pytest.param(None, {**QA, "question": ["What"]}, "question", "an array", id="question-array"),
+    pytest.param(None, {**QA, "question": None, "query": {"q": "What"}}, "query", "an object",
+                 id="query-object"),
+    pytest.param(None, {**QA, "answer": {"v": 1}}, "answer", "an object", id="answer-object"),
+    pytest.param(None, {**QA, "answer": True}, "answer", "a boolean", id="answer-boolean"),
+    pytest.param(None, {**QA, "chart_id": ["c1"]}, "chart_id", "an array", id="chart-id-array"),
+])
+def test_non_text_in_a_text_field_is_an_issue_naming_the_field(tmp_path, layout, chart, qa,
+                                                               field, kind):
+    path = _write_layout(tmp_path / "corpus", layout, [CHART] + ([chart] if chart else []),
+                         [QA] + ([qa] if qa else []))
+    corpus = load_corpus(path, layout)
+    assert [table.to_dict() for table in corpus.charts] == [CHART]
+    assert [qa.question for qa in corpus.all_qa()] == [QA["question"]]
+    reason = f"missing {field}" if kind is None else \
+        f"{field} must be a string or a number, not {kind}"
+    assert len(corpus.issues) == 1 and corpus.issues[0].endswith(f": {reason}")
+
+
+@pytest.mark.parametrize("layout", ["internal_json", "plotqa_like"])
+def test_numbers_in_text_fields_load_through_str(tmp_path, layout):
+    chart = {"id": 7, "series": [{"name": 2019, "color": None}, {"name": 2.5, "color": 3}],
+             "x_labels": [2020, 1.25], "cells": [[4, 4.5], ["5", -1]]}
+    qa = [{"chart_id": 7, "question": 12, "answer": 4.5},
+          {"imgname": 7, "query": "Which?", "label": 2019}]
+    corpus = load_corpus(_write_layout(tmp_path / "corpus", layout, [chart], qa), layout)
+    assert corpus.issues == []
+    assert corpus.charts == [ChartTable.build("7", [("2019", None), ("2.5", "3")],
+                                              ["2020", "1.25"], [["4", "4.5"], ["5", "-1"]])]
+    assert corpus.all_qa() == [QAInstance("12", Value.from_raw("4.5"), "7"),
+                               QAInstance("Which?", Value.from_raw("2019"), "7")]
+
+
+def _loaded_values(corpus):
+    return [cell for table in corpus.charts for row in table.cells for cell in row] + \
+        [qa.gold for qa in corpus.all_qa()]
+
+
+def test_a_repeated_token_loads_as_one_value(tmp_path):
+    charts = [{**CHART, "cells": [["7", "2"]]}, {**CHART_2, "cells": [["7"], ["7"]]}]
+    qa = [{**QA, "answer": "7"}, {"chart_id": "c2", "question": "Which?", "answer": "2"}]
+    corpus = load_corpus(_write_layout(tmp_path / "corpus", "internal_json", charts, qa))
+    first, second = corpus.charts
+    sevens = [first.cells[0][0], second.cells[0][0], second.cells[1][0], corpus.all_qa()[0].gold]
+    assert all(value is sevens[0] for value in sevens)
+    assert corpus.all_qa()[1].gold is first.cells[0][1]
+
+
+def test_two_loads_share_no_value(tmp_path):
+    path = _write_layout(tmp_path / "corpus", "internal_json", [CHART, CHART_2],
+                         [QA, {**QA, "answer": "2"}])
+    first, second = load_corpus(path), load_corpus(path)
+    assert first.entries == second.entries
+    assert not {id(v) for v in _loaded_values(first)} & {id(v) for v in _loaded_values(second)}
+
+
+def test_loaded_values_equal_per_row_parsing(tmp_path):
+    """Every table and QA row loads as it would with one ``Value.from_raw`` per
+    token; the memo conflates no two tokens that ``from_raw`` keeps apart."""
+    tokens = ["7", " 7", 7, "7.0", "Yes", "yes"]
+    charts = [{"id": "tokens", "series": [{"name": "A", "color": None}],
+               "x_labels": [f"x{i}" for i in range(len(tokens))], "cells": [tokens]}]
+    rows = [{"chart_id": "tokens", "question": f"Q{i}?", "answer": token}
+            for i, token in enumerate(tokens)]
+    for table in random_tables(3, 30):
+        charts.append(table.to_dict())
+        rows += [{"chart_id": table.source_id, "question": f"{table.source_id} {x}?",
+                  "answer": cell.raw}
+                 for row in table.cells for x, cell in zip(table.x_labels, row)]
+    corpus = load_corpus(_write_layout(tmp_path / "corpus", "internal_json", charts, rows))
+    assert corpus.issues == []
+    assert corpus.charts == [ChartTable.build(c["id"], [(s["name"], s["color"]) for s in c["series"]],
+                                              c["x_labels"], c["cells"]) for c in charts]
+    assert [qa.gold for qa in corpus.all_qa()] == \
+        [Value.from_raw(str(row["answer"])) for row in rows]
+    loaded = corpus.charts[0].cells[0]
+    assert loaded == tuple(Value.from_raw(str(token)) for token in tokens)
+    assert len(set(loaded)) == 5  # "7" and 7 print alike; the rest stay apart
 
 
 def test_sample_eval_set_deterministic():

@@ -3,6 +3,7 @@ from decimal import Decimal
 
 import pytest
 
+from chartloop.datagen import load_corpus
 from chartloop.tables import (
     ChartTable,
     QAInstance,
@@ -97,9 +98,9 @@ def test_degenerate_axis_constructs_without_validate(plotqa_duplicated_axis):
         plotqa_duplicated_axis.validate()
 
 
-def test_table_json_round_trip(oman_samoa):
-    clone = ChartTable.from_dict(oman_samoa.to_dict())
-    assert clone == oman_samoa
+def test_table_json_round_trip(oman_samoa, tmp_path):
+    (tmp_path / "charts.jsonl").write_text(oman_samoa.to_json() + "\n", encoding="utf-8")
+    assert load_corpus(tmp_path).charts == [oman_samoa]
 
 
 def test_qa_instance_round_trip():
