@@ -39,6 +39,8 @@ from .tables import (
     TemplateType,
     Termination,
     Value,
+    array_field,
+    text_field,
     validate_trace,
 )
 
@@ -146,33 +148,13 @@ CORPUS_LAYOUTS = {
 }
 
 
-_JSON_TYPE_NAMES = {bool: "a boolean", dict: "an object", list: "an array"}
-
-
-def _text(raw: Any, field: str, *index: int) -> str:
-    """A text field as text: a string as it is, a number (not a boolean) through
-    ``str()``.  Null or any other JSON value raises ValueError naming the field,
-    ``field`` followed by each ``index`` in brackets.  Callers that run once per
-    cell or label test for ``str`` first and skip the call, which cost about
-    5% of loading a 10-chart corpus."""
-    if isinstance(raw, str):
-        return raw
-    if isinstance(raw, (int, float)) and not isinstance(raw, bool):
-        return str(raw)
-    where = field + "".join(f"[{i}]" for i in index)
-    if raw is None:
-        raise ValueError(f"missing {where}")
-    kind = _JSON_TYPE_NAMES.get(type(raw), type(raw).__name__)
-    raise ValueError(f"{where} must be a string or a number, not {kind}")
-
-
 def _cells(row: list, i: int, values: dict[str, Value]) -> tuple[Value, ...]:
     """Series ``i``'s row of cells.  ``values`` maps each printed text parsed so
     far in this load to its ``Value``: a repeated text is parsed once, and every
     cell and answer that prints it shares that immutable ``Value``."""
     parsed = []
-    for j, cell in enumerate(row):
-        text = cell if type(cell) is str else _text(cell, "cells", i, j)
+    for j, cell in enumerate(array_field(row, "cells", i)):
+        text = cell if type(cell) is str else text_field(cell, "cells", i, j)
         value = values.get(text)
         if value is None:
             value = values[text] = Value.from_raw(text)
@@ -184,14 +166,16 @@ def _chart_from_obj(obj: dict, values: dict[str, Value]) -> ChartTable:
     """A chart row: ``id``, ``series`` (``name``, optional ``color``),
     ``x_labels`` and ``cells``, one row of cells per series."""
     series = tuple(
-        SeriesLabel(_text(s.get("name"), f"series[{i}].name"),
-                    None if s.get("color") is None else _text(s["color"], f"series[{i}].color"))
-        for i, s in enumerate(obj["series"])
+        SeriesLabel(text_field(s.get("name"), f"series[{i}].name"),
+                    None if s.get("color") is None
+                    else text_field(s["color"], f"series[{i}].color"))
+        for i, s in enumerate(array_field(obj.get("series"), "series"))
     )
-    x_labels = tuple([x if type(x) is str else _text(x, "x_labels", j)
-                      for j, x in enumerate(obj["x_labels"])])
-    cells = tuple([_cells(row, i, values) for i, row in enumerate(obj["cells"])])
-    table = ChartTable(_text(obj.get("id"), "id"), series, x_labels, cells)
+    x_labels = tuple([x if type(x) is str else text_field(x, "x_labels", j)
+                      for j, x in enumerate(array_field(obj.get("x_labels"), "x_labels"))])
+    cells = tuple([_cells(row, i, values)
+                   for i, row in enumerate(array_field(obj.get("cells"), "cells"))])
+    table = ChartTable(text_field(obj.get("id"), "id"), series, x_labels, cells)
     table.validate()
     return table
 
@@ -204,7 +188,7 @@ def _field(obj: dict, key: str, alias: str) -> str:
         if value is None or value == "":
             raise ValueError(f"missing {key} or {alias}")
         key = alias
-    return value if type(value) is str else _text(value, key)
+    return value if type(value) is str else text_field(value, key)
 
 
 def _qa_from_obj(obj: dict, values: dict[str, Value]) -> QAInstance:
@@ -458,7 +442,8 @@ def read_traces_jsonl(path: str | Path) -> tuple[list[tuple[ReasoningTrace, str,
     issues: list[str] = []
 
     def add(record: dict) -> None:
-        question, chart_id = str(record["question"]), str(record["chart_id"])
+        question = text_field(record.get("question"), "question")
+        chart_id = text_field(record.get("chart_id"), "chart_id")
         episodes = [ReasoningTrace.from_dict(obj) for obj in record["episodes"]]
         for trace in episodes:
             validate_trace(trace)

@@ -4,16 +4,19 @@ Relaxed accuracy is exact match for text, and at most 5% relative error for
 numbers, measured against the gold value (gold zero degrades to exact
 equality).  The tolerance boundary is inclusive.  All numeric comparison runs
 on Decimals so nothing is lost to binary floats at the boundary.
+
+Predictions and gold answers read numbers by the rule that reads cells and
+reader answers (``tables.parse_number``: ``$``, ``%``, thousands commas and
+exponents); "75%" matches 75, and "50%" does not match 0.5.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-import re
 from collections import Counter
 from dataclasses import dataclass
-from decimal import Decimal, InvalidOperation
+from decimal import Decimal
 from typing import Mapping, Optional, Sequence, TextIO
 
 from .tables import (
@@ -24,38 +27,20 @@ from .tables import (
     bucket_labels,
     bucket_length,
     canonical_decimal,
+    parse_number,
+    text_field,
 )
 
 TOLERANCE = Decimal("0.05")
 DEFAULT_BUCKET_EDGES = (0, 10, 20, 40)
 
-_THOUSANDS_RE = re.compile(r"^[+-]?\d{1,3}(,\d{3})+(\.\d+)?$")
-_PLAIN_NUMBER_RE = re.compile(r"[+-]?(\d+(\.\d*)?|\.\d+)")
-
-
-def _numeric_candidate(text: str) -> Optional[Decimal]:
-    candidate = text.strip()
-    if candidate.startswith("$"):
-        candidate = candidate[1:].strip()
-    if candidate.endswith("%"):
-        candidate = candidate[:-1].strip()
-    if _THOUSANDS_RE.match(candidate):
-        candidate = candidate.replace(",", "")
-    if not candidate or not _PLAIN_NUMBER_RE.fullmatch(candidate):
-        return None
-    try:
-        return Decimal(candidate)
-    except InvalidOperation:
-        return None
-
-
 def normalize_answer(raw: str) -> Value:
     """Canonicalize an answer string for voting and matching.
 
-    Strips wrapping whitespace/quotes and sentence punctuation, folds
-    yes/no, drops $/%/thousands-separator decoration, and renders numbers
-    with canonical precision ("15.00" and "15" normalize identically).
-    Anything else is case-folded text.
+    Strips wrapping whitespace/quotes and sentence punctuation, folds yes/no,
+    and renders a number read by ``parse_number`` with canonical precision
+    ("15.00", "$15" and "1.5e1" normalize identically).  Anything else is
+    case-folded text.
     """
     s = raw.strip()
     while len(s) >= 2 and s[0] == s[-1] and s[0] in "'\"":
@@ -63,14 +48,10 @@ def normalize_answer(raw: str) -> Value:
     s = s.rstrip(".!?").strip()
     if s.lower() in ("yes", "no"):
         return Value(ValueKind.YES_NO, s.lower())
-    number = _numeric_candidate(s)
+    number = parse_number(s)
     if number is not None:
         return Value(ValueKind.NUMERIC, canonical_decimal(number), number)
     return Value(ValueKind.TEXT, s.casefold())
-
-
-def normalize_value(value: Value) -> Value:
-    return normalize_answer(value.raw)
 
 
 def relaxed_match(prediction: Value, gold: Value) -> bool:
@@ -80,7 +61,7 @@ def relaxed_match(prediction: Value, gold: Value) -> bool:
     requires exact zero.  Text and yes/no: exact normalized match.  A kind
     mismatch that survives numeric coercion is simply false.
     """
-    p, g = normalize_value(prediction), normalize_value(gold)
+    p, g = normalize_answer(prediction.raw), normalize_answer(gold.raw)
     if g.kind is ValueKind.NUMERIC:
         if p.kind is not ValueKind.NUMERIC or p.number is None or g.number is None:
             return False
@@ -94,7 +75,7 @@ def relaxed_match(prediction: Value, gold: Value) -> bool:
 
 def vote_key(value: Value) -> str:
     """Canonical rendering used to group equal answers in a vote."""
-    return normalize_value(value).raw
+    return normalize_answer(value.raw).raw
 
 
 def leading_key(counts: Mapping[str, int]) -> str:
@@ -151,14 +132,15 @@ class EvalRecord:
     def from_dict(obj: dict) -> "EvalRecord":
         """Raises ValueError unless ``correct`` is a JSON bool and
         ``table_length`` a non-negative integer, so no verdict is guessed."""
-        prediction = Value.from_raw(obj["prediction"]) if obj.get("prediction") is not None else None
+        raw = obj.get("prediction")
+        prediction = None if raw is None else Value.from_raw(text_field(raw, "prediction"))
         correct, table_length = obj["correct"], obj["table_length"]
         if type(correct) is not bool:
             raise ValueError(f"correct must be true or false, not {correct!r}")
         if type(table_length) is not int or table_length < 0:
             raise ValueError(f"table_length must be a non-negative integer, not {table_length!r}")
         return EvalRecord(QAInstance.from_dict(obj), prediction, correct, table_length,
-                          str(obj.get("trace_ref", "")))
+                          text_field(obj.get("trace_ref", ""), "trace_ref"))
 
 
 def make_record(

@@ -9,9 +9,9 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
-from decimal import Decimal, InvalidOperation
+from decimal import Decimal, DefaultContext
 from enum import Enum
-from typing import Optional, Sequence
+from typing import Any, Optional, Sequence
 
 
 class TableError(ValueError):
@@ -28,6 +28,39 @@ class TraceError(ValueError):
 # ``TraceError`` and JSON decode errors are ``ValueError``s.
 SHAPE_ERRORS = (KeyError, IndexError, TypeError, AttributeError, ValueError, RecursionError)
 
+_JSON_TYPE_NAMES = {bool: "a boolean", dict: "an object", list: "an array", str: "a string",
+                    int: "a number", float: "a number"}
+
+
+def _field_error(raw: Any, field: str, index: tuple[int, ...], wanted: str) -> ValueError:
+    where = field + "".join(f"[{i}]" for i in index)
+    kind = _JSON_TYPE_NAMES.get(type(raw), type(raw).__name__)
+    return ValueError(f"missing {where}" if raw is None else
+                      f"{where} must be {wanted}, not {kind}")
+
+
+def text_field(raw: Any, field: str, *index: int) -> str:
+    """A decoded JSON text field as text: a string as it is, a number (not a
+    boolean) through ``str()``.  Null or any other JSON value raises ValueError
+    naming the field, ``field`` followed by each ``index`` in brackets.  Every
+    reader of JSON rows takes its text fields through here.  Callers that run
+    once per cell or label test for ``str`` first and skip the call, which cost
+    about 5% of loading a 10-chart corpus."""
+    if isinstance(raw, str):
+        return raw
+    if isinstance(raw, (int, float)) and not isinstance(raw, bool):
+        return str(raw)
+    raise _field_error(raw, field, index, "a string or a number")
+
+
+def array_field(raw: Any, field: str, *index: int) -> list:
+    """A decoded JSON array field as it is; null or any other JSON value raises
+    ValueError naming the field as :func:`text_field` does, so a string is
+    never read one character at a time."""
+    if isinstance(raw, list):
+        return raw
+    raise _field_error(raw, field, index, "an array")
+
 
 class ValueKind(str, Enum):
     NUMERIC = "numeric"
@@ -35,7 +68,28 @@ class ValueKind(str, Enum):
     YES_NO = "yes_no"
 
 
+# A printed number is a plain decimal, or one with thousands commas, a leading
+# "$" and a trailing "%" (group 1 drops the "$" and "%").
 _NUMERIC_RE = re.compile(r"[+-]?(\d+(\.\d*)?|\.\d+)([eE][+-]?\d+)?")
+_DECORATED_RE = re.compile(
+    r"(?:\$\s*)?([+-]?(?:(?:\d{1,3}(?:,\d{3})+|\d+)(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?)(?:\s*%)?")
+# Rounding to the context's 28 digits can carry into the next exponent: "< _EMAX".
+_EMIN, _EMAX = DefaultContext.Emin, DefaultContext.Emax
+
+
+def parse_number(text: str) -> Optional[Decimal]:
+    """The number a stripped printed token shows, with any "$", "%" and
+    thousands commas dropped ("45%" reads 45), else None.  The one rule for
+    what a printed number is; one whose adjusted exponent is outside the
+    default context's [Emin, Emax) is text, so rendering it cannot overflow."""
+    if not _NUMERIC_RE.fullmatch(text):
+        # Only a "$", "%" or "," lets _DECORATED_RE match where _NUMERIC_RE did not.
+        match = ("$" in text or "%" in text or "," in text) and _DECORATED_RE.fullmatch(text)
+        if not match:
+            return None
+        text = match[1].replace(",", "")
+    number = Decimal(text)
+    return number if _EMIN <= number.adjusted() < _EMAX else None
 
 
 def canonical_decimal(d: Decimal) -> str:
@@ -60,16 +114,13 @@ class Value:
 
     @staticmethod
     def from_raw(raw: str) -> "Value":
-        """Classify a printed token: yes/no, plain decimal, or free text."""
+        """Classify a printed token: yes/no, a number by :func:`parse_number`
+        (``raw`` keeps any "$", "%" and commas), or free text."""
         stripped = raw.strip()
         if stripped.lower() in ("yes", "no"):
             return Value(ValueKind.YES_NO, stripped)
-        if _NUMERIC_RE.fullmatch(stripped):
-            try:
-                return Value(ValueKind.NUMERIC, raw, Decimal(stripped))
-            except InvalidOperation:
-                pass
-        return Value(ValueKind.TEXT, raw)
+        number = parse_number(stripped)
+        return Value(ValueKind.TEXT if number is None else ValueKind.NUMERIC, raw, number)
 
     @staticmethod
     def yes_no(flag: bool) -> "Value":
@@ -239,9 +290,9 @@ class QAInstance:
     def from_dict(obj: dict) -> "QAInstance":
         tt = obj.get("template_type")
         return QAInstance(
-            question=str(obj["question"]),
-            gold=Value.from_raw(str(obj["gold"])),
-            chart_id=str(obj["chart_id"]),
+            question=text_field(obj.get("question"), "question"),
+            gold=Value.from_raw(text_field(obj.get("gold"), "gold")),
+            chart_id=text_field(obj.get("chart_id"), "chart_id"),
             template_type=TemplateType(tt) if tt else None,
         )
 

@@ -646,6 +646,8 @@ _RECORD = {"question": "q", "gold": "1", "chart_id": "c", "template_type": None,
     pytest.param("[" * 100_000 + "\n", id="too-deeply-nested"),
     pytest.param(json.dumps({**_RECORD, "correct": "false"}) + "\n", id="correct-is-a-string"),
     pytest.param(json.dumps({**_RECORD, "table_length": -1}) + "\n", id="negative-table-length"),
+    pytest.param(json.dumps({**_RECORD, "gold": None}) + "\n", id="gold-is-null"),
+    pytest.param(json.dumps({**_RECORD, "trace_ref": None}) + "\n", id="trace-ref-is-null"),
 ])
 def test_report_bad_records_exit_2(tmp_path, capsys, content):
     records = tmp_path / "records.jsonl"

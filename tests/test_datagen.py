@@ -13,6 +13,7 @@ from chartloop.datagen import (
     generate_system1_corpus,
     load_corpus,
     parse_annotated_examples,
+    read_traces_jsonl,
     sample_eval_set,
     write_system1_jsonl,
 )
@@ -274,6 +275,26 @@ def test_numbers_in_text_fields_load_through_str(tmp_path, layout):
                                QAInstance("Which?", Value.from_raw("2019"), "7")]
 
 
+@pytest.mark.parametrize("layout", ["internal_json", "plotqa_like"])
+@pytest.mark.parametrize("chart, field, kind", [
+    pytest.param({**CHART_2, "x_labels": "x"}, "x_labels", "a string", id="x-labels-string"),
+    pytest.param({"id": "c2", "series": [{"name": "A"}], "x_labels": "xy", "cells": ["12"]},
+                 "x_labels", "a string", id="x-labels-and-row-strings"),
+    pytest.param({**CHART_2, "cells": ["3", ["4"]]}, "cells[0]", "a string", id="cell-row-string"),
+    pytest.param({**CHART_2, "cells": "34"}, "cells", "a string", id="cells-string"),
+    pytest.param({**CHART_2, "series": "AB"}, "series", "a string", id="series-string"),
+    pytest.param({**CHART_2, "x_labels": {"x": 1}}, "x_labels", "an object", id="x-labels-object"),
+    pytest.param({**CHART_2, "cells": 34}, "cells", "a number", id="cells-number"),
+    pytest.param({**CHART_2, "series": None}, "series", None, id="series-null"),
+])
+def test_non_array_in_an_array_field_is_an_issue_naming_the_field(tmp_path, layout, chart,
+                                                                  field, kind):
+    corpus = load_corpus(_write_layout(tmp_path / "corpus", layout, [CHART, chart], [QA]), layout)
+    assert [table.to_dict() for table in corpus.charts] == [CHART]
+    reason = f"missing {field}" if kind is None else f"{field} must be an array, not {kind}"
+    assert len(corpus.issues) == 1 and corpus.issues[0].endswith(f": {reason}")
+
+
 def _loaded_values(corpus):
     return [cell for table in corpus.charts for row in table.cells for cell in row] + \
         [qa.gold for qa in corpus.all_qa()]
@@ -495,6 +516,21 @@ def test_export_system2_sft(tmp_path):
     plain = tmp_path / "plain.jsonl"
     export_system2_sft(examples, plain, format_tagged=False)
     assert "rendered" not in json.loads(plain.read_text(encoding="utf-8").splitlines()[0])
+
+
+def test_trace_lines_take_text_fields_by_the_corpus_rule(tmp_path):
+    trace = ReasoningTrace((Step(StepRole.CONCLUSION, "So the answer is 7."),),
+                           Value.from_raw("7"), Termination.CONCLUSION)
+    record = {"trace_ref": "episode-0", "question": "q", "chart_id": "c", "final": "7",
+              "episodes": [trace.to_dict()]}
+    path = tmp_path / "traces.jsonl"
+    path.write_text("".join(json.dumps(line) + "\n" for line in [
+        {**record, "question": None}, {**record, "chart_id": ["c"]},
+        {**record, "question": 12}, record]), encoding="utf-8")
+    triples, issues = read_traces_jsonl(path)
+    assert triples == [(trace, "12", "c"), (trace, "q", "c")]
+    assert issues == [f"{path}:1: missing question",
+                      f"{path}:2: chart_id must be a string or a number, not an array"]
 
 
 def test_generation_is_reproducible(small_corpus_path, tmp_path):

@@ -36,6 +36,12 @@ def test_relaxed_match_examples():
     assert relaxed_match(Value.from_raw("210"), Value.from_raw("210.69"))
     assert not relaxed_match(Value.from_raw("200"), Value.from_raw("210.69"))
     assert relaxed_match(Value.from_raw("independents"), Value.from_raw("Independents"))
+    # Numbers read by the cell rule: exponents count, decoration is dropped.
+    assert relaxed_match(Value.from_raw("1000"), Value.from_raw("1e3"))
+    assert relaxed_match(Value.from_raw("1.02e3"), Value.from_raw("$1,000"))
+    assert relaxed_match(Value.from_raw("75"), Value.from_raw("75%"))
+    assert not relaxed_match(Value.from_raw("0.5"), Value.from_raw("50%"))
+    assert not relaxed_match(Value.from_raw("50%"), Value.from_raw("0.5"))
 
 
 def test_relaxed_match_rendering_invariance():
@@ -70,6 +76,41 @@ def test_relaxed_match_reflexive_on_random_values():
         raw = str(Decimal(rng.randrange(1, 10**6)) / (10 ** rng.randrange(0, 3)))
         value = Value.from_raw(raw)
         assert relaxed_match(value, value)
+
+
+def test_a_number_past_the_exponent_range_scores_as_text():
+    """Read as a number, it would overflow when its canonical form is rendered."""
+    for raw in ["1e1000000", "-1e-1000000", "9" * 31 + "e999969"]:
+        assert normalize_answer(raw) == Value(ValueKind.TEXT, raw.casefold())
+        assert relaxed_match(Value.from_raw(raw), Value.from_raw(raw))
+        assert not relaxed_match(Value.from_raw(raw), Value.from_raw("1"))
+        assert majority_vote([Value.from_raw(raw)]).raw == raw
+    assert normalize_answer("1e999998").number == Decimal("1e999998")
+
+
+def _printed_token(rng):
+    """A printed number with random sign, grouping, fraction, exponent and
+    decoration, sometimes with one character overwritten.  It never ends in
+    ".", which ``normalize_answer`` strips as sentence punctuation."""
+    n = rng.randrange(10 ** rng.randrange(1, 9))
+    token = (rng.choice(["", "$", "$ "]) + rng.choice(["", "-", "+"])
+             + (f"{n:,}" if rng.random() < 0.5 else str(n))
+             + rng.choice(["", ".", ".5", ".250"]) + rng.choice(["", "e3", "E-2", "e1000000"])
+             + rng.choice(["", "%", " %"]))
+    if rng.random() < 0.3:
+        i = rng.randrange(len(token))
+        token = token[:i] + rng.choice("$%,.e -+x") + token[i + 1:]
+    return token.rstrip(".")
+
+
+def test_cells_and_scored_answers_read_one_number_rule():
+    rng = random.Random(16)
+    tokens = [_printed_token(rng) for _ in range(2000)]
+    tokens += ["yes", "No", "Norway", "Gambia, The", "n/a", "45%", "$1,200.50", "1e3"]
+    read = [Value.from_raw(token).number for token in tokens]
+    assert read == [normalize_answer(token).number for token in tokens]
+    decorated = [t for t, n in zip(tokens, read) if n is not None and set(t) & set("$%,")]
+    assert len(decorated) > 500
 
 
 def test_majority_vote_examples():

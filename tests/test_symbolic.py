@@ -1,10 +1,13 @@
 import hashlib
 import json
 import random
+from decimal import Decimal
 
 import pytest
 
-from chartloop.oracle import execute_query
+from chartloop.controller import run_episode
+from chartloop.evalkit import relaxed_match
+from chartloop.oracle import TableOracle, execute_query
 from chartloop.protocol import (
     describe_query,
     group_query,
@@ -18,6 +21,7 @@ from chartloop.symbolic import (
     QuestionPlan,
     Reduce,
     SkippedTemplate,
+    SymbolicReasoner,
     UndefinedResult,
     compute_gold,
     decompose,
@@ -26,7 +30,7 @@ from chartloop.symbolic import (
     stable_seed,
 )
 from chartloop.synth import random_table, random_tables
-from chartloop.tables import ChartTable, TemplateType, Value
+from chartloop.tables import ChartTable, TemplateType, Value, ValueKind
 
 
 def _plan(reduce, queries, args=(), template=TemplateType.ARITHMETIC):
@@ -87,7 +91,7 @@ def test_decompose_free_form_not_templated():
 
 # The reduce table: every answer and concluding sentence below was worked out
 # by hand from the literal cells, never produced by chartloop code.  Each row
-# is (table, plan, reader answers, answer raw, sentence).  A row with no
+# is (table, plan, reader answers, answer raw or Value, sentence).  A row with no
 # table feeds deduce answers that no table yields; a row with no answer raw
 # expects deduce's unknown conclusion and, given a table, UndefinedResult from
 # compute_gold.
@@ -225,12 +229,31 @@ _HAND_TABLE = [
          [_P("x1")], ["The data is 1.", "The data is 2."], None, _UNKNOWN),
     _row("too-few-values", None, Reduce.DIFFERENCE,
          [_P("x1")], ["The data is 3."], None, _UNKNOWN),
+    # Printed "$", "%" and thousands commas: a cell computes with its bare
+    # number and keeps its print, and a computed answer is a plain number.
+    _row("sum-of-percent-cells", _chart("2019", Norway=["45%"], Chile=["30%"]), Reduce.SUM,
+         [_P("Norway", "2019"), _P("Chile", "2019")], ["The data is 45%.", "The data is 30%."],
+         "75", "The sum is 45%+30%=75. So the answer is 75."),
+    _row("average-of-percent-cells", _chart("2019 2020 2021", Norway=["45%", "30%", "10%"]),
+         Reduce.AVERAGE, [_G("Norway")], ["The data is 45% in 2019, 30% in 2020, 10% in 2021."],
+         "28.33", "The average is (45%+30%+10%)/3=28.33. So the answer is 28.33."),
+    # Compared as text, "$7.5" would be the largest.
+    _row("argmax-of-dollar-cells", _chart("x1 x2 x3", A=["$3.2", "$12", "$7.5"]), Reduce.ARGMAX,
+         [_G("A")], ["The data is $3.2 in x1, $12 in x2, $7.5 in x3."],
+         "x2", "The maximum value is $12 in x2. So the answer is x2."),
+    _row("count-greater-than-a-percent", _chart("x1 x2 x3", A=["45%", "60%", "30%"]),
+         Reduce.COUNT_GREATER, [_G("A")], ["The data is 45% in x1, 60% in x2, 30% in x3."],
+         "1", "The values that are greater than 45% are [60%]. So the answer is 1.", ["45%"]),
+    _row("identity-thousands-comma", _chart("x1 x2", A=["1,200", "950"]), Reduce.IDENTITY,
+         [_P("x1")], ["The data is 1,200."],
+         Value(ValueKind.NUMERIC, "1,200", Decimal("1200")),
+         "The value is 1,200. So the answer is 1,200."),
 ]
 
 
 @pytest.mark.parametrize("table, plan, answers, raw, sentence", _HAND_TABLE)
 def test_reduce_hand_table(table, plan, answers, raw, sentence):
-    expected = None if raw is None else Value.from_raw(raw)
+    expected = raw if raw is None or isinstance(raw, Value) else Value.from_raw(raw)
     assert deduce(plan, [parse_reader_answer(a) for a in answers]) == (sentence, expected)
     if table is None:
         return
@@ -389,6 +412,32 @@ def test_gen_questions_golden_digest():
     # Pins question wording, gold answers, plans and the RNG call order.
     assert _generation_digest(seeds=(0, 1, 2), n_charts=40) == (
         "7246c0187ba5b9a6866dd1cdf936cf7147e85876310523cbef00df0c808618ad")
+
+
+def _decorate_one_cell(table, rng):
+    """``table`` with one random cell printed as "<v>%" or "$<v>"."""
+    i, j = rng.randrange(len(table.series)), rng.randrange(len(table.x_labels))
+    cells = [[v.raw for v in row] for row in table.cells]
+    cells[i][j] = rng.choice(["{}%", "${}"]).format(cells[i][j])
+    return ChartTable.build(table.source_id, [(s.name, s.color) for s in table.series],
+                            table.x_labels, cells)
+
+
+def test_closed_loop_over_decorated_cells_answers_every_question():
+    """A decorated cell is as numeric as a plain one: every template still
+    generates its questions, and the loop answers each one correctly."""
+    rng = random.Random(16)
+    reasoner = SymbolicReasoner()
+    total = correct = 0
+    for table in random_tables(0, 200):
+        table = _decorate_one_cell(table, rng)
+        oracle = TableOracle([table])
+        for template in TemplateType:
+            for qa, _ in gen_questions(table, template, 0, 2):
+                trace = run_episode(qa.question, table.source_id, reasoner, oracle)
+                total += 1
+                correct += trace.final is not None and relaxed_match(trace.final, qa.gold)
+    assert (total, correct) == (2400, 2400)
 
 
 def test_gen_skips_too_small_tables():

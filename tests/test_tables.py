@@ -63,6 +63,22 @@ def test_value_classification():
     assert Value.from_raw("14.92").number == Decimal("14.92")
 
 
+@pytest.mark.parametrize("raw, number", [
+    ("45%", "45"), ("45 %", "45"), ("$3.2", "3.2"), (" $ 3.2 ", "3.2"), ("$-3", "-3"),
+    ("1,200", "1200"), ("-1,234,567.5", "-1234567.5"), ("$1,200.50%", "1200.50"),
+    ("1.5e3", "1.5e3"), ("1,200e2", "1.2e5"), ("1e999998", "1e999998"),
+])
+def test_value_reads_a_decorated_number_and_keeps_its_print(raw, number):
+    assert Value.from_raw(raw) == Value(ValueKind.NUMERIC, raw, Decimal(number))
+
+
+@pytest.mark.parametrize("raw", ["%", "$", "$%", "45%%", "$$5", "5$", "%5", "1,2000", "12,00",
+                                 ",120", "1e1000000", "1e-1000000", "1e999999",
+                                 "9" * 31 + "e999969", "0e5000000", "Gambia, The"])
+def test_value_outside_the_number_rule_is_text(raw):
+    assert Value.from_raw(raw) == Value(ValueKind.TEXT, raw)
+
+
 def test_value_round_trip_random_decimals():
     rng = random.Random(4)
     for _ in range(200):
@@ -108,6 +124,18 @@ def test_qa_instance_round_trip():
     assert QAInstance.from_dict(qa.to_dict()) == qa
     untyped = QAInstance("Free form?", Value.from_raw("blue"), "c2")
     assert QAInstance.from_dict(untyped.to_dict()) == untyped
+
+
+@pytest.mark.parametrize("field, raw, reason", [
+    ("gold", None, "missing gold"),
+    ("question", None, "missing question"),
+    ("chart_id", ["c1"], "chart_id must be a string or a number, not an array"),
+    ("gold", True, "gold must be a string or a number, not a boolean"),
+])
+def test_qa_instance_text_fields_follow_the_corpus_rule(field, raw, reason):
+    obj = {**QAInstance("How much?", Value.from_raw("12"), "c1").to_dict(), field: raw}
+    with pytest.raises(ValueError, match=reason):
+        QAInstance.from_dict(obj)
 
 
 def _step(role, text="x"):
