@@ -9,7 +9,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
-from decimal import Decimal, DefaultContext
+from decimal import Decimal, DefaultContext, InvalidOperation
 from enum import Enum
 from typing import Any, Optional, Sequence
 
@@ -74,29 +74,36 @@ _NUMERIC_RE = re.compile(r"[+-]?(\d+(\.\d*)?|\.\d+)([eE][+-]?\d+)?")
 _DECORATED_RE = re.compile(
     r"(?:\$\s*)?([+-]?(?:(?:\d{1,3}(?:,\d{3})+|\d+)(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?)(?:\s*%)?")
 # Rounding to the context's 28 digits can carry into the next exponent: "< _EMAX".
-_EMIN, _EMAX = DefaultContext.Emin, DefaultContext.Emax
+_EMIN, _EMAX, _PREC = DefaultContext.Emin, DefaultContext.Emax, DefaultContext.prec
 
 
 def parse_number(text: str) -> Optional[Decimal]:
     """The number a stripped printed token shows, with any "$", "%" and
     thousands commas dropped ("45%" reads 45), else None.  The one rule for
     what a printed number is; one whose adjusted exponent is outside the
-    default context's [Emin, Emax) is text, so rendering it cannot overflow."""
+    default context's [Emin, Emax) is text, so rendering it cannot overflow,
+    and so is one whose exponent the constructor itself rejects."""
     if not _NUMERIC_RE.fullmatch(text):
         # Only a "$", "%" or "," lets _DECORATED_RE match where _NUMERIC_RE did not.
         match = ("$" in text or "%" in text or "," in text) and _DECORATED_RE.fullmatch(text)
         if not match:
             return None
         text = match[1].replace(",", "")
-    number = Decimal(text)
+    try:
+        number = Decimal(text)
+    except InvalidOperation:  # an exponent beyond what a Decimal can hold
+        return None
     return number if _EMIN <= number.adjusted() < _EMAX else None
 
 
 def canonical_decimal(d: Decimal) -> str:
-    """Render a Decimal without exponent notation and without trailing zeros."""
+    """Render a Decimal without trailing zeros, and without exponent notation
+    while its adjusted exponent is within the context precision; beyond that
+    it is written with an exponent ("1E+40"), so the text stays short."""
     if d == 0:
         return "0"
-    return format(d.normalize(), "f")
+    d = d.normalize()
+    return format(d, "f") if -_PREC <= d.adjusted() < _PREC else str(d)
 
 
 @dataclass(frozen=True)

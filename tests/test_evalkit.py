@@ -12,6 +12,7 @@ from chartloop.evalkit import (
     read_records_jsonl,
     relaxed_match,
     render_report_text,
+    vote_key,
     write_records_jsonl,
 )
 from chartloop.tables import QAInstance, TemplateType, Value, ValueKind
@@ -80,12 +81,22 @@ def test_relaxed_match_reflexive_on_random_values():
 
 def test_a_number_past_the_exponent_range_scores_as_text():
     """Read as a number, it would overflow when its canonical form is rendered."""
-    for raw in ["1e1000000", "-1e-1000000", "9" * 31 + "e999969"]:
+    for raw in ["1e1000000", "-1e-1000000", "9" * 31 + "e999969", "1e1000000000000000000",
+                "1e" + "9" * 20]:
         assert normalize_answer(raw) == Value(ValueKind.TEXT, raw.casefold())
         assert relaxed_match(Value.from_raw(raw), Value.from_raw(raw))
         assert not relaxed_match(Value.from_raw(raw), Value.from_raw("1"))
         assert majority_vote([Value.from_raw(raw)]).raw == raw
     assert normalize_answer("1e999998").number == Decimal("1e999998")
+
+
+def test_a_far_exponent_keeps_its_vote_key_short():
+    assert vote_key(Value.from_raw("1e999998")) == "1E+999998"
+    assert vote_key(Value.from_raw("-2.50e-999999")) == "-2.5E-999999"
+    assert max(len(vote_key(Value.from_raw(raw))) for raw in ["1e999998", "1e-999999"]) < 16
+    assert vote_key(Value.from_raw("1e40")) == vote_key(Value.from_raw("10000e36"))
+    assert vote_key(Value.from_raw("1e27")) == "1" + "0" * 27
+    assert vote_key(Value.from_raw("1.5e-28")) == "0." + "0" * 27 + "15"
 
 
 def _printed_token(rng):

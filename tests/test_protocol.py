@@ -19,7 +19,7 @@ from chartloop.protocol import (
     point_query,
     scalar_answer,
 )
-from chartloop.tables import Value
+from chartloop.tables import Value, ValueKind
 
 
 def test_parse_describe():
@@ -128,6 +128,16 @@ def test_parse_scalar_answer():
     answer = parse_reader_answer("The data is 20.82.")
     assert answer.kind is AnswerKind.SCALAR
     assert answer.scalar == Value.from_raw("20.82")
+
+
+def test_an_exponent_past_what_a_decimal_holds_reads_as_text():
+    for line in ["The data is 1e1000000000000000000.", "The data is 1e" + "9" * 20 + "."]:
+        answer = parse_reader_answer(line)
+        assert answer.kind is AnswerKind.SCALAR
+        assert answer.scalar.kind is ValueKind.TEXT
+    parsed = parse_step("So the answer is 1e1000000000000000000.")
+    assert parsed.kind is StepKind.CONCLUSION
+    assert parsed.final.kind is ValueKind.TEXT
 
 
 def test_parse_group_answer_preserves_order():

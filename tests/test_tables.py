@@ -74,7 +74,8 @@ def test_value_reads_a_decorated_number_and_keeps_its_print(raw, number):
 
 @pytest.mark.parametrize("raw", ["%", "$", "$%", "45%%", "$$5", "5$", "%5", "1,2000", "12,00",
                                  ",120", "1e1000000", "1e-1000000", "1e999999",
-                                 "9" * 31 + "e999969", "0e5000000", "Gambia, The"])
+                                 "9" * 31 + "e999969", "0e5000000", "1e1000000000000000000",
+                                 "1e" + "9" * 20, "$1e" + "9" * 20 + "%", "Gambia, The"])
 def test_value_outside_the_number_rule_is_text(raw):
     assert Value.from_raw(raw) == Value(ValueKind.TEXT, raw)
 
