@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import http.client
 import json
+import random
 import threading
+import time
 from typing import Optional, Protocol, Sequence
 from urllib.parse import urlsplit
 
@@ -62,10 +64,22 @@ _RETRIED_STATUSES = frozenset(range(500, 600)) | {408, 429}
 # How a server's close of an idle kept-alive connection shows on the next
 # request, before any status line arrives.
 _STALE_CONNECTION = (http.client.RemoteDisconnected, ConnectionResetError, BrokenPipeError)
+# Full-jitter exponential backoff: retry k waits a uniform draw from
+# [0, min(cap, base * 2**k)] seconds; a server's Retry-After is honoured up to the cap.
+_BACKOFF_BASE_S = 0.1
+_BACKOFF_CAP_S = 10.0
 
 
 class _Rejected(BackendError):
     """A status that is not retried: sending the request again cannot help."""
+
+
+class _RetryAfter(BackendError):
+    """A 429 or 503 whose server asked for ``seconds`` of wait before the next try."""
+
+    def __init__(self, message: str, seconds: float):
+        super().__init__(message)
+        self.seconds = seconds
 
 
 class _HttpClient:
@@ -74,10 +88,12 @@ class _HttpClient:
     Each thread keeps one connection open across calls, so threads share no
     socket.  A kept-alive connection the server has closed since the last
     call gets the request once more on a fresh connection, outside the
-    ``retries`` count.  Timeouts, connection errors, malformed bodies and the
-    statuses 5xx, 408 and 429 are retried up to ``retries`` times; any other
-    non-2xx status, 3xx included, fails at once.  ``close`` closes the
-    connections of every thread.
+    ``retries`` count and without a wait.  Timeouts, connection errors,
+    malformed bodies and the statuses 5xx, 408 and 429 are retried up to
+    ``retries`` times, each retry after a full-jitter exponential backoff, or
+    after the delta-seconds ``Retry-After`` of a 429 or 503, both capped at
+    10 s; any other non-2xx status, 3xx included, fails at once.  ``close``
+    closes the connections of every thread.
     """
 
     def __init__(
@@ -114,12 +130,16 @@ class _HttpClient:
 
     def _post(self, payload: dict):
         body = json.dumps(payload).encode("utf-8")
+        ceiling = _BACKOFF_BASE_S
         for retries_left in range(self.retries, -1, -1):
             try:
                 return self._attempt(body)
             except BackendError as exc:
                 if not retries_left or isinstance(exc, _Rejected):
                     raise
+                time.sleep(exc.seconds if isinstance(exc, _RetryAfter)
+                           else random.uniform(0.0, ceiling))
+                ceiling = min(2 * ceiling, _BACKOFF_CAP_S)
         raise AssertionError("unreachable")
 
     def _attempt(self, body: bytes):
@@ -132,9 +152,15 @@ class _HttpClient:
         if response.will_close:
             self._drop()
         if not 200 <= response.status < 300:
-            error = BackendError if response.status in _RETRIED_STATUSES else _Rejected
-            raise error(f"request to {self.url} failed: "
-                        f"HTTP Error {response.status}: {response.reason}")
+            message = (f"request to {self.url} failed: "
+                       f"HTTP Error {response.status}: {response.reason}")
+            if response.status not in _RETRIED_STATUSES:
+                raise _Rejected(message)
+            wait = (response.getheader("Retry-After") or "").strip()
+            if response.status in (429, 503) and wait.isascii() and wait.isdigit():
+                # float, not int: a digit string of any length converts.
+                raise _RetryAfter(message, min(float(wait), _BACKOFF_CAP_S))
+            raise BackendError(message)
         try:
             return json.loads(data.decode("utf-8"))
         except (ValueError, RecursionError) as exc:

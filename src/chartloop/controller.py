@@ -8,7 +8,10 @@ and the first line of the reader's answer is spliced back before resuming.
 A hard cap on protocol-line decisions bounds the loop regardless of backend
 behavior.  Self-consistency runs at most N episodes at a sampling
 temperature, stopping once the vote is decided, and majority-votes their
-finals by normalized form.
+finals by normalized form.  Self-consistency samples reasoning paths, not
+observations: within one question each distinct query line goes to the reader
+once and the samples share its answer, so a reader server that samples gets
+one draw per line per question.
 """
 
 from __future__ import annotations
@@ -118,6 +121,23 @@ def run_episode(
     return finish(None, Termination.MAX_STEPS)
 
 
+class _ReadOnce:
+    """A reader that asks its backend each (chart_ref, query line) once and
+    answers repeats from memory.  A ``BackendError`` is not kept, so a later
+    call asks again."""
+
+    def __init__(self, reader: ReaderBackend):
+        self._reader = reader
+        self._answers: dict[tuple[str, str], str] = {}
+
+    def read(self, chart_ref: str, query: str) -> str:
+        key = (chart_ref, query)
+        answer = self._answers.get(key)
+        if answer is None:
+            answer = self._answers[key] = self._reader.read(chart_ref, query)
+        return answer
+
+
 def run_self_consistency(
     question: str,
     chart_ref: str,
@@ -137,8 +157,13 @@ def run_self_consistency(
     no-answer verdict).  The class is the one the full n would elect, but its
     raw form is the smallest among the samples drawn: ``7.0, 7.0, 7.0`` stops
     and returns ``7.0`` where two more ``7`` would have returned ``7``.
+
+    The episodes read through one memo that lives for this call: each
+    distinct query line reaches the reader once, and the samples share its
+    answer.
     """
     episode_config = replace(config, temperature=sc.temperature)
+    reader = _ReadOnce(reader)
     traces: list[ReasoningTrace] = []
     counts: Counter[str] = Counter()
     for remaining in range(sc.n_samples - 1, -1, -1):

@@ -9,7 +9,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
-from decimal import Decimal, DefaultContext, InvalidOperation
+from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, DefaultContext, InvalidOperation
 from enum import Enum
 from typing import Any, Optional, Sequence
 
@@ -75,6 +75,8 @@ _DECORATED_RE = re.compile(
     r"(?:\$\s*)?([+-]?(?:(?:\d{1,3}(?:,\d{3})+|\d+)(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?)(?:\s*%)?")
 # Rounding to the context's 28 digits can carry into the next exponent: "< _EMAX".
 _EMIN, _EMAX, _PREC = DefaultContext.Emin, DefaultContext.Emax, DefaultContext.prec
+# Normalizes without rounding: any coefficient fits its precision.
+_EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)
 
 
 def parse_number(text: str) -> Optional[Decimal]:
@@ -97,13 +99,18 @@ def parse_number(text: str) -> Optional[Decimal]:
 
 
 def canonical_decimal(d: Decimal) -> str:
-    """Render a Decimal without trailing zeros, and without exponent notation
-    while its adjusted exponent is within the context precision; beyond that
-    it is written with an exponent ("1E+40"), so the text stays short."""
+    """Render a Decimal with every digit and without trailing zeros, and
+    without exponent notation while its adjusted exponent is within the
+    context precision; beyond that it is written with an exponent ("1E+40"),
+    so the text stays short.  Nothing is rounded: ``Decimal.normalize()`` in
+    the default context would round to 28 digits and give distinct long
+    numbers one rendering."""
     if d == 0:
         return "0"
-    d = d.normalize()
-    return format(d, "f") if -_PREC <= d.adjusted() < _PREC else str(d)
+    if -_PREC <= d.adjusted() < _PREC:
+        text = format(d, "f")
+        return text.rstrip("0").rstrip(".") if "." in text else text
+    return str(d.normalize(_EXACT))
 
 
 @dataclass(frozen=True)
@@ -341,8 +348,15 @@ class ReasoningTrace:
 
     @staticmethod
     def from_dict(obj: dict) -> "ReasoningTrace":
-        steps = tuple(Step(StepRole(s["role"]), s["text"]) for s in obj["steps"])
-        final = Value.from_raw(obj["final"]) if obj.get("final") is not None else None
+        """Step texts and a non-null final are read by the :func:`text_field`
+        rule, so a null or an array raises ValueError naming the field."""
+        steps = tuple(
+            Step(StepRole(s["role"]), text if type(text := s.get("text")) is str
+                 else text_field(text, f"steps[{i}].text"))
+            for i, s in enumerate(obj["steps"]))
+        final = obj.get("final")
+        if final is not None:
+            final = Value.from_raw(final if type(final) is str else text_field(final, "final"))
         return ReasoningTrace(steps, final, Termination(obj["terminated_by"]))
 
 

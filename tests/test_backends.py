@@ -5,8 +5,10 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
+from types import SimpleNamespace
+
+from chartloop import backends, cli
 from chartloop.backends import BackendError, HttpReader, HttpReasoner, ScriptedReasoner
-from chartloop import cli
 from chartloop.cli import main
 from chartloop.controller import run_episode
 from chartloop.oracle import TableOracle
@@ -21,8 +23,8 @@ def _serve(tables, protocol_version):
     oracle = TableOracle(tables)
     reasoner = SymbolicReasoner()
     lock = threading.Lock()
-    state = {"requests": [], "fail_next": 0, "fail_status": 500, "malformed": "",
-             "connections": 0, "drop_after_response": False}
+    state = {"requests": [], "fail_next": 0, "fail_status": 500, "fail_headers": {},
+             "malformed": "", "connections": 0, "drop_after_response": False}
 
     class Handler(BaseHTTPRequestHandler):
         # Headers and body go out as two writes; without this, Nagle's
@@ -46,7 +48,11 @@ def _serve(tables, protocol_version):
             # times out idle connections does.
             self.close_connection = state["drop_after_response"]
             if fail:
-                self.send_error(state["fail_status"])
+                self.send_response(state["fail_status"])
+                for name, value in state["fail_headers"].items():
+                    self.send_header(name, value)
+                self.send_header("Content-Length", "0")
+                self.end_headers()
                 return
             if self.path == "/complete":
                 text = reasoner.complete(
@@ -166,6 +172,78 @@ def test_only_retryable_statuses_are_retried(http_stub, status, requests):
     assert len(state["requests"]) == requests
 
 
+@pytest.fixture
+def fake_clock(monkeypatch):
+    """Record each backoff sleep; a jittered wait draws the middle of its range,
+    whose bounds are recorded too."""
+    sleeps, ranges = [], []
+
+    def uniform(low, high):
+        ranges.append((low, high))
+        return (low + high) / 2
+
+    monkeypatch.setattr(backends, "time", SimpleNamespace(sleep=sleeps.append))
+    monkeypatch.setattr(backends, "random", SimpleNamespace(uniform=uniform))
+    return sleeps, ranges
+
+
+def test_retries_back_off_with_full_jitter_up_to_a_cap(http_stub, fake_clock):
+    url, state = http_stub
+    sleeps, ranges = fake_clock
+    state["fail_next"] = 10
+    reader = HttpReader(f"{url}/read", retries=10)
+    assert reader.read("pupil-teacher", "Let's describe the figure.").startswith(
+        "The figure shows the data of:")
+    ceilings = [0.1, 0.2, 0.4, 0.8, 1.6, 3.2, 6.4, 10.0, 10.0, 10.0]
+    assert ranges == [(0.0, pytest.approx(c)) for c in ceilings]
+    assert sleeps == [pytest.approx(c / 2) for c in ceilings]
+    assert len(state["requests"]) == 11
+
+
+def test_no_sleep_after_the_last_attempt(http_stub, fake_clock):
+    url, state = http_stub
+    sleeps, _ = fake_clock
+    state["fail_next"] = 3
+    with pytest.raises(BackendError, match="HTTP Error 500"):
+        HttpReader(f"{url}/read", retries=2).read("pupil-teacher", "Let's describe the figure.")
+    assert sleeps == [pytest.approx(0.05), pytest.approx(0.1)]
+    assert len(state["requests"]) == 3
+
+
+@pytest.mark.parametrize("status, retry_after, waits", [
+    pytest.param(429, "3", [3.0], id="429"),
+    pytest.param(503, "0", [0.0], id="503"),
+    pytest.param(503, " 120 ", [10.0], id="capped"),
+    pytest.param(429, "9" * 5000, [10.0], id="5000-digits"),
+    pytest.param(500, "3", [0.05], id="only-429-and-503"),
+    pytest.param(429, "Wed, 21 Oct 2015 07:28:00 GMT", [0.05], id="http-date"),
+    pytest.param(429, "-1", [0.05], id="negative"),
+    pytest.param(429, "1.5", [0.05], id="fraction"),
+])
+def test_retry_after_is_honoured_on_429_and_503(http_stub, fake_clock, status, retry_after,
+                                                waits):
+    url, state = http_stub
+    sleeps, _ = fake_clock
+    state["fail_next"], state["fail_status"] = 1, status
+    state["fail_headers"] = {"Retry-After": retry_after}
+    reader = HttpReader(f"{url}/read", retries=1)
+    assert reader.read("pupil-teacher", "Let's describe the figure.").startswith(
+        "The figure shows the data of:")
+    assert sleeps == [pytest.approx(w) for w in waits]
+
+
+def test_a_stale_connection_is_resent_without_a_wait(keepalive_stub, fake_clock):
+    url, state = keepalive_stub
+    sleeps, _ = fake_clock
+    state["drop_after_response"] = True
+    reader = HttpReader(f"{url}/read", retries=1)
+    for _ in range(3):
+        reader.read("pupil-teacher", "Let's describe the figure.")
+    assert len(state["requests"]) == 3 and state["connections"] == 3
+    assert sleeps == []
+    reader.close()
+
+
 @pytest.mark.parametrize("url", [
     "foo", "file:///dev/null", "ftp://127.0.0.1/complete", "http://", "http:///complete",
     "http://127.0.0.1:99999/complete", "http://[::1/complete",
@@ -271,6 +349,30 @@ def test_eval_workers_with_a_reader_url_take_one_reasoner_per_answer(keepalive_s
     records = (out / "records.jsonl").read_bytes()
     assert records == (tmp_path / "in-process" / "records.jsonl").read_bytes()
     assert len(made) == len(records.splitlines())
+
+
+def test_eval_sc_over_http_asks_each_line_once_per_question(keepalive_stub, tmp_path):
+    """Self-consistency samples share their reads: the reader server gets one
+    request per distinct (question, query line), and the run writes what the
+    in-process run writes."""
+    url, state = keepalive_stub
+    common = ["eval", "--synthetic", "20", "--sc", "5"]
+    assert main([*common, "--out-dir", str(tmp_path / "in-process")]) == 0
+    assert main([*common, "--reader-url", f"{url}/read", "--out-dir", str(tmp_path / "http")]) == 0
+    for name in ("records.jsonl", "traces.jsonl"):
+        assert ((tmp_path / "http" / name).read_bytes()
+                == (tmp_path / "in-process" / name).read_bytes())
+    expected, episode_queries = [], 0
+    for line in (tmp_path / "in-process" / "traces.jsonl").read_text().splitlines():
+        record = json.loads(line)
+        queries = [step["text"] for episode in record["episodes"] for step in episode["steps"]
+                   if step["role"] == "reasoner_query"]
+        episode_queries += len(queries)
+        expected += [(record["chart_id"], query) for query in set(queries)]
+    asked = [(payload["chart_ref"], payload["query"]) for _, payload, _ in state["requests"]]
+    assert sorted(asked) == sorted(expected)
+    # The samples repeat their lines, so the memo saves requests here.
+    assert len(asked) < episode_queries
 
 
 def test_run_leaves_chart_ids_to_a_stepwise_reader_server(http_stub, tmp_path, capsys):

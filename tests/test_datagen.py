@@ -533,6 +533,28 @@ def test_trace_lines_take_text_fields_by_the_corpus_rule(tmp_path):
                       f"{path}:2: chart_id must be a string or a number, not an array"]
 
 
+def test_trace_steps_and_finals_take_text_fields_by_the_corpus_rule(tmp_path):
+    steps = [{"role": "reasoner_query", "text": "Let's describe the figure."},
+             {"role": "reader_answer", "text": "The figure shows the data of: A."},
+             {"role": "conclusion", "text": "So the answer is 7."}]
+    episode = {"steps": steps, "final": "7", "terminated_by": "conclusion"}
+    record = {"trace_ref": "episode-0", "question": "q", "chart_id": "c", "final": "7"}
+    episodes = [
+        {**episode, "steps": [{**steps[0], "text": None}, *steps[1:]]},
+        {**episode, "steps": [steps[0], {**steps[1], "text": ["x"]}, steps[2]]},
+        {**episode, "final": ["7"]},
+        {**episode, "final": 7},
+    ]
+    path = tmp_path / "traces.jsonl"
+    path.write_text("".join(json.dumps({**record, "episodes": [e]}) + "\n" for e in episodes),
+                    encoding="utf-8")
+    triples, issues = read_traces_jsonl(path)
+    assert issues == [f"{path}:1: missing steps[0].text",
+                      f"{path}:2: steps[1].text must be a string or a number, not an array",
+                      f"{path}:3: final must be a string or a number, not an array"]
+    assert [trace.final for trace, _, _ in triples] == [Value.from_raw("7")]
+
+
 def test_generation_is_reproducible(small_corpus_path, tmp_path):
     corpus = load_corpus(small_corpus_path)
     first, _ = generate_system1_corpus(corpus.charts, seed=9)

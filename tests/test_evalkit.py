@@ -99,6 +99,18 @@ def test_a_far_exponent_keeps_its_vote_key_short():
     assert vote_key(Value.from_raw("1.5e-28")) == "0." + "0" * 27 + "15"
 
 
+def test_long_numbers_keep_every_digit_in_their_vote_key():
+    a, b = "1234567890123456789012345678901", "1234567890123456789012345678949"
+    assert vote_key(Value.from_raw(a)) == a
+    assert vote_key(Value.from_raw(b)) == b
+    assert majority_vote([Value.from_raw(raw) for raw in (a, b, b)]).raw == b
+    assert vote_key(Value.from_raw(a + ".000")) == vote_key(Value.from_raw(a + "e0")) == a
+    assert vote_key(Value.from_raw("1234567890123456789012345678901e40")) == (
+        "1.234567890123456789012345678901E+70")
+    assert vote_key(Value.from_raw("0.12345678901234567890123456789010")) == (
+        "0.1234567890123456789012345678901")
+
+
 def _printed_token(rng):
     """A printed number with random sign, grouping, fraction, exponent and
     decoration, sometimes with one character overwritten.  It never ends in

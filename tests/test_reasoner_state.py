@@ -3,8 +3,8 @@
 A warm reasoner must answer every prompt exactly as a fresh one does, in
 whatever order prompts arrive and from however many threads; a question is
 decomposed once and each distinct reader line parsed once, across an
-episode's steps and its self-consistency samples; and the memo holds only the
-last question.
+episode's steps and its self-consistency samples; the memo holds only the
+last question; and self-consistency asks the reader each distinct line once.
 """
 
 import random
@@ -15,6 +15,7 @@ import threading
 import pytest
 
 from chartloop import protocol, symbolic
+from chartloop.backends import BackendError
 from chartloop.controller import (
     EpisodeConfig,
     SelfConsistencyConfig,
@@ -25,7 +26,7 @@ from chartloop.oracle import TableOracle
 from chartloop.prompts import PromptStyle
 from chartloop.symbolic import _TEMPLATES, SkippedTemplate, SymbolicReasoner, gen_questions
 from chartloop.synth import random_table
-from chartloop.tables import ChartTable, TemplateType
+from chartloop.tables import ChartTable, TemplateType, Termination
 
 # Every (prompt style, describe_first) pair; episode i takes pair i mod 6.
 _SETTINGS = [(style, describe_first) for style in PromptStyle for describe_first in (True, False)]
@@ -241,14 +242,48 @@ def test_self_consistency_samples_share_one_decompose(counted):
                                          EpisodeConfig(), SelfConsistencyConfig(n_samples=3))
     # Two agreeing samples decide a vote of at most three.
     assert final.raw == "7" and len(traces) == 2
-    assert reader.reads == 6
-    # The samples read the same three lines, parsed once between them.
+    # The samples ask the same three lines, read and parsed once between them.
+    assert reader.reads == 3
     assert counted == {"decompose": 1, "parse_reader_answer": 3}
 
 
+def test_self_consistency_asks_the_reader_each_line_once():
+    reader = _CountingReader(_TABLE)
+    final, traces = run_self_consistency(_QUESTION, "sum", SymbolicReasoner(), reader,
+                                         EpisodeConfig(), SelfConsistencyConfig(n_samples=5))
+    assert final.raw == "7" and len(traces) == 3
+    assert reader.reads == 3
+
+
+class _FailingOnceReader(_CountingReader):
+    """Raises ``BackendError`` on its first call and answers every later one."""
+
+    def __init__(self, table):
+        super().__init__(table)
+        self.queries = []
+
+    def read(self, chart_ref, query):
+        self.queries.append(query)
+        if len(self.queries) == 1:
+            raise BackendError("reader down")
+        return super().read(chart_ref, query)
+
+
+def test_a_failed_read_is_asked_again_by_a_later_sample():
+    reader = _FailingOnceReader(_TABLE)
+    final, traces = run_self_consistency(_QUESTION, "sum", SymbolicReasoner(), reader,
+                                         EpisodeConfig(), SelfConsistencyConfig(n_samples=5))
+    assert traces[0].terminated_by is Termination.BACKEND_ERROR
+    assert [t.terminated_by for t in traces[1:]] == [Termination.CONCLUSION] * 3
+    assert final.raw == "7"
+    # The failed line is asked once more, then each of the three lines once.
+    first, *rest = reader.queries
+    assert rest[0] == first and len(rest) == len(set(rest)) == 3
+
+
 class _RespellingReader(_CountingReader):
-    """Writes every other sample's numbers as ``N.0``: each of the question's
-    three reads per sample then has two spellings across samples."""
+    """Writes every other episode's numbers as ``N.0``: each of the question's
+    three reads per episode then has two spellings across episodes."""
 
     def __init__(self, table):
         super().__init__(table)
@@ -263,9 +298,11 @@ class _RespellingReader(_CountingReader):
 
 
 def test_self_consistency_samples_parse_each_distinct_line_once(counted):
-    reader = _RespellingReader(_TABLE)
-    final, traces = run_self_consistency(_QUESTION, "sum", SymbolicReasoner(), reader,
-                                         EpisodeConfig(), SelfConsistencyConfig(n_samples=5))
+    """Episodes of one question on one reasoner, as samples arrive; the
+    episodes are driven one by one because self-consistency would ask the
+    respelling reader each line only once."""
+    reader, reasoner = _RespellingReader(_TABLE), SymbolicReasoner()
+    traces = [run_episode(_QUESTION, "sum", reasoner, reader) for _ in range(3)]
     assert [trace.final.raw for trace in traces] == ["7", "7.0", "7"]
     assert reader.reads == 9
     assert len(set(reader.lines)) == 5
