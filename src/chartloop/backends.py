@@ -3,16 +3,29 @@
 Both contracts are tiny: a reasoner completes text up to a stop marker, a
 reader answers one query about one chart.  HTTP clients speak a minimal JSON
 schema compatible with common completion servers, over one persistent
-``http.client`` connection per client per thread: an episode's sub-steps
-reuse one connection to each backend instead of opening one per call.  The
-scripted reasoner replays a fixed list of lines for regression tests.
+HTTP/1.1 connection per client per thread: an episode's sub-steps reuse one
+connection to each backend instead of opening one per call.
+
+The client speaks HTTP/1.1 on its own socket.  A request is a head built
+once per client (``POST``, ``Host``, ``Accept-Encoding: identity``,
+``Content-Type`` and, with an API key, ``Authorization``) plus its
+``Content-Length`` and JSON body, sent in one ``sendall``.  A response is
+parsed in one pass from a buffered reader made once per connection: the
+status line (``1xx`` interim responses are skipped), at most 100 header
+lines of at most 64 KiB each, and a body framed by ``Content-Length``, by
+``Transfer-Encoding: chunked`` or by the server closing the connection.
+``https`` URLs are wrapped by ``ssl.create_default_context()``, which checks
+the certificate and the host name.  The scripted reasoner replays a fixed
+list of lines for regression tests.
 """
 
 from __future__ import annotations
 
-import http.client
 import json
 import random
+import re
+import socket
+import ssl
 import threading
 import time
 from typing import Optional, Protocol, Sequence
@@ -61,13 +74,23 @@ class ScriptedReasoner:
 # Statuses a later attempt may get past: server errors, request timeout and
 # rate limit.  Any other non-2xx status would come back the same.
 _RETRIED_STATUSES = frozenset(range(500, 600)) | {408, 429}
-# How a server's close of an idle kept-alive connection shows on the next
-# request, before any status line arrives.
-_STALE_CONNECTION = (http.client.RemoteDisconnected, ConnectionResetError, BrokenPipeError)
 # Full-jitter exponential backoff: retry k waits a uniform draw from
 # [0, min(cap, base * 2**k)] seconds; a server's Retry-After is honoured up to the cap.
 _BACKOFF_BASE_S = 0.1
 _BACKOFF_CAP_S = 10.0
+# Response limits, as in http.client: bytes per status, header or chunk-size
+# line, line end included, and header lines per response.
+_MAX_LINE = 65536
+_MAX_HEADERS = 100
+# Largest single read of a body: a huge Content-Length or chunk size is read
+# in parts, so a lying server cannot make the client allocate it at once.
+_READ_PART = 1 << 20
+# http.client refuses these characters in a request target or a host; a
+# bearer token holds none of them either.
+_UNSAFE_CHAR = re.compile("[\x00-\x20\x7f]")
+_STATUS_LINE = re.compile(rb"HTTP/1\.([0-9]) ([1-9][0-9][0-9])(?: ([^\r\n]*))?\r?\n")
+_HEADER_NAME = re.compile(rb"[!#$%&'*+\-.^_`|~0-9A-Za-z]+")
+_CHUNK_SIZE = re.compile(rb"[0-9A-Fa-f]+")
 
 
 class _Rejected(BackendError):
@@ -82,18 +105,135 @@ class _RetryAfter(BackendError):
         self.seconds = seconds
 
 
+class _Disconnected(ConnectionError):
+    """The server closed the connection before a status line arrived."""
+
+
+# How a server's close of an idle kept-alive connection shows on the next
+# request, before any status line arrives.
+_STALE_CONNECTION = (_Disconnected, ConnectionResetError, BrokenPipeError)
+
+
+class _Connection:
+    """One socket and the buffered reader made once over it."""
+
+    __slots__ = ("sock", "rfile")
+
+    def __init__(self, sock: socket.socket):
+        self.sock = sock
+        self.rfile = sock.makefile("rb")
+
+    def send(self, request: bytes) -> bytes:
+        """Send ``request`` in one write and return the status line that answers it."""
+        self.sock.sendall(request)
+        line = self.rfile.readline(_MAX_LINE + 1)
+        if not line:
+            raise _Disconnected("the server closed the connection without a response")
+        return line
+
+    def close(self) -> None:
+        self.rfile.close()
+        self.sock.close()
+
+
+def _read_line(rfile, what: str) -> bytes:
+    line = rfile.readline(_MAX_LINE + 1)
+    if len(line) > _MAX_LINE:
+        raise ValueError(f"{what} longer than {_MAX_LINE} bytes")
+    if not line.endswith(b"\n"):
+        raise ValueError(f"the response ended inside a {what}")
+    return line
+
+
+def _read_headers(rfile) -> dict[str, str]:
+    """Header lines up to the blank line, by lower-case name; a repeated name
+    joins its values with ``", "``."""
+    headers: dict[str, str] = {}
+    for _ in range(_MAX_HEADERS + 1):
+        line = _read_line(rfile, "header line")
+        if line == b"\r\n" or line == b"\n":
+            return headers
+        name, colon, value = line.partition(b":")
+        if not colon or not _HEADER_NAME.fullmatch(name):
+            raise ValueError(f"malformed header line {line!r:.100}")
+        key, value = name.decode("ascii").lower(), value.strip().decode("latin-1")
+        headers[key] = f"{headers[key]}, {value}" if key in headers else value
+    raise ValueError(f"more than {_MAX_HEADERS} header lines")
+
+
+def _read_exact(rfile, size: int) -> bytes:
+    parts, left = [], size
+    while left:
+        part = rfile.read(min(left, _READ_PART))
+        if not part:
+            raise ValueError(f"the body ended after {size - left} of {size} bytes")
+        parts.append(part)
+        left -= len(part)
+    return b"".join(parts)
+
+
+def _read_chunked(rfile) -> bytes:
+    parts = []
+    while True:
+        line = _read_line(rfile, "chunk size line")
+        digits = line.partition(b";")[0].strip()
+        if not _CHUNK_SIZE.fullmatch(digits):
+            raise ValueError(f"malformed chunk size line {line!r:.100}")
+        size = int(digits, 16)
+        if not size:
+            _read_headers(rfile)  # the trailer, under the header limits
+            return b"".join(parts)
+        parts.append(_read_exact(rfile, size))
+        if rfile.read(2) != b"\r\n":
+            raise ValueError("a chunk is not followed by CRLF")
+
+
+def _read_response(rfile, line: bytes) -> tuple[int, str, dict[str, str], bytes, bool]:
+    """Status, reason, headers, body and whether the server will close the
+    connection, for the response whose status line is ``line``.  A malformed
+    or short response raises ValueError."""
+    while True:
+        match = _STATUS_LINE.fullmatch(line)
+        if match is None:
+            raise ValueError(f"malformed status line {line!r:.100}")
+        headers = _read_headers(rfile)
+        status = int(match[2])
+        if status >= 200:
+            break
+        line = _read_line(rfile, "status line")  # after an interim 1xx response
+    connection = headers.get("connection", "").lower()
+    if match[1] == b"0":
+        will_close = "keep-alive" not in connection and "keep-alive" not in headers
+    else:
+        will_close = "close" in connection
+    length = headers.get("content-length")
+    if status == 204 or status == 304:
+        data = b""
+    elif headers.get("transfer-encoding", "").lower() == "chunked":
+        data = _read_chunked(rfile)
+    elif length is not None:
+        if not (length.isascii() and length.isdigit()):
+            raise ValueError(f"malformed Content-Length {length!r:.100}")
+        data = _read_exact(rfile, int(length))
+    else:
+        data, will_close = rfile.read(), True
+    return status, (match[3] or b"").strip().decode("latin-1"), headers, data, will_close
+
+
 class _HttpClient:
     """POSTs JSON to one ``http``/``https`` URL and decodes the JSON reply.
 
     Each thread keeps one connection open across calls, so threads share no
     socket.  A kept-alive connection the server has closed since the last
-    call gets the request once more on a fresh connection, outside the
-    ``retries`` count and without a wait.  Timeouts, connection errors,
-    malformed bodies and the statuses 5xx, 408 and 429 are retried up to
+    call (nothing before the status line, a reset or a broken pipe) gets the
+    request once more on a fresh connection, outside the ``retries`` count
+    and without a wait.  Timeouts, connection errors, malformed responses
+    and bodies, and the statuses 5xx, 408 and 429 are retried up to
     ``retries`` times, each retry after a full-jitter exponential backoff, or
     after the delta-seconds ``Retry-After`` of a 429 or 503, both capped at
-    10 s; any other non-2xx status, 3xx included, fails at once.  ``close``
-    closes the connections of every thread.
+    10 s; any other non-2xx status, 3xx included, fails at once.  A failed
+    exchange drops its connection.  ``close`` closes the connections of
+    every thread.
     """
 
     def __init__(
@@ -106,20 +246,40 @@ class _HttpClient:
             parts = port = None
         if parts is None or parts.scheme not in ("http", "https") or not parts.hostname:
             raise ValueError(f"backend URL {url!r} is not an http or https URL with a host")
+        host = parts.hostname
+        target = (parts.path or "/") + (f"?{parts.query}" if parts.query else "")
+        if _UNSAFE_CHAR.search(host + target) or not target.isascii():
+            raise ValueError(f"backend URL {url!r} holds a space, a control character or "
+                             "a non-ASCII character in its host, path or query")
+        if api_key and (_UNSAFE_CHAR.search(api_key) or not api_key.isascii()):
+            raise ValueError("the API key must be ASCII without spaces or control characters")
         self.url = url
         self.api_key = api_key
         self.timeout = timeout
         self.retries = retries
-        self._connection_type = (http.client.HTTPSConnection if parts.scheme == "https"
-                                 else http.client.HTTPConnection)
-        self._address = (parts.hostname, port)
-        self._target = (parts.path or "/") + (f"?{parts.query}" if parts.query else "")
-        self._headers = {"Content-Type": "application/json"}
-        if api_key:
-            self._headers["Authorization"] = f"Bearer {api_key}"
+        default_port = 443 if parts.scheme == "https" else 80
+        self._address = (host, port or default_port)
+        self._tls = None
+        if parts.scheme == "https":
+            self._tls = ssl.create_default_context()
+            self._tls.set_alpn_protocols(["http/1.1"])
+        # The Host header as http.client writes it: an IPv6 address in
+        # brackets, the port only when it is not the scheme's default.
+        try:
+            host_name = host.encode("ascii")
+        except UnicodeEncodeError:
+            host_name = host.encode("idna")
+        if b":" in host_name:
+            host_name = b"[" + host_name + b"]"
+        if port is not None and port != default_port:
+            host_name += b":%d" % port
+        self._head = (b"POST " + target.encode("ascii") + b" HTTP/1.1\r\nHost: " + host_name
+                      + b"\r\nAccept-Encoding: identity\r\nContent-Type: application/json\r\n"
+                      + (f"Authorization: Bearer {api_key}\r\n".encode("ascii") if api_key else b"")
+                      + b"Content-Length: ")
         self._local = threading.local()
         self._lock = threading.Lock()
-        self._open: set[http.client.HTTPConnection] = set()
+        self._open: set[_Connection] = set()
 
     def close(self) -> None:
         """Close the connection of every thread that called this client."""
@@ -144,20 +304,22 @@ class _HttpClient:
 
     def _attempt(self, body: bytes):
         try:
-            response = self._send(body)
-            data = response.read()
-        except (OSError, http.client.HTTPException, ValueError) as exc:
+            connection, line = self._send(self._head + b"%d\r\n\r\n" % len(body) + body)
+            status, reason, headers, data, will_close = _read_response(connection.rfile, line)
+        except (OSError, ValueError) as exc:
             self._drop()
             raise BackendError(f"request to {self.url} failed: {exc}") from exc
-        if response.will_close:
+        except BaseException:  # an interrupt leaves the response half read
             self._drop()
-        if not 200 <= response.status < 300:
-            message = (f"request to {self.url} failed: "
-                       f"HTTP Error {response.status}: {response.reason}")
-            if response.status not in _RETRIED_STATUSES:
+            raise
+        if will_close:
+            self._drop()
+        if not 200 <= status < 300:
+            message = f"request to {self.url} failed: HTTP Error {status}: {reason}"
+            if status not in _RETRIED_STATUSES:
                 raise _Rejected(message)
-            wait = (response.getheader("Retry-After") or "").strip()
-            if response.status in (429, 503) and wait.isascii() and wait.isdigit():
+            wait = headers.get("retry-after", "").strip()
+            if status in (429, 503) and wait.isascii() and wait.isdigit():
                 # float, not int: a digit string of any length converts.
                 raise _RetryAfter(message, min(float(wait), _BACKOFF_CAP_S))
             raise BackendError(message)
@@ -166,24 +328,31 @@ class _HttpClient:
         except (ValueError, RecursionError) as exc:
             raise BackendError(f"request to {self.url} failed: {exc}") from exc
 
-    def _send(self, body: bytes) -> http.client.HTTPResponse:
-        """Send on this thread's connection and wait for the status line."""
+    def _send(self, request: bytes) -> tuple[_Connection, bytes]:
+        """Send on this thread's connection; return it and the status line."""
         connection = getattr(self._local, "connection", None)
-        if connection is not None and connection.sock is not None:  # not closed by close()
+        if connection is not None and not connection.rfile.closed:  # not closed by close()
             try:
-                return self._exchange(connection, body)
+                return connection, connection.send(request)
             except _STALE_CONNECTION:
                 self._drop()
-        connection = self._connection_type(*self._address, timeout=self.timeout)
+        connection = self._connect()
+        return connection, connection.send(request)
+
+    def _connect(self) -> _Connection:
+        sock = socket.create_connection(self._address, self.timeout)
+        try:
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            if self._tls is not None:
+                sock = self._tls.wrap_socket(sock, server_hostname=self._address[0])
+            connection = _Connection(sock)
+        except BaseException:
+            sock.close()
+            raise
         self._local.connection = connection
         with self._lock:
             self._open.add(connection)
-        return self._exchange(connection, body)
-
-    def _exchange(self, connection: http.client.HTTPConnection,
-                  body: bytes) -> http.client.HTTPResponse:
-        connection.request("POST", self._target, body, self._headers)
-        return connection.getresponse()
+        return connection
 
     def _drop(self) -> None:
         """Close this thread's connection; its next call opens a new one."""

@@ -40,10 +40,11 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
+from collections import deque
+from concurrent.futures import Executor, ThreadPoolExecutor
 from contextlib import ExitStack
 from pathlib import Path
-from typing import Callable, NoReturn, Optional, Sequence
+from typing import Callable, Iterable, Iterator, NoReturn, Optional, Sequence
 
 from .backends import BackendError, HttpReader, HttpReasoner, ScriptedReasoner
 from .controller import EpisodeConfig, SelfConsistencyConfig, run_self_consistency
@@ -248,6 +249,23 @@ def _answerer(cfg: dict, charts: dict[str, ChartTable]) -> tuple[Callable, ExitS
     return answer, backends
 
 
+def _in_order(pool: Executor, fn: Callable, items: Iterable, window: int) -> Iterator:
+    """``fn`` over ``items`` on ``pool``, yielded in input order, with at most
+    ``window`` items submitted and not yet yielded; closing the iterator
+    cancels those that have not started."""
+    pending: deque = deque()
+    try:
+        for item in items:
+            if len(pending) == window:
+                yield pending.popleft().result()
+            pending.append(pool.submit(fn, item))
+        while pending:
+            yield pending.popleft().result()
+    finally:
+        for future in pending:
+            future.cancel()
+
+
 def _all_backend_errors(traces: Sequence[ReasoningTrace]) -> bool:
     return all(t.terminated_by is Termination.BACKEND_ERROR for t in traces)
 
@@ -347,13 +365,18 @@ def cmd_eval(cfg: dict) -> int:
         return make_record(qa, final, length, f"episode-{index}"), traces
 
     records, every_episode_failed = [], True
-    with backends, ThreadPoolExecutor(max_workers=cfg["workers"]) as pool, \
+    workers = cfg["workers"]
+    with backends, ThreadPoolExecutor(max_workers=workers) as pool, \
             open(out_dir / "traces.jsonl", "w", encoding="utf-8") as traces_file, \
             open(out_dir / "records.jsonl", "w", encoding="utf-8") as records_file:
-        # Both maps yield in input order, so each trace line, then its record
+        # Both paths yield in input order, so each trace line, then its record
         # line, is written as its result arrives: an interrupt or error keeps
-        # every finished question.  The pool starts no thread at --workers 1.
-        for record, traces in (pool.map if cfg["workers"] > 1 else map)(score, enumerate(instances)):
+        # every finished question.  Threads keep at most two questions each in
+        # flight, so finished results do not queue behind a slow one without
+        # bound.  The pool starts no thread at --workers 1.
+        results = (_in_order(pool, score, enumerate(instances), 2 * workers) if workers > 1
+                   else map(score, enumerate(instances)))
+        for record, traces in results:
             write_trace_line(traces_file, record.trace_ref, record.qa.question, record.qa.chart_id,
                              record.prediction, traces)
             write_record_line(records_file, record)

@@ -435,8 +435,9 @@ def read_traces_jsonl(path: str | Path) -> tuple[list[tuple[ReasoningTrace, str,
     triple, in file order, plus one issue per line skipped.
 
     A line that is not a trace record, or holds an episode that fails
-    ``validate_trace``, is skipped and reported as ``path:line: reason``.  A
-    file that cannot be opened or decoded raises ValueError.
+    ``validate_trace``, is skipped and reported as ``path:line: reason``; the
+    reason for a bad episode starts with ``episodes[i]``.  A file that cannot
+    be opened or decoded raises ValueError.
     """
     triples: list[tuple[ReasoningTrace, str, str]] = []
     issues: list[str] = []
@@ -444,9 +445,14 @@ def read_traces_jsonl(path: str | Path) -> tuple[list[tuple[ReasoningTrace, str,
     def add(record: dict) -> None:
         question = text_field(record.get("question"), "question")
         chart_id = text_field(record.get("chart_id"), "chart_id")
-        episodes = [ReasoningTrace.from_dict(obj) for obj in record["episodes"]]
-        for trace in episodes:
-            validate_trace(trace)
+        episodes = []
+        for i, obj in enumerate(record["episodes"]):
+            try:
+                trace = ReasoningTrace.from_dict(obj)
+                validate_trace(trace)
+            except SHAPE_ERRORS as exc:  # name the episode of a --sc line
+                raise ValueError(f"episodes[{i}]: {exc}") from exc
+            episodes.append(trace)
         triples.extend((trace, question, chart_id) for trace in episodes)
 
     try:

@@ -1,6 +1,10 @@
 import json
+import re
+import socket
+import ssl
 import sys
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
@@ -97,6 +101,86 @@ def _serve(tables, protocol_version):
         server.server_close()
         thread.join(timeout=10)
         assert not thread.is_alive()
+
+
+@pytest.fixture
+def raw_stub(monkeypatch):
+    """A loopback server that answers each request with the next canned raw
+    response, whatever host the client asks for: the client's
+    ``socket.create_connection`` is sent to it.  Yields a state dict:
+    ``responses`` to send, as (bytes, keep the connection open) pairs;
+    ``requests`` received, as raw bytes; ``addresses`` the client connected to."""
+    listener = socket.create_server(("127.0.0.1", 0))
+    listener.settimeout(0.02)
+    state = {"responses": [], "requests": [], "addresses": []}
+    stop = threading.Event()
+
+    def answer(conn):
+        conn.settimeout(10)
+        with conn, conn.makefile("rb") as rfile:
+            while True:
+                lines = [rfile.readline()]
+                while lines[-1] not in (b"\r\n", b""):
+                    lines.append(rfile.readline())
+                if not lines[-1]:
+                    return  # the client closed the connection
+                head = b"".join(lines)
+                length = int(re.search(rb"Content-Length: (\d+)", head)[1])
+                state["requests"].append(head + rfile.read(length))
+                response, keep_open = state["responses"].pop(0)
+                conn.sendall(response)
+                if not keep_open:
+                    return
+
+    def serve():
+        while not stop.is_set():
+            try:
+                conn, _ = listener.accept()
+            except TimeoutError:
+                continue
+            try:
+                answer(conn)
+            except OSError:  # the client left in the middle of a response
+                pass
+
+    connect = socket.create_connection
+
+    def redirect(address, *args, **kwargs):
+        state["addresses"].append(address)
+        return connect(listener.getsockname(), *args, **kwargs)
+
+    monkeypatch.setattr(socket, "create_connection", redirect)
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    try:
+        yield state
+    finally:
+        stop.set()
+        thread.join(timeout=20)
+        listener.close()
+        assert not thread.is_alive()
+
+
+@pytest.fixture
+def tls_spy(monkeypatch):
+    """Replace ``ssl.create_default_context``: each context it makes is a real
+    default one whose ``wrap_socket`` records (context, server_hostname) and
+    returns the plain socket, so an https client talks to a plain stub."""
+    wrapped = []
+    create = ssl.create_default_context
+
+    def create_default_context(*args, **kwargs):
+        context = create(*args, **kwargs)
+
+        def wrap_socket(sock, server_hostname=None, **options):
+            wrapped.append((context, server_hostname))
+            return sock
+
+        context.wrap_socket = wrap_socket
+        return context
+
+    monkeypatch.setattr(ssl, "create_default_context", create_default_context)
+    return wrapped
 
 
 @pytest.fixture
@@ -469,3 +553,164 @@ def test_run_with_malformed_response_exits_3(http_stub, small_corpus_path, tmp_p
                  "--out-dir", str(tmp_path / "run")])
     assert code == 3
     assert "Traceback" not in capsys.readouterr().err
+
+
+_OK = b'HTTP/1.1 200 OK\r\nContent-Length: 13\r\n\r\n{"text": "x"}'
+
+
+def test_each_request_leaves_in_one_sendall(keepalive_stub, monkeypatch):
+    url, state = keepalive_stub
+    sends = []
+
+    class CountingSocket(socket.socket):
+        def sendall(self, data, *args):
+            sends.append(bytes(data))
+            return super().sendall(data, *args)
+
+    connect = socket.create_connection
+
+    def counted(*args, **kwargs):
+        sock = connect(*args, **kwargs)
+        timeout = sock.gettimeout()
+        counting = CountingSocket(fileno=sock.detach())
+        counting.settimeout(timeout)
+        return counting
+
+    monkeypatch.setattr(socket, "create_connection", counted)
+    reader = HttpReader(f"{url}/read")
+    for _ in range(3):
+        reader.read("pupil-teacher", "Let's describe the figure.")
+    reader.close()
+    body = json.dumps({"chart_ref": "pupil-teacher", "query": "Let's describe the figure."})
+    assert len(state["requests"]) == 3
+    assert len(sends) == 3 and all(data.endswith(b"\r\n\r\n" + body.encode()) for data in sends)
+
+
+def test_the_request_is_one_fixed_head_then_length_and_body(raw_stub):
+    raw_stub["responses"].append((_OK, False))
+    reader = HttpReader("http://h/read?v=1", api_key="k")
+    assert reader.read("c", "q") == "x"
+    reader.close()
+    body = json.dumps({"chart_ref": "c", "query": "q"}).encode()
+    assert raw_stub["requests"] == [
+        b"POST /read?v=1 HTTP/1.1\r\nHost: h\r\nAccept-Encoding: identity\r\n"
+        b"Content-Type: application/json\r\nAuthorization: Bearer k\r\n"
+        b"Content-Length: %d\r\n\r\n" % len(body) + body]
+    assert raw_stub["addresses"] == [("h", 80)]
+
+
+@pytest.mark.parametrize("url, host, address", [
+    ("http://h/x", "h", ("h", 80)),
+    ("http://h:8080/x", "h:8080", ("h", 8080)),
+    ("http://[::1]:8080/x", "[::1]:8080", ("::1", 8080)),
+    ("https://h/x", "h", ("h", 443)),
+    # http.client read the address's last group as a port: it dialled (":", 1).
+    ("http://[::1]/x", "[::1]", ("::1", 80)),
+])
+def test_host_header_is_written_as_http_client_writes_it(raw_stub, tls_spy, url, host, address):
+    raw_stub["responses"].append((_OK, False))
+    reader = HttpReader(url, retries=0)
+    assert reader.read("c", "q") == "x"
+    reader.close()
+    head = raw_stub["requests"][0].split(b"\r\n")
+    assert head[1] == b"Host: " + host.encode() and b"Accept-Encoding: identity" in head
+    assert raw_stub["addresses"] == [address]
+
+
+def test_https_checks_the_certificate_and_the_host_name(raw_stub, tls_spy):
+    raw_stub["responses"].append((_OK, False))
+    reader = HttpReader("https://example.test:8443/read", retries=0)
+    assert reader.read("c", "q") == "x"
+    reader.close()
+    [(context, server_hostname)] = tls_spy
+    assert context.verify_mode == ssl.CERT_REQUIRED and context.check_hostname
+    assert server_hostname == "example.test"
+
+
+@pytest.mark.parametrize("url", ["http://h/a b", "http://h/a?q=a b", "http://h/a\x00",
+                                 "http://h/a\x7f", "http://h/café"])
+def test_a_url_http_cannot_carry_is_refused_when_the_client_is_built(url):
+    with pytest.raises(ValueError, match="holds a space, a control character or a non-ASCII"):
+        HttpReader(url)
+
+
+@pytest.mark.parametrize("api_key", ["a\nb", "a\rb", "a b", "café"])
+def test_an_api_key_http_cannot_carry_is_refused_when_the_client_is_built(api_key):
+    with pytest.raises(ValueError, match="API key"):
+        HttpReasoner("http://h/complete", api_key=api_key)
+
+
+@pytest.mark.parametrize("response, kept", [
+    pytest.param(b'HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n'
+                 b'5\r\n{"tex\r\n8; name=value\r\nt": "x"}\r\n0\r\nX-Trailer: 1\r\n\r\n', True,
+                 id="chunked"),
+    pytest.param(b'HTTP/1.1 200 OK\r\n\r\n{"text": "x"}', False, id="until-close"),
+    pytest.param(b'HTTP/1.0 200 OK\r\nContent-Length: 13\r\n\r\n{"text": "x"}', False,
+                 id="http-1.0"),
+    pytest.param(b'HTTP/1.0 200 OK\r\nConnection: keep-alive\r\nContent-Length: 13\r\n\r\n'
+                 b'{"text": "x"}', True, id="http-1.0-keep-alive"),
+    pytest.param(b'HTTP/1.1 200 OK\r\nConnection: close\r\nContent-Length: 13\r\n\r\n'
+                 b'{"text": "x"}', False, id="connection-close"),
+    pytest.param(b"HTTP/1.1 100 Continue\r\n\r\n" + _OK, True, id="100-continue"),
+    pytest.param(b"HTTP/1.1 200 OK\r\n" + b"X-N: 1\r\n" * 99 + _OK[17:], True, id="100-headers"),
+    pytest.param(b"HTTP/1.1 200 OK\r\nX: " + b"a" * 65531 + b"\r\n" + _OK[17:], True,
+                 id="64KiB-header-line"),
+])
+def test_response_framings(raw_stub, response, kept):
+    raw_stub["responses"] += [(response, kept), (_OK, True)]
+    reader = HttpReader("http://h/read", retries=0)
+    assert [reader.read("c", "q") for _ in range(2)] == ["x", "x"]
+    assert len(raw_stub["addresses"]) == (1 if kept else 2)
+    reader.close()
+
+
+@pytest.mark.parametrize("response, keep_open, reason", [
+    pytest.param(b"HTTP/1.1 2x0 OK\r\n\r\n", True, "malformed status line", id="bad-status-line"),
+    pytest.param(b"HTTP/1.1 200 OK\r\nX: " + b"a" * 65532 + b"\r\n" + _OK[17:], True,
+                 "header line longer than 65536 bytes", id="header-line-over-64KiB"),
+    pytest.param(b"HTTP/1.1 200 OK\r\n" + b"X-N: 1\r\n" * 100 + _OK[17:], True,
+                 "more than 100 header lines", id="101-headers"),
+    pytest.param(b"HTTP/1.1 200 OK\r\nContent-Length: -13\r\n\r\n", True,
+                 "malformed Content-Length '-13'", id="negative-length"),
+    pytest.param(b"HTTP/1.1 200 OK\r\nContent-Length: 1e3\r\n\r\n", True,
+                 "malformed Content-Length '1e3'", id="non-numeric-length"),
+    pytest.param(b'HTTP/1.1 200 OK\r\nContent-Length: 14\r\n\r\n{"text": "x"}', False,
+                 "the body ended after 13 of 14 bytes", id="short-body"),
+    pytest.param(b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\nzz\r\n", True,
+                 "malformed chunk size line", id="bad-chunk-size"),
+    pytest.param(b'HTTP/1.1 200 OK\r\nContent-Length: 13\r\n\r\n{"te', True, "timed out",
+                 id="timeout"),
+])
+def test_a_bad_response_drops_the_connection_and_is_retried(raw_stub, fake_clock, response,
+                                                            keep_open, reason):
+    sleeps, _ = fake_clock
+    raw_stub["responses"] += [(response, keep_open)] * 2
+    reader = HttpReader("http://h/read", timeout=0.2, retries=1)
+    with pytest.raises(BackendError, match=f"^request to http://h/read failed: {reason}"):
+        reader.read("c", "q")
+    assert len(raw_stub["requests"]) == 2 and len(sleeps) == 1
+    # Each attempt had a connection of its own, and the next call opens a third.
+    raw_stub["responses"].append((_OK, True))
+    assert reader.read("c", "q") == "x"
+    assert len(raw_stub["addresses"]) == 3
+    reader.close()
+
+
+def test_eval_workers_keep_a_bounded_window(keepalive_stub, tmp_path, monkeypatch):
+    """At most two questions per thread are in flight; the rest wait to be submitted."""
+    url, _ = keepalive_stub
+    submitted, pending = [], []
+
+    class CountingPool(ThreadPoolExecutor):
+        def submit(self, fn, /, *args, **kwargs):
+            future = super().submit(fn, *args, **kwargs)
+            submitted.append(future)
+            pending.append(sum(not f.done() for f in submitted))
+            return future
+
+    monkeypatch.setattr(cli, "ThreadPoolExecutor", CountingPool)
+    out = tmp_path / "workers2"
+    assert main(["eval", "--synthetic", "20", "--seed", "0", "--reader-url", f"{url}/read",
+                 "--workers", "2", "--out-dir", str(out)]) == 0
+    assert len(submitted) == len((out / "records.jsonl").read_text().splitlines()) > 20
+    assert max(pending) <= 4

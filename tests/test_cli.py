@@ -794,6 +794,11 @@ def test_recorded_config_alone_reruns_a_command(small_corpus_path, tmp_path, com
     ["run", "--question", "What is the value of x?", "--chart", "nope", "--corpus", "corpus",
      "--reader-url", "http://127.0.0.1:9", "--prompt-style", "deplot1"],
     ["eval", "--synthetic", 3, "--workers", 2],
+    # A URL or key HTTP cannot carry is refused before any request is sent.
+    ["eval", "--synthetic", 2, "--reader-url", "http://127.0.0.1:9/a b"],
+    ["eval", "--synthetic", 2, "--reasoner-url", "http://127.0.0.1:9/a\x01b"],
+    ["eval", "--synthetic", 2, "--reasoner-url", "http://127.0.0.1:9/complete",
+     "--api-key", "a\nb"],
 ])
 def test_usage_error_is_one_line(small_corpus_path, tmp_path, capsys, argv):
     argv = [small_corpus_path if arg == "corpus" else arg for arg in argv]

@@ -545,13 +545,22 @@ def test_trace_steps_and_finals_take_text_fields_by_the_corpus_rule(tmp_path):
         {**episode, "final": ["7"]},
         {**episode, "final": 7},
     ]
+    lines = [[e] for e in episodes] + [
+        # A --sc line: the issue names the episode that breaks a rule.
+        [episode, {**episode, "steps": [{**steps[0], "text": None}, *steps[1:]]}],
+        [episode, {**episode, "steps": steps[1:]}],
+    ]
     path = tmp_path / "traces.jsonl"
-    path.write_text("".join(json.dumps({**record, "episodes": [e]}) + "\n" for e in episodes),
+    path.write_text("".join(json.dumps({**record, "episodes": e}) + "\n" for e in lines),
                     encoding="utf-8")
     triples, issues = read_traces_jsonl(path)
-    assert issues == [f"{path}:1: missing steps[0].text",
-                      f"{path}:2: steps[1].text must be a string or a number, not an array",
-                      f"{path}:3: final must be a string or a number, not an array"]
+    assert issues == [
+        f"{path}:1: episodes[0]: missing steps[0].text",
+        f"{path}:2: episodes[0]: steps[1].text must be a string or a number, not an array",
+        f"{path}:3: episodes[0]: final must be a string or a number, not an array",
+        f"{path}:5: episodes[1]: missing steps[0].text",
+        f"{path}:6: episodes[1]: step 0: reader answer not preceded by a reasoner query",
+    ]
     assert [trace.final for trace, _, _ in triples] == [Value.from_raw("7")]
 
 
