@@ -11,9 +11,12 @@ once per client (``POST``, ``Host``, ``Accept-Encoding: identity``,
 ``Content-Type`` and, with an API key, ``Authorization``) plus its
 ``Content-Length`` and JSON body, sent in one ``sendall``.  A response is
 parsed in one pass from a buffered reader made once per connection: the
-status line (``1xx`` interim responses are skipped), at most 100 header
-lines of at most 64 KiB each, and a body framed by ``Content-Length``, by
-``Transfer-Encoding: chunked`` or by the server closing the connection.
+status line (at most 100 ``1xx`` interim responses are skipped), at most
+100 header lines of at most 64 KiB each, and a body framed by
+``Content-Length``, by ``Transfer-Encoding: chunked`` or by the server
+closing the connection.  A call's ``timeout`` bounds the whole response:
+it must arrive within that many seconds of the send, however the server
+spaces its bytes.
 ``https`` URLs are wrapped by ``ssl.create_default_context()``, which checks
 the certificate and the host name.  The scripted reasoner replays a fixed
 list of lines for regression tests.
@@ -21,6 +24,7 @@ list of lines for regression tests.
 
 from __future__ import annotations
 
+import io
 import json
 import random
 import re
@@ -28,6 +32,7 @@ import socket
 import ssl
 import threading
 import time
+from time import monotonic  # tests replace the module's ``time`` to fake the backoff sleeps
 from typing import Optional, Protocol, Sequence
 from urllib.parse import urlsplit
 
@@ -82,6 +87,8 @@ _BACKOFF_CAP_S = 10.0
 # line, line end included, and header lines per response.
 _MAX_LINE = 65536
 _MAX_HEADERS = 100
+# Interim (1xx) responses skipped before the final one; http.client skips any number.
+_MAX_INTERIM = 100
 # Largest single read of a body: a huge Content-Length or chunk size is read
 # in parts, so a lying server cannot make the client allocate it at once.
 _READ_PART = 1 << 20
@@ -114,18 +121,42 @@ class _Disconnected(ConnectionError):
 _STALE_CONNECTION = (_Disconnected, ConnectionResetError, BrokenPipeError)
 
 
-class _Connection:
-    """One socket and the buffered reader made once over it."""
-
-    __slots__ = ("sock", "rfile")
+class _SocketReader(io.RawIOBase):
+    """A socket read by a buffered reader: each read of the socket must end
+    by ``deadline``, a ``monotonic()`` time, and costs one clock read."""
 
     def __init__(self, sock: socket.socket):
         self.sock = sock
-        self.rfile = sock.makefile("rb")
+        self.deadline = 0.0
 
-    def send(self, request: bytes) -> bytes:
-        """Send ``request`` in one write and return the status line that answers it."""
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        left = self.deadline - monotonic()
+        if left <= 0:
+            raise TimeoutError("timed out")
+        self.sock.settimeout(left)
+        return self.sock.recv_into(buffer)
+
+
+class _Connection:
+    """One socket and the buffered reader made once over it."""
+
+    __slots__ = ("sock", "reader", "rfile")
+
+    def __init__(self, sock: socket.socket):
+        self.sock = sock
+        self.reader = _SocketReader(sock)
+        self.rfile = io.BufferedReader(self.reader)
+
+    def send(self, request: bytes, timeout: float) -> bytes:
+        """Send ``request`` in one write and return the status line that
+        answers it; every read of the response must end within ``timeout``
+        seconds of the send."""
+        self.sock.settimeout(timeout)
         self.sock.sendall(request)
+        self.reader.deadline = monotonic() + timeout
         line = self.rfile.readline(_MAX_LINE + 1)
         if not line:
             raise _Disconnected("the server closed the connection without a response")
@@ -192,7 +223,7 @@ def _read_response(rfile, line: bytes) -> tuple[int, str, dict[str, str], bytes,
     """Status, reason, headers, body and whether the server will close the
     connection, for the response whose status line is ``line``.  A malformed
     or short response raises ValueError."""
-    while True:
+    for _ in range(_MAX_INTERIM + 1):
         match = _STATUS_LINE.fullmatch(line)
         if match is None:
             raise ValueError(f"malformed status line {line!r:.100}")
@@ -201,6 +232,8 @@ def _read_response(rfile, line: bytes) -> tuple[int, str, dict[str, str], bytes,
         if status >= 200:
             break
         line = _read_line(rfile, "status line")  # after an interim 1xx response
+    else:
+        raise ValueError(f"more than {_MAX_INTERIM} interim responses")
     connection = headers.get("connection", "").lower()
     if match[1] == b"0":
         will_close = "keep-alive" not in connection and "keep-alive" not in headers
@@ -227,13 +260,14 @@ class _HttpClient:
     socket.  A kept-alive connection the server has closed since the last
     call (nothing before the status line, a reset or a broken pipe) gets the
     request once more on a fresh connection, outside the ``retries`` count
-    and without a wait.  Timeouts, connection errors, malformed responses
-    and bodies, and the statuses 5xx, 408 and 429 are retried up to
-    ``retries`` times, each retry after a full-jitter exponential backoff, or
-    after the delta-seconds ``Retry-After`` of a 429 or 503, both capped at
-    10 s; any other non-2xx status, 3xx included, fails at once.  A failed
-    exchange drops its connection.  ``close`` closes the connections of
-    every thread.
+    and without a wait.  An attempt times out when its response has not
+    fully arrived ``timeout`` seconds after its send.  Timeouts, connection
+    errors, malformed responses and bodies, and the statuses 5xx, 408 and
+    429 are retried up to ``retries`` times, each retry after a full-jitter
+    exponential backoff, or after the delta-seconds ``Retry-After`` of a 429
+    or 503, both capped at 10 s; any other non-2xx status, 3xx included,
+    fails at once.  A failed exchange drops its connection.  ``close``
+    closes the connections of every thread.
     """
 
     def __init__(
@@ -333,11 +367,11 @@ class _HttpClient:
         connection = getattr(self._local, "connection", None)
         if connection is not None and not connection.rfile.closed:  # not closed by close()
             try:
-                return connection, connection.send(request)
+                return connection, connection.send(request, self.timeout)
             except _STALE_CONNECTION:
                 self._drop()
         connection = self._connect()
-        return connection, connection.send(request)
+        return connection, connection.send(request, self.timeout)
 
     def _connect(self) -> _Connection:
         sock = socket.create_connection(self._address, self.timeout)

@@ -36,10 +36,10 @@ from .tables import (
     SeriesLabel,
     StepRole,
     TableError,
-    TemplateType,
     Termination,
     Value,
     array_field,
+    template_field,
     text_field,
     validate_trace,
 )
@@ -162,20 +162,29 @@ def _cells(row: list, i: int, values: dict[str, Value]) -> tuple[Value, ...]:
     return tuple(parsed)
 
 
-def _chart_from_obj(obj: dict, values: dict[str, Value]) -> ChartTable:
+def _text(texts: dict[str, str], raw: Any, field: str, *index: int) -> str:
+    """``raw`` by the :func:`text_field` rule, as the one string ``texts``
+    holds for it.  ``texts`` maps each text read so far in this load to the
+    first string that held it, so every row that holds a text shares it."""
+    text = raw if type(raw) is str else text_field(raw, field, *index)
+    return texts.setdefault(text, text)
+
+
+def _chart_from_obj(obj: dict, values: dict[str, Value], texts: dict[str, str]) -> ChartTable:
     """A chart row: ``id``, ``series`` (``name``, optional ``color``),
-    ``x_labels`` and ``cells``, one row of cells per series."""
+    ``x_labels`` and ``cells``, one row of cells per series.  Its texts are
+    looked up in, or added to, ``texts`` as in :func:`_text`."""
     series = tuple(
-        SeriesLabel(text_field(s.get("name"), f"series[{i}].name"),
+        SeriesLabel(_text(texts, s.get("name"), f"series[{i}].name"),
                     None if s.get("color") is None
-                    else text_field(s["color"], f"series[{i}].color"))
+                    else _text(texts, s["color"], f"series[{i}].color"))
         for i, s in enumerate(array_field(obj.get("series"), "series"))
     )
-    x_labels = tuple([x if type(x) is str else text_field(x, "x_labels", j)
+    x_labels = tuple([_text(texts, x, "x_labels", j)
                       for j, x in enumerate(array_field(obj.get("x_labels"), "x_labels"))])
     cells = tuple([_cells(row, i, values)
                    for i, row in enumerate(array_field(obj.get("cells"), "cells"))])
-    table = ChartTable(text_field(obj.get("id"), "id"), series, x_labels, cells)
+    table = ChartTable(_text(texts, obj.get("id"), "id"), series, x_labels, cells)
     table.validate()
     return table
 
@@ -191,20 +200,23 @@ def _field(obj: dict, key: str, alias: str) -> str:
     return value if type(value) is str else text_field(value, key)
 
 
-def _qa_from_obj(obj: dict, values: dict[str, Value]) -> QAInstance:
+def _qa_from_obj(obj: dict, values: dict[str, Value], texts: dict[str, str]) -> QAInstance:
     """A QA row: ``question``/``query``, ``answer``/``label``, ``chart_id``/``imgname``.
-    The gold answer is looked up in, or added to, ``values`` as in :func:`_cells`."""
-    template = obj.get("template_type")
+    The gold answer is looked up in, or added to, ``values`` as in :func:`_cells`,
+    and the question and chart id in ``texts`` as in :func:`_text`."""
     chart_id = _field(obj, "chart_id", "imgname")
+    if obj.get("chart_id") in (None, ""):
+        chart_id = Path(chart_id).stem
     answer = _field(obj, "answer", "label")
     gold = values.get(answer)
     if gold is None:
         gold = values[answer] = Value.from_raw(answer)
+    question = _field(obj, "question", "query")
     return QAInstance(
-        question=_field(obj, "question", "query"),
+        question=texts.setdefault(question, question),
         gold=gold,
-        chart_id=chart_id if obj.get("chart_id") not in (None, "") else Path(chart_id).stem,
-        template_type=TemplateType(template) if template else None,
+        chart_id=texts.setdefault(chart_id, chart_id),
+        template_type=template_field(obj.get("template_type")),
     )
 
 
@@ -216,9 +228,13 @@ def load_corpus(path: str | Path, format: str = "internal_json") -> Corpus:
     question, an answer and a loaded chart.  A text field takes a string as it
     is and a number through ``str()``.  A bad row is skipped and reported in
     ``issues`` as ``where: reason``; a missing path, an unreadable or misshapen
-    file, or a corpus without a valid chart raises ``CorpusError``.  Each
-    distinct printed cell or answer is parsed once per call, and every row
-    that prints it shares that ``Value``.
+    file, or a corpus without a valid chart raises ``CorpusError``.
+
+    Each distinct text and printed value is held once per call.  A printed
+    cell or answer is parsed once, and every row that prints it shares that
+    ``Value``; a chart id, series name, colour, x-label or question is one
+    string shared by every row that holds it, so a QA row's ``chart_id`` is
+    its table's ``source_id``.  Both maps are local to the call.
     """
     if format not in CORPUS_LAYOUTS:
         raise CorpusError(f"unknown corpus format {format!r}")
@@ -228,15 +244,16 @@ def load_corpus(path: str | Path, format: str = "internal_json") -> Corpus:
     entries: dict[str, tuple[ChartTable, list[QAInstance]]] = {}
     issues: list[str] = []
     values: dict[str, Value] = {}
+    texts: dict[str, str] = {}
 
     def add_chart(obj: dict) -> None:
-        table = _chart_from_obj(obj, values)
+        table = _chart_from_obj(obj, values, texts)
         if table.source_id in entries:
             raise ValueError(f"duplicate chart id {table.source_id!r}, first kept")
         entries[table.source_id] = (table, [])
 
     def add_qa(obj: dict) -> None:
-        qa = _qa_from_obj(obj, values)
+        qa = _qa_from_obj(obj, values, texts)
         if qa.chart_id not in entries:
             raise ValueError(f"unknown chart {qa.chart_id!r}")
         entries[qa.chart_id][1].append(qa)

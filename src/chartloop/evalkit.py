@@ -111,7 +111,7 @@ def majority_vote(finals: Sequence[Value]) -> Optional[Value]:
     return min((v for v, key in zip(finals, keys) if key == winner), key=lambda v: v.raw)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EvalRecord:
     qa: QAInstance
     prediction: Optional[Value]

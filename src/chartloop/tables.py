@@ -113,7 +113,7 @@ def canonical_decimal(d: Decimal) -> str:
     return str(d.normalize(_EXACT))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Value:
     """A table cell or answer value, preserving the source's printed form.
 
@@ -141,7 +141,7 @@ class Value:
         return Value(ValueKind.YES_NO, "yes" if flag else "no")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SeriesLabel:
     """A data series name with its optional legend color."""
 
@@ -152,7 +152,7 @@ class SeriesLabel:
         return f"{self.name} ({self.color})" if self.color else self.name
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ChartTable:
     """The ground-truth table underlying a chart.
 
@@ -279,7 +279,24 @@ class TemplateType(str, Enum):
     MIN_MAX = "min_max"
 
 
-@dataclass(frozen=True)
+# Each template by its value; a lookup here costs about a twentieth of
+# ``TemplateType(value)``, which a load pays once per QA row.
+_TEMPLATE_TYPES = {template.value: template for template in TemplateType}
+
+
+def template_field(raw: Any) -> Optional[TemplateType]:
+    """A decoded ``template_type`` field: null or ``""`` means no template;
+    any other value is read by the :func:`text_field` rule and must name a
+    ``TemplateType``, else ValueError.  Every reader of QA rows takes its
+    template through here."""
+    if raw is None or raw == "":
+        return None
+    if type(raw) is str and raw in _TEMPLATE_TYPES:
+        return _TEMPLATE_TYPES[raw]
+    return TemplateType(text_field(raw, "template_type"))
+
+
+@dataclass(frozen=True, slots=True)
 class QAInstance:
     """A question over a chart with its gold answer.
 
@@ -302,12 +319,11 @@ class QAInstance:
 
     @staticmethod
     def from_dict(obj: dict) -> "QAInstance":
-        tt = obj.get("template_type")
         return QAInstance(
             question=text_field(obj.get("question"), "question"),
             gold=Value.from_raw(text_field(obj.get("gold"), "gold")),
             chart_id=text_field(obj.get("chart_id"), "chart_id"),
-            template_type=TemplateType(tt) if tt else None,
+            template_type=template_field(obj.get("template_type")),
         )
 
 
@@ -325,13 +341,13 @@ class Termination(str, Enum):
     PARSE_ERROR = "parse_error"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Step:
     role: StepRole
     text: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ReasoningTrace:
     """An episode transcript: reasoner lines, spliced reader answers, outcome."""
 

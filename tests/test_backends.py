@@ -4,6 +4,7 @@ import socket
 import ssl
 import sys
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -108,7 +109,8 @@ def raw_stub(monkeypatch):
     """A loopback server that answers each request with the next canned raw
     response, whatever host the client asks for: the client's
     ``socket.create_connection`` is sent to it.  Yields a state dict:
-    ``responses`` to send, as (bytes, keep the connection open) pairs;
+    ``responses`` to send, as (bytes, keep the connection open) pairs, where
+    a list of bytes is sent one part every 0.1 s;
     ``requests`` received, as raw bytes; ``addresses`` the client connected to."""
     listener = socket.create_server(("127.0.0.1", 0))
     listener.settimeout(0.02)
@@ -128,7 +130,11 @@ def raw_stub(monkeypatch):
                 length = int(re.search(rb"Content-Length: (\d+)", head)[1])
                 state["requests"].append(head + rfile.read(length))
                 response, keep_open = state["responses"].pop(0)
-                conn.sendall(response)
+                parts = response if isinstance(response, list) else [response]
+                for number, part in enumerate(parts):
+                    if number:
+                        time.sleep(0.1)
+                    conn.sendall(part)
                 if not keep_open:
                     return
 
@@ -652,6 +658,7 @@ def test_an_api_key_http_cannot_carry_is_refused_when_the_client_is_built(api_ke
     pytest.param(b'HTTP/1.1 200 OK\r\nConnection: close\r\nContent-Length: 13\r\n\r\n'
                  b'{"text": "x"}', False, id="connection-close"),
     pytest.param(b"HTTP/1.1 100 Continue\r\n\r\n" + _OK, True, id="100-continue"),
+    pytest.param(b"HTTP/1.1 102 Processing\r\n\r\n" * 100 + _OK, True, id="100-interim"),
     pytest.param(b"HTTP/1.1 200 OK\r\n" + b"X-N: 1\r\n" * 99 + _OK[17:], True, id="100-headers"),
     pytest.param(b"HTTP/1.1 200 OK\r\nX: " + b"a" * 65531 + b"\r\n" + _OK[17:], True,
                  id="64KiB-header-line"),
@@ -670,6 +677,8 @@ def test_response_framings(raw_stub, response, kept):
                  "header line longer than 65536 bytes", id="header-line-over-64KiB"),
     pytest.param(b"HTTP/1.1 200 OK\r\n" + b"X-N: 1\r\n" * 100 + _OK[17:], True,
                  "more than 100 header lines", id="101-headers"),
+    pytest.param(b"HTTP/1.1 102 Processing\r\n\r\n" * 101 + _OK, True,
+                 "more than 100 interim responses", id="101-interim"),
     pytest.param(b"HTTP/1.1 200 OK\r\nContent-Length: -13\r\n\r\n", True,
                  "malformed Content-Length '-13'", id="negative-length"),
     pytest.param(b"HTTP/1.1 200 OK\r\nContent-Length: 1e3\r\n\r\n", True,
@@ -694,6 +703,25 @@ def test_a_bad_response_drops_the_connection_and_is_retried(raw_stub, fake_clock
     assert reader.read("c", "q") == "x"
     assert len(raw_stub["addresses"]) == 3
     reader.close()
+
+
+@pytest.mark.parametrize("parts", [
+    pytest.param([b"HTTP/1.1 100 Continue\r\n\r\n"] * 20 + [_OK], id="interim-responses"),
+    pytest.param([b"HTTP/1.1 200 OK\r\nX: "] + [b"a"] * 20 + [b"\r\n" + _OK[17:]],
+                 id="one-header-line"),
+])
+def test_a_call_ends_within_its_timeout_however_the_server_spaces_its_bytes(raw_stub, parts):
+    """The server sends a part every 0.1 s for 2 s, each read well within the
+    timeout: the 0.5 s timeout still bounds the call."""
+    raw_stub["responses"].append((parts, True))
+    reader = HttpReader("http://h/read", timeout=0.5, retries=0)
+    start = time.monotonic()
+    try:
+        with pytest.raises(BackendError, match="^request to http://h/read failed: timed out$"):
+            reader.read("c", "q")
+    finally:
+        reader.close()
+    assert time.monotonic() - start < 1.0
 
 
 def test_eval_workers_keep_a_bounded_window(keepalive_stub, tmp_path, monkeypatch):

@@ -1,5 +1,6 @@
 import json
 import random
+import tracemalloc
 
 import pytest
 
@@ -17,10 +18,11 @@ from chartloop.datagen import (
     sample_eval_set,
     write_system1_jsonl,
 )
+from chartloop.evalkit import EvalRecord
 from chartloop.oracle import TableOracle
 from chartloop.prompts import annotated_examples_text
 from chartloop.protocol import QueryOp
-from chartloop.symbolic import SymbolicReasoner
+from chartloop.symbolic import SkippedTemplate, SymbolicReasoner, gen_questions
 from chartloop.synth import random_tables
 from chartloop.tables import (
     ChartTable,
@@ -248,6 +250,10 @@ def test_load_corpus_fuzz_returns_corpus_or_corpus_error(tmp_path, layout):
     pytest.param(None, {**QA, "answer": {"v": 1}}, "answer", "an object", id="answer-object"),
     pytest.param(None, {**QA, "answer": True}, "answer", "a boolean", id="answer-boolean"),
     pytest.param(None, {**QA, "chart_id": ["c1"]}, "chart_id", "an array", id="chart-id-array"),
+    pytest.param(None, {**QA, "template_type": False}, "template_type", "a boolean",
+                 id="template-boolean"),
+    pytest.param(None, {**QA, "template_type": []}, "template_type", "an array",
+                 id="template-array"),
 ])
 def test_non_text_in_a_text_field_is_an_issue_naming_the_field(tmp_path, layout, chart, qa,
                                                                field, kind):
@@ -293,6 +299,69 @@ def test_non_array_in_an_array_field_is_an_issue_naming_the_field(tmp_path, layo
     assert [table.to_dict() for table in corpus.charts] == [CHART]
     reason = f"missing {field}" if kind is None else f"{field} must be an array, not {kind}"
     assert len(corpus.issues) == 1 and corpus.issues[0].endswith(f": {reason}")
+
+
+@pytest.mark.parametrize("layout", ["internal_json", "plotqa_like"])
+def test_only_null_or_empty_template_type_means_no_template(tmp_path, layout):
+    qa = [{**QA, "template_type": None}, {**QA, "template_type": ""},
+          {**QA, "template_type": "structural"}, {**QA, "template_type": 0}]
+    corpus = load_corpus(_write_layout(tmp_path / "corpus", layout, [CHART], qa), layout)
+    assert [qa.template_type for qa in corpus.all_qa()] == [None, None, TemplateType.STRUCTURAL]
+    assert len(corpus.issues) == 1
+    assert corpus.issues[0].endswith(": '0' is not a valid TemplateType")
+
+
+def _held_bytes(load):
+    """What ``load()`` returns, and the bytes it allocated and still holds."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = load()
+        return result, tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_load_holds_each_distinct_text_once_in_slotted_records(tmp_path):
+    """300 seeded charts with one question per template.  On Python 3.11 a
+    load holds about 2,240 bytes per chart and 200 per QA row; with a copy of
+    every text per row and an instance dict per record it held 3,210 and 340."""
+    tables = random_tables(0, 300)
+    rows = []
+    for table in tables:
+        for template in TemplateType:
+            try:
+                generated = gen_questions(table, template, 0, n=1)
+            except SkippedTemplate:
+                continue
+            rows += [{"question": qa.question, "answer": qa.gold.raw, "chart_id": qa.chart_id,
+                      "template_type": template.value} for qa, _ in generated]
+    charts_only = _write_layout(tmp_path / "charts", "internal_json",
+                                [table.to_dict() for table in tables], [])
+    path = _write_layout(tmp_path / "corpus", "internal_json",
+                         [table.to_dict() for table in tables], rows)
+    load_corpus(path)  # let one-time caches fill before measuring
+    _, chart_bytes = _held_bytes(lambda: load_corpus(charts_only))
+    corpus, all_bytes = _held_bytes(lambda: load_corpus(path))
+    assert corpus.issues == [] and len(corpus.all_qa()) == len(rows) > 1500
+    assert chart_bytes / len(tables) < 2700
+    assert (all_bytes - chart_bytes) / len(rows) < 270
+
+    for table, qas in corpus.entries:
+        assert all(qa.chart_id is table.source_id for qa in qas)
+    first: dict[str, str] = {}
+    for table in corpus.charts:
+        texts = [*table.x_labels, *(s.name for s in table.series),
+                 *(s.color for s in table.series if s.color)]
+        assert all(first.setdefault(text, text) is text for text in texts)
+    assert len(first) < sum(len(t.x_labels) for t in corpus.charts) / 10  # shared, not unique
+
+    table, (qa, *_) = corpus.entries[0]
+    trace = ReasoningTrace((Step(StepRole.CONCLUSION, "1"),), Value.from_raw("1"),
+                           Termination.CONCLUSION)
+    record = EvalRecord(qa, qa.gold, True, 2, "t")
+    for obj in (table, table.series[0], table.cells[0][0], qa, trace, trace.steps[0], record):
+        assert not hasattr(obj, "__dict__"), type(obj).__name__
 
 
 def _loaded_values(corpus):

@@ -132,6 +132,9 @@ def test_qa_instance_round_trip():
     ("question", None, "missing question"),
     ("chart_id", ["c1"], "chart_id must be a string or a number, not an array"),
     ("gold", True, "gold must be a string or a number, not a boolean"),
+    ("template_type", False, "template_type must be a string or a number, not a boolean"),
+    ("template_type", [], "template_type must be a string or a number, not an array"),
+    ("template_type", 0, "'0' is not a valid TemplateType"),
 ])
 def test_qa_instance_text_fields_follow_the_corpus_rule(field, raw, reason):
     obj = {**QAInstance("How much?", Value.from_raw("12"), "c1").to_dict(), field: raw}
