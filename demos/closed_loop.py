@@ -7,7 +7,7 @@ gold computed straight from the table. Run:
     python demos/closed_loop.py
 """
 
-from chartloop import SymbolicReasoner, TableOracle, relaxed_match, run_episode
+from chartloop import SymbolicReasoner, TableOracle, describe, relaxed_match, run_episode
 from chartloop.symbolic import compute_gold, decompose, gen_questions
 from chartloop.synth import random_table
 from chartloop.tables import TemplateType
@@ -16,9 +16,10 @@ table = random_table(seed=12, index=0, n_series=3, n_x=5)
 oracle = TableOracle([table])
 
 print("Chart table:")
+print(f"  {describe(table)}")
 for label, row in zip(table.series, table.cells):
     cells = ", ".join(f"{x}={v.raw}" for x, v in zip(table.x_labels, row))
-    print(f"  {label.render()}: {cells}")
+    print(f"  {label.name}: {cells}")
 print()
 
 for template in TemplateType:

@@ -320,7 +320,12 @@ def cmd_run(cfg: dict) -> int:
     return EXIT_OK if final is not None else EXIT_EMPTY
 
 
-def _synthetic_eval_set(cfg: dict) -> tuple[list[ChartTable], list[QAInstance]]:
+def _synthetic_eval_set(cfg: dict) -> tuple[dict[str, ChartTable], list[QAInstance]]:
+    """The charts by id and the questions of ``--synthetic``, settling the
+    defaults of ``cfg["templates"]`` (all) and ``cfg["per_template"]`` (1)."""
+    if cfg["templates"] is None:
+        cfg["templates"] = ",".join(t.value for t in TemplateType)
+    cfg["per_template"] = cfg["per_template"] or 1
     templates = [TemplateType(name) for name in cfg["templates"].split(",") if name]
     charts = random_tables(cfg["seed"], cfg["synthetic"])
     instances: list[QAInstance] = []
@@ -331,23 +336,25 @@ def _synthetic_eval_set(cfg: dict) -> tuple[list[ChartTable], list[QAInstance]]:
             except SkippedTemplate:
                 continue
             instances.extend(qa for qa, _ in generated)
-    return charts, instances
+    return {table.source_id: table for table in charts}, instances
 
 
 def cmd_eval(cfg: dict) -> int:
+    if cfg["synthetic"] > 0 and cfg["corpus"]:
+        raise UsageError("--corpus and --synthetic cannot be combined")
+    if cfg["synthetic"] == 0 and (cfg["templates"] is not None or cfg["per_template"] is not None):
+        raise UsageError("--templates and --per-template need --synthetic N")
     # Threads only overlap waits on a server; in-process backends hold the GIL.
     if cfg["workers"] > 1 and cfg["reasoner_url"] is None and cfg["reader_url"] is None:
         raise UsageError("--workers above 1 needs --reasoner-url or --reader-url")
     edges = _parse_buckets(cfg["buckets"])
     corpus = _load_corpus(cfg)
-    charts = corpus.chart_index() if corpus else {}
     if cfg["synthetic"] > 0:
-        synthetic, instances = _synthetic_eval_set(cfg)
-        charts.update((t.source_id, t) for t in synthetic)
+        charts, instances = _synthetic_eval_set(cfg)
     elif corpus is None:
         raise UsageError("eval needs --corpus or --synthetic N")
     else:
-        instances = corpus.all_qa()
+        charts, instances = corpus.chart_index(), corpus.all_qa()
     if cfg["sample"] > 0:
         instances = sample_eval_set(instances, cfg["sample"], cfg["seed"])
     if not instances:
@@ -501,9 +508,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0, help="master random seed")
     p.add_argument("--synthetic", type=int, default=0,
                    help="generate N random charts with template questions")
-    p.add_argument("--templates", default=",".join(t.value for t in TemplateType),
-                   help="comma-separated template types")
-    p.add_argument("--per-template", dest="per_template", type=int, default=1)
+    p.add_argument("--templates", default=None,
+                   help="comma-separated template types (default all; needs --synthetic)")
+    p.add_argument("--per-template", dest="per_template", type=int, default=None,
+                   help="questions per chart and template (default 1; needs --synthetic)")
     p.add_argument("--sample", type=int, default=0, help="sample N instances (0 = all)")
     p.add_argument("--workers", type=int, default=1,
                    help="threads; above 1 only with an HTTP backend")

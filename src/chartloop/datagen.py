@@ -27,7 +27,8 @@ from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Optional, Sequence, TextIO
 
 from . import oracle
-from .protocol import AtomicQuery, QueryOp, describe_query, format_query, group_query, point_query
+from .protocol import (QUESTION_STUB, AtomicQuery, Form, QueryOp, describe_query,
+                       format_query, group_query, point_query)
 from .tables import (
     SHAPE_ERRORS,
     ChartTable,
@@ -345,7 +346,7 @@ class System2Example:
         lines = []
         for segment in self.segments:
             body = segment.text.rstrip("\n")
-            lines.append(f"[INST] {body} [/INST]" if segment.masked else body)
+            lines.append(_INST_LINE.render(body) if segment.masked else body)
         return "\n".join(lines)
 
 
@@ -354,16 +355,17 @@ def example_from_trace(trace: ReasoningTrace, question: str, chart_id: str) -> S
     validate_trace(trace)
     if trace.terminated_by is not Termination.CONCLUSION:
         raise ValueError(f"trace terminated by {trace.terminated_by.value}, not a conclusion")
-    segments = [Segment(f"Q: {question}\n", True)]
+    question_line, newline, answer_start = QUESTION_STUB.render(question).rpartition("\n")
+    segments = [Segment(question_line + newline, True)]
     for index, step in enumerate(trace.steps):
-        prefix = "A: " if index == 0 else ""
+        prefix = answer_start if index == 0 else ""
         last = index == len(trace.steps) - 1
         text = f"{prefix}{step.text}" + ("" if last else "\n")
         segments.append(Segment(text, step.role is StepRole.READER_ANSWER))
     return System2Example(chart_id, tuple(segments))
 
 
-_INST_LINE_RE = re.compile(r"^\[INST\] (?P<body>.*) \[/INST\]$")
+_INST_LINE = Form("[INST] {body:.*} [/INST]")  # a masked segment, as a tagged line
 EXAMPLE_SEPARATOR = "----"
 
 
@@ -380,8 +382,8 @@ def parse_annotated_examples(text: str) -> list[System2Example]:
         lines = [line for line in block.splitlines() if line.strip()]
         segments: list[Segment] = []
         for line_index, line in enumerate(lines):
-            m = _INST_LINE_RE.match(line)
-            body = m.group("body") if m else line
+            m = _INST_LINE.match(line)
+            body = m["body"] if m else line
             trailing = "" if line_index == len(lines) - 1 else "\n"
             segments.append(Segment(body + trailing, m is not None))
         examples.append(System2Example("", tuple(segments)))

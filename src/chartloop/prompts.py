@@ -15,6 +15,7 @@ from enum import Enum
 from importlib import resources
 from typing import Optional
 
+from .protocol import QUESTION_STUB
 from .tables import ChartTable
 
 
@@ -59,10 +60,9 @@ def default_step_exemplars() -> tuple[StepExemplar, ...]:
     blocks = shipped_prompt_text(PromptStyle.STEPWISE_5SHOT).strip("\n").split("\n\n")[1:]
     exemplars = []
     for block in blocks:
-        question, first, *rest = block.split("\n")
-        exemplars.append(
-            StepExemplar(question.removeprefix("Q: "), (first.removeprefix("A: "), *rest))
-        )
+        stub, _, steps = block.partition(QUESTION_STUB.tail)
+        exemplars.append(StepExemplar(stub.removeprefix(QUESTION_STUB.head),
+                                      tuple(steps.split("\n"))))
     return tuple(exemplars)
 
 
@@ -105,4 +105,4 @@ def build_prompt(style: PromptStyle, question: str, context: Optional[str] = Non
         raise PromptConfigError(f"{style.value} prompts require a context table")
     else:
         prefix += context + _CONTEXT_END[style]
-    return f"{prefix}Q: {question}\nA: "
+    return prefix + QUESTION_STUB.render(question)

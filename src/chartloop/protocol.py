@@ -2,9 +2,14 @@
 
 Reasoner lines are one of three atomic queries, a concluding sentence ending
 "... answer is X.", or opaque prose.  Reader lines are a scalar answer, an
-enumerated group answer, or a figure description.  Both directions are exact:
-formatting a parsed protocol line reproduces it byte for byte, which the test
-suite pins against the shipped few-shot prompt.
+enumerated group answer, or a figure description.  Each line form is one
+:class:`Form` string here, which both renders the line and reads it back;
+the question grammar in ``symbolic`` uses the same slot rule.  Parsing a
+formatted line gives back what was formatted, and formatting a parsed line
+its bytes (the tests pin both on the shipped few-shot prompt and the closed
+loop), except that a label holding a list separator (`` | `` in a series,
+``, `` in a lone x-label), or a colourless series ending in ``(...)``,
+reads back as other labels.
 
 One surface form is genuinely shared: ``Let's extract the data of <entity>.``
 is what both a point query without BY and a group query with that entity
@@ -22,16 +27,54 @@ from typing import Optional
 
 from .tables import SeriesLabel, Value
 
+_SLOT_RE = re.compile(r"\{(\w+)(?::([^{}]*))?\}")
+
+
+class Form:
+    """Literal text with slots: ``{name}`` matches any text, ``{name:regex}``
+    only ``regex``.  ``render(*values)`` writes a line from the slot values in
+    order, and ``match(line)`` reads them back by name, or gives None for
+    another line.  Both are bound methods (of a positional format string and
+    of ``pattern``), so neither adds a Python call; keyword formatting would
+    double the cost of writing a line.  ``head`` and ``tail`` are the literal
+    text before the first slot and after the last."""
+
+    def __init__(self, surface: str):
+        regex, end = "", 0
+        for slot in _SLOT_RE.finditer(surface):
+            regex += re.escape(surface[end:slot.start()]) + f"(?P<{slot[1]}>{slot[2] or '.+'})"
+            end = slot.end()
+        self.pattern = re.compile(regex + re.escape(surface[end:]), re.DOTALL)
+        self.head, self.tail = _SLOT_RE.split(surface, 1)[0], surface[end:]
+        self.render = _SLOT_RE.sub("{}", surface).format
+        self.match = self.pattern.fullmatch
+
+
+# The query lines.  A point line splits at its last " BY ", so ``by`` holds
+# none; format demotes the token in names to " By " (``_escape_entity``).
 DESCRIBE_QUERY = "Let's describe the figure."
 EXTRACT_ALL_QUERY = "Let's extract all the values."
-EXTRACT_PREFIX = "Let's extract the data of "
-DATA_PREFIX = "The data is "
-DESCRIPTION_PREFIX = "The figure shows the data of: "
-UNAVAILABLE_ANSWER = "The data is not available."
+_GROUP_LINE = Form("Let's extract the data of {entity}.")
+_POINT_LINE = Form("Let's extract the data of {entity} BY {by:(?!BY )(?!.* BY ).+}.")
 BY_SEPARATOR = " BY "
 
+# The reader's lines.  A description lists series, each with its colour if
+# it has one, and then the x-labels; a data line holds one value or pairs.
+UNAVAILABLE_ANSWER = "The data is not available."
+_DESCRIPTION_LINE = Form(
+    "The figure shows the data of: {series:.*?}. The x-axis shows: {xaxis:.*}.")
+_COLORED_SERIES = Form("{name:.*} ({color:[^()]*})")
+_DATA_LINE = Form("The data is {data}.")
+_PAIR = Form(r"{value:\S+} in {key}")
+_PAIR_SPLIT_RE = re.compile(r", (?=\S+ in )")
 PIPE_SEP = " | "
 COMMA_SEP = ", "
+
+# The reasoner's last line (``parse_step`` also reads any terminal sentence
+# ending "answer is X."), and the stub that asks it a question.
+CONCLUSION = Form("So the answer is {answer}.")
+_CONCLUSION_MARKER = "answer is "
+QUESTION_STUB = Form("Q: {question}\nA: ")
 
 
 class QueryOp(str, Enum):
@@ -70,8 +113,6 @@ def group_query(entity: Optional[str] = None) -> AtomicQuery:
 
 
 def _escape_entity(entity: str) -> str:
-    # The uppercase token separates entity from qualifier; entity names that
-    # embed it are demoted at format time so the split stays unambiguous.
     return entity.replace(BY_SEPARATOR, " By ")
 
 
@@ -81,8 +122,9 @@ def format_query(query: AtomicQuery) -> str:
         return DESCRIBE_QUERY
     if query.entity is None:
         return EXTRACT_ALL_QUERY
-    by = "" if query.by is None else f"{BY_SEPARATOR}{_escape_entity(query.by)}"
-    return f"{EXTRACT_PREFIX}{_escape_entity(query.entity)}{by}."
+    if query.by is None:
+        return _GROUP_LINE.render(_escape_entity(query.entity))
+    return _POINT_LINE.render(_escape_entity(query.entity), _escape_entity(query.by))
 
 
 class StepKind(str, Enum):
@@ -98,9 +140,6 @@ class ParsedStep:
     final: Optional[Value] = None
 
 
-_CONCLUSION_MARKER = "answer is "
-
-
 def parse_step(line: str) -> ParsedStep:
     """Classify one reasoner-emitted line. Total: unrecognized text is OTHER.
 
@@ -113,17 +152,12 @@ def parse_step(line: str) -> ParsedStep:
         return ParsedStep(StepKind.QUERY, query=describe_query())
     if stripped == EXTRACT_ALL_QUERY:
         return ParsedStep(StepKind.QUERY, query=group_query())
-    if stripped.startswith(EXTRACT_PREFIX) and stripped.endswith("."):
-        payload = stripped[len(EXTRACT_PREFIX):-1]
-        if payload:
-            if BY_SEPARATOR in payload:
-                entity, _, by = payload.rpartition(BY_SEPARATOR)
-                if entity and by:
-                    return ParsedStep(StepKind.QUERY, query=point_query(entity, by))
-            return ParsedStep(StepKind.QUERY, query=group_query(payload))
+    if BY_SEPARATOR in stripped and (m := _POINT_LINE.match(stripped)):
+        return ParsedStep(StepKind.QUERY, query=point_query(m["entity"], m["by"]))
+    if m := _GROUP_LINE.match(stripped):
+        return ParsedStep(StepKind.QUERY, query=group_query(m["entity"]))
     if stripped.endswith(".") and _CONCLUSION_MARKER in stripped:
-        tail = stripped[stripped.rfind(_CONCLUSION_MARKER) + len(_CONCLUSION_MARKER):]
-        token = tail[:-1].strip()
+        token = stripped.rpartition(_CONCLUSION_MARKER)[2][:-1].strip()
         # A sentence boundary inside the tail means "answer is" was not part
         # of the terminal sentence.
         if token and ". " not in token:
@@ -184,21 +218,6 @@ def unavailable_answer(raw: str) -> ReaderAnswer:
     return ReaderAnswer(AnswerKind.UNAVAILABLE, raw=raw)
 
 
-_DESCRIPTION_RE = re.compile(
-    r"^The figure shows the data of: (?P<series>.*?)\. The x-axis shows: (?P<xaxis>.*)\.$"
-)
-_COLOR_RE = re.compile(r"^(?P<name>.*) \((?P<color>[^()]*)\)$")
-_PAIR_SPLIT_RE = re.compile(r", (?=\S+ in )")
-_PAIR_ITEM_RE = re.compile(r"^\S+ in .+$")
-
-
-def _parse_series_item(item: str) -> SeriesLabel:
-    m = _COLOR_RE.match(item)
-    if m:
-        return SeriesLabel(m.group("name"), m.group("color"))
-    return SeriesLabel(item, None)
-
-
 def parse_reader_answer(text: str) -> ReaderAnswer:
     """Parse one reader response; unparseable text becomes UNAVAILABLE.
 
@@ -208,24 +227,19 @@ def parse_reader_answer(text: str) -> ReaderAnswer:
     stripped = text.rstrip("\r\n")
     if stripped == UNAVAILABLE_ANSWER:
         return unavailable_answer(text)
-    m = _DESCRIPTION_RE.match(stripped)
-    if m:
-        series = tuple(_parse_series_item(item) for item in m.group("series").split(PIPE_SEP))
-        xaxis = m.group("xaxis")
+    if m := _DESCRIPTION_LINE.match(stripped):
+        series = [SeriesLabel(*colored.groups()) if (colored := _COLORED_SERIES.match(item))
+                  else SeriesLabel(item) for item in m["series"].split(PIPE_SEP)]
+        xaxis = m["xaxis"]
         x_sep = PIPE_SEP if PIPE_SEP in xaxis else COMMA_SEP if COMMA_SEP in xaxis else PIPE_SEP
         return description_answer(series, tuple(xaxis.split(x_sep)), x_sep)
-    if stripped.startswith(DATA_PREFIX) and stripped.endswith("."):
-        payload = stripped[len(DATA_PREFIX):-1]
-        if payload:
-            items = _PAIR_SPLIT_RE.split(payload)
-            if all(_PAIR_ITEM_RE.match(item) for item in items):
-                pairs = []
-                for item in items:
-                    value_text, key = item.split(" in ", 1)
-                    pairs.append((key, Value.from_raw(value_text)))
-                return group_answer(pairs)
-            if len(items) == 1:
-                return scalar_answer(Value.from_raw(payload))
+    if m := _DATA_LINE.match(stripped):
+        items = _PAIR_SPLIT_RE.split(m["data"])
+        pairs = [_PAIR.match(item) for item in items]
+        if all(pairs):
+            return group_answer([(pair["key"], Value.from_raw(pair["value"])) for pair in pairs])
+        if len(items) == 1:
+            return scalar_answer(Value.from_raw(m["data"]))
     return unavailable_answer(text)
 
 
@@ -233,12 +247,11 @@ def format_reader_answer(answer: ReaderAnswer) -> str:
     """Render the canonical response form; UNAVAILABLE cannot be formatted."""
     if answer.kind is AnswerKind.SCALAR:
         assert answer.scalar is not None
-        return f"{DATA_PREFIX}{answer.scalar.raw}."
+        return _DATA_LINE.render(answer.scalar.raw)
     if answer.kind is AnswerKind.GROUP:
-        body = COMMA_SEP.join(f"{v.raw} in {k}" for k, v in answer.pairs)
-        return f"{DATA_PREFIX}{body}."
+        return _DATA_LINE.render(COMMA_SEP.join([_PAIR.render(v.raw, k) for k, v in answer.pairs]))
     if answer.kind is AnswerKind.DESCRIPTION:
-        series = PIPE_SEP.join(label.render() for label in answer.series)
-        xaxis = answer.x_sep.join(answer.x_labels)
-        return f"{DESCRIPTION_PREFIX}{series}. The x-axis shows: {xaxis}."
+        series = PIPE_SEP.join([_COLORED_SERIES.render(s.name, s.color) if s.color else s.name
+                                for s in answer.series])
+        return _DESCRIPTION_LINE.render(series, answer.x_sep.join(answer.x_labels))
     raise ValueError("unavailable answers have no canonical form")

@@ -12,8 +12,8 @@ Three jobs, kept deliberately separable so the closed loop is verifiable:
   then takes the pair keyed by the query's entity, or else the only pair.
 
 Each question form is written once, in the ordered ``_TEMPLATES`` table: a
-surface string with slots (``{name}`` matches any text, ``{name:regex}``
-only ``regex``) and a builder from slot values to queries and reduce.  The
+surface string with slots (the protocol lines' ``Form`` rule) and a builder
+from slot values to queries and reduce.  The
 surface string renders generated questions and compiles to the regex that
 ``decompose`` matches, so the two cannot drift apart.
 
@@ -37,8 +37,11 @@ from typing import Callable, Optional, Sequence
 from . import protocol  # parse_reader_answer is looked up per call, so wrappers see it
 from .oracle import closest_name
 from .protocol import (
+    CONCLUSION,
+    QUESTION_STUB,
     AnswerKind,
     AtomicQuery,
+    Form,
     QueryOp,
     ReaderAnswer,
     describe_query,
@@ -48,7 +51,7 @@ from .protocol import (
 )
 from .tables import ChartTable, QAInstance, TemplateType, Value, normalize_name
 
-UNKNOWN_CONCLUSION = "So the answer is unknown."
+UNKNOWN_CONCLUSION = CONCLUSION.render("unknown")
 
 _RATIO_STEP = Decimal("0.0001")
 _AVERAGE_STEP = Decimal("0.01")
@@ -106,27 +109,12 @@ def stable_seed(*parts: object) -> int:
 # Question grammar: one table drives both generation and decomposition.
 # ---------------------------------------------------------------------------
 
-_SLOT_RE = re.compile(r"\{(\w+)(?::([^{}]*))?\}")
-
-
-def _surface_regex(surface: str) -> re.Pattern:
-    """Compile a surface string: ``{name}`` matches ``.+``, ``{name:regex}`` matches regex."""
-    regex, end = "", 0
-    for slot in _SLOT_RE.finditer(surface):
-        regex += re.escape(surface[end:slot.start()]) + f"(?P<{slot[1]}>{slot[2] or '.+'})"
-        end = slot.end()
-    return re.compile(regex + re.escape(surface[end:]))
-
-
-class _Template:
-    """One question form: its type, its surface string and its plan builder."""
-
-    __slots__ = ("template_type", "pattern", "form", "build")
+class _Template(Form):
+    """One question form: its surface string, its type and its plan builder."""
 
     def __init__(self, template_type: TemplateType, surface: str, build: Callable):
+        super().__init__(surface)
         self.template_type = template_type
-        self.pattern = _surface_regex(surface)
-        self.form = _SLOT_RE.sub(r"{\1}", surface)
         self.build = build
 
     def plan(self, slots: dict, describe_first: bool) -> QuestionPlan:
@@ -227,7 +215,7 @@ def decompose(question: str, describe_first: bool = True) -> QuestionPlan:
     """
     text = question.strip()
     for template in _TEMPLATES.values():
-        m = template.pattern.fullmatch(text)
+        m = template.match(text)
         if not m:
             continue
         if template.template_type is TemplateType.STRUCTURAL and not describe_first:
@@ -380,9 +368,10 @@ def _reduce(
     IndexError when too few values came in.
     """
     try:
-        return _apply_reduce(plan, scalars, pairs, counts)
+        reason, answer = _apply_reduce(plan, scalars, pairs, counts)
     except DecimalException as exc:
         raise UndefinedResult(f"{plan.reduce.value} is not representable") from exc
+    return f"{reason} {CONCLUSION.render(answer)}", Value.from_raw(answer)
 
 
 def _apply_reduce(
@@ -390,7 +379,8 @@ def _apply_reduce(
     scalars: Sequence[Value],
     pairs: Sequence[tuple[str, Value]],
     counts: Optional[tuple[int, int]],
-) -> tuple[str, Value]:
+) -> tuple[str, str]:
+    """The reduce's reasoning sentence and its printed answer."""
     reduce = plan.reduce
     if reduce in (Reduce.COUNT_SERIES, Reduce.COUNT_X_LABELS):
         if counts is None:
@@ -398,7 +388,7 @@ def _apply_reduce(
         n_series, n_x_labels = counts
         n, labels = ((n_series, "legend") if reduce is Reduce.COUNT_SERIES
                      else (n_x_labels, "x-axis"))
-        return f"There are {n} {labels} labels. So the answer is {n}.", Value.from_raw(str(n))
+        return f"There are {n} {labels} labels.", str(n)
     if reduce in _POINT_REDUCES or (reduce is Reduce.AVERAGE and scalars):
         keys, values = [], list(scalars)
     else:
@@ -407,69 +397,56 @@ def _apply_reduce(
         raise IndexError(f"no values to reduce by {reduce.value}")
     if reduce is Reduce.IDENTITY:
         v = values[0]
-        return f"The value is {v.raw}. So the answer is {v.raw}.", v
+        return f"The value is {v.raw}.", v.raw
     numbers = _require_numbers(values)
 
     if reduce is Reduce.SUM:
         total = sum(numbers, Decimal(0))
         expr = "+".join(v.raw for v in values)
-        return f"The sum is {expr}={total}. So the answer is {total}.", Value.from_raw(str(total))
+        return f"The sum is {expr}={total}.", str(total)
     if reduce is Reduce.DIFFERENCE:
         a, b = values[0].raw, values[1].raw
         d = numbers[0] - numbers[1]
-        return f"{a} surpasses {b} by {a}-{b}={d}. So the answer is {d}.", Value.from_raw(str(d))
+        return f"{a} surpasses {b} by {a}-{b}={d}.", str(d)
     if reduce is Reduce.RATIO:
         a, b = values[0].raw, values[1].raw
         if numbers[1] == 0:
             raise UndefinedResult("ratio with zero denominator")
         r = (numbers[0] / numbers[1]).quantize(_RATIO_STEP, rounding=ROUND_HALF_UP)
-        return f"The ratio is {a}/{b}={r}. So the answer is {r}.", Value.from_raw(str(r))
+        return f"The ratio is {a}/{b}={r}.", str(r)
     if reduce is Reduce.COMPARE_YES_NO:
         a, b = values[0].raw, values[1].raw
         if numbers[0] > numbers[1]:
-            return f"{a} is greater than {b}. So the answer is yes.", Value.yes_no(True)
-        return f"{a} is not greater than {b}. So the answer is no.", Value.yes_no(False)
+            return f"{a} is greater than {b}.", "yes"
+        return f"{a} is not greater than {b}.", "no"
     if reduce is Reduce.AVERAGE:
         m = (sum(numbers, Decimal(0)) / len(numbers)).quantize(_AVERAGE_STEP, ROUND_HALF_UP)
         expr = "(" + "+".join(v.raw for v in values) + f")/{len(numbers)}"
-        return f"The average is {expr}={m}. So the answer is {m}.", Value.from_raw(str(m))
-    if reduce in (Reduce.MIN, Reduce.ARGMIN):
-        i = sorted(range(len(numbers)), key=lambda i: (numbers[i], i))[0]
+        return f"The average is {expr}={m}.", str(m)
+    if reduce in (Reduce.MIN, Reduce.ARGMIN, Reduce.MAX, Reduce.ARGMAX):
+        lowest = reduce in (Reduce.MIN, Reduce.ARGMIN)
+        i = min(range(len(numbers)), key=lambda i: (numbers[i] if lowest else -numbers[i], i))
         v, k = values[i], keys[i]
-        answer = v.raw if reduce is Reduce.MIN else k
-        text = f"The minimum value is {v.raw} in {k}. So the answer is {answer}."
-        return text, Value.from_raw(answer)
-    if reduce in (Reduce.MAX, Reduce.ARGMAX):
-        i = sorted(range(len(numbers)), key=lambda i: (-numbers[i], i))[0]
-        v, k = values[i], keys[i]
-        answer = v.raw if reduce is Reduce.MAX else k
-        text = f"The maximum value is {v.raw} in {k}. So the answer is {answer}."
-        return text, Value.from_raw(answer)
+        answer = v.raw if reduce in (Reduce.MIN, Reduce.MAX) else k
+        return f"The {'minimum' if lowest else 'maximum'} value is {v.raw} in {k}.", answer
     if reduce in (Reduce.COUNT_GREATER, Reduce.COUNT_LESS):
         threshold = plan.reduce_args[0]
         t = _require_numbers([threshold])[0]
-        if reduce is Reduce.COUNT_GREATER:
-            hits = [v for v, n in zip(values, numbers) if n > t]
-            relation = "greater than"
-        else:
-            hits = [v for v, n in zip(values, numbers) if n < t]
-            relation = "below"
+        greater = reduce is Reduce.COUNT_GREATER
+        hits = [v for v, n in zip(values, numbers) if (n > t if greater else n < t)]
+        relation = "greater than" if greater else "below"
         listing = ", ".join(v.raw for v in hits)
-        n = len(hits)
-        text = (f"The values that are {relation} {threshold.raw} are [{listing}]. "
-                f"So the answer is {n}.")
-        return text, Value.from_raw(str(n))
+        return f"The values that are {relation} {threshold.raw} are [{listing}].", str(len(hits))
     if reduce is Reduce.SECOND_HIGHEST:
         i = sorted(range(len(numbers)), key=lambda i: (-numbers[i], i))[1]
         v, k = values[i], keys[i]
-        text = f"The second highest value is {v.raw} in {k}. So the answer is {k}."
-        return text, Value.from_raw(k)
+        return f"The second highest value is {v.raw} in {k}.", k
     if reduce is Reduce.ARG_MATCH:
         # Every cell is a number by now, so a text target matches none.
         target = plan.reduce_args[0]
         for k, n in zip(keys, numbers):
             if n == target.number:
-                return f"The value {target.raw} is in {k}. So the answer is {k}.", Value.from_raw(k)
+                return f"The value {target.raw} is in {k}.", k
         raise UndefinedResult(f"no cell equals {target.raw!r}")
     if reduce is Reduce.SUM_TWO_SMALLEST_VS_LARGEST:
         order = sorted(range(len(numbers)), key=lambda i: (numbers[i], i))
@@ -479,17 +456,12 @@ def _apply_reduce(
         c = values[order[-1]].raw
         total = numbers[first] + numbers[second]
         largest = numbers[order[-1]]
-        if total > largest:
-            relation, verdict = "greater than", Value.yes_no(True)
-        elif total < largest:
-            relation, verdict = "smaller than", Value.yes_no(False)
-        else:
-            relation, verdict = "equal to", Value.yes_no(False)
+        relation = ("greater than" if total > largest else
+                    "smaller than" if total < largest else "equal to")
         listing = ", ".join(v.raw for v in values)
-        text = (f"Among [{listing}], the two smallest values are {a} and {b} while the "
-                f"largest value is {c}. {a}+{b}={total}, which is {relation} {c}. "
-                f"So the answer is {verdict.raw}.")
-        return text, verdict
+        return (f"Among [{listing}], the two smallest values are {a} and {b} while the "
+                f"largest value is {c}. {a}+{b}={total}, which is {relation} {c}.",
+                "yes" if total > largest else "no")
     raise UndefinedResult(f"unsupported reduce {reduce}")
 
 
@@ -667,7 +639,7 @@ def gen_questions(
         template = _TEMPLATES[key]
         plan = template.plan(slots, describe_first)
         gold = compute_gold(table, plan)
-        question = template.form.format(**slots)
+        question = template.render(*(slots[name] for name in template.pattern.groupindex))
         out.append((QAInstance(question, gold, table.source_id, template_type), plan))
     return out
 
@@ -763,14 +735,14 @@ def _find_stub(prompt: str) -> Optional[tuple[str, int]]:
     """The episode's question and where its protocol lines begin.
 
     The stub is the last "Q: " line directly followed by a line beginning
-    "A: "; the protocol lines start after that "A: ".  A spliced line that
-    itself begins "Q: " or "A: " therefore moves neither.
+    "A: " (``QUESTION_STUB``); the protocol lines start after that "A: ".  A
+    spliced line that itself begins "Q: " or "A: " therefore moves neither.
     """
     end = len(prompt)
-    while (answer := prompt.rfind("\nA: ", 0, end)) >= 0:
+    while (answer := prompt.rfind(QUESTION_STUB.tail, 0, end)) >= 0:
         line = prompt.rfind("\n", 0, answer) + 1
-        if prompt.startswith("Q: ", line):
-            return prompt[line + 3:answer], answer + 4
+        if prompt.startswith(QUESTION_STUB.head, line):
+            return prompt[line + len(QUESTION_STUB.head):answer], answer + len(QUESTION_STUB.tail)
         end = answer
     return None
 

@@ -136,10 +136,6 @@ class Value:
         number = parse_number(stripped)
         return Value(ValueKind.TEXT if number is None else ValueKind.NUMERIC, raw, number)
 
-    @staticmethod
-    def yes_no(flag: bool) -> "Value":
-        return Value(ValueKind.YES_NO, "yes" if flag else "no")
-
 
 @dataclass(frozen=True, slots=True)
 class SeriesLabel:
@@ -147,9 +143,6 @@ class SeriesLabel:
 
     name: str
     color: Optional[str] = None
-
-    def render(self) -> str:
-        return f"{self.name} ({self.color})" if self.color else self.name
 
 
 @dataclass(frozen=True, slots=True)
@@ -279,9 +272,14 @@ class TemplateType(str, Enum):
     MIN_MAX = "min_max"
 
 
-# Each template by its value; a lookup here costs about a twentieth of
-# ``TemplateType(value)``, which a load pays once per QA row.
+# Each member by its value: a lookup costs about a twentieth of an Enum call,
+# which a load pays per QA row and a trace read per step.
 _TEMPLATE_TYPES = {template.value: template for template in TemplateType}
+
+
+def _member(enum: type, members: dict, raw: Any) -> Any:
+    """The member named ``raw``, else what the Enum call gives or raises."""
+    return members[raw] if type(raw) is str and raw in members else enum(raw)
 
 
 def template_field(raw: Any) -> Optional[TemplateType]:
@@ -291,9 +289,8 @@ def template_field(raw: Any) -> Optional[TemplateType]:
     template through here."""
     if raw is None or raw == "":
         return None
-    if type(raw) is str and raw in _TEMPLATE_TYPES:
-        return _TEMPLATE_TYPES[raw]
-    return TemplateType(text_field(raw, "template_type"))
+    return _member(TemplateType, _TEMPLATE_TYPES,
+                   raw if type(raw) is str else text_field(raw, "template_type"))
 
 
 @dataclass(frozen=True, slots=True)
@@ -341,6 +338,10 @@ class Termination(str, Enum):
     PARSE_ERROR = "parse_error"
 
 
+_STEP_ROLES = {role.value: role for role in StepRole}
+_TERMINATIONS = {termination.value: termination for termination in Termination}
+
+
 @dataclass(frozen=True, slots=True)
 class Step:
     role: StepRole
@@ -367,13 +368,15 @@ class ReasoningTrace:
         """Step texts and a non-null final are read by the :func:`text_field`
         rule, so a null or an array raises ValueError naming the field."""
         steps = tuple(
-            Step(StepRole(s["role"]), text if type(text := s.get("text")) is str
+            Step(_member(StepRole, _STEP_ROLES, s["role"]),
+                 text if type(text := s.get("text")) is str
                  else text_field(text, f"steps[{i}].text"))
             for i, s in enumerate(obj["steps"]))
         final = obj.get("final")
         if final is not None:
             final = Value.from_raw(final if type(final) is str else text_field(final, "final"))
-        return ReasoningTrace(steps, final, Termination(obj["terminated_by"]))
+        terminated_by = _member(Termination, _TERMINATIONS, obj["terminated_by"])
+        return ReasoningTrace(steps, final, terminated_by)
 
 
 def validate_trace(trace: ReasoningTrace) -> None:

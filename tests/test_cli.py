@@ -356,11 +356,16 @@ def test_eval_records_bytes_are_pinned(tmp_path, sc, source):
         assert run_cli(["eval", "--synthetic", 20, "--per-template", 2, "--seed", 0,
                         "--sc", sc, "--out-dir", out]) == 0
     digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
-               for name in ("records.jsonl", "report.json", "report.txt")}
+               for name in ("records.jsonl", "report.json", "report.txt", "traces.jsonl")}
     assert digests == {
         "records.jsonl": "0c3540dad9a16ad33b8e961d4c4442f1be89ea65b36bd4bfad2ea8a37bc061f4",
         "report.json": "21afc29ae036cc6428b4db6092936a4c41c1cc6c905496dde62f1e23c1a5065d",
         "report.txt": "13537a154557f8c301b3c37e76b96519ac72acd949253e5b4283bf0401646286",
+        # Every reasoner and reader line; --sc 3 draws more episodes.
+        "traces.jsonl": {
+            1: "ca32abb70194d921dcd702da7f479a52b066226ac58eb7894f9e7a10029c343c",
+            3: "8700030ec3082fa93280cf73faf05bbb6fac491e4edaa23b0c71936bd23d7347",
+        }[sc],
     }
 
 
@@ -820,6 +825,46 @@ def _readme_commands():
     lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
     return [shlex.split(line, comments=True) for line in lines
             if line.lstrip().startswith("chartloop ")]
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--corpus", "corpus", "--synthetic", 2], "--corpus and --synthetic cannot be combined"),
+    (["--corpus", "corpus", "--templates", "structural"],
+     "--templates and --per-template need --synthetic N"),
+    (["--corpus", "corpus", "--per-template", 2],
+     "--templates and --per-template need --synthetic N"),
+    (["--per-template", 2], "--templates and --per-template need --synthetic N"),
+], ids=["corpus-and-synthetic", "templates-without-synthetic", "per-template-without-synthetic",
+        "per-template-alone"])
+def test_eval_question_set_flags_that_would_do_nothing_exit_2(small_corpus_path, tmp_path, capsys,
+                                                             flags, message):
+    """A corpus run asks only the corpus's questions; only --synthetic reads
+    --templates and --per-template."""
+    argv = [small_corpus_path if arg == "corpus" else arg for arg in flags]
+    assert run_cli(["eval", *argv, "--out-dir", tmp_path / "out"]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("source, recorded", [
+    (["--corpus", "corpus"], (None, None)),
+    (["--synthetic", 3], (",".join(t.value for t in TemplateType), 1)),
+    (["--synthetic", 3, "--templates", "structural,min_max", "--per-template", 2],
+     ("structural,min_max", 2)),
+], ids=["corpus", "synthetic-defaults", "synthetic-flags"])
+def test_recorded_eval_config_reruns_its_question_set(small_corpus_path, tmp_path, source,
+                                                     recorded):
+    """run_config.json holds --templates and --per-template as a synthetic run
+    used them and null for a corpus run, and re-runs either."""
+    argv = [small_corpus_path if arg == "corpus" else arg for arg in source]
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert run_cli(["eval", *argv, "--out-dir", first]) == 0
+    config = json.loads((first / "run_config.json").read_text())
+    assert (config["templates"], config["per_template"]) == recorded
+    assert run_cli(["eval", "--config", first / "run_config.json", "--out-dir", second]) == 0
+    for name in ("records.jsonl", "traces.jsonl", "run_config.json"):
+        assert (first / name).read_bytes() == (second / name).read_bytes().replace(
+            str(second).encode(), str(first).encode())
 
 
 def test_readme_commands_parse():

@@ -633,6 +633,33 @@ def test_trace_steps_and_finals_take_text_fields_by_the_corpus_rule(tmp_path):
     assert [trace.final for trace, _, _ in triples] == [Value.from_raw("7")]
 
 
+def test_a_bad_role_or_termination_is_a_skipped_line(tmp_path):
+    """Roles and terminations are read by value through a dict; a value that
+    names no member, or is not a string, still skips its line with the
+    Enum's own message."""
+    step = {"role": "conclusion", "text": "So the answer is 7."}
+    episode = {"steps": [step], "final": "7", "terminated_by": "conclusion"}
+    record = {"trace_ref": "episode-0", "question": "q", "chart_id": "c", "final": "7"}
+    episodes = [{**episode, "steps": [{**step, "role": "reasoner"}]},
+                {**episode, "steps": [{**step, "role": ["conclusion"]}]},
+                {**episode, "terminated_by": "done"},
+                {**episode, "terminated_by": 0},
+                episode]
+    path = tmp_path / "traces.jsonl"
+    path.write_text("".join(json.dumps({**record, "episodes": [e]}) + "\n" for e in episodes),
+                    encoding="utf-8")
+    triples, issues = read_traces_jsonl(path)
+    assert issues == [
+        f"{path}:1: episodes[0]: 'reasoner' is not a valid StepRole",
+        f"{path}:2: episodes[0]: ['conclusion'] is not a valid StepRole",
+        f"{path}:3: episodes[0]: 'done' is not a valid Termination",
+        f"{path}:4: episodes[0]: 0 is not a valid Termination",
+    ]
+    [(trace, _, _)] = triples
+    assert trace.steps[0].role is StepRole.CONCLUSION
+    assert trace.terminated_by is Termination.CONCLUSION
+
+
 def test_generation_is_reproducible(small_corpus_path, tmp_path):
     corpus = load_corpus(small_corpus_path)
     first, _ = generate_system1_corpus(corpus.charts, seed=9)

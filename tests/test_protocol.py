@@ -3,13 +3,17 @@ import string
 
 import pytest
 
+from chartloop.controller import run_episode
+from chartloop.oracle import TableOracle, execute_query
 from chartloop.protocol import (
+    CONCLUSION,
     AnswerKind,
     AtomicQuery,
     QueryOp,
     StepKind,
     UNAVAILABLE_ANSWER,
     describe_query,
+    description_answer,
     format_query,
     format_reader_answer,
     group_answer,
@@ -19,7 +23,9 @@ from chartloop.protocol import (
     point_query,
     scalar_answer,
 )
-from chartloop.tables import Value, ValueKind
+from chartloop.symbolic import SkippedTemplate, SymbolicReasoner, gen_questions
+from chartloop.synth import random_tables
+from chartloop.tables import ChartTable, StepRole, TemplateType, Value, ValueKind
 
 
 def test_parse_describe():
@@ -223,3 +229,108 @@ def test_single_pair_group_round_trip():
     answer = group_answer([("2010", Value.from_raw("210.69"))])
     line = format_reader_answer(answer)
     assert parse_reader_answer(line) == answer
+
+
+# ---------------------------------------------------------------------------
+# Round trip of every line the loop writes: format(parse(L)) == L, and the
+# parse is the answer or query that was formatted.
+# ---------------------------------------------------------------------------
+
+_FIXTURE_TABLES = ["oman_samoa", "net_ratings", "respondents", "activision", "segments",
+                   "neonatal", "costa_rica", "total_market", "merchandise", "income",
+                   "plotqa_duplicated_axis", "canada", "export_2015", "turkey", "retail",
+                   "university_shares", "norway_chile", "line_charts"]
+
+
+def _answers(table):
+    """Every answer the oracle can give over ``table``: its description, each
+    cell, and each row and column as pairs."""
+    yield description_answer(table.series, table.x_labels)
+    for label, row in zip(table.series, table.cells):
+        yield group_answer(list(zip(table.x_labels, row)))
+        yield from map(scalar_answer, row)
+    for j in range(len(table.x_labels)):
+        yield group_answer([(label.name, row[j]) for label, row in zip(table.series, table.cells)])
+
+
+def _queries(table):
+    """Every query the oracle takes over ``table``: describe, extract-all, each
+    label's group and entity-only point, and each cell read both ways."""
+    names = [label.name for label in table.series]
+    yield describe_query()
+    yield group_query()
+    for entity in (*names, *table.x_labels):
+        yield group_query(entity)
+        yield point_query(entity)
+    for name in names:
+        for x in table.x_labels:
+            yield point_query(name, x)
+            yield point_query(x, name)
+
+
+def _reasoner_steps(table):
+    """The steps of a closed-loop episode for each generated question."""
+    oracle = TableOracle([table])
+    for template in TemplateType:
+        try:
+            generated = gen_questions(table, template, seed=0)
+        except SkippedTemplate:
+            continue
+        for qa, _ in generated:
+            yield from run_episode(qa.question, table.source_id, SymbolicReasoner(), oracle).steps
+
+
+def assert_protocol_lines_round_trip(table):
+    answer_lines = set()
+    for answer in _answers(table):
+        line = format_reader_answer(answer)
+        assert parse_reader_answer(line) == answer, line
+        assert format_reader_answer(parse_reader_answer(line)) == line
+        answer_lines.add(line)
+    for query in _queries(table):
+        line = format_query(query)
+        parsed = parse_step(line)
+        # A point without BY shares the entity-only line of the group query.
+        assert parsed.query == (group_query(query.entity) if query.op is QueryOp.EXTRACT_POINT
+                                and query.by is None else query), line
+        assert format_query(parsed.query) == line
+        assert execute_query(table, query) in answer_lines | {UNAVAILABLE_ANSWER}, line
+    for step in _reasoner_steps(table):
+        parsed = parse_step(step.text)
+        if step.role is StepRole.REASONER_QUERY:
+            assert format_query(parsed.query) == step.text
+        elif step.role is StepRole.CONCLUSION:
+            assert step.text.endswith(CONCLUSION.render(parsed.final.raw))
+        else:
+            assert step.role is StepRole.READER_ANSWER and step.text in answer_lines
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_every_protocol_line_round_trips_on_seeded_tables(seed):
+    for table in random_tables(seed, 75):
+        assert_protocol_lines_round_trip(table)
+
+
+@pytest.mark.parametrize("name", _FIXTURE_TABLES)
+def test_every_protocol_line_round_trips_on_fixture_tables(request, name):
+    tables = request.getfixturevalue(name)
+    for table in tables if isinstance(tables, list) else [tables]:
+        assert_protocol_lines_round_trip(table)
+
+
+def _label_defect(label_id, reason, series, x_labels):
+    table = ChartTable.build(label_id, series, x_labels, [["1"] * len(x_labels)] * len(series))
+    return pytest.param(table, id=label_id, marks=pytest.mark.xfail(
+        strict=True, reason=f"ROADMAP item 1 (real chart labels survive the protocol): {reason}"))
+
+
+@pytest.mark.parametrize("table", [
+    _label_defect("pipe-in-series", "the description joins series with ' | '",
+                  [("North | South", "blue"), ("East", "red")], ["2019", "2020"]),
+    _label_defect("bracket-without-colour", "a colourless name ending '(...)' reads as a colour",
+                  [("Sales (in millions)", None)], ["2019", "2020"]),
+    _label_defect("comma-in-lone-x-label", "a lone x-label with ', ' reads as two",
+                  [("Share", "blue"), ("Other", "red")], ["Men, 18-29"]),
+])
+def test_labels_that_do_not_survive_the_protocol(table):
+    assert_protocol_lines_round_trip(table)
