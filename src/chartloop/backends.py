@@ -12,11 +12,11 @@ once per client (``POST``, ``Host``, ``Accept-Encoding: identity``,
 ``Content-Length`` and JSON body, sent in one ``sendall``.  A response is
 parsed in one pass from a buffered reader made once per connection: the
 status line (at most 100 ``1xx`` interim responses are skipped), at most
-100 header lines of at most 64 KiB each, and a body framed by
-``Content-Length``, by ``Transfer-Encoding: chunked`` or by the server
-closing the connection.  A call's ``timeout`` bounds the whole response:
-it must arrive within that many seconds of the send, however the server
-spaces its bytes.
+100 header lines of at most 64 KiB each, and a body of at most 1 MiB
+(``_MAX_BODY``) framed by ``Content-Length``, by ``Transfer-Encoding:
+chunked`` or by the server closing the connection.  A call's ``timeout``
+bounds the whole response: it must arrive within that many seconds of the
+send, however the server spaces its bytes.
 ``https`` URLs are wrapped by ``ssl.create_default_context()``, which checks
 the certificate and the host name.  The scripted reasoner replays a fixed
 list of lines for regression tests.
@@ -89,9 +89,9 @@ _MAX_LINE = 65536
 _MAX_HEADERS = 100
 # Interim (1xx) responses skipped before the final one; http.client skips any number.
 _MAX_INTERIM = 100
-# Largest single read of a body: a huge Content-Length or chunk size is read
-# in parts, so a lying server cannot make the client allocate it at once.
-_READ_PART = 1 << 20
+# Largest response body, however it is framed: a longer one fails the call,
+# so a bad reply cannot fill memory before the timeout.  A body is read at once.
+_MAX_BODY = 1 << 20
 # http.client refuses these characters in a request target or a host; a
 # bearer token holds none of them either.
 _UNSAFE_CHAR = re.compile("[\x00-\x20\x7f]")
@@ -192,19 +192,21 @@ def _read_headers(rfile) -> dict[str, str]:
     raise ValueError(f"more than {_MAX_HEADERS} header lines")
 
 
+def _body_size(size: int) -> int:
+    if size > _MAX_BODY:
+        raise ValueError(f"the response body is over the limit of {_MAX_BODY} bytes")
+    return size
+
+
 def _read_exact(rfile, size: int) -> bytes:
-    parts, left = [], size
-    while left:
-        part = rfile.read(min(left, _READ_PART))
-        if not part:
-            raise ValueError(f"the body ended after {size - left} of {size} bytes")
-        parts.append(part)
-        left -= len(part)
-    return b"".join(parts)
+    data = rfile.read(size)
+    if len(data) < size:
+        raise ValueError(f"the body ended after {len(data)} of {size} bytes")
+    return data
 
 
 def _read_chunked(rfile) -> bytes:
-    parts = []
+    parts, total = [], 0
     while True:
         line = _read_line(rfile, "chunk size line")
         digits = line.partition(b";")[0].strip()
@@ -214,6 +216,7 @@ def _read_chunked(rfile) -> bytes:
         if not size:
             _read_headers(rfile)  # the trailer, under the header limits
             return b"".join(parts)
+        total = _body_size(total + size)
         parts.append(_read_exact(rfile, size))
         if rfile.read(2) != b"\r\n":
             raise ValueError("a chunk is not followed by CRLF")
@@ -247,9 +250,10 @@ def _read_response(rfile, line: bytes) -> tuple[int, str, dict[str, str], bytes,
     elif length is not None:
         if not (length.isascii() and length.isdigit()):
             raise ValueError(f"malformed Content-Length {length!r:.100}")
-        data = _read_exact(rfile, int(length))
+        data = _read_exact(rfile, _body_size(int(length)))
     else:
-        data, will_close = rfile.read(), True
+        data, will_close = rfile.read(_MAX_BODY + 1), True
+        _body_size(len(data))
     return status, (match[3] or b"").strip().decode("latin-1"), headers, data, will_close
 
 

@@ -17,9 +17,11 @@ else the table oracle.  A flag for a backend not in use is a usage error.
 Both write every episode drawn to ``traces.jsonl`` (one line per question, in
 input order, in ``datagen``'s trace format), which ``export-ft --traces``
 reads, one example per episode.  ``eval`` writes each ``records.jsonl`` line
-right after its trace line, as results arrive, so an interrupt or an error
-keeps every finished question; ``report --records`` then builds the report
-that such a run did not write.
+and ``records.csv`` row right after its trace line, and folds the record into
+the report, as results arrive: an interrupt or an error keeps every finished
+question (``report --records`` builds the report such a run did not write),
+and memory holds no question or record, only the synthetic charts, a
+corpus's QA rows or the ``--sample`` list.
 
 Each subcommand takes only the flags it reads, and each flag's argparse
 default is its only default; ``--config`` JSON replaces those defaults and
@@ -43,6 +45,7 @@ import sys
 from collections import deque
 from concurrent.futures import Executor, ThreadPoolExecutor
 from contextlib import ExitStack
+from itertools import chain
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, NoReturn, Optional, Sequence
 
@@ -67,9 +70,9 @@ from .evalkit import (
     evaluate_run,
     make_record,
     read_records_jsonl,
+    records_csv_writer,
     render_report_text,
     write_record_line,
-    write_records_csv,
     write_report,
 )
 from .oracle import ChartNotFound, TableOracle
@@ -195,6 +198,8 @@ def _reasoner_factory(cfg: dict, backends: ExitStack) -> Callable[[], object]:
         raise UsageError("--reasoner-url and --script cannot be combined")
     if cfg["model"] is not None and url is None:
         raise UsageError("--model needs --reasoner-url")
+    if cfg["prompt_style"] != "stepwise5" and url is None:  # only a model reads the table
+        raise UsageError(f"--prompt-style {cfg['prompt_style']} needs --reasoner-url")
     if cfg["api_key"] is not None and url is None and cfg["reader_url"] is None:
         raise UsageError("--api-key needs --reasoner-url or --reader-url")
     if cfg["no_describe"] and (url is not None or script is not None):
@@ -290,6 +295,8 @@ def cmd_datagen(cfg: dict) -> int:
 
 def cmd_run(cfg: dict) -> int:
     _require(cfg, "question", "chart")
+    if "\n" in cfg["question"] or "\r" in cfg["question"]:
+        raise UsageError("--question cannot hold a line break")
     corpus = _load_corpus(cfg)
     charts = corpus.chart_index() if corpus else {}
     answer, backends = _answerer(cfg, charts)
@@ -320,23 +327,25 @@ def cmd_run(cfg: dict) -> int:
     return EXIT_OK if final is not None else EXIT_EMPTY
 
 
-def _synthetic_eval_set(cfg: dict) -> tuple[dict[str, ChartTable], list[QAInstance]]:
-    """The charts by id and the questions of ``--synthetic``, settling the
-    defaults of ``cfg["templates"]`` (all) and ``cfg["per_template"]`` (1)."""
+def _synthetic_eval_set(cfg: dict) -> tuple[dict[str, ChartTable], Iterator[QAInstance]]:
+    """The charts by id and the questions of ``--synthetic``, made chart by chart
+    as they are asked for; settles ``cfg["templates"]`` (all) and ``cfg["per_template"]`` (1)."""
     if cfg["templates"] is None:
         cfg["templates"] = ",".join(t.value for t in TemplateType)
     cfg["per_template"] = cfg["per_template"] or 1
     templates = [TemplateType(name) for name in cfg["templates"].split(",") if name]
     charts = random_tables(cfg["seed"], cfg["synthetic"])
-    instances: list[QAInstance] = []
-    for table in charts:
-        for template in templates:
-            try:
-                generated = gen_questions(table, template, cfg["seed"], n=cfg["per_template"])
-            except SkippedTemplate:
-                continue
-            instances.extend(qa for qa, _ in generated)
-    return {table.source_id: table for table in charts}, instances
+
+    def questions() -> Iterator[QAInstance]:
+        for table in charts:
+            for template in templates:
+                try:
+                    generated = gen_questions(table, template, cfg["seed"], n=cfg["per_template"])
+                except SkippedTemplate:
+                    continue
+                yield from (qa for qa, _ in generated)
+
+    return {table.source_id: table for table in charts}, questions()
 
 
 def cmd_eval(cfg: dict) -> int:
@@ -356,10 +365,12 @@ def cmd_eval(cfg: dict) -> int:
     else:
         charts, instances = corpus.chart_index(), corpus.all_qa()
     if cfg["sample"] > 0:
-        instances = sample_eval_set(instances, cfg["sample"], cfg["seed"])
-    if not instances:
+        instances = sample_eval_set(list(instances), cfg["sample"], cfg["seed"])
+    instances = iter(instances)
+    if (first := next(instances, None)) is None:
         print("no QA instances to evaluate", file=sys.stderr)
         return EXIT_EMPTY
+    numbered = enumerate(chain((first,), instances))
     answer, backends = _answerer(cfg, charts)
     out_dir = Path(cfg["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -371,27 +382,31 @@ def cmd_eval(cfg: dict) -> int:
         length = underlying_length(charts[qa.chart_id])
         return make_record(qa, final, length, f"episode-{index}"), traces
 
-    records, every_episode_failed = [], True
-    workers = cfg["workers"]
+    every_episode_failed, workers = True, cfg["workers"]
     with backends, ThreadPoolExecutor(max_workers=workers) as pool, \
             open(out_dir / "traces.jsonl", "w", encoding="utf-8") as traces_file, \
-            open(out_dir / "records.jsonl", "w", encoding="utf-8") as records_file:
-        # Both paths yield in input order, so each trace line, then its record
-        # line, is written as its result arrives: an interrupt or error keeps
-        # every finished question.  Threads keep at most two questions each in
-        # flight, so finished results do not queue behind a slow one without
-        # bound.  The pool starts no thread at --workers 1.
-        results = (_in_order(pool, score, enumerate(instances), 2 * workers) if workers > 1
-                   else map(score, enumerate(instances)))
-        for record, traces in results:
-            write_trace_line(traces_file, record.trace_ref, record.qa.question, record.qa.chart_id,
-                             record.prediction, traces)
-            write_record_line(records_file, record)
-            records.append(record)
-            every_episode_failed = every_episode_failed and _all_backend_errors(traces)
-    report = evaluate_run(records, edges)
+            open(out_dir / "records.jsonl", "w", encoding="utf-8") as records_file, \
+            open(out_dir / "records.csv", "w", encoding="utf-8", newline="") as csv_file:
+        csv_writer = records_csv_writer(csv_file)
+
+        def written() -> Iterator:
+            # In input order, each result's trace line, record line and CSV row
+            # are written and its record folded into the report as it arrives:
+            # an interrupt keeps every finished question, and none stays in
+            # memory.  Threads keep at most two questions each in flight.
+            nonlocal every_episode_failed
+            results = (_in_order(pool, score, numbered, 2 * workers) if workers > 1
+                       else map(score, numbered))
+            for record, traces in results:
+                write_trace_line(traces_file, record.trace_ref, record.qa.question,
+                                 record.qa.chart_id, record.prediction, traces)
+                write_record_line(records_file, record)
+                csv_writer.writerow(record.to_dict())
+                every_episode_failed = every_episode_failed and _all_backend_errors(traces)
+                yield record
+
+        report = evaluate_run(written(), edges)
     write_report(report, out_dir / "report.json", out_dir / "report.txt")
-    write_records_csv(records, out_dir / "records.csv")
     print(render_report_text(report))
     if every_episode_failed:
         print("backend error: every episode failed", file=sys.stderr)
@@ -433,18 +448,17 @@ def cmd_export_ft(cfg: dict) -> int:
 
 def cmd_report(cfg: dict) -> int:
     _require(cfg, "records")
+    edges = _parse_buckets(cfg["buckets"])
     try:
-        records = read_records_jsonl(cfg["records"])
+        report = evaluate_run(read_records_jsonl(cfg["records"]), edges)
     except (OSError, UnicodeDecodeError) as exc:
         reason = exc.strerror if isinstance(exc, OSError) else exc
         raise UsageError(f"cannot read records {cfg['records']}: {reason}") from None
-    edges = _parse_buckets(cfg["buckets"])
-    if not records:
+    if report is None:
         print("no records to report", file=sys.stderr)
         return EXIT_EMPTY
     out_dir = Path(cfg["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
-    report = evaluate_run(records, edges)
     write_report(report, out_dir / "report.json", out_dir / "report.txt")
     _write_run_config(cfg, out_dir, "report")
     print(render_report_text(report))

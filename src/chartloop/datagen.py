@@ -213,6 +213,8 @@ def _qa_from_obj(obj: dict, values: dict[str, Value], texts: dict[str, str]) -> 
     if gold is None:
         gold = values[answer] = Value.from_raw(answer)
     question = _field(obj, "question", "query")
+    if "\n" in question or "\r" in question:  # it would split the prompt's "Q: " line
+        raise ValueError("the question holds a line break")
     return QAInstance(
         question=texts.setdefault(question, question),
         gold=gold,

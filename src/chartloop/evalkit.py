@@ -17,7 +17,7 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 from decimal import Decimal
-from typing import Mapping, Optional, Sequence, TextIO
+from typing import Iterable, Iterator, Mapping, Optional, Sequence, TextIO
 
 from .tables import (
     SHAPE_ERRORS,
@@ -151,44 +151,36 @@ def make_record(
 
 
 def evaluate_run(
-    records: Sequence[EvalRecord], bucket_edges: Sequence[int] = DEFAULT_BUCKET_EDGES
-) -> dict:
-    """The ``report.json`` dict: overall, per-template and per-bucket accuracy."""
-    if not records:
-        raise ValueError("no records to report")
-    template_total: Counter = Counter()
-    template_correct: Counter = Counter()
-    length_total: Counter = Counter()
-    length_correct: Counter = Counter()
-    for record in records:
-        key = record.qa.template_type
-        template_total[key] += 1
-        template_correct[key] += int(record.correct)
-        length_total[record.table_length] += 1
-        length_correct[record.table_length] += int(record.correct)
-    total = len(records)
+    records: Iterable[EvalRecord], bucket_edges: Sequence[int] = DEFAULT_BUCKET_EDGES
+) -> Optional[dict]:
+    """The ``report.json`` dict: overall, per-template and per-bucket accuracy,
+    folded over ``records`` in one pass that keeps no record; None if there is none."""
+    counts = Counter((r.qa.template_type, r.table_length, r.correct) for r in records)
+    total = counts.total()
+    if not total:
+        return None
     labels = bucket_labels(bucket_edges)
-    bucket_total = [0] * len(labels)
-    bucket_correct = [0] * len(labels)
-    for length, count in length_total.items():
-        index = bucket_length(length, bucket_edges)
-        bucket_total[index] += count
-        bucket_correct[index] += length_correct[length]
+    # [count, correct] of each template and of each length bucket.
+    templates: dict = {}
+    buckets = [[0, 0] for _ in labels]
+    for (key, length, correct), count in counts.items():
+        bucket = buckets[bucket_length(length, bucket_edges)]
+        for tally in (templates.setdefault(key, [0, 0]), bucket):
+            tally[0] += count
+            tally[1] += count if correct else 0
     return {
         "n": total,
-        "overall_accuracy": sum(template_correct.values()) / total,
+        "overall_accuracy": sum(correct for _, correct in buckets) / total,
         "by_template": {
-            (key.value if key else "untemplated"): {
-                "count": template_total[key],
-                "errors": template_total[key] - template_correct[key],
-                "accuracy": template_correct[key] / template_total[key],
-            }
-            for key in sorted(template_total, key=lambda k: k.value if k else "~")
+            (key.value if key else "untemplated"):
+                {"count": count, "errors": count - correct, "accuracy": correct / count}
+            for key, (count, correct) in sorted(templates.items(),
+                                                key=lambda item: item[0].value if item[0] else "~")
         },
         "by_length_bucket": [
             {"bucket": label, "count": count, "ratio": count / total,
              "accuracy": correct / count if count else 0.0}
-            for label, count, correct in zip(labels, bucket_total, bucket_correct)
+            for label, (count, correct) in zip(labels, buckets)
         ],
         "bucket_edges": list(bucket_edges),
     }
@@ -232,24 +224,26 @@ def write_records_jsonl(records: Sequence[EvalRecord], path) -> None:
             write_record_line(handle, record)
 
 
-def read_records_jsonl(path) -> list[EvalRecord]:
-    """Read records back; a malformed line raises ValueError naming ``path:line``."""
-    records = []
+def read_records_jsonl(path) -> Iterator[EvalRecord]:
+    """Read records back lazily; a malformed line raises ValueError naming ``path:line``."""
     with open(path, encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, start=1):
             if line.strip():
                 try:
-                    records.append(EvalRecord.from_dict(json.loads(line)))
+                    record = EvalRecord.from_dict(json.loads(line))
                 except SHAPE_ERRORS as exc:
                     raise ValueError(f"{path}:{lineno}: {exc}") from exc
-    return records
+                yield record
 
 
-def write_records_csv(records: Sequence[EvalRecord], path) -> None:
-    fields = ["question", "gold", "chart_id", "template_type", "prediction",
-              "correct", "table_length", "trace_ref"]
+def records_csv_writer(handle: TextIO) -> csv.DictWriter:
+    """A ``records.csv`` writer on an open handle, its header written."""
+    writer = csv.DictWriter(handle, ["question", "gold", "chart_id", "template_type",
+                                     "prediction", "correct", "table_length", "trace_ref"])
+    writer.writeheader()
+    return writer
+
+
+def write_records_csv(records: Iterable[EvalRecord], path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.DictWriter(handle, fieldnames=fields)
-        writer.writeheader()
-        for record in records:
-            writer.writerow(record.to_dict())
+        records_csv_writer(handle).writerows(record.to_dict() for record in records)

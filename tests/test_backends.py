@@ -17,6 +17,7 @@ from chartloop.backends import BackendError, HttpReader, HttpReasoner, ScriptedR
 from chartloop.cli import main
 from chartloop.controller import run_episode
 from chartloop.oracle import TableOracle
+from chartloop.prompts import linearize_table
 from chartloop.symbolic import SymbolicReasoner
 from chartloop.synth import random_tables
 from chartloop.tables import Termination, Value
@@ -417,6 +418,27 @@ def test_eval_over_http_is_the_same_at_any_worker_count(keepalive_stub, tmp_path
         assert (out / "records.jsonl").read_bytes() == expected
 
 
+def test_a_deplot_style_needs_a_reasoner_server_and_its_run_replays(keepalive_stub, tmp_path,
+                                                                     capsys):
+    """The symbolic reasoner ignores the table a DePlot prompt carries, so
+    only a reasoner server may be given one; such a run's recorded config
+    replays it."""
+    url, state = keepalive_stub
+    common = ["eval", "--synthetic", "3", "--prompt-style", "deplot5"]
+    assert main([*common, "--out-dir", str(tmp_path / "symbolic")]) == 2
+    assert capsys.readouterr().err == "error: --prompt-style deplot5 needs --reasoner-url\n"
+    assert not (tmp_path / "symbolic").exists()
+    first = tmp_path / "first"
+    assert main([*common, "--reasoner-url", f"{url}/complete", "--out-dir", str(first)]) == 0
+    table = linearize_table(random_tables(0, 3)[0])
+    assert any(table in payload["prompt"] for _, payload, _ in state["requests"])
+    again = tmp_path / "again"
+    assert main(["eval", "--config", str(first / "run_config.json"),
+                 "--out-dir", str(again)]) == 0
+    for name in ("records.jsonl", "traces.jsonl", "report.json"):
+        assert (again / name).read_bytes() == (first / name).read_bytes()
+
+
 def test_eval_workers_with_a_reader_url_take_one_reasoner_per_answer(keepalive_stub, tmp_path,
                                                                     monkeypatch):
     """The symbolic reasoner memoizes its last question, which worker threads
@@ -562,6 +584,7 @@ def test_run_with_malformed_response_exits_3(http_stub, small_corpus_path, tmp_p
 
 
 _OK = b'HTTP/1.1 200 OK\r\nContent-Length: 13\r\n\r\n{"text": "x"}'
+_BODY_16 = b'{"text": "xxxx"}'
 
 
 def test_each_request_leaves_in_one_sendall(keepalive_stub, monkeypatch):
@@ -702,6 +725,35 @@ def test_a_bad_response_drops_the_connection_and_is_retried(raw_stub, fake_clock
     raw_stub["responses"].append((_OK, True))
     assert reader.read("c", "q") == "x"
     assert len(raw_stub["addresses"]) == 3
+    reader.close()
+
+
+@pytest.mark.parametrize("framing, at_limit, over_limit", [
+    # The body is never sent: a client that read it would time out instead.
+    pytest.param("length", b"Content-Length: 16\r\n\r\n" + _BODY_16,
+                 b"Content-Length: 17\r\n\r\n", id="content-length"),
+    # The second chunk would pass the limit; its bytes are never sent.
+    pytest.param("chunked", b"Transfer-Encoding: chunked\r\n\r\n8\r\n" + _BODY_16[:8]
+                 + b"\r\n8\r\n" + _BODY_16[8:] + b"\r\n0\r\n\r\n",
+                 b"Transfer-Encoding: chunked\r\n\r\n8\r\n" + _BODY_16[:8] + b"\r\n9\r\n",
+                 id="chunked"),
+    pytest.param("close", b"\r\n" + _BODY_16, b"\r\n" + _BODY_16 + b" ", id="until-close"),
+])
+def test_a_body_over_the_limit_fails_naming_it(raw_stub, monkeypatch, framing, at_limit,
+                                               over_limit):
+    monkeypatch.setattr(backends, "_MAX_BODY", 16)
+    keep_open = framing != "close"
+    raw_stub["responses"] += [(b"HTTP/1.1 200 OK\r\n" + at_limit, keep_open),
+                              (b"HTTP/1.1 200 OK\r\n" + over_limit, keep_open)]
+    reader = HttpReader("http://h/read", timeout=2.0, retries=0)
+    assert reader.read("c", "q") == "xxxx"
+    with pytest.raises(BackendError, match="^request to http://h/read failed: the response body "
+                                           "is over the limit of 16 bytes$"):
+        reader.read("c", "q")
+    # The failed call dropped its connection: the next one opens another.
+    raw_stub["responses"].append((_OK, True))
+    assert reader.read("c", "q") == "x"
+    assert len(raw_stub["addresses"]) == (2 if keep_open else 3)
     reader.close()
 
 

@@ -1,3 +1,5 @@
+import csv
+import gc
 import hashlib
 import json
 import os
@@ -7,6 +9,7 @@ import signal
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -356,9 +359,11 @@ def test_eval_records_bytes_are_pinned(tmp_path, sc, source):
         assert run_cli(["eval", "--synthetic", 20, "--per-template", 2, "--seed", 0,
                         "--sc", sc, "--out-dir", out]) == 0
     digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
-               for name in ("records.jsonl", "report.json", "report.txt", "traces.jsonl")}
+               for name in ("records.jsonl", "records.csv", "report.json", "report.txt",
+                            "traces.jsonl")}
     assert digests == {
         "records.jsonl": "0c3540dad9a16ad33b8e961d4c4442f1be89ea65b36bd4bfad2ea8a37bc061f4",
+        "records.csv": "3360642fd8e7c53e415c90ea8ed6ed8f56634572cf54ad6fe35ca317f6582b95",
         "report.json": "21afc29ae036cc6428b4db6092936a4c41c1cc6c905496dde62f1e23c1a5065d",
         "report.txt": "13537a154557f8c301b3c37e76b96519ac72acd949253e5b4283bf0401646286",
         # Every reasoner and reader line; --sc 3 draws more episodes.
@@ -380,6 +385,9 @@ def test_report_from_records(small_corpus_path, tmp_path, capsys):
     report = json.loads((report_out / "report.json").read_text())
     assert report["n"] == 2
     assert len(report["by_length_bucket"]) == 3
+    same = tmp_path / "same"
+    assert run_cli(["report", "--records", eval_out / "records.jsonl", "--out-dir", same]) == 0
+    assert (same / "report.json").read_bytes() == (eval_out / "report.json").read_bytes()
 
 
 def test_config_file_with_flag_precedence(small_corpus_path, tmp_path):
@@ -406,12 +414,55 @@ def test_rerun_from_recorded_config(small_corpus_path, tmp_path):
 
 @pytest.mark.parametrize("style", ["stepwise5", "deplot1"])
 def test_run_unknown_chart_exits_2(small_corpus_path, tmp_path, capsys, style):
+    # A DePlot style needs a reasoner server; the chart is checked before any call.
+    server = ["--reasoner-url", "http://127.0.0.1:9/complete"] if style != "stepwise5" else []
     code = run_cli(["run", "--question", "What is the value of Q3?",
                     "--chart", "no-such-chart", "--corpus", small_corpus_path,
-                    "--prompt-style", style, "--out-dir", tmp_path / "run"])
+                    "--prompt-style", style, *server, "--out-dir", tmp_path / "run"])
     assert code == 2
     assert capsys.readouterr().err == "error: chart 'no-such-chart' not found\n"
     assert not (tmp_path / "run").exists()
+
+
+def test_run_question_with_a_line_break_exits_2(tmp_path, capsys):
+    """The prompt's ``Q: ...\\nA: `` stub cannot carry a line break: the
+    reasoner would answer the last few-shot exemplar's question instead."""
+    charts = tmp_path / "charts.jsonl"
+    charts.write_text(json.dumps({"id": "gdp", "series": [{"name": "Estonia", "color": None}],
+                                  "x_labels": ["2002", "2003"], "cells": [["7840", "8830"]]})
+                      + "\n", encoding="utf-8")
+    argv = ["run", "--corpus", charts, "--chart", "gdp", "--question"]
+    assert run_cli([*argv, "What is the value of Estonia in 2003?",
+                    "--out-dir", tmp_path / "one-line"]) == 0
+    assert capsys.readouterr().out.endswith("Final answer: 8830\n")
+    for question in ("What is the value of\nEstonia in 2003?",
+                     "What is the value of\r\nEstonia in 2003?"):
+        out = tmp_path / "two-lines"
+        assert run_cli([*argv, question, "--out-dir", out]) == 2
+        assert capsys.readouterr().err == "error: --question cannot hold a line break\n"
+        assert not out.exists()
+
+
+def test_eval_memory_does_not_grow_with_the_questions(tmp_path):
+    """Eight questions per chart and template peak within 0.25 MB of one (a
+    list of every record made it 1.3 MB): questions and records stream through
+    eval.  What is left of the gap is CPython's capped free lists of small
+    tuples, not state that eval keeps."""
+
+    def peak(per_template):
+        gc.collect()  # empties the free lists, so each run starts from the same heap
+        tracemalloc.start()
+        try:
+            assert run_cli(["eval", "--synthetic", 40, "--per-template", per_template,
+                            "--seed", 0, "--out-dir", tmp_path / str(per_template)]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # The first eval in a process also loads the prompt files.
+    assert run_cli(["eval", "--synthetic", 1, "--out-dir", tmp_path / "first"]) == 0
+    one = peak(1)
+    assert peak(8) <= one + 250_000
 
 
 def test_run_scripted_with_self_consistency_exits_2(small_corpus_path, tmp_path):
@@ -514,7 +565,8 @@ def test_eval_error_keeps_the_records_before_it(tmp_path, monkeypatch, capsys):
 
 def test_eval_sigint_keeps_a_trace_line_for_every_record(tmp_path):
     """Ctrl-C in the middle of a real eval process: each record on disk has
-    its trace line, and the records rebuild a report."""
+    its trace line and, but for at most the last, its CSV row, and the
+    records rebuild a report."""
     out = tmp_path / "eval"
     src = Path(chartloop.__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
@@ -542,6 +594,11 @@ def test_eval_sigint_keeps_a_trace_line_for_every_record(tmp_path):
     assert [line["trace_ref"] for line in traces[:len(records)]] == \
         [record["trace_ref"] for record in records] == \
         [f"episode-{index}" for index in range(len(records))]
+    with open(out / "records.csv", encoding="utf-8", newline="") as handle:
+        rows = list(csv.DictReader(handle))
+    assert len(records) - 1 <= len(rows) <= len(records)
+    assert rows == [{key: "" if value is None else str(value) for key, value in record.items()}
+                    for record in records[:len(rows)]]
     assert run_cli(["report", "--records", out / "records.jsonl",
                     "--out-dir", tmp_path / "report"]) == 0
 
@@ -663,6 +720,15 @@ def test_report_bad_records_exit_2(tmp_path, capsys, content):
     assert err.startswith("error: ") and err.count("\n") == 1
     if content is not None:
         assert err.startswith(f"error: {records}:1: ")
+    assert not (tmp_path / "out").exists()
+
+
+def test_report_reads_every_line_before_it_writes(tmp_path, capsys):
+    records = tmp_path / "records.jsonl"
+    records.write_text(json.dumps(_RECORD) + "\n{not json\n", encoding="utf-8")
+    assert run_cli(["report", "--records", records, "--out-dir", tmp_path / "out"]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {records}:2: ")
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("content", [
@@ -797,7 +863,14 @@ def test_recorded_config_alone_reruns_a_command(small_corpus_path, tmp_path, com
     ["run", "--question", "q", "--chart", "c", "--reasoner-url", "file:///dev/null"],
     ["run", "--question", "What is the value of x?", "--chart", "nope", "--corpus", "corpus"],
     ["run", "--question", "What is the value of x?", "--chart", "nope", "--corpus", "corpus",
-     "--reader-url", "http://127.0.0.1:9", "--prompt-style", "deplot1"],
+     "--reader-url", "http://127.0.0.1:9", "--reasoner-url", "http://127.0.0.1:9/complete",
+     "--prompt-style", "deplot1"],
+    # Only a reasoner server reads the table a DePlot prompt carries.
+    ["eval", "--synthetic", 2, "--prompt-style", "deplot5"],
+    ["run", "--question", "What is the value of Q3?", "--chart", "solo-chart", "--corpus", "corpus",
+     "--prompt-style", "deplot1"],
+    # A line break would split the prompt's question line.
+    ["run", "--question", "What is the value of\nx?", "--chart", "c", "--corpus", "corpus"],
     ["eval", "--synthetic", 3, "--workers", 2],
     # A URL or key HTTP cannot carry is refused before any request is sent.
     ["eval", "--synthetic", 2, "--reader-url", "http://127.0.0.1:9/a b"],

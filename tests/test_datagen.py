@@ -267,6 +267,19 @@ def test_non_text_in_a_text_field_is_an_issue_naming_the_field(tmp_path, layout,
     assert len(corpus.issues) == 1 and corpus.issues[0].endswith(f": {reason}")
 
 
+@pytest.mark.parametrize("question", ["What is the value of\nx?", "What is the value of\r\nx?",
+                                      "What is the value of x?\r", "\nWhat is the value of x?"])
+def test_a_question_with_a_line_break_is_an_issue(tmp_path, question):
+    """The prompt's ``Q: ...\\nA: `` stub cannot carry a line break, so the
+    row is dropped rather than answered as another question."""
+    path = _write_layout(tmp_path / "corpus", "internal_json", [CHART],
+                         [QA, {**QA, "question": question}])
+    corpus = load_corpus(path)
+    assert [qa.question for qa in corpus.all_qa()] == [QA["question"]]
+    assert len(corpus.issues) == 1
+    assert corpus.issues[0].endswith("qa.jsonl:2: the question holds a line break")
+
+
 @pytest.mark.parametrize("layout", ["internal_json", "plotqa_like"])
 def test_numbers_in_text_fields_load_through_str(tmp_path, layout):
     chart = {"id": 7, "series": [{"name": 2019, "color": None}, {"name": 2.5, "color": 3}],

@@ -216,11 +216,19 @@ def test_report_matches_recount():
         assert stats["errors"] == sum(not r.correct for r in subset)
 
 
+def test_evaluate_run_is_one_pass_over_any_iterable():
+    rng = random.Random(5)
+    records = [_record(rng.random() < 0.6, template=rng.choice([None, *TemplateType]),
+                       length=rng.randrange(0, 60)) for _ in range(200)]
+    assert evaluate_run(iter(records), [0, 20]) == evaluate_run(records, [0, 20])
+    assert evaluate_run(iter(())) is None
+
+
 def test_records_jsonl_round_trip(tmp_path):
     records = [_record(True), _record(False, TemplateType.COMPOUND, length=33)]
     path = tmp_path / "records.jsonl"
     write_records_jsonl(records, path)
-    assert read_records_jsonl(path) == records
+    assert list(read_records_jsonl(path)) == records
 
 
 def test_render_report_text_is_aligned():
