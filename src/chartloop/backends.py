@@ -19,7 +19,8 @@ bounds the whole response: it must arrive within that many seconds of the
 send, however the server spaces its bytes.
 ``https`` URLs are wrapped by ``ssl.create_default_context()``, which checks
 the certificate and the host name.  The scripted reasoner replays a fixed
-list of lines for regression tests.
+list of lines for regression tests.  ``ChartReads`` is the one-chart memo
+that ``HttpReader``, the table oracle and self-consistency read through.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import ssl
 import threading
 import time
 from time import monotonic  # tests replace the module's ``time`` to fake the backoff sleeps
-from typing import Optional, Protocol, Sequence
+from typing import Callable, Optional, Protocol, Sequence
 from urllib.parse import urlsplit
 
 
@@ -49,6 +50,35 @@ class ReasonerBackend(Protocol):
 
 class ReaderBackend(Protocol):
     def read(self, chart_ref: str, query: str) -> str: ...
+
+
+class ChartReads:
+    """A reader that asks ``fetch`` each query line once per chart: it keeps
+    the answers of the chart last read, by query line, and drops them when a
+    read names another chart.  An answer is taken to depend only on (chart,
+    line); a call that raises keeps nothing, so the next one asks again.
+
+    The one slot is read once per call and replaced whole, so threads may
+    share a memo without a lock: a race costs an extra ``fetch``, and an
+    answer is only ever stored among its own chart's answers.
+    """
+
+    __slots__ = ("_fetch", "_slot")
+
+    def __init__(self, fetch: Callable[[str, str], str]):
+        self._fetch = fetch
+        self._slot: tuple[Optional[str], dict[str, str]] = (None, {})
+
+    def read(self, chart_ref: str, query: str) -> str:
+        chart, answers = self._slot
+        if chart != chart_ref:
+            answer = self._fetch(chart_ref, query)
+            self._slot = (chart_ref, {query: answer})
+            return answer
+        answer = answers.get(query)
+        if answer is None:
+            answer = answers[query] = self._fetch(chart_ref, query)
+        return answer
 
 
 class ScriptedReasoner:
@@ -450,8 +480,19 @@ class HttpReasoner(_HttpClient):
 
 
 class HttpReader(_HttpClient):
-    """Reader client: POST {chart_ref, query} -> {text}."""
+    """Reader client: POST {chart_ref, query} -> {text}.
+
+    Reads go through a ``ChartReads`` memo: a query line repeated on the
+    chart last read is answered without a request.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._reads = ChartReads(self._ask)
 
     def read(self, chart_ref: str, query: str) -> str:
+        return self._reads.read(chart_ref, query)
+
+    def _ask(self, chart_ref: str, query: str) -> str:
         return _extract_text(self._post({"chart_ref": chart_ref, "query": query}))
 

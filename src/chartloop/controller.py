@@ -10,8 +10,11 @@ behavior.  Self-consistency runs at most N episodes at a sampling
 temperature, stopping once the vote is decided, and majority-votes their
 finals by normalized form.  Self-consistency samples reasoning paths, not
 observations: within one question each distinct query line goes to the reader
-once and the samples share its answer, so a reader server that samples gets
-one draw per line per question.
+once and the samples share its answer, whatever the reader.  The built-in
+readers (``TableOracle``, ``HttpReader``) read through the same one-chart
+memo, ``backends.ChartReads``, for as long as they read one chart, so the
+questions of a chart asked one after another share its answers too, and a
+reader server that samples gets one draw per line per chart.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Optional
 
-from .backends import BackendError, ReaderBackend, ReasonerBackend
+from .backends import BackendError, ChartReads, ReaderBackend, ReasonerBackend
 from .evalkit import majority_vote, vote_decided, vote_key
 from .prompts import PromptStyle, build_prompt, linearize_table
 from .protocol import StepKind, parse_step
@@ -121,23 +124,6 @@ def run_episode(
     return finish(None, Termination.MAX_STEPS)
 
 
-class _ReadOnce:
-    """A reader that asks its backend each (chart_ref, query line) once and
-    answers repeats from memory.  A ``BackendError`` is not kept, so a later
-    call asks again."""
-
-    def __init__(self, reader: ReaderBackend):
-        self._reader = reader
-        self._answers: dict[tuple[str, str], str] = {}
-
-    def read(self, chart_ref: str, query: str) -> str:
-        key = (chart_ref, query)
-        answer = self._answers.get(key)
-        if answer is None:
-            answer = self._answers[key] = self._reader.read(chart_ref, query)
-        return answer
-
-
 def run_self_consistency(
     question: str,
     chart_ref: str,
@@ -158,12 +144,12 @@ def run_self_consistency(
     raw form is the smallest among the samples drawn: ``7.0, 7.0, 7.0`` stops
     and returns ``7.0`` where two more ``7`` would have returned ``7``.
 
-    The episodes read through one memo that lives for this call: each
-    distinct query line reaches the reader once, and the samples share its
-    answer.
+    The episodes read through a ``ChartReads`` memo that lives for this
+    call, on the one chart it reads: each distinct query line reaches the
+    reader once, and the samples share its answer.
     """
     episode_config = replace(config, temperature=sc.temperature)
-    reader = _ReadOnce(reader)
+    reader = ChartReads(reader.read)
     traces: list[ReasoningTrace] = []
     counts: Counter[str] = Counter()
     for remaining in range(sc.n_samples - 1, -1, -1):

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping, Optional, Sequence
 
+from .backends import ChartReads
 from .protocol import (
     AtomicQuery,
     QueryOp,
@@ -174,12 +175,17 @@ def execute_query(table: ChartTable, query: AtomicQuery) -> str:
 
 
 class TableOracle:
-    """Reader backend serving the charts in a table store by id."""
+    """Reader backend serving the charts in a table store by id.
+
+    Reads go through a ``ChartReads`` memo: a query line repeated on the
+    chart last read is answered without parsing or executing it again.
+    """
 
     def __init__(self, charts: Mapping[str, ChartTable] | list[ChartTable]):
         if isinstance(charts, list):
             charts = {t.source_id: t for t in charts}
         self._charts = dict(charts)
+        self._reads = ChartReads(self._answer)
 
     def table(self, chart_ref: str) -> ChartTable:
         try:
@@ -188,6 +194,9 @@ class TableOracle:
             raise ChartNotFound(chart_ref) from None
 
     def read(self, chart_ref: str, query: str) -> str:
+        return self._reads.read(chart_ref, query)
+
+    def _answer(self, chart_ref: str, query: str) -> str:
         table = self.table(chart_ref)
         parsed = parse_step(query)
         if parsed.kind is not StepKind.QUERY or parsed.query is None:

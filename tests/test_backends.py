@@ -1,4 +1,5 @@
 import json
+import random
 import re
 import socket
 import ssl
@@ -16,8 +17,9 @@ from chartloop import backends, cli
 from chartloop.backends import BackendError, HttpReader, HttpReasoner, ScriptedReasoner
 from chartloop.cli import main
 from chartloop.controller import run_episode
-from chartloop.oracle import TableOracle
+from chartloop.oracle import TableOracle, execute_query
 from chartloop.prompts import linearize_table
+from chartloop.protocol import describe_query
 from chartloop.symbolic import SymbolicReasoner
 from chartloop.synth import random_tables
 from chartloop.tables import Termination, Value
@@ -203,6 +205,13 @@ def keepalive_stub(costa_rica):
     yield from _serve([costa_rica, *random_tables(0, 20)], "HTTP/1.1")
 
 
+def _chart_refs(n):
+    """``n`` distinct charts the keepalive stub knows.  A reader answers a
+    line repeated on one chart from its memo, so a test of the transport
+    reads a new chart on each call to make every call reach the server."""
+    return ["pupil-teacher", *(t.source_id for t in random_tables(0, n - 1))]
+
+
 def test_http_reasoner_request_schema(http_stub):
     url, state = http_stub
     client = HttpReasoner(f"{url}/complete", api_key="secret-token")
@@ -328,8 +337,8 @@ def test_a_stale_connection_is_resent_without_a_wait(keepalive_stub, fake_clock)
     sleeps, _ = fake_clock
     state["drop_after_response"] = True
     reader = HttpReader(f"{url}/read", retries=1)
-    for _ in range(3):
-        reader.read("pupil-teacher", "Let's describe the figure.")
+    for chart_ref in _chart_refs(3):
+        reader.read(chart_ref, "Let's describe the figure.")
     assert len(state["requests"]) == 3 and state["connections"] == 3
     assert sleeps == []
     reader.close()
@@ -358,7 +367,7 @@ def test_episode_keeps_one_connection_per_backend(keepalive_stub):
     assert state["connections"] == 2
     reasoner.close()
     reader.close()
-    reader.read("pupil-teacher", "Let's describe the figure.")
+    reader.read("synthetic-0-0", "Let's describe the figure.")
     assert state["connections"] == 3
     reader.close()
 
@@ -367,8 +376,8 @@ def test_connection_closed_by_the_server_is_reopened(keepalive_stub):
     url, state = keepalive_stub
     state["drop_after_response"] = True
     reader = HttpReader(f"{url}/read", retries=0)
-    for _ in range(5):
-        assert reader.read("pupil-teacher", "Let's describe the figure.").startswith(
+    for chart_ref in _chart_refs(5):
+        assert reader.read(chart_ref, "Let's describe the figure.").startswith(
             "The figure shows the data of:")
     assert len(state["requests"]) == 5
     assert state["connections"] == 5
@@ -463,28 +472,121 @@ def test_eval_workers_with_a_reader_url_take_one_reasoner_per_answer(keepalive_s
     assert len(made) == len(records.splitlines())
 
 
-def test_eval_sc_over_http_asks_each_line_once_per_question(keepalive_stub, tmp_path):
-    """Self-consistency samples share their reads: the reader server gets one
-    request per distinct (question, query line), and the run writes what the
-    in-process run writes."""
+def test_eval_sc_over_http_asks_each_line_once_per_chart(keepalive_stub, tmp_path):
+    """Self-consistency samples share their reads, and so do the questions of
+    one chart: at one worker the reader server gets one request per distinct
+    (chart, query line) of the run, and the run writes what the in-process
+    run writes."""
     url, state = keepalive_stub
     common = ["eval", "--synthetic", "20", "--sc", "5"]
     assert main([*common, "--out-dir", str(tmp_path / "in-process")]) == 0
-    assert main([*common, "--reader-url", f"{url}/read", "--out-dir", str(tmp_path / "http")]) == 0
+    assert main([*common, "--reader-url", f"{url}/read", "--workers", "1",
+                 "--out-dir", str(tmp_path / "http")]) == 0
     for name in ("records.jsonl", "traces.jsonl"):
         assert ((tmp_path / "http" / name).read_bytes()
                 == (tmp_path / "in-process" / name).read_bytes())
-    expected, episode_queries = [], 0
+    expected, question_queries = set(), 0
     for line in (tmp_path / "in-process" / "traces.jsonl").read_text().splitlines():
         record = json.loads(line)
-        queries = [step["text"] for episode in record["episodes"] for step in episode["steps"]
-                   if step["role"] == "reasoner_query"]
-        episode_queries += len(queries)
-        expected += [(record["chart_id"], query) for query in set(queries)]
+        queries = {step["text"] for episode in record["episodes"] for step in episode["steps"]
+                   if step["role"] == "reasoner_query"}
+        question_queries += len(queries)
+        expected |= {(record["chart_id"], query) for query in queries}
     asked = [(payload["chart_ref"], payload["query"]) for _, payload, _ in state["requests"]]
     assert sorted(asked) == sorted(expected)
-    # The samples repeat their lines, so the memo saves requests here.
-    assert len(asked) < episode_queries
+    # The questions of a chart repeat its lines, so the memo saves requests here.
+    assert len(asked) < question_queries
+
+
+def test_eval_workers_sharing_one_oracle_write_the_in_process_bytes(keepalive_stub, tmp_path,
+                                                                   monkeypatch):
+    """Four workers read through one table oracle and its one-chart memo,
+    which their questions of different charts keep replacing; the run still
+    writes what the in-process run writes."""
+    url, _ = keepalive_stub
+    common = ["eval", "--synthetic", "20", "--per-template", "2"]
+    assert main([*common, "--out-dir", str(tmp_path / "in-process")]) == 0
+    made = []
+
+    class CountedOracle(TableOracle):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+    monkeypatch.setattr(cli, "TableOracle", CountedOracle)
+    out = tmp_path / "workers4"
+    assert main([*common, "--reasoner-url", f"{url}/complete", "--workers", "4",
+                 "--out-dir", str(out)]) == 0
+    assert len(made) == 1
+    for name in ("records.jsonl", "traces.jsonl"):
+        assert (out / name).read_bytes() == (tmp_path / "in-process" / name).read_bytes()
+
+
+def test_http_reader_answers_a_repeated_line_on_one_chart_once(keepalive_stub, costa_rica):
+    url, state = keepalive_stub
+    reader = HttpReader(f"{url}/read")
+    answers = [reader.read("pupil-teacher", "Let's describe the figure.") for _ in range(3)]
+    assert answers == [execute_query(costa_rica, describe_query())] * 3
+    assert len(state["requests"]) == 1
+    reader.close()
+
+
+def test_http_reader_drops_the_answers_of_the_last_chart(keepalive_stub):
+    url, state = keepalive_stub
+    reader = HttpReader(f"{url}/read")
+    for chart_ref in ("pupil-teacher", "pupil-teacher", "synthetic-0-0", "pupil-teacher"):
+        reader.read(chart_ref, "Let's describe the figure.")
+    assert [payload["chart_ref"] for _, payload, _ in state["requests"]] == [
+        "pupil-teacher", "synthetic-0-0", "pupil-teacher"]
+    reader.close()
+
+
+def test_http_reader_asks_again_after_a_read_that_raised(keepalive_stub):
+    url, state = keepalive_stub
+    state["fail_next"] = 1
+    reader = HttpReader(f"{url}/read", retries=0)
+    with pytest.raises(BackendError, match="HTTP Error 500"):
+        reader.read("pupil-teacher", "Let's describe the figure.")
+    assert reader.read("pupil-teacher", "Let's describe the figure.").startswith(
+        "The figure shows the data of:")
+    assert len(state["requests"]) == 2
+    reader.close()
+
+
+def test_threads_sharing_a_chart_memo_get_each_line_its_own_answer():
+    """Eight threads read two lines of three charts through one memo whose
+    fetch gives up the interpreter lock, as a request does, and switch as
+    often as the interpreter allows: however they replace the memo's one
+    chart, every answer is its own chart's and line's."""
+    def fetch(chart_ref, query):
+        time.sleep(0)
+        return f"{chart_ref}: {query}"
+
+    reads = backends.ChartReads(fetch)
+    cases = [(chart_ref, query) for chart_ref in "abc" for query in "xy"]
+    wrong, errors = [], []
+
+    def work(seed):
+        try:
+            for chart_ref, query in random.Random(seed).choices(cases, k=1000):
+                answer = reads.read(chart_ref, query)
+                if answer != f"{chart_ref}: {query}":
+                    wrong.append((chart_ref, query, answer))
+        except Exception as exc:  # reported below; a thread cannot fail the test itself
+            errors.append(exc)
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(seed,)) for seed in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == [] and wrong == []
 
 
 def test_run_leaves_chart_ids_to_a_stepwise_reader_server(http_stub, tmp_path, capsys):
@@ -607,12 +709,15 @@ def test_each_request_leaves_in_one_sendall(keepalive_stub, monkeypatch):
 
     monkeypatch.setattr(socket, "create_connection", counted)
     reader = HttpReader(f"{url}/read")
-    for _ in range(3):
-        reader.read("pupil-teacher", "Let's describe the figure.")
+    chart_refs = _chart_refs(3)
+    for chart_ref in chart_refs:
+        reader.read(chart_ref, "Let's describe the figure.")
     reader.close()
-    body = json.dumps({"chart_ref": "pupil-teacher", "query": "Let's describe the figure."})
+    bodies = [json.dumps({"chart_ref": chart_ref, "query": "Let's describe the figure."})
+              for chart_ref in chart_refs]
     assert len(state["requests"]) == 3
-    assert len(sends) == 3 and all(data.endswith(b"\r\n\r\n" + body.encode()) for data in sends)
+    assert len(sends) == 3 and all(data.endswith(b"\r\n\r\n" + body.encode())
+                                   for data, body in zip(sends, bodies))
 
 
 def test_the_request_is_one_fixed_head_then_length_and_body(raw_stub):
@@ -689,7 +794,7 @@ def test_an_api_key_http_cannot_carry_is_refused_when_the_client_is_built(api_ke
 def test_response_framings(raw_stub, response, kept):
     raw_stub["responses"] += [(response, kept), (_OK, True)]
     reader = HttpReader("http://h/read", retries=0)
-    assert [reader.read("c", "q") for _ in range(2)] == ["x", "x"]
+    assert [reader.read("c", f"q{i}") for i in range(2)] == ["x", "x"]
     assert len(raw_stub["addresses"]) == (1 if kept else 2)
     reader.close()
 
@@ -746,13 +851,13 @@ def test_a_body_over_the_limit_fails_naming_it(raw_stub, monkeypatch, framing, a
     raw_stub["responses"] += [(b"HTTP/1.1 200 OK\r\n" + at_limit, keep_open),
                               (b"HTTP/1.1 200 OK\r\n" + over_limit, keep_open)]
     reader = HttpReader("http://h/read", timeout=2.0, retries=0)
-    assert reader.read("c", "q") == "xxxx"
+    assert reader.read("c", "q1") == "xxxx"
     with pytest.raises(BackendError, match="^request to http://h/read failed: the response body "
                                            "is over the limit of 16 bytes$"):
-        reader.read("c", "q")
+        reader.read("c", "q2")
     # The failed call dropped its connection: the next one opens another.
     raw_stub["responses"].append((_OK, True))
-    assert reader.read("c", "q") == "x"
+    assert reader.read("c", "q3") == "x"
     assert len(raw_stub["addresses"]) == (2 if keep_open else 3)
     reader.close()
 

@@ -1,6 +1,8 @@
 
 import pytest
 
+from chartloop import oracle as oracle_module
+from chartloop.controller import run_episode
 from chartloop.oracle import (
     Axis,
     ChartNotFound,
@@ -20,8 +22,9 @@ from chartloop.protocol import (
     parse_reader_answer,
     point_query,
 )
-from chartloop.synth import random_table
-from chartloop.tables import ChartTable
+from chartloop.symbolic import SkippedTemplate, SymbolicReasoner, gen_questions
+from chartloop.synth import random_table, random_tables
+from chartloop.tables import ChartTable, StepRole, TemplateType
 
 
 def test_describe_matches_prompt_exemplar(oman_samoa):
@@ -231,3 +234,82 @@ def test_oracle_read_matches_formatted_queries(canada):
     assert answer == "The data is 20.82."
     answer = oracle.read("emissions", format_query(group_query("Canada")))
     assert answer == "The data is 19.75 in 1964, 20.82 in 1965, 21.40 in 1966."
+
+
+@pytest.fixture
+def executed(monkeypatch):
+    """The queries ``TableOracle.read`` hands to ``execute_query``, which it
+    looks up at call time; ``failures`` of them raise first."""
+    calls, failures = [], []
+    original = execute_query
+
+    def counted(table, query):
+        calls.append((table.source_id, format_query(query)))
+        if failures:
+            raise failures.pop()
+        return original(table, query)
+
+    monkeypatch.setattr(oracle_module, "execute_query", counted)
+    return calls, failures
+
+
+def test_a_repeated_line_on_one_chart_is_executed_once_and_answers_the_same(
+        executed, oman_samoa, canada):
+    calls, _ = executed
+    oracle = TableOracle([oman_samoa, canada])
+    for table in (oman_samoa, canada):
+        for query in _every_query(table):
+            line = format_query(query)
+            first = oracle.read(table.source_id, line)
+            assert oracle.read(table.source_id, line) == first == execute_query(table, query)
+    assert len(calls) == len(set(calls))
+
+
+def test_reading_another_chart_drops_the_answers_of_the_last(executed, oman_samoa, canada):
+    calls, _ = executed
+    oracle = TableOracle([oman_samoa, canada])
+    line = format_query(describe_query())
+    for chart_ref in ("health-expenditure", "health-expenditure", "emissions", "health-expenditure"):
+        oracle.read(chart_ref, line)
+    assert [chart_ref for chart_ref, _ in calls] == ["health-expenditure", "emissions", "health-expenditure"]
+
+
+def test_a_read_that_raises_is_asked_again(executed, oman_samoa):
+    calls, failures = executed
+    oracle = TableOracle([oman_samoa])
+    line = format_query(describe_query())
+    failures.append(RuntimeError("reader down"))
+    with pytest.raises(RuntimeError):
+        oracle.read("health-expenditure", line)
+    assert oracle.read("health-expenditure", line) == describe(oman_samoa)
+    assert len(calls) == 2
+    for _ in range(2):
+        with pytest.raises(ChartNotFound):
+            oracle.read("nope", line)
+    # A chart that is not there replaces nothing: the last chart still answers.
+    assert oracle.read("health-expenditure", line) == describe(oman_samoa)
+    assert len(calls) == 2
+
+
+def test_a_closed_loop_executes_each_chart_line_once(executed):
+    """Every template's questions over 30 charts, asked chart by chart as
+    ``eval --synthetic`` asks them: the oracle executes each distinct
+    (chart, query line) once, however many questions send it."""
+    calls, _ = executed
+    tables = random_tables(0, 30)
+    oracle, reasoner = TableOracle(tables), SymbolicReasoner()
+    asked, questions = set(), 0
+    for table in tables:
+        for template in TemplateType:
+            try:
+                generated = gen_questions(table, template, 0, n=2)
+            except SkippedTemplate:
+                continue
+            for qa, _ in generated:
+                trace = run_episode(qa.question, qa.chart_id, reasoner, oracle)
+                asked |= {(qa.chart_id, step.text) for step in trace.steps
+                          if step.role is StepRole.REASONER_QUERY}
+                questions += 1
+    assert questions > 200
+    assert sorted(calls) == sorted(asked)
+

@@ -22,11 +22,12 @@ from chartloop.controller import (
     run_episode,
     run_self_consistency,
 )
-from chartloop.oracle import TableOracle
+from chartloop.oracle import TableOracle, execute_query
 from chartloop.prompts import PromptStyle
+from chartloop.protocol import parse_step
 from chartloop.symbolic import _TEMPLATES, SkippedTemplate, SymbolicReasoner, gen_questions
 from chartloop.synth import random_table
-from chartloop.tables import ChartTable, TemplateType, Termination
+from chartloop.tables import ChartTable, StepRole, TemplateType, Termination
 
 # Every (prompt style, describe_first) pair; episode i takes pair i mod 6.
 _SETTINGS = [(style, describe_first) for style in PromptStyle for describe_first in (True, False)]
@@ -279,6 +280,41 @@ def test_a_failed_read_is_asked_again_by_a_later_sample():
     # The failed line is asked once more, then each of the three lines once.
     first, *rest = reader.queries
     assert rest[0] == first and len(rest) == len(set(rest)) == 3
+
+
+class _StubReader:
+    """Answers every line as the oracle executes it and keeps no memo of its
+    own, recording each (chart, line) it is asked."""
+
+    def __init__(self, tables):
+        self.tables = {table.source_id: table for table in tables}
+        self.asked = []
+
+    def read(self, chart_ref, query):
+        self.asked.append((chart_ref, query))
+        return execute_query(self.tables[chart_ref], parse_step(query).query)
+
+
+def test_self_consistency_asks_any_reader_each_line_once_per_question():
+    """Self-consistency keeps its guarantee over a reader without a memo:
+    each question asks each of its distinct lines once, even when the
+    question before it, on the same chart, asked the same lines."""
+    tables = [random_table(3, index) for index in range(4)]
+    reader = _StubReader(tables)
+    for table in tables:
+        for template in (TemplateType.DATA_RETRIEVAL, TemplateType.DATA_RETRIEVAL,
+                         TemplateType.MIN_MAX):
+            qa, _ = gen_questions(table, template, 0)[0]
+            before = len(reader.asked)
+            _, traces = run_self_consistency(qa.question, qa.chart_id, SymbolicReasoner(),
+                                             reader, EpisodeConfig(),
+                                             SelfConsistencyConfig(n_samples=5))
+            asked = reader.asked[before:]
+            lines = {step.text for trace in traces for step in trace.steps
+                     if step.role is StepRole.REASONER_QUERY}
+            assert len(traces) == 3
+            assert len(asked) == len(set(asked)) and set(asked) == {
+                (qa.chart_id, line) for line in lines}
 
 
 class _RespellingReader(_CountingReader):
