@@ -10,7 +10,8 @@ files, when every episode of every question ended in a backend error.
 episodes (one by default), stopping once the vote is decided, majority-voted
 by normalized answer, the vote returning the winning answer as the model
 wrote it among the episodes drawn.  The temperature is ``--temperature``
-if given, else 0.4 with ``--sc`` above 1 and 0.0 otherwise.  Flags choose
+if given, else 0.4 with ``--sc`` above 1 and 0.0 otherwise; only an HTTP
+reasoner reads it, so ``--temperature`` needs ``--reasoner-url``.  Flags choose
 the backends they configure: ``--reasoner-url`` an HTTP reasoner, ``--script``
 a replay, neither the symbolic reasoner; ``--reader-url`` an HTTP reader,
 else the table oracle.  A flag for a backend not in use is a usage error.
@@ -198,6 +199,8 @@ def _reasoner_factory(cfg: dict, backends: ExitStack) -> Callable[[], object]:
         raise UsageError("--reasoner-url and --script cannot be combined")
     if cfg["model"] is not None and url is None:
         raise UsageError("--model needs --reasoner-url")
+    if cfg["temperature"] is not None and url is None:  # only a model samples
+        raise UsageError("--temperature needs --reasoner-url")
     if cfg["prompt_style"] != "stepwise5" and url is None:  # only a model reads the table
         raise UsageError(f"--prompt-style {cfg['prompt_style']} needs --reasoner-url")
     if cfg["api_key"] is not None and url is None and cfg["reader_url"] is None:
@@ -226,14 +229,18 @@ def _reasoner_factory(cfg: dict, backends: ExitStack) -> Callable[[], object]:
 
 def _answerer(cfg: dict, charts: dict[str, ChartTable]) -> tuple[Callable, ExitStack]:
     """Build the one answer path of ``run`` and ``eval``: at most ``--sc``
-    episodes, majority-voted (one episode at ``--sc 1``).  Settles
-    ``cfg["temperature"]``: 0.4 when voting over several samples and 0.0
-    otherwise, unless given.  Closing the returned stack closes the HTTP
+    episodes, majority-voted (one episode at ``--sc 1``).  The temperature is
+    0.4 when voting over several samples and 0.0 otherwise, unless given; it
+    is recorded in ``cfg["temperature"]`` only for an HTTP reasoner, the one
+    backend that reads it.  Closing the returned stack closes the HTTP
     clients."""
     backends = ExitStack()
     make_reasoner = _reasoner_factory(cfg, backends)
-    if cfg["temperature"] is None:
-        cfg["temperature"] = 0.4 if cfg["sc"] > 1 else 0.0
+    temperature = cfg["temperature"]
+    if temperature is None:
+        temperature = 0.4 if cfg["sc"] > 1 else 0.0
+    if cfg["reasoner_url"] is not None:
+        cfg["temperature"] = temperature
     if cfg["reader_url"] is not None:
         reader = HttpReader(cfg["reader_url"], api_key=cfg["api_key"])
         backends.callback(reader.close)
@@ -243,7 +250,7 @@ def _answerer(cfg: dict, charts: dict[str, ChartTable]) -> tuple[Callable, ExitS
         raise UsageError("no charts available for the table reader")
     config = EpisodeConfig(max_steps=cfg["max_steps"],
                            prompt_style=_PROMPT_STYLES[cfg["prompt_style"]])
-    sc = SelfConsistencyConfig(n_samples=cfg["sc"], temperature=cfg["temperature"])
+    sc = SelfConsistencyConfig(n_samples=cfg["sc"], temperature=temperature)
 
     def answer(question: str, chart: str) -> tuple[Optional[Value], list[ReasoningTrace]]:
         # run checks the chart before it answers; eval loads every chart it asks about.
@@ -401,7 +408,7 @@ def cmd_eval(cfg: dict) -> int:
                 write_trace_line(traces_file, record.trace_ref, record.qa.question,
                                  record.qa.chart_id, record.prediction, traces)
                 write_record_line(records_file, record)
-                csv_writer.writerow(record.to_dict())
+                csv_writer.writerow(record.values())
                 every_episode_failed = every_episode_failed and _all_backend_errors(traces)
                 yield record
 
@@ -487,7 +494,8 @@ def _episode_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--sc", type=int, default=1,
                    help="self-consistency samples: at most N, stopping once the vote is decided")
     p.add_argument("--temperature", type=float, default=None,
-                   help="sampling temperature (default 0.4 with --sc above 1, else 0.0)")
+                   help="sampling temperature for --reasoner-url "
+                        "(default 0.4 with --sc above 1, else 0.0)")
     p.add_argument("--max-steps", dest="max_steps", type=int, default=8)
     p.add_argument("--no-describe", dest="no_describe", action="store_true")
     p.add_argument("--prompt-style", dest="prompt_style", choices=sorted(_PROMPT_STYLES),

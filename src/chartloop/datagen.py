@@ -40,6 +40,7 @@ from .tables import (
     Termination,
     Value,
     array_field,
+    encode_json,
     template_field,
     text_field,
     validate_trace,
@@ -320,7 +321,7 @@ def write_system1_jsonl(pairs: Sequence[System1Pair], path: str | Path) -> None:
                 "chart_id": pair.chart_id,
                 "loss_span": "answer",
             }
-            handle.write(json.dumps(record, ensure_ascii=False) + "\n")
+            handle.write(encode_json(record) + "\n")
 
 
 @dataclass(frozen=True)
@@ -408,7 +409,7 @@ def export_system2_sft(
             }
             if format_tagged:
                 record["rendered"] = example.rendered_tagged()
-            handle.write(json.dumps(record, ensure_ascii=False) + "\n")
+            handle.write(encode_json(record) + "\n")
             count += 1
     return count
 
@@ -448,7 +449,7 @@ def write_trace_line(
         "final": final.raw if final else None,
         "episodes": [trace.to_dict() for trace in episodes],
     }
-    handle.write(json.dumps(record, ensure_ascii=False) + "\n")
+    handle.write(encode_json(record) + "\n")
 
 
 def read_traces_jsonl(path: str | Path) -> tuple[list[tuple[ReasoningTrace, str, str]], list[str]]:

@@ -7,7 +7,9 @@ on Decimals so nothing is lost to binary floats at the boundary.
 
 Predictions and gold answers read numbers by the rule that reads cells and
 reader answers (``tables.parse_number``: ``$``, ``%``, thousands commas and
-exponents); "75%" matches 75, and "50%" does not match 0.5.
+exponents); "75%" matches 75, and "50%" does not match 0.5.  Scoring reads
+each answer once, into its kind and its number or folded text, and compares
+those; only voting renders the canonical ``Value`` of ``normalize_answer``.
 """
 
 from __future__ import annotations
@@ -16,23 +18,27 @@ import csv
 import json
 from collections import Counter
 from dataclasses import dataclass
-from decimal import Decimal
+from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, DefaultContext
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, TextIO
 
-from .tables import (
-    SHAPE_ERRORS,
-    QAInstance,
-    Value,
-    ValueKind,
-    bucket_labels,
-    bucket_length,
-    canonical_decimal,
-    parse_number,
-    text_field,
-)
+from .tables import (SHAPE_ERRORS, QAInstance, Value, ValueKind, bucket_labels, bucket_length,
+                     canonical_decimal, encode_json, parse_number, text_field)
 
 TOLERANCE = Decimal("0.05")
 DEFAULT_BUCKET_EDGES = (0, 10, 20, 40)
+_RATIO = Context(prec=DefaultContext.prec, Emax=MAX_EMAX, Emin=MIN_EMIN)  # cannot overflow
+
+def _read_answer(raw: str) -> tuple[ValueKind, Decimal | str]:
+    """An answer's kind and what scoring compares: its number, or its folded text."""
+    s = raw.strip()
+    while len(s) >= 2 and s[0] == s[-1] and s[0] in "'\"":
+        s = s[1:-1].strip()
+    s = s.rstrip(".!?").strip()
+    if (folded := s.lower()) in ("yes", "no"):
+        return ValueKind.YES_NO, folded
+    number = parse_number(s)
+    return (ValueKind.TEXT, s.casefold()) if number is None else (ValueKind.NUMERIC, number)
+
 
 def normalize_answer(raw: str) -> Value:
     """Canonicalize an answer string for voting and matching.
@@ -42,16 +48,10 @@ def normalize_answer(raw: str) -> Value:
     ("15.00", "$15" and "1.5e1" normalize identically).  Anything else is
     case-folded text.
     """
-    s = raw.strip()
-    while len(s) >= 2 and s[0] == s[-1] and s[0] in "'\"":
-        s = s[1:-1].strip()
-    s = s.rstrip(".!?").strip()
-    if s.lower() in ("yes", "no"):
-        return Value(ValueKind.YES_NO, s.lower())
-    number = parse_number(s)
-    if number is not None:
-        return Value(ValueKind.NUMERIC, canonical_decimal(number), number)
-    return Value(ValueKind.TEXT, s.casefold())
+    kind, key = _read_answer(raw)
+    if kind is ValueKind.NUMERIC:
+        return Value(kind, canonical_decimal(key), key)
+    return Value(kind, key)
 
 
 def relaxed_match(prediction: Value, gold: Value) -> bool:
@@ -61,16 +61,12 @@ def relaxed_match(prediction: Value, gold: Value) -> bool:
     requires exact zero.  Text and yes/no: exact normalized match.  A kind
     mismatch that survives numeric coercion is simply false.
     """
-    p, g = normalize_answer(prediction.raw), normalize_answer(gold.raw)
-    if g.kind is ValueKind.NUMERIC:
-        if p.kind is not ValueKind.NUMERIC or p.number is None or g.number is None:
-            return False
-        if g.number == 0:
-            return p.number == 0
-        return abs(p.number - g.number) / abs(g.number) <= TOLERANCE
-    if g.kind is not p.kind:
+    (p_kind, p), (g_kind, g) = _read_answer(prediction.raw), _read_answer(gold.raw)
+    if p_kind is not g_kind:
         return False
-    return p.raw == g.raw
+    if g_kind is not ValueKind.NUMERIC or not g:
+        return p == g
+    return _RATIO.divide(abs(p - g), abs(g)) <= TOLERANCE
 
 
 def vote_key(value: Value) -> str:
@@ -111,6 +107,11 @@ def majority_vote(finals: Sequence[Value]) -> Optional[Value]:
     return min((v for v, key in zip(finals, keys) if key == winner), key=lambda v: v.raw)
 
 
+# The ``records.jsonl`` keys in order, which are also the ``records.csv`` columns.
+RECORD_FIELDS = ("question", "gold", "chart_id", "template_type", "prediction", "correct",
+                 "table_length", "trace_ref")
+
+
 @dataclass(frozen=True, slots=True)
 class EvalRecord:
     qa: QAInstance
@@ -119,14 +120,16 @@ class EvalRecord:
     table_length: int
     trace_ref: str
 
+    def values(self) -> tuple:
+        """The values written for ``RECORD_FIELDS``, in that order."""
+        qa = self.qa
+        return (qa.question, qa.gold.raw, qa.chart_id,
+                qa.template_type.value if qa.template_type else None,
+                self.prediction.raw if self.prediction else None, self.correct,
+                self.table_length, self.trace_ref)
+
     def to_dict(self) -> dict:
-        return {
-            **self.qa.to_dict(),
-            "prediction": self.prediction.raw if self.prediction else None,
-            "correct": self.correct,
-            "table_length": self.table_length,
-            "trace_ref": self.trace_ref,
-        }
+        return dict(zip(RECORD_FIELDS, self.values()))
 
     @staticmethod
     def from_dict(obj: dict) -> "EvalRecord":
@@ -143,16 +146,14 @@ class EvalRecord:
                           text_field(obj.get("trace_ref", ""), "trace_ref"))
 
 
-def make_record(
-    qa: QAInstance, prediction: Optional[Value], table_length: int, trace_ref: str
-) -> EvalRecord:
+def make_record(qa: QAInstance, prediction: Optional[Value], table_length: int,
+                trace_ref: str) -> EvalRecord:
     correct = prediction is not None and relaxed_match(prediction, qa.gold)
     return EvalRecord(qa, prediction, correct, table_length, trace_ref)
 
 
-def evaluate_run(
-    records: Iterable[EvalRecord], bucket_edges: Sequence[int] = DEFAULT_BUCKET_EDGES
-) -> Optional[dict]:
+def evaluate_run(records: Iterable[EvalRecord],
+                 bucket_edges: Sequence[int] = DEFAULT_BUCKET_EDGES) -> Optional[dict]:
     """The ``report.json`` dict: overall, per-template and per-bucket accuracy,
     folded over ``records`` in one pass that keeps no record; None if there is none."""
     counts = Counter((r.qa.template_type, r.table_length, r.correct) for r in records)
@@ -215,7 +216,7 @@ def write_report(report: dict, json_path, text_path) -> None:
 
 def write_record_line(handle: TextIO, record: EvalRecord) -> None:
     """Append one record to an open ``records.jsonl``."""
-    handle.write(json.dumps(record.to_dict(), ensure_ascii=False) + "\n")
+    handle.write(encode_json(record.to_dict()) + "\n")
 
 
 def write_records_jsonl(records: Sequence[EvalRecord], path) -> None:
@@ -236,14 +237,13 @@ def read_records_jsonl(path) -> Iterator[EvalRecord]:
                 yield record
 
 
-def records_csv_writer(handle: TextIO) -> csv.DictWriter:
+def records_csv_writer(handle: TextIO):
     """A ``records.csv`` writer on an open handle, its header written."""
-    writer = csv.DictWriter(handle, ["question", "gold", "chart_id", "template_type",
-                                     "prediction", "correct", "table_length", "trace_ref"])
-    writer.writeheader()
+    writer = csv.writer(handle)
+    writer.writerow(RECORD_FIELDS)
     return writer
 
 
 def write_records_csv(records: Iterable[EvalRecord], path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as handle:
-        records_csv_writer(handle).writerows(record.to_dict() for record in records)
+        records_csv_writer(handle).writerows(record.values() for record in records)

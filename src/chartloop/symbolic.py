@@ -287,7 +287,7 @@ def compute_gold(table: ChartTable, plan: QuestionPlan) -> Value:
         elif query.op is QueryOp.EXTRACT_GROUP:
             groups.append(_gold_group(table, query))
     counts = (len(table.series), len(table.x_labels))
-    return _reduce(plan, scalars, groups[0] if groups else (), counts)[1]
+    return Value.from_raw(_reduce(plan, scalars, groups[0] if groups else (), counts)[1])
 
 
 # ---------------------------------------------------------------------------
@@ -305,6 +305,14 @@ def deduce(
     produces the unknown conclusion (a no-answer verdict downstream) rather
     than an exception.
     """
+    text, answer = _conclusion(plan, reader_answers)
+    return text, None if answer is None else Value.from_raw(answer)
+
+
+def _conclusion(
+    plan: QuestionPlan, reader_answers: Sequence[ReaderAnswer]
+) -> tuple[str, Optional[str]]:
+    """``deduce``'s concluding sentence and its answer as printed."""
     if len(reader_answers) != len(plan.queries) or any(
             a.kind is AnswerKind.UNAVAILABLE for a in reader_answers):
         return UNKNOWN_CONCLUSION, None
@@ -357,9 +365,9 @@ def _reduce(
     scalars: Sequence[Value],
     pairs: Sequence[tuple[str, Value]],
     counts: Optional[tuple[int, int]],
-) -> tuple[str, Value]:
+) -> tuple[str, str]:
     """Apply the plan's reduce to extracted values: the concluding sentence
-    and the answer.
+    and the answer as printed.
 
     ``scalars`` are the point values in query order, ``pairs`` the first
     group's (key, value) pairs and ``counts`` the chart's series and x-label
@@ -371,7 +379,7 @@ def _reduce(
         reason, answer = _apply_reduce(plan, scalars, pairs, counts)
     except DecimalException as exc:
         raise UndefinedResult(f"{plan.reduce.value} is not representable") from exc
-    return f"{reason} {CONCLUSION.render(answer)}", Value.from_raw(answer)
+    return f"{reason} {CONCLUSION.render(answer)}", answer
 
 
 def _apply_reduce(
@@ -711,8 +719,7 @@ class SymbolicReasoner:
         index = len(lines) // 2
         if index < len(plan.queries):
             return format_query(self._grounded(plan.queries[index], answers))
-        text, _ = deduce(plan, answers)
-        return text
+        return _conclusion(plan, answers)[0]
 
     def _grounded(self, query: AtomicQuery, answers: Sequence[ReaderAnswer]) -> AtomicQuery:
         description = next((a for a in answers if a.kind is AnswerKind.DESCRIPTION), None)

@@ -28,6 +28,10 @@ class TraceError(ValueError):
 # ``TraceError`` and JSON decode errors are ``ValueError``s.
 SHAPE_ERRORS = (KeyError, IndexError, TypeError, AttributeError, ValueError, RecursionError)
 
+# ``json.dumps(obj, ensure_ascii=False)`` through one encoder built once: every
+# JSON line the package writes (charts, records, traces, training data).
+encode_json = json.JSONEncoder(ensure_ascii=False).encode
+
 _JSON_TYPE_NAMES = {bool: "a boolean", dict: "an object", list: "an array", str: "a string",
                     int: "a number", float: "a number"}
 
@@ -220,7 +224,7 @@ class ChartTable:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), ensure_ascii=False)
+        return encode_json(self.to_dict())
 
 
 def normalize_name(name: str) -> str:

@@ -448,6 +448,24 @@ def test_a_deplot_style_needs_a_reasoner_server_and_its_run_replays(keepalive_st
         assert (again / name).read_bytes() == (first / name).read_bytes()
 
 
+def test_temperature_reaches_the_reasoner_server_and_its_run_replays(keepalive_stub, tmp_path):
+    """A reasoner server is the one backend that reads a temperature: every
+    completion request carries it, the run records it, and the recorded
+    config replays the run."""
+    url, state = keepalive_stub
+    first = tmp_path / "first"
+    assert main(["eval", "--synthetic", "3", "--sc", "3", "--temperature", "0.9",
+                 "--reasoner-url", f"{url}/complete", "--out-dir", str(first)]) == 0
+    sent = {payload["temperature"] for path, payload, _ in state["requests"] if path == "/complete"}
+    assert sent == {0.9}
+    assert json.loads((first / "run_config.json").read_text())["temperature"] == 0.9
+    again = tmp_path / "again"
+    assert main(["eval", "--config", str(first / "run_config.json"),
+                 "--out-dir", str(again)]) == 0
+    for name in ("records.jsonl", "traces.jsonl", "report.json"):
+        assert (again / name).read_bytes() == (first / name).read_bytes()
+
+
 def test_eval_workers_with_a_reader_url_take_one_reasoner_per_answer(keepalive_stub, tmp_path,
                                                                     monkeypatch):
     """The symbolic reasoner memoizes its last question, which worker threads

@@ -17,7 +17,8 @@ import pytest
 import chartloop
 from chartloop.cli import build_parser, main
 from chartloop.datagen import example_from_trace, load_corpus
-from chartloop.symbolic import SkippedTemplate, gen_questions
+from chartloop.evalkit import RECORD_FIELDS, read_records_jsonl, write_records_csv
+from chartloop.symbolic import SkippedTemplate, SymbolicReasoner, gen_questions
 from chartloop.synth import random_tables
 from chartloop.tables import ReasoningTrace, TemplateType
 
@@ -28,6 +29,30 @@ def run_cli(args):
 
 def read_jsonl(path):
     return [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+
+
+@pytest.fixture
+def reasoner_url(monkeypatch):
+    """A ``--reasoner-url`` served in process: its reasoner answers as the
+    symbolic one does and keeps the temperature of every completion.  Yields
+    the URL and that list."""
+    import chartloop.cli as cli
+
+    temperatures = []
+
+    class InProcessReasoner(SymbolicReasoner):
+        def __init__(self, url, model=None, api_key=None):
+            super().__init__()
+
+        def complete(self, prompt, stop_markers, temperature, max_tokens):
+            temperatures.append(temperature)
+            return super().complete(prompt, stop_markers, temperature, max_tokens)
+
+        def close(self):
+            pass
+
+    monkeypatch.setattr(cli, "HttpReasoner", InProcessReasoner)
+    return "http://127.0.0.1:9/complete", temperatures
 
 
 def test_datagen_counts_and_determinism(small_corpus_path, tmp_path, capsys):
@@ -204,10 +229,10 @@ def test_eval_corpus_closed_loop(small_corpus_path, tmp_path, capsys):
     assert "overall accuracy: 1.0000" in capsys.readouterr().out
 
 
-def test_eval_synthetic_records_flags(tmp_path):
+def test_eval_synthetic_records_flags(tmp_path, reasoner_url):
     out = tmp_path / "eval"
     code = run_cli(["eval", "--synthetic", 3, "--out-dir", out, "--seed", 11,
-                    "--sc", 5, "--temperature", 0.4])
+                    "--sc", 5, "--temperature", 0.4, "--reasoner-url", reasoner_url[0]])
     assert code == 0
     config = json.loads((out / "run_config.json").read_text())
     assert config["sc"] == 5
@@ -215,6 +240,29 @@ def test_eval_synthetic_records_flags(tmp_path):
     assert config["seed"] == 11
     report = json.loads((out / "report.json").read_text())
     assert report["overall_accuracy"] == 1.0
+
+
+@pytest.mark.parametrize("source", [
+    ["--synthetic", 3],
+    ["--corpus", "corpus", "--script", "script", "--max-steps", 1],
+], ids=["synthetic", "no-answer"])
+def test_eval_records_csv_rows_are_its_jsonl_lines(small_corpus_path, tmp_path, source):
+    """The CSV header is the JSONL key order and row i holds line i's values
+    (null as an empty cell); ``write_records_csv`` writes the same bytes."""
+    script = tmp_path / "script.json"
+    script.write_text('["Let\'s describe the figure."]', encoding="utf-8")  # never concludes
+    inputs = {"corpus": small_corpus_path, "script": script}
+    out = tmp_path / "eval"
+    assert run_cli(["eval", *(inputs.get(arg, arg) for arg in source), "--out-dir", out]) == 0
+    lines = read_jsonl(out / "records.jsonl")
+    with open(out / "records.csv", encoding="utf-8", newline="") as handle:
+        header, *rows = csv.reader(handle)
+    assert header == list(RECORD_FIELDS) and all(list(line) == header for line in lines)
+    assert rows == [["" if value is None else str(value) for value in line.values()]
+                    for line in lines]
+    assert (source[0] == "--corpus") == all(line["prediction"] is None for line in lines)
+    write_records_csv(read_records_jsonl(out / "records.jsonl"), tmp_path / "again.csv")
+    assert (tmp_path / "again.csv").read_bytes() == (out / "records.csv").read_bytes()
 
 
 def test_bad_buckets_exit_2_before_any_episode(tmp_path, capsys):
@@ -506,7 +554,7 @@ def test_eval_into_closed_pipe_keeps_files(tmp_path, monkeypatch):
     (["--sc", 3], 0.4),
     (["--sc", 1], 0.0),
 ])
-def test_temperature_follows_sc_unless_given(tmp_path, monkeypatch, flags, used):
+def test_temperature_follows_sc_unless_given(tmp_path, monkeypatch, reasoner_url, flags, used):
     import chartloop.cli as cli
 
     seen = []
@@ -518,9 +566,36 @@ def test_temperature_follows_sc_unless_given(tmp_path, monkeypatch, flags, used)
 
     monkeypatch.setattr(cli, "run_self_consistency", spy)
     out = tmp_path / "eval"
-    assert run_cli(["eval", "--synthetic", 1, *flags, "--out-dir", out]) == 0
+    url, temperatures = reasoner_url
+    assert run_cli(["eval", "--synthetic", 1, *flags, "--reasoner-url", url,
+                    "--out-dir", out]) == 0
     assert seen and set(seen) == {used}
+    assert temperatures and set(temperatures) == {used}
     assert json.loads((out / "run_config.json").read_text())["temperature"] == used
+
+
+@pytest.mark.parametrize("command", [
+    ["eval", "--synthetic", 20],
+    ["eval", "--synthetic", 3, "--sc", 3],
+    ["run", "--question", "What is the value of Q3?", "--chart", "solo-chart",
+     "--corpus", "corpus", "--script", "script.json"],
+], ids=["symbolic", "symbolic-sc", "scripted"])
+def test_temperature_needs_a_reasoner_url(small_corpus_path, tmp_path, capsys, command):
+    """The symbolic and scripted reasoners never read a temperature: giving
+    one is a usage error, and their runs record none, so a recorded config
+    replays them."""
+    script = tmp_path / "script.json"
+    script.write_text('["So the answer is 7."]', encoding="utf-8")
+    inputs = {"corpus": small_corpus_path, "script.json": script}
+    argv = [inputs.get(arg, arg) for arg in command]
+    assert run_cli([*argv, "--temperature", 0.9, "--out-dir", tmp_path / "hot"]) == 2
+    assert capsys.readouterr().err == "error: --temperature needs --reasoner-url\n"
+    assert not (tmp_path / "hot").exists()
+    first, again = tmp_path / "first", tmp_path / "again"
+    assert run_cli([*argv, "--out-dir", first]) == 0
+    assert json.loads((first / "run_config.json").read_text())["temperature"] is None
+    assert run_cli([argv[0], "--config", first / "run_config.json", "--out-dir", again]) == 0
+    assert (again / "traces.jsonl").read_bytes() == (first / "traces.jsonl").read_bytes()
 
 
 def test_eval_interrupted_exits_130_with_one_line(tmp_path, monkeypatch, capsys):
@@ -626,9 +701,10 @@ def test_bad_config_file_exits_2(tmp_path, capsys, command, content):
     assert not (out / "run_config.json").exists()
 
 
-def test_config_strings_take_the_flag_type(tmp_path):
+def test_config_strings_take_the_flag_type(tmp_path, reasoner_url):
     config = tmp_path / "config.json"
-    config.write_text('{"sc": "3", "temperature": "0.2", "command": "eval"}', encoding="utf-8")
+    config.write_text(json.dumps({"sc": "3", "temperature": "0.2", "command": "eval",
+                                  "reasoner_url": reasoner_url[0]}), encoding="utf-8")
     out = tmp_path / "eval"
     assert run_cli(["eval", "--synthetic", 1, "--config", config, "--out-dir", out]) == 0
     recorded = json.loads((out / "run_config.json").read_text())
@@ -877,6 +953,8 @@ def test_recorded_config_alone_reruns_a_command(small_corpus_path, tmp_path, com
     ["eval", "--synthetic", 2, "--reasoner-url", "http://127.0.0.1:9/a\x01b"],
     ["eval", "--synthetic", 2, "--reasoner-url", "http://127.0.0.1:9/complete",
      "--api-key", "a\nb"],
+    # Only a model samples: the built-in reasoners never read a temperature.
+    ["eval", "--synthetic", 2, "--temperature", 0.9],
 ])
 def test_usage_error_is_one_line(small_corpus_path, tmp_path, capsys, argv):
     argv = [small_corpus_path if arg == "corpus" else arg for arg in argv]

@@ -1,9 +1,13 @@
+import csv
+import json
 import random
-from decimal import Decimal
+from decimal import Decimal, Overflow
 
 import pytest
 
 from chartloop.evalkit import (
+    RECORD_FIELDS,
+    TOLERANCE,
     EvalRecord,
     evaluate_run,
     majority_vote,
@@ -13,6 +17,7 @@ from chartloop.evalkit import (
     relaxed_match,
     render_report_text,
     vote_key,
+    write_records_csv,
     write_records_jsonl,
 )
 from chartloop.tables import QAInstance, TemplateType, Value, ValueKind
@@ -136,6 +141,81 @@ def test_cells_and_scored_answers_read_one_number_rule():
     assert len(decorated) > 500
 
 
+def _reference_match(prediction: str, gold: str) -> bool:
+    """Relaxed accuracy written over ``normalize_answer`` on both sides, as the
+    scorer once was, except that a ratio past the default context's exponent
+    range, which that scorer raised ``Overflow`` on, is a miss."""
+    p, g = normalize_answer(prediction), normalize_answer(gold)
+    if g.kind is ValueKind.NUMERIC:
+        if p.kind is not ValueKind.NUMERIC:
+            return False
+        if g.number == 0:
+            return p.number == 0
+        try:
+            return abs(p.number - g.number) / abs(g.number) <= TOLERANCE
+        except Overflow:
+            return False
+    return p.kind is g.kind and p.raw == g.raw
+
+
+_WORDS = ["yes", "No", "YES", "nO", "Norway", "norway", "Gambia, The", "n/a", "Straße", "STRASSE",
+          "école", "ÉCOLE", "1st", "$", "%", "-", "e5", "yes sir", ""]
+
+
+def _answer_token(rng):
+    """An answer as a reader or a model might print it: a decorated number, a
+    far or out-of-range exponent, a zero, yes/no or text, sometimes quoted,
+    padded or followed by sentence punctuation."""
+    kind = rng.randrange(5)
+    if kind == 0:
+        token = _printed_token(rng)
+    elif kind == 1:
+        token = (f"{rng.choice(['', '-'])}{rng.randrange(1, 10 ** 6)}e"
+                 f"{rng.choice([1, -1]) * rng.choice([0, 3, 28, 999990, 999998, 999999, 10 ** 6])}")
+    elif kind == 2:
+        token = rng.choice(["0", "0.00", "-0", "0e5", "$0", "0%", "+0.0"])
+    else:
+        token = rng.choice(_WORDS)
+    if rng.random() < 0.2:
+        quote = rng.choice("'\"")
+        token = quote + rng.choice(["", " "]) + token + quote
+    return rng.choice(["", " "]) + token + rng.choice(["", ".", "!", "?", " "])
+
+
+def _near(rng, gold: str) -> str:
+    """A number at, just inside or just outside 5% of ``gold``'s number,
+    reprinted; any other gold re-cased, with sentence punctuation."""
+    number = normalize_answer(gold).number
+    if number is None:
+        cased = rng.choice([gold, gold.upper(), gold.lower(), gold.swapcase()])
+        return cased + rng.choice(["", "?", "!", ".", " ?"])
+    factor = Decimal(rng.choice(["1", "1.05", "0.95", "1.0500001", "0.9499999", "1.0499", "-1"]))
+    shown = number * factor
+    return rng.choice([str(shown), f"{shown:f}", f"{shown}%", f"${shown}", f"'{shown}'"])
+
+
+def test_relaxed_match_agrees_with_the_normalized_rule_on_seeded_pairs():
+    rng = random.Random(23)
+    pairs = []
+    for _ in range(3000):
+        gold = _answer_token(rng)
+        prediction = _near(rng, gold) if rng.random() < 0.4 else _answer_token(rng)
+        pairs.append((prediction, gold))
+    verdicts = [relaxed_match(Value.from_raw(p), Value.from_raw(g)) for p, g in pairs]
+    assert verdicts == [_reference_match(p, g) for p, g in pairs]
+    kinds = {normalize_answer(g).kind for _, g in pairs}
+    assert kinds == set(ValueKind)
+    assert 300 < sum(verdicts) < len(pairs) - 300
+
+
+def test_a_far_apart_pair_is_a_miss_not_an_overflow():
+    """|pred - gold| / |gold| can pass the default exponent limit."""
+    gold = Value.from_raw("1e-999990")
+    assert not relaxed_match(Value.from_raw("9e999998"), gold)
+    assert not make_record(QAInstance("q", gold, "c"), Value.from_raw("-9e999998"), 1, "t").correct
+    assert relaxed_match(Value.from_raw("1.05e-999999"), Value.from_raw("1e-999999"))
+
+
 def test_majority_vote_examples():
     assert majority_vote([Value.from_raw(r) for r in ["15", "15.00", "14"]]).raw == "15"
     assert majority_vote([Value.from_raw("yes"), Value.from_raw("no")]).raw == "no"
@@ -222,6 +302,28 @@ def test_evaluate_run_is_one_pass_over_any_iterable():
                        length=rng.randrange(0, 60)) for _ in range(200)]
     assert evaluate_run(iter(records), [0, 20]) == evaluate_run(records, [0, 20])
     assert evaluate_run(iter(())) is None
+
+
+def test_records_csv_columns_are_the_jsonl_keys(tmp_path):
+    """One row per record, holding its ``records.jsonl`` line's values in
+    the key order; null is an empty cell."""
+    records = [_record(True), _record(False, TemplateType.COMPOUND, length=33),
+               make_record(QAInstance('Is "A, B"\nabove C?', Value.from_raw("Yes"), "c,1"),
+                           None, 0, "episode-2")]
+    write_records_jsonl(records, tmp_path / "records.jsonl")
+    write_records_csv(records, tmp_path / "records.csv")
+    assert_csv_rows_hold_the_jsonl_lines(tmp_path / "records.jsonl", tmp_path / "records.csv")
+
+
+def assert_csv_rows_hold_the_jsonl_lines(jsonl_path, csv_path):
+    with open(jsonl_path, encoding="utf-8") as handle:
+        lines = [json.loads(line) for line in handle]
+    with open(csv_path, encoding="utf-8", newline="") as handle:
+        header, *rows = csv.reader(handle)
+    assert header == list(RECORD_FIELDS) == list(lines[0])
+    assert rows == [["" if value is None else str(value) for value in line.values()]
+                    for line in lines]
+    assert all(list(line) == header for line in lines)
 
 
 def test_records_jsonl_round_trip(tmp_path):
