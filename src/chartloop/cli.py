@@ -212,10 +212,10 @@ def _reasoner_factory(cfg: dict, backends: ExitStack) -> Callable[[], object]:
         backends.callback(reasoner.close)
         return lambda: reasoner
     if script is None:
-        # One reasoner per answer: its memo of the question's plan and reader
-        # lines serves that answer's samples, and workers do not evict it.
-        describe_first = not cfg["no_describe"]
-        return lambda: SymbolicReasoner(describe_first=describe_first)
+        # One reasoner for the run: it parses each reader line once per chart
+        # for the questions that follow, and workers share it without a lock.
+        reasoner = SymbolicReasoner(describe_first=not cfg["no_describe"])
+        return lambda: reasoner
     if cfg["sc"] > 1:
         # A replay script is one deterministic episode: there is nothing to vote over.
         raise UsageError("--script cannot be combined with --sc above 1")

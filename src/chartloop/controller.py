@@ -14,7 +14,10 @@ once and the samples share its answer, whatever the reader.  The built-in
 readers (``TableOracle``, ``HttpReader``) read through the same one-chart
 memo, ``backends.ChartReads``, for as long as they read one chart, so the
 questions of a chart asked one after another share its answers too, and a
-reader server that samples gets one draw per line per chart.
+reader server that samples gets one draw per line per chart.  On the other
+side, ``SymbolicReasoner`` parses each reader line once per chart, taking a
+parse to depend only on the line's text: the questions of a chart that a
+reasoner answers one after another share the parses of its lines.
 """
 
 from __future__ import annotations

@@ -466,11 +466,11 @@ def test_temperature_reaches_the_reasoner_server_and_its_run_replays(keepalive_s
         assert (again / name).read_bytes() == (first / name).read_bytes()
 
 
-def test_eval_workers_with_a_reader_url_take_one_reasoner_per_answer(keepalive_stub, tmp_path,
-                                                                    monkeypatch):
-    """The symbolic reasoner memoizes its last question, which worker threads
-    sharing one would evict from each other; each answer gets its own and the
-    records do not move."""
+def test_eval_workers_with_a_reader_url_share_one_reasoner(keepalive_stub, tmp_path,
+                                                          monkeypatch):
+    """Worker threads share the run's one symbolic reasoner, whose plan and
+    line memos they keep replacing for one another; the records do not
+    move."""
     url, _ = keepalive_stub
     common = ["eval", "--synthetic", "20", "--per-template", "2", "--seed", "0"]
     assert main([*common, "--out-dir", str(tmp_path / "in-process")]) == 0
@@ -485,9 +485,9 @@ def test_eval_workers_with_a_reader_url_take_one_reasoner_per_answer(keepalive_s
     out = tmp_path / "workers2"
     assert main([*common, "--reader-url", f"{url}/read", "--workers", "2",
                  "--out-dir", str(out)]) == 0
-    records = (out / "records.jsonl").read_bytes()
-    assert records == (tmp_path / "in-process" / "records.jsonl").read_bytes()
-    assert len(made) == len(records.splitlines())
+    for name in ("records.jsonl", "traces.jsonl"):
+        assert (out / name).read_bytes() == (tmp_path / "in-process" / name).read_bytes()
+    assert len(made) == 1
 
 
 def test_eval_sc_over_http_asks_each_line_once_per_chart(keepalive_stub, tmp_path):

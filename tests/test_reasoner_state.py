@@ -1,12 +1,19 @@
-"""The symbolic reasoner's per-question memo.
+"""The symbolic reasoner's memo: a plan per question, line parses per chart.
 
 A warm reasoner must answer every prompt exactly as a fresh one does, in
-whatever order prompts arrive and from however many threads; a question is
-decomposed once and each distinct reader line parsed once, across an
-episode's steps and its self-consistency samples; the memo holds only the
-last question; and self-consistency asks the reader each distinct line once.
+whatever order prompts and charts arrive (a chart asked again after
+another, charts that share a description) and from however many threads.
+A question is decomposed once across an episode's steps and its
+self-consistency samples.  Each distinct reader line is parsed once per
+chart, the chart being known by its description line, because a parse
+depends only on the line's text; an episode with no description first
+keeps its parses for its question.  The memo holds only the last
+question's plan and the last chart's lines, never more lines than one
+chart of that description can answer distinctly; and self-consistency
+asks the reader each distinct line once.
 """
 
+import json
 import random
 import re
 import sys
@@ -16,6 +23,7 @@ import pytest
 
 from chartloop import protocol, symbolic
 from chartloop.backends import BackendError
+from chartloop.cli import main
 from chartloop.controller import (
     EpisodeConfig,
     SelfConsistencyConfig,
@@ -24,9 +32,15 @@ from chartloop.controller import (
 )
 from chartloop.oracle import TableOracle, execute_query
 from chartloop.prompts import PromptStyle
-from chartloop.protocol import parse_step
+from chartloop.protocol import (
+    UNAVAILABLE_ANSWER,
+    AnswerKind,
+    describe_query,
+    format_query,
+    parse_step,
+)
 from chartloop.symbolic import _TEMPLATES, SkippedTemplate, SymbolicReasoner, gen_questions
-from chartloop.synth import random_table
+from chartloop.synth import random_table, random_tables
 from chartloop.tables import ChartTable, StepRole, TemplateType, Termination
 
 # Every (prompt style, describe_first) pair; episode i takes pair i mod 6.
@@ -55,17 +69,36 @@ class _PrefixingReader:
         return self.prefix + self.oracle.read(chart_ref, query)
 
 
+def _same_description(table, index):
+    """A chart with ``table``'s series and x-labels, so its description line,
+    but seeded other cells."""
+    rng = random.Random(index)
+    cells = [[str(rng.randrange(1, 1000)) for _ in table.x_labels] for _ in table.series]
+    return ChartTable.build(f"{table.source_id}-{index}", [(s.name, s.color) for s in table.series],
+                            table.x_labels, cells)
+
+
+def _chart_questions(table):
+    for template in TemplateType:
+        try:
+            for qa, _ in gen_questions(table, template, seed=5, n=1):
+                yield table, qa.question
+        except SkippedTemplate:
+            pass
+
+
 def _questions():
-    """(table, question) pairs: 30 seeded tables host every question form a
-    generator writes; the three human-only forms come on small tables."""
+    """(table, question) pairs, mostly chart by chart: 30 seeded tables host
+    every question form a generator writes; two charts that share a
+    description take turns, two questions each, so describe-first episodes
+    (every other one) alternate between them; the three human-only forms
+    come on small tables."""
     for index in range(30):
-        table = random_table(5, index)
-        for template in TemplateType:
-            try:
-                for qa, _ in gen_questions(table, template, seed=5, n=1):
-                    yield table, qa.question
-            except SkippedTemplate:
-                pass
+        yield from _chart_questions(random_table(5, index))
+    shared = random_table(5, 30, n_series=2, n_x=4)
+    twins = [list(_chart_questions(_same_description(shared, index))) for index in range(2)]
+    for k in range(0, len(twins[0]), 2):
+        yield from twins[0][k:k + 2] + twins[1][k:k + 2]
     net = ChartTable.build("net", [("NET Excellent/good", "blue"), ("NET Only fair/poor", "red")],
                            ["German", "Japan"], [["54", "42"], ["39", "50"]])
     yield net, ("By how many points does NET Excellent/good surpass NET Only fair/poor "
@@ -92,14 +125,38 @@ def episodes():
                     EpisodeConfig(prompt_style=style), context_table=context)
         fresh = [SymbolicReasoner(describe_first).complete(p, ["\n"], 0.0, 256)
                  for p in recorder.prompts]
-        recorded.append((describe_first, recorder.prompts, fresh))
+        recorded.append((describe_first, recorder.prompts, fresh, table.source_id))
         forms.add(next(key for key, t in _TEMPLATES.items() if t.pattern.fullmatch(question)))
     assert forms == set(_TEMPLATES)
+    # Somewhere a describe-first episode reads the description line the one
+    # before it read, of another chart.
+    described = [(chart, _reader_lines(prompts[-1])[0])
+                 for describe_first, prompts, _, chart in recorded if describe_first]
+    assert any(a != b and line == after and protocol.parse_reader_answer(line).kind
+               is AnswerKind.DESCRIPTION for (a, line), (b, after) in zip(described, described[1:]))
     return recorded
 
 
+def _reader_lines(prompt):
+    _, begin = symbolic._find_stub(prompt)
+    return prompt[begin:].split("\n")[1:-1:2]
+
+
 def _episode_order(episodes):
-    return [(e, i) for e, (_, prompts, _) in enumerate(episodes) for i in range(len(prompts))]
+    return [(e, i) for e, (_, prompts, _, _) in enumerate(episodes) for i in range(len(prompts))]
+
+
+def _revisit_order(episodes):
+    """The charts' episodes, each chart's asked again after the next: A B A C B D C ..."""
+    charts = []
+    for e, (_, prompts, _, chart) in enumerate(episodes):
+        if not charts or charts[-1][0] != chart:
+            charts.append((chart, []))
+        charts[-1][1].extend((e, i) for i in range(len(prompts)))
+    order = []
+    for k, (_, block) in enumerate(charts):
+        order += block + (charts[k - 1][1] if k else [])
+    return order
 
 
 def _interleaved_order(episodes):
@@ -114,7 +171,7 @@ def _interleaved_order(episodes):
 
 def _sc_order(episodes):
     """Each episode three times over, as self-consistency samples arrive."""
-    return [(e, i) for e, (_, prompts, _) in enumerate(episodes)
+    return [(e, i) for e, (_, prompts, _, _) in enumerate(episodes)
             for _ in range(3) for i in range(len(prompts))]
 
 
@@ -124,7 +181,7 @@ def _replay(episodes, order, reasoners, cut=None):
     sent cut at a seeded point of its last 300 characters."""
     results = []
     for e, i in order:
-        describe_first, prompts, fresh = episodes[e]
+        describe_first, prompts, fresh, _ = episodes[e]
         reasoner = reasoners[describe_first]
         prompt = prompts[i]
         if cut is not None:
@@ -139,8 +196,8 @@ def _warm_reasoners():
     return {True: SymbolicReasoner(True), False: SymbolicReasoner(False)}
 
 
-@pytest.mark.parametrize("order", [_episode_order, _interleaved_order, _sc_order],
-                         ids=["episode", "interleaved", "sc"])
+@pytest.mark.parametrize("order", [_episode_order, _interleaved_order, _sc_order, _revisit_order],
+                         ids=["episode", "interleaved", "sc", "revisit"])
 def test_warm_reasoner_answers_like_a_fresh_one(episodes, order):
     results = _replay(episodes, order(episodes), _warm_reasoners())
     assert [actual for _, actual in results] == [expected for expected, _ in results]
@@ -156,7 +213,7 @@ def test_warm_reasoner_follows_a_changed_describe_first(episodes):
     """Each prompt twice, with describe_first on and then off: neither the
     prompt's lines nor its question's plan carry over to the other setting."""
     reasoner, expected, actual = SymbolicReasoner(), [], []
-    for _, prompts, _ in episodes:
+    for _, prompts, _, _ in episodes:
         for prompt in prompts:
             for describe_first in (True, False):
                 reasoner.describe_first = describe_first
@@ -345,19 +402,109 @@ def test_self_consistency_samples_parse_each_distinct_line_once(counted):
     assert counted == {"decompose": 1, "parse_reader_answer": 5}
 
 
-def test_memo_holds_only_the_last_question(episodes):
-    """After many distinct questions the memo keeps the last one's plan and
-    the reader lines of its prompts, nothing of the questions before."""
-    reasoner = SymbolicReasoner(True)
-    lines = set()
-    for describe_first, prompts, _ in episodes:
-        if describe_first:
-            lines = set()
-            for prompt in prompts:
-                reasoner.complete(prompt, ["\n"], 0.0, 256)
-                question, begin = symbolic._find_stub(prompt)
-                lines.update(prompt[begin:].split("\n")[1:-1:2])
-    (last_question, describe_first), plan, parsed = reasoner._memo
+def _chart_lines(table):
+    """The most distinct lines a chart can answer: its points, its groups,
+    the description and the not-available line."""
+    n, m = len(table.series), len(table.x_labels)
+    return n * m + n + m + 2
+
+
+def test_memo_holds_the_last_questions_plan_and_the_last_charts_lines():
+    """After every question of two charts the memo keeps the last question's
+    plan and the reader lines of the second chart, under its description
+    line, and nothing of the first."""
+    reasoner = _Recorder(True)
+    tables = random_tables(0, 2)
+    for table in tables:
+        start = len(reasoner.prompts)
+        for _, question in _chart_questions(table):
+            run_episode(question, table.source_id, reasoner, TableOracle(tables))
+    before, lines = ({line for prompt in prompts for line in _reader_lines(prompt)}
+                     for prompts in (reasoner.prompts[:start], reasoner.prompts[start:]))
+    (last_question, describe_first), plan = reasoner._plan
     assert (last_question, describe_first) == (question, True)
     assert plan == symbolic.decompose(question, describe_first=True)
-    assert set(parsed) == lines
+    scope, parsed, _ = reasoner._lines
+    description = execute_query(tables[1], describe_query())
+    assert scope == description
+    assert set(parsed) == lines and description in lines
+    assert not lines & before
+
+
+def _ask_chart_by_chart(tables, reasoner, reader):
+    """Every template question of each table in turn, one episode each,
+    through one reasoner and one reader; returns the traces by chart."""
+    return [(table.source_id, run_episode(question, table.source_id, reasoner, reader))
+            for chart in tables for table, question in _chart_questions(chart)]
+
+
+def _distinct_reader_lines(traces):
+    return {(chart, step.text) for chart, trace in traces for step in trace.steps
+            if step.role is StepRole.READER_ANSWER}
+
+
+def test_a_run_parses_each_reader_line_once_per_chart(counted):
+    tables = random_tables(0, 30)
+    traces = _ask_chart_by_chart(tables, SymbolicReasoner(), TableOracle(tables))
+    assert all(trace.terminated_by is Termination.CONCLUSION for _, trace in traces)
+    assert counted["parse_reader_answer"] == len(_distinct_reader_lines(traces))
+
+
+def test_eval_parses_each_reader_line_once_per_chart(counted, tmp_path):
+    assert main(["eval", "--synthetic", "20", "--seed", "0", "--out-dir", str(tmp_path)]) == 0
+    distinct = set()
+    for line in (tmp_path / "traces.jsonl").read_text(encoding="utf-8").splitlines():
+        record = json.loads(line)
+        distinct |= {(record["chart_id"], step["text"]) for episode in record["episodes"]
+                     for step in episode["steps"] if step["role"] == "reader_answer"}
+    assert counted["parse_reader_answer"] == len(distinct)
+
+
+class _NoDescriptionReader:
+    """The oracle, except that it answers DESCRIBE as not available."""
+
+    def __init__(self, tables):
+        self.oracle = TableOracle(tables)
+
+    def read(self, chart_ref, query):
+        if query == format_query(describe_query()):
+            return UNAVAILABLE_ANSWER
+        return self.oracle.read(chart_ref, query)
+
+
+class _BoundChecked(SymbolicReasoner):
+    """Checks each completion against a fresh reasoner's and the line store
+    against one chart's distinct lines, and counts the stores it starts."""
+
+    def __init__(self, bound):
+        super().__init__()
+        self.bound, self.store, self.stores, self.completions = bound, None, 0, 0
+
+    def complete(self, prompt, stop_markers, temperature, max_tokens):
+        text = super().complete(prompt, stop_markers, temperature, max_tokens)
+        assert text == SymbolicReasoner().complete(prompt, stop_markers, temperature, max_tokens)
+        _, parsed, room = self._lines
+        assert len(parsed) <= room <= self.bound
+        self.stores += parsed is not self.store
+        self.store = parsed
+        self.completions += 1
+        return text
+
+
+@pytest.mark.parametrize("reader", [TableOracle, _NoDescriptionReader],
+                         ids=["described", "not-described"])
+def test_charts_sharing_a_description_keep_the_line_store_bounded(reader):
+    """A thousand charts with one description and other cells, asked one
+    after another: the store of line parses never holds more than one of
+    them can answer distinctly, and every completion is a fresh reasoner's."""
+    shared = random_table(0, 0, n_series=2, n_x=4)
+    tables = [_same_description(shared, index) for index in range(1000)]
+    reasoner = _BoundChecked(_chart_lines(shared))
+    traces = _ask_chart_by_chart(tables, reasoner, reader(tables))
+    assert reasoner.completions > len(traces) > 5000
+    # The bound is reached and the store started afresh, many times over.
+    assert reasoner.stores > 100
+    if reader is TableOracle:
+        assert _chart_lines(shared) == 16
+        assert all(trace.steps[1].text == execute_query(shared, describe_query())
+                   for _, trace in traces)
