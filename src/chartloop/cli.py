@@ -212,8 +212,9 @@ def _reasoner_factory(cfg: dict, backends: ExitStack) -> Callable[[], object]:
         backends.callback(reasoner.close)
         return lambda: reasoner
     if script is None:
-        # One reasoner for the run: it parses each reader line once per chart
-        # for the questions that follow, and workers share it without a lock.
+        # One reasoner for the run: workers share its two bounded LRU caches,
+        # plans by question and parses by reader line, without a lock (a race
+        # costs an extra parse).
         reasoner = SymbolicReasoner(describe_first=not cfg["no_describe"])
         return lambda: reasoner
     if cfg["sc"] > 1:
@@ -341,6 +342,9 @@ def _synthetic_eval_set(cfg: dict) -> tuple[dict[str, ChartTable], Iterator[QAIn
         cfg["templates"] = ",".join(t.value for t in TemplateType)
     cfg["per_template"] = cfg["per_template"] or 1
     templates = [TemplateType(name) for name in cfg["templates"].split(",") if name]
+    repeated = [t.value for i, t in enumerate(templates) if t in templates[:i]]
+    if repeated:  # it would ask and score each of that template's questions twice
+        raise UsageError(f"--templates names {repeated[0]} twice")
     charts = random_tables(cfg["seed"], cfg["synthetic"])
 
     def questions() -> Iterator[QAInstance]:

@@ -15,9 +15,10 @@ readers (``TableOracle``, ``HttpReader``) read through the same one-chart
 memo, ``backends.ChartReads``, for as long as they read one chart, so the
 questions of a chart asked one after another share its answers too, and a
 reader server that samples gets one draw per line per chart.  On the other
-side, ``SymbolicReasoner`` parses each reader line once per chart, taking a
-parse to depend only on the line's text: the questions of a chart that a
-reasoner answers one after another share the parses of its lines.
+side, ``SymbolicReasoner`` keeps two bounded LRU caches keyed by text, plans
+by question and parses by reader line, which worker threads share without a
+lock (a race costs an extra parse): the questions of a chart share the
+parses of its lines.
 """
 
 from __future__ import annotations

@@ -26,6 +26,7 @@ by a hand-computed case table in the tests, not by the closed loop.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import random
 import re
@@ -34,7 +35,7 @@ from decimal import Decimal, DecimalException, ROUND_HALF_UP
 from enum import Enum
 from typing import Callable, Optional, Sequence
 
-from . import protocol  # parse_reader_answer is looked up per call, so wrappers see it
+from . import protocol  # parse_reader_answer is looked up on each cache miss, so wrappers see it
 from .oracle import closest_name
 from .protocol import (
     CONCLUSION,
@@ -663,6 +664,23 @@ def _align_entity(name: Optional[str], pool: Sequence[str]) -> Optional[str]:
     return name if match is None else pool[match[0]]
 
 
+# Entries in each of a reasoner's two caches: room for the questions in flight
+# and the lines of the chart being read, and no more, so that a long run holds
+# a few charts' worth.
+_MEMO_SIZE = 64
+
+
+def _plan_of(question: str, describe_first: bool) -> Optional[QuestionPlan]:
+    try:
+        return decompose(question, describe_first=describe_first)
+    except NotTemplated:
+        return None
+
+
+def _parse_line(line: str) -> ReaderAnswer:
+    return protocol.parse_reader_answer(line)
+
+
 class SymbolicReasoner:
     """Deterministic reasoner backend over the template grammar.
 
@@ -673,34 +691,19 @@ class SymbolicReasoner:
 
     Every prompt is read whole, so ``complete(prompt)`` returns what a fresh
     reasoner returns whatever came before.  What repeats is memoized in two
-    slots.  One holds the last question's plan, which the episode's later
-    steps and its self-consistency samples share.  The other holds reader
-    line parses per chart: an episode whose first reader line is a figure
-    description files them under that line, so the questions of a chart
-    asked one after another parse each of its lines once.  This assumes a
-    parse depends only on the line's text, which lets charts that share a
-    description share parses too.  The slot holds at most as many parses as
-    one chart of that description can answer distinctly (its points, its
-    groups, the description and the not-available line); a line past that
-    starts it afresh, so a run of such charts cannot grow it.  An episode
-    with no description first (``describe_first`` off, or a reader that did
-    not describe) keeps its parses for its question only, at most as many
-    as its plan reads.
-
-    Threads may share a reasoner without a lock: each slot is read once into
-    a local and replaced whole, and two threads parsing one line store equal
-    answers.  A race costs an extra parse, or lets each racing thread add
-    one line past the bound.
+    bounded LRU caches keyed by text: one maps (question, describe_first) to
+    the question's plan (None when it is not templated), the other maps a
+    reader line to its parse, which depends on nothing else.  An episode's
+    steps and self-consistency samples share the plan, and the questions of
+    a chart share the parses of its lines.  Threads may share a reasoner
+    without a lock: a race costs an extra decompose or parse, never a wrong
+    answer.
     """
 
     def __init__(self, describe_first: bool = True):
         self.describe_first = describe_first
-        # ((question, describe_first), plan or None if not templated)
-        self._plan: Optional[tuple[tuple[str, bool], Optional[QuestionPlan]]] = None
-        # (the description line, or the question key for an episode whose
-        #  first reader line is no description; {reader line: its parse};
-        #  the most lines it may hold)
-        self._lines: tuple[object, dict[str, ReaderAnswer], int] = (None, {}, 0)
+        self._plan = functools.lru_cache(_MEMO_SIZE)(_plan_of)
+        self._parse = functools.lru_cache(_MEMO_SIZE)(_parse_line)
 
     def complete(
         self,
@@ -713,51 +716,15 @@ class SymbolicReasoner:
         if stub is None:
             return UNKNOWN_CONCLUSION
         question, begin = stub
-        key = (question, self.describe_first)
-        memo = self._plan
-        if memo is None or memo[0] != key:
-            try:
-                plan = decompose(question, describe_first=self.describe_first)
-            except NotTemplated:
-                plan = None
-            memo = self._plan = (key, plan)
-        plan = memo[1]
+        plan = self._plan(question, self.describe_first)
         if plan is None:
             return UNKNOWN_CONCLUSION
         lines = prompt[begin:].split("\n")[:-1]  # the unterminated rest is not a line
-        answers = self._parse(lines[1::2], key, len(plan.queries))
+        answers = list(map(self._parse, lines[1::2]))
         index = len(lines) // 2
         if index < len(plan.queries):
             return format_query(self._grounded(plan.queries[index], answers))
         return _conclusion(plan, answers)[0]
-
-    def _parse(self, lines: list[str], question: tuple[str, bool],
-               reads: int) -> list[ReaderAnswer]:
-        """The parses of an episode's reader lines, through the line slot."""
-        if not lines:
-            return []
-        scope, parsed, room = self._lines
-        first = lines[0]
-        if scope != first and scope != question:
-            head = protocol.parse_reader_answer(first)
-            if head.kind is AnswerKind.DESCRIPTION:
-                n, m = len(head.series), len(head.x_labels)
-                scope, room = first, n * m + n + m + 2  # points, groups, description, n/a
-            else:
-                scope, room = question, reads
-            parsed = {first: head}
-            self._lines = (scope, parsed, room)
-        answers = []
-        for line in lines:
-            answer = parsed.get(line)
-            if answer is None:
-                answer = protocol.parse_reader_answer(line)
-                if len(parsed) >= room:
-                    parsed = {}
-                    self._lines = (scope, parsed, room)
-                parsed[line] = answer
-            answers.append(answer)
-        return answers
 
     def _grounded(self, query: AtomicQuery, answers: Sequence[ReaderAnswer]) -> AtomicQuery:
         description = next((a for a in answers if a.kind is AnswerKind.DESCRIPTION), None)

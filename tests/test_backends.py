@@ -6,6 +6,7 @@ import ssl
 import sys
 import threading
 import time
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -13,14 +14,14 @@ import pytest
 
 from types import SimpleNamespace
 
-from chartloop import backends, cli
+from chartloop import backends, cli, symbolic
 from chartloop.backends import BackendError, HttpReader, HttpReasoner, ScriptedReasoner
 from chartloop.cli import main
 from chartloop.controller import run_episode
 from chartloop.oracle import TableOracle, execute_query
 from chartloop.prompts import linearize_table
 from chartloop.protocol import describe_query
-from chartloop.symbolic import SymbolicReasoner
+from chartloop.symbolic import SymbolicReasoner, decompose
 from chartloop.synth import random_tables
 from chartloop.tables import Termination, Value
 
@@ -468,26 +469,50 @@ def test_temperature_reaches_the_reasoner_server_and_its_run_replays(keepalive_s
 
 def test_eval_workers_with_a_reader_url_share_one_reasoner(keepalive_stub, tmp_path,
                                                           monkeypatch):
-    """Worker threads share the run's one symbolic reasoner, whose plan and
-    line memos they keep replacing for one another; the records do not
-    move."""
+    """Worker threads share the run's one symbolic reasoner, whose plan cache
+    holds both threads' questions: each distinct question text is decomposed
+    once while the cache holds it, and the records do not move."""
     url, _ = keepalive_stub
     common = ["eval", "--synthetic", "20", "--per-template", "2", "--seed", "0"]
     assert main([*common, "--out-dir", str(tmp_path / "in-process")]) == 0
-    made = []
+    made, decomposed = [], []
 
     class CountedReasoner(SymbolicReasoner):
         def __init__(self, *args, **kwargs):
             super().__init__(*args, **kwargs)
             made.append(self)
 
+    def counted_decompose(question, describe_first=True):
+        decomposed.append(question)
+        return decompose(question, describe_first=describe_first)
+
     monkeypatch.setattr(cli, "SymbolicReasoner", CountedReasoner)
+    monkeypatch.setattr(symbolic, "decompose", counted_decompose)
     out = tmp_path / "workers2"
     assert main([*common, "--reader-url", f"{url}/read", "--workers", "2",
                  "--out-dir", str(out)]) == 0
     for name in ("records.jsonl", "traces.jsonl"):
         assert (out / name).read_bytes() == (tmp_path / "in-process" / name).read_bytes()
     assert len(made) == 1
+    questions = [json.loads(line)["question"]
+                 for line in (out / "records.jsonl").read_text(encoding="utf-8").splitlines()]
+    # A text asked again soon after is not decomposed again; one asked again
+    # long after may be, once the bounded cache has let it go.
+    far = _asked_again_after(questions, symbolic._MEMO_SIZE // 2)
+    counts = Counter(decomposed)
+    assert set(counts) == set(questions) and len(far) < len(set(questions)) < len(questions)
+    assert all(counts[question] == 1 for question in set(questions) - far)
+    assert all(counts[question] <= questions.count(question) for question in far)
+
+
+def _asked_again_after(questions, reach):
+    """The texts asked again after ``reach`` or more other distinct texts."""
+    last, far = {}, set()
+    for index, question in enumerate(questions):
+        if question in last and len(set(questions[last[question] + 1:index])) >= reach:
+            far.add(question)
+        last[question] = index
+    return far
 
 
 def test_eval_sc_over_http_asks_each_line_once_per_chart(keepalive_stub, tmp_path):

@@ -985,12 +985,15 @@ def _readme_commands():
     (["--corpus", "corpus", "--per-template", 2],
      "--templates and --per-template need --synthetic N"),
     (["--per-template", 2], "--templates and --per-template need --synthetic N"),
+    (["--synthetic", 2, "--templates", "structural,min_max,structural"],
+     "--templates names structural twice"),
 ], ids=["corpus-and-synthetic", "templates-without-synthetic", "per-template-without-synthetic",
-        "per-template-alone"])
+        "per-template-alone", "repeated-template"])
 def test_eval_question_set_flags_that_would_do_nothing_exit_2(small_corpus_path, tmp_path, capsys,
                                                              flags, message):
     """A corpus run asks only the corpus's questions; only --synthetic reads
-    --templates and --per-template."""
+    --templates and --per-template, and a template named twice would ask
+    each of its questions twice."""
     argv = [small_corpus_path if arg == "corpus" else arg for arg in flags]
     assert run_cli(["eval", *argv, "--out-dir", tmp_path / "out"]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"

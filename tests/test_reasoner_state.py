@@ -1,16 +1,14 @@
-"""The symbolic reasoner's memo: a plan per question, line parses per chart.
+"""The symbolic reasoner's memo: two bounded LRU caches keyed by text.
 
 A warm reasoner must answer every prompt exactly as a fresh one does, in
 whatever order prompts and charts arrive (a chart asked again after
 another, charts that share a description) and from however many threads.
-A question is decomposed once across an episode's steps and its
-self-consistency samples.  Each distinct reader line is parsed once per
-chart, the chart being known by its description line, because a parse
-depends only on the line's text; an episode with no description first
-keeps its parses for its question.  The memo holds only the last
-question's plan and the last chart's lines, never more lines than one
-chart of that description can answer distinctly; and self-consistency
-asks the reader each distinct line once.
+One cache maps a question (with describe_first) to its plan, so a question
+is decomposed once across an episode's steps and its self-consistency
+samples.  The other maps a reader line to its parse, which depends only on
+the line's text, so a line is parsed at most once per chart and lines that
+charts share may be parsed once between them.  Neither cache grows past its
+bound; and self-consistency asks the reader each distinct line once.
 """
 
 import json
@@ -402,33 +400,22 @@ def test_self_consistency_samples_parse_each_distinct_line_once(counted):
     assert counted == {"decompose": 1, "parse_reader_answer": 5}
 
 
-def _chart_lines(table):
-    """The most distinct lines a chart can answer: its points, its groups,
-    the description and the not-available line."""
-    n, m = len(table.series), len(table.x_labels)
-    return n * m + n + m + 2
-
-
 def test_memo_holds_the_last_questions_plan_and_the_last_charts_lines():
-    """After every question of two charts the memo keeps the last question's
-    plan and the reader lines of the second chart, under its description
-    line, and nothing of the first."""
-    reasoner = _Recorder(True)
+    """After every question of two charts, asking the second chart's
+    questions again decomposes nothing and parses no line."""
+    reasoner = SymbolicReasoner()
     tables = random_tables(0, 2)
     for table in tables:
-        start = len(reasoner.prompts)
-        for _, question in _chart_questions(table):
-            run_episode(question, table.source_id, reasoner, TableOracle(tables))
-    before, lines = ({line for prompt in prompts for line in _reader_lines(prompt)}
-                     for prompts in (reasoner.prompts[:start], reasoner.prompts[start:]))
-    (last_question, describe_first), plan = reasoner._plan
-    assert (last_question, describe_first) == (question, True)
-    assert plan == symbolic.decompose(question, describe_first=True)
-    scope, parsed, _ = reasoner._lines
-    description = execute_query(tables[1], describe_query())
-    assert scope == description
-    assert set(parsed) == lines and description in lines
-    assert not lines & before
+        traces = [run_episode(question, table.source_id, reasoner, TableOracle(tables))
+                  for _, question in _chart_questions(table)]
+    plans, parses = reasoner._plan.cache_info(), reasoner._parse.cache_info()
+    again = [run_episode(question, tables[1].source_id, reasoner, TableOracle(tables))
+             for _, question in _chart_questions(tables[1])]
+    assert again == traces
+    assert reasoner._plan.cache_info().misses == plans.misses
+    assert reasoner._parse.cache_info().misses == parses.misses
+    assert reasoner._plan.cache_info().hits > plans.hits
+    assert reasoner._parse.cache_info().hits > parses.hits
 
 
 def _ask_chart_by_chart(tables, reasoner, reader):
@@ -447,7 +434,8 @@ def test_a_run_parses_each_reader_line_once_per_chart(counted):
     tables = random_tables(0, 30)
     traces = _ask_chart_by_chart(tables, SymbolicReasoner(), TableOracle(tables))
     assert all(trace.terminated_by is Termination.CONCLUSION for _, trace in traces)
-    assert counted["parse_reader_answer"] == len(_distinct_reader_lines(traces))
+    distinct = _distinct_reader_lines(traces)
+    assert len({line for _, line in distinct}) <= counted["parse_reader_answer"] <= len(distinct)
 
 
 def test_eval_parses_each_reader_line_once_per_chart(counted, tmp_path):
@@ -457,7 +445,7 @@ def test_eval_parses_each_reader_line_once_per_chart(counted, tmp_path):
         record = json.loads(line)
         distinct |= {(record["chart_id"], step["text"]) for episode in record["episodes"]
                      for step in episode["steps"] if step["role"] == "reader_answer"}
-    assert counted["parse_reader_answer"] == len(distinct)
+    assert len({line for _, line in distinct}) <= counted["parse_reader_answer"] <= len(distinct)
 
 
 class _NoDescriptionReader:
@@ -473,20 +461,19 @@ class _NoDescriptionReader:
 
 
 class _BoundChecked(SymbolicReasoner):
-    """Checks each completion against a fresh reasoner's and the line store
-    against one chart's distinct lines, and counts the stores it starts."""
+    """Checks each completion against a fresh reasoner's and both caches
+    against their bound."""
 
-    def __init__(self, bound):
+    def __init__(self):
         super().__init__()
-        self.bound, self.store, self.stores, self.completions = bound, None, 0, 0
+        self.completions = 0
 
     def complete(self, prompt, stop_markers, temperature, max_tokens):
         text = super().complete(prompt, stop_markers, temperature, max_tokens)
         assert text == SymbolicReasoner().complete(prompt, stop_markers, temperature, max_tokens)
-        _, parsed, room = self._lines
-        assert len(parsed) <= room <= self.bound
-        self.stores += parsed is not self.store
-        self.store = parsed
+        for cache in (self._plan, self._parse):
+            info = cache.cache_info()
+            assert info.currsize <= info.maxsize
         self.completions += 1
         return text
 
@@ -495,16 +482,16 @@ class _BoundChecked(SymbolicReasoner):
                          ids=["described", "not-described"])
 def test_charts_sharing_a_description_keep_the_line_store_bounded(reader):
     """A thousand charts with one description and other cells, asked one
-    after another: the store of line parses never holds more than one of
-    them can answer distinctly, and every completion is a fresh reasoner's."""
+    after another: neither cache ever holds more than its bound, and every
+    completion is a fresh reasoner's."""
     shared = random_table(0, 0, n_series=2, n_x=4)
     tables = [_same_description(shared, index) for index in range(1000)]
-    reasoner = _BoundChecked(_chart_lines(shared))
+    reasoner = _BoundChecked()
     traces = _ask_chart_by_chart(tables, reasoner, reader(tables))
     assert reasoner.completions > len(traces) > 5000
-    # The bound is reached and the store started afresh, many times over.
-    assert reasoner.stores > 100
+    # The bound is reached and parses evicted, many times over.
+    parses = reasoner._parse.cache_info()
+    assert parses.misses - parses.currsize > 100
     if reader is TableOracle:
-        assert _chart_lines(shared) == 16
         assert all(trace.steps[1].text == execute_query(shared, describe_query())
                    for _, trace in traces)
