@@ -85,14 +85,14 @@ class ScriptedReasoner:
     """Replays a fixed sequence of continuations, one per completion call."""
 
     def __init__(self, lines: Sequence[str] | dict):
-        """``lines`` is a list of strings, or a mapping of them by integer step keys."""
+        """``lines`` is a list of strings, or a mapping of them keyed exactly
+        ``"0"`` to ``"n-1"``, one key per step."""
         if isinstance(lines, dict):
-            try:
-                lines = [lines[k] for k in sorted(lines, key=int)]
-            except (TypeError, ValueError):
-                lines = None  # a key that is not an integer
+            # n keys that include "0" .. "n-1" are exactly those; a missing one reads None.
+            lines = [lines.get(str(step)) for step in range(len(lines))]
         if not isinstance(lines, (list, tuple)) or not all(isinstance(x, str) for x in lines):
-            raise ValueError("a script must be a list of strings or an object with integer keys")
+            raise ValueError('a script must be a list of strings or an object of strings '
+                             'keyed "0" to "n-1"')
         self._lines = list(lines)
         self._cursor = 0
 

@@ -18,19 +18,20 @@ else the table oracle.  A flag for a backend not in use is a usage error.
 Both write every episode drawn to ``traces.jsonl`` (one line per question, in
 input order, in ``datagen``'s trace format), which ``export-ft --traces``
 reads, one example per episode.  ``eval`` writes each ``records.jsonl`` line
-and ``records.csv`` row right after its trace line, and folds the record into
-the report, as results arrive: an interrupt or an error keeps every finished
-question (``report --records`` builds the report such a run did not write),
-and memory holds no question or record, only the synthetic charts, a
-corpus's QA rows or the ``--sample`` list.
+right after its trace line, and folds the record into the report, as results
+arrive: an interrupt or an error keeps every finished question (``report
+--records`` builds the report such a run did not write), and memory holds no
+question or record, only the synthetic charts, a corpus's QA rows or the
+``--sample`` list.
 
 Each subcommand takes only the flags it reads, and each flag's argparse
 default is its only default; ``--config`` JSON replaces those defaults and
 flags still win, and required flags and the lower limits of numeric flags
-are checked after that merge.  A usage or input error prints one ``error:``
-line and exits 2, and so does an ``--out-dir`` that cannot be created or
-written; each check that does not answer a question, the exit-4 checks of
-``report`` and ``export-ft`` included, runs before ``--out-dir`` is created.
+(a float flag must also be finite) are checked after that merge.  A usage or
+input error prints one ``error:`` line and exits 2, and so does an
+``--out-dir`` that cannot be created or written; each check that does not
+answer a question, the exit-4 checks of ``report`` and ``export-ft``
+included, runs before ``--out-dir`` is created.
 Every command serializes its effective configuration into the output
 directory so a run can be reproduced from its artifacts; all randomness
 flows from --seed.  Every command writes its files before it prints, so a
@@ -41,6 +42,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from collections import deque
@@ -71,13 +73,13 @@ from .evalkit import (
     evaluate_run,
     make_record,
     read_records_jsonl,
-    records_csv_writer,
     render_report_text,
     write_record_line,
     write_report,
 )
 from .oracle import ChartNotFound, TableOracle
 from .prompts import PromptStyle
+from .protocol import check_question
 from .symbolic import SkippedTemplate, SymbolicReasoner, gen_questions
 from .synth import random_tables
 from .tables import (ChartTable, QAInstance, ReasoningTrace, StepRole, Termination, TemplateType,
@@ -303,8 +305,10 @@ def cmd_datagen(cfg: dict) -> int:
 
 def cmd_run(cfg: dict) -> int:
     _require(cfg, "question", "chart")
-    if "\n" in cfg["question"] or "\r" in cfg["question"]:
-        raise UsageError("--question cannot hold a line break")
+    try:
+        check_question(cfg["question"])
+    except ValueError:
+        raise UsageError("--question cannot hold a line break") from None
     corpus = _load_corpus(cfg)
     charts = corpus.chart_index() if corpus else {}
     answer, backends = _answerer(cfg, charts)
@@ -396,13 +400,11 @@ def cmd_eval(cfg: dict) -> int:
     every_episode_failed, workers = True, cfg["workers"]
     with backends, ThreadPoolExecutor(max_workers=workers) as pool, \
             open(out_dir / "traces.jsonl", "w", encoding="utf-8") as traces_file, \
-            open(out_dir / "records.jsonl", "w", encoding="utf-8") as records_file, \
-            open(out_dir / "records.csv", "w", encoding="utf-8", newline="") as csv_file:
-        csv_writer = records_csv_writer(csv_file)
+            open(out_dir / "records.jsonl", "w", encoding="utf-8") as records_file:
 
         def written() -> Iterator:
-            # In input order, each result's trace line, record line and CSV row
-            # are written and its record folded into the report as it arrives:
+            # In input order, each result's trace line and record line are
+            # written and its record folded into the report as it arrives:
             # an interrupt keeps every finished question, and none stays in
             # memory.  Threads keep at most two questions each in flight.
             nonlocal every_episode_failed
@@ -412,7 +414,6 @@ def cmd_eval(cfg: dict) -> int:
                 write_trace_line(traces_file, record.trace_ref, record.qa.question,
                                  record.qa.chart_id, record.prediction, traces)
                 write_record_line(records_file, record)
-                csv_writer.writerow(record.values())
                 every_episode_failed = every_episode_failed and _all_backend_errors(traces)
                 yield record
 
@@ -569,7 +570,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             args = parser.parse_args(argv)
         cfg = {k: v for k, v in vars(args).items() if k not in _NOT_OPTIONS}
         for key, lowest in _MINIMUMS.items():
-            if cfg.get(key) is not None and cfg[key] < lowest:
+            value = cfg.get(key)
+            if type(value) is float and not math.isfinite(value):  # NaN is not JSON
+                raise UsageError(f"--{key.replace('_', '-')} must be a finite number")
+            if value is not None and value < lowest:
                 raise UsageError(f"--{key.replace('_', '-')} must be at least {lowest}")
         code = args.func(cfg)
         sys.stdout.flush()

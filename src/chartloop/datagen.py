@@ -27,8 +27,8 @@ from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Optional, Sequence, TextIO
 
 from . import oracle
-from .protocol import (QUESTION_STUB, AtomicQuery, Form, QueryOp, describe_query,
-                       format_query, group_query, point_query)
+from .protocol import (QUESTION_STUB, AtomicQuery, Form, QueryOp, check_question,
+                       describe_query, format_query, group_query, point_query)
 from .tables import (
     SHAPE_ERRORS,
     ChartTable,
@@ -213,15 +213,10 @@ def _qa_from_obj(obj: dict, values: dict[str, Value], texts: dict[str, str]) -> 
     gold = values.get(answer)
     if gold is None:
         gold = values[answer] = Value.from_raw(answer)
-    question = _field(obj, "question", "query")
-    if "\n" in question or "\r" in question:  # it would split the prompt's "Q: " line
-        raise ValueError("the question holds a line break")
-    return QAInstance(
-        question=texts.setdefault(question, question),
-        gold=gold,
-        chart_id=texts.setdefault(chart_id, chart_id),
-        template_type=template_field(obj.get("template_type")),
-    )
+    question = check_question(_field(obj, "question", "query"))
+    # Positional: keyword arguments slow a slotted dataclass's __init__ on every row.
+    return QAInstance(texts.setdefault(question, question), gold,
+                      texts.setdefault(chart_id, chart_id), template_field(obj.get("template_type")))
 
 
 def load_corpus(path: str | Path, format: str = "internal_json") -> Corpus:
@@ -465,7 +460,7 @@ def read_traces_jsonl(path: str | Path) -> tuple[list[tuple[ReasoningTrace, str,
     issues: list[str] = []
 
     def add(record: dict) -> None:
-        question = text_field(record.get("question"), "question")
+        question = check_question(text_field(record.get("question"), "question"))
         chart_id = text_field(record.get("chart_id"), "chart_id")
         episodes = []
         for i, obj in enumerate(record["episodes"]):

@@ -107,7 +107,7 @@ def majority_vote(finals: Sequence[Value]) -> Optional[Value]:
     return min((v for v, key in zip(finals, keys) if key == winner), key=lambda v: v.raw)
 
 
-# The ``records.jsonl`` keys in order, which are also the ``records.csv`` columns.
+# The ``records.jsonl`` keys in order, which are also ``write_records_csv``'s columns.
 RECORD_FIELDS = ("question", "gold", "chart_id", "template_type", "prediction", "correct",
                  "table_length", "trace_ref")
 
@@ -237,13 +237,9 @@ def read_records_jsonl(path) -> Iterator[EvalRecord]:
                 yield record
 
 
-def records_csv_writer(handle: TextIO):
-    """A ``records.csv`` writer on an open handle, its header written."""
-    writer = csv.writer(handle)
-    writer.writerow(RECORD_FIELDS)
-    return writer
-
-
 def write_records_csv(records: Iterable[EvalRecord], path) -> None:
+    """The records as CSV: a ``RECORD_FIELDS`` header, then one row of values per record."""
     with open(path, "w", encoding="utf-8", newline="") as handle:
-        records_csv_writer(handle).writerows(record.values() for record in records)
+        writer = csv.writer(handle)
+        writer.writerow(RECORD_FIELDS)
+        writer.writerows(record.values() for record in records)

@@ -66,11 +66,6 @@ def default_step_exemplars() -> tuple[StepExemplar, ...]:
     return tuple(exemplars)
 
 
-def annotated_examples_text() -> str:
-    """The shipped hand-annotated reasoning examples in [INST] form."""
-    return _data_text("annotated_examples.txt")
-
-
 def linearize_table(table: ChartTable) -> str:
     """Render a chart table in the baseline's Header/Row text form.
 

@@ -77,6 +77,14 @@ _CONCLUSION_MARKER = "answer is "
 QUESTION_STUB = Form("Q: {question}\nA: ")
 
 
+def check_question(question: str) -> str:
+    """``question`` as it is; ValueError if it holds a line break, which would
+    split the ``QUESTION_STUB`` line that asks it."""
+    if "\n" in question or "\r" in question:
+        raise ValueError("the question holds a line break")
+    return question
+
+
 class QueryOp(str, Enum):
     DESCRIBE = "describe"
     EXTRACT_POINT = "extract_point"

@@ -297,23 +297,15 @@ def compute_gold(table: ChartTable, plan: QuestionPlan) -> Value:
 
 def deduce(
     plan: QuestionPlan, reader_answers: Sequence[ReaderAnswer]
-) -> tuple[str, Optional[Value]]:
-    """Fold the reader's answers into a concluding sentence and final value.
+) -> tuple[str, Optional[str]]:
+    """Fold the reader's answers into a concluding sentence and its answer as printed.
 
     A point query without BY reads as an entity-only line, which can answer
     with a row or column; its value is then the pair keyed by the query's
     entity, or else the only pair.  Any unavailable or misaligned answer
-    produces the unknown conclusion (a no-answer verdict downstream) rather
-    than an exception.
+    produces the unknown conclusion and no answer (a no-answer verdict
+    downstream) rather than an exception.
     """
-    text, answer = _conclusion(plan, reader_answers)
-    return text, None if answer is None else Value.from_raw(answer)
-
-
-def _conclusion(
-    plan: QuestionPlan, reader_answers: Sequence[ReaderAnswer]
-) -> tuple[str, Optional[str]]:
-    """``deduce``'s concluding sentence and its answer as printed."""
     if len(reader_answers) != len(plan.queries) or any(
             a.kind is AnswerKind.UNAVAILABLE for a in reader_answers):
         return UNKNOWN_CONCLUSION, None
@@ -724,7 +716,7 @@ class SymbolicReasoner:
         index = len(lines) // 2
         if index < len(plan.queries):
             return format_query(self._grounded(plan.queries[index], answers))
-        return _conclusion(plan, answers)[0]
+        return deduce(plan, answers)[0]
 
     def _grounded(self, query: AtomicQuery, answers: Sequence[ReaderAnswer]) -> AtomicQuery:
         description = next((a for a in answers if a.kind is AnswerKind.DESCRIPTION), None)

@@ -7,6 +7,7 @@ with `pytest -s tests/test_acceptance.py` to see them live.
 import random
 import time
 from decimal import Decimal
+from importlib import resources
 
 from chartloop.controller import EpisodeConfig, run_episode
 from chartloop.datagen import generate_system1_corpus, parse_annotated_examples
@@ -14,7 +15,6 @@ from chartloop.evalkit import majority_vote, relaxed_match
 from chartloop.oracle import TableOracle
 from chartloop.prompts import (
     PromptStyle,
-    annotated_examples_text,
     default_step_exemplars,
     shipped_prompt_text,
 )
@@ -30,6 +30,10 @@ from chartloop.backends import ScriptedReasoner
 from chartloop.symbolic import SkippedTemplate, SymbolicReasoner, gen_questions
 from chartloop.synth import random_tables
 from chartloop.tables import TemplateType, Termination, Value
+
+# The shipped hand-annotated reasoning examples, read as the package ships them.
+_ANNOTATED = resources.files("chartloop.data").joinpath("annotated_examples.txt").read_text(
+    encoding="utf-8")
 
 
 def _verdict(name: str, ok: bool) -> bool:
@@ -157,7 +161,7 @@ def _prompt_protocol_lines():
     for exemplar in default_step_exemplars():
         for index, step in enumerate(exemplar.steps):
             lines.append((index % 2 == 0, step))
-    for example in parse_annotated_examples(annotated_examples_text()):
+    for example in parse_annotated_examples(_ANNOTATED):
         for seg_index, segment in enumerate(example.segments):
             text = segment.text.rstrip("\n")
             if seg_index == 0:
@@ -228,7 +232,7 @@ def test_datagen_formula(small_corpus_path):
 
 
 def test_mask_partition():
-    examples = parse_annotated_examples(annotated_examples_text())
+    examples = parse_annotated_examples(_ANNOTATED)
     ok = len(examples) == 2
     for example in examples:
         source = example.source_text()

@@ -1,4 +1,3 @@
-import csv
 import gc
 import hashlib
 import json
@@ -10,6 +9,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from importlib import resources
 from pathlib import Path
 
 import pytest
@@ -17,7 +17,6 @@ import pytest
 import chartloop
 from chartloop.cli import build_parser, main
 from chartloop.datagen import example_from_trace, load_corpus
-from chartloop.evalkit import RECORD_FIELDS, read_records_jsonl, write_records_csv
 from chartloop.symbolic import SkippedTemplate, SymbolicReasoner, gen_questions
 from chartloop.synth import random_tables
 from chartloop.tables import ReasoningTrace, TemplateType
@@ -225,7 +224,7 @@ def test_eval_corpus_closed_loop(small_corpus_path, tmp_path, capsys):
     assert report["overall_accuracy"] == 1.0
     assert len(report["by_length_bucket"]) == 4
     assert (out / "records.jsonl").exists()
-    assert (out / "records.csv").exists()
+    assert not (out / "records.csv").exists()
     assert "overall accuracy: 1.0000" in capsys.readouterr().out
 
 
@@ -240,29 +239,6 @@ def test_eval_synthetic_records_flags(tmp_path, reasoner_url):
     assert config["seed"] == 11
     report = json.loads((out / "report.json").read_text())
     assert report["overall_accuracy"] == 1.0
-
-
-@pytest.mark.parametrize("source", [
-    ["--synthetic", 3],
-    ["--corpus", "corpus", "--script", "script", "--max-steps", 1],
-], ids=["synthetic", "no-answer"])
-def test_eval_records_csv_rows_are_its_jsonl_lines(small_corpus_path, tmp_path, source):
-    """The CSV header is the JSONL key order and row i holds line i's values
-    (null as an empty cell); ``write_records_csv`` writes the same bytes."""
-    script = tmp_path / "script.json"
-    script.write_text('["Let\'s describe the figure."]', encoding="utf-8")  # never concludes
-    inputs = {"corpus": small_corpus_path, "script": script}
-    out = tmp_path / "eval"
-    assert run_cli(["eval", *(inputs.get(arg, arg) for arg in source), "--out-dir", out]) == 0
-    lines = read_jsonl(out / "records.jsonl")
-    with open(out / "records.csv", encoding="utf-8", newline="") as handle:
-        header, *rows = csv.reader(handle)
-    assert header == list(RECORD_FIELDS) and all(list(line) == header for line in lines)
-    assert rows == [["" if value is None else str(value) for value in line.values()]
-                    for line in lines]
-    assert (source[0] == "--corpus") == all(line["prediction"] is None for line in lines)
-    write_records_csv(read_records_jsonl(out / "records.jsonl"), tmp_path / "again.csv")
-    assert (tmp_path / "again.csv").read_bytes() == (out / "records.csv").read_bytes()
 
 
 def test_bad_buckets_exit_2_before_any_episode(tmp_path, capsys):
@@ -293,13 +269,9 @@ def test_eval_requires_some_input(tmp_path):
 
 
 def test_export_ft_annotations(tmp_path):
-    from chartloop.prompts import annotated_examples_text
-
-    annotations = tmp_path / "annotated.txt"
-    annotations.write_text(annotated_examples_text(), encoding="utf-8")
     out = tmp_path / "ft"
-    code = run_cli(["export-ft", "--annotations", annotations, "--tagged",
-                    "--out-dir", out])
+    with resources.as_file(resources.files("chartloop.data") / "annotated_examples.txt") as path:
+        code = run_cli(["export-ft", "--annotations", path, "--tagged", "--out-dir", out])
     assert code == 0
     lines = (out / "system2.jsonl").read_text().splitlines()
     assert len(lines) == 2
@@ -407,11 +379,9 @@ def test_eval_records_bytes_are_pinned(tmp_path, sc, source):
         assert run_cli(["eval", "--synthetic", 20, "--per-template", 2, "--seed", 0,
                         "--sc", sc, "--out-dir", out]) == 0
     digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
-               for name in ("records.jsonl", "records.csv", "report.json", "report.txt",
-                            "traces.jsonl")}
+               for name in ("records.jsonl", "report.json", "report.txt", "traces.jsonl")}
     assert digests == {
         "records.jsonl": "0c3540dad9a16ad33b8e961d4c4442f1be89ea65b36bd4bfad2ea8a37bc061f4",
-        "records.csv": "3360642fd8e7c53e415c90ea8ed6ed8f56634572cf54ad6fe35ca317f6582b95",
         "report.json": "21afc29ae036cc6428b4db6092936a4c41c1cc6c905496dde62f1e23c1a5065d",
         "report.txt": "13537a154557f8c301b3c37e76b96519ac72acd949253e5b4283bf0401646286",
         # Every reasoner and reader line; --sc 3 draws more episodes.
@@ -598,6 +568,26 @@ def test_temperature_needs_a_reasoner_url(small_corpus_path, tmp_path, capsys, c
     assert (again / "traces.jsonl").read_bytes() == (first / "traces.jsonl").read_bytes()
 
 
+@pytest.mark.parametrize("given", [
+    ["--temperature", "nan"], ["--temperature", "inf"], ["--temperature=-inf"],
+    '{"temperature": "nan"}', '{"temperature": 1e400}', '{"temperature": NaN}',
+    '{"temperature": "-Infinity"}',
+], ids=["flag-nan", "flag-inf", "flag-minus-inf", "config-nan-string", "config-1e400",
+        "config-NaN", "config-minus-infinity"])
+def test_non_finite_temperature_exits_2(tmp_path, capsys, reasoner_url, given):
+    """No sampling temperature is NaN or infinite, and ``run_config.json``
+    and every request body are strict JSON, which has no NaN."""
+    if isinstance(given, str):
+        (tmp_path / "config.json").write_text('{"command": "eval", ' + given[1:],
+                                              encoding="utf-8")
+        given = ["--config", tmp_path / "config.json"]
+    out = tmp_path / "out"
+    assert run_cli(["eval", "--synthetic", 1, "--reasoner-url", reasoner_url[0], *given,
+                    "--out-dir", out]) == 2
+    assert capsys.readouterr().err == "error: --temperature must be a finite number\n"
+    assert not out.exists() and reasoner_url[1] == []
+
+
 def test_eval_interrupted_exits_130_with_one_line(tmp_path, monkeypatch, capsys):
     import chartloop.cli as cli
 
@@ -640,8 +630,7 @@ def test_eval_error_keeps_the_records_before_it(tmp_path, monkeypatch, capsys):
 
 def test_eval_sigint_keeps_a_trace_line_for_every_record(tmp_path):
     """Ctrl-C in the middle of a real eval process: each record on disk has
-    its trace line and, but for at most the last, its CSV row, and the
-    records rebuild a report."""
+    its trace line, and the records rebuild a report."""
     out = tmp_path / "eval"
     src = Path(chartloop.__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
@@ -669,11 +658,6 @@ def test_eval_sigint_keeps_a_trace_line_for_every_record(tmp_path):
     assert [line["trace_ref"] for line in traces[:len(records)]] == \
         [record["trace_ref"] for record in records] == \
         [f"episode-{index}" for index in range(len(records))]
-    with open(out / "records.csv", encoding="utf-8", newline="") as handle:
-        rows = list(csv.DictReader(handle))
-    assert len(records) - 1 <= len(rows) <= len(records)
-    assert rows == [{key: "" if value is None else str(value) for key, value in record.items()}
-                    for record in records[:len(rows)]]
     assert run_cli(["report", "--records", out / "records.jsonl",
                     "--out-dir", tmp_path / "report"]) == 0
 
@@ -815,6 +799,13 @@ def test_report_reads_every_line_before_it_writes(tmp_path, capsys):
                                  "steps": [{"role": "reader_answer", "text": "x"}],
                                  "final": None, "terminated_by": "max_steps"}]}),
                  id="episode-fails-validate_trace"),
+    # It would split the example's "Q: " line, as in a corpus QA row.
+    *(pytest.param(json.dumps({"trace_ref": "episode-0", "question": question, "chart_id": "c",
+                               "final": "7", "episodes": [{
+                                   "steps": [{"role": "conclusion", "text": "So the answer is 7."}],
+                                   "final": "7", "terminated_by": "conclusion"}]}),
+                   id=f"question-holds-{name}")
+      for name, question in (("lf", "What is\nthe value?"), ("cr", "What is\rthe value?"))),
 ])
 def test_export_ft_skips_malformed_trace(tmp_path, capsys, content):
     bad = tmp_path / "traces.jsonl"
@@ -826,7 +817,11 @@ def test_export_ft_skips_malformed_trace(tmp_path, capsys, content):
 
 @pytest.mark.parametrize("content", [None, "5", "[1, 2]", '{"first": "x"}', "{not json",
                                      '"abc"', '{"0": 1}',
-                                     pytest.param("[" * 100_000, id="too-deeply-nested")])
+                                     pytest.param("[" * 100_000, id="too-deeply-nested"),
+                                     # An object is keyed exactly "0" .. "n-1".
+                                     '{"1": "x", "3": "y"}', '{"0": "a", "00": "b"}',
+                                     '{"-1": "x", "0": "y"}', '{" 1": "x", "0": "y"}',
+                                     '{"0": "x", "2": "y"}'])
 def test_bad_script_exits_2_before_run_config(small_corpus_path, tmp_path, capsys, content):
     script = tmp_path / "script.json"
     if content is not None:
@@ -837,8 +832,8 @@ def test_bad_script_exits_2_before_run_config(small_corpus_path, tmp_path, capsy
                     "--out-dir", out])
     assert code == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
-    assert not (out / "run_config.json").exists()
+    assert err.startswith("error: ") and str(script) in err and err.count("\n") == 1
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,6 +1,7 @@
 import json
 import random
 import tracemalloc
+from importlib import resources
 
 import pytest
 
@@ -20,7 +21,6 @@ from chartloop.datagen import (
 )
 from chartloop.evalkit import EvalRecord
 from chartloop.oracle import TableOracle
-from chartloop.prompts import annotated_examples_text
 from chartloop.protocol import QueryOp
 from chartloop.symbolic import SkippedTemplate, SymbolicReasoner, gen_questions
 from chartloop.synth import random_tables
@@ -530,7 +530,9 @@ def test_empty_pair_list_writes_empty_file(tmp_path):
 
 
 def _annotated() -> list:
-    return parse_annotated_examples(annotated_examples_text())
+    """The shipped hand-annotated examples, read as the package ships them."""
+    return parse_annotated_examples(resources.files("chartloop.data").joinpath(
+        "annotated_examples.txt").read_text(encoding="utf-8"))
 
 
 def test_annotated_examples_parse():

@@ -254,7 +254,8 @@ _HAND_TABLE = [
 @pytest.mark.parametrize("table, plan, answers, raw, sentence", _HAND_TABLE)
 def test_reduce_hand_table(table, plan, answers, raw, sentence):
     expected = raw if raw is None or isinstance(raw, Value) else Value.from_raw(raw)
-    assert deduce(plan, [parse_reader_answer(a) for a in answers]) == (sentence, expected)
+    printed = None if expected is None else expected.raw
+    assert deduce(plan, [parse_reader_answer(a) for a in answers]) == (sentence, printed)
     if table is None:
         return
     assert [execute_query(table, q) for q in plan.queries] == answers
@@ -317,29 +318,29 @@ def _answers_for(table, plan):
 
 def test_deduce_min_matches_annotated_conclusion(costa_rica):
     plan = decompose("Across all years, what is the minimum pupil-teacher ratio in Costa Rica?")
-    text, value = deduce(plan, _answers_for(costa_rica, plan))
+    text, answer = deduce(plan, _answers_for(costa_rica, plan))
     assert text == "The minimum value is 14.92 in 2011. So the answer is 14.92."
-    assert value == Value.from_raw("14.92")
+    assert answer == "14.92"
 
 
 def test_deduce_count_matches_annotated_conclusion(neonatal):
     plan = decompose("In how many years, is the value of the bar greater than 851?")
-    text, value = deduce(plan, _answers_for(neonatal, plan))
+    text, answer = deduce(plan, _answers_for(neonatal, plan))
     assert text == "The values that are greater than 851 are [853]. So the answer is 1."
-    assert value.raw == "1"
+    assert answer == "1"
 
 
 def test_deduce_sum_two_smallest(segments):
     plan = decompose("Is the sum of two smallest segments greater than the largest segment?")
-    text, value = deduce(plan, _answers_for(segments, plan))
+    text, answer = deduce(plan, _answers_for(segments, plan))
     assert "16.00+3.00=19.00, which is smaller than 81.00. So the answer is no." in text
-    assert value.raw == "no"
+    assert answer == "no"
 
 
 def test_deduce_arg_match(oman_samoa):
     plan = decompose("In which year the private health expenditure per person in Oman is 210.69?")
-    text, value = deduce(plan, _answers_for(oman_samoa, plan))
-    assert value.raw == "2010"
+    text, answer = deduce(plan, _answers_for(oman_samoa, plan))
+    assert answer == "2010"
     assert "The value 210.69 is in 2010." in text
 
 
@@ -465,8 +466,7 @@ def test_second_highest_matches_exhaustive_sort():
         plan = _plan(Reduce.SECOND_HIGHEST, [group_query("S")], template=TemplateType.MIN_MAX)
         expected_index = sorted(range(n), key=lambda i: -values[i])[1]
         assert compute_gold(table, plan).raw == f"k{expected_index}"
-        text, value = deduce(plan, _answers_for(table, plan))
-        assert value.raw == f"k{expected_index}"
+        assert deduce(plan, _answers_for(table, plan))[1] == f"k{expected_index}"
 
 
 def test_gold_never_consults_protocol(monkeypatch, costa_rica):

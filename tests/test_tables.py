@@ -109,6 +109,24 @@ def test_validate_rejects_duplicates_and_empties():
         table.validate()
 
 
+@pytest.mark.parametrize("series, x_labels, cells, message", [
+    (["A", "a"], ["x"], [["1"], ["2"]], "duplicate series name 'a'"),
+    ([" "], ["x"], [["1"]], "empty series name"),
+    (["", "A", "a"], ["x"], [["1"], ["2"], ["3"]], "empty series name"),
+    (["A"], ["x", "X "], [["1", "2"]], "duplicate x-label 'X '"),
+    (["A"], ["x", "", "y"], [["1", "2", "3"]], "empty x-label"),
+    (["A"], ["x", "x", ""], [["1", "2", "3"]], "duplicate x-label 'x'"),
+    (["A"], ["x", "y", "z"], [["n/a", "n/a", " "]], "empty cell at [0][2]"),
+    (["A", "B"], ["x", "y"], [["1", "2"], ["3", ""]], "empty cell at [1][1]"),
+], ids=["duplicate-series", "blank-series", "empty-series-first", "duplicate-x-label",
+        "empty-x-label", "duplicate-x-label-first", "blank-cell-after-text", "empty-cell"])
+def test_validate_names_the_first_bad_label_or_cell(series, x_labels, cells, message):
+    table = ChartTable.build("t", [(name, None) for name in series], x_labels, cells)
+    with pytest.raises(TableError) as raised:
+        table.validate()
+    assert str(raised.value) == f"t: {message}"
+
+
 def test_degenerate_axis_constructs_without_validate(plotqa_duplicated_axis):
     assert underlying_length(plotqa_duplicated_axis) == 24
     with pytest.raises(TableError):
