@@ -197,6 +197,9 @@ def _load_corpus(cfg: dict) -> Optional[Corpus]:
 
 def _reasoner_factory(cfg: dict, backends: ExitStack) -> Callable[[], object]:
     url, script = cfg["reasoner_url"], cfg["script"]
+    for key in ("model", "api_key"):  # the HTTP clients send neither when it is empty
+        if cfg[key] == "":
+            raise UsageError(f"--{key.replace('_', '-')} cannot be empty")
     if url is not None and script is not None:
         raise UsageError("--reasoner-url and --script cannot be combined")
     if cfg["model"] is not None and url is None:
@@ -345,10 +348,14 @@ def _synthetic_eval_set(cfg: dict) -> tuple[dict[str, ChartTable], Iterator[QAIn
     if cfg["templates"] is None:
         cfg["templates"] = ",".join(t.value for t in TemplateType)
     cfg["per_template"] = cfg["per_template"] or 1
-    templates = [TemplateType(name) for name in cfg["templates"].split(",") if name]
-    repeated = [t.value for i, t in enumerate(templates) if t in templates[:i]]
-    if repeated:  # it would ask and score each of that template's questions twice
-        raise UsageError(f"--templates names {repeated[0]} twice")
+    known = [t.value for t in TemplateType]
+    names = cfg["templates"].split(",")
+    for index, name in enumerate(names):
+        if name not in known:  # exact: neither space nor empty name is a template
+            raise UsageError(f"--templates names {name!r}, not one of {', '.join(known)}")
+        if name in names[:index]:  # it would ask and score each of its questions twice
+            raise UsageError(f"--templates names {name} twice")
+    templates = list(map(TemplateType, names))
     charts = random_tables(cfg["seed"], cfg["synthetic"])
 
     def questions() -> Iterator[QAInstance]:
@@ -435,8 +442,9 @@ def cmd_export_ft(cfg: dict) -> int:
         path = cfg["annotations"]
         try:
             text = Path(path).read_text(encoding="utf-8")
-        except OSError as exc:
-            raise UsageError(f"cannot read annotations {path}: {exc.strerror}") from None
+        except (OSError, UnicodeDecodeError) as exc:
+            reason = exc.strerror if isinstance(exc, OSError) else exc
+            raise UsageError(f"cannot read annotations {path}: {reason}") from None
         examples.extend(parse_annotated_examples(text))
     if cfg["traces"]:
         triples, issues = read_traces_jsonl(cfg["traces"])

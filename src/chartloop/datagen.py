@@ -370,14 +370,14 @@ EXAMPLE_SEPARATOR = "----"
 def parse_annotated_examples(text: str) -> list[System2Example]:
     """Parse hand-annotated examples in the [INST]-tagged line format.
 
-    Examples are separated by a line of four dashes; each [INST]-wrapped line
-    is a masked segment, every other non-blank line is unmasked.  The
-    examples name no chart, so their ``chart_id`` is empty.
+    Examples are separated by a line of four dashes; a line ends at a line
+    feed, less one trailing carriage return.  Each [INST]-wrapped line is a
+    masked segment, any other non-blank line unmasked; ``chart_id`` is empty.
     """
     examples: list[System2Example] = []
-    blocks = [block for block in re.split(rf"^{EXAMPLE_SEPARATOR}$", text, flags=re.M) if block.strip()]
+    blocks = [block for block in re.split(rf"^{EXAMPLE_SEPARATOR}\r?$", text, flags=re.M) if block.strip()]
     for block in blocks:
-        lines = [line for line in block.splitlines() if line.strip()]
+        lines = [line.removesuffix("\r") for line in block.split("\n") if line.strip()]
         segments: list[Segment] = []
         for line_index, line in enumerate(lines):
             m = _INST_LINE.match(line)

@@ -11,11 +11,11 @@ Three jobs, kept deliberately separable so the closed loop is verifiable:
   as the entity-only line, which may read as a row or column; ``deduce``
   then takes the pair keyed by the query's entity, or else the only pair.
 
-Each question form is written once, in the ordered ``_TEMPLATES`` table: a
-surface string with slots (the protocol lines' ``Form`` rule) and a builder
-from slot values to queries and reduce.  The
-surface string renders generated questions and compiles to the regex that
-``decompose`` matches, so the two cannot drift apart.
+Each question meaning is one row of the ordered ``_TEMPLATES`` table: a
+type, a builder from slot values to queries and reduce, and one or more
+phrasings, surface strings with slots (the protocol lines' ``Form`` rule).
+One string both renders a generated question and compiles to the regex
+that ``decompose`` matches, so the two cannot drift apart.
 
 Running decompose -> reader -> deduce against compute_gold is the package's
 main correctness oracle for extraction: the two answer paths read their
@@ -110,13 +110,14 @@ def stable_seed(*parts: object) -> int:
 # Question grammar: one table drives both generation and decomposition.
 # ---------------------------------------------------------------------------
 
-class _Template(Form):
-    """One question form: its surface string, its type and its plan builder."""
+class _Template:
+    """One question meaning: its type, its plan builder and its phrasings,
+    each a ``Form`` over the builder's slots."""
 
-    def __init__(self, template_type: TemplateType, surface: str, build: Callable):
-        super().__init__(surface)
+    def __init__(self, template_type: TemplateType, build: Callable, *phrasings: str):
         self.template_type = template_type
         self.build = build
+        self.phrasings = tuple(map(Form, phrasings))
 
     def plan(self, slots: dict, describe_first: bool) -> QuestionPlan:
         queries, reduce, args = self.build(slots)
@@ -152,56 +153,52 @@ _EXTREME = {"minimum": Reduce.MIN, "maximum": Reduce.MAX}
 _DR, _ST, _AR = TemplateType.DATA_RETRIEVAL, TemplateType.STRUCTURAL, TemplateType.ARITHMETIC
 _CP, _CM, _MM = TemplateType.COMPOUND, TemplateType.COMPARISON, TemplateType.MIN_MAX
 
-# Matched in order, so a more specific form precedes any form that would also
-# match it.  Keys are what the generators return; the entries no generator
-# returns cover wordings found only in human-authored questions.
-_TEMPLATES: dict[str, _Template] = {key: _Template(*entry) for key, *entry in (
-    ("count_series", _ST, "How many legend labels are there?",
-     lambda s: ((), Reduce.COUNT_SERIES, ())),
-    ("count_x_labels", _ST, "How many x-axis labels are there?",
-     lambda s: ((), Reduce.COUNT_X_LABELS, ())),
-    ("arg_match", _DR, "In which {word:year|category} is the value of {a} equal to {target}?",
-     _group(Reduce.ARG_MATCH)),
-    ("arg_match_measure", _DR, r"In which {unit:\w+} the {measure} in {a} is {target}?",
-     _group(Reduce.ARG_MATCH)),
-    ("difference_year_of", _AR,
+# One row per question meaning.  Rows, and a row's phrasings, match in order,
+# so a more specific phrasing precedes any that would also match it.  A
+# generated question is the first phrasing of its row with the generator's
+# slot names; the phrasings no generator renders are human-only wordings.
+_TEMPLATES: dict[str, _Template] = {key: _Template(*row) for key, *row in (
+    ("count_series", _ST, lambda s: ((), Reduce.COUNT_SERIES, ()),
+     "How many legend labels are there?"),
+    ("count_x_labels", _ST, lambda s: ((), Reduce.COUNT_X_LABELS, ()),
+     "How many x-axis labels are there?"),
+    ("arg_match", _DR, _group(Reduce.ARG_MATCH),
+     "In which {word:year|category} is the value of {a} equal to {target}?",
+     r"In which {unit:\w+} the {measure} in {a} is {target}?"),
+    ("difference", _AR, _points(Reduce.DIFFERENCE),
      "By how many points does {a} surpass {b} in {x} in the year of {year}?",
-     _points(Reduce.DIFFERENCE)),
-    ("difference", _AR, "By how many points does the value in {a} surpass the value in {b}?",
-     _points(Reduce.DIFFERENCE)),
-    ("difference_in", _AR, "By how many points does {a} surpass {b} in {x}?",
-     _points(Reduce.DIFFERENCE)),
-    ("sum_in", _AR, "What is the sum of the values of {a} and {b} in {x}?", _points(Reduce.SUM)),
-    ("sum", _AR, "What is the sum of the values in {a} and {b}?", _points(Reduce.SUM)),
-    ("average_in", _AR, "What is the average of the values of {a} and {b} in {x}?",
-     _points(Reduce.AVERAGE)),
-    ("average_all", _AR, "What is the average value of {a} across all {words:years|categories}?",
-     _group(Reduce.AVERAGE)),
-    ("count_bar", _CP, "In how many {words:years|categories}, is the value of the bar "
-     "{op:greater than|below} {target}?", _group(_THRESHOLD)),
-    ("count", _CP, "In how many {words:years|categories}, is the value of {a} "
-     "{op:greater than|below} {target}?", _group(_THRESHOLD)),
-    ("ratio_in", _CM, "What is the ratio of the value of {a} in {x} to that in {y}?",
-     _points(Reduce.RATIO)),
-    ("ratio", _CM, "What is the ratio of the value in {a} to that in {b}?", _points(Reduce.RATIO)),
-    ("greater_in", _CM, "Is the value of {a} in {x} greater than the value of {b} in {y}?",
-     _points(Reduce.COMPARE_YES_NO)),
-    ("greater", _CM, "Is the value in {a} greater than the value in {b}?",
-     _points(Reduce.COMPARE_YES_NO)),
-    ("two_smallest", _CM,
-     "Is the sum of {det:the |}two smallest segments greater than the largest segment?",
-     _group(Reduce.SUM_TWO_SMALLEST_VS_LARGEST)),
-    ("extreme", _MM, "Across all {words:years|categories}, what is the {op:minimum|maximum} "
-     "value of {a}?", _group(_EXTREME)),
-    ("extreme_measure", _MM,
-     r"Across all {unit:\w+}, what is the {op:minimum|maximum} {measure:(?:.+ )?}in {a}?",
-     _group(_EXTREME)),
-    ("arg_extreme", _MM, "In which {word:year|category} is the value of {a} the "
-     "{op:highest|lowest}?", _group({"highest": Reduce.ARGMAX, "lowest": Reduce.ARGMIN})),
-    ("second_highest", _MM, "Which {word:year|category} has the second highest value of {a}?",
-     _group(Reduce.SECOND_HIGHEST)),
-    ("value_in", _DR, "What is the value of {a} in {x}?", _points(Reduce.IDENTITY)),
-    ("value", _DR, "What is the value of {a}?", _points(Reduce.IDENTITY)),
+     "By how many points does the value in {a} surpass the value in {b}?",
+     "By how many points does {a} surpass {b} in {x}?"),
+    ("sum", _AR, _points(Reduce.SUM),
+     "What is the sum of the values of {a} and {b} in {x}?",
+     "What is the sum of the values in {a} and {b}?"),
+    ("average", _AR, _points(Reduce.AVERAGE),
+     "What is the average of the values of {a} and {b} in {x}?"),
+    ("average_all", _AR, _group(Reduce.AVERAGE),
+     "What is the average value of {a} across all {words:years|categories}?"),
+    ("count", _CP, _group(_THRESHOLD),
+     "In how many {words:years|categories}, is the value of the bar "
+     "{op:greater than|below} {target}?",
+     "In how many {words:years|categories}, is the value of {a} "
+     "{op:greater than|below} {target}?"),
+    ("ratio", _CM, _points(Reduce.RATIO),
+     "What is the ratio of the value of {a} in {x} to that in {y}?",
+     "What is the ratio of the value in {a} to that in {b}?"),
+    ("greater", _CM, _points(Reduce.COMPARE_YES_NO),
+     "Is the value of {a} in {x} greater than the value of {b} in {y}?",
+     "Is the value in {a} greater than the value in {b}?"),
+    ("two_smallest", _CM, _group(Reduce.SUM_TWO_SMALLEST_VS_LARGEST),
+     "Is the sum of {det:the |}two smallest segments greater than the largest segment?"),
+    ("extreme", _MM, _group(_EXTREME),
+     "Across all {words:years|categories}, what is the {op:minimum|maximum} value of {a}?",
+     r"Across all {unit:\w+}, what is the {op:minimum|maximum} {measure:(?:.+ )?}in {a}?"),
+    ("arg_extreme", _MM, _group({"highest": Reduce.ARGMAX, "lowest": Reduce.ARGMIN}),
+     "In which {word:year|category} is the value of {a} the {op:highest|lowest}?"),
+    ("second_highest", _MM, _group(Reduce.SECOND_HIGHEST),
+     "Which {word:year|category} has the second highest value of {a}?"),
+    ("value", _DR, _points(Reduce.IDENTITY),
+     "What is the value of {a} in {x}?",
+     "What is the value of {a}?"),
 )}
 
 
@@ -216,12 +213,11 @@ def decompose(question: str, describe_first: bool = True) -> QuestionPlan:
     """
     text = question.strip()
     for template in _TEMPLATES.values():
-        m = template.match(text)
-        if not m:
-            continue
-        if template.template_type is TemplateType.STRUCTURAL and not describe_first:
-            raise NotTemplated("structural questions need the figure description")
-        return template.plan(m.groupdict(), describe_first)
+        for phrasing in template.phrasings:
+            if m := phrasing.match(text):
+                if template.template_type is TemplateType.STRUCTURAL and not describe_first:
+                    raise NotTemplated("structural questions need the figure description")
+                return template.plan(m.groupdict(), describe_first)
     raise NotTemplated(question)
 
 
@@ -468,8 +464,9 @@ def _apply_reduce(
 
 # ---------------------------------------------------------------------------
 # Template question generation.  Each generator draws from the rng and
-# returns a _TEMPLATES key with its slot values; changing the order of the
-# draws changes every generated question set.
+# returns a _TEMPLATES key with its slot values, whose names pick the row's
+# phrasing; changing the order of the draws changes every generated question
+# set.
 # ---------------------------------------------------------------------------
 
 _YEAR_RE = re.compile(r"\d{4}")
@@ -492,14 +489,11 @@ def _numeric_rows(table: ChartTable) -> list[int]:
 def _gen_data_retrieval(table: ChartTable, rng: random.Random):
     word, _ = _x_word(table)
     rows = _numeric_rows(table)
-    choices = ["point"] + (["arg_match"] if rows else [])
-    kind = rng.choice(choices)
-    if kind == "point":
+    kind = rng.choice(["value"] + (["arg_match"] if rows else []))
+    if kind == "value":
         si = rng.randrange(len(table.series))
         x = table.x_labels[rng.randrange(len(table.x_labels))]
-        if len(table.series) == 1:
-            return "value", {"a": x}
-        return "value_in", {"a": table.series[si].name, "x": x}
+        return kind, {"a": x} if len(table.series) == 1 else {"a": table.series[si].name, "x": x}
     si = rng.choice(rows)
     target = table.cells[si][rng.randrange(len(table.x_labels))]
     return "arg_match", {"word": word, "a": table.series[si].name, "target": target.raw}
@@ -538,8 +532,7 @@ def _gen_arithmetic(table: ChartTable, rng: random.Random):
     xi = rng.randrange(len(table.x_labels))
     if kind == "difference" and table.cells[sa][xi].number < table.cells[sb][xi].number:
         sa, sb = sb, sa
-    slots = {"a": table.series[sa].name, "b": table.series[sb].name, "x": table.x_labels[xi]}
-    return kind + "_in", slots
+    return kind, {"a": table.series[sa].name, "b": table.series[sb].name, "x": table.x_labels[xi]}
 
 
 def _gen_compound(table: ChartTable, rng: random.Random):
@@ -551,9 +544,7 @@ def _gen_compound(table: ChartTable, rng: random.Random):
     threshold = table.cells[si][rng.randrange(len(table.x_labels))]
     op = "greater than" if rng.random() < 0.5 else "below"
     slots = {"words": words, "op": op, "target": threshold.raw}
-    if len(table.series) == 1:
-        return "count_bar", slots
-    return "count", {**slots, "a": table.series[si].name}
+    return "count", slots if len(table.series) == 1 else {**slots, "a": table.series[si].name}
 
 
 def _gen_comparison(table: ChartTable, rng: random.Random):
@@ -575,7 +566,7 @@ def _gen_comparison(table: ChartTable, rng: random.Random):
         ia, ib = _two_distinct(rng, len(rows))
         x = table.x_labels[rng.randrange(len(table.x_labels))]
         na, nb = table.series[rows[ia]].name, table.series[rows[ib]].name
-        return "greater_in", {"a": na, "x": x, "b": nb, "y": x}
+        return "greater", {"a": na, "x": x, "b": nb, "y": x}
     si = rng.choice(rows)
     for _ in range(20):
         xa, xb = _two_distinct(rng, len(table.x_labels))
@@ -586,10 +577,8 @@ def _gen_comparison(table: ChartTable, rng: random.Random):
     la, lb = table.x_labels[xa], table.x_labels[xb]
     if single:
         return kind, {"a": la, "b": lb}
-    name = table.series[si].name
-    if kind == "ratio":
-        return "ratio_in", {"a": name, "x": la, "y": lb}
-    return "greater_in", {"a": name, "x": la, "b": name, "y": lb}
+    slots = {"a": table.series[si].name, "x": la, "y": lb}
+    return kind, slots if kind == "ratio" else {**slots, "b": slots["a"]}
 
 
 def _gen_min_max(table: ChartTable, rng: random.Random):
@@ -640,7 +629,8 @@ def gen_questions(
         template = _TEMPLATES[key]
         plan = template.plan(slots, describe_first)
         gold = compute_gold(table, plan)
-        question = template.render(*(slots[name] for name in template.pattern.groupindex))
+        form = next(f for f in template.phrasings if f.pattern.groupindex.keys() == slots.keys())
+        question = form.render(*(slots[name] for name in form.pattern.groupindex))
         out.append((QAInstance(question, gold, table.source_id, template_type), plan))
     return out
 

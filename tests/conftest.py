@@ -11,6 +11,7 @@ import json
 
 import pytest
 
+from chartloop.symbolic import _TEMPLATES
 from chartloop.synth import random_tables
 from chartloop.tables import ChartTable
 
@@ -230,6 +231,38 @@ def line_charts(norway_chile) -> list[ChartTable]:
     single series named like one of its x-labels, and a single x-label."""
     total = ChartTable.build("total-collision", [("Total", None)], ["Total", "Other"], [["5", "7"]])
     return [*random_tables(17, 25), total, norway_chile]
+
+
+@pytest.fixture(scope="session")
+def human_only_questions() -> tuple[tuple[ChartTable, str], ...]:
+    """One question, with a small chart that hosts it, for each phrasing that
+    only human-authored questions use; the decompose tests pin their plans."""
+    net = ChartTable.build("net", [("NET Excellent/good", "blue"), ("NET Only fair/poor", "red")],
+                           ["German", "Japan"], [["54", "42"], ["39", "50"]])
+    oman = ChartTable.build("oman", [("Oman", None)], ["2009", "2010"], [["233.80", "210.69"]])
+    costa = ChartTable.build("costa", [("Costa Rica", None)], ["2000", "2010"],
+                             [["18.84", "14.92"]])
+    return (
+        (net, "By how many points does NET Excellent/good surpass NET Only fair/poor "
+              "in German in the year of 2018?"),
+        (oman, "In which year the private health expenditure per person in Oman is 210.69?"),
+        (costa, "Across all years, what is the minimum pupil-teacher ratio in Costa Rica?"),
+    )
+
+
+@pytest.fixture(scope="session")
+def first_phrasing():
+    """A function from a question to the (row key, phrasing index) of the
+    ``_TEMPLATES`` phrasing that ``decompose`` matches first."""
+    return lambda question: next(
+        (key, index) for key, row in _TEMPLATES.items()
+        for index, phrasing in enumerate(row.phrasings) if phrasing.match(question))
+
+
+@pytest.fixture(scope="session")
+def all_phrasings() -> set[tuple[str, int]]:
+    """The (row key, phrasing index) of every ``_TEMPLATES`` phrasing."""
+    return {(key, index) for key, row in _TEMPLATES.items() for index in range(len(row.phrasings))}
 
 
 @pytest.fixture

@@ -205,6 +205,22 @@ def test_flag_for_a_backend_not_in_use_exits_2(tmp_path, capsys, flags, message)
     assert not out.exists()
 
 
+@pytest.mark.parametrize("from_config", [False, True], ids=["flag", "config"])
+@pytest.mark.parametrize("key", ["model", "api_key"])
+def test_empty_model_or_api_key_exits_2(tmp_path, capsys, key, from_config):
+    """The HTTP clients send no model field and no Authorization header for
+    an empty value, so the run would record a flag that takes no effect."""
+    flag = f"--{key.replace('_', '-')}"
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"command": "eval", key: ""}), encoding="utf-8")
+    out = tmp_path / "eval"
+    argv = ["eval", "--synthetic", 1, "--reasoner-url", "http://127.0.0.1:9/complete",
+            *(["--config", config] if from_config else [flag, ""]), "--out-dir", out]
+    assert run_cli(argv) == 2
+    assert capsys.readouterr().err == f"error: {flag} cannot be empty\n"
+    assert not out.exists()
+
+
 def test_eval_with_reasoner_url_alone_runs_the_http_reasoner(tmp_path):
     out = tmp_path / "eval"
     assert run_cli(["eval", "--synthetic", 3, "--reasoner-url", "http://127.0.0.1:9/complete",
@@ -844,6 +860,7 @@ def test_bad_script_exits_2_before_run_config(small_corpus_path, tmp_path, capsy
     ["export-ft", "--traces", "missing.jsonl"],
     ["export-ft", "--traces", "latin1.jsonl"],
     ["report", "--records", "latin1.jsonl"],
+    ["export-ft", "--annotations", "latin1.jsonl"],
 ])
 def test_unreadable_input_exits_2_with_one_line(tmp_path, capsys, argv):
     """Too deeply nested JSON, a directory where a file belongs, a missing
@@ -992,6 +1009,22 @@ def test_eval_question_set_flags_that_would_do_nothing_exit_2(small_corpus_path,
     argv = [small_corpus_path if arg == "corpus" else arg for arg in flags]
     assert run_cli(["eval", *argv, "--out-dir", tmp_path / "out"]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("names, named", [
+    ("structural, arithmetic", "' arithmetic'"),
+    ("Structural", "'Structural'"),
+    (",", "''"),
+    ("", "''"),
+    ("min_max,", "''"),
+])
+def test_eval_templates_takes_only_exact_names(tmp_path, capsys, names, named):
+    """A name is matched exactly, and an empty one names no template."""
+    known = ", ".join(t.value for t in TemplateType)
+    assert run_cli(["eval", "--synthetic", 2, "--templates", names,
+                    "--out-dir", tmp_path / "out"]) == 2
+    assert capsys.readouterr().err == f"error: --templates names {named}, not one of {known}\n"
     assert not (tmp_path / "out").exists()
 
 

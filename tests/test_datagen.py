@@ -17,6 +17,7 @@ from chartloop.datagen import (
     parse_annotated_examples,
     read_traces_jsonl,
     sample_eval_set,
+    Segment,
     write_system1_jsonl,
 )
 from chartloop.evalkit import EvalRecord
@@ -561,6 +562,20 @@ def test_tagged_rendering_round_trips():
     examples = _annotated()
     rendered = "\n----\n".join(e.rendered_tagged() for e in examples)
     assert parse_annotated_examples(rendered) == examples
+
+
+def test_annotation_lines_end_only_at_newline():
+    """As in every protocol reader, only "\n" ends a line and a trailing "\r"
+    is dropped: the other breaks ``str.splitlines`` knows stay inside a
+    tagged line, so its question stays masked, and a CRLF file parses as
+    its LF form, separator lines included."""
+    question = "Q: What is the value\u2028of\x85x\x0b\x0c\x1c\x1d\x1e? "
+    text = f"[INST] {question} [/INST]\nA: So the answer is 1.\n----\n[INST] Q: y? [/INST]\nA: 2"
+    first, second = parse_annotated_examples(text)
+    assert first.segments == (Segment(question + "\n", True),
+                              Segment("A: So the answer is 1.", False))
+    assert second.segments == (Segment("Q: y?\n", True), Segment("A: 2", False))
+    assert parse_annotated_examples(text.replace("\n", "\r\n")) == [first, second]
 
 
 def test_example_from_trace_masks_reader_answers(costa_rica):

@@ -37,7 +37,7 @@ from chartloop.protocol import (
     format_query,
     parse_step,
 )
-from chartloop.symbolic import _TEMPLATES, SkippedTemplate, SymbolicReasoner, gen_questions
+from chartloop.symbolic import SkippedTemplate, SymbolicReasoner, gen_questions
 from chartloop.synth import random_table, random_tables
 from chartloop.tables import ChartTable, StepRole, TemplateType, Termination
 
@@ -85,35 +85,27 @@ def _chart_questions(table):
             pass
 
 
-def _questions():
+def _questions(human_only_questions):
     """(table, question) pairs, mostly chart by chart: 30 seeded tables host
-    every question form a generator writes; two charts that share a
-    description take turns, two questions each, so describe-first episodes
-    (every other one) alternate between them; the three human-only forms
-    come on small tables."""
+    every phrasing a generator renders; two charts that share a description
+    take turns, two questions each, so describe-first episodes (every other
+    one) alternate between them; the human-only phrasings come last, each on
+    its small table."""
     for index in range(30):
         yield from _chart_questions(random_table(5, index))
     shared = random_table(5, 30, n_series=2, n_x=4)
     twins = [list(_chart_questions(_same_description(shared, index))) for index in range(2)]
     for k in range(0, len(twins[0]), 2):
         yield from twins[0][k:k + 2] + twins[1][k:k + 2]
-    net = ChartTable.build("net", [("NET Excellent/good", "blue"), ("NET Only fair/poor", "red")],
-                           ["German", "Japan"], [["54", "42"], ["39", "50"]])
-    yield net, ("By how many points does NET Excellent/good surpass NET Only fair/poor "
-                "in German in the year of 2018?")
-    oman = ChartTable.build("oman", [("Oman", None)], ["2009", "2010"], [["233.80", "210.69"]])
-    yield oman, "In which year the private health expenditure per person in Oman is 210.69?"
-    costa = ChartTable.build("costa", [("Costa Rica", None)], ["2000", "2010"],
-                             [["18.84", "14.92"]])
-    yield costa, "Across all years, what is the minimum pupil-teacher ratio in Costa Rica?"
+    yield from human_only_questions
 
 
 @pytest.fixture(scope="module")
-def episodes():
+def episodes(human_only_questions, first_phrasing, all_phrasings):
     """Per closed-loop episode: its describe_first, every prompt its
     reasoner saw, and what a fresh reasoner answers to each."""
-    recorded, forms = [], set()
-    for number, (table, question) in enumerate(_questions()):
+    recorded, phrasings = [], set()
+    for number, (table, question) in enumerate(_questions(human_only_questions)):
         style, describe_first = _SETTINGS[number % len(_SETTINGS)]
         prefix = _READER_PREFIXES[number // len(_SETTINGS) % len(_READER_PREFIXES)]
         context = None if style is PromptStyle.STEPWISE_5SHOT else table
@@ -124,8 +116,8 @@ def episodes():
         fresh = [SymbolicReasoner(describe_first).complete(p, ["\n"], 0.0, 256)
                  for p in recorder.prompts]
         recorded.append((describe_first, recorder.prompts, fresh, table.source_id))
-        forms.add(next(key for key, t in _TEMPLATES.items() if t.pattern.fullmatch(question)))
-    assert forms == set(_TEMPLATES)
+        phrasings.add(first_phrasing(question))
+    assert phrasings == all_phrasings
     # Somewhere a describe-first episode reads the description line the one
     # before it read, of another chart.
     described = [(chart, _reader_lines(prompts[-1])[0])
