@@ -29,7 +29,9 @@ default is its only default; ``--config`` JSON replaces those defaults and
 flags still win, and required flags and the lower limits of numeric flags
 (a float flag must also be finite) are checked after that merge.  A usage or
 input error prints one ``error:`` line and exits 2, and so does an
-``--out-dir`` that cannot be created or written; each check that does not
+``--out-dir`` that cannot be created or written, or an empty ``--corpus``
+(it names no corpus, so ``datagen``, ``run`` and ``eval`` refuse it rather
+than run without one); each check that does not
 answer a question, the exit-4 checks of ``report`` and ``export-ft``
 included, runs before ``--out-dir`` is created.
 Every command serializes its effective configuration into the output
@@ -186,9 +188,12 @@ def _parse_buckets(text: str) -> tuple[int, ...]:
 
 
 def _load_corpus(cfg: dict) -> Optional[Corpus]:
-    """Load ``--corpus`` if given, printing each dropped row once."""
-    if not cfg["corpus"]:
+    """Load ``--corpus`` if given, printing each dropped row once; an empty
+    ``--corpus`` is a usage error, not a run without one."""
+    if cfg["corpus"] is None:
         return None
+    if not cfg["corpus"]:
+        raise UsageError("--corpus cannot be empty")
     corpus = load_corpus(cfg["corpus"], cfg["format"])
     for issue in corpus.issues:
         print(f"warning: {issue}", file=sys.stderr)

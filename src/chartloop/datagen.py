@@ -50,7 +50,7 @@ class CorpusError(ValueError):
     """Fatal ingestion failure: missing path, unreadable or misshapen file, or no valid chart."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class System1Pair:
     chart_id: str
     query: str
@@ -309,23 +309,18 @@ def generate_system1_corpus(
 def write_system1_jsonl(pairs: Sequence[System1Pair], path: str | Path) -> None:
     """Reader SFT export; the answer field is the sole loss span."""
     with open(path, "w", encoding="utf-8") as handle:
-        for pair in pairs:
-            record = {
-                "query": pair.query,
-                "answer": pair.answer,
-                "chart_id": pair.chart_id,
-                "loss_span": "answer",
-            }
-            handle.write(encode_json(record) + "\n")
+        handle.writelines(encode_json({"query": pair.query, "answer": pair.answer,
+                                       "chart_id": pair.chart_id, "loss_span": "answer"}) + "\n"
+                          for pair in pairs)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Segment:
     text: str
     masked: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class System2Example:
     """A reasoner fine-tuning example: ordered segments with loss masks.
 
@@ -388,25 +383,25 @@ def parse_annotated_examples(text: str) -> list[System2Example]:
     return examples
 
 
+def _sft_record(example: System2Example, format_tagged: bool) -> dict:
+    record: dict = {
+        "chart_id": example.chart_id,
+        "segments": [{"text": segment.text, "masked": segment.masked}
+                     for segment in example.segments],
+    }
+    if format_tagged:
+        record["rendered"] = example.rendered_tagged()
+    return record
+
+
 def export_system2_sft(
-    examples: Iterable[System2Example], path: str | Path, format_tagged: bool = False
+    examples: Sequence[System2Example], path: str | Path, format_tagged: bool = False
 ) -> int:
     """Write masked reasoner examples as JSONL; returns the record count."""
-    count = 0
     with open(path, "w", encoding="utf-8") as handle:
-        for example in examples:
-            record: dict = {
-                "chart_id": example.chart_id,
-                "segments": [
-                    {"text": segment.text, "masked": segment.masked}
-                    for segment in example.segments
-                ],
-            }
-            if format_tagged:
-                record["rendered"] = example.rendered_tagged()
-            handle.write(encode_json(record) + "\n")
-            count += 1
-    return count
+        handle.writelines(encode_json(_sft_record(example, format_tagged)) + "\n"
+                          for example in examples)
+    return len(examples)
 
 
 def examples_from_traces(

@@ -22,10 +22,10 @@ from .protocol import (
     QueryOp,
     UNAVAILABLE_ANSWER,
     description_answer,
+    format_group,
     format_reader_answer,
-    group_answer,
+    format_scalar,
     parse_step,
-    scalar_answer,
     StepKind,
 )
 from .tables import ChartTable, normalize_name
@@ -46,7 +46,7 @@ class Axis(str, Enum):
     X_LABEL = "x_label"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EntityResolution:
     axis: Axis
     index: int
@@ -111,6 +111,17 @@ def resolve_entity(
     """
     if not name:
         raise EntityNotFound("empty entity name")
+    # The exact pass walks the table's own tuples; only a name that matches
+    # no label exactly pays for the list the fuzzy pass scores.
+    wanted = normalize_name(name)
+    if axis is not Axis.X_LABEL:
+        for index, label in enumerate(table.series):
+            if normalize_name(label.name) == wanted:
+                return EntityResolution(Axis.SERIES, index, label.name, 1.0)
+    if axis is not Axis.SERIES:
+        for index, label in enumerate(table.x_labels):
+            if normalize_name(label) == wanted:
+                return EntityResolution(Axis.X_LABEL, index, label, 1.0)
     series = [] if axis is Axis.X_LABEL else [s.name for s in table.series]
     x_labels = () if axis is Axis.SERIES else table.x_labels
     match = closest_name(name, [*series, *x_labels])
@@ -166,12 +177,12 @@ def execute_query(table: ChartTable, query: AtomicQuery) -> str:
         by = 0
     if by is not None:
         row, column = (index, by) if axis is Axis.SERIES else (by, index)
-        return format_reader_answer(scalar_answer(table.cells[row][column]))
+        return format_scalar(table.cells[row][column])
     if axis is Axis.SERIES:
         pairs = [(x, table.cells[index][j]) for j, x in enumerate(table.x_labels)]
     else:
         pairs = [(s.name, table.cells[i][index]) for i, s in enumerate(table.series)]
-    return format_reader_answer(group_answer(pairs))
+    return format_group(pairs)
 
 
 class TableOracle:

@@ -23,7 +23,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import Optional, Sequence
 
 from .tables import SeriesLabel, Value
 
@@ -91,7 +91,7 @@ class QueryOp(str, Enum):
     EXTRACT_GROUP = "extract_group"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AtomicQuery:
     """One atomic operation the reasoner may issue to the reader."""
 
@@ -180,7 +180,7 @@ class AnswerKind(str, Enum):
     UNAVAILABLE = "unavailable"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ReaderAnswer:
     """A parsed reader response.
 
@@ -251,13 +251,29 @@ def parse_reader_answer(text: str) -> ReaderAnswer:
     return unavailable_answer(text)
 
 
+def format_scalar(value: Value) -> str:
+    """The data line of one value, as :func:`format_reader_answer` renders its
+    scalar answer.  The table oracle writes one line per read and builds no
+    ``ReaderAnswer`` for it: building one cost more than rendering the line."""
+    return _DATA_LINE.render(value.raw)
+
+
+def format_group(pairs: Sequence[tuple[str, Value]]) -> str:
+    """The data line of ``(key, value)`` pairs in order, as
+    :func:`format_reader_answer` renders their group answer; like
+    :func:`group_answer`, no pairs raise ValueError."""
+    if not pairs:
+        raise ValueError("group answers carry at least one pair")
+    return _DATA_LINE.render(COMMA_SEP.join([_PAIR.render(v.raw, k) for k, v in pairs]))
+
+
 def format_reader_answer(answer: ReaderAnswer) -> str:
     """Render the canonical response form; UNAVAILABLE cannot be formatted."""
     if answer.kind is AnswerKind.SCALAR:
         assert answer.scalar is not None
-        return _DATA_LINE.render(answer.scalar.raw)
+        return format_scalar(answer.scalar)
     if answer.kind is AnswerKind.GROUP:
-        return _DATA_LINE.render(COMMA_SEP.join([_PAIR.render(v.raw, k) for k, v in answer.pairs]))
+        return format_group(answer.pairs)
     if answer.kind is AnswerKind.DESCRIPTION:
         series = PIPE_SEP.join([_COLORED_SERIES.render(s.name, s.color) if s.color else s.name
                                 for s in answer.series])

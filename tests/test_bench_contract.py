@@ -1,24 +1,54 @@
-"""The benchmark's traced run wraps chartloop functions by module and name.
+"""The benchmark drives chartloop through its public functions and records.
 
-Installing every wrapper here makes a rename or removal of one of them fail
-in tier-1 instead of in the traced benchmark run.
+Installing every wrapper of the traced run, and running one export job with
+its check, makes a rename, a removal or a changed record field that the
+benchmark reads fail in tier-1 instead of in a benchmark run.
 """
 
+import json
 import sys
 from pathlib import Path
+
+import pytest
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def test_install_tracing_finds_every_patched_function():
+@pytest.fixture
+def perfbench():
+    """The benchmark's ``inputs``, ``spans`` and ``workloads`` modules."""
     sys.path.insert(0, str(PERFBENCH))
     try:
+        import inputs
         import spans
         import workloads
     finally:
         sys.path.remove(str(PERFBENCH))
+    return inputs, spans, workloads
+
+
+def test_install_tracing_finds_every_patched_function(perfbench):
+    _, spans, workloads = perfbench
     tracer = spans.Tracer()
     try:
         workloads.install_tracing(tracer, [])
     finally:
         tracer.unpatch_all()
+
+
+def test_an_export_job_passes_the_benchmark_check(perfbench, tmp_path):
+    """One ``training_export`` shard, exported by the job the benchmark times
+    and checked as it checks each job: pair count, parsed answers, point
+    cells and examples written."""
+    inputs, _, workloads = perfbench
+    inputs.export_pool(tmp_path / "inputs", 0, 1)
+    shard = tmp_path / "inputs" / "shards" / "0000"
+    want = json.loads((shard / "expected.json").read_text(encoding="utf-8"))
+    out = tmp_path / "out"
+    out.mkdir()
+    pairs, examples, written = workloads.export_job(shard, out, 0)
+    _, (s1_lines, s2_lines) = workloads.file_digest(out / "system1.jsonl", out / "system2.jsonl")
+    result = workloads.Result()
+    workloads.check_export(result, 0, want, pairs, examples, written, s1_lines, s2_lines)
+    assert (result.failed, result.problems) == (0, [])
+    assert written == want["concluded_traces"] > 0

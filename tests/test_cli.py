@@ -408,6 +408,25 @@ def test_eval_records_bytes_are_pinned(tmp_path, sc, source):
     }
 
 
+def test_export_files_bytes_are_pinned(tmp_path):
+    """``datagen`` over the 20 synthetic charts and ``export-ft`` over the
+    traces of their pinned eval, plain and ``--tagged``, write fixed bytes."""
+    write_synthetic_corpus(tmp_path / "corpus", 0, 20, 2)
+    assert run_cli(["datagen", "--corpus", tmp_path / "corpus", "--out-dir", tmp_path / "s1"]) == 0
+    assert run_cli(["eval", "--synthetic", 20, "--per-template", 2, "--seed", 0,
+                    "--out-dir", tmp_path / "eval"]) == 0
+    traces = tmp_path / "eval" / "traces.jsonl"
+    assert run_cli(["export-ft", "--traces", traces, "--out-dir", tmp_path / "s2"]) == 0
+    assert run_cli(["export-ft", "--traces", traces, "--tagged", "--out-dir", tmp_path / "s2t"]) == 0
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in ("s1/system1.jsonl", "s2/system2.jsonl", "s2t/system2.jsonl")}
+    assert digests == {
+        "s1/system1.jsonl": "ffa23f578107022165a48faaef6f64dcb952d3924e39815ab33a382f32f7d0cf",
+        "s2/system2.jsonl": "04730a14596546e76c32b9d02883309ef1b91c09c5bc8a9f17bdcc3c984ff270",
+        "s2t/system2.jsonl": "fe240facf941695249808a596ac9e34cda2b67625a2c5b0579e61afe1ac54120",
+    }
+
+
 def test_report_from_records(small_corpus_path, tmp_path, capsys):
     eval_out = tmp_path / "eval"
     assert run_cli(["eval", "--corpus", small_corpus_path, "--out-dir", eval_out]) == 0
@@ -977,6 +996,20 @@ def test_usage_error_is_one_line(small_corpus_path, tmp_path, capsys, argv):
     assert code == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "error: " in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["datagen"],
+    ["run", "--question", "What is the value of Alpha in 2002?", "--chart", "pair-chart"],
+    ["eval"],
+    ["eval", "--synthetic", 2],
+], ids=["datagen", "run", "eval", "eval-synthetic"])
+def test_an_empty_corpus_exits_2(tmp_path, capsys, argv):
+    """An empty ``--corpus`` names no corpus: one usage error line before
+    ``--out-dir`` exists, never a traceback or a run without the corpus."""
+    assert run_cli([*argv, "--corpus", "", "--out-dir", tmp_path / "out"]) == 2
+    assert capsys.readouterr().err == "error: --corpus cannot be empty\n"
     assert not (tmp_path / "out").exists()
 
 

@@ -1,4 +1,5 @@
 import json
+import json.encoder
 import random
 import tracemalloc
 from importlib import resources
@@ -19,8 +20,10 @@ from chartloop.datagen import (
     sample_eval_set,
     Segment,
     write_system1_jsonl,
+    write_trace_line,
 )
-from chartloop.evalkit import EvalRecord
+from chartloop import tables
+from chartloop.evalkit import EvalRecord, make_record, write_record_line
 from chartloop.oracle import TableOracle
 from chartloop.protocol import QueryOp
 from chartloop.symbolic import SkippedTemplate, SymbolicReasoner, gen_questions
@@ -699,3 +702,50 @@ def test_generation_is_reproducible(small_corpus_path, tmp_path):
     write_system1_jsonl(first, out1)
     write_system1_jsonl(second, out2)
     assert out1.read_bytes() == out2.read_bytes()
+
+
+# Text a JSON writer must escape or keep as it is: non-ASCII (kept), the line
+# separator U+2028 (kept), quotes, backslashes and control characters (escaped).
+_AWKWARD = 'Caf\u00e9 "\u00dc" \\ \u6771\u4eac\u2028\x00\x07\t\x1f\x7f'
+
+
+def _written_records(tmp_path) -> list[str]:
+    """One line of each record shape the package writes, every text field
+    holding ``_AWKWARD``: a System-1 pair, a trace line of three (``--sc 3``)
+    episodes, an eval record and a System-2 example with ``rendered``."""
+    chart = ChartTable.build(f"chart {_AWKWARD}", [(f"A {_AWKWARD}", "blue"), ("B", None)],
+                             ["2019", f"x {_AWKWARD}"], [["1", _AWKWARD], ["3", "4"]])
+    pairs, _ = generate_system1_corpus([chart])
+    write_system1_jsonl(pairs, tmp_path / "system1.jsonl")
+    question = f"What is the value of A {_AWKWARD} in 2019?"
+    final = Value.from_raw(_AWKWARD)
+    trace = ReasoningTrace((Step(StepRole.REASONER_QUERY, f"Let's extract the data of A {_AWKWARD}."),
+                            Step(StepRole.READER_ANSWER, f"The data is 1 in 2019, {_AWKWARD} in x."),
+                            Step(StepRole.CONCLUSION, f"So the answer is {_AWKWARD}.")),
+                           final, Termination.CONCLUSION)
+    with open(tmp_path / "traces.jsonl", "w", encoding="utf-8") as handle:
+        write_trace_line(handle, "episode-0", question, chart.source_id, final, [trace] * 3)
+    qa = QAInstance(question, final, chart.source_id, TemplateType.DATA_RETRIEVAL)
+    with open(tmp_path / "records.jsonl", "w", encoding="utf-8") as handle:
+        write_record_line(handle, make_record(qa, final, 4, "episode-0"))
+    export_system2_sft([example_from_trace(trace, question, chart.source_id)],
+                       tmp_path / "system2.jsonl", format_tagged=True)
+    # Split at line feeds only: str.splitlines would also split at U+2028.
+    return [line + "\n" for name in ("system1.jsonl", "traces.jsonl", "records.jsonl", "system2.jsonl")
+            for line in (tmp_path / name).read_text(encoding="utf-8").split("\n")[:-1]]
+
+
+def test_every_record_shape_is_written_as_json_dumps_writes_it(tmp_path, monkeypatch):
+    """``encode_json`` and its fallback, built without the C encoder, give
+    the bytes of ``json.dumps(obj, ensure_ascii=False)`` for every record
+    shape the package writes."""
+    lines = _written_records(tmp_path)
+    assert len(lines) == 9 + 1 + 1 + 1  # a 2x2 chart makes 9 pairs
+    assert all("\u2028" in line and "\\u0000" in line for line in lines)  # one kept, one escaped
+    objects = [json.loads(line) for line in lines]
+    assert lines == [json.dumps(obj, ensure_ascii=False) + "\n" for obj in objects]
+    assert lines == [tables.encode_json(obj) + "\n" for obj in objects]
+    monkeypatch.setattr(json.encoder, "c_make_encoder", None)
+    fallback = tables._json_encoder()
+    assert isinstance(fallback.__self__, json.JSONEncoder)
+    assert lines == [fallback(obj) + "\n" for obj in objects]
