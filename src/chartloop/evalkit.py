@@ -7,9 +7,11 @@ on Decimals so nothing is lost to binary floats at the boundary.
 
 Predictions and gold answers read numbers by the rule that reads cells and
 reader answers (``tables.parse_number``: ``$``, ``%``, thousands commas and
-exponents); "75%" matches 75, and "50%" does not match 0.5.  Scoring reads
-each answer once, into its kind and its number or folded text, and compares
-those; only voting renders the canonical ``Value`` of ``normalize_answer``.
+exponents); "75%" matches 75, and "50%" does not match 0.5.  Only scoring
+classifies an answer: ``_read_answer`` reads it once, past quotes and
+sentence punctuation, into its ``ValueKind`` and its number or folded text,
+so "'5'" scores as 5 although its ``Value`` holds no number.  Only voting
+renders the canonical ``Value`` of ``normalize_answer``.
 """
 
 from __future__ import annotations
@@ -19,14 +21,22 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, DefaultContext
+from enum import Enum
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, TextIO
 
-from .tables import (SHAPE_ERRORS, QAInstance, Value, ValueKind, bucket_labels, bucket_length,
+from .tables import (SHAPE_ERRORS, QAInstance, Value, bucket_labels, bucket_length,
                      canonical_decimal, encode_json, parse_number, text_field)
 
 TOLERANCE = Decimal("0.05")
 DEFAULT_BUCKET_EDGES = (0, 10, 20, 40)
 _RATIO = Context(prec=DefaultContext.prec, Emax=MAX_EMAX, Emin=MIN_EMIN)  # cannot overflow
+
+
+class ValueKind(str, Enum):
+    NUMERIC = "numeric"
+    TEXT = "text"
+    YES_NO = "yes_no"
+
 
 def _read_answer(raw: str) -> tuple[ValueKind, Decimal | str]:
     """An answer's kind and what scoring compares: its number, or its folded text."""
@@ -49,9 +59,7 @@ def normalize_answer(raw: str) -> Value:
     case-folded text.
     """
     kind, key = _read_answer(raw)
-    if kind is ValueKind.NUMERIC:
-        return Value(kind, canonical_decimal(key), key)
-    return Value(kind, key)
+    return Value(canonical_decimal(key), key) if kind is ValueKind.NUMERIC else Value(key)
 
 
 def relaxed_match(prediction: Value, gold: Value) -> bool:

@@ -12,7 +12,6 @@ sentence rather than an exception, and the episode continues.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping, Optional, Sequence
 
@@ -44,14 +43,6 @@ class ChartNotFound(KeyError):
 class Axis(str, Enum):
     SERIES = "series"
     X_LABEL = "x_label"
-
-
-@dataclass(frozen=True, slots=True)
-class EntityResolution:
-    axis: Axis
-    index: int
-    matched_name: str
-    score: float
 
 
 def _edit_distance(a: str, b: str) -> int:
@@ -99,10 +90,9 @@ def closest_name(name: str, names: Sequence[str]) -> Optional[tuple[int, float]]
     return best
 
 
-def resolve_entity(
-    table: ChartTable, name: str, axis: Optional[Axis] = None
-) -> EntityResolution:
-    """Resolve a name to a series or x-label, series axis first, then x-labels.
+def resolve_entity(table: ChartTable, name: str, axis: Optional[Axis] = None) -> tuple[Axis, int]:
+    """The axis and index of the series or x-label ``name`` means, searching
+    series first, then x-labels (only ``axis`` when it is given).
 
     Exact normalized matches win outright; otherwise the highest
     edit-similarity candidate above the threshold is taken, ties broken by
@@ -117,21 +107,18 @@ def resolve_entity(
     if axis is not Axis.X_LABEL:
         for index, label in enumerate(table.series):
             if normalize_name(label.name) == wanted:
-                return EntityResolution(Axis.SERIES, index, label.name, 1.0)
+                return Axis.SERIES, index
     if axis is not Axis.SERIES:
         for index, label in enumerate(table.x_labels):
             if normalize_name(label) == wanted:
-                return EntityResolution(Axis.X_LABEL, index, label, 1.0)
+                return Axis.X_LABEL, index
     series = [] if axis is Axis.X_LABEL else [s.name for s in table.series]
     x_labels = () if axis is Axis.SERIES else table.x_labels
     match = closest_name(name, [*series, *x_labels])
     if match is None:
         raise EntityNotFound(f"no entity close to {name!r} in chart {table.source_id}")
-    index, score = match
-    if index < len(series):
-        return EntityResolution(Axis.SERIES, index, series[index], score)
-    index -= len(series)
-    return EntityResolution(Axis.X_LABEL, index, x_labels[index], score)
+    index = match[0]
+    return (Axis.SERIES, index) if index < len(series) else (Axis.X_LABEL, index - len(series))
 
 
 def describe(table: ChartTable) -> str:
@@ -156,8 +143,7 @@ def execute_query(table: ChartTable, query: AtomicQuery) -> str:
     single_series = len(table.series) == 1
     try:
         if query.entity is not None:
-            found = resolve_entity(table, query.entity)
-            axis, index = found.axis, found.index
+            axis, index = resolve_entity(table, query.entity)
         elif single_series:
             axis, index = Axis.SERIES, 0
         else:
@@ -166,11 +152,11 @@ def execute_query(table: ChartTable, query: AtomicQuery) -> str:
         if query.by is not None:
             other = Axis.X_LABEL if axis is Axis.SERIES else Axis.SERIES
             try:
-                by = resolve_entity(table, query.by, other).index
+                by = resolve_entity(table, query.by, other)[1]
             except EntityNotFound:
                 # E may name both axes, as "Total" does in "Total BY <series>".
-                by = resolve_entity(table, query.by, axis).index
-                axis, index = other, resolve_entity(table, query.entity, other).index
+                by = resolve_entity(table, query.by, axis)[1]
+                axis, index = resolve_entity(table, query.entity, other)
     except EntityNotFound:
         return UNAVAILABLE_ANSWER
     if by is None and axis is Axis.X_LABEL and single_series:

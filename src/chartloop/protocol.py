@@ -197,7 +197,6 @@ class ReaderAnswer:
     x_sep: str = PIPE_SEP
     scalar: Optional[Value] = None
     pairs: tuple[tuple[str, Value], ...] = ()
-    raw: Optional[str] = None
 
     @property
     def series_names(self) -> tuple[str, ...]:
@@ -222,19 +221,18 @@ def group_answer(pairs: list[tuple[str, Value]] | tuple[tuple[str, Value], ...])
     return ReaderAnswer(AnswerKind.GROUP, pairs=tuple(pairs))
 
 
-def unavailable_answer(raw: str) -> ReaderAnswer:
-    return ReaderAnswer(AnswerKind.UNAVAILABLE, raw=raw)
+_UNAVAILABLE = ReaderAnswer(AnswerKind.UNAVAILABLE)
 
 
 def parse_reader_answer(text: str) -> ReaderAnswer:
-    """Parse one reader response; unparseable text becomes UNAVAILABLE.
+    """Parse one reader response into a description, scalar or group answer.
 
-    An UNAVAILABLE result signals protocol drift (or the reader's explicit
-    not-available sentinel), never a crash.
+    The not-available sentinel and unparseable text (protocol drift) both
+    give one shared UNAVAILABLE answer with no payload, never a crash.
     """
     stripped = text.rstrip("\r\n")
     if stripped == UNAVAILABLE_ANSWER:
-        return unavailable_answer(text)
+        return _UNAVAILABLE
     if m := _DESCRIPTION_LINE.match(stripped):
         series = [SeriesLabel(*colored.groups()) if (colored := _COLORED_SERIES.match(item))
                   else SeriesLabel(item) for item in m["series"].split(PIPE_SEP)]
@@ -248,7 +246,7 @@ def parse_reader_answer(text: str) -> ReaderAnswer:
             return group_answer([(pair["key"], Value.from_raw(pair["value"])) for pair in pairs])
         if len(items) == 1:
             return scalar_answer(Value.from_raw(m["data"]))
-    return unavailable_answer(text)
+    return _UNAVAILABLE
 
 
 def format_scalar(value: Value) -> str:

@@ -94,7 +94,6 @@ class Reduce(str, Enum):
 class QuestionPlan:
     """A question's decomposition: atomic queries plus the final reduce."""
 
-    template_type: TemplateType
     queries: tuple[AtomicQuery, ...]
     reduce: Reduce
     reduce_args: tuple[Value, ...] = ()
@@ -123,7 +122,7 @@ class _Template:
         queries, reduce, args = self.build(slots)
         if describe_first:
             queries = (describe_query(), *queries)
-        return QuestionPlan(self.template_type, queries, reduce, args)
+        return QuestionPlan(queries, reduce, args)
 
 
 def _points(reduce: Reduce) -> Callable:

@@ -1,7 +1,9 @@
 """Core domain types: chart tables, values, questions, and reasoning traces.
 
 Everything here is immutable after construction so tables and traces can be
-shared freely across concurrent evaluation workers.
+shared freely across concurrent evaluation workers.  A ``Value`` is a printed
+token and the number it shows, with no kind: only scoring (``evalkit``)
+classifies an answer as a number, a yes/no or text.
 """
 
 from __future__ import annotations
@@ -89,12 +91,6 @@ def array_field(raw: Any, field: str, *index: int) -> list:
     raise _field_error(raw, field, index, "an array")
 
 
-class ValueKind(str, Enum):
-    NUMERIC = "numeric"
-    TEXT = "text"
-    YES_NO = "yes_no"
-
-
 # A printed number is a plain decimal, or one with thousands commas, a leading
 # "$" and a trailing "%" (group 1 drops the "$" and "%").
 _NUMERIC_RE = re.compile(r"[+-]?(\d+(\.\d*)?|\.\d+)([eE][+-]?\d+)?")
@@ -144,24 +140,23 @@ def canonical_decimal(d: Decimal) -> str:
 class Value:
     """A table cell or answer value, preserving the source's printed form.
 
-    ``raw`` is always the exact text as printed; numeric values additionally
-    carry a parsed ``Decimal`` so arithmetic never goes through binary floats
-    and rendering never re-rounds.
+    ``raw`` is the exact text as printed, except that a yes/no is stripped of
+    its padding; a number additionally carries a parsed ``Decimal``, so
+    arithmetic never goes through binary floats and rendering never
+    re-rounds.  It holds no kind: only scoring classifies an answer.
     """
 
-    kind: ValueKind
     raw: str
     number: Optional[Decimal] = None
 
     @staticmethod
     def from_raw(raw: str) -> "Value":
-        """Classify a printed token: yes/no, a number by :func:`parse_number`
-        (``raw`` keeps any "$", "%" and commas), or free text."""
+        """A printed token with the number :func:`parse_number` reads in it,
+        if any (``raw`` keeps any "$", "%" and commas); a yes/no is stripped."""
         stripped = raw.strip()
         if stripped.lower() in ("yes", "no"):
-            return Value(ValueKind.YES_NO, stripped)
-        number = parse_number(stripped)
-        return Value(ValueKind.TEXT if number is None else ValueKind.NUMERIC, raw, number)
+            return Value(stripped)
+        return Value(raw, parse_number(stripped))
 
 
 @dataclass(frozen=True, slots=True)
@@ -181,10 +176,11 @@ class ChartTable:
     """The ground-truth table underlying a chart.
 
     ``cells[i][j]`` is the value of series ``i`` at x-label ``j``.  Row/column
-    shape is enforced at construction; name uniqueness and cell non-emptiness
-    are enforced by :meth:`validate`, which every ingestion and generation
-    path calls (raw construction stays permissive because real chart corpora
-    contain degenerate axes, e.g. repeated year groups).
+    shape is enforced at construction; non-empty axes, name uniqueness and
+    cell non-emptiness are enforced by :meth:`validate`, which every
+    ingestion and generation path calls (raw construction stays permissive
+    because real chart corpora contain degenerate axes, e.g. repeated year
+    groups).
     """
 
     source_id: str
@@ -221,6 +217,8 @@ class ChartTable:
 
     def validate(self) -> None:
         """Check uniqueness and non-emptiness invariants; raise TableError."""
+        if not self.series or not self.x_labels:
+            raise TableError(f"{self.source_id}: no {'series' if not self.series else 'x-labels'}")
         for axis, labels in (("series name", map(_SERIES_NAME, self.series)),
                              ("x-label", self.x_labels)):
             seen: set[str] = set()

@@ -1,8 +1,9 @@
 """The benchmark drives chartloop through its public functions and records.
 
-Installing every wrapper of the traced run, and running one export job with
-its check, makes a rename, a removal or a changed record field that the
-benchmark reads fail in tier-1 instead of in a benchmark run.
+Installing every wrapper of the traced run, running one export job with its
+check and one short ``closed_loop`` pass with its checks, makes a rename, a
+removal or a changed record field that the benchmark reads fail in tier-1
+instead of in a benchmark run.
 """
 
 import json
@@ -52,3 +53,16 @@ def test_an_export_job_passes_the_benchmark_check(perfbench, tmp_path):
     workloads.check_export(result, 0, want, pairs, examples, written, s1_lines, s2_lines)
     assert (result.failed, result.problems) == (0, [])
     assert written == want["concluded_traces"] > 0
+
+
+def test_a_closed_loop_pass_passes_the_benchmark_checks(perfbench, tmp_path):
+    """A ``closed_loop`` run over a 20-chart pool, cut to a twentieth of a
+    second: every answer is checked against its gold as the benchmark checks
+    it.  ``http_sc`` is left out: its set-up leaves sockets unclosed."""
+    inputs, _, workloads = perfbench
+    inputs.qa_pool(tmp_path / "inputs", 0, 20)
+    (tmp_path / "out").mkdir()
+    ctx = workloads.Context(tmp_path / "inputs", tmp_path / "out", 0, seconds=0.05, tracer=None)
+    result = workloads.qa_workload(ctx, "closed_loop")
+    assert (result.failed, result.problems) == (0, [])
+    assert result.attempted > 0

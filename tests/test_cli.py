@@ -477,6 +477,28 @@ def test_run_unknown_chart_exits_2(small_corpus_path, tmp_path, capsys, style):
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("empty", [{"series": [], "cells": []},
+                                   {"x_labels": [], "cells": [[]]}],
+                         ids=["no-series", "no-x-labels"])
+def test_a_chart_with_an_empty_axis_is_left_out(small_corpus_path, tmp_path, capsys, empty):
+    """Such a chart is a load issue: datagen writes the other charts' pairs,
+    and run does not find it."""
+    chart = {"id": "empty-axis", "series": [{"name": "A", "color": None}],
+             "x_labels": ["2001"], "cells": [["1"]], **empty}
+    before = tmp_path / "before"
+    assert run_cli(["datagen", "--corpus", small_corpus_path, "--out-dir", before]) == 0
+    with open(small_corpus_path / "charts.jsonl", "a", encoding="utf-8") as handle:
+        handle.write(json.dumps(chart) + "\n")
+    after = tmp_path / "after"
+    assert run_cli(["datagen", "--corpus", small_corpus_path, "--out-dir", after]) == 0
+    assert (after / "system1.jsonl").read_bytes() == (before / "system1.jsonl").read_bytes()
+    capsys.readouterr()
+    assert run_cli(["run", "--question", "How many legend labels are there?",
+                    "--chart", "empty-axis", "--corpus", small_corpus_path,
+                    "--out-dir", tmp_path / "run"]) == 2
+    assert capsys.readouterr().err.endswith("error: chart 'empty-axis' not found\n")
+
+
 def test_run_question_with_a_line_break_exits_2(tmp_path, capsys):
     """The prompt's ``Q: ...\\nA: `` stub cannot carry a line break: the
     reasoner would answer the last few-shot exemplar's question instead."""

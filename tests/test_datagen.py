@@ -164,6 +164,12 @@ def _write_layout(root, layout, charts, qa):
     *(pytest.param(layout, [CHART, {**CHART_2, "x_labels": [None]}], [QA], None, False,
                    id=f"{layout}-null-x-label")
       for layout in ("internal_json", "plotqa_like")),
+    *(pytest.param(layout, [CHART, {**CHART_2, "series": [], "cells": []}], [QA], None, False,
+                   id=f"{layout}-no-series")
+      for layout in ("internal_json", "plotqa_like")),
+    *(pytest.param(layout, [CHART, {**CHART_2, "x_labels": [], "cells": [[], []]}], [QA], None,
+                   False, id=f"{layout}-no-x-labels")
+      for layout in ("internal_json", "plotqa_like")),
 ])
 def test_bad_rows_are_skipped_and_bad_files_are_fatal(tmp_path, layout, charts, qa, damage, fatal):
     path = _write_layout(tmp_path / "corpus", layout, charts, qa)

@@ -9,6 +9,8 @@ from chartloop.evalkit import (
     RECORD_FIELDS,
     TOLERANCE,
     EvalRecord,
+    ValueKind,
+    _read_answer,
     evaluate_run,
     majority_vote,
     make_record,
@@ -20,11 +22,11 @@ from chartloop.evalkit import (
     write_records_csv,
     write_records_jsonl,
 )
-from chartloop.tables import QAInstance, TemplateType, Value, ValueKind
+from chartloop.tables import QAInstance, TemplateType, Value
 
 
 def test_normalize_numeric_canonicalization():
-    assert normalize_answer("15.00") == Value(ValueKind.NUMERIC, "15", Decimal("15"))
+    assert normalize_answer("15.00") == Value("15", Decimal("15"))
     assert normalize_answer("2,784").number == Decimal("2784")
     assert normalize_answer("45%").number == Decimal("45")
     assert normalize_answer("$1,200.50").number == Decimal("1200.50")
@@ -32,10 +34,10 @@ def test_normalize_numeric_canonicalization():
 
 
 def test_normalize_yes_no_and_text():
-    assert normalize_answer("No.") == Value(ValueKind.YES_NO, "no")
-    assert normalize_answer("YES") == Value(ValueKind.YES_NO, "yes")
+    assert normalize_answer("No.") == Value("no")
+    assert normalize_answer("YES") == Value("yes")
     assert normalize_answer("Independents").raw == "independents"
-    assert normalize_answer("Gambia, The").kind is ValueKind.TEXT
+    assert normalize_answer("Gambia, The") == Value("gambia, the")
 
 
 def test_relaxed_match_examples():
@@ -88,7 +90,7 @@ def test_a_number_past_the_exponent_range_scores_as_text():
     """Read as a number, it would overflow when its canonical form is rendered."""
     for raw in ["1e1000000", "-1e-1000000", "9" * 31 + "e999969", "1e1000000000000000000",
                 "1e" + "9" * 20]:
-        assert normalize_answer(raw) == Value(ValueKind.TEXT, raw.casefold())
+        assert normalize_answer(raw) == Value(raw.casefold())
         assert relaxed_match(Value.from_raw(raw), Value.from_raw(raw))
         assert not relaxed_match(Value.from_raw(raw), Value.from_raw("1"))
         assert majority_vote([Value.from_raw(raw)]).raw == raw
@@ -146,8 +148,8 @@ def _reference_match(prediction: str, gold: str) -> bool:
     scorer once was, except that a ratio past the default context's exponent
     range, which that scorer raised ``Overflow`` on, is a miss."""
     p, g = normalize_answer(prediction), normalize_answer(gold)
-    if g.kind is ValueKind.NUMERIC:
-        if p.kind is not ValueKind.NUMERIC:
+    if g.number is not None:
+        if p.number is None:
             return False
         if g.number == 0:
             return p.number == 0
@@ -155,7 +157,7 @@ def _reference_match(prediction: str, gold: str) -> bool:
             return abs(p.number - g.number) / abs(g.number) <= TOLERANCE
         except Overflow:
             return False
-    return p.kind is g.kind and p.raw == g.raw
+    return p.number is None and p.raw == g.raw
 
 
 _WORDS = ["yes", "No", "YES", "nO", "Norway", "norway", "Gambia, The", "n/a", "Straße", "STRASSE",
@@ -203,7 +205,7 @@ def test_relaxed_match_agrees_with_the_normalized_rule_on_seeded_pairs():
         pairs.append((prediction, gold))
     verdicts = [relaxed_match(Value.from_raw(p), Value.from_raw(g)) for p, g in pairs]
     assert verdicts == [_reference_match(p, g) for p, g in pairs]
-    kinds = {normalize_answer(g).kind for _, g in pairs}
+    kinds = {_read_answer(g)[0] for _, g in pairs}
     assert kinds == set(ValueKind)
     assert 300 < sum(verdicts) < len(pairs) - 300
 

@@ -56,29 +56,26 @@ def test_describe_income_series_label(income):
 
 
 def test_resolve_exact_case_insensitive(oman_samoa):
-    resolution = resolve_entity(oman_samoa, "oman")
-    assert resolution.axis is Axis.SERIES
-    assert resolution.index == 0
-    assert resolution.score == 1.0
+    assert resolve_entity(oman_samoa, "oman") == (Axis.SERIES, 0)
 
 
 def test_resolve_prefers_series_axis():
     table = ChartTable.build("clash", [("2015", None), ("Other", None)],
                              ["2015", "2016"], [["1", "2"], ["3", "4"]])
-    resolution = resolve_entity(table, "2015")
-    assert resolution.axis is Axis.SERIES
+    assert resolve_entity(table, "2015") == (Axis.SERIES, 0)
 
 
 def test_resolve_consoles(activision):
-    resolution = resolve_entity(activision, "Consoles")
-    assert resolution.axis is Axis.SERIES
-    assert resolution.matched_name == "Consoles"
+    axis, index = resolve_entity(activision, "Consoles")
+    assert axis is Axis.SERIES
+    assert activision.series[index].name == "Consoles"
 
 
 def test_resolve_fuzzy_tolerates_spacing(net_ratings):
-    resolution = resolve_entity(net_ratings, "NET Excellent/good")
-    assert resolution.matched_name == "NET Excellent/ good"
-    assert 0.8 <= resolution.score < 1.0
+    axis, index = resolve_entity(net_ratings, "NET Excellent/good")
+    assert axis is Axis.SERIES
+    assert net_ratings.series[index].name == "NET Excellent/ good"
+    assert 0.8 <= edit_similarity("NET Excellent/good", "NET Excellent/ good") < 1.0
 
 
 def test_resolve_not_found(oman_samoa):

@@ -29,11 +29,11 @@ from chartloop.symbolic import (
     stable_seed,
 )
 from chartloop.synth import random_table, random_tables
-from chartloop.tables import ChartTable, TemplateType, Value, ValueKind
+from chartloop.tables import ChartTable, TemplateType, Value
 
 
-def _plan(reduce, queries, args=(), template=TemplateType.ARITHMETIC):
-    return QuestionPlan(template, tuple(queries), reduce, tuple(args))
+def _plan(reduce, queries, args=()):
+    return QuestionPlan(tuple(queries), reduce, tuple(args))
 
 
 def test_decompose_difference_with_distractor_year():
@@ -47,7 +47,6 @@ def test_decompose_difference_with_distractor_year():
         point_query("NET Only fair/poor", "German"),
     )
     assert plan.reduce is Reduce.DIFFERENCE
-    assert plan.template_type is TemplateType.ARITHMETIC
 
 
 def test_decompose_lookup_by_value():
@@ -100,8 +99,7 @@ def _chart(x_labels, **series):
 
 
 def _row(name, table, reduce, queries, answers, raw, sentence, args=()):
-    plan = QuestionPlan(TemplateType.ARITHMETIC, tuple(queries), reduce,
-                        tuple(Value.from_raw(a) for a in args))
+    plan = QuestionPlan(tuple(queries), reduce, tuple(Value.from_raw(a) for a in args))
     return pytest.param(table, plan, answers, raw, sentence, id=name)
 
 
@@ -245,7 +243,7 @@ _HAND_TABLE = [
          "1", "The values that are greater than 45% are [60%]. So the answer is 1.", ["45%"]),
     _row("identity-thousands-comma", _chart("x1 x2", A=["1,200", "950"]), Reduce.IDENTITY,
          [_P("x1")], ["The data is 1,200."],
-         Value(ValueKind.NUMERIC, "1,200", Decimal("1200")),
+         Value("1,200", Decimal("1200")),
          "The value is 1,200. So the answer is 1,200."),
 ]
 
@@ -296,18 +294,17 @@ def test_compute_gold_count_threshold(neonatal):
         Reduce.COUNT_GREATER,
         [group_query(None)],
         args=[Value.from_raw("851")],
-        template=TemplateType.COMPOUND,
     )
     assert compute_gold(neonatal, plan).raw == "1"
 
 
 def test_compute_gold_min(costa_rica):
-    plan = _plan(Reduce.MIN, [group_query("Costa Rica")], template=TemplateType.MIN_MAX)
+    plan = _plan(Reduce.MIN, [group_query("Costa Rica")])
     assert compute_gold(costa_rica, plan).raw == "14.92"
 
 
 def test_compute_gold_structural(costa_rica):
-    plan = _plan(Reduce.COUNT_SERIES, [describe_query()], template=TemplateType.STRUCTURAL)
+    plan = _plan(Reduce.COUNT_SERIES, [describe_query()])
     assert compute_gold(costa_rica, plan).raw == "4"
 
 
@@ -390,14 +387,16 @@ def _generation_digest(seeds, n_charts):
                         continue
                     for qa, plan in pairs:
                         digest.update(json.dumps(qa.to_dict(), sort_keys=True).encode())
-                        digest.update(repr(plan).encode())
+                        digest.update(json.dumps([[(q.op.value, q.entity, q.by)
+                                                   for q in plan.queries], plan.reduce.value,
+                                                  [v.raw for v in plan.reduce_args]]).encode())
     return digest.hexdigest()
 
 
 def test_gen_questions_golden_digest():
     # Pins question wording, gold answers, plans and the RNG call order.
     assert _generation_digest(seeds=(0, 1, 2), n_charts=40) == (
-        "7246c0187ba5b9a6866dd1cdf936cf7147e85876310523cbef00df0c808618ad")
+        "a0bb392fda5be1a3bdace9ee97bd96eb33a54d257f5e7946328593c4f231f7a3")
 
 
 def _decorate_one_cell(table, rng):
@@ -448,7 +447,7 @@ def test_second_highest_matches_exhaustive_sort():
         table = ChartTable.build(
             "sh", [("S", None)], [f"k{i}" for i in range(n)], [[str(v) for v in values]]
         )
-        plan = _plan(Reduce.SECOND_HIGHEST, [group_query("S")], template=TemplateType.MIN_MAX)
+        plan = _plan(Reduce.SECOND_HIGHEST, [group_query("S")])
         expected_index = sorted(range(n), key=lambda i: -values[i])[1]
         assert compute_gold(table, plan).raw == f"k{expected_index}"
         assert deduce(plan, _answers_for(table, plan))[1] == f"k{expected_index}"
@@ -462,7 +461,7 @@ def test_gold_never_consults_protocol(monkeypatch, costa_rica):
 
     monkeypatch.setattr(protocol, "parse_reader_answer", boom)
     monkeypatch.setattr(protocol, "format_reader_answer", boom)
-    plan = _plan(Reduce.MIN, [group_query("Costa Rica")], template=TemplateType.MIN_MAX)
+    plan = _plan(Reduce.MIN, [group_query("Costa Rica")])
     assert compute_gold(costa_rica, plan).raw == "14.92"
 
 

@@ -4,6 +4,9 @@ from decimal import Decimal
 import pytest
 
 from chartloop.datagen import load_corpus
+from chartloop.evalkit import relaxed_match
+from chartloop.protocol import point_query
+from chartloop.symbolic import QuestionPlan, Reduce, UndefinedResult, compute_gold
 from chartloop.tables import (
     ChartTable,
     QAInstance,
@@ -15,7 +18,6 @@ from chartloop.tables import (
     Termination,
     TraceError,
     Value,
-    ValueKind,
     bucket_length,
     underlying_length,
     validate_trace,
@@ -50,17 +52,27 @@ def test_bucket_length_edge_behavior():
 def test_value_round_trip_preserves_precision():
     for raw in ["2784.00", "18", "20.0", "296.0", "-47232000000.0", "0.16", "14.92"]:
         value = Value.from_raw(raw)
-        assert value.kind is ValueKind.NUMERIC
+        assert value.number is not None
         again = Value.from_raw(value.raw)
         assert again == value
         assert again.raw == raw
 
 
 def test_value_classification():
-    assert Value.from_raw("yes").kind is ValueKind.YES_NO
-    assert Value.from_raw("No").kind is ValueKind.YES_NO
-    assert Value.from_raw("Independents").kind is ValueKind.TEXT
+    assert Value.from_raw("yes") == Value("yes")
+    assert Value.from_raw(" No ") == Value("No")
+    assert Value.from_raw("Independents") == Value("Independents")
     assert Value.from_raw("14.92").number == Decimal("14.92")
+    # Only scoring reads past quotes and sentence punctuation: a quoted
+    # number holds no number, so a reduce refuses it, yet it scores as 5.
+    assert Value.from_raw("'5'") == Value("'5'")
+    quoted = ChartTable.build("q", ["A"], ["x1", "x2"], [["'5'", "3"]])
+    with pytest.raises(UndefinedResult):
+        compute_gold(quoted, QuestionPlan((point_query("A", "x1"), point_query("A", "x2")),
+                                          Reduce.SUM))
+    assert relaxed_match(Value.from_raw("'5'"), Value.from_raw("5"))
+    assert relaxed_match(Value.from_raw("Yes."), Value.from_raw("yes"))
+    assert not relaxed_match(Value.from_raw("Yes."), Value.from_raw("no"))
 
 
 @pytest.mark.parametrize("raw, number", [
@@ -69,7 +81,7 @@ def test_value_classification():
     ("1.5e3", "1.5e3"), ("1,200e2", "1.2e5"), ("1e999998", "1e999998"),
 ])
 def test_value_reads_a_decorated_number_and_keeps_its_print(raw, number):
-    assert Value.from_raw(raw) == Value(ValueKind.NUMERIC, raw, Decimal(number))
+    assert Value.from_raw(raw) == Value(raw, Decimal(number))
 
 
 @pytest.mark.parametrize("raw", ["%", "$", "$%", "45%%", "$$5", "5$", "%5", "1,2000", "12,00",
@@ -77,7 +89,7 @@ def test_value_reads_a_decorated_number_and_keeps_its_print(raw, number):
                                  "9" * 31 + "e999969", "0e5000000", "1e1000000000000000000",
                                  "1e" + "9" * 20, "$1e" + "9" * 20 + "%", "Gambia, The"])
 def test_value_outside_the_number_rule_is_text(raw):
-    assert Value.from_raw(raw) == Value(ValueKind.TEXT, raw)
+    assert Value.from_raw(raw) == Value(raw)
 
 
 def test_value_round_trip_random_decimals():
