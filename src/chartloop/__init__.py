@@ -34,7 +34,6 @@ from .protocol import (
 )
 from .symbolic import (
     QuestionPlan,
-    Reduce,
     SymbolicReasoner,
     compute_gold,
     decompose,
@@ -67,7 +66,6 @@ __all__ = [
     "QuestionPlan",
     "ReaderAnswer",
     "ReasoningTrace",
-    "Reduce",
     "ScriptedReasoner",
     "SelfConsistencyConfig",
     "SeriesLabel",

@@ -41,6 +41,7 @@ from .tables import (
     Value,
     array_field,
     encode_json,
+    shape_reason,
     template_field,
     text_field,
     validate_trace,
@@ -101,7 +102,7 @@ def _add_rows(rows: Iterable[Row], add: Callable[[Any], None], issues: list[str]
         try:
             add(decode(raw) if decode else raw)
         except _ROW_ERRORS as exc:
-            issues.append(f"{where}: {exc}")
+            issues.append(f"{where}: {shape_reason(exc)}")
 
 
 def _csv_chart(path: Path) -> dict:
@@ -463,7 +464,7 @@ def read_traces_jsonl(path: str | Path) -> tuple[list[tuple[ReasoningTrace, str,
                 trace = ReasoningTrace.from_dict(obj)
                 validate_trace(trace)
             except SHAPE_ERRORS as exc:  # name the episode of a --sc line
-                raise ValueError(f"episodes[{i}]: {exc}") from exc
+                raise ValueError(f"episodes[{i}]: {shape_reason(exc)}") from exc
             episodes.append(trace)
         triples.extend((trace, question, chart_id) for trace in episodes)
 

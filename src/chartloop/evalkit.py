@@ -25,7 +25,7 @@ from enum import Enum
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, TextIO
 
 from .tables import (SHAPE_ERRORS, QAInstance, Value, bucket_labels, bucket_length,
-                     canonical_decimal, encode_json, parse_number, text_field)
+                     canonical_decimal, encode_json, parse_number, shape_reason, text_field)
 
 TOLERANCE = Decimal("0.05")
 DEFAULT_BUCKET_EDGES = (0, 10, 20, 40)
@@ -241,7 +241,7 @@ def read_records_jsonl(path) -> Iterator[EvalRecord]:
                 try:
                     record = EvalRecord.from_dict(json.loads(line))
                 except SHAPE_ERRORS as exc:
-                    raise ValueError(f"{path}:{lineno}: {exc}") from exc
+                    raise ValueError(f"{path}:{lineno}: {shape_reason(exc)}") from exc
                 yield record
 
 

@@ -71,8 +71,8 @@ def edit_similarity(a: str, b: str) -> float:
     return 1.0 - _edit_distance(na, nb) / longest
 
 
-def closest_name(name: str, names: Sequence[str]) -> Optional[tuple[int, float]]:
-    """Index and score of the entry of ``names`` that ``name`` means, or None.
+def closest_name(name: str, names: Sequence[str]) -> Optional[int]:
+    """Index of the entry of ``names`` that ``name`` means, or None.
 
     An exact normalized match wins outright; otherwise the highest
     edit-similarity entry at or above ``FUZZY_THRESHOLD`` is taken, the first
@@ -81,13 +81,10 @@ def closest_name(name: str, names: Sequence[str]) -> Optional[tuple[int, float]]
     wanted = normalize_name(name)
     for index, candidate in enumerate(names):
         if normalize_name(candidate) == wanted:
-            return index, 1.0
-    best: Optional[tuple[int, float]] = None
-    for index, candidate in enumerate(names):
-        score = edit_similarity(name, candidate)
-        if score >= FUZZY_THRESHOLD and (best is None or score > best[1]):
-            best = index, score
-    return best
+            return index
+    scores = [edit_similarity(name, candidate) for candidate in names]
+    best = max(range(len(names)), key=scores.__getitem__, default=None)
+    return best if best is not None and scores[best] >= FUZZY_THRESHOLD else None
 
 
 def resolve_entity(table: ChartTable, name: str, axis: Optional[Axis] = None) -> tuple[Axis, int]:
@@ -114,10 +111,9 @@ def resolve_entity(table: ChartTable, name: str, axis: Optional[Axis] = None) ->
                 return Axis.X_LABEL, index
     series = [] if axis is Axis.X_LABEL else [s.name for s in table.series]
     x_labels = () if axis is Axis.SERIES else table.x_labels
-    match = closest_name(name, [*series, *x_labels])
-    if match is None:
+    index = closest_name(name, [*series, *x_labels])
+    if index is None:
         raise EntityNotFound(f"no entity close to {name!r} in chart {table.source_id}")
-    index = match[0]
     return (Axis.SERIES, index) if index < len(series) else (Axis.X_LABEL, index - len(series))
 
 

@@ -12,10 +12,12 @@ Three jobs, kept deliberately separable so the closed loop is verifiable:
   then takes the pair keyed by the query's entity, or else the only pair.
 
 Each question meaning is one row of the ordered ``_TEMPLATES`` table: a
-type, a builder from slot values to queries and reduce, and one or more
-phrasings, surface strings with slots (the protocol lines' ``Form`` rule).
-One string both renders a generated question and compiles to the regex
-that ``decompose`` matches, so the two cannot drift apart.
+key, a type, a builder from slot values to the queries that read, and one
+or more phrasings, surface strings with slots (the protocol lines' ``Form``
+rule).  One string both renders a generated question and compiles to the
+regex that ``decompose`` matches, so the two cannot drift apart.  A plan is
+its queries, its row's key and the slot values; the fold of the answers is
+named by the key alone, and reads ``{op}`` and ``{target}`` from the slots.
 
 Running decompose -> reader -> deduce against compute_gold is the package's
 main correctness oracle for extraction: the two answer paths read their
@@ -32,7 +34,6 @@ import random
 import re
 from dataclasses import dataclass
 from decimal import Decimal, DecimalException, ROUND_HALF_UP
-from enum import Enum
 from typing import Callable, Optional, Sequence
 
 from . import protocol  # parse_reader_answer is looked up on each cache miss, so wrappers see it
@@ -67,36 +68,18 @@ class NotTemplated(ValueError):
 
 
 class UndefinedResult(ArithmeticError):
-    """The reduce has no defined result (e.g. division by zero)."""
-
-
-class Reduce(str, Enum):
-    IDENTITY = "identity"
-    SUM = "sum"
-    DIFFERENCE = "difference"
-    RATIO = "ratio"
-    AVERAGE = "average"
-    MIN = "min"
-    MAX = "max"
-    ARGMIN = "argmin"
-    ARGMAX = "argmax"
-    COUNT_GREATER = "count_greater"
-    COUNT_LESS = "count_less"
-    SECOND_HIGHEST = "second_highest"
-    COMPARE_YES_NO = "compare_yes_no"
-    ARG_MATCH = "arg_match"
-    SUM_TWO_SMALLEST_VS_LARGEST = "sum_two_smallest_vs_largest"
-    COUNT_SERIES = "count_series"
-    COUNT_X_LABELS = "count_x_labels"
+    """The fold has no defined result (e.g. division by zero)."""
 
 
 @dataclass(frozen=True)
 class QuestionPlan:
-    """A question's decomposition: atomic queries plus the final reduce."""
+    """A question's decomposition: its atomic queries, the key of the
+    ``_TEMPLATES`` row whose fold concludes, and that row's slot values as
+    (name, text) pairs in name order (a tuple, so threads can share a plan)."""
 
     queries: tuple[AtomicQuery, ...]
-    reduce: Reduce
-    reduce_args: tuple[Value, ...] = ()
+    key: str
+    slots: tuple[tuple[str, str], ...] = ()
 
 
 def stable_seed(*parts: object) -> int:
@@ -110,45 +93,37 @@ def stable_seed(*parts: object) -> int:
 # ---------------------------------------------------------------------------
 
 class _Template:
-    """One question meaning: its type, its plan builder and its phrasings,
-    each a ``Form`` over the builder's slots."""
+    """One question meaning: its key, its type, its builder from slots to
+    queries and its phrasings, each a ``Form`` over the builder's slots."""
 
-    def __init__(self, template_type: TemplateType, build: Callable, *phrasings: str):
+    def __init__(self, key: str, template_type: TemplateType, build: Callable, *phrasings: str):
+        self.key = key
         self.template_type = template_type
         self.build = build
         self.phrasings = tuple(map(Form, phrasings))
 
     def plan(self, slots: dict, describe_first: bool) -> QuestionPlan:
-        queries, reduce, args = self.build(slots)
+        queries = self.build(slots)
         if describe_first:
             queries = (describe_query(), *queries)
-        return QuestionPlan(queries, reduce, args)
+        return QuestionPlan(queries, self.key, tuple(sorted(slots.items())))
 
 
-def _points(reduce: Reduce) -> Callable:
+def _points(s: dict) -> tuple[AtomicQuery, ...]:
     """Read {a} (in {x}), then {b} (in {y}) if either slot exists; {b} defaults
     to {a} and {y} to {x}."""
-    def build(s: dict):
-        a, x = s["a"], s.get("x")
-        queries = (point_query(a, x),)
-        if "b" in s or "y" in s:
-            queries += (point_query(s.get("b", a), s.get("y", x)),)
-        return queries, reduce, ()
-    return build
+    a, x = s["a"], s.get("x")
+    queries = (point_query(a, x),)
+    if "b" in s or "y" in s:
+        queries += (point_query(s.get("b", a), s.get("y", x)),)
+    return queries
 
 
-def _group(reduce) -> Callable:
-    """Read the group of {a} (the only series when absent); a dict ``reduce``
-    is keyed by the {op} slot, and {target} becomes the reduce argument."""
-    def build(s: dict):
-        chosen = reduce[s["op"]] if isinstance(reduce, dict) else reduce
-        args = (Value.from_raw(s["target"]),) if "target" in s else ()
-        return (group_query(s.get("a")),), chosen, args
-    return build
+def _group(s: dict) -> tuple[AtomicQuery, ...]:
+    """Read the group of {a} (the only series when absent)."""
+    return (group_query(s.get("a")),)
 
 
-_THRESHOLD = {"greater than": Reduce.COUNT_GREATER, "below": Reduce.COUNT_LESS}
-_EXTREME = {"minimum": Reduce.MIN, "maximum": Reduce.MAX}
 _DR, _ST, _AR = TemplateType.DATA_RETRIEVAL, TemplateType.STRUCTURAL, TemplateType.ARITHMETIC
 _CP, _CM, _MM = TemplateType.COMPOUND, TemplateType.COMPARISON, TemplateType.MIN_MAX
 
@@ -156,46 +131,46 @@ _CP, _CM, _MM = TemplateType.COMPOUND, TemplateType.COMPARISON, TemplateType.MIN
 # so a more specific phrasing precedes any that would also match it.  A
 # generated question is the first phrasing of its row with the generator's
 # slot names; the phrasings no generator renders are human-only wordings.
-_TEMPLATES: dict[str, _Template] = {key: _Template(*row) for key, *row in (
-    ("count_series", _ST, lambda s: ((), Reduce.COUNT_SERIES, ()),
+_TEMPLATES: dict[str, _Template] = {row[0]: _Template(*row) for row in (
+    ("count_series", _ST, lambda s: (),
      "How many legend labels are there?"),
-    ("count_x_labels", _ST, lambda s: ((), Reduce.COUNT_X_LABELS, ()),
+    ("count_x_labels", _ST, lambda s: (),
      "How many x-axis labels are there?"),
-    ("arg_match", _DR, _group(Reduce.ARG_MATCH),
+    ("arg_match", _DR, _group,
      "In which {word:year|category} is the value of {a} equal to {target}?",
      r"In which {unit:\w+} the {measure} in {a} is {target}?"),
-    ("difference", _AR, _points(Reduce.DIFFERENCE),
+    ("difference", _AR, _points,
      "By how many points does {a} surpass {b} in {x} in the year of {year}?",
      "By how many points does the value in {a} surpass the value in {b}?",
      "By how many points does {a} surpass {b} in {x}?"),
-    ("sum", _AR, _points(Reduce.SUM),
+    ("sum", _AR, _points,
      "What is the sum of the values of {a} and {b} in {x}?",
      "What is the sum of the values in {a} and {b}?"),
-    ("average", _AR, _points(Reduce.AVERAGE),
+    ("average", _AR, _points,
      "What is the average of the values of {a} and {b} in {x}?"),
-    ("average_all", _AR, _group(Reduce.AVERAGE),
+    ("average_all", _AR, _group,
      "What is the average value of {a} across all {words:years|categories}?"),
-    ("count", _CP, _group(_THRESHOLD),
+    ("count", _CP, _group,
      "In how many {words:years|categories}, is the value of the bar "
      "{op:greater than|below} {target}?",
      "In how many {words:years|categories}, is the value of {a} "
      "{op:greater than|below} {target}?"),
-    ("ratio", _CM, _points(Reduce.RATIO),
+    ("ratio", _CM, _points,
      "What is the ratio of the value of {a} in {x} to that in {y}?",
      "What is the ratio of the value in {a} to that in {b}?"),
-    ("greater", _CM, _points(Reduce.COMPARE_YES_NO),
+    ("greater", _CM, _points,
      "Is the value of {a} in {x} greater than the value of {b} in {y}?",
      "Is the value in {a} greater than the value in {b}?"),
-    ("two_smallest", _CM, _group(Reduce.SUM_TWO_SMALLEST_VS_LARGEST),
+    ("two_smallest", _CM, _group,
      "Is the sum of {det:the |}two smallest segments greater than the largest segment?"),
-    ("extreme", _MM, _group(_EXTREME),
+    ("extreme", _MM, _group,
      "Across all {words:years|categories}, what is the {op:minimum|maximum} value of {a}?",
      r"Across all {unit:\w+}, what is the {op:minimum|maximum} {measure:(?:.+ )?}in {a}?"),
-    ("arg_extreme", _MM, _group({"highest": Reduce.ARGMAX, "lowest": Reduce.ARGMIN}),
+    ("arg_extreme", _MM, _group,
      "In which {word:year|category} is the value of {a} the {op:highest|lowest}?"),
-    ("second_highest", _MM, _group(Reduce.SECOND_HIGHEST),
+    ("second_highest", _MM, _group,
      "Which {word:year|category} has the second highest value of {a}?"),
-    ("value", _DR, _points(Reduce.IDENTITY),
+    ("value", _DR, _points,
      "What is the value of {a} in {x}?",
      "What is the value of {a}?"),
 )}
@@ -272,8 +247,8 @@ def compute_gold(table: ChartTable, plan: QuestionPlan) -> Value:
     """The plan's answer, from cells read straight off the table.
 
     Extraction never touches the query/answer strings, so it stays an
-    independent check on the episode's reader; the reduce is ``deduce``'s own,
-    and its concluding sentence is dropped.
+    independent check on the episode's reader; the fold is ``deduce``'s own,
+    and its reasoning sentence is dropped.
     """
     scalars: list[Value] = []
     groups: list[list[tuple[str, Value]]] = []
@@ -283,7 +258,10 @@ def compute_gold(table: ChartTable, plan: QuestionPlan) -> Value:
         elif query.op is QueryOp.EXTRACT_GROUP:
             groups.append(_gold_group(table, query))
     counts = (len(table.series), len(table.x_labels))
-    return Value.from_raw(_reduce(plan, scalars, groups[0] if groups else (), counts)[1])
+    try:
+        return Value.from_raw(_reduce(plan, scalars, groups[0] if groups else (), counts)[1])
+    except DecimalException as exc:
+        raise UndefinedResult(f"{plan.key} is not representable") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -318,26 +296,23 @@ def deduce(
                 scalars.append(_keyed_value(query.entity or "", answer.pairs))
             elif answer.kind is AnswerKind.GROUP:
                 groups.append(answer.pairs)
-        return _reduce(plan, scalars, groups[0] if groups else (), counts)
-    except (IndexError, UndefinedResult):
+        reason, final = _reduce(plan, scalars, groups[0] if groups else (), counts)
+    except (IndexError, UndefinedResult, DecimalException):
         return UNKNOWN_CONCLUSION, None
+    return f"{reason} {CONCLUSION.render(final)}", final
 
 
 def _keyed_value(entity: str, pairs: Sequence[tuple[str, Value]]) -> Value:
     """The value of the pair ``closest_name`` picks for ``entity``, else of the only pair."""
-    match = closest_name(entity, [key for key, _ in pairs])
-    if match is None and len(pairs) != 1:
+    index = closest_name(entity, [key for key, _ in pairs])
+    if index is None and len(pairs) != 1:
         raise UndefinedResult(f"no pair for {entity!r}")
-    return pairs[match[0] if match else 0][1]
+    return pairs[index or 0][1]
 
 
 # ---------------------------------------------------------------------------
-# The one reduce of both answer paths.
+# The one fold of both answer paths.
 # ---------------------------------------------------------------------------
-
-_POINT_REDUCES = (Reduce.IDENTITY, Reduce.SUM, Reduce.DIFFERENCE, Reduce.RATIO,
-                  Reduce.COMPARE_YES_NO)
-
 
 def _require_numbers(values: Sequence[Value]) -> list[Decimal]:
     numbers = []
@@ -354,97 +329,82 @@ def _reduce(
     pairs: Sequence[tuple[str, Value]],
     counts: Optional[tuple[int, int]],
 ) -> tuple[str, str]:
-    """Apply the plan's reduce to extracted values: the concluding sentence
-    and the answer as printed.
+    """Fold extracted values by the plan's row: the reasoning sentence and
+    the answer as printed.
 
     ``scalars`` are the point values in query order, ``pairs`` the first
     group's (key, value) pairs and ``counts`` the chart's series and x-label
-    counts (None without a figure description).  Raises UndefinedResult when
-    the result is undefined or cannot be rounded at Decimal's precision, and
-    IndexError when too few values came in.
+    counts (None without a figure description).  A row built by ``_points``
+    folds the point values, an average folds them when any came back, and
+    every other row folds the pairs.  Raises UndefinedResult when the result
+    is undefined, DecimalException when it cannot be rounded at Decimal's
+    precision, and IndexError when too few values came in.
     """
-    try:
-        reason, answer = _apply_reduce(plan, scalars, pairs, counts)
-    except DecimalException as exc:
-        raise UndefinedResult(f"{plan.reduce.value} is not representable") from exc
-    return f"{reason} {CONCLUSION.render(answer)}", answer
-
-
-def _apply_reduce(
-    plan: QuestionPlan,
-    scalars: Sequence[Value],
-    pairs: Sequence[tuple[str, Value]],
-    counts: Optional[tuple[int, int]],
-) -> tuple[str, str]:
-    """The reduce's reasoning sentence and its printed answer."""
-    reduce = plan.reduce
-    if reduce in (Reduce.COUNT_SERIES, Reduce.COUNT_X_LABELS):
+    key, slots = plan.key, dict(plan.slots)
+    if key in ("count_series", "count_x_labels"):
         if counts is None:
             raise UndefinedResult("counting labels needs the figure description")
-        n_series, n_x_labels = counts
-        n, labels = ((n_series, "legend") if reduce is Reduce.COUNT_SERIES
-                     else (n_x_labels, "x-axis"))
+        n, labels = (counts[0], "legend") if key == "count_series" else (counts[1], "x-axis")
         return f"There are {n} {labels} labels.", str(n)
-    if reduce in _POINT_REDUCES or (reduce is Reduce.AVERAGE and scalars):
-        keys, values = [], list(scalars)
-    else:
-        keys, values = [k for k, _ in pairs], [v for _, v in pairs]
+    keys, values = [k for k, _ in pairs], [v for _, v in pairs]
+    if key in ("average", "average_all"):
+        values = list(scalars) or values
+    elif _TEMPLATES[key].build is _points:
+        values = list(scalars)
     if not values:
-        raise IndexError(f"no values to reduce by {reduce.value}")
-    if reduce is Reduce.IDENTITY:
+        raise IndexError(f"no values to fold for {key}")
+    if key == "value":
         v = values[0]
         return f"The value is {v.raw}.", v.raw
     numbers = _require_numbers(values)
 
-    if reduce is Reduce.SUM:
+    if key == "sum":
         total = sum(numbers, Decimal(0))
         expr = "+".join(v.raw for v in values)
         return f"The sum is {expr}={total}.", str(total)
-    if reduce is Reduce.DIFFERENCE:
+    if key == "difference":
         a, b = values[0].raw, values[1].raw
         d = numbers[0] - numbers[1]
         return f"{a} surpasses {b} by {a}-{b}={d}.", str(d)
-    if reduce is Reduce.RATIO:
+    if key == "ratio":
         a, b = values[0].raw, values[1].raw
         if numbers[1] == 0:
             raise UndefinedResult("ratio with zero denominator")
         r = (numbers[0] / numbers[1]).quantize(_RATIO_STEP, rounding=ROUND_HALF_UP)
         return f"The ratio is {a}/{b}={r}.", str(r)
-    if reduce is Reduce.COMPARE_YES_NO:
+    if key == "greater":
         a, b = values[0].raw, values[1].raw
         if numbers[0] > numbers[1]:
             return f"{a} is greater than {b}.", "yes"
         return f"{a} is not greater than {b}.", "no"
-    if reduce is Reduce.AVERAGE:
+    if key in ("average", "average_all"):
         m = (sum(numbers, Decimal(0)) / len(numbers)).quantize(_AVERAGE_STEP, ROUND_HALF_UP)
         expr = "(" + "+".join(v.raw for v in values) + f")/{len(numbers)}"
         return f"The average is {expr}={m}.", str(m)
-    if reduce in (Reduce.MIN, Reduce.ARGMIN, Reduce.MAX, Reduce.ARGMAX):
-        lowest = reduce in (Reduce.MIN, Reduce.ARGMIN)
+    if key in ("extreme", "arg_extreme"):
+        lowest = slots["op"] in ("minimum", "lowest")
         i = min(range(len(numbers)), key=lambda i: (numbers[i] if lowest else -numbers[i], i))
         v, k = values[i], keys[i]
-        answer = v.raw if reduce in (Reduce.MIN, Reduce.MAX) else k
+        answer = v.raw if key == "extreme" else k
         return f"The {'minimum' if lowest else 'maximum'} value is {v.raw} in {k}.", answer
-    if reduce in (Reduce.COUNT_GREATER, Reduce.COUNT_LESS):
-        threshold = plan.reduce_args[0]
+    if key == "count":
+        op, threshold = slots["op"], Value.from_raw(slots["target"])
         t = _require_numbers([threshold])[0]
-        greater = reduce is Reduce.COUNT_GREATER
-        hits = [v for v, n in zip(values, numbers) if (n > t if greater else n < t)]
-        relation = "greater than" if greater else "below"
+        hits = [v for v, n in zip(values, numbers) if (n > t if op == "greater than" else n < t)]
         listing = ", ".join(v.raw for v in hits)
-        return f"The values that are {relation} {threshold.raw} are [{listing}].", str(len(hits))
-    if reduce is Reduce.SECOND_HIGHEST:
+        return f"The values that are {op} {threshold.raw} are [{listing}].", str(len(hits))
+    if key == "second_highest":
         i = sorted(range(len(numbers)), key=lambda i: (-numbers[i], i))[1]
         v, k = values[i], keys[i]
         return f"The second highest value is {v.raw} in {k}.", k
-    if reduce is Reduce.ARG_MATCH:
+    if key == "arg_match":
         # Every cell is a number by now, so a text target matches none.
-        target = plan.reduce_args[0]
+        target = Value.from_raw(slots["target"])
         for k, n in zip(keys, numbers):
             if n == target.number:
                 return f"The value {target.raw} is in {k}.", k
         raise UndefinedResult(f"no cell equals {target.raw!r}")
-    if reduce is Reduce.SUM_TWO_SMALLEST_VS_LARGEST:
+    if key == "two_smallest":
         order = sorted(range(len(numbers)), key=lambda i: (numbers[i], i))
         # The two smallest read in list order, as the worked traces do.
         first, second = sorted(order[:2])
@@ -458,7 +418,7 @@ def _apply_reduce(
         return (f"Among [{listing}], the two smallest values are {a} and {b} while the "
                 f"largest value is {c}. {a}+{b}={total}, which is {relation} {c}.",
                 "yes" if total > largest else "no")
-    raise UndefinedResult(f"unsupported reduce {reduce}")
+    raise UndefinedResult(f"row {key!r} has no fold")
 
 
 # ---------------------------------------------------------------------------
@@ -590,7 +550,7 @@ def _gen_min_max(table: ChartTable, rng: random.Random):
     if len(table.x_labels) >= 2:
         ops.append("second_highest")
     op = rng.choice(ops)
-    if op in _EXTREME:
+    if op in ("minimum", "maximum"):
         return "extreme", {"words": words, "op": op, "a": name}
     if op == "second_highest":
         return "second_highest", {"word": word, "a": name}
@@ -641,8 +601,8 @@ def gen_questions(
 def _align_entity(name: Optional[str], pool: Sequence[str]) -> Optional[str]:
     if name is None:
         return None
-    match = closest_name(name, pool)
-    return name if match is None else pool[match[0]]
+    index = closest_name(name, pool)
+    return name if index is None else pool[index]
 
 
 # Entries in each of a reasoner's two caches: room for the questions in flight

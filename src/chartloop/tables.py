@@ -32,6 +32,12 @@ class TraceError(ValueError):
 SHAPE_ERRORS = (KeyError, IndexError, TypeError, AttributeError, ValueError, RecursionError)
 
 
+def shape_reason(exc: BaseException) -> str:
+    """What a caught ``SHAPE_ERRORS`` exception says: a missing key reads
+    ``missing <key>``, as a null field does, and anything else its own text."""
+    return f"missing {exc.args[0]}" if type(exc) is KeyError else str(exc)
+
+
 def _json_encoder() -> Callable[[Any], str]:
     """``json.dumps(obj, ensure_ascii=False)`` as one function.
 

@@ -820,15 +820,28 @@ _RECORD = {"question": "q", "gold": "1", "chart_id": "c", "template_type": None,
            "prediction": "1", "correct": True, "table_length": 4, "trace_ref": "episode-0"}
 
 
-@pytest.mark.parametrize("content", [
-    None, "[1, 2]\n", '{"question": "q", "chart_id": "c"}\n',
-    pytest.param("[" * 100_000 + "\n", id="too-deeply-nested"),
-    pytest.param(json.dumps({**_RECORD, "correct": "false"}) + "\n", id="correct-is-a-string"),
-    pytest.param(json.dumps({**_RECORD, "table_length": -1}) + "\n", id="negative-table-length"),
-    pytest.param(json.dumps({**_RECORD, "gold": None}) + "\n", id="gold-is-null"),
-    pytest.param(json.dumps({**_RECORD, "trace_ref": None}) + "\n", id="trace-ref-is-null"),
+def _without(key):
+    return json.dumps({k: v for k, v in _RECORD.items() if k != key}) + "\n"
+
+
+@pytest.mark.parametrize("content, reason", [
+    pytest.param(None, None, id="None"),
+    pytest.param("[1, 2]\n", None, id="[1, 2]\n"),
+    pytest.param('{"question": "q", "chart_id": "c"}\n', None,
+                 id='{"question": "q", "chart_id": "c"}\n'),
+    pytest.param("[" * 100_000 + "\n", None, id="too-deeply-nested"),
+    pytest.param(json.dumps({**_RECORD, "correct": "false"}) + "\n", None,
+                 id="correct-is-a-string"),
+    pytest.param(json.dumps({**_RECORD, "table_length": -1}) + "\n", None,
+                 id="negative-table-length"),
+    pytest.param(json.dumps({**_RECORD, "gold": None}) + "\n", None, id="gold-is-null"),
+    pytest.param(json.dumps({**_RECORD, "trace_ref": None}) + "\n", None,
+                 id="trace-ref-is-null"),
+    # A missing required key reads as a null field does.
+    pytest.param(_without("table_length"), "missing table_length", id="table-length-missing"),
+    pytest.param(_without("correct"), "missing correct", id="correct-missing"),
 ])
-def test_report_bad_records_exit_2(tmp_path, capsys, content):
+def test_report_bad_records_exit_2(tmp_path, capsys, content, reason):
     records = tmp_path / "records.jsonl"
     if content is not None:
         records.write_text(content, encoding="utf-8")
@@ -837,6 +850,8 @@ def test_report_bad_records_exit_2(tmp_path, capsys, content):
     assert err.startswith("error: ") and err.count("\n") == 1
     if content is not None:
         assert err.startswith(f"error: {records}:1: ")
+    if reason is not None:
+        assert err == f"error: {records}:1: {reason}\n"
     assert not (tmp_path / "out").exists()
 
 

@@ -84,8 +84,9 @@ def test_resolve_not_found(oman_samoa):
 
 
 def test_closest_name_exact_first_then_first_best_fuzzy():
-    assert closest_name("ALPHX", ["Alpha", "alphx"]) == (1, 1.0)
-    assert closest_name("Alphz", ["Alpha", "Alphb"]) == (0, 0.8)
+    assert closest_name("ALPHX", ["Alpha", "alphx"]) == 1
+    assert closest_name("Alphz", ["Alpha", "Alphb"]) == 0
+    assert edit_similarity("Alphz", "Alpha") == 0.8
     assert closest_name("Zeta", ["Alpha"]) is None
 
 

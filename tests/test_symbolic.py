@@ -1,7 +1,9 @@
 import hashlib
 import json
 import random
+import re
 from decimal import Decimal
+from pathlib import Path
 
 import pytest
 
@@ -18,10 +20,10 @@ from chartloop.symbolic import (
     _align_entity,
     NotTemplated,
     QuestionPlan,
-    Reduce,
     SkippedTemplate,
     SymbolicReasoner,
     UndefinedResult,
+    _TEMPLATES,
     compute_gold,
     decompose,
     deduce,
@@ -32,8 +34,8 @@ from chartloop.synth import random_table, random_tables
 from chartloop.tables import ChartTable, TemplateType, Value
 
 
-def _plan(reduce, queries, args=()):
-    return QuestionPlan(tuple(queries), reduce, tuple(args))
+def _plan(key, queries, **slots):
+    return QuestionPlan(tuple(queries), key, tuple(sorted(slots.items())))
 
 
 def test_decompose_difference_with_distractor_year():
@@ -46,27 +48,27 @@ def test_decompose_difference_with_distractor_year():
         point_query("NET Excellent/good", "German"),
         point_query("NET Only fair/poor", "German"),
     )
-    assert plan.reduce is Reduce.DIFFERENCE
+    assert plan.key == "difference"
 
 
 def test_decompose_lookup_by_value():
     plan = decompose("In which year the private health expenditure per person in Oman is 210.69?")
     assert plan.queries == (describe_query(), group_query("Oman"))
-    assert plan.reduce is Reduce.ARG_MATCH
-    assert plan.reduce_args == (Value.from_raw("210.69"),)
+    assert plan.key == "arg_match"
+    assert dict(plan.slots)["target"] == "210.69"
 
 
 def test_decompose_min_with_measure_phrase():
     plan = decompose("Across all years, what is the minimum pupil-teacher ratio in Costa Rica?")
     assert plan.queries == (describe_query(), group_query("Costa Rica"))
-    assert plan.reduce is Reduce.MIN
+    assert (plan.key, dict(plan.slots)["op"]) == ("extreme", "minimum")
 
 
 def test_decompose_count_threshold_single_series():
     plan = decompose("In how many years, is the value of the bar greater than 851?")
     assert plan.queries == (describe_query(), group_query(None))
-    assert plan.reduce is Reduce.COUNT_GREATER
-    assert plan.reduce_args == (Value.from_raw("851"),)
+    assert (plan.key, plan.slots) == (
+        "count", (("op", "greater than"), ("target", "851"), ("words", "years")))
 
 
 def test_decompose_no_describe_mode():
@@ -77,7 +79,7 @@ def test_decompose_no_describe_mode():
 def test_decompose_structural_requires_description():
     plan = decompose("How many legend labels are there?")
     assert plan.queries == (describe_query(),)
-    assert plan.reduce is Reduce.COUNT_SERIES
+    assert (plan.key, plan.slots) == ("count_series", ())
     with pytest.raises(NotTemplated):
         decompose("How many legend labels are there?", describe_first=False)
 
@@ -87,9 +89,10 @@ def test_decompose_free_form_not_templated():
         decompose("What do you think of this chart?")
 
 
-# The reduce table: every answer and concluding sentence below was worked out
+# The fold table: every answer and concluding sentence below was worked out
 # by hand from the literal cells, never produced by chartloop code.  Each row
-# is (table, plan, reader answers, answer raw or Value, sentence).  A row with no
+# is (table, plan, reader answers, answer raw or Value, sentence), with the
+# plan's row key and slots.  A row with no
 # table feeds deduce answers that no table yields; a row with no answer raw
 # expects deduce's unknown conclusion and, given a table, UndefinedResult from
 # compute_gold.
@@ -98,9 +101,8 @@ def _chart(x_labels, **series):
     return ChartTable.build("hand", list(series), x_labels.split(), list(series.values()))
 
 
-def _row(name, table, reduce, queries, answers, raw, sentence, args=()):
-    plan = QuestionPlan(tuple(queries), reduce, tuple(Value.from_raw(a) for a in args))
-    return pytest.param(table, plan, answers, raw, sentence, id=name)
+def _row(name, table, key, queries, answers, raw, sentence, **slots):
+    return pytest.param(table, _plan(key, queries, **slots), answers, raw, sentence, id=name)
 
 
 _P, _G, _D = point_query, group_query, describe_query
@@ -108,143 +110,154 @@ _UNKNOWN = "So the answer is unknown."
 _PAIR = _chart("x1 x2 x3", A=["1", "2", "3"], B=["4", "5", "6"])
 
 _HAND_TABLE = [
-    _row("identity", _chart("x1 x2", A=["4.5", "7"]), Reduce.IDENTITY,
+    _row("identity", _chart("x1 x2", A=["4.5", "7"]), "value",
          [_P("x2")], ["The data is 7."],
          "7", "The value is 7. So the answer is 7."),
-    _row("identity-text", _chart("2001 2002", Winner=["Alice", "Bob"]), Reduce.IDENTITY,
+    _row("identity-text", _chart("2001 2002", Winner=["Alice", "Bob"]), "value",
          [_P("Winner", "2002")], ["The data is Bob."],
          "Bob", "The value is Bob. So the answer is Bob."),
-    _row("sum-keeps-trailing-zeros", _chart("2020", A=["1.50"], B=["2.50"]), Reduce.SUM,
+    _row("sum-keeps-trailing-zeros", _chart("2020", A=["1.50"], B=["2.50"]), "sum",
          [_P("A", "2020"), _P("B", "2020")], ["The data is 1.50.", "The data is 2.50."],
          "4.00", "The sum is 1.50+2.50=4.00. So the answer is 4.00."),
-    _row("difference", _chart("x1 x2", A=["10.5", "3.25"]), Reduce.DIFFERENCE,
+    _row("difference", _chart("x1 x2", A=["10.5", "3.25"]), "difference",
          [_P("x1"), _P("x2")], ["The data is 10.5.", "The data is 3.25."],
          "7.25", "10.5 surpasses 3.25 by 10.5-3.25=7.25. So the answer is 7.25."),
-    _row("difference-negative", _chart("x1 x2", A=["3", "5"]), Reduce.DIFFERENCE,
+    _row("difference-negative", _chart("x1 x2", A=["3", "5"]), "difference",
          [_P("x1"), _P("x2")], ["The data is 3.", "The data is 5."],
          "-2", "3 surpasses 5 by 3-5=-2. So the answer is -2."),
-    _row("ratio-pads-to-four-places", _chart("x1 x2", A=["7", "4"]), Reduce.RATIO,
+    _row("ratio-pads-to-four-places", _chart("x1 x2", A=["7", "4"]), "ratio",
          [_P("x1"), _P("x2")], ["The data is 7.", "The data is 4."],
          "1.7500", "The ratio is 7/4=1.7500. So the answer is 1.7500."),
     # 1/32 = 0.03125: half-up gives 0.0313 where banker's rounding gives 0.0312.
-    _row("ratio-rounds-half-up", _chart("x1 x2", A=["1", "32"]), Reduce.RATIO,
+    _row("ratio-rounds-half-up", _chart("x1 x2", A=["1", "32"]), "ratio",
          [_P("x1"), _P("x2")], ["The data is 1.", "The data is 32."],
          "0.0313", "The ratio is 1/32=0.0313. So the answer is 0.0313."),
-    _row("ratio-zero-denominator", _chart("x y", A=["3", "0"]), Reduce.RATIO,
+    _row("ratio-zero-denominator", _chart("x y", A=["3", "0"]), "ratio",
          [_P("x"), _P("y")], ["The data is 3.", "The data is 0."],
          None, _UNKNOWN),
     # 0.25/2 = 0.125: half-up gives 0.13 where banker's rounding gives 0.12.
-    _row("average-points-round-half-up", _chart("x", A=["0.12"], B=["0.13"]), Reduce.AVERAGE,
+    _row("average-points-round-half-up", _chart("x", A=["0.12"], B=["0.13"]), "average",
          [_P("A", "x"), _P("B", "x")], ["The data is 0.12.", "The data is 0.13."],
          "0.13", "The average is (0.12+0.13)/2=0.13. So the answer is 0.13."),
     # 4.02/4 = 1.005: half-up gives 1.01 where banker's rounding gives 1.00.
     _row("average-group-rounds-half-up", _chart("x1 x2 x3 x4", A=["1", "1", "1", "1.02"]),
-         Reduce.AVERAGE, [_G("A")], ["The data is 1 in x1, 1 in x2, 1 in x3, 1.02 in x4."],
+         "average_all", [_G("A")], ["The data is 1 in x1, 1 in x2, 1 in x3, 1.02 in x4."],
          "1.01", "The average is (1+1+1+1.02)/4=1.01. So the answer is 1.01."),
     # Rounding to the step needs more digits than Decimal's 28-digit context.
-    _row("ratio-past-precision", _chart("x1 x2", A=["1" + "0" * 29, "3"]), Reduce.RATIO,
+    _row("ratio-past-precision", _chart("x1 x2", A=["1" + "0" * 29, "3"]), "ratio",
          [_P("x1"), _P("x2")], ["The data is 1" + "0" * 29 + ".", "The data is 3."],
          None, _UNKNOWN),
-    _row("average-past-precision", _chart("x1 x2", A=["1" + "0" * 29, "3"]), Reduce.AVERAGE,
+    _row("average-past-precision", _chart("x1 x2", A=["1" + "0" * 29, "3"]), "average_all",
          [_G("A")], ["The data is 1" + "0" * 29 + " in x1, 3 in x2."], None, _UNKNOWN),
-    _row("min-keeps-printed-form", _chart("x1 x2 x3", A=["3", "1.50", "2"]), Reduce.MIN,
+    _row("min-keeps-printed-form", _chart("x1 x2 x3", A=["3", "1.50", "2"]), "extreme",
          [_G("A")], ["The data is 3 in x1, 1.50 in x2, 2 in x3."],
-         "1.50", "The minimum value is 1.50 in x2. So the answer is 1.50."),
-    _row("max-tie-takes-first", _chart("x1 x2 x3", A=["7", "9", "9.0"]), Reduce.MAX,
+         "1.50", "The minimum value is 1.50 in x2. So the answer is 1.50.", op="minimum"),
+    _row("max-tie-takes-first", _chart("x1 x2 x3", A=["7", "9", "9.0"]), "extreme",
          [_G("A")], ["The data is 7 in x1, 9 in x2, 9.0 in x3."],
-         "9", "The maximum value is 9 in x2. So the answer is 9."),
-    _row("argmin-tie-takes-first", _chart("x1 x2 x3", A=["5", "1.0", "1"]), Reduce.ARGMIN,
+         "9", "The maximum value is 9 in x2. So the answer is 9.", op="maximum"),
+    _row("argmin-tie-takes-first", _chart("x1 x2 x3", A=["5", "1.0", "1"]), "arg_extreme",
          [_G("A")], ["The data is 5 in x1, 1.0 in x2, 1 in x3."],
-         "x2", "The minimum value is 1.0 in x2. So the answer is x2."),
-    _row("argmax-tie-takes-first", _chart("x1 x2 x3", A=["7", "7", "1"]), Reduce.ARGMAX,
+         "x2", "The minimum value is 1.0 in x2. So the answer is x2.", op="lowest"),
+    _row("argmax-tie-takes-first", _chart("x1 x2 x3", A=["7", "7", "1"]), "arg_extreme",
          [_G("A")], ["The data is 7 in x1, 7 in x2, 1 in x3."],
-         "x1", "The maximum value is 7 in x1. So the answer is x1."),
+         "x1", "The maximum value is 7 in x1. So the answer is x1.", op="highest"),
     _row("count-greater-excludes-equal", _chart("2000 2001 2002", A=["853", "851", "822"]),
-         Reduce.COUNT_GREATER, [_G("A")], ["The data is 853 in 2000, 851 in 2001, 822 in 2002."],
-         "1", "The values that are greater than 851 are [853]. So the answer is 1.", ["851"]),
-    _row("count-greater-none", _chart("x1 x2", A=["1", "2"]), Reduce.COUNT_GREATER,
+         "count", [_G("A")], ["The data is 853 in 2000, 851 in 2001, 822 in 2002."],
+         "1", "The values that are greater than 851 are [853]. So the answer is 1.",
+         op="greater than", target="851"),
+    _row("count-greater-none", _chart("x1 x2", A=["1", "2"]), "count",
          [_G("A")], ["The data is 1 in x1, 2 in x2."],
-         "0", "The values that are greater than 5 are []. So the answer is 0.", ["5"]),
-    _row("count-less", _chart("x1 x2 x3 x4", A=["3", "1", "2", "1"]), Reduce.COUNT_LESS,
+         "0", "The values that are greater than 5 are []. So the answer is 0.",
+         op="greater than", target="5"),
+    _row("count-less", _chart("x1 x2 x3 x4", A=["3", "1", "2", "1"]), "count",
          [_G("A")], ["The data is 3 in x1, 1 in x2, 2 in x3, 1 in x4."],
-         "2", "The values that are below 2 are [1, 1]. So the answer is 2.", ["2"]),
-    _row("second-highest", _chart("x1 x2 x3", A=["2", "8", "5"]), Reduce.SECOND_HIGHEST,
+         "2", "The values that are below 2 are [1, 1]. So the answer is 2.",
+         op="below", target="2"),
+    _row("second-highest", _chart("x1 x2 x3", A=["2", "8", "5"]), "second_highest",
          [_G("A")], ["The data is 2 in x1, 8 in x2, 5 in x3."],
          "x3", "The second highest value is 5 in x3. So the answer is x3."),
-    _row("second-highest-tie", _chart("x1 x2 x3", A=["9", "5", "9"]), Reduce.SECOND_HIGHEST,
+    _row("second-highest-tie", _chart("x1 x2 x3", A=["9", "5", "9"]), "second_highest",
          [_G("A")], ["The data is 9 in x1, 5 in x2, 9 in x3."],
          "x3", "The second highest value is 9 in x3. So the answer is x3."),
-    _row("compare-yes", _chart("x1 x2", A=["5", "3"]), Reduce.COMPARE_YES_NO,
+    _row("compare-yes", _chart("x1 x2", A=["5", "3"]), "greater",
          [_P("x1"), _P("x2")], ["The data is 5.", "The data is 3."],
          "yes", "5 is greater than 3. So the answer is yes."),
-    _row("compare-equal-is-no", _chart("x1 x2", A=["4", "4.0"]), Reduce.COMPARE_YES_NO,
+    _row("compare-equal-is-no", _chart("x1 x2", A=["4", "4.0"]), "greater",
          [_P("x1"), _P("x2")], ["The data is 4.", "The data is 4.0."],
          "no", "4 is not greater than 4.0. So the answer is no."),
     _row("arg-match-compares-numbers", _chart("x1 x2 x3", A=["4", "5", "5.0"]),
-         Reduce.ARG_MATCH, [_G("A")], ["The data is 4 in x1, 5 in x2, 5.0 in x3."],
-         "x2", "The value 5.0 is in x2. So the answer is x2.", ["5.0"]),
-    _row("arg-match-no-equal-cell", _chart("x1 x2", A=["4", "6"]), Reduce.ARG_MATCH,
-         [_G("A")], ["The data is 4 in x1, 6 in x2."], None, _UNKNOWN, ["5"]),
+         "arg_match", [_G("A")], ["The data is 4 in x1, 5 in x2, 5.0 in x3."],
+         "x2", "The value 5.0 is in x2. So the answer is x2.", target="5.0"),
+    _row("arg-match-no-equal-cell", _chart("x1 x2", A=["4", "6"]), "arg_match",
+         [_G("A")], ["The data is 4 in x1, 6 in x2."], None, _UNKNOWN, target="5"),
     _row("two-smallest-in-list-order", _chart("x1 x2 x3", A=["16", "81", "3"]),
-         Reduce.SUM_TWO_SMALLEST_VS_LARGEST, [_G("A")],
+         "two_smallest", [_G("A")],
          ["The data is 16 in x1, 81 in x2, 3 in x3."],
          "no", "Among [16, 81, 3], the two smallest values are 16 and 3 while the largest "
          "value is 81. 16+3=19, which is smaller than 81. So the answer is no."),
     _row("two-smallest-greater", _chart("x1 x2 x3", A=["40", "50", "60"]),
-         Reduce.SUM_TWO_SMALLEST_VS_LARGEST, [_G("A")],
+         "two_smallest", [_G("A")],
          ["The data is 40 in x1, 50 in x2, 60 in x3."],
          "yes", "Among [40, 50, 60], the two smallest values are 40 and 50 while the largest "
          "value is 60. 40+50=90, which is greater than 60. So the answer is yes."),
     _row("two-smallest-equal-sum", _chart("x1 x2 x3", A=["20", "50", "30"]),
-         Reduce.SUM_TWO_SMALLEST_VS_LARGEST, [_G("A")],
+         "two_smallest", [_G("A")],
          ["The data is 20 in x1, 50 in x2, 30 in x3."],
          "no", "Among [20, 50, 30], the two smallest values are 20 and 30 while the largest "
          "value is 50. 20+30=50, which is equal to 50. So the answer is no."),
-    _row("count-series", _PAIR, Reduce.COUNT_SERIES,
+    _row("count-series", _PAIR, "count_series",
          [_D()], ["The figure shows the data of: A | B. The x-axis shows: x1 | x2 | x3."],
          "2", "There are 2 legend labels. So the answer is 2."),
-    _row("count-x-labels", _PAIR, Reduce.COUNT_X_LABELS,
+    _row("count-x-labels", _PAIR, "count_x_labels",
          [_D()], ["The figure shows the data of: A | B. The x-axis shows: x1 | x2 | x3."],
          "3", "There are 3 x-axis labels. So the answer is 3."),
-    _row("non-numeric-cell-in-group", _chart("x1 x2", A=["5", "n/a"]), Reduce.MAX,
-         [_G("A")], ["The data is 5 in x1, n/a in x2."], None, _UNKNOWN),
+    _row("non-numeric-cell-in-group", _chart("x1 x2", A=["5", "n/a"]), "extreme",
+         [_G("A")], ["The data is 5 in x1, n/a in x2."], None, _UNKNOWN, op="maximum"),
     # A point line without BY can read as a row or column: the entity's pair
     # answers, else the only pair, else nothing.
-    _row("identity-keyed-pair", _chart("Total Other", Total=["5", "7"]), Reduce.IDENTITY,
+    _row("identity-keyed-pair", _chart("Total Other", Total=["5", "7"]), "value",
          [_P("Total")], ["The data is 5 in Total, 7 in Other."],
          "5", "The value is 5. So the answer is 5."),
-    _row("identity-only-pair", _chart("2019", Norway=["3.5"], Chile=["7.25"]), Reduce.IDENTITY,
+    _row("identity-only-pair", _chart("2019", Norway=["3.5"], Chile=["7.25"]), "value",
          [_P("Chile")], ["The data is 7.25 in 2019."],
          "7.25", "The value is 7.25. So the answer is 7.25."),
-    _row("identity-unkeyed-row", _chart("x1 x2", A=["1", "2"], B=["3", "4"]), Reduce.IDENTITY,
+    _row("identity-unkeyed-row", _chart("x1 x2", A=["1", "2"], B=["3", "4"]), "value",
          [_P("A")], ["The data is 1 in x1, 2 in x2."], None, _UNKNOWN),
-    _row("unavailable-answer", _chart("2010", Oman=["210.69"]), Reduce.IDENTITY,
+    _row("unavailable-answer", _chart("2010", Oman=["210.69"]), "value",
          [_P("Oman", "1999")], ["The data is not available."], None, _UNKNOWN),
-    _row("structural-without-description", None, Reduce.COUNT_SERIES,
+    _row("structural-without-description", None, "count_series",
          [_D()], ["The data is 3."], None, _UNKNOWN),
-    _row("wrong-answer-count", None, Reduce.IDENTITY,
+    _row("wrong-answer-count", None, "value",
          [_P("x1")], ["The data is 1.", "The data is 2."], None, _UNKNOWN),
-    _row("too-few-values", None, Reduce.DIFFERENCE,
+    _row("too-few-values", None, "difference",
          [_P("x1")], ["The data is 3."], None, _UNKNOWN),
     # Printed "$", "%" and thousands commas: a cell computes with its bare
     # number and keeps its print, and a computed answer is a plain number.
-    _row("sum-of-percent-cells", _chart("2019", Norway=["45%"], Chile=["30%"]), Reduce.SUM,
+    _row("sum-of-percent-cells", _chart("2019", Norway=["45%"], Chile=["30%"]), "sum",
          [_P("Norway", "2019"), _P("Chile", "2019")], ["The data is 45%.", "The data is 30%."],
          "75", "The sum is 45%+30%=75. So the answer is 75."),
     _row("average-of-percent-cells", _chart("2019 2020 2021", Norway=["45%", "30%", "10%"]),
-         Reduce.AVERAGE, [_G("Norway")], ["The data is 45% in 2019, 30% in 2020, 10% in 2021."],
+         "average_all", [_G("Norway")], ["The data is 45% in 2019, 30% in 2020, 10% in 2021."],
          "28.33", "The average is (45%+30%+10%)/3=28.33. So the answer is 28.33."),
     # Compared as text, "$7.5" would be the largest.
-    _row("argmax-of-dollar-cells", _chart("x1 x2 x3", A=["$3.2", "$12", "$7.5"]), Reduce.ARGMAX,
+    _row("argmax-of-dollar-cells", _chart("x1 x2 x3", A=["$3.2", "$12", "$7.5"]), "arg_extreme",
          [_G("A")], ["The data is $3.2 in x1, $12 in x2, $7.5 in x3."],
-         "x2", "The maximum value is $12 in x2. So the answer is x2."),
+         "x2", "The maximum value is $12 in x2. So the answer is x2.", op="highest"),
     _row("count-greater-than-a-percent", _chart("x1 x2 x3", A=["45%", "60%", "30%"]),
-         Reduce.COUNT_GREATER, [_G("A")], ["The data is 45% in x1, 60% in x2, 30% in x3."],
-         "1", "The values that are greater than 45% are [60%]. So the answer is 1.", ["45%"]),
-    _row("identity-thousands-comma", _chart("x1 x2", A=["1,200", "950"]), Reduce.IDENTITY,
+         "count", [_G("A")], ["The data is 45% in x1, 60% in x2, 30% in x3."],
+         "1", "The values that are greater than 45% are [60%]. So the answer is 1.",
+         op="greater than", target="45%"),
+    _row("identity-thousands-comma", _chart("x1 x2", A=["1,200", "950"]), "value",
          [_P("x1")], ["The data is 1,200."],
          Value("1,200", Decimal("1200")),
          "The value is 1,200. So the answer is 1,200."),
+    # A group read that comes back as one value: only an average folds it.
+    _row("average-all-of-one-value", None, "average_all", [_G("A")], ["The data is 7."],
+         "7.00", "The average is (7)/1=7.00. So the answer is 7.00."),
+    _row("count-of-one-value", None, "count", [_G("A")], ["The data is 7."],
+         None, _UNKNOWN, op="greater than", target="5"),
+    _row("extreme-of-one-value", None, "extreme", [_G("A")], ["The data is 7."],
+         None, _UNKNOWN, op="maximum"),
 ]
 
 
@@ -264,14 +277,37 @@ def test_reduce_hand_table(table, plan, answers, raw, sentence):
 
 
 def test_hand_table_answers_every_reduce():
-    answered = {plan.reduce for table, plan, _, raw, _ in (row.values for row in _HAND_TABLE)
+    """Each row key, with each of its {op} values, is answered by a hand row with a table."""
+    folds = set()
+    for key, template in _TEMPLATES.items():
+        ops = {op for form in template.phrasings
+               for alternatives in re.findall(r"\(\?P<op>([^)]*)\)", form.pattern.pattern)
+               for op in alternatives.split("|")}
+        folds.update((key, op) for op in ops or [None])
+    answered = {(plan.key, dict(plan.slots).get("op"))
+                for table, plan, _, raw, _ in (row.values for row in _HAND_TABLE)
                 if table is not None and raw is not None}
-    assert answered == set(Reduce)
+    assert len(folds) == 18 and answered == folds
+
+
+def test_readme_grammar_row_is_a_templates_row():
+    """The README's first grammar example is a ``_TEMPLATES`` row as written,
+    line for line up to indentation, so it cannot go stale."""
+    root = Path(__file__).resolve().parents[1]
+    section = (root / "README.md").read_text(encoding="utf-8").split("\n## Question grammar\n")[1]
+    example = re.search(r"^```python\n(.*?)^```", section, flags=re.M | re.S)[1]
+    source = (root / "src" / "chartloop" / "symbolic.py").read_text(encoding="utf-8")
+    table = source[source.index("\n_TEMPLATES"):source.index("\n)}\n")]
+
+    def lines(text):
+        return "\n" + "\n".join(line.strip() for line in text.splitlines()) + "\n"
+
+    assert lines(example) in lines(table)
 
 
 def test_compute_gold_difference(net_ratings):
     plan = _plan(
-        Reduce.DIFFERENCE,
+        "difference",
         [point_query("NET Excellent/ good", "German"), point_query("NET Only fair/ poor", "German")],
     )
     gold = compute_gold(net_ratings, plan)
@@ -280,7 +316,7 @@ def test_compute_gold_difference(net_ratings):
 
 def test_compute_gold_average(university_shares):
     plan = _plan(
-        Reduce.AVERAGE,
+        "average",
         [
             point_query("Share of people who think university is overrated", "Philippines"),
             point_query("Share of people who think university is overrated", "Ghana"),
@@ -290,21 +326,17 @@ def test_compute_gold_average(university_shares):
 
 
 def test_compute_gold_count_threshold(neonatal):
-    plan = _plan(
-        Reduce.COUNT_GREATER,
-        [group_query(None)],
-        args=[Value.from_raw("851")],
-    )
+    plan = _plan("count", [group_query(None)], op="greater than", target="851")
     assert compute_gold(neonatal, plan).raw == "1"
 
 
 def test_compute_gold_min(costa_rica):
-    plan = _plan(Reduce.MIN, [group_query("Costa Rica")])
+    plan = _plan("extreme", [group_query("Costa Rica")], op="minimum")
     assert compute_gold(costa_rica, plan).raw == "14.92"
 
 
 def test_compute_gold_structural(costa_rica):
-    plan = _plan(Reduce.COUNT_SERIES, [describe_query()])
+    plan = _plan("count_series", [describe_query()])
     assert compute_gold(costa_rica, plan).raw == "4"
 
 
@@ -388,15 +420,16 @@ def _generation_digest(seeds, n_charts):
                     for qa, plan in pairs:
                         digest.update(json.dumps(qa.to_dict(), sort_keys=True).encode())
                         digest.update(json.dumps([[(q.op.value, q.entity, q.by)
-                                                   for q in plan.queries], plan.reduce.value,
-                                                  [v.raw for v in plan.reduce_args]]).encode())
+                                                   for q in plan.queries],
+                                                  deduce(plan, _answers_for(table, plan))]).encode())
     return digest.hexdigest()
 
 
 def test_gen_questions_golden_digest():
-    # Pins question wording, gold answers, plans and the RNG call order.
+    # Pins question wording, gold answers, each plan's reads and what its
+    # fold concludes from them, and the RNG call order.
     assert _generation_digest(seeds=(0, 1, 2), n_charts=40) == (
-        "a0bb392fda5be1a3bdace9ee97bd96eb33a54d257f5e7946328593c4f231f7a3")
+        "eebf712f3fc452d8bd857015abd1278bddbfd0656ba0be6c38ff03875b39a45f")
 
 
 def _decorate_one_cell(table, rng):
@@ -447,7 +480,7 @@ def test_second_highest_matches_exhaustive_sort():
         table = ChartTable.build(
             "sh", [("S", None)], [f"k{i}" for i in range(n)], [[str(v) for v in values]]
         )
-        plan = _plan(Reduce.SECOND_HIGHEST, [group_query("S")])
+        plan = _plan("second_highest", [group_query("S")])
         expected_index = sorted(range(n), key=lambda i: -values[i])[1]
         assert compute_gold(table, plan).raw == f"k{expected_index}"
         assert deduce(plan, _answers_for(table, plan))[1] == f"k{expected_index}"
@@ -461,7 +494,7 @@ def test_gold_never_consults_protocol(monkeypatch, costa_rica):
 
     monkeypatch.setattr(protocol, "parse_reader_answer", boom)
     monkeypatch.setattr(protocol, "format_reader_answer", boom)
-    plan = _plan(Reduce.MIN, [group_query("Costa Rica")])
+    plan = _plan("extreme", [group_query("Costa Rica")], op="minimum")
     assert compute_gold(costa_rica, plan).raw == "14.92"
 
 
