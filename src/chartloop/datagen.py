@@ -459,7 +459,7 @@ def read_traces_jsonl(path: str | Path) -> tuple[list[tuple[ReasoningTrace, str,
         question = check_question(text_field(record.get("question"), "question"))
         chart_id = text_field(record.get("chart_id"), "chart_id")
         episodes = []
-        for i, obj in enumerate(record["episodes"]):
+        for i, obj in enumerate(array_field(record.get("episodes"), "episodes")):
             try:
                 trace = ReasoningTrace.from_dict(obj)
                 validate_trace(trace)

@@ -7,9 +7,13 @@ Three jobs, kept deliberately separable so the closed loop is verifiable:
   straight off the table (never through the step protocol), and
 * ``decompose``/``deduce`` drive the live episode: pattern-match the question
   into atomic queries, then fold the reader's answers into a concluding
-  sentence ending "So the answer is X.".  A point query without BY is sent
-  as the entity-only line, which may read as a row or column; ``deduce``
-  then takes the pair keyed by the query's entity, or else the only pair.
+  sentence ending "So the answer is X.".
+
+Both paths read each data query's answer by one operand rule (``_operand``):
+a value is one pair keyed by the query's entity, a group query's pairs are
+its own, and a point query without BY, sent as the entity-only line that may
+read as a row or column, takes the pair ``closest_name`` keys by its entity,
+or else the only pair.  The fold gets one operand per data query, in order.
 
 Each question meaning is one row of the ordered ``_TEMPLATES`` table: a
 key, a type, a builder from slot values to the queries that read, and one
@@ -22,8 +26,9 @@ named by the key alone, and reads ``{op}`` and ``{target}`` from the slots.
 Running decompose -> reader -> deduce against compute_gold is the package's
 main correctness oracle for extraction: the two answer paths read their
 values independently, table cells on one side and reader text on the other.
-Both then apply the one ``_reduce``; its arithmetic and wording are pinned
-by a hand-computed case table in the tests, not by the closed loop.
+Both then apply the one ``_operand`` and ``_reduce``; the fold's arithmetic
+and wording are pinned by a hand-computed case table in the tests, not by
+the closed loop.
 """
 
 from __future__ import annotations
@@ -54,6 +59,7 @@ from .protocol import (
 from .tables import ChartTable, QAInstance, TemplateType, Value, normalize_name
 
 UNKNOWN_CONCLUSION = CONCLUSION.render("unknown")
+_DATA_ANSWERS = (AnswerKind.SCALAR, AnswerKind.GROUP)
 
 _RATIO_STEP = Decimal("0.0001")
 _AVERAGE_STEP = Decimal("0.01")
@@ -196,7 +202,8 @@ def decompose(question: str, describe_first: bool = True) -> QuestionPlan:
 
 
 # ---------------------------------------------------------------------------
-# Gold computation: table extraction, independent of the protocol.
+# The two answer paths: gold reads the table, independent of the protocol,
+# and deduction reads the reader's answers; both by the one operand rule.
 # ---------------------------------------------------------------------------
 
 def _find_exact(names: Sequence[str], wanted: str) -> Optional[int]:
@@ -207,107 +214,92 @@ def _find_exact(names: Sequence[str], wanted: str) -> Optional[int]:
     return None
 
 
-def _gold_point(table: ChartTable, query: AtomicQuery) -> Value:
-    series_names = [s.name for s in table.series]
-    entity, by = query.entity or "", query.by
-    if by is not None:
-        si, xi = _find_exact(series_names, entity), _find_exact(table.x_labels, by)
+def _gold_read(table: ChartTable, query: AtomicQuery) -> Value | list[tuple[str, Value]]:
+    """What the reader answers a data query, by exact names and by
+    ``execute_query``'s line rule: a cell, or a row's or column's pairs."""
+    series = [s.name for s in table.series]
+    if query.by is not None:
+        si, xi = _find_exact(series, query.entity), _find_exact(table.x_labels, query.by)
         if si is None or xi is None:
-            si, xi = _find_exact(series_names, by), _find_exact(table.x_labels, entity)
+            si, xi = _find_exact(series, query.by), _find_exact(table.x_labels, query.entity)
         if si is None or xi is None:
-            raise UndefinedResult(f"cannot locate cell ({entity!r}, {by!r})")
+            raise UndefinedResult(f"cannot locate cell ({query.entity!r}, {query.by!r})")
         return table.cells[si][xi]
-    if len(table.series) == 1:
-        xi = _find_exact(table.x_labels, entity)
-        if xi is not None:
-            return table.cells[0][xi]
-    if len(table.x_labels) == 1:
-        si = _find_exact(series_names, entity)
-        if si is not None:
-            return table.cells[si][0]
-    raise UndefinedResult(f"ambiguous point {entity!r}")
-
-
-def _gold_group(table: ChartTable, query: AtomicQuery) -> list[tuple[str, Value]]:
-    series_names = [s.name for s in table.series]
-    if query.entity is None:
-        if len(table.series) != 1:
-            raise UndefinedResult("entity-free group on a multi-series table")
-        return [(x, table.cells[0][j]) for j, x in enumerate(table.x_labels)]
-    si = _find_exact(series_names, query.entity)
+    if query.entity is None and len(series) != 1:
+        raise UndefinedResult("entity-free read on a multi-series table")
+    si = 0 if query.entity is None else _find_exact(series, query.entity)
     if si is not None:
         return [(x, table.cells[si][j]) for j, x in enumerate(table.x_labels)]
     xi = _find_exact(table.x_labels, query.entity)
-    if xi is not None:
-        return [(s, table.cells[i][xi]) for i, s in enumerate(series_names)]
-    raise UndefinedResult(f"cannot locate group {query.entity!r}")
+    if xi is None:
+        raise UndefinedResult(f"cannot locate {query.entity!r}")
+    if len(series) == 1:
+        return table.cells[0][xi]
+    return [(s, table.cells[i][xi]) for i, s in enumerate(series)]
 
 
 def compute_gold(table: ChartTable, plan: QuestionPlan) -> Value:
     """The plan's answer, from cells read straight off the table.
 
     Extraction never touches the query/answer strings, so it stays an
-    independent check on the episode's reader; the fold is ``deduce``'s own,
-    and its reasoning sentence is dropped.
+    independent check on the episode's reader; the operand rule and the
+    fold are ``deduce``'s own, and the reasoning sentence is dropped.
     """
-    scalars: list[Value] = []
-    groups: list[list[tuple[str, Value]]] = []
+    pairs: list[tuple[str, Value]] = []
     for query in plan.queries:
-        if query.op is QueryOp.EXTRACT_POINT:
-            scalars.append(_gold_point(table, query))
-        elif query.op is QueryOp.EXTRACT_GROUP:
-            groups.append(_gold_group(table, query))
+        if query.op is not QueryOp.DESCRIBE:
+            pairs += _operand(query, _gold_read(table, query))
     counts = (len(table.series), len(table.x_labels))
     try:
-        return Value.from_raw(_reduce(plan, scalars, groups[0] if groups else (), counts)[1])
+        return Value.from_raw(_reduce(plan, pairs, counts)[1])
     except DecimalException as exc:
         raise UndefinedResult(f"{plan.key} is not representable") from exc
 
-
-# ---------------------------------------------------------------------------
-# Deduction over reader answers.
-# ---------------------------------------------------------------------------
 
 def deduce(
     plan: QuestionPlan, reader_answers: Sequence[ReaderAnswer]
 ) -> tuple[str, Optional[str]]:
     """Fold the reader's answers into a concluding sentence and its answer as printed.
 
-    A point query without BY reads as an entity-only line, which can answer
-    with a row or column; its value is then the pair keyed by the query's
-    entity, or else the only pair.  Any unavailable or misaligned answer
-    produces the unknown conclusion and no answer (a no-answer verdict
-    downstream) rather than an exception.
+    Each answer is read against the query that asked it: a describe query
+    takes only a description, and a data query only a value or pairs, which
+    become its operand.  Any other answer, or an answer count other than the
+    query count, produces the unknown conclusion and no answer (a no-answer
+    verdict downstream) rather than an exception.
     """
-    if len(reader_answers) != len(plan.queries) or any(
-            a.kind is AnswerKind.UNAVAILABLE for a in reader_answers):
+    if len(reader_answers) != len(plan.queries):
         return UNKNOWN_CONCLUSION, None
-    description = next((a for a in reader_answers if a.kind is AnswerKind.DESCRIPTION), None)
-    counts = None if description is None else (len(description.series),
-                                               len(description.x_labels))
-    scalars: list[Value] = []
-    groups: list[tuple[tuple[str, Value], ...]] = []
+    counts = None
+    pairs: list[tuple[str, Value]] = []
     try:
         for query, answer in zip(plan.queries, reader_answers):
-            if answer.kind is AnswerKind.SCALAR and answer.scalar:
-                scalars.append(answer.scalar)
-            elif answer.kind is AnswerKind.GROUP and query.op is QueryOp.EXTRACT_POINT \
-                    and query.by is None:
-                scalars.append(_keyed_value(query.entity or "", answer.pairs))
-            elif answer.kind is AnswerKind.GROUP:
-                groups.append(answer.pairs)
-        reason, final = _reduce(plan, scalars, groups[0] if groups else (), counts)
+            if query.op is QueryOp.DESCRIBE and answer.kind is AnswerKind.DESCRIPTION:
+                counts = (len(answer.series), len(answer.x_labels))
+            elif query.op is not QueryOp.DESCRIBE and answer.kind in _DATA_ANSWERS:
+                pairs += _operand(query, answer.scalar or answer.pairs)
+            else:
+                raise UndefinedResult(f"a {answer.kind.value} answer to {query}")
+        reason, final = _reduce(plan, pairs, counts)
     except (IndexError, UndefinedResult, DecimalException):
         return UNKNOWN_CONCLUSION, None
     return f"{reason} {CONCLUSION.render(final)}", final
 
 
-def _keyed_value(entity: str, pairs: Sequence[tuple[str, Value]]) -> Value:
-    """The value of the pair ``closest_name`` picks for ``entity``, else of the only pair."""
-    index = closest_name(entity, [key for key, _ in pairs])
-    if index is None and len(pairs) != 1:
-        raise UndefinedResult(f"no pair for {entity!r}")
-    return pairs[index or 0][1]
+def _operand(
+    query: AtomicQuery, read: Value | Sequence[tuple[str, Value]]
+) -> Sequence[tuple[str, Value]]:
+    """A data query's read as the (key, value) pairs it adds to the fold, by
+    the module's operand rule; UndefinedResult where the rule gives none."""
+    if isinstance(read, Value):
+        if query.entity is not None:
+            return [(query.entity, read)]
+    elif query.op is QueryOp.EXTRACT_GROUP:
+        return read
+    elif query.by is None:
+        index = closest_name(query.entity, [key for key, _ in read])
+        if index is not None or len(read) == 1:
+            return [read[index or 0]]
+    raise UndefinedResult(f"the read does not answer {query}")
 
 
 # ---------------------------------------------------------------------------
@@ -325,20 +317,17 @@ def _require_numbers(values: Sequence[Value]) -> list[Decimal]:
 
 def _reduce(
     plan: QuestionPlan,
-    scalars: Sequence[Value],
     pairs: Sequence[tuple[str, Value]],
     counts: Optional[tuple[int, int]],
 ) -> tuple[str, str]:
     """Fold extracted values by the plan's row: the reasoning sentence and
     the answer as printed.
 
-    ``scalars`` are the point values in query order, ``pairs`` the first
-    group's (key, value) pairs and ``counts`` the chart's series and x-label
-    counts (None without a figure description).  A row built by ``_points``
-    folds the point values, an average folds them when any came back, and
-    every other row folds the pairs.  Raises UndefinedResult when the result
-    is undefined, DecimalException when it cannot be rounded at Decimal's
-    precision, and IndexError when too few values came in.
+    ``pairs`` are the data queries' operands in query order, and ``counts``
+    the chart's series and x-label counts (None without a figure
+    description).  Raises UndefinedResult when the result is undefined,
+    DecimalException when it cannot be rounded at Decimal's precision, and
+    IndexError when too few values came in.
     """
     key, slots = plan.key, dict(plan.slots)
     if key in ("count_series", "count_x_labels"):
@@ -346,13 +335,9 @@ def _reduce(
             raise UndefinedResult("counting labels needs the figure description")
         n, labels = (counts[0], "legend") if key == "count_series" else (counts[1], "x-axis")
         return f"There are {n} {labels} labels.", str(n)
-    keys, values = [k for k, _ in pairs], [v for _, v in pairs]
-    if key in ("average", "average_all"):
-        values = list(scalars) or values
-    elif _TEMPLATES[key].build is _points:
-        values = list(scalars)
-    if not values:
+    if not pairs:
         raise IndexError(f"no values to fold for {key}")
+    keys, values = [k for k, _ in pairs], [v for _, v in pairs]
     if key == "value":
         v = values[0]
         return f"The value is {v.raw}.", v.raw

@@ -397,12 +397,13 @@ class ReasoningTrace:
     @staticmethod
     def from_dict(obj: dict) -> "ReasoningTrace":
         """Step texts and a non-null final are read by the :func:`text_field`
-        rule, so a null or an array raises ValueError naming the field."""
+        rule, and the steps by :func:`array_field`'s, so a null, or a value
+        of the wrong type, raises ValueError naming the field."""
         steps = tuple(
             Step(_member(StepRole, _STEP_ROLES, s["role"]),
                  text if type(text := s.get("text")) is str
                  else text_field(text, f"steps[{i}].text"))
-            for i, s in enumerate(obj["steps"]))
+            for i, s in enumerate(array_field(obj.get("steps"), "steps")))
         final = obj.get("final")
         if final is not None:
             final = Value.from_raw(final if type(final) is str else text_field(final, "final"))

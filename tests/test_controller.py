@@ -406,3 +406,20 @@ def test_reader_answer_is_one_protocol_line(rewrite, final):
     for index, prompt in enumerate(reasoner.prompts):
         block = prompt[prompt.rfind(stub) + len(stub):]
         assert block == "".join(text + "\n" for text in texts[:2 * index])
+
+
+def test_a_data_line_answering_describe_concludes_unknown():
+    """Each reader answer is read against the query that asked it, so a data
+    line where the figure description belongs is not taken as the value."""
+    oracle = TableOracle([_SUM])
+
+    class DataForDescribeReader:
+        def read(self, chart_ref, query):
+            if query == "Let's describe the figure.":
+                return "The data is 9."
+            return oracle.read(chart_ref, query)
+
+    trace = run_episode("What is the value of A in 2019?", "sum", SymbolicReasoner(),
+                        DataForDescribeReader())
+    assert trace.terminated_by is Termination.CONCLUSION
+    assert trace.final == Value.from_raw("unknown")

@@ -635,12 +635,15 @@ def test_trace_lines_take_text_fields_by_the_corpus_rule(tmp_path):
     without_episodes = {key: value for key, value in record.items() if key != "episodes"}
     path.write_text("".join(json.dumps(line) + "\n" for line in [
         {**record, "question": None}, {**record, "chart_id": ["c"]},
-        {**record, "question": 12}, record, without_episodes]), encoding="utf-8")
+        {**record, "question": 12}, record, without_episodes,
+        {**record, "episodes": None}, {**record, "episodes": "ab"}]), encoding="utf-8")
     triples, issues = read_traces_jsonl(path)
     assert triples == [(trace, "12", "c"), (trace, "q", "c")]
     assert issues == [f"{path}:1: missing question",
                       f"{path}:2: chart_id must be a string or a number, not an array",
-                      f"{path}:5: missing episodes"]
+                      f"{path}:5: missing episodes",
+                      f"{path}:6: missing episodes",
+                      f"{path}:7: episodes must be an array, not a string"]
 
 
 def test_trace_steps_and_finals_take_text_fields_by_the_corpus_rule(tmp_path):
@@ -662,6 +665,7 @@ def test_trace_steps_and_finals_take_text_fields_by_the_corpus_rule(tmp_path):
         # A missing required key reads as a null field does.
         [{key: value for key, value in episode.items() if key != "steps"}],
         [{key: value for key, value in episode.items() if key != "terminated_by"}],
+        [{**episode, "steps": "ab"}],
     ]
     path = tmp_path / "traces.jsonl"
     path.write_text("".join(json.dumps({**record, "episodes": e}) + "\n" for e in lines),
@@ -675,6 +679,7 @@ def test_trace_steps_and_finals_take_text_fields_by_the_corpus_rule(tmp_path):
         f"{path}:6: episodes[1]: step 0: reader answer not preceded by a reasoner query",
         f"{path}:7: episodes[0]: missing steps",
         f"{path}:8: episodes[0]: missing terminated_by",
+        f"{path}:9: episodes[0]: steps must be an array, not a string",
     ]
     assert [trace.final for trace, _, _ in triples] == [Value.from_raw("7")]
 

@@ -11,6 +11,7 @@ from chartloop.controller import run_episode
 from chartloop.evalkit import relaxed_match
 from chartloop.oracle import TableOracle, execute_query
 from chartloop.protocol import (
+    AnswerKind,
     describe_query,
     group_query,
     parse_reader_answer,
@@ -24,6 +25,7 @@ from chartloop.symbolic import (
     SymbolicReasoner,
     UndefinedResult,
     _TEMPLATES,
+    _gold_read,
     compute_gold,
     decompose,
     deduce,
@@ -108,6 +110,7 @@ def _row(name, table, key, queries, answers, raw, sentence, **slots):
 _P, _G, _D = point_query, group_query, describe_query
 _UNKNOWN = "So the answer is unknown."
 _PAIR = _chart("x1 x2 x3", A=["1", "2", "3"], B=["4", "5", "6"])
+_ONE_SERIES = _chart("2018 2019 2020", S=["4", "7", "9"])
 
 _HAND_TABLE = [
     _row("identity", _chart("x1 x2", A=["4.5", "7"]), "value",
@@ -251,13 +254,33 @@ _HAND_TABLE = [
          [_P("x1")], ["The data is 1,200."],
          Value("1,200", Decimal("1200")),
          "The value is 1,200. So the answer is 1,200."),
-    # A group read that comes back as one value: only an average folds it.
+    # A group read that comes back as one value, as an x-label of a
+    # single-series chart does: every fold takes it as one pair keyed by the
+    # query's entity.
     _row("average-all-of-one-value", None, "average_all", [_G("A")], ["The data is 7."],
          "7.00", "The average is (7)/1=7.00. So the answer is 7.00."),
-    _row("count-of-one-value", None, "count", [_G("A")], ["The data is 7."],
-         None, _UNKNOWN, op="greater than", target="5"),
-    _row("extreme-of-one-value", None, "extreme", [_G("A")], ["The data is 7."],
-         None, _UNKNOWN, op="maximum"),
+    _row("count-of-one-value", _ONE_SERIES, "count", [_G("2019")], ["The data is 7."],
+         "1", "The values that are greater than 5 are [7]. So the answer is 1.",
+         op="greater than", target="5"),
+    _row("extreme-of-one-value", _ONE_SERIES, "extreme", [_G("2019")], ["The data is 7."],
+         "7", "The maximum value is 7 in 2019. So the answer is 7.", op="maximum"),
+    _row("arg-extreme-of-one-value", _ONE_SERIES, "arg_extreme", [_G("2019")],
+         ["The data is 7."],
+         "2019", "The maximum value is 7 in 2019. So the answer is 2019.", op="highest"),
+    # Each answer is read against the query that asked it: one of the wrong
+    # kind or shape concludes unknown.
+    _row("describe-answered-by-data", None, "value",
+         [_D(), _P("A", "x1")], ["The data is 9.", "The data is 7."], None, _UNKNOWN),
+    _row("sum-with-describe-answered-by-data", None, "sum",
+         [_D(), _P("A", "x1"), _P("B", "x1")],
+         ["The data is 9.", "The data is 3.", "The data is 5."], None, _UNKNOWN),
+    _row("sum-with-cell-read-as-row", None, "sum",
+         [_P("A", "x1"), _P("B", "x1")], ["The data is 5.", "The data is 1 in x1, 2 in x2."],
+         None, _UNKNOWN),
+    _row("sum-with-cell-read-as-description", None, "sum",
+         [_P("A", "x1"), _P("B", "x1")],
+         ["The data is 7.", "The figure shows the data of: A | B. The x-axis shows: x1 | x2."],
+         None, _UNKNOWN),
 ]
 
 
@@ -496,6 +519,38 @@ def test_gold_never_consults_protocol(monkeypatch, costa_rica):
     monkeypatch.setattr(protocol, "format_reader_answer", boom)
     plan = _plan("extreme", [group_query("Costa Rica")], op="minimum")
     assert compute_gold(costa_rica, plan).raw == "14.92"
+
+
+def _line_shapes(table):
+    """Every query line a table is read with: no entity, each label's
+    entity-only line, and each (series, x-label) BY line both ways round."""
+    series = [s.name for s in table.series]
+    yield group_query()
+    for label in [*series, *table.x_labels]:
+        yield group_query(label)
+        yield point_query(label)
+    for name in series:
+        for x in table.x_labels:
+            yield point_query(name, x)
+            yield point_query(x, name)
+
+
+def test_gold_reads_what_the_reader_answers():
+    """Gold's table read and the reader are two readers of one line rule: on
+    every line shape, the gold read is the value or pairs the reader's line
+    carries, and a read gold cannot make is the not-available line."""
+    tables = [*random_tables(4, 30), *random_tables(5, 10, n_series=1),
+              *random_tables(6, 10, n_x=1), random_table(7, 0, n_series=1, n_x=1)]
+    for table in tables:
+        for query in _line_shapes(table):
+            answer = parse_reader_answer(execute_query(table, query))
+            try:
+                read = _gold_read(table, query)
+            except UndefinedResult:
+                assert answer.kind is AnswerKind.UNAVAILABLE, (table.source_id, query)
+                continue
+            carried = answer.scalar if answer.kind is AnswerKind.SCALAR else list(answer.pairs)
+            assert read == carried, (table.source_id, query)
 
 
 def test_align_entity_keeps_a_name_nothing_matches():
