@@ -3,7 +3,7 @@
 One episode grows a single text sequence.  It starts as the prompt style's
 shipped prefix (plus the linearized table for the DePlot styles) and the
 question stub; the reasoner completes up to the end-of-line stop, the
-completed line is classified, atomic queries are dispatched to the reader,
+completed line is parsed, atomic queries are dispatched to the reader,
 and the first line of the reader's answer is spliced back before resuming.
 A hard cap on protocol-line decisions bounds the loop regardless of backend
 behavior.  Self-consistency runs at most N episodes at a sampling
@@ -30,7 +30,7 @@ from typing import Optional
 from .backends import BackendError, ChartReads, ReaderBackend, ReasonerBackend
 from .evalkit import majority_vote, vote_decided, vote_key
 from .prompts import PromptStyle, build_prompt, linearize_table
-from .protocol import StepKind, parse_step
+from .protocol import AtomicQuery, parse_step
 from .tables import (
     ChartTable,
     ReasoningTrace,
@@ -110,11 +110,11 @@ def run_episode(
         if not line.strip():
             steps.append(Step(StepRole.PROTOCOL_ERROR, line))
             return finish(None, Termination.PARSE_ERROR)
-        parsed = parse_step(line)
-        if parsed.kind is StepKind.CONCLUSION:
+        said = parse_step(line)
+        if isinstance(said, Value):
             steps.append(Step(StepRole.CONCLUSION, line))
-            return finish(parsed.final, Termination.CONCLUSION)
-        if parsed.kind is StepKind.QUERY:
+            return finish(said, Termination.CONCLUSION)
+        if isinstance(said, AtomicQuery):
             steps.append(Step(StepRole.REASONER_QUERY, line))
             try:
                 answer = reader.read(chart_ref, line).partition(STOP_MARKER)[0].rstrip("\r")

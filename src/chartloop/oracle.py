@@ -25,7 +25,6 @@ from .protocol import (
     format_reader_answer,
     format_scalar,
     parse_step,
-    StepKind,
 )
 from .tables import ChartTable, normalize_name
 
@@ -191,7 +190,7 @@ class TableOracle:
 
     def _answer(self, chart_ref: str, query: str) -> str:
         table = self.table(chart_ref)
-        parsed = parse_step(query)
-        if parsed.kind is not StepKind.QUERY or parsed.query is None:
+        asked = parse_step(query)
+        if not isinstance(asked, AtomicQuery):
             return UNAVAILABLE_ANSWER
-        return execute_query(table, parsed.query)
+        return execute_query(table, asked)

@@ -135,21 +135,9 @@ def format_query(query: AtomicQuery) -> str:
     return _POINT_LINE.render(_escape_entity(query.entity), _escape_entity(query.by))
 
 
-class StepKind(str, Enum):
-    QUERY = "query"
-    CONCLUSION = "conclusion"
-    OTHER = "other"
-
-
-@dataclass(frozen=True)
-class ParsedStep:
-    kind: StepKind
-    query: Optional[AtomicQuery] = None
-    final: Optional[Value] = None
-
-
-def parse_step(line: str) -> ParsedStep:
-    """Classify one reasoner-emitted line. Total: unrecognized text is OTHER.
+def parse_step(line: str) -> AtomicQuery | Value | None:
+    """What one reasoner-emitted line says: the query it asks, the final
+    ``Value`` it concludes, or None for anything else (total).
 
     Conclusion detection matches a terminal "... answer is X." sentence and
     extracts X verbatim (trailing %/$ are kept here; normalization is the
@@ -157,20 +145,20 @@ def parse_step(line: str) -> ParsedStep:
     """
     stripped = line.rstrip("\r\n")
     if stripped == DESCRIBE_QUERY:
-        return ParsedStep(StepKind.QUERY, query=describe_query())
+        return describe_query()
     if stripped == EXTRACT_ALL_QUERY:
-        return ParsedStep(StepKind.QUERY, query=group_query())
+        return group_query()
     if BY_SEPARATOR in stripped and (m := _POINT_LINE.match(stripped)):
-        return ParsedStep(StepKind.QUERY, query=point_query(m["entity"], m["by"]))
+        return point_query(m["entity"], m["by"])
     if m := _GROUP_LINE.match(stripped):
-        return ParsedStep(StepKind.QUERY, query=group_query(m["entity"]))
+        return group_query(m["entity"])
     if stripped.endswith(".") and _CONCLUSION_MARKER in stripped:
         token = stripped.rpartition(_CONCLUSION_MARKER)[2][:-1].strip()
         # A sentence boundary inside the tail means "answer is" was not part
         # of the terminal sentence.
         if token and ". " not in token:
-            return ParsedStep(StepKind.CONCLUSION, final=Value.from_raw(token))
-    return ParsedStep(StepKind.OTHER)
+            return Value.from_raw(token)
+    return None
 
 
 class AnswerKind(str, Enum):

@@ -1,15 +1,13 @@
 """Rule-based reasoner for template questions.
 
-Three jobs, kept deliberately separable so the closed loop is verifiable:
-
 * ``gen_questions`` instantiates template questions over a table,
-* ``compute_gold`` returns a plan's answer ``Value`` from cells it reads
-  straight off the table (never through the step protocol), and
 * ``decompose``/``deduce`` drive the live episode: pattern-match the question
   into atomic queries, then fold the reader's answers into a concluding
-  sentence ending "So the answer is X.".
+  sentence ending "So the answer is X.", and
+* ``compute_gold`` is ``deduce`` over a perfect reader, which answers each
+  query from the table's cells (never through the step protocol).
 
-Both paths read each data query's answer by one operand rule (``_operand``):
+``deduce`` reads each data query's answer by one operand rule (``_operand``):
 a value is one pair keyed by the query's entity, a group query's pairs are
 its own, and a point query without BY, sent as the entity-only line that may
 read as a row or column, takes the pair ``closest_name`` keys by its entity,
@@ -23,12 +21,11 @@ regex that ``decompose`` matches, so the two cannot drift apart.  A plan is
 its queries, its row's key and the slot values; the fold of the answers is
 named by the key alone, and reads ``{op}`` and ``{target}`` from the slots.
 
-Running decompose -> reader -> deduce against compute_gold is the package's
-main correctness oracle for extraction: the two answer paths read their
-values independently, table cells on one side and reader text on the other.
-Both then apply the one ``_operand`` and ``_reduce``; the fold's arithmetic
-and wording are pinned by a hand-computed case table in the tests, not by
-the closed loop.
+Running decompose -> reader -> deduce against compute_gold checks only that
+reads survive the protocol, since both sides fold alike.  The fold itself is
+checked by the tests: a hand-computed case table pins its arithmetic and
+wording, and a reference evaluator, written per row from the cells, checks
+the gold of generated questions.
 """
 
 from __future__ import annotations
@@ -52,9 +49,12 @@ from .protocol import (
     QueryOp,
     ReaderAnswer,
     describe_query,
+    description_answer,
     format_query,
+    group_answer,
     group_query,
     point_query,
+    scalar_answer,
 )
 from .tables import ChartTable, QAInstance, TemplateType, Value, normalize_name
 
@@ -202,8 +202,8 @@ def decompose(question: str, describe_first: bool = True) -> QuestionPlan:
 
 
 # ---------------------------------------------------------------------------
-# The two answer paths: gold reads the table, independent of the protocol,
-# and deduction reads the reader's answers; both by the one operand rule.
+# The answer path: deduce folds a reader's answers, and gold is deduce over a
+# perfect reader of the table.
 # ---------------------------------------------------------------------------
 
 def _find_exact(names: Sequence[str], wanted: str) -> Optional[int]:
@@ -214,9 +214,12 @@ def _find_exact(names: Sequence[str], wanted: str) -> Optional[int]:
     return None
 
 
-def _gold_read(table: ChartTable, query: AtomicQuery) -> Value | list[tuple[str, Value]]:
-    """What the reader answers a data query, by exact names and by
-    ``execute_query``'s line rule: a cell, or a row's or column's pairs."""
+def _gold_answer(table: ChartTable, query: AtomicQuery) -> ReaderAnswer:
+    """What a perfect reader answers a query, by exact names and by
+    ``execute_query``'s line rule: the table's description, a cell, or a
+    row's or column's pairs; UndefinedResult for a read it cannot locate."""
+    if query.op is QueryOp.DESCRIBE:
+        return description_answer(table.series, table.x_labels)
     series = [s.name for s in table.series]
     if query.by is not None:
         si, xi = _find_exact(series, query.entity), _find_exact(table.x_labels, query.by)
@@ -224,36 +227,31 @@ def _gold_read(table: ChartTable, query: AtomicQuery) -> Value | list[tuple[str,
             si, xi = _find_exact(series, query.by), _find_exact(table.x_labels, query.entity)
         if si is None or xi is None:
             raise UndefinedResult(f"cannot locate cell ({query.entity!r}, {query.by!r})")
-        return table.cells[si][xi]
+        return scalar_answer(table.cells[si][xi])
     if query.entity is None and len(series) != 1:
         raise UndefinedResult("entity-free read on a multi-series table")
     si = 0 if query.entity is None else _find_exact(series, query.entity)
     if si is not None:
-        return [(x, table.cells[si][j]) for j, x in enumerate(table.x_labels)]
+        return group_answer([(x, table.cells[si][j]) for j, x in enumerate(table.x_labels)])
     xi = _find_exact(table.x_labels, query.entity)
     if xi is None:
         raise UndefinedResult(f"cannot locate {query.entity!r}")
     if len(series) == 1:
-        return table.cells[0][xi]
-    return [(s, table.cells[i][xi]) for i, s in enumerate(series)]
+        return scalar_answer(table.cells[0][xi])
+    return group_answer([(s, table.cells[i][xi]) for i, s in enumerate(series)])
 
 
 def compute_gold(table: ChartTable, plan: QuestionPlan) -> Value:
-    """The plan's answer, from cells read straight off the table.
+    """The plan's answer: ``deduce`` over a perfect reader's answers.
 
-    Extraction never touches the query/answer strings, so it stays an
-    independent check on the episode's reader; the operand rule and the
-    fold are ``deduce``'s own, and the reasoning sentence is dropped.
+    The reads come straight off the table, never through the query or answer
+    strings; UndefinedResult when a read cannot be located or ``deduce``
+    concludes unknown.
     """
-    pairs: list[tuple[str, Value]] = []
-    for query in plan.queries:
-        if query.op is not QueryOp.DESCRIBE:
-            pairs += _operand(query, _gold_read(table, query))
-    counts = (len(table.series), len(table.x_labels))
-    try:
-        return Value.from_raw(_reduce(plan, pairs, counts)[1])
-    except DecimalException as exc:
-        raise UndefinedResult(f"{plan.key} is not representable") from exc
+    final = deduce(plan, [_gold_answer(table, query) for query in plan.queries])[1]
+    if final is None:
+        raise UndefinedResult(f"{plan.key} has no answer on {table.source_id}")
+    return Value.from_raw(final)
 
 
 def deduce(
@@ -303,7 +301,7 @@ def _operand(
 
 
 # ---------------------------------------------------------------------------
-# The one fold of both answer paths.
+# The fold.
 # ---------------------------------------------------------------------------
 
 def _require_numbers(values: Sequence[Value]) -> list[Decimal]:
@@ -553,17 +551,13 @@ _GENERATORS = {
 
 
 def gen_questions(
-    table: ChartTable,
-    template_type: TemplateType,
-    seed: int,
-    n: int = 1,
-    describe_first: bool = True,
+    table: ChartTable, template_type: TemplateType, seed: int, n: int = 1
 ) -> list[tuple[QAInstance, QuestionPlan]]:
     """Instantiate template questions over a table, deterministic under seed.
 
-    Gold answers come from compute_gold's table reads, not from the plan's
-    eventual execution.  Raises SkippedTemplate when the table cannot host
-    the template (too small, non-numeric).
+    Each plan is the describe-first plan ``decompose`` gives the question,
+    and its gold is ``compute_gold``'s.  Raises SkippedTemplate when the
+    table cannot host the template (too small, non-numeric).
     """
     rng = random.Random(stable_seed(seed, template_type.value, table.source_id))
     generate = _GENERATORS[template_type]
@@ -571,7 +565,7 @@ def gen_questions(
     for _ in range(n):
         key, slots = generate(table, rng)
         template = _TEMPLATES[key]
-        plan = template.plan(slots, describe_first)
+        plan = template.plan(slots, describe_first=True)
         gold = compute_gold(table, plan)
         form = next(f for f in template.phrasings if f.pattern.groupindex.keys() == slots.keys())
         question = form.render(*(slots[name] for name in form.pattern.groupindex))

@@ -20,7 +20,7 @@ from chartloop.prompts import (
 )
 from chartloop.protocol import (
     AnswerKind,
-    StepKind,
+    AtomicQuery,
     format_query,
     format_reader_answer,
     parse_reader_answer,
@@ -51,8 +51,7 @@ def _closed_loop_accuracy(tables, templates, describe_first):
         oracle = TableOracle([table])
         for template in templates:
             try:
-                generated = gen_questions(table, template, seed=101, n=1,
-                                          describe_first=describe_first)
+                generated = gen_questions(table, template, seed=101, n=1)
             except SkippedTemplate:
                 skipped += 1
                 continue
@@ -64,9 +63,9 @@ def _closed_loop_accuracy(tables, templates, describe_first):
                 first_query = True
                 for step in trace.steps:
                     parsed = parse_step(step.text)
-                    if parsed.kind is not StepKind.QUERY:
+                    if not isinstance(parsed, AtomicQuery):
                         continue
-                    is_describe = parsed.query.op.value == "describe"
+                    is_describe = parsed.op.value == "describe"
                     describe_seen = describe_seen or is_describe
                     if first_query:
                         first_queries_are_describe &= is_describe
@@ -183,22 +182,19 @@ def test_protocol_round_trip():
     ]
     assert protocol_lines, "shipped prompt must contain protocol lines"
     for line in protocol_lines:
-        step = parse_step(line)
         classified = (
-            step.kind is not StepKind.OTHER
+            parse_step(line) is not None
             or parse_reader_answer(line).kind is not AnswerKind.UNAVAILABLE
         )
-        ok &= classified  # zero Other lines among protocol lines
+        ok &= classified  # every protocol line parses as a step or an answer
     for is_reasoner, line in _prompt_protocol_lines():
         if is_reasoner:
             parsed = parse_step(line)
-            if parsed.kind is StepKind.OTHER:
+            if parsed is None:
                 ok = False
-            elif parsed.kind is StepKind.QUERY:
-                rendered = format_query(parsed.query)
-                ok &= rendered == line and parse_step(rendered).query == parsed.query
-            else:
-                ok &= parsed.final is not None
+            elif isinstance(parsed, AtomicQuery):
+                rendered = format_query(parsed)
+                ok &= rendered == line and parse_step(rendered) == parsed
         else:
             answer = parse_reader_answer(line)
             if answer.kind is AnswerKind.UNAVAILABLE:

@@ -13,7 +13,7 @@ from chartloop.controller import (
 from chartloop.evalkit import majority_vote, relaxed_match, vote_key
 from chartloop.oracle import TableOracle
 from chartloop.prompts import PromptConfigError, PromptStyle
-from chartloop.protocol import QueryOp, StepKind, parse_step
+from chartloop.protocol import AtomicQuery, QueryOp, parse_step
 from chartloop.symbolic import SymbolicReasoner, compute_gold, decompose, gen_questions
 from chartloop.tables import ChartTable, StepRole, TemplateType, Termination, Value
 
@@ -86,15 +86,15 @@ def test_describe_first_on_and_off(costa_rica):
     question = "Across all years, what is the minimum pupil-teacher ratio in Costa Rica?"
     trace = run_episode(question, "pupil-teacher", SymbolicReasoner(), oracle)
     first_query = next(s for s in trace.steps if s.role is StepRole.REASONER_QUERY)
-    assert parse_step(first_query.text).query.op is QueryOp.DESCRIBE
+    assert parse_step(first_query.text).op is QueryOp.DESCRIBE
 
     config = EpisodeConfig()
     trace = run_episode(question, "pupil-teacher", SymbolicReasoner(describe_first=False),
                         oracle, config)
     for step in trace.steps:
         parsed = parse_step(step.text)
-        if parsed.kind is StepKind.QUERY:
-            assert parsed.query.op is not QueryOp.DESCRIBE
+        if isinstance(parsed, AtomicQuery):
+            assert parsed.op is not QueryOp.DESCRIBE
     assert trace.final == Value.from_raw("14.92")
 
 

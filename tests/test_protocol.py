@@ -11,7 +11,6 @@ from chartloop.protocol import (
     AtomicQuery,
     QueryOp,
     ReaderAnswer,
-    StepKind,
     UNAVAILABLE_ANSWER,
     describe_query,
     description_answer,
@@ -30,46 +29,36 @@ from chartloop.tables import ChartTable, StepRole, TemplateType, Value
 
 
 def test_parse_describe():
-    parsed = parse_step("Let's describe the figure.")
-    assert parsed.kind is StepKind.QUERY
-    assert parsed.query == describe_query()
+    assert parse_step("Let's describe the figure.") == describe_query()
 
 
 def test_parse_point_with_by():
-    parsed = parse_step("Let's extract the data of Canada BY 1965.")
-    assert parsed.query == point_query("Canada", "1965")
+    assert parse_step("Let's extract the data of Canada BY 1965.") == point_query("Canada", "1965")
 
 
 def test_parse_entity_only_is_group():
-    parsed = parse_step("Let's extract the data of Total market.")
-    assert parsed.query == group_query("Total market")
+    assert parse_step("Let's extract the data of Total market.") == group_query("Total market")
 
 
 def test_parse_extract_all():
-    parsed = parse_step("Let's extract all the values.")
-    assert parsed.query == group_query(None)
+    assert parse_step("Let's extract all the values.") == group_query(None)
 
 
 def test_parse_conclusion_takes_last_answer_is():
-    parsed = parse_step("The minimum value is 14.92 in 2011. So the answer is 14.92.")
-    assert parsed.kind is StepKind.CONCLUSION
-    assert parsed.final == Value.from_raw("14.92")
+    line = "The minimum value is 14.92 in 2011. So the answer is 14.92."
+    assert parse_step(line) == Value.from_raw("14.92")
 
 
 def test_parse_conclusion_plain_form():
-    parsed = parse_step("The answer is 7.54.")
-    assert parsed.kind is StepKind.CONCLUSION
-    assert parsed.final.raw == "7.54"
+    assert parse_step("The answer is 7.54.") == Value.from_raw("7.54")
 
 
 def test_parse_prose_is_other():
-    parsed = parse_step("Let's find the row of Turkey.")
-    assert parsed.kind is StepKind.OTHER
+    assert parse_step("Let's find the row of Turkey.") is None
 
 
 def test_parse_non_terminal_answer_is_other():
-    parsed = parse_step("The answer is unknown. Let me try again.")
-    assert parsed.kind is StepKind.OTHER
+    assert parse_step("The answer is unknown. Let me try again.") is None
 
 
 def test_format_query_canonical_forms():
@@ -93,22 +82,19 @@ def test_query_round_trip_canonical():
         point_query("NET Only fair/ poor", "German"),
     ]
     for query in queries:
-        parsed = parse_step(format_query(query))
-        assert parsed.kind is StepKind.QUERY
-        assert parsed.query == query
+        assert parse_step(format_query(query)) == query
 
 
 def test_point_without_by_reparses_as_group():
     # The entity-only surface form is shared; readers disambiguate on the chart.
-    parsed = parse_step(format_query(point_query("2015")))
-    assert parsed.query == group_query("2015")
+    assert parse_step(format_query(point_query("2015"))) == group_query("2015")
 
 
 def test_by_escape_is_format_stable():
     query = group_query("side BY side")
     rendered = format_query(query)
     assert rendered == "Let's extract the data of side By side."
-    reparsed = parse_step(rendered).query
+    reparsed = parse_step(rendered)
     assert reparsed == group_query("side By side")
     assert format_query(reparsed) == rendered
 
@@ -128,7 +114,7 @@ def test_parse_step_total_on_fuzz():
     for _ in range(500):
         line = "".join(rng.choice(alphabet) for _ in range(rng.randrange(0, 80)))
         parsed = parse_step(line)
-        assert parsed.kind in (StepKind.QUERY, StepKind.CONCLUSION, StepKind.OTHER)
+        assert parsed is None or isinstance(parsed, (AtomicQuery, Value))
 
 
 def test_parse_scalar_answer():
@@ -143,8 +129,7 @@ def test_an_exponent_past_what_a_decimal_holds_reads_as_text():
         assert answer.kind is AnswerKind.SCALAR
         assert answer.scalar.number is None
     parsed = parse_step("So the answer is 1e1000000000000000000.")
-    assert parsed.kind is StepKind.CONCLUSION
-    assert parsed.final.number is None
+    assert parsed == Value("1e1000000000000000000")
 
 
 def test_parse_group_answer_preserves_order():
@@ -292,16 +277,16 @@ def assert_protocol_lines_round_trip(table):
         line = format_query(query)
         parsed = parse_step(line)
         # A point without BY shares the entity-only line of the group query.
-        assert parsed.query == (group_query(query.entity) if query.op is QueryOp.EXTRACT_POINT
-                                and query.by is None else query), line
-        assert format_query(parsed.query) == line
+        assert parsed == (group_query(query.entity) if query.op is QueryOp.EXTRACT_POINT
+                          and query.by is None else query), line
+        assert format_query(parsed) == line
         assert execute_query(table, query) in answer_lines | {UNAVAILABLE_ANSWER}, line
     for step in _reasoner_steps(table):
         parsed = parse_step(step.text)
         if step.role is StepRole.REASONER_QUERY:
-            assert format_query(parsed.query) == step.text
+            assert format_query(parsed) == step.text
         elif step.role is StepRole.CONCLUSION:
-            assert step.text.endswith(CONCLUSION.render(parsed.final.raw))
+            assert step.text.endswith(CONCLUSION.render(parsed.raw))
         else:
             assert step.role is StepRole.READER_ANSWER and step.text in answer_lines
 

@@ -339,7 +339,7 @@ class _StubReader:
 
     def read(self, chart_ref, query):
         self.asked.append((chart_ref, query))
-        return execute_query(self.tables[chart_ref], parse_step(query).query)
+        return execute_query(self.tables[chart_ref], parse_step(query))
 
 
 def test_self_consistency_asks_any_reader_each_line_once_per_question():
