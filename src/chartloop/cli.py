@@ -100,6 +100,7 @@ _PROMPT_STYLES = {
 }
 
 _DEFAULT_BUCKETS = ",".join(str(e) for e in DEFAULT_BUCKET_EDGES)
+_DEFAULT_FORMAT = "internal_json"
 # Lowest accepted value of each numeric flag; main checks them after the --config merge.
 _MINIMUMS = {"sc": 1, "max_steps": 1, "per_template": 1, "workers": 1, "sample": 0,
              "synthetic": 0, "temperature": 0.0}
@@ -191,6 +192,8 @@ def _load_corpus(cfg: dict) -> Optional[Corpus]:
     """Load ``--corpus`` if given, printing each dropped row once; an empty
     ``--corpus`` is a usage error, not a run without one."""
     if cfg["corpus"] is None:
+        if cfg["format"] != _DEFAULT_FORMAT:  # a layout of no corpus would do nothing
+            raise UsageError("--format needs --corpus")
         return None
     if not cfg["corpus"]:
         raise UsageError("--corpus cannot be empty")
@@ -380,6 +383,8 @@ def cmd_eval(cfg: dict) -> int:
         raise UsageError("--corpus and --synthetic cannot be combined")
     if cfg["synthetic"] == 0 and (cfg["templates"] is not None or cfg["per_template"] is not None):
         raise UsageError("--templates and --per-template need --synthetic N")
+    if cfg["synthetic"] == 0 and cfg["sample"] == 0 and cfg["seed"] != 0:  # nothing to draw
+        raise UsageError("--seed needs --synthetic N or --sample N")
     # Threads only overlap waits on a server; in-process backends hold the GIL.
     if cfg["workers"] > 1 and cfg["reasoner_url"] is None and cfg["reader_url"] is None:
         raise UsageError("--workers above 1 needs --reasoner-url or --reader-url")
@@ -497,7 +502,7 @@ def _output_flags(p: argparse.ArgumentParser) -> None:
 
 def _corpus_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--corpus", default=None)
-    p.add_argument("--format", choices=list(CORPUS_LAYOUTS), default="internal_json")
+    p.add_argument("--format", choices=list(CORPUS_LAYOUTS), default=_DEFAULT_FORMAT)
 
 
 def _episode_flags(p: argparse.ArgumentParser) -> None:
@@ -551,7 +556,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--templates", default=None,
                    help="comma-separated template types (default all; needs --synthetic)")
     p.add_argument("--per-template", dest="per_template", type=int, default=None,
-                   help="questions per chart and template (default 1; needs --synthetic)")
+                   help="at most N distinct questions per chart and template "
+                        "(default 1; needs --synthetic)")
     p.add_argument("--sample", type=int, default=0, help="sample N instances (0 = all)")
     p.add_argument("--workers", type=int, default=1,
                    help="threads; above 1 only with an HTTP backend")

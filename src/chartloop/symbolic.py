@@ -1,6 +1,8 @@
 """Rule-based reasoner for template questions.
 
-* ``gen_questions`` instantiates template questions over a table,
+* ``gen_questions`` asks distinct template questions of a table, drawn from
+  what each ``_TEMPLATES`` row enumerates: the slot values of every question
+  the row asks of the table that has exactly one right answer,
 * ``decompose``/``deduce`` drive the live episode: pattern-match the question
   into atomic queries, then fold the reader's answers into a concluding
   sentence ending "So the answer is X.", and
@@ -25,7 +27,7 @@ Running decompose -> reader -> deduce against compute_gold checks only that
 reads survive the protocol, since both sides fold alike.  The fold itself is
 checked by the tests: a hand-computed case table pins its arithmetic and
 wording, and a reference evaluator, written per row from the cells, checks
-the gold of generated questions.
+the gold of every question a table hosts.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ import random
 import re
 from dataclasses import dataclass
 from decimal import Decimal, DecimalException, ROUND_HALF_UP
+from itertools import chain, islice, permutations, zip_longest
 from typing import Callable, Optional, Sequence
 
 from . import protocol  # parse_reader_answer is looked up on each cache miss, so wrappers see it
@@ -61,12 +64,9 @@ from .tables import ChartTable, QAInstance, TemplateType, Value, normalize_name
 UNKNOWN_CONCLUSION = CONCLUSION.render("unknown")
 _DATA_ANSWERS = (AnswerKind.SCALAR, AnswerKind.GROUP)
 
-_RATIO_STEP = Decimal("0.0001")
-_AVERAGE_STEP = Decimal("0.01")
-
 
 class SkippedTemplate(ValueError):
-    """The table is too small or non-numeric for the requested template."""
+    """The table hosts no question of the requested template."""
 
 
 class NotTemplated(ValueError):
@@ -135,8 +135,8 @@ _CP, _CM, _MM = TemplateType.COMPOUND, TemplateType.COMPARISON, TemplateType.MIN
 
 # One row per question meaning.  Rows, and a row's phrasings, match in order,
 # so a more specific phrasing precedes any that would also match it.  A
-# generated question is the first phrasing of its row with the generator's
-# slot names; the phrasings no generator renders are human-only wordings.
+# generated question is the first phrasing of its row with the slot names of
+# its filling (``_FILLINGS``); the phrasings none renders are human-only.
 _TEMPLATES: dict[str, _Template] = {row[0]: _Template(*row) for row in (
     ("count_series", _ST, lambda s: (),
      "How many legend labels are there?"),
@@ -313,6 +313,14 @@ def _require_numbers(values: Sequence[Value]) -> list[Decimal]:
     return numbers
 
 
+def _rounded(number: Decimal, places: int) -> Decimal:
+    """``number`` half up to ``places`` decimal places, or to 3 significant
+    digits where ``places`` would keep fewer: a printed ratio or average lies
+    within 0.5% of the exact one."""
+    exponent = min(-places, number.adjusted() - 2) if number else -places
+    return number.quantize(Decimal(1).scaleb(exponent), ROUND_HALF_UP)
+
+
 def _reduce(
     plan: QuestionPlan,
     pairs: Sequence[tuple[str, Value]],
@@ -353,7 +361,7 @@ def _reduce(
         a, b = values[0].raw, values[1].raw
         if numbers[1] == 0:
             raise UndefinedResult("ratio with zero denominator")
-        r = (numbers[0] / numbers[1]).quantize(_RATIO_STEP, rounding=ROUND_HALF_UP)
+        r = _rounded(numbers[0] / numbers[1], 4)
         return f"The ratio is {a}/{b}={r}.", str(r)
     if key == "greater":
         a, b = values[0].raw, values[1].raw
@@ -361,7 +369,7 @@ def _reduce(
             return f"{a} is greater than {b}.", "yes"
         return f"{a} is not greater than {b}.", "no"
     if key in ("average", "average_all"):
-        m = (sum(numbers, Decimal(0)) / len(numbers)).quantize(_AVERAGE_STEP, ROUND_HALF_UP)
+        m = _rounded(sum(numbers, Decimal(0)) / len(numbers), 2)
         expr = "(" + "+".join(v.raw for v in values) + f")/{len(numbers)}"
         return f"The average is {expr}={m}.", str(m)
     if key in ("extreme", "arg_extreme"):
@@ -405,10 +413,10 @@ def _reduce(
 
 
 # ---------------------------------------------------------------------------
-# Template question generation.  Each generator draws from the rng and
-# returns a _TEMPLATES key with its slot values, whose names pick the row's
-# phrasing; changing the order of the draws changes every generated question
-# set.
+# Template question generation.  Each row's enumerator lists the slot values
+# of every question the row asks of a table that has exactly one right
+# answer; the slot names pick the row's phrasing.  Only gen_questions draws
+# from the rng.
 # ---------------------------------------------------------------------------
 
 _YEAR_RE = re.compile(r"\d{4}")
@@ -420,151 +428,137 @@ def _x_word(table: ChartTable) -> tuple[str, str]:
     return "category", "categories"
 
 
-def _numeric_row(table: ChartTable, i: int) -> bool:
-    return all(v.number is not None for v in table.cells[i])
-
-
 def _numeric_rows(table: ChartTable) -> list[int]:
-    return [i for i in range(len(table.series)) if _numeric_row(table, i)]
+    return [i for i, row in enumerate(table.cells) if all(v.number is not None for v in row)]
 
 
-def _gen_data_retrieval(table: ChartTable, rng: random.Random):
-    word, _ = _x_word(table)
-    rows = _numeric_rows(table)
-    kind = rng.choice(["value"] + (["arg_match"] if rows else []))
-    if kind == "value":
-        si = rng.randrange(len(table.series))
-        x = table.x_labels[rng.randrange(len(table.x_labels))]
-        return kind, {"a": x} if len(table.series) == 1 else {"a": table.series[si].name, "x": x}
-    si = rng.choice(rows)
-    target = table.cells[si][rng.randrange(len(table.x_labels))]
-    return "arg_match", {"word": word, "a": table.series[si].name, "target": target.raw}
+def _held_once(table: ChartTable, i: int, number: Decimal) -> bool:
+    """Whether exactly one cell of series i holds ``number``, so that the
+    label holding it is the one right answer."""
+    return [v.number for v in table.cells[i]].count(number) == 1
 
 
-def _gen_structural(table: ChartTable, rng: random.Random):
-    return ("count_series" if rng.random() < 0.5 else "count_x_labels"), {}
-
-
-def _two_distinct(rng: random.Random, n: int) -> tuple[int, int]:
-    first = rng.randrange(n)
-    second = rng.randrange(n - 1)
-    if second >= first:
-        second += 1
-    return first, second
-
-
-def _gen_arithmetic(table: ChartTable, rng: random.Random):
-    _, words = _x_word(table)
-    if len(table.series) == 1:
-        if len(table.x_labels) < 2 or not _numeric_row(table, 0):
-            raise SkippedTemplate("arithmetic needs two numeric cells")
-        kind = rng.choice(["difference", "sum", "average"])
-        if kind == "average":
-            return "average_all", {"a": table.series[0].name, "words": words}
-        xa, xb = _two_distinct(rng, len(table.x_labels))
-        if kind == "difference" and table.cells[0][xa].number < table.cells[0][xb].number:
-            xa, xb = xb, xa
-        return kind, {"a": table.x_labels[xa], "b": table.x_labels[xb]}
-    rows = _numeric_rows(table)
-    if len(rows) < 2:
-        raise SkippedTemplate("arithmetic needs two numeric series")
-    kind = rng.choice(["difference", "sum", "average"])
-    ia, ib = _two_distinct(rng, len(rows))
-    sa, sb = rows[ia], rows[ib]
-    xi = rng.randrange(len(table.x_labels))
-    if kind == "difference" and table.cells[sa][xi].number < table.cells[sb][xi].number:
-        sa, sb = sb, sa
-    return kind, {"a": table.series[sa].name, "b": table.series[sb].name, "x": table.x_labels[xi]}
-
-
-def _gen_compound(table: ChartTable, rng: random.Random):
-    rows = _numeric_rows(table)
-    if not rows:
-        raise SkippedTemplate("compound needs a numeric series")
-    _, words = _x_word(table)
-    si = rng.choice(rows)
-    threshold = table.cells[si][rng.randrange(len(table.x_labels))]
-    op = "greater than" if rng.random() < 0.5 else "below"
-    slots = {"words": words, "op": op, "target": threshold.raw}
-    return "count", slots if len(table.series) == 1 else {**slots, "a": table.series[si].name}
-
-
-def _gen_comparison(table: ChartTable, rng: random.Random):
-    single = len(table.series) == 1
-    rows = _numeric_rows(table)
-    kinds = []
-    if rows and len(table.x_labels) >= 2:
-        kinds.extend(["ratio", "greater"])
-    if single and len(table.x_labels) >= 3 and _numeric_row(table, 0):
-        kinds.append("two_smallest")
-    if not single and len(rows) >= 2:
-        kinds.append("greater_series")
-    if not kinds:
-        raise SkippedTemplate("comparison needs two numeric cells")
-    kind = rng.choice(kinds)
-    if kind == "two_smallest":
-        return "two_smallest", {"det": "the "}
-    if kind == "greater_series":
-        ia, ib = _two_distinct(rng, len(rows))
-        x = table.x_labels[rng.randrange(len(table.x_labels))]
-        na, nb = table.series[rows[ia]].name, table.series[rows[ib]].name
-        return "greater", {"a": na, "x": x, "b": nb, "y": x}
-    si = rng.choice(rows)
-    for _ in range(20):
-        xa, xb = _two_distinct(rng, len(table.x_labels))
-        if kind != "ratio" or table.cells[si][xb].number != 0:
-            break
+def _two_cells(table: ChartTable, along: bool, names: str,
+               keep: Optional[Callable] = None) -> list[dict]:
+    """Each ordered pair of distinct numeric cells, in one series (``along``)
+    or at one x-label, whose two numbers ``keep`` accepts, as slots: x-labels
+    {a} and {b} of the only series, else those of series {a} in {x} and
+    series {b} in {y} that ``names`` lists: "abx", "axy" or "axby"."""
+    rows, xs, cells = _numeric_rows(table), range(len(table.x_labels)), table.cells
+    if along:
+        pairs = [(p, j, p, k) for p in rows for j, k in permutations(xs, 2)]
     else:
-        raise SkippedTemplate("no nonzero denominator available")
-    la, lb = table.x_labels[xa], table.x_labels[xb]
-    if single:
-        return kind, {"a": la, "b": lb}
-    slots = {"a": table.series[si].name, "x": la, "y": lb}
-    return kind, slots if kind == "ratio" else {**slots, "b": slots["a"]}
+        pairs = [(p, j, q, j) for p, q in permutations(rows, 2) for j in xs]
+    if keep is not None:
+        pairs = [(p, j, q, k) for p, j, q, k in pairs
+                 if keep(cells[p][j].number, cells[q][k].number)]
+    x, s = table.x_labels, [label.name for label in table.series]
+    if len(s) == 1:
+        return [{"a": x[j], "b": x[k]} for _, j, _, k in pairs]
+    if names == "abx":
+        return [{"a": s[p], "b": s[q], "x": x[j]} for p, j, q, _ in pairs]
+    if names == "axy":
+        return [{"a": s[p], "x": x[j], "y": x[k]} for p, j, _, k in pairs]
+    return [{"a": s[p], "x": x[j], "b": s[q], "y": x[k]} for p, j, q, k in pairs]
 
 
-def _gen_min_max(table: ChartTable, rng: random.Random):
-    rows = _numeric_rows(table)
-    if not rows:
-        raise SkippedTemplate("min-max needs a numeric series")
-    word, words = _x_word(table)
-    name = table.series[rng.choice(rows)].name
-    ops = ["minimum", "maximum", "lowest", "highest"]
-    if len(table.x_labels) >= 2:
-        ops.append("second_highest")
-    op = rng.choice(ops)
-    if op in ("minimum", "maximum"):
-        return "extreme", {"words": words, "op": op, "a": name}
-    if op == "second_highest":
-        return "second_highest", {"word": word, "a": name}
-    return "arg_extreme", {"word": word, "a": name, "op": op}
+def _whole_series(table: ChartTable, min_x: int, **slots: str) -> list[dict]:
+    """``slots`` once if the only series is numeric and has ``min_x`` cells."""
+    hosted = len(table.series) == 1 and len(table.x_labels) >= min_x and _numeric_rows(table)
+    return [slots] if hosted else []
 
 
-_GENERATORS = {
-    TemplateType.DATA_RETRIEVAL: _gen_data_retrieval,
-    TemplateType.STRUCTURAL: _gen_structural,
-    TemplateType.ARITHMETIC: _gen_arithmetic,
-    TemplateType.COMPOUND: _gen_compound,
-    TemplateType.COMPARISON: _gen_comparison,
-    TemplateType.MIN_MAX: _gen_min_max,
+def _value(table: ChartTable) -> list[dict]:
+    if len(table.series) == 1:
+        return [{"a": x} for x in table.x_labels]
+    return [{"a": s.name, "x": x} for s in table.series for x in table.x_labels]
+
+
+def _arg_match(table: ChartTable) -> list[dict]:
+    word = _x_word(table)[0]
+    return [{"word": word, "a": table.series[i].name, "target": v.raw}
+            for i in _numeric_rows(table) for v in table.cells[i]
+            if _held_once(table, i, v.number)]
+
+
+def _count(table: ChartTable) -> list[dict]:
+    words, single = _x_word(table)[1], len(table.series) == 1
+    return [{"words": words, "op": op, "target": target,
+             **({} if single else {"a": table.series[i].name})}
+            for i in _numeric_rows(table)
+            for target in dict.fromkeys(v.raw for v in table.cells[i])
+            for op in ("greater than", "below")]
+
+
+def _extreme(table: ChartTable) -> list[dict]:
+    words = _x_word(table)[1]
+    return [{"words": words, "op": op, "a": table.series[i].name}
+            for i in _numeric_rows(table) for op in ("minimum", "maximum")]
+
+
+def _arg_extreme(table: ChartTable) -> list[dict]:
+    word = _x_word(table)[0]
+    return [{"word": word, "a": table.series[i].name, "op": op}
+            for i in _numeric_rows(table) for op, best in (("lowest", min), ("highest", max))
+            if _held_once(table, i, best(v.number for v in table.cells[i]))]
+
+
+def _second_highest(table: ChartTable) -> list[dict]:
+    word = _x_word(table)[0]
+    return [{"word": word, "a": table.series[i].name} for i in _numeric_rows(table)
+            if len(table.x_labels) >= 2
+            and _held_once(table, i, sorted(v.number for v in table.cells[i])[-2])]
+
+
+# Each _TEMPLATES row's enumerator, by row key.
+_FILLINGS: dict[str, Callable[[ChartTable], list[dict]]] = {
+    "count_series": lambda table: [{}],
+    "count_x_labels": lambda table: [{}],
+    "arg_match": _arg_match,
+    "difference": lambda table: _two_cells(table, len(table.series) == 1, "abx",
+                                           lambda m, n: m >= n),
+    "sum": lambda table: _two_cells(table, len(table.series) == 1, "abx"),
+    "average": lambda table: _two_cells(table, False, "abx"),
+    "average_all": lambda table: _whole_series(table, 2, a=table.series[0].name,
+                                               words=_x_word(table)[1]),
+    "count": _count,
+    "ratio": lambda table: _two_cells(table, True, "axy", lambda m, n: n != 0),
+    "greater": lambda table: _two_cells(table, True, "axby") + _two_cells(table, False, "axby"),
+    "two_smallest": lambda table: _whole_series(table, 3, det="the "),
+    "extreme": _extreme,
+    "arg_extreme": _arg_extreme,
+    "second_highest": _second_highest,
+    "value": _value,
 }
 
 
 def gen_questions(
     table: ChartTable, template_type: TemplateType, seed: int, n: int = 1
 ) -> list[tuple[QAInstance, QuestionPlan]]:
-    """Instantiate template questions over a table, deterministic under seed.
+    """At most n distinct questions of a template over a table,
+    deterministic under seed.
 
-    Each plan is the describe-first plan ``decompose`` gives the question,
-    and its gold is ``compute_gold``'s.  Raises SkippedTemplate when the
-    table cannot host the template (too small, non-numeric).
+    The template's rows come in a seeded order and take turns, each giving
+    its fillings in a seeded order.  So the first question comes from a
+    uniformly drawn row, and a row with a single filling is not crowded out
+    by one with hundreds; an n above what the table hosts asks each hosted
+    question once.  Each plan is the describe-first plan ``decompose`` gives
+    the question, and its gold is ``compute_gold``'s.  Raises SkippedTemplate
+    when the table hosts no question of the template.
     """
     rng = random.Random(stable_seed(seed, template_type.value, table.source_id))
-    generate = _GENERATORS[template_type]
+    templates = [t for t in _TEMPLATES.values() if t.template_type is template_type]
+    rng.shuffle(templates)
+    rows = []
+    for template in templates:
+        if fillings := _FILLINGS[template.key](table):
+            rows.append([(template, slots) for slots in rng.sample(fillings, min(n, len(fillings)))])
+            if len(rows) >= n:  # the first turn alone asks n questions
+                break
+    if not rows:
+        raise SkippedTemplate(f"{table.source_id} hosts no {template_type.value} question")
     out: list[tuple[QAInstance, QuestionPlan]] = []
-    for _ in range(n):
-        key, slots = generate(table, rng)
-        template = _TEMPLATES[key]
+    for template, slots in islice(filter(None, chain.from_iterable(zip_longest(*rows))), n):
         plan = template.plan(slots, describe_first=True)
         gold = compute_gold(table, plan)
         form = next(f for f in template.phrasings if f.pattern.groupindex.keys() == slots.keys())

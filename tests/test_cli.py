@@ -17,7 +17,7 @@ import pytest
 import chartloop
 from chartloop.cli import build_parser, main
 from chartloop.datagen import example_from_trace, load_corpus
-from chartloop.symbolic import SkippedTemplate, SymbolicReasoner, gen_questions
+from chartloop.symbolic import _FILLINGS, SkippedTemplate, SymbolicReasoner, gen_questions
 from chartloop.synth import random_tables
 from chartloop.tables import ReasoningTrace, TemplateType
 
@@ -397,13 +397,13 @@ def test_eval_records_bytes_are_pinned(tmp_path, sc, source):
     digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
                for name in ("records.jsonl", "report.json", "report.txt", "traces.jsonl")}
     assert digests == {
-        "records.jsonl": "0c3540dad9a16ad33b8e961d4c4442f1be89ea65b36bd4bfad2ea8a37bc061f4",
+        "records.jsonl": "ef92ad92269169e4453fe192609732939db87aaa37c509f35b2e1ce834c5befd",
         "report.json": "21afc29ae036cc6428b4db6092936a4c41c1cc6c905496dde62f1e23c1a5065d",
         "report.txt": "13537a154557f8c301b3c37e76b96519ac72acd949253e5b4283bf0401646286",
         # Every reasoner and reader line; --sc 3 draws more episodes.
         "traces.jsonl": {
-            1: "ca32abb70194d921dcd702da7f479a52b066226ac58eb7894f9e7a10029c343c",
-            3: "8700030ec3082fa93280cf73faf05bbb6fac491e4edaa23b0c71936bd23d7347",
+            1: "3ba401f29c2d4d869d24e4ef88c51e0db138bcfe7d206763df4997e34cf33793",
+            3: "c6349f47f59379e11a558b4652c71f2ae8aa37b9ae789bc89cf8bcc9cde04706",
         }[sc],
     }
 
@@ -422,8 +422,8 @@ def test_export_files_bytes_are_pinned(tmp_path):
                for name in ("s1/system1.jsonl", "s2/system2.jsonl", "s2t/system2.jsonl")}
     assert digests == {
         "s1/system1.jsonl": "ffa23f578107022165a48faaef6f64dcb952d3924e39815ab33a382f32f7d0cf",
-        "s2/system2.jsonl": "04730a14596546e76c32b9d02883309ef1b91c09c5bc8a9f17bdcc3c984ff270",
-        "s2t/system2.jsonl": "fe240facf941695249808a596ac9e34cda2b67625a2c5b0579e61afe1ac54120",
+        "s2/system2.jsonl": "0f2ca682b702aa87004075dc4189f92717cb64eae203594a77c975c0e0f1ac68",
+        "s2t/system2.jsonl": "625046d0e378250e44b62865b4c9fcd98aef2b178130b7ac248f4e1d23fd7cae",
     }
 
 
@@ -1023,6 +1023,12 @@ def test_recorded_config_alone_reruns_a_command(small_corpus_path, tmp_path, com
      "--api-key", "a\nb"],
     # Only a model samples: the built-in reasoners never read a temperature.
     ["eval", "--synthetic", 2, "--temperature", 0.9],
+    # A flag that would change nothing: a layout without a corpus, a seed
+    # without anything to draw.
+    ["eval", "--synthetic", 2, "--format", "chartqa_like"],
+    ["run", "--question", "What is the value of x?", "--chart", "c",
+     "--reader-url", "http://127.0.0.1:9", "--format", "chartqa_like"],
+    ["eval", "--corpus", "corpus", "--seed", 5],
 ])
 def test_usage_error_is_one_line(small_corpus_path, tmp_path, capsys, argv):
     argv = [small_corpus_path if arg == "corpus" else arg for arg in argv]
@@ -1096,6 +1102,28 @@ def test_eval_templates_takes_only_exact_names(tmp_path, capsys, names, named):
                     "--out-dir", tmp_path / "out"]) == 2
     assert capsys.readouterr().err == f"error: --templates names {named}, not one of {known}\n"
     assert not (tmp_path / "out").exists()
+
+
+def test_eval_synthetic_asks_each_question_once(tmp_path):
+    """Whatever --per-template asks per chart and template, no (chart,
+    question) pair is asked twice."""
+    for per_template in range(1, 9):
+        out = tmp_path / str(per_template)
+        assert run_cli(["eval", "--synthetic", 20, "--per-template", per_template, "--seed", 3,
+                        "--out-dir", out]) == 0
+        asked = [(r["chart_id"], r["question"]) for r in read_jsonl(out / "records.jsonl")]
+        assert len(set(asked)) == len(asked)
+
+
+def test_eval_per_template_far_above_what_a_chart_hosts(tmp_path):
+    """A --per-template of a billion asks each question the chart hosts once,
+    and so finishes as fast as that many questions."""
+    table, = random_tables(0, 1)
+    hosted = sum(len(fillings(table)) for fillings in _FILLINGS.values())
+    assert run_cli(["eval", "--synthetic", 1, "--per-template", 10**9,
+                    "--out-dir", tmp_path / "out"]) == 0
+    asked = [r["question"] for r in read_jsonl(tmp_path / "out" / "records.jsonl")]
+    assert len(set(asked)) == len(asked) == hosted
 
 
 @pytest.mark.parametrize("source, recorded", [

@@ -81,7 +81,7 @@ def test_prompt_bytes_are_pinned():
                     prompt = build_prompt(style, qa.question, table_text)
                     digest.update(prompt.encode("utf-8") + b"\0")
     assert digest.hexdigest() == (
-        "e0a4ef4f68a91c4175f5a046975e6596ed62c5f9196e24104b37db6f13f409ec")
+        "8a2161dc9b6b03d087ec33321bc1ade5aac6c7f8369ffd7ffbbcbb0d4d919434")
     exemplars = [[e.question, list(e.steps)] for e in default_step_exemplars()]
     assert hashlib.sha256(json.dumps(exemplars).encode("utf-8")).hexdigest() == (
         "5cc625bd19e255c9bc2832335091636a6cd34fcc7aa2a40ff8f19107f4500d46")

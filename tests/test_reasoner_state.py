@@ -87,7 +87,7 @@ def _chart_questions(table):
 
 def _questions(human_only_questions):
     """(table, question) pairs, mostly chart by chart: 30 seeded tables host
-    every phrasing a generator renders; two charts that share a description
+    every phrasing gen_questions renders; two charts that share a description
     take turns, two questions each, so describe-first episodes (every other
     one) alternate between them; the human-only phrasings come last, each on
     its small table."""

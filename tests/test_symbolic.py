@@ -25,6 +25,7 @@ from chartloop.symbolic import (
     SkippedTemplate,
     SymbolicReasoner,
     UndefinedResult,
+    _FILLINGS,
     _TEMPLATES,
     _gold_answer,
     compute_gold,
@@ -132,17 +133,19 @@ _HAND_TABLE = [
     _row("ratio-pads-to-four-places", _chart("x1 x2", A=["7", "4"]), "ratio",
          [_P("x1"), _P("x2")], ["The data is 7.", "The data is 4."],
          "1.7500", "The ratio is 7/4=1.7500. So the answer is 1.7500."),
-    # 1/32 = 0.03125: half-up gives 0.0313 where banker's rounding gives 0.0312.
-    _row("ratio-rounds-half-up", _chart("x1 x2", A=["1", "32"]), "ratio",
-         [_P("x1"), _P("x2")], ["The data is 1.", "The data is 32."],
-         "0.0313", "The ratio is 1/32=0.0313. So the answer is 0.0313."),
+    # 1/320 = 0.003125: four places would keep two significant digits, so it
+    # rounds to three, and half-up gives 0.00313 where banker's gives 0.00312.
+    _row("ratio-rounds-half-up", _chart("x1 x2", A=["1", "320"]), "ratio",
+         [_P("x1"), _P("x2")], ["The data is 1.", "The data is 320."],
+         "0.00313", "The ratio is 1/320=0.00313. So the answer is 0.00313."),
     _row("ratio-zero-denominator", _chart("x y", A=["3", "0"]), "ratio",
          [_P("x"), _P("y")], ["The data is 3.", "The data is 0."],
          None, _UNKNOWN),
-    # 0.25/2 = 0.125: half-up gives 0.13 where banker's rounding gives 0.12.
-    _row("average-points-round-half-up", _chart("x", A=["0.12"], B=["0.13"]), "average",
-         [_P("A", "x"), _P("B", "x")], ["The data is 0.12.", "The data is 0.13."],
-         "0.13", "The average is (0.12+0.13)/2=0.13. So the answer is 0.13."),
+    # 0.245/2 = 0.1225: two places would keep two significant digits, so it
+    # rounds to three, and half-up gives 0.123 where banker's gives 0.122.
+    _row("average-points-round-half-up", _chart("x", A=["0.12"], B=["0.125"]), "average",
+         [_P("A", "x"), _P("B", "x")], ["The data is 0.12.", "The data is 0.125."],
+         "0.123", "The average is (0.12+0.125)/2=0.123. So the answer is 0.123."),
     # 4.02/4 = 1.005: half-up gives 1.01 where banker's rounding gives 1.00.
     _row("average-group-rounds-half-up", _chart("x1 x2 x3 x4", A=["1", "1", "1", "1.02"]),
          "average_all", [_G("A")], ["The data is 1 in x1, 1 in x2, 1 in x3, 1.02 in x4."],
@@ -435,6 +438,29 @@ def test_gen_questions_decompose_back_to_plan(human_only_questions, first_phrasi
     assert generated | human == all_phrasings
 
 
+def test_gen_questions_asks_each_hosted_question_once():
+    """A large n asks every question the table hosts, each once; n asks
+    min(n, hosted) of them, and the template's rows take turns."""
+    tables = [*random_tables(8, 30), *random_tables(9, 10, n_series=1), *random_tables(10, 5, n_x=1)]
+    for table in tables:
+        for template in TemplateType:
+            hosted = [len(_FILLINGS[key](table)) for key, row in _TEMPLATES.items()
+                      if row.template_type is template]
+            try:
+                asked = [qa.question for qa, _ in gen_questions(table, template, 8, n=1000)]
+            except SkippedTemplate:
+                assert sum(hosted) == 0
+                continue
+            every = set(asked)
+            assert len(asked) == len(every) == sum(hosted)
+            for n in (1, 2, 5):
+                some = gen_questions(table, template, 8, n=n)
+                assert len({qa.question for qa, _ in some}) == len(some) == min(n, sum(hosted))
+                assert {qa.question for qa, _ in some} <= every
+                turn = min(n, len([count for count in hosted if count]))
+                assert len({plan.key for _, plan in some[:turn]}) == turn
+
+
 def _generation_digest(seeds, n_charts):
     digest = hashlib.sha256()
     for seed in seeds:
@@ -457,7 +483,7 @@ def test_gen_questions_golden_digest():
     # Pins question wording, gold answers, each plan's reads and what its
     # fold concludes from them, and the RNG call order.
     assert _generation_digest(seeds=(0, 1, 2), n_charts=40) == (
-        "b85e3915c93880402964a1cc40f59f7110dfb7d62cfaea16b40d583bdc7babbf")
+        "646c2aa539b54ee612553aae72e25f765cc87150591ee713dbb461790753df3f")
 
 
 def _decorate_one_cell(table, rng):
