@@ -1,9 +1,11 @@
 """Deterministic reader over ground-truth tables.
 
 Executes atomic queries against a ChartTable and returns the exact answer
-strings a perfect visual reader would produce.  ``execute_query`` is the one
-dispatcher, and it answers a query as its formatted line reads, so an
-``AtomicQuery`` built in code and the line it formats to get one answer.
+strings a perfect visual reader would produce.  ``read_table`` is the one
+table read: it reads a data query as its formatted line reads, so an
+``AtomicQuery`` built in code and the line it formats to get one answer, and
+``symbolic.compute_gold`` reads through it too.  ``execute_query`` renders
+its read as the reader's line.
 Entity resolution is exact after case/whitespace normalization, with an
 edit-similarity fallback (0.8 threshold) so lightly paraphrased reasoner
 queries still land; out-of-chart entities get a fixed "not available"
@@ -26,7 +28,7 @@ from .protocol import (
     format_scalar,
     parse_step,
 )
-from .tables import ChartTable, normalize_name
+from .tables import ChartTable, Value, normalize_name
 
 FUZZY_THRESHOLD = 0.8
 
@@ -75,13 +77,19 @@ def closest_name(name: str, names: Sequence[str]) -> Optional[int]:
 
     An exact normalized match wins outright; otherwise the highest
     edit-similarity entry at or above ``FUZZY_THRESHOLD`` is taken, the first
-    entry winning ties.
+    entry winning ties.  The distance is at least the length gap, so an entry
+    whose gap alone keeps it under the threshold is not scored: a name from
+    outside the program costs no quadratic pass however long it is.
     """
     wanted = normalize_name(name)
     for index, candidate in enumerate(names):
         if normalize_name(candidate) == wanted:
             return index
-    scores = [edit_similarity(name, candidate) for candidate in names]
+    scores = []
+    for candidate in names:
+        size = len(normalize_name(candidate))
+        gap_similarity = 1.0 - abs(len(wanted) - size) / max(len(wanted), size, 1)
+        scores.append(edit_similarity(name, candidate) if gap_similarity >= FUZZY_THRESHOLD else 0.0)
     best = max(range(len(names)), key=scores.__getitem__, default=None)
     return best if best is not None and scores[best] >= FUZZY_THRESHOLD else None
 
@@ -121,20 +129,19 @@ def describe(table: ChartTable) -> str:
     return format_reader_answer(description_answer(table.series, table.x_labels))
 
 
-def execute_query(table: ChartTable, query: AtomicQuery) -> str:
-    """Answer an atomic query as its formatted line reads.
+def read_table(table: ChartTable, query: AtomicQuery) -> Value | list[tuple[str, Value]] | None:
+    """What a data query's formatted line reads off the table: a cell, a
+    row's or column's pairs, or None when the line is not available.
 
     ``E BY F`` is the cell at E and F in either orientation: E resolves over
     series first and then x-labels, F on the other axis, and only when F is
     not there are both read the other way round.  The entity-only line
     resolves E the same way and gives a series' row, or an x-label's column,
     except that an x-label of a single-series chart gives that one cell.  No
-    entity gives every value of a single-series chart.  Anything else gets
-    the not-available sentinel.  A point query without BY formats to the
-    entity-only line, so it gets that line's answer.
+    entity gives every value of a single-series chart.  Anything else is not
+    available.  A point query without BY formats to the entity-only line, so
+    it gets that line's read.
     """
-    if query.op is QueryOp.DESCRIBE:
-        return describe(table)
     single_series = len(table.series) == 1
     try:
         if query.entity is not None:
@@ -142,7 +149,7 @@ def execute_query(table: ChartTable, query: AtomicQuery) -> str:
         elif single_series:
             axis, index = Axis.SERIES, 0
         else:
-            return UNAVAILABLE_ANSWER
+            return None
         by = None
         if query.by is not None:
             other = Axis.X_LABEL if axis is Axis.SERIES else Axis.SERIES
@@ -153,17 +160,26 @@ def execute_query(table: ChartTable, query: AtomicQuery) -> str:
                 by = resolve_entity(table, query.by, axis)[1]
                 axis, index = resolve_entity(table, query.entity, other)
     except EntityNotFound:
-        return UNAVAILABLE_ANSWER
+        return None
     if by is None and axis is Axis.X_LABEL and single_series:
         by = 0
     if by is not None:
         row, column = (index, by) if axis is Axis.SERIES else (by, index)
-        return format_scalar(table.cells[row][column])
+        return table.cells[row][column]
     if axis is Axis.SERIES:
-        pairs = [(x, table.cells[index][j]) for j, x in enumerate(table.x_labels)]
-    else:
-        pairs = [(s.name, table.cells[i][index]) for i, s in enumerate(table.series)]
-    return format_group(pairs)
+        return [(x, table.cells[index][j]) for j, x in enumerate(table.x_labels)]
+    return [(s.name, table.cells[i][index]) for i, s in enumerate(table.series)]
+
+
+def execute_query(table: ChartTable, query: AtomicQuery) -> str:
+    """Answer an atomic query as its formatted line reads: the description,
+    ``read_table``'s read as a data line, or the not-available sentinel."""
+    if query.op is QueryOp.DESCRIBE:
+        return describe(table)
+    read = read_table(table, query)
+    if read is None:
+        return UNAVAILABLE_ANSWER
+    return format_scalar(read) if isinstance(read, Value) else format_group(read)
 
 
 class TableOracle:

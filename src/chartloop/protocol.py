@@ -15,7 +15,7 @@ One surface form is genuinely shared: ``Let's extract the data of <entity>.``
 is what both a point query without BY and a group query with that entity
 format to.  The parser maps it to a group query, and a line has one answer
 whichever query it came from: the entity's row or column, or its one cell
-on a single-series chart (see ``oracle.execute_query``).
+on a single-series chart (see ``oracle.read_table``).
 """
 
 from __future__ import annotations

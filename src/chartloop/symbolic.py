@@ -7,7 +7,8 @@
   into atomic queries, then fold the reader's answers into a concluding
   sentence ending "So the answer is X.", and
 * ``compute_gold`` is ``deduce`` over a perfect reader, which answers each
-  query from the table's cells (never through the step protocol).
+  query with ``oracle.read_table``'s read of the cells (never through the
+  step protocol).
 
 ``deduce`` reads each data query's answer by one operand rule (``_operand``):
 a value is one pair keyed by the query's entity, a group query's pairs are
@@ -24,10 +25,11 @@ its queries, its row's key and the slot values; the fold of the answers is
 named by the key alone, and reads ``{op}`` and ``{target}`` from the slots.
 
 Running decompose -> reader -> deduce against compute_gold checks only that
-reads survive the protocol, since both sides fold alike.  The fold itself is
-checked by the tests: a hand-computed case table pins its arithmetic and
-wording, and a reference evaluator, written per row from the cells, checks
-the gold of every question a table hosts.
+reads survive the protocol, since both sides read (``oracle.read_table``)
+and fold alike.  The fold itself is checked by the tests: a hand-computed
+case table pins its arithmetic and wording, and a reference evaluator,
+written per row from the cells, checks the gold of every question a table
+hosts.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from itertools import chain, islice, permutations, zip_longest
 from typing import Callable, Optional, Sequence
 
 from . import protocol  # parse_reader_answer is looked up on each cache miss, so wrappers see it
-from .oracle import closest_name
+from .oracle import closest_name, read_table
 from .protocol import (
     CONCLUSION,
     QUESTION_STUB,
@@ -59,7 +61,7 @@ from .protocol import (
     point_query,
     scalar_answer,
 )
-from .tables import ChartTable, QAInstance, TemplateType, Value, normalize_name
+from .tables import ChartTable, QAInstance, TemplateType, Value
 
 UNKNOWN_CONCLUSION = CONCLUSION.render("unknown")
 _DATA_ANSWERS = (AnswerKind.SCALAR, AnswerKind.GROUP)
@@ -206,39 +208,16 @@ def decompose(question: str, describe_first: bool = True) -> QuestionPlan:
 # perfect reader of the table.
 # ---------------------------------------------------------------------------
 
-def _find_exact(names: Sequence[str], wanted: str) -> Optional[int]:
-    want = normalize_name(wanted)
-    for i, name in enumerate(names):
-        if normalize_name(name) == want:
-            return i
-    return None
-
-
 def _gold_answer(table: ChartTable, query: AtomicQuery) -> ReaderAnswer:
-    """What a perfect reader answers a query, by exact names and by
-    ``execute_query``'s line rule: the table's description, a cell, or a
-    row's or column's pairs; UndefinedResult for a read it cannot locate."""
+    """What a perfect reader answers a query: the table's description, or
+    ``read_table``'s cell or pairs; UndefinedResult for a line that is not
+    available."""
     if query.op is QueryOp.DESCRIBE:
         return description_answer(table.series, table.x_labels)
-    series = [s.name for s in table.series]
-    if query.by is not None:
-        si, xi = _find_exact(series, query.entity), _find_exact(table.x_labels, query.by)
-        if si is None or xi is None:
-            si, xi = _find_exact(series, query.by), _find_exact(table.x_labels, query.entity)
-        if si is None or xi is None:
-            raise UndefinedResult(f"cannot locate cell ({query.entity!r}, {query.by!r})")
-        return scalar_answer(table.cells[si][xi])
-    if query.entity is None and len(series) != 1:
-        raise UndefinedResult("entity-free read on a multi-series table")
-    si = 0 if query.entity is None else _find_exact(series, query.entity)
-    if si is not None:
-        return group_answer([(x, table.cells[si][j]) for j, x in enumerate(table.x_labels)])
-    xi = _find_exact(table.x_labels, query.entity)
-    if xi is None:
-        raise UndefinedResult(f"cannot locate {query.entity!r}")
-    if len(series) == 1:
-        return scalar_answer(table.cells[0][xi])
-    return group_answer([(s, table.cells[i][xi]) for i, s in enumerate(series)])
+    read = read_table(table, query)
+    if read is None:
+        raise UndefinedResult(f"{query} is not available on {table.source_id}")
+    return scalar_answer(read) if isinstance(read, Value) else group_answer(read)
 
 
 def compute_gold(table: ChartTable, plan: QuestionPlan) -> Value:

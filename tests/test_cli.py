@@ -383,20 +383,10 @@ def write_synthetic_corpus(root, seed, n_charts, per_template):
                     handle.write(json.dumps(row, ensure_ascii=False) + "\n")
 
 
-@pytest.mark.parametrize("sc, source", [(1, "synthetic"), (3, "synthetic"), (1, "corpus")],
-                         ids=["1", "3", "corpus"])
-def test_eval_records_bytes_are_pinned(tmp_path, sc, source):
-    out = tmp_path / "eval"
-    if source == "corpus":
-        # The synthetic cases' charts and questions, read back by load_corpus: same bytes.
-        write_synthetic_corpus(tmp_path / "corpus", 0, 20, 2)
-        assert run_cli(["eval", "--corpus", tmp_path / "corpus", "--out-dir", out]) == 0
-    else:
-        assert run_cli(["eval", "--synthetic", 20, "--per-template", 2, "--seed", 0,
-                        "--sc", sc, "--out-dir", out]) == 0
-    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
-               for name in ("records.jsonl", "report.json", "report.txt", "traces.jsonl")}
-    assert digests == {
+# sha256 of each eval output: the 20-chart runs (the corpus case reads the
+# same charts and questions back), and the 1000-chart synthetic run.
+_EVAL_DIGESTS = {
+    20: {
         "records.jsonl": "ef92ad92269169e4453fe192609732939db87aaa37c509f35b2e1ce834c5befd",
         "report.json": "21afc29ae036cc6428b4db6092936a4c41c1cc6c905496dde62f1e23c1a5065d",
         "report.txt": "13537a154557f8c301b3c37e76b96519ac72acd949253e5b4283bf0401646286",
@@ -404,8 +394,36 @@ def test_eval_records_bytes_are_pinned(tmp_path, sc, source):
         "traces.jsonl": {
             1: "3ba401f29c2d4d869d24e4ef88c51e0db138bcfe7d206763df4997e34cf33793",
             3: "c6349f47f59379e11a558b4652c71f2ae8aa37b9ae789bc89cf8bcc9cde04706",
-        }[sc],
-    }
+        },
+    },
+    1000: {
+        "records.jsonl": "90e43a334907da1be9790274227ac199246358a5d3626a180fcc12ba4c07e755",
+        "report.json": "b820c916bf409ec0c3d3cecb674fd123f2b13593971f884dfd84acc15e688ca8",
+        "report.txt": "3b0f084e2bf0f2a346b31e68a9a58889b12296d64681d2be02fd6b3f1352f978",
+        "traces.jsonl": {
+            1: "4fac66ac048de2af70b8889080d6c1463f9a5d61d06904bd221bb61cd2f97342",
+        },
+    },
+}
+
+
+@pytest.mark.parametrize("sc, source, charts", [(1, "synthetic", 20), (3, "synthetic", 20),
+                                                (1, "corpus", 20), (1, "synthetic", 1000)],
+                         ids=["1", "3", "corpus", "1000"])
+def test_eval_records_bytes_are_pinned(tmp_path, sc, source, charts):
+    out = tmp_path / "eval"
+    if source == "corpus":
+        # The synthetic cases' charts and questions, read back by load_corpus: same bytes.
+        write_synthetic_corpus(tmp_path / "corpus", 0, charts, 2)
+        assert run_cli(["eval", "--corpus", tmp_path / "corpus", "--out-dir", out]) == 0
+    else:
+        assert run_cli(["eval", "--synthetic", charts, "--per-template", 2, "--seed", 0,
+                        "--sc", sc, "--out-dir", out]) == 0
+    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+               for name in ("records.jsonl", "report.json", "report.txt", "traces.jsonl")}
+    expected = dict(_EVAL_DIGESTS[charts])
+    expected["traces.jsonl"] = expected["traces.jsonl"][sc]
+    assert digests == expected
 
 
 def test_export_files_bytes_are_pinned(tmp_path):

@@ -1,10 +1,13 @@
 
+import random
+
 import pytest
 
 from chartloop import oracle as oracle_module
 from chartloop.controller import run_episode
 from chartloop.oracle import (
     Axis,
+    FUZZY_THRESHOLD,
     ChartNotFound,
     EntityNotFound,
     TableOracle,
@@ -24,7 +27,7 @@ from chartloop.protocol import (
 )
 from chartloop.symbolic import SkippedTemplate, SymbolicReasoner, gen_questions
 from chartloop.synth import random_table, random_tables
-from chartloop.tables import ChartTable, StepRole, TemplateType
+from chartloop.tables import ChartTable, StepRole, TemplateType, normalize_name
 
 
 def test_describe_matches_prompt_exemplar(oman_samoa):
@@ -88,6 +91,49 @@ def test_closest_name_exact_first_then_first_best_fuzzy():
     assert closest_name("Alphz", ["Alpha", "Alphb"]) == 0
     assert edit_similarity("Alphz", "Alpha") == 0.8
     assert closest_name("Zeta", ["Alpha"]) is None
+
+
+def test_a_name_far_longer_than_every_label_is_not_scored(monkeypatch):
+    """A name from outside the program costs no edit distance when its length
+    alone keeps it under the threshold, read through the oracle or not."""
+    calls = []
+    original = oracle_module._edit_distance
+    monkeypatch.setattr(oracle_module, "_edit_distance",
+                        lambda a, b: calls.append(1) or original(a, b))
+    table = random_table(0, 0, n_series=4, n_x=8)
+    oracle = TableOracle([table])
+    name = "x" * 100_000
+    for query in (group_query(name), point_query(name, table.x_labels[0]),
+                  point_query(table.series[0].name, name)):
+        assert oracle.read(table.source_id, format_query(query)) == UNAVAILABLE_ANSWER
+    assert closest_name(name, [s.name for s in table.series]) is None
+    assert calls == []
+
+
+def test_closest_name_agrees_with_scoring_every_entry():
+    """Skipping entries by length changes no result: on seeded random names,
+    some a few edits from an entry, ``closest_name`` is the exact match or the
+    first best-scoring entry at or above the threshold."""
+    rng = random.Random(0)
+    fuzzy_hits = 0
+    for _ in range(3000):
+        names = ["".join(rng.choices("abAB ", k=rng.randint(0, 9)))
+                 for _ in range(rng.randint(1, 5))]
+        name = list(rng.choice(names))
+        for _ in range(rng.randint(0, 3)):
+            at = rng.randint(0, len(name))
+            if name and rng.random() < 0.5:
+                del name[min(at, len(name) - 1)]
+            else:
+                name.insert(at, rng.choice("abAB "))
+        name = "".join(name)
+        scores = [edit_similarity(name, entry) for entry in names]
+        best = max(range(len(names)), key=scores.__getitem__)
+        exact = [i for i, entry in enumerate(names) if normalize_name(entry) == normalize_name(name)]
+        expected = exact[0] if exact else best if scores[best] >= FUZZY_THRESHOLD else None
+        assert closest_name(name, names) == expected, (name, names)
+        fuzzy_hits += not exact and expected is not None
+    assert fuzzy_hits > 100
 
 
 def test_edit_similarity_bounds():

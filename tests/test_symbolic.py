@@ -2,8 +2,10 @@ import hashlib
 import json
 import random
 import re
+from collections import Counter
 from dataclasses import replace
 from decimal import Decimal
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -512,6 +514,52 @@ def test_closed_loop_over_decorated_cells_answers_every_question():
     assert (total, correct) == (2400, 2400)
 
 
+# The hand-written tables of conftest.py, and the closed-loop failures each
+# has today among the questions it hosts: (row key -> count, the label or
+# gold that every failing question names).  ROADMAP item 1 (real chart labels
+# survive the protocol) owns them: " and " inside a series name splits a sum
+# or average question's two entities, and the ". " in "Dr. Phil McGraw" reads
+# as a sentence boundary, so the conclusion line does not parse.
+_HAND_TABLES = ["oman_samoa", "net_ratings", "respondents", "activision", "segments",
+                "neonatal", "costa_rica", "total_market", "merchandise", "income",
+                "plotqa_duplicated_axis", "canada", "export_2015", "turkey", "retail",
+                "university_shares", "norway_chile"]
+_HAND_TABLE_FAILURES = {
+    "activision": ({"sum": 12, "average": 12}, "Mobile and ancillary**"),
+    "income": ({"arg_match": 1}, "Dr. Phil McGraw"),
+    "plotqa_duplicated_axis": ({"sum": 16, "average": 16},
+                               "Fragile and conflict affected situations"),
+}
+
+
+def test_closed_loop_asks_every_hosted_question_of_the_hand_tables(request):
+    """Every question each hand-written table hosts goes through the closed
+    loop and is checked against gold; the failures are exactly the pinned
+    ones."""
+    reasoner = SymbolicReasoner()
+    hosted = {}
+    for name in _HAND_TABLES:
+        table = request.getfixturevalue(name)
+        oracle = TableOracle([table])
+        failures = []
+        hosted[name] = 0
+        for template in TemplateType:
+            try:
+                generated = gen_questions(table, template, 0, n=10_000)
+            except SkippedTemplate:
+                continue
+            for qa, plan in generated:
+                hosted[name] += 1
+                trace = run_episode(qa.question, table.source_id, reasoner, oracle)
+                if trace.final is None or not relaxed_match(trace.final, qa.gold):
+                    failures.append((plan.key, f"{qa.question} {qa.gold.raw}"))
+        counts, named = _HAND_TABLE_FAILURES.get(name, ({}, ""))
+        assert Counter(key for key, _ in failures) == Counter(counts), name
+        assert all(named in text for _, text in failures), name
+    assert (hosted["activision"], hosted["income"], hosted["plotqa_duplicated_axis"],
+            sum(hosted.values())) == (350, 364, 617, 3508)
+
+
 def test_gen_skips_too_small_tables():
     tiny = ChartTable.build("tiny", [("Only", None)], ["x"], [["5"]])
     with pytest.raises(SkippedTemplate):
@@ -552,27 +600,36 @@ def test_gold_never_consults_protocol(monkeypatch, costa_rica):
     assert compute_gold(costa_rica, plan).raw == "14.92"
 
 
+def _near_misses(label):
+    """The label, and the label with its last character dropped when it has
+    5 or more characters (a name only the fuzzy pass resolves)."""
+    return [label, label[:-1]] if len(label) >= 5 else [label]
+
+
 def _line_shapes(table):
     """Every query line a table is read with: the description, no entity,
     each label's entity-only line, and each (series, x-label) BY line both
-    ways round."""
+    ways round, each also with near-miss names."""
     series = [s.name for s in table.series]
     yield describe_query()
     yield group_query()
     for label in [*series, *table.x_labels]:
-        yield group_query(label)
         yield point_query(label)
+        for near in _near_misses(label):
+            yield group_query(near)
     for name in series:
         for x in table.x_labels:
-            yield point_query(name, x)
-            yield point_query(x, name)
+            for e, f in product(_near_misses(name), _near_misses(x)):
+                yield point_query(e, f)
+                yield point_query(f, e)
 
 
 def test_gold_reads_what_the_reader_answers():
-    """Gold's perfect reader and the oracle are two readers of one line rule:
-    on every line shape, gold's answer is what the oracle's line parses to,
-    the description included, and a read gold cannot make is the
-    not-available line."""
+    """Gold's perfect reader and the oracle are one kernel
+    (``oracle.read_table``) with two renderings: on every line shape, near-miss
+    names included, gold's answer is what the oracle's line parses to, the
+    description included, and a read gold cannot make is the not-available
+    line."""
     tables = [*random_tables(4, 30), *random_tables(5, 10, n_series=1),
               *random_tables(6, 10, n_x=1), random_table(7, 0, n_series=1, n_x=1)]
     for table in tables:
