@@ -218,8 +218,6 @@ def _reasoner_factory(cfg: dict, backends: ExitStack) -> Callable[[], object]:
         raise UsageError(f"--prompt-style {cfg['prompt_style']} needs --reasoner-url")
     if cfg["api_key"] is not None and url is None and cfg["reader_url"] is None:
         raise UsageError("--api-key needs --reasoner-url or --reader-url")
-    if cfg["no_describe"] and (url is not None or script is not None):
-        raise UsageError("--no-describe cannot be combined with --reasoner-url or --script")
     if url is not None:
         reasoner = HttpReasoner(url, model=cfg["model"], api_key=cfg["api_key"])
         backends.callback(reasoner.close)
@@ -228,7 +226,7 @@ def _reasoner_factory(cfg: dict, backends: ExitStack) -> Callable[[], object]:
         # One reasoner for the run: workers share its two bounded LRU caches,
         # plans by question and parses by reader line, without a lock (a race
         # costs an extra parse).
-        reasoner = SymbolicReasoner(describe_first=not cfg["no_describe"])
+        reasoner = SymbolicReasoner()
         return lambda: reasoner
     if cfg["sc"] > 1:
         # A replay script is one deterministic episode: there is nothing to vote over.
@@ -396,14 +394,16 @@ def cmd_eval(cfg: dict) -> int:
         raise UsageError("eval needs --corpus or --synthetic N")
     else:
         charts, instances = corpus.chart_index(), corpus.all_qa()
+    # Built before a question is drawn: a usage error outranks an empty eval set.
+    answer, backends = _answerer(cfg, charts)
     if cfg["sample"] > 0:
         instances = sample_eval_set(list(instances), cfg["sample"], cfg["seed"])
     instances = iter(instances)
     if (first := next(instances, None)) is None:
+        backends.close()
         print("no QA instances to evaluate", file=sys.stderr)
         return EXIT_EMPTY
     numbered = enumerate(chain((first,), instances))
-    answer, backends = _answerer(cfg, charts)
     out_dir = Path(cfg["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_run_config(cfg, out_dir, "eval")
@@ -520,7 +520,6 @@ def _episode_flags(p: argparse.ArgumentParser) -> None:
                    help="sampling temperature for --reasoner-url "
                         "(default 0.4 with --sc above 1, else 0.0)")
     p.add_argument("--max-steps", dest="max_steps", type=int, default=8)
-    p.add_argument("--no-describe", dest="no_describe", action="store_true")
     p.add_argument("--prompt-style", dest="prompt_style", choices=sorted(_PROMPT_STYLES),
                    default="stepwise5")
 

@@ -141,7 +141,8 @@ def parse_step(line: str) -> AtomicQuery | Value | None:
 
     Conclusion detection matches a terminal "... answer is X." sentence and
     extracts X verbatim (trailing %/$ are kept here; normalization is the
-    eval layer's concern).
+    eval layer's concern).  X holds no ". " unless the sentence is
+    ``CONCLUSION``'s "So the answer is X.", whose X runs to the final ".".
     """
     stripped = line.rstrip("\r\n")
     if stripped == DESCRIBE_QUERY:
@@ -153,10 +154,11 @@ def parse_step(line: str) -> AtomicQuery | Value | None:
     if m := _GROUP_LINE.match(stripped):
         return group_query(m["entity"])
     if stripped.endswith(".") and _CONCLUSION_MARKER in stripped:
-        token = stripped.rpartition(_CONCLUSION_MARKER)[2][:-1].strip()
+        before, marker, tail = stripped.rpartition(_CONCLUSION_MARKER)
+        token = tail[:-1].strip()
         # A sentence boundary inside the tail means "answer is" was not part
-        # of the terminal sentence.
-        if token and ". " not in token:
+        # of the terminal sentence, except in CONCLUSION's own form.
+        if token and (". " not in token or (before + marker).endswith(CONCLUSION.head)):
             return Value.from_raw(token)
     return None
 

@@ -21,8 +21,9 @@ key, a type, a builder from slot values to the queries that read, and one
 or more phrasings, surface strings with slots (the protocol lines' ``Form``
 rule).  One string both renders a generated question and compiles to the
 regex that ``decompose`` matches, so the two cannot drift apart.  A plan is
-its queries, its row's key and the slot values; the fold of the answers is
-named by the key alone, and reads ``{op}`` and ``{target}`` from the slots.
+the describe query and then the row's queries, the row's key and the slot
+values; the fold of the answers is named by the key alone, and reads
+``{op}`` and ``{target}`` from the slots.
 
 Running decompose -> reader -> deduce against compute_gold checks only that
 reads survive the protocol, since both sides read (``oracle.read_table``)
@@ -110,11 +111,9 @@ class _Template:
         self.build = build
         self.phrasings = tuple(map(Form, phrasings))
 
-    def plan(self, slots: dict, describe_first: bool) -> QuestionPlan:
-        queries = self.build(slots)
-        if describe_first:
-            queries = (describe_query(), *queries)
-        return QuestionPlan(queries, self.key, tuple(sorted(slots.items())))
+    def plan(self, slots: dict) -> QuestionPlan:
+        return QuestionPlan((describe_query(), *self.build(slots)), self.key,
+                            tuple(sorted(slots.items())))
 
 
 def _points(s: dict) -> tuple[AtomicQuery, ...]:
@@ -184,22 +183,20 @@ _TEMPLATES: dict[str, _Template] = {row[0]: _Template(*row) for row in (
 )}
 
 
-def decompose(question: str, describe_first: bool = True) -> QuestionPlan:
-    """Pattern-match a question into a QuestionPlan.
+def decompose(question: str) -> QuestionPlan:
+    """Pattern-match a question into a QuestionPlan: the describe query, then
+    the data queries of the matching ``_TEMPLATES`` row.
 
     Entities are taken verbatim from the question text; spelling is aligned
     to the chart's own names later, once the figure description is in hand.
     Raises NotTemplated for anything outside the grammar (such questions need
-    a real language model).  Structural questions are answered entirely from
-    the description, so they are also NotTemplated when describe is disabled.
+    a real language model).
     """
     text = question.strip()
     for template in _TEMPLATES.values():
         for phrasing in template.phrasings:
             if m := phrasing.match(text):
-                if template.template_type is TemplateType.STRUCTURAL and not describe_first:
-                    raise NotTemplated("structural questions need the figure description")
-                return template.plan(m.groupdict(), describe_first)
+                return template.plan(m.groupdict())
     raise NotTemplated(question)
 
 
@@ -239,7 +236,8 @@ def deduce(
     """Fold the reader's answers into a concluding sentence and its answer as printed.
 
     Each answer is read against the query that asked it: a describe query
-    takes only a description, and a data query only a value or pairs, which
+    takes a description, or leaves the fold without one when the figure is
+    not available, and a data query takes only a value or pairs, which
     become its operand.  Any other answer, or an answer count other than the
     query count, produces the unknown conclusion and no answer (a no-answer
     verdict downstream) rather than an exception.
@@ -252,6 +250,8 @@ def deduce(
         for query, answer in zip(plan.queries, reader_answers):
             if query.op is QueryOp.DESCRIBE and answer.kind is AnswerKind.DESCRIPTION:
                 counts = (len(answer.series), len(answer.x_labels))
+            elif query.op is QueryOp.DESCRIBE and answer.kind is AnswerKind.UNAVAILABLE:
+                pass
             elif query.op is not QueryOp.DESCRIBE and answer.kind in _DATA_ANSWERS:
                 pairs += _operand(query, answer.scalar or answer.pairs)
             else:
@@ -521,9 +521,9 @@ def gen_questions(
     its fillings in a seeded order.  So the first question comes from a
     uniformly drawn row, and a row with a single filling is not crowded out
     by one with hundreds; an n above what the table hosts asks each hosted
-    question once.  Each plan is the describe-first plan ``decompose`` gives
-    the question, and its gold is ``compute_gold``'s.  Raises SkippedTemplate
-    when the table hosts no question of the template.
+    question once.  Each plan is the one ``decompose`` gives the question,
+    and its gold is ``compute_gold``'s.  Raises SkippedTemplate when the
+    table hosts no question of the template.
     """
     rng = random.Random(stable_seed(seed, template_type.value, table.source_id))
     templates = [t for t in _TEMPLATES.values() if t.template_type is template_type]
@@ -538,7 +538,7 @@ def gen_questions(
         raise SkippedTemplate(f"{table.source_id} hosts no {template_type.value} question")
     out: list[tuple[QAInstance, QuestionPlan]] = []
     for template, slots in islice(filter(None, chain.from_iterable(zip_longest(*rows))), n):
-        plan = template.plan(slots, describe_first=True)
+        plan = template.plan(slots)
         gold = compute_gold(table, plan)
         form = next(f for f in template.phrasings if f.pattern.groupindex.keys() == slots.keys())
         question = form.render(*(slots[name] for name in form.pattern.groupindex))
@@ -563,9 +563,9 @@ def _align_entity(name: Optional[str], pool: Sequence[str]) -> Optional[str]:
 _MEMO_SIZE = 64
 
 
-def _plan_of(question: str, describe_first: bool) -> Optional[QuestionPlan]:
+def _plan_of(question: str) -> Optional[QuestionPlan]:
     try:
-        return decompose(question, describe_first=describe_first)
+        return decompose(question)
     except NotTemplated:
         return None
 
@@ -578,23 +578,22 @@ class SymbolicReasoner:
     """Deterministic reasoner backend over the template grammar.
 
     Each completion finds the episode's stub in the prompt, emits the next
-    planned query (with entity spellings aligned to the figure description
-    once it is available), and finally deduces the concluding sentence from
-    the spliced reader answers.
+    planned query (the describe query first, then the data queries with
+    entity spellings aligned to the figure description when the reader gave
+    one), and finally deduces the concluding sentence from the spliced
+    reader answers.
 
     Every prompt is read whole, so ``complete(prompt)`` returns what a fresh
     reasoner returns whatever came before.  What repeats is memoized in two
-    bounded LRU caches keyed by text: one maps (question, describe_first) to
-    the question's plan (None when it is not templated), the other maps a
-    reader line to its parse, which depends on nothing else.  An episode's
-    steps and self-consistency samples share the plan, and the questions of
-    a chart share the parses of its lines.  Threads may share a reasoner
-    without a lock: a race costs an extra decompose or parse, never a wrong
-    answer.
+    bounded LRU caches keyed by text: one maps a question to its plan (None
+    when it is not templated), the other maps a reader line to its parse,
+    which depends on nothing else.  An episode's steps and self-consistency
+    samples share the plan, and the questions of a chart share the parses of
+    its lines.  Threads may share a reasoner without a lock: a race costs an
+    extra decompose or parse, never a wrong answer.
     """
 
-    def __init__(self, describe_first: bool = True):
-        self.describe_first = describe_first
+    def __init__(self):
         self._plan = functools.lru_cache(_MEMO_SIZE)(_plan_of)
         self._parse = functools.lru_cache(_MEMO_SIZE)(_parse_line)
 
@@ -609,7 +608,7 @@ class SymbolicReasoner:
         if stub is None:
             return UNKNOWN_CONCLUSION
         question, begin = stub
-        plan = self._plan(question, self.describe_first)
+        plan = self._plan(question)
         if plan is None:
             return UNKNOWN_CONCLUSION
         lines = prompt[begin:].split("\n")[:-1]  # the unterminated rest is not a line

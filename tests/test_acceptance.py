@@ -21,6 +21,7 @@ from chartloop.prompts import (
 from chartloop.protocol import (
     AnswerKind,
     AtomicQuery,
+    describe_query,
     format_query,
     format_reader_answer,
     parse_reader_answer,
@@ -41,15 +42,14 @@ def _verdict(name: str, ok: bool) -> bool:
     return ok
 
 
-def _closed_loop_accuracy(tables, templates, describe_first):
+def _closed_loop_accuracy(tables):
     config = EpisodeConfig()
-    reasoner = SymbolicReasoner(describe_first=describe_first)
+    reasoner = SymbolicReasoner()
     total = correct = skipped = 0
-    describe_seen = False
     first_queries_are_describe = True
     for table in tables:
         oracle = TableOracle([table])
-        for template in templates:
+        for template in TemplateType:
             try:
                 generated = gen_questions(table, template, seed=101, n=1)
             except SkippedTemplate:
@@ -60,25 +60,16 @@ def _closed_loop_accuracy(tables, templates, describe_first):
                 total += 1
                 if trace.final is not None and relaxed_match(trace.final, qa.gold):
                     correct += 1
-                first_query = True
-                for step in trace.steps:
-                    parsed = parse_step(step.text)
-                    if not isinstance(parsed, AtomicQuery):
-                        continue
-                    is_describe = parsed.op.value == "describe"
-                    describe_seen = describe_seen or is_describe
-                    if first_query:
-                        first_queries_are_describe &= is_describe
-                        first_query = False
-    return total, correct, skipped, describe_seen, first_queries_are_describe
+                queries = [parsed for step in trace.steps
+                           if isinstance(parsed := parse_step(step.text), AtomicQuery)]
+                first_queries_are_describe &= queries[:1] == [describe_query()]
+    return total, correct, skipped, first_queries_are_describe
 
 
 def test_closed_loop_oracle_equivalence():
     start = time.monotonic()
     tables = random_tables(2024, 500)
-    total, correct, skipped, _, first_is_describe = _closed_loop_accuracy(
-        tables, list(TemplateType), True
-    )
+    total, correct, skipped, first_is_describe = _closed_loop_accuracy(tables)
     elapsed = time.monotonic() - start
     ok = (
         total >= 3000 and correct == total and skipped == 0
@@ -268,15 +259,3 @@ def test_self_consistency_properties():
         permuted = majority_vote(shuffled)
         ok &= permuted == baseline
     assert _verdict("self-consistency vote properties (1000 multisets)", ok)
-
-
-def test_no_describe_ablation():
-    tables = random_tables(909, 120)
-    templates = [t for t in TemplateType if t is not TemplateType.STRUCTURAL]
-    total, correct, skipped, describe_seen, _ = _closed_loop_accuracy(
-        tables, templates, False
-    )
-    ok = total > 0 and correct == total and not describe_seen and skipped == 0
-    assert _verdict(
-        f"no-describe ablation ({correct}/{total}, describe issued: {describe_seen})", ok
-    )

@@ -482,9 +482,9 @@ def test_eval_workers_with_a_reader_url_share_one_reasoner(keepalive_stub, tmp_p
             super().__init__(*args, **kwargs)
             made.append(self)
 
-    def counted_decompose(question, describe_first=True):
+    def counted_decompose(question):
         decomposed.append(question)
-        return decompose(question, describe_first=describe_first)
+        return decompose(question)
 
     monkeypatch.setattr(cli, "SymbolicReasoner", CountedReasoner)
     monkeypatch.setattr(symbolic, "decompose", counted_decompose)

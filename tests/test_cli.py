@@ -1,3 +1,4 @@
+import argparse
 import gc
 import hashlib
 import json
@@ -151,19 +152,6 @@ def test_run_symbolic_closed_loop(small_corpus_path, tmp_path, capsys):
     assert "Final answer: 7.0" in capsys.readouterr().out
 
 
-def test_run_no_describe_has_no_describe_query(small_corpus_path, tmp_path, capsys):
-    out = tmp_path / "run"
-    code = run_cli(["run", "--question", "What is the value of Q3?",
-                    "--chart", "solo-chart", "--corpus", small_corpus_path,
-                    "--no-describe", "--out-dir", out])
-    assert code == 0
-    [record] = read_jsonl(out / "traces.jsonl")
-    trace = record["episodes"][0]
-    texts = [s["text"] for s in trace["steps"]]
-    assert all("describe the figure" not in t for t in texts)
-    assert trace["final"] == "7.0"
-
-
 def test_run_backend_unreachable_exits_3(small_corpus_path, tmp_path):
     out = tmp_path / "run"
     code = run_cli(["run", "--question", "What is the value of Q3?",
@@ -278,6 +266,26 @@ def test_eval_without_instances_exits_4(tmp_path):
     }) + "\n", encoding="utf-8")
     code = run_cli(["eval", "--corpus", charts, "--out-dir", tmp_path / "eval"])
     assert code == 4
+
+
+@pytest.mark.parametrize("flags", [
+    ["--model", "m"],
+    ["--prompt-style", "deplot1"],
+    ["--script", "/missing.json"],
+    ["--workers", 2],
+], ids=["model", "prompt-style", "missing-script", "workers"])
+def test_eval_usage_error_outranks_no_instances(tmp_path, capsys, flags):
+    """The backends are checked before the first question is drawn, so a
+    corpus with no QA rows still reports a bad flag."""
+    charts = tmp_path / "charts.jsonl"
+    charts.write_text(json.dumps({
+        "id": "only", "series": [{"name": "A", "color": None}],
+        "x_labels": ["x"], "cells": [["1"]],
+    }) + "\n", encoding="utf-8")
+    assert run_cli(["eval", "--corpus", charts, *flags, "--out-dir", tmp_path / "eval"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "eval").exists()
 
 
 def test_eval_requires_some_input(tmp_path):
@@ -570,18 +578,6 @@ def test_run_scripted_with_self_consistency_exits_2(small_corpus_path, tmp_path)
     assert not (tmp_path / "run" / "run_config.json").exists()
 
 
-@pytest.mark.parametrize("backend_flags", [
-    ["--reasoner-url", "http://127.0.0.1:9/complete"],
-    ["--script", "unused.json"],
-])
-def test_no_describe_needs_symbolic_backend(small_corpus_path, tmp_path, backend_flags):
-    code = run_cli(["run", "--question", "What is the value of Q3?",
-                    "--chart", "solo-chart", "--corpus", small_corpus_path,
-                    "--no-describe", *backend_flags, "--out-dir", tmp_path / "run"])
-    assert code == 2
-    assert not (tmp_path / "run" / "run_config.json").exists()
-
-
 def test_eval_into_closed_pipe_keeps_files(tmp_path, monkeypatch):
     read_end, write_end = os.pipe()
     os.close(read_end)
@@ -748,6 +744,8 @@ def test_eval_sigint_keeps_a_trace_line_for_every_record(tmp_path):
     (["eval", "--synthetic", 1], '{"unknown_key": 1}'),
     (["report", "--records", "r.jsonl"], '{"command": "eval", "sc": 3, "synthetic": 2}'),
     (["eval", "--synthetic", 1], '{"workers": 0}'),
+    (["eval", "--synthetic", 1], '{"no_describe": false}'),
+    (["run", "--question", "q", "--chart", "c"], '{"no_describe": true}'),
 ])
 def test_bad_config_file_exits_2(tmp_path, capsys, command, content):
     config = tmp_path / "config.json"
@@ -775,6 +773,8 @@ def test_config_strings_take_the_flag_type(tmp_path, reasoner_url):
     ["export-ft", "--annotations", "a.txt", "--backend", "http"],
     ["report", "--records", "r.jsonl", "--no-describe"],
     ["run", "--question", "q", "--chart", "c", "--workers", 2],
+    ["run", "--question", "q", "--chart", "c", "--no-describe"],
+    ["eval", "--synthetic", 1, "--no-describe"],
 ])
 def test_commands_reject_flags_they_do_not_read(argv):
     with pytest.raises(SystemExit) as exited:
@@ -1074,10 +1074,14 @@ def test_an_empty_corpus_exits_2(tmp_path, capsys, argv):
     assert not (tmp_path / "out").exists()
 
 
+def _readme():
+    return (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+
+
 def _readme_commands():
     """Every ``chartloop`` command in the README's fenced blocks, with its
     backslash continuations joined."""
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    readme = _readme()
     blocks = re.findall(r"^```[^\n]*\n(.*?)^```", readme, flags=re.M | re.S)
     lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
     return [shlex.split(line, comments=True) for line in lines
@@ -1176,3 +1180,18 @@ def test_readme_commands_parse():
             parser.parse_args(argv[1:])
         except SystemExit:
             pytest.fail(f"README command does not parse: {shlex.join(argv)}")
+
+
+def test_readme_names_every_option_and_no_other():
+    """Every ``--flag`` in the README's Command line and Backends sections is
+    an option of some command, and Command line names every option."""
+    readme = _readme()
+    named = {title: set(re.findall(r"--[a-z][a-z-]*[a-z]",
+                                   readme.split(f"\n## {title}\n")[1].split("\n## ")[0]))
+             for title in ("Command line", "Backends")}
+    commands = next(action for action in build_parser()._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    options = {flag for parser in commands.choices.values() for action in parser._actions
+               for flag in action.option_strings if flag.startswith("--")} - {"--help"}
+    assert named["Command line"] | named["Backends"] <= options
+    assert options <= named["Command line"]

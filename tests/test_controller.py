@@ -13,7 +13,7 @@ from chartloop.controller import (
 from chartloop.evalkit import majority_vote, relaxed_match, vote_key
 from chartloop.oracle import TableOracle
 from chartloop.prompts import PromptConfigError, PromptStyle
-from chartloop.protocol import AtomicQuery, QueryOp, parse_step
+from chartloop.protocol import DESCRIBE_QUERY, UNAVAILABLE_ANSWER, QueryOp, parse_step
 from chartloop.symbolic import SymbolicReasoner, compute_gold, decompose, gen_questions
 from chartloop.tables import ChartTable, StepRole, TemplateType, Termination, Value
 
@@ -27,6 +27,18 @@ class RecordingReader:
         answer = self.oracle.read(chart_ref, query)
         self.calls.append((query, answer))
         return answer
+
+
+class NoDescriptionReader:
+    """Answers the describe line as not available, and any other as ``oracle``."""
+
+    def __init__(self, oracle):
+        self.oracle = oracle
+
+    def read(self, chart_ref, query):
+        if query == DESCRIBE_QUERY:
+            return UNAVAILABLE_ANSWER
+        return self.oracle.read(chart_ref, query)
 
 
 class BabblingReasoner:
@@ -81,20 +93,11 @@ def test_reader_called_once_per_query_with_verbatim_splice(costa_rica):
         assert answer == answer_step.text
 
 
-def test_describe_first_on_and_off(costa_rica):
-    oracle = TableOracle([costa_rica])
+def test_episode_describes_the_figure_first(costa_rica):
     question = "Across all years, what is the minimum pupil-teacher ratio in Costa Rica?"
-    trace = run_episode(question, "pupil-teacher", SymbolicReasoner(), oracle)
-    first_query = next(s for s in trace.steps if s.role is StepRole.REASONER_QUERY)
-    assert parse_step(first_query.text).op is QueryOp.DESCRIBE
-
-    config = EpisodeConfig()
-    trace = run_episode(question, "pupil-teacher", SymbolicReasoner(describe_first=False),
-                        oracle, config)
-    for step in trace.steps:
-        parsed = parse_step(step.text)
-        if isinstance(parsed, AtomicQuery):
-            assert parsed.op is not QueryOp.DESCRIBE
+    trace = run_episode(question, "pupil-teacher", SymbolicReasoner(), TableOracle([costa_rica]))
+    queries = [parse_step(s.text) for s in trace.steps if s.role is StepRole.REASONER_QUERY]
+    assert [query.op for query in queries] == [QueryOp.DESCRIBE, QueryOp.EXTRACT_GROUP]
     assert trace.final == Value.from_raw("14.92")
 
 
@@ -170,15 +173,17 @@ def test_single_series_group_named_after_describe(neonatal):
 
 
 def test_single_series_group_falls_back_to_all_values(neonatal):
-    reader = RecordingReader(TableOracle([neonatal]))
+    """Without a description to name the only series, the group line asks
+    for all the values."""
+    reader = RecordingReader(NoDescriptionReader(TableOracle([neonatal])))
     run_episode(
         "In how many years, is the value of the bar greater than 851?",
         "neonatal-deaths",
-        SymbolicReasoner(describe_first=False),
+        SymbolicReasoner(),
         reader,
-        EpisodeConfig(),
     )
-    assert reader.calls[0][0] == "Let's extract all the values."
+    assert reader.calls[0] == ("Let's describe the figure.", UNAVAILABLE_ANSWER)
+    assert reader.calls[1][0] == "Let's extract all the values."
 
 
 def test_self_consistency_single_sample_identity(costa_rica):
@@ -341,22 +346,23 @@ _TOTAL = ChartTable.build("total", [("Total", None)], ["Total", "Other"], [["5",
 _SALES = ChartTable.build("sales", [("Sales", None)], ["2020"], [["42"]])
 
 
-@pytest.mark.parametrize("table, question, describe_first, gold", [
+@pytest.mark.parametrize("table, question, described, gold", [
     ("norway_chile", "What is the value of Chile?", False, "7.25"),
     (_TOTAL, "What is the value of Total?", True, "5"),
     (_SALES, "What is the value of Sales?", True, "42"),
     (_SALES, "What is the value of Sales?", False, "42"),
 ])
-def test_point_line_read_as_a_row_concludes_gold(request, table, question, describe_first,
-                                                 gold):
+def test_point_line_read_as_a_row_concludes_gold(request, table, question, described, gold):
     """The entity-only line reads as a row or column here; the episode takes
-    the entity's pair, or the only pair, and concludes the gold answer."""
+    the entity's pair, or the only pair, and concludes the gold answer, also
+    when the reader has no description of the figure to give."""
     if isinstance(table, str):
         table = request.getfixturevalue(table)
-    trace = run_episode(question, table.source_id, SymbolicReasoner(describe_first),
-                        TableOracle([table]))
-    plan = decompose(question, describe_first=describe_first)
-    assert trace.final == compute_gold(table, plan) == Value.from_raw(gold)
+    reader = TableOracle([table])
+    if not described:
+        reader = NoDescriptionReader(reader)
+    trace = run_episode(question, table.source_id, SymbolicReasoner(), reader)
+    assert trace.final == compute_gold(table, decompose(question)) == Value.from_raw(gold)
 
 
 _SUM = ChartTable.build("sum", [("A", "blue"), ("B", "red")], ["2019", "2020"],

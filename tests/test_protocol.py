@@ -61,6 +61,18 @@ def test_parse_non_terminal_answer_is_other():
     assert parse_step("The answer is unknown. Let me try again.") is None
 
 
+@pytest.mark.parametrize("line, parsed", [
+    ("The value Dr. Phil McGraw is in 2019. So the answer is Dr. Phil McGraw.",
+     Value.from_raw("Dr. Phil McGraw")),
+    ("So the answer is Dr. Phil McGraw.", Value.from_raw("Dr. Phil McGraw")),
+    ("The answer is Dr. Phil McGraw.", None),
+])
+def test_conclusion_answer_may_hold_a_sentence_boundary(line, parsed):
+    """Only CONCLUSION's own sentence reads its answer up to the final ".";
+    any other "answer is X." keeps the sentence-boundary rule."""
+    assert parse_step(line) == parsed
+
+
 def test_format_query_canonical_forms():
     assert format_query(describe_query()) == "Let's describe the figure."
     assert format_query(group_query("Total market")) == "Let's extract the data of Total market."

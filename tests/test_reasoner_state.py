@@ -3,12 +3,13 @@
 A warm reasoner must answer every prompt exactly as a fresh one does, in
 whatever order prompts and charts arrive (a chart asked again after
 another, charts that share a description) and from however many threads.
-One cache maps a question (with describe_first) to its plan, so a question
-is decomposed once across an episode's steps and its self-consistency
-samples.  The other maps a reader line to its parse, which depends only on
-the line's text, so a line is parsed at most once per chart and lines that
-charts share may be parsed once between them.  Neither cache grows past its
-bound; and self-consistency asks the reader each distinct line once.
+The recorded episodes take the three prompt styles in turn.  One cache
+maps a question to its plan, so a question is decomposed once across an
+episode's steps and its self-consistency samples.  The other maps a reader
+line to its parse, which depends only on the line's text, so a line is
+parsed at most once per chart and lines that charts share may be parsed
+once between them.  Neither cache grows past its bound; and
+self-consistency asks the reader each distinct line once.
 """
 
 import json
@@ -41,17 +42,17 @@ from chartloop.symbolic import SkippedTemplate, SymbolicReasoner, gen_questions
 from chartloop.synth import random_table, random_tables
 from chartloop.tables import ChartTable, StepRole, TemplateType, Termination
 
-# Every (prompt style, describe_first) pair; episode i takes pair i mod 6.
-_SETTINGS = [(style, describe_first) for style in PromptStyle for describe_first in (True, False)]
+# Every prompt style; episode i takes style i mod 3.
+_STYLES = list(PromptStyle)
 # Reader lines that begin like a stub line, so that a reasoner which found
 # the stub anywhere but in the last "Q: " line directly followed by an "A: "
-# line would go wrong; episode i takes prefix (i // 6) mod 3.
+# line would go wrong; episode i takes prefix (i // 3) mod 3.
 _READER_PREFIXES = ("", "A: ", "Q: ")
 
 
 class _Recorder(SymbolicReasoner):
-    def __init__(self, describe_first):
-        super().__init__(describe_first)
+    def __init__(self):
+        super().__init__()
         self.prompts = []
 
     def complete(self, prompt, stop_markers, temperature, max_tokens):
@@ -88,9 +89,8 @@ def _chart_questions(table):
 def _questions(human_only_questions):
     """(table, question) pairs, mostly chart by chart: 30 seeded tables host
     every phrasing gen_questions renders; two charts that share a description
-    take turns, two questions each, so describe-first episodes (every other
-    one) alternate between them; the human-only phrasings come last, each on
-    its small table."""
+    take turns, two questions each; the human-only phrasings come last, each
+    on its small table."""
     for index in range(30):
         yield from _chart_questions(random_table(5, index))
     shared = random_table(5, 30, n_series=2, n_x=4)
@@ -102,26 +102,24 @@ def _questions(human_only_questions):
 
 @pytest.fixture(scope="module")
 def episodes(human_only_questions, first_phrasing, all_phrasings):
-    """Per closed-loop episode: its describe_first, every prompt its
-    reasoner saw, and what a fresh reasoner answers to each."""
+    """Per closed-loop episode: every prompt its reasoner saw, what a fresh
+    reasoner answers to each, and its chart."""
     recorded, phrasings = [], set()
     for number, (table, question) in enumerate(_questions(human_only_questions)):
-        style, describe_first = _SETTINGS[number % len(_SETTINGS)]
-        prefix = _READER_PREFIXES[number // len(_SETTINGS) % len(_READER_PREFIXES)]
+        style = _STYLES[number % len(_STYLES)]
+        prefix = _READER_PREFIXES[number // len(_STYLES) % len(_READER_PREFIXES)]
         context = None if style is PromptStyle.STEPWISE_5SHOT else table
-        recorder = _Recorder(describe_first)
+        recorder = _Recorder()
         run_episode(question, table.source_id, recorder,
                     _PrefixingReader(TableOracle([table]), prefix),
                     EpisodeConfig(prompt_style=style), context_table=context)
-        fresh = [SymbolicReasoner(describe_first).complete(p, ["\n"], 0.0, 256)
-                 for p in recorder.prompts]
-        recorded.append((describe_first, recorder.prompts, fresh, table.source_id))
+        fresh = [SymbolicReasoner().complete(p, ["\n"], 0.0, 256) for p in recorder.prompts]
+        recorded.append((recorder.prompts, fresh, table.source_id))
         phrasings.add(first_phrasing(question))
     assert phrasings == all_phrasings
-    # Somewhere a describe-first episode reads the description line the one
-    # before it read, of another chart.
-    described = [(chart, _reader_lines(prompts[-1])[0])
-                 for describe_first, prompts, _, chart in recorded if describe_first]
+    # Somewhere an episode reads the description line the one before it
+    # read, of another chart.
+    described = [(chart, _reader_lines(prompts[-1])[0]) for prompts, _, chart in recorded]
     assert any(a != b and line == after and protocol.parse_reader_answer(line).kind
                is AnswerKind.DESCRIPTION for (a, line), (b, after) in zip(described, described[1:]))
     return recorded
@@ -133,13 +131,13 @@ def _reader_lines(prompt):
 
 
 def _episode_order(episodes):
-    return [(e, i) for e, (_, prompts, _, _) in enumerate(episodes) for i in range(len(prompts))]
+    return [(e, i) for e, (prompts, _, _) in enumerate(episodes) for i in range(len(prompts))]
 
 
 def _revisit_order(episodes):
     """The charts' episodes, each chart's asked again after the next: A B A C B D C ..."""
     charts = []
-    for e, (_, prompts, _, chart) in enumerate(episodes):
+    for e, (prompts, _, chart) in enumerate(episodes):
         if not charts or charts[-1][0] != chart:
             charts.append((chart, []))
         charts[-1][1].extend((e, i) for i in range(len(prompts)))
@@ -154,76 +152,58 @@ def _interleaved_order(episodes):
     order = []
     for first in range(0, len(episodes), 2):
         pair = [e for e in (first, first + 1) if e < len(episodes)]
-        longest = max(len(episodes[e][1]) for e in pair)
-        order += [(e, i) for i in range(longest) for e in pair if i < len(episodes[e][1])]
+        longest = max(len(episodes[e][0]) for e in pair)
+        order += [(e, i) for i in range(longest) for e in pair if i < len(episodes[e][0])]
     return order
 
 
 def _sc_order(episodes):
     """Each episode three times over, as self-consistency samples arrive."""
-    return [(e, i) for e, (_, prompts, _, _) in enumerate(episodes)
+    return [(e, i) for e, (prompts, _, _) in enumerate(episodes)
             for _ in range(3) for i in range(len(prompts))]
 
 
-def _replay(episodes, order, reasoners, cut=None):
-    """Send the prompts in ``order`` to the reasoner of their describe_first;
-    return the (expected, actual) pairs.  With ``cut``, each prompt is first
-    sent cut at a seeded point of its last 300 characters."""
+def _replay(episodes, order, reasoner, cut=None):
+    """Send the prompts in ``order`` to ``reasoner``; return the (expected,
+    actual) pairs.  With ``cut``, each prompt is first sent cut at a seeded
+    point of its last 300 characters."""
     results = []
     for e, i in order:
-        describe_first, prompts, fresh, _ = episodes[e]
-        reasoner = reasoners[describe_first]
+        prompts, fresh, _ = episodes[e]
         prompt = prompts[i]
         if cut is not None:
             short = prompt[:cut.randrange(max(0, len(prompt) - 300), len(prompt) + 1)]
-            results.append((SymbolicReasoner(describe_first).complete(short, ["\n"], 0.0, 256),
+            results.append((SymbolicReasoner().complete(short, ["\n"], 0.0, 256),
                             reasoner.complete(short, ["\n"], 0.0, 256)))
         results.append((fresh[i], reasoner.complete(prompt, ["\n"], 0.0, 256)))
     return results
 
 
-def _warm_reasoners():
-    return {True: SymbolicReasoner(True), False: SymbolicReasoner(False)}
-
-
 @pytest.mark.parametrize("order", [_episode_order, _interleaved_order, _sc_order, _revisit_order],
                          ids=["episode", "interleaved", "sc", "revisit"])
 def test_warm_reasoner_answers_like_a_fresh_one(episodes, order):
-    results = _replay(episodes, order(episodes), _warm_reasoners())
+    results = _replay(episodes, order(episodes), SymbolicReasoner())
     assert [actual for _, actual in results] == [expected for expected, _ in results]
 
 
 def test_warm_reasoner_answers_cut_prompts_like_a_fresh_one(episodes):
     """A prompt that ends mid-line, then the prompt that completes it."""
-    results = _replay(episodes, _episode_order(episodes), _warm_reasoners(), random.Random(7))
+    results = _replay(episodes, _episode_order(episodes), SymbolicReasoner(), random.Random(7))
     assert [actual for _, actual in results] == [expected for expected, _ in results]
 
 
-def test_warm_reasoner_follows_a_changed_describe_first(episodes):
-    """Each prompt twice, with describe_first on and then off: neither the
-    prompt's lines nor its question's plan carry over to the other setting."""
-    reasoner, expected, actual = SymbolicReasoner(), [], []
-    for _, prompts, _, _ in episodes:
-        for prompt in prompts:
-            for describe_first in (True, False):
-                reasoner.describe_first = describe_first
-                expected.append(SymbolicReasoner(describe_first).complete(prompt, ["\n"], 0.0, 256))
-                actual.append(reasoner.complete(prompt, ["\n"], 0.0, 256))
-    assert actual == expected
-
-
 def test_reasoner_shared_by_threads_answers_like_a_fresh_one(episodes):
-    """Four threads, more than the cores of a small machine, share the two
-    reasoners, each thread sending every fourth prompt."""
+    """Four threads, more than the cores of a small machine, share one
+    reasoner, each thread sending every fourth prompt."""
     order = _episode_order(episodes)
-    reasoners = _warm_reasoners()
+    reasoner = SymbolicReasoner()
     shares, results, errors = [order[k::4] for k in range(4)], [], []
     barrier = threading.Barrier(len(shares))
 
     def work(share):
         try:
             barrier.wait(timeout=10)
-            results.extend(_replay(episodes, share, reasoners))
+            results.extend(_replay(episodes, share, reasoner))
         except Exception as exc:  # reported below; a thread cannot fail the test itself
             errors.append(exc)
 

@@ -3,7 +3,6 @@ import json
 import random
 import re
 from collections import Counter
-from dataclasses import replace
 from decimal import Decimal
 from itertools import product
 from pathlib import Path
@@ -14,6 +13,7 @@ from chartloop.controller import run_episode
 from chartloop.evalkit import relaxed_match
 from chartloop.oracle import TableOracle, execute_query
 from chartloop.protocol import (
+    UNAVAILABLE_ANSWER,
     AnswerKind,
     describe_query,
     group_query,
@@ -21,6 +21,7 @@ from chartloop.protocol import (
     point_query,
 )
 from chartloop.symbolic import (
+    UNKNOWN_CONCLUSION,
     _align_entity,
     NotTemplated,
     QuestionPlan,
@@ -77,17 +78,10 @@ def test_decompose_count_threshold_single_series():
         "count", (("op", "greater than"), ("target", "851"), ("words", "years")))
 
 
-def test_decompose_no_describe_mode():
-    plan = decompose("What is the value of Oman in 2010?", describe_first=False)
-    assert plan.queries == (point_query("Oman", "2010"),)
-
-
 def test_decompose_structural_requires_description():
     plan = decompose("How many legend labels are there?")
     assert plan.queries == (describe_query(),)
     assert (plan.key, plan.slots) == ("count_series", ())
-    with pytest.raises(NotTemplated):
-        decompose("How many legend labels are there?", describe_first=False)
 
 
 def test_decompose_free_form_not_templated():
@@ -407,6 +401,18 @@ def test_deduce_arg_match(oman_samoa):
     assert "The value 210.69 is in 2010." in text
 
 
+def test_deduce_folds_data_without_a_description(costa_rica):
+    """A describe line answered "not available" leaves the fold without a
+    description: a data question still concludes, a label count does not."""
+    unavailable = parse_reader_answer(UNAVAILABLE_ANSWER)
+    plan = decompose("Across all years, what is the minimum pupil-teacher ratio in Costa Rica?")
+    text, answer = deduce(plan, [unavailable, *_answers_for(costa_rica, plan)[1:]])
+    assert (text, answer) == ("The minimum value is 14.92 in 2011. So the answer is 14.92.",
+                              "14.92")
+    plan = decompose("How many legend labels are there?")
+    assert deduce(plan, [unavailable]) == (UNKNOWN_CONCLUSION, None)
+
+
 def test_gen_deterministic_under_seed(costa_rica):
     first = gen_questions(costa_rica, TemplateType.MIN_MAX, seed=5, n=4)
     second = gen_questions(costa_rica, TemplateType.MIN_MAX, seed=5, n=4)
@@ -428,12 +434,7 @@ def test_gen_questions_decompose_back_to_plan(human_only_questions, first_phrasi
             for qa, plan in gen_questions(table, template, seed=3, n=2):
                 generated.add(first_phrasing(qa.question))
                 assert decompose(qa.question) == plan
-                if template is TemplateType.STRUCTURAL:
-                    with pytest.raises(NotTemplated):
-                        decompose(qa.question, describe_first=False)
-                else:
-                    assert (decompose(qa.question, describe_first=False)
-                            == replace(plan, queries=plan.queries[1:]))
+                assert plan.queries[0] == describe_query()
     human = {first_phrasing(question) for _, question in human_only_questions}
     assert len(human) == len(human_only_questions)
     assert human.isdisjoint(generated)
@@ -526,7 +527,6 @@ _HAND_TABLES = ["oman_samoa", "net_ratings", "respondents", "activision", "segme
                 "university_shares", "norway_chile"]
 _HAND_TABLE_FAILURES = {
     "activision": ({"sum": 12, "average": 12}, "Mobile and ancillary**"),
-    "income": ({"arg_match": 1}, "Dr. Phil McGraw"),
     "plotqa_duplicated_axis": ({"sum": 16, "average": 16},
                                "Fragile and conflict affected situations"),
 }
