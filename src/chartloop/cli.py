@@ -189,8 +189,8 @@ def _parse_buckets(text: str) -> tuple[int, ...]:
 
 
 def _load_corpus(cfg: dict) -> Optional[Corpus]:
-    """Load ``--corpus`` if given, printing each dropped row once; an empty
-    ``--corpus`` is a usage error, not a run without one."""
+    """Load the charts of ``--corpus`` if given, printing each dropped row
+    once; an empty ``--corpus`` is a usage error, not a run without one."""
     if cfg["corpus"] is None:
         if cfg["format"] != _DEFAULT_FORMAT:  # a layout of no corpus would do nothing
             raise UsageError("--format needs --corpus")
@@ -393,7 +393,10 @@ def cmd_eval(cfg: dict) -> int:
     elif corpus is None:
         raise UsageError("eval needs --corpus or --synthetic N")
     else:
+        loaded = len(corpus.issues)
         charts, instances = corpus.chart_index(), corpus.all_qa()
+        for issue in corpus.issues[loaded:]:  # the QA rows dropped
+            print(f"warning: {issue}", file=sys.stderr)
     # Built before a question is drawn: a usage error outranks an empty eval set.
     answer, backends = _answerer(cfg, charts)
     if cfg["sample"] > 0:

@@ -1,7 +1,9 @@
 """Dataset ingestion, reader training-pair generation, and SFT exports.
 
 Every corpus layout lists its rows lazily; :func:`load_corpus` alone turns
-them into charts and QA instances, so all layouts share one set of row rules.
+them into charts, and :meth:`Corpus.all_qa` into QA instances on its first
+call, so all layouts share one set of row rules and a caller that needs only
+the charts never reads a QA row.
 
 The reader corpus is generated per chart from templates: one description
 pair, one point pair per cell (BY form on multi-series charts, entity-only
@@ -22,6 +24,7 @@ import json
 import random
 import re
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Optional, Sequence, TextIO
@@ -59,22 +62,6 @@ class System1Pair:
     op: AtomicQuery
 
 
-@dataclass
-class Corpus:
-    entries: list[tuple[ChartTable, list[QAInstance]]]
-    issues: list[str]
-
-    @property
-    def charts(self) -> list[ChartTable]:
-        return [table for table, _ in self.entries]
-
-    def all_qa(self) -> list[QAInstance]:
-        return [qa for _, qas in self.entries for qa in qas]
-
-    def chart_index(self) -> dict[str, ChartTable]:
-        return {table.source_id: table for table in self.charts}
-
-
 # A corpus row: where it is, how to decode it (None if decoded already), and its raw form.
 Row = tuple[str, Optional[Callable[[Any], Any]], Any]
 # What one row can raise: a malformed object, or an unreadable or bad CSV file.
@@ -93,6 +80,13 @@ def _array_rows(label: str, items: Any) -> Iterator[Row]:
     if not isinstance(items, list):
         raise ValueError(f"{label} must be a JSON array")
     return ((f"{label}[{index}]", None, item) for index, item in enumerate(items))
+
+
+def _json_array_rows(path: Path) -> Iterable[Row]:
+    """The rows of a JSON array file; no file, no rows."""
+    if not path.exists():
+        return ()
+    return _array_rows(str(path), json.loads(path.read_text(encoding="utf-8")))
 
 
 def _add_rows(rows: Iterable[Row], add: Callable[[Any], None], issues: list[str]) -> None:
@@ -119,29 +113,35 @@ def _csv_chart(path: Path) -> dict:
     }
 
 
-def _internal_json(path: Path) -> tuple[Iterable[Row], Iterable[Row]]:
+# A layout's chart rows, and a call that lists its QA rows: a QA file is
+# opened only when that call is made.
+Layout = tuple[Iterable[Row], Callable[[], Iterable[Row]]]
+
+
+def _internal_json(path: Path) -> Layout:
     if not path.is_dir():
-        return _jsonl_rows(path), ()
+        return _jsonl_rows(path), lambda: ()
     qa_file = path / "qa.jsonl"
-    return _jsonl_rows(path / "charts.jsonl"), _jsonl_rows(qa_file) if qa_file.exists() else ()
+    return _jsonl_rows(path / "charts.jsonl"), \
+        lambda: _jsonl_rows(qa_file) if qa_file.exists() else ()
 
 
-def _chartqa_like(path: Path) -> tuple[Iterable[Row], Iterable[Row]]:
+def _chartqa_like(path: Path) -> Layout:
     tables_dir = path / "tables"
     if not tables_dir.is_dir():
         raise ValueError("missing tables/ directory")
     charts = ((str(p), _csv_chart, p) for p in sorted(tables_dir.glob("*.csv")))
-    qa_path = path / "qa.json"
-    qa = json.loads(qa_path.read_text(encoding="utf-8")) if qa_path.exists() else []
-    return charts, _array_rows(str(qa_path), qa)
+    return charts, lambda: _json_array_rows(path / "qa.json")
 
 
-def _plotqa_like(path: Path) -> tuple[Iterable[Row], Iterable[Row]]:
+def _plotqa_like(path: Path) -> Layout:
     payload = json.loads(path.read_text(encoding="utf-8"))
     if not isinstance(payload, dict):
         raise ValueError(f"{path} must hold a JSON object")
+    # One file holds both arrays, so the QA rows keep its decoded "qa" array.
+    qa = payload.get("qa", [])
     return _array_rows(f"{path}#charts", payload.get("charts", [])), \
-        _array_rows(f"{path}#qa", payload.get("qa", []))
+        lambda: _array_rows(f"{path}#qa", qa)
 
 
 CORPUS_LAYOUTS = {
@@ -220,53 +220,99 @@ def _qa_from_obj(obj: dict, values: dict[str, Value], texts: dict[str, str]) -> 
                       texts.setdefault(chart_id, chart_id), template_field(obj.get("template_type")))
 
 
+@contextmanager
+def _reading(location: Path) -> Iterator[None]:
+    """Raise ``CorpusError`` when reading a whole file fails, not decoding one of its rows."""
+    try:
+        yield
+    except (OSError, ValueError, RecursionError) as exc:
+        raise CorpusError(f"cannot read corpus at {location}: {exc}") from exc
+
+
+class Corpus:
+    """A loaded corpus: its validated ``charts`` in file order, and ``issues``,
+    one ``where: reason`` line per row skipped so far.  Its QA rows are read on
+    the first :meth:`all_qa` call, so a caller that needs only the charts never
+    opens a QA file."""
+
+    def __init__(self, charts: list[ChartTable], issues: list[str], location: Path,
+                 qa_rows: Callable[[], Iterable[Row]]) -> None:
+        self.charts = charts
+        self.issues = issues
+        self._location = location
+        self._qa_rows: Optional[Callable[[], Iterable[Row]]] = qa_rows
+        self._qa: Optional[list[QAInstance]] = None
+
+    def chart_index(self) -> dict[str, ChartTable]:
+        return {table.source_id: table for table in self.charts}
+
+    def all_qa(self) -> list[QAInstance]:
+        """The QA instances, grouped by chart in chart order, each chart's in
+        row order.  The first call reads the rows and adds their issues to
+        ``issues``; later calls return the same list.  A QA row needs a
+        question, an answer and a loaded chart.  Its gold is the loaded cell
+        ``Value`` that prints the same text, if any, and its ``chart_id`` its
+        table's ``source_id``.  A QA file that cannot be read raises
+        ``CorpusError``, on every call."""
+        if self._qa is None:
+            by_chart: dict[str, list[QAInstance]] = {t.source_id: [] for t in self.charts}
+            values = {cell.raw: cell for table in self.charts
+                      for row in table.cells for cell in row}
+            texts = {chart_id: chart_id for chart_id in by_chart}
+            issues: list[str] = []
+
+            def add_qa(obj: dict) -> None:
+                qa = _qa_from_obj(obj, values, texts)
+                if qa.chart_id not in by_chart:
+                    raise ValueError(f"unknown chart {qa.chart_id!r}")
+                by_chart[qa.chart_id].append(qa)
+
+            with _reading(self._location):
+                _add_rows(self._qa_rows(), add_qa, issues)
+            self._qa = [qa for qas in by_chart.values() for qa in qas]
+            self.issues += issues
+            self._qa_rows = None  # frees a plotqa_like file's decoded QA array
+        return self._qa
+
+
 def load_corpus(path: str | Path, format: str = "internal_json") -> Corpus:
-    """Load charts (and any QA annotations) in one of the supported layouts.
+    """Load the charts of a corpus in one of the supported layouts; its QA
+    rows wait for :meth:`Corpus.all_qa`.
 
     One row loop serves every layout.  A chart row becomes a validated
-    ``ChartTable``; a repeated chart id keeps the first.  A QA row needs a
-    question, an answer and a loaded chart.  A text field takes a string as it
-    is and a number through ``str()``.  A bad row is skipped and reported in
-    ``issues`` as ``where: reason``; a missing path, an unreadable or misshapen
-    file, or a corpus without a valid chart raises ``CorpusError``.
+    ``ChartTable``; a repeated chart id keeps the first.  A text field takes a
+    string as it is and a number through ``str()``.  A bad row is skipped and
+    reported in ``issues`` as ``where: reason``; a missing path, an unreadable
+    or misshapen chart file, or a corpus without a valid chart raises
+    ``CorpusError``.
 
     Each distinct text and printed value is held once per call.  A printed
-    cell or answer is parsed once, and every row that prints it shares that
-    ``Value``; a chart id, series name, colour, x-label or question is one
-    string shared by every row that holds it, so a QA row's ``chart_id`` is
-    its table's ``source_id``.  Both maps are local to the call.
+    cell is parsed once, and every cell that prints it shares that ``Value``;
+    a chart id, series name, colour or x-label is one string shared by every
+    chart that holds it.  Both maps are local to the call.
     """
     if format not in CORPUS_LAYOUTS:
         raise CorpusError(f"unknown corpus format {format!r}")
     location = Path(path)
     if not location.exists():
         raise CorpusError(f"corpus path does not exist: {location}")
-    entries: dict[str, tuple[ChartTable, list[QAInstance]]] = {}
+    charts: dict[str, ChartTable] = {}
     issues: list[str] = []
     values: dict[str, Value] = {}
     texts: dict[str, str] = {}
 
     def add_chart(obj: dict) -> None:
         table = _chart_from_obj(obj, values, texts)
-        if table.source_id in entries:
+        if table.source_id in charts:
             raise ValueError(f"duplicate chart id {table.source_id!r}, first kept")
-        entries[table.source_id] = (table, [])
+        charts[table.source_id] = table
 
-    def add_qa(obj: dict) -> None:
-        qa = _qa_from_obj(obj, values, texts)
-        if qa.chart_id not in entries:
-            raise ValueError(f"unknown chart {qa.chart_id!r}")
-        entries[qa.chart_id][1].append(qa)
-
-    try:
-        for rows, add in zip(CORPUS_LAYOUTS[format](location), (add_chart, add_qa)):
-            _add_rows(rows, add, issues)
-    except (OSError, ValueError, RecursionError) as exc:
-        # Reading a whole file failed, not decoding one of its rows.
-        raise CorpusError(f"cannot read corpus at {location}: {exc}") from exc
-    if not entries:
+    with _reading(location):
+        chart_rows, qa_rows = CORPUS_LAYOUTS[format](location)
+        _add_rows(chart_rows, add_chart, issues)
+    if not charts:
         raise CorpusError(f"no valid charts in {location}")
-    return Corpus(list(entries.values()), issues)
+    return Corpus(list(charts.values()), issues, location, qa_rows)
 
 
 def sample_eval_set(instances: Sequence[QAInstance], n: int, seed: int) -> list[QAInstance]:

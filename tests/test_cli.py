@@ -819,8 +819,12 @@ def test_eval_prediction_does_not_depend_on_sc(small_corpus_path, tmp_path):
     ["eval"],
 ])
 def test_ingestion_issues_print_once(small_corpus_path, tmp_path, command):
+    """A bad chart row warns on every command; a bad QA row only on ``eval``,
+    the one command that reads the QA rows."""
     with open(small_corpus_path / "charts.jsonl", "a", encoding="utf-8") as handle:
         handle.write("{not json\n")
+    with open(small_corpus_path / "qa.jsonl", "a", encoding="utf-8") as handle:
+        handle.write("[1, 2]\n")
     src = Path(chartloop.__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
     result = subprocess.run(
@@ -829,9 +833,66 @@ def test_ingestion_issues_print_once(small_corpus_path, tmp_path, command):
         capture_output=True, text=True, env=env, timeout=60,
     )
     assert result.returncode == 0, result.stderr
-    issues = load_corpus(small_corpus_path).issues
-    assert len(issues) == 1
-    assert result.stderr == f"warning: {issues[0]}\n"
+    corpus = load_corpus(small_corpus_path)
+    chart_issues = list(corpus.issues)
+    corpus.all_qa()
+    assert len(chart_issues) == 1 and len(corpus.issues) == 2
+    issues = corpus.issues if command == ["eval"] else chart_issues
+    assert result.stderr == "".join(f"warning: {issue}\n" for issue in issues)
+
+
+def _write_chartqa(root, tables):
+    (root / "tables").mkdir(parents=True)
+    for table in tables:
+        rows = [["label", *(s.name for s in table.series)]]
+        rows += [[x, *(row[j].raw for row in table.cells)] for j, x in enumerate(table.x_labels)]
+        (root / "tables" / f"{table.source_id}.csv").write_text(
+            "".join(",".join(row) + "\n" for row in rows), encoding="utf-8")
+
+
+@pytest.mark.parametrize("layout", ["internal_json", "chartqa_like"])
+def test_only_eval_reads_the_qa_file(small_corpus_path, tmp_path, capsys, layout):
+    """A QA file that cannot be read stops ``eval`` alone: ``datagen`` and
+    ``run`` read only the charts, so they write what they write over a good
+    QA file, and warn of nothing."""
+    root = small_corpus_path
+    if layout == "chartqa_like":
+        root = tmp_path / "chartqa"
+        _write_chartqa(root, load_corpus(small_corpus_path).charts)
+        qa = [{"imgname": "solo-chart.png", "query": "What is the value of Q3?", "label": "7.0"}]
+        (root / "qa.json").write_text(json.dumps(qa), encoding="utf-8")
+    commands = {
+        "datagen": ["datagen"],
+        "run": ["run", "--question", "What is the value of Q3?", "--chart", "solo-chart"],
+    }
+
+    def outputs(name, out):
+        code = run_cli([*commands[name], "--corpus", root, "--format", layout, "--out-dir", out])
+        captured = capsys.readouterr()
+        config = json.loads((out / "run_config.json").read_text(encoding="utf-8"))
+        config.pop("out_dir")
+        files = {p.name: p.read_bytes() for p in out.iterdir() if p.name != "run_config.json"}
+        return code, captured.out, captured.err, config, files
+
+    good = {name: outputs(name, tmp_path / f"good-{name}") for name in commands}
+    if layout == "chartqa_like":
+        bad = root / "qa.json"
+        bad.write_bytes(b'{"qa": []}')
+        reason = f"{bad} must be a JSON array"
+    else:
+        bad = root / "qa.jsonl"
+        bad.write_bytes(bad.read_bytes() + b"\xff\n")
+        try:
+            bad.read_bytes().decode("utf-8")
+        except UnicodeDecodeError as exc:
+            reason = str(exc)
+    for name in commands:
+        assert outputs(name, tmp_path / f"bad-{name}") == good[name]
+        assert good[name][0] == 0 and good[name][2] == ""
+    out = tmp_path / "eval"
+    assert run_cli(["eval", "--corpus", root, "--format", layout, "--out-dir", out]) == 2
+    assert capsys.readouterr().err == f"error: cannot read corpus at {root}: {reason}\n"
+    assert not out.exists()
 
 
 _RECORD = {"question": "q", "gold": "1", "chart_id": "c", "template_type": None,

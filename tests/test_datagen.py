@@ -22,7 +22,7 @@ from chartloop.datagen import (
     write_system1_jsonl,
     write_trace_line,
 )
-from chartloop import tables
+from chartloop import datagen, tables
 from chartloop.evalkit import EvalRecord, make_record, write_record_line
 from chartloop.oracle import TableOracle
 from chartloop.protocol import QueryOp
@@ -146,17 +146,17 @@ def _write_layout(root, layout, charts, qa):
       for layout in ("internal_json", "plotqa_like")),
     pytest.param("chartqa_like", [CHART], [QA], ("tables/c2.csv", b"label,A\n\xff,1\n"), False,
                  id="chartqa_like-non-utf8-csv"),
-    pytest.param("chartqa_like", [CHART], [QA], ("qa.json", b'{"qa": []}'), True,
+    pytest.param("chartqa_like", [CHART], [QA], ("qa.json", b'{"qa": []}'), "all_qa",
                  id="chartqa_like-qa-json-object"),
-    pytest.param("plotqa_like", [CHART], [QA], ("plotqa.json", json.dumps([CHART]).encode()), True,
+    pytest.param("plotqa_like", [CHART], [QA], ("plotqa.json", json.dumps([CHART]).encode()), "load",
                  id="plotqa_like-file-list"),
     pytest.param("internal_json", [CHART], [QA],
-                 ("charts.jsonl", json.dumps(CHART).encode() + b"\n\xff\n"), True,
+                 ("charts.jsonl", json.dumps(CHART).encode() + b"\n\xff\n"), "load",
                  id="internal_json-non-utf8-line"),
     pytest.param("internal_json", [CHART], [QA],
                  ("charts.jsonl", json.dumps(CHART).encode() + b"\n" + b"[" * 100_000 + b"\n"),
                  False, id="internal_json-too-deeply-nested-line"),
-    pytest.param("plotqa_like", [CHART], [QA], ("plotqa.json", b"[" * 100_000), True,
+    pytest.param("plotqa_like", [CHART], [QA], ("plotqa.json", b"[" * 100_000), "load",
                  id="plotqa_like-too-deeply-nested-file"),
     *(pytest.param(layout, [CHART, {**CHART_2, "cells": [["3"], [None]]}], [QA], None, False,
                    id=f"{layout}-null-cell")
@@ -172,17 +172,25 @@ def _write_layout(root, layout, charts, qa):
       for layout in ("internal_json", "plotqa_like")),
 ])
 def test_bad_rows_are_skipped_and_bad_files_are_fatal(tmp_path, layout, charts, qa, damage, fatal):
+    """``fatal`` names the call that raises: a chart file fails the load, a
+    QA file the first ``all_qa()``."""
     path = _write_layout(tmp_path / "corpus", layout, charts, qa)
     if damage:
         (tmp_path / "corpus" / damage[0]).write_bytes(damage[1])
-    if fatal:
+    if fatal == "load":
         with pytest.raises(CorpusError, match="cannot read corpus"):
             load_corpus(path, layout)
         return
     corpus = load_corpus(path, layout)
+    if fatal == "all_qa":
+        assert corpus.issues == [] and [table.to_dict() for table in corpus.charts] == [CHART]
+        with pytest.raises(CorpusError, match="cannot read corpus"):
+            corpus.all_qa()
+        return
+    qas = corpus.all_qa()
     assert len(corpus.issues) == 1
     assert [table.to_dict() for table in corpus.charts] == [CHART]
-    assert [qa.question for qa in corpus.entries[0][1]] == [QA["question"]]
+    assert [qa.question for qa in qas] == [QA["question"]]
 
 
 def _mutate(rng, value):
@@ -232,6 +240,7 @@ def test_load_corpus_fuzz_returns_corpus_or_corpus_error(tmp_path, layout):
             target.write_bytes(_damage_bytes(rng, target.read_bytes()))
         try:
             corpus = load_corpus(path, layout)
+            corpus.all_qa()
         except CorpusError:
             continue
         assert isinstance(corpus, Corpus)
@@ -363,15 +372,21 @@ def test_a_load_holds_each_distinct_text_once_in_slotted_records(tmp_path):
                                 [table.to_dict() for table in tables], [])
     path = _write_layout(tmp_path / "corpus", "internal_json",
                          [table.to_dict() for table in tables], rows)
-    load_corpus(path)  # let one-time caches fill before measuring
+
+    def load_all(where):
+        corpus = load_corpus(where)
+        corpus.all_qa()
+        return corpus
+
+    load_all(path)  # let one-time caches fill before measuring
     _, chart_bytes = _held_bytes(lambda: load_corpus(charts_only))
-    corpus, all_bytes = _held_bytes(lambda: load_corpus(path))
+    corpus, all_bytes = _held_bytes(lambda: load_all(path))
     assert corpus.issues == [] and len(corpus.all_qa()) == len(rows) > 1500
     assert chart_bytes / len(tables) < 2700
     assert (all_bytes - chart_bytes) / len(rows) < 270
 
-    for table, qas in corpus.entries:
-        assert all(qa.chart_id is table.source_id for qa in qas)
+    index = corpus.chart_index()
+    assert all(qa.chart_id is index[qa.chart_id].source_id for qa in corpus.all_qa())
     first: dict[str, str] = {}
     for table in corpus.charts:
         texts = [*table.x_labels, *(s.name for s in table.series),
@@ -379,7 +394,7 @@ def test_a_load_holds_each_distinct_text_once_in_slotted_records(tmp_path):
         assert all(first.setdefault(text, text) is text for text in texts)
     assert len(first) < sum(len(t.x_labels) for t in corpus.charts) / 10  # shared, not unique
 
-    table, (qa, *_) = corpus.entries[0]
+    table, qa = corpus.charts[0], corpus.all_qa()[0]
     trace = ReasoningTrace((Step(StepRole.CONCLUSION, "1"),), Value.from_raw("1"),
                            Termination.CONCLUSION)
     record = EvalRecord(qa, qa.gold, True, 2, "t")
@@ -406,8 +421,30 @@ def test_two_loads_share_no_value(tmp_path):
     path = _write_layout(tmp_path / "corpus", "internal_json", [CHART, CHART_2],
                          [QA, {**QA, "answer": "2"}])
     first, second = load_corpus(path), load_corpus(path)
-    assert first.entries == second.entries
+    assert first.charts == second.charts and first.all_qa() == second.all_qa()
     assert not {id(v) for v in _loaded_values(first)} & {id(v) for v in _loaded_values(second)}
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+def test_qa_rows_are_parsed_on_the_first_all_qa_call_only(tmp_path, layout, monkeypatch):
+    """The charts and their index parse no QA row.  The first ``all_qa()``
+    parses each row once and groups the rows by chart, in chart order; a
+    later call returns the same list and parses nothing."""
+    parsed = []
+    parse = datagen._qa_from_obj
+    monkeypatch.setattr(datagen, "_qa_from_obj",
+                        lambda obj, *maps: parsed.append(obj) or parse(obj, *maps))
+    rows = [{"chart_id": "c2", "question": "What is the value of B?", "answer": "4"}, QA,
+            {"chart_id": "c2", "question": "What is the value of A?", "answer": "3"}]
+    path = _write_layout(tmp_path / "corpus", layout, [CHART, CHART_2], rows)
+    corpus = load_corpus(path, layout)
+    assert [table.source_id for table in corpus.charts] == ["c1", "c2"]
+    assert list(corpus.chart_index()) == ["c1", "c2"]
+    assert parsed == []
+    first = corpus.all_qa()
+    assert len(parsed) == len(rows)
+    assert [qa.question for qa in first] == [rows[i]["question"] for i in (1, 0, 2)]
+    assert corpus.all_qa() is first and len(parsed) == len(rows)
 
 
 def test_loaded_values_equal_per_row_parsing(tmp_path):
