@@ -10,11 +10,11 @@
   query with ``oracle.read_table``'s read of the cells (never through the
   step protocol).
 
-``deduce`` reads each data query's answer by one operand rule (``_operand``):
-a value is one pair keyed by the query's entity, a group query's pairs are
-its own, and a point query without BY, sent as the entity-only line that may
-read as a row or column, takes the pair ``closest_name`` keys by its entity,
-or else the only pair.  The fold gets one operand per data query, in order.
+The fold gets one operand per data query, in query order (``_operand``).  A
+point query's is a ``Value``: its cell or, read as a row or column (the
+entity-only line may be either), the value ``closest_name`` keys by its
+entity, or else the only one.  A group query's is its (key, value) pairs, a
+group read as one cell being one pair keyed by the query's entity.
 
 Each question meaning is one row of the ordered ``_TEMPLATES`` table: a
 key, a type, a builder from slot values to the queries that read, and one
@@ -238,14 +238,13 @@ def deduce(
     Each answer is read against the query that asked it: a describe query
     takes a description, or leaves the fold without one when the figure is
     not available, and a data query takes only a value or pairs, which
-    become its operand.  Any other answer, or an answer count other than the
-    query count, produces the unknown conclusion and no answer (a no-answer
-    verdict downstream) rather than an exception.
+    become its operand.  Any other answer, an answer count other than the
+    query count, or operands the row cannot fold conclude unknown with no
+    answer (a no-answer verdict downstream) rather than raise.
     """
     if len(reader_answers) != len(plan.queries):
         return UNKNOWN_CONCLUSION, None
-    counts = None
-    pairs: list[tuple[str, Value]] = []
+    counts, operands = None, []
     try:
         for query, answer in zip(plan.queries, reader_answers):
             if query.op is QueryOp.DESCRIBE and answer.kind is AnswerKind.DESCRIPTION:
@@ -253,10 +252,10 @@ def deduce(
             elif query.op is QueryOp.DESCRIBE and answer.kind is AnswerKind.UNAVAILABLE:
                 pass
             elif query.op is not QueryOp.DESCRIBE and answer.kind in _DATA_ANSWERS:
-                pairs += _operand(query, answer.scalar or answer.pairs)
+                operands.append(_operand(query, answer.scalar or answer.pairs))
             else:
                 raise UndefinedResult(f"a {answer.kind.value} answer to {query}")
-        reason, final = _reduce(plan, pairs, counts)
+        reason, final = _reduce(plan, operands, counts)
     except (IndexError, UndefinedResult, DecimalException):
         return UNKNOWN_CONCLUSION, None
     return f"{reason} {CONCLUSION.render(final)}", final
@@ -264,18 +263,19 @@ def deduce(
 
 def _operand(
     query: AtomicQuery, read: Value | Sequence[tuple[str, Value]]
-) -> Sequence[tuple[str, Value]]:
-    """A data query's read as the (key, value) pairs it adds to the fold, by
-    the module's operand rule; UndefinedResult where the rule gives none."""
+) -> Value | Sequence[tuple[str, Value]]:
+    """A data query's read as its operand by the module's operand rule, a
+    point query's value or a group query's pairs; UndefinedResult where the
+    rule gives none."""
     if isinstance(read, Value):
         if query.entity is not None:
-            return [(query.entity, read)]
+            return read if query.op is QueryOp.EXTRACT_POINT else [(query.entity, read)]
     elif query.op is QueryOp.EXTRACT_GROUP:
         return read
     elif query.by is None:
         index = closest_name(query.entity, [key for key, _ in read])
         if index is not None or len(read) == 1:
-            return [read[index or 0]]
+            return read[index or 0][1]
     raise UndefinedResult(f"the read does not answer {query}")
 
 
@@ -302,17 +302,16 @@ def _rounded(number: Decimal, places: int) -> Decimal:
 
 def _reduce(
     plan: QuestionPlan,
-    pairs: Sequence[tuple[str, Value]],
+    operands: Sequence[Value | Sequence[tuple[str, Value]]],
     counts: Optional[tuple[int, int]],
 ) -> tuple[str, str]:
-    """Fold extracted values by the plan's row: the reasoning sentence and
-    the answer as printed.
-
-    ``pairs`` are the data queries' operands in query order, and ``counts``
-    the chart's series and x-label counts (None without a figure
-    description).  Raises UndefinedResult when the result is undefined,
-    DecimalException when it cannot be rounded at Decimal's precision, and
-    IndexError when too few values came in.
+    """Fold one operand per data query, in query order, by the plan's row:
+    the reasoning sentence and the answer as printed.  A plan ending in a
+    point query folds its points' values, any other the group its last query
+    read; ``counts`` are the chart's series and x-label counts (None without
+    a figure description).  Raises UndefinedResult when the result is
+    undefined, DecimalException when it cannot be rounded at Decimal's
+    precision, and IndexError when the plan reads too few values.
     """
     key, slots = plan.key, dict(plan.slots)
     if key in ("count_series", "count_x_labels"):
@@ -320,12 +319,12 @@ def _reduce(
             raise UndefinedResult("counting labels needs the figure description")
         n, labels = (counts[0], "legend") if key == "count_series" else (counts[1], "x-axis")
         return f"There are {n} {labels} labels.", str(n)
-    if not pairs:
-        raise IndexError(f"no values to fold for {key}")
-    keys, values = [k for k, _ in pairs], [v for _, v in pairs]
+    if plan.queries[-1].op is QueryOp.EXTRACT_POINT:
+        values = operands
+    else:
+        keys, values = zip(*operands[-1])
     if key == "value":
-        v = values[0]
-        return f"The value is {v.raw}.", v.raw
+        return f"The value is {values[0].raw}.", values[0].raw
     numbers = _require_numbers(values)
 
     if key == "sum":
@@ -376,8 +375,8 @@ def _reduce(
         raise UndefinedResult(f"no cell equals {target.raw!r}")
     if key == "two_smallest":
         order = sorted(range(len(numbers)), key=lambda i: (numbers[i], i))
-        # The two smallest read in list order, as the worked traces do.
-        first, second = sorted(order[:2])
+        # The two smallest in list order, as the worked traces read; one value has no second.
+        first, second = sorted((order[0], order[1]))
         a, b = values[first].raw, values[second].raw
         c = values[order[-1]].raw
         total = numbers[first] + numbers[second]

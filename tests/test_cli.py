@@ -232,6 +232,27 @@ def test_eval_corpus_closed_loop(small_corpus_path, tmp_path, capsys):
     assert "overall accuracy: 1.0000" in capsys.readouterr().out
 
 
+def test_eval_scores_a_question_the_chart_cannot_fold(tmp_path, capsys):
+    """A one-label chart has no two smallest segments: its episode concludes
+    unknown, and eval goes on to score every row and write the report."""
+    question = "Is the sum of the two smallest segments greater than the largest segment?"
+    (tmp_path / "charts.jsonl").write_text("".join(json.dumps(chart) + "\n" for chart in (
+        {"id": "three", "series": [{"name": "S"}], "x_labels": ["2000", "2001", "2002"],
+         "cells": [["5", "6", "20"]]},
+        {"id": "one", "series": [{"name": "S"}], "x_labels": ["2000"], "cells": [["5"]]},
+    )), encoding="utf-8")
+    (tmp_path / "qa.jsonl").write_text("".join(
+        json.dumps({"chart_id": chart, "question": question, "answer": "no",
+                    "template_type": "comparison"}) + "\n" for chart in ("three", "one")),
+        encoding="utf-8")
+    out = tmp_path / "eval"
+    assert run_cli(["eval", "--corpus", tmp_path, "--out-dir", out]) == 0
+    predictions = [(r["chart_id"], r["prediction"]) for r in read_jsonl(out / "records.jsonl")]
+    assert predictions == [("three", "no"), ("one", "unknown")]
+    assert json.loads((out / "report.json").read_text())["n"] == 2
+    assert "overall accuracy: 0.5000" in capsys.readouterr().out
+
+
 def test_eval_synthetic_records_flags(tmp_path, reasoner_url):
     out = tmp_path / "eval"
     code = run_cli(["eval", "--synthetic", 3, "--out-dir", out, "--seed", 11,

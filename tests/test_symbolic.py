@@ -208,6 +208,14 @@ _HAND_TABLE = [
          ["The data is 20 in x1, 50 in x2, 30 in x3."],
          "no", "Among [20, 50, 30], the two smallest values are 20 and 30 while the largest "
          "value is 50. 20+30=50, which is equal to 50. So the answer is no."),
+    # Two values are both the two smallest, the larger also the largest; one
+    # value has no second smallest.
+    _row("two-smallest-of-two-values", _chart("x1 x2", A=["3", "5"]),
+         "two_smallest", [_G("A")], ["The data is 3 in x1, 5 in x2."],
+         "yes", "Among [3, 5], the two smallest values are 3 and 5 while the largest "
+         "value is 5. 3+5=8, which is greater than 5. So the answer is yes."),
+    _row("two-smallest-of-one-value", _chart("2000", S=["5"]),
+         "two_smallest", [_G("S")], ["The data is 5 in 2000."], None, _UNKNOWN),
     _row("count-series", _PAIR, "count_series",
          [_D()], ["The figure shows the data of: A | B. The x-axis shows: x1 | x2 | x3."],
          "2", "There are 2 legend labels. So the answer is 2."),
@@ -226,6 +234,11 @@ _HAND_TABLE = [
          "7.25", "The value is 7.25. So the answer is 7.25."),
     _row("identity-unkeyed-row", _chart("x1 x2", A=["1", "2"], B=["3", "4"]), "value",
          [_P("A")], ["The data is 1 in x1, 2 in x2."], None, _UNKNOWN),
+    # A point operand is a value, keyed by nothing, whatever line it came
+    # in: a cell, or the value of the row's pair that its entity keys.
+    _row("sum-of-a-cell-and-a-keyed-pair", _chart("Other Total", Total=["5", "7"]), "sum",
+         [_P("Other"), _P("Total")], ["The data is 5.", "The data is 5 in Other, 7 in Total."],
+         "12", "The sum is 5+7=12. So the answer is 12."),
     _row("unavailable-answer", _chart("2010", Oman=["210.69"]), "value",
          [_P("Oman", "1999")], ["The data is not available."], None, _UNKNOWN),
     _row("structural-without-description", None, "count_series",
@@ -234,6 +247,9 @@ _HAND_TABLE = [
          [_P("x1")], ["The data is 1.", "The data is 2."], None, _UNKNOWN),
     _row("too-few-values", None, "difference",
          [_P("x1")], ["The data is 3."], None, _UNKNOWN),
+    _row("group-row-without-data-query", None, "extreme",
+         [_D()], ["The figure shows the data of: A. The x-axis shows: x1 | x2."],
+         None, _UNKNOWN, op="maximum"),
     # Printed "$", "%" and thousands commas: a cell computes with its bare
     # number and keeps its print, and a computed answer is a plain number.
     _row("sum-of-percent-cells", _chart("2019", Norway=["45%"], Chile=["30%"]), "sum",
@@ -311,6 +327,31 @@ def test_hand_table_answers_every_reduce():
                 for table, plan, _, raw, _ in (row.values for row in _HAND_TABLE)
                 if table is not None and raw is not None}
     assert len(folds) == 18 and answered == folds
+
+
+def test_deduce_never_raises():
+    """Each plan the rows fill over small tables, with its queries answered
+    in every combination of the shapes a reader line takes, concludes: what
+    cannot be folded concludes unknown rather than raising."""
+    outcomes = Counter()
+    for index, (n_series, n_x) in enumerate(product((1, 2), (3, 4))):
+        table = random_table(39, index, n_series=n_series, n_x=n_x)
+        x = table.x_labels
+        shapes = [parse_reader_answer(line) for line in (
+            "The data is 5.", f"The data is 5 in {x[0]}.",
+            f"The data is 5 in {x[0]}, 3 in {x[1]}.",
+            f"The data is 5 in {x[0]}, 3 in {x[1]}, 8 in {x[2]}.",
+            UNAVAILABLE_ANSWER, execute_query(table, describe_query()),
+            "The data is n/a.", "The data is 0.", "The data is 9E+999998.",
+            "Not a reader line.")]
+        for key, fill in _FILLINGS.items():
+            for slots in fill(table)[:2]:
+                plan = _TEMPLATES[key].plan(slots)
+                for answers in product(shapes, repeat=len(plan.queries)):
+                    sentence, final = deduce(plan, answers)
+                    assert sentence.endswith(f"So the answer is {final or 'unknown'}.")
+                    outcomes[final is None] += 1
+    assert outcomes[True] and outcomes[False]
 
 
 def test_readme_grammar_row_is_a_templates_row():
