@@ -11,10 +11,9 @@ episodes (one by default), stopping once the vote is decided, majority-voted
 by normalized answer, the vote returning the winning answer as the model
 wrote it among the episodes drawn.  The temperature is ``--temperature``
 if given, else 0.4 with ``--sc`` above 1 and 0.0 otherwise; only an HTTP
-reasoner reads it, so ``--temperature`` needs ``--reasoner-url``.  Flags choose
-the backends they configure: ``--reasoner-url`` an HTTP reasoner, ``--script``
-a replay, neither the symbolic reasoner; ``--reader-url`` an HTTP reader,
-else the table oracle.  A flag for a backend not in use is a usage error.
+reasoner reads it.  Flags choose the backends they configure:
+``--reasoner-url`` an HTTP reasoner, ``--script`` a replay, neither the
+symbolic reasoner; ``--reader-url`` an HTTP reader, else the table oracle.
 Both write every episode drawn to ``traces.jsonl`` (one line per question, in
 input order, in ``datagen``'s trace format), which ``export-ft --traces``
 reads, one example per episode.  ``eval`` writes each ``records.jsonl`` line
@@ -27,13 +26,16 @@ question or record, only the synthetic charts, a corpus's QA rows or the
 Each subcommand takes only the flags it reads, and each flag's argparse
 default is its only default; ``--config`` JSON replaces those defaults and
 flags still win, and required flags and the lower limits of numeric flags
-(a float flag must also be finite) are checked after that merge.  A usage or
-input error prints one ``error:`` line and exits 2, and so does an
-``--out-dir`` that cannot be created or written, or an empty ``--corpus``
-(it names no corpus, so ``datagen``, ``run`` and ``eval`` refuse it rather
-than run without one); each check that does not
-answer a question, the exit-4 checks of ``report`` and ``export-ft``
-included, runs before ``--out-dir`` is created.
+(a float flag must also be finite) are checked after that merge.  ``main``
+checks the flag rules of ``_NEEDS`` and ``_CONFLICTS`` once, right after the
+lower limits and before any input is read: an option is given when its value
+differs from its parser default, and one given without an option it needs,
+or with one it cannot be combined with, is a usage error.  A usage or input
+error prints one ``error:`` line and exits 2, and so does an ``--out-dir``
+that cannot be created or written, or an empty ``--corpus`` (it names no
+corpus, so ``datagen``, ``run`` and ``eval`` refuse it rather than run
+without one); each check that does not answer a question, the exit-4 checks
+of ``report`` and ``export-ft`` included, runs before ``--out-dir`` is created.
 Every command serializes its effective configuration into the output
 directory so a run can be reproduced from its artifacts; all randomness
 flows from --seed.  Every command writes its files before it prints, so a
@@ -100,10 +102,20 @@ _PROMPT_STYLES = {
 }
 
 _DEFAULT_BUCKETS = ",".join(str(e) for e in DEFAULT_BUCKET_EDGES)
-_DEFAULT_FORMAT = "internal_json"
 # Lowest accepted value of each numeric flag; main checks them after the --config merge.
 _MINIMUMS = {"sc": 1, "max_steps": 1, "per_template": 1, "workers": 1, "sample": 0,
              "synthetic": 0, "temperature": 0.0}
+# The flag rules.  An option given without one it needs would change nothing:
+# only a model samples or reads the table a DePlot prompt carries, threads only
+# overlap waits on a server, and --seed draws only --synthetic or --sample.
+_NEEDS = {"model": ("reasoner_url",), "temperature": ("reasoner_url",),
+          "prompt_style": ("reasoner_url",), "api_key": ("reasoner_url", "reader_url"),
+          "workers": ("reasoner_url", "reader_url"), "format": ("corpus",),
+          "templates": ("synthetic",), "per_template": ("synthetic",),
+          "seed": ("synthetic", "sample")}
+# Two reasoners, two question sets, and a replay (one deterministic episode:
+# nothing to vote over) with self-consistency.
+_CONFLICTS = (("reasoner_url", "script"), ("corpus", "synthetic"), ("script", "sc"))
 # Namespace entries that are not options of the command being run.
 _NOT_OPTIONS = ("command", "config", "func", "subparser")
 
@@ -119,10 +131,14 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
+
+
 def _require(cfg: dict, *keys: str) -> None:
     """Required flags are checked after ``--config`` is merged, so a recorded
     config can supply them."""
-    missing = [f"--{key.replace('_', '-')}" for key in keys if cfg[key] is None]
+    missing = [_flag(key) for key in keys if cfg[key] is None]
     if missing:
         raise UsageError(f"the following arguments are required: {', '.join(missing)}")
 
@@ -192,8 +208,6 @@ def _load_corpus(cfg: dict) -> Optional[Corpus]:
     """Load the charts of ``--corpus`` if given, printing each dropped row
     once; an empty ``--corpus`` is a usage error, not a run without one."""
     if cfg["corpus"] is None:
-        if cfg["format"] != _DEFAULT_FORMAT:  # a layout of no corpus would do nothing
-            raise UsageError("--format needs --corpus")
         return None
     if not cfg["corpus"]:
         raise UsageError("--corpus cannot be empty")
@@ -207,17 +221,7 @@ def _reasoner_factory(cfg: dict, backends: ExitStack) -> Callable[[], object]:
     url, script = cfg["reasoner_url"], cfg["script"]
     for key in ("model", "api_key"):  # the HTTP clients send neither when it is empty
         if cfg[key] == "":
-            raise UsageError(f"--{key.replace('_', '-')} cannot be empty")
-    if url is not None and script is not None:
-        raise UsageError("--reasoner-url and --script cannot be combined")
-    if cfg["model"] is not None and url is None:
-        raise UsageError("--model needs --reasoner-url")
-    if cfg["temperature"] is not None and url is None:  # only a model samples
-        raise UsageError("--temperature needs --reasoner-url")
-    if cfg["prompt_style"] != "stepwise5" and url is None:  # only a model reads the table
-        raise UsageError(f"--prompt-style {cfg['prompt_style']} needs --reasoner-url")
-    if cfg["api_key"] is not None and url is None and cfg["reader_url"] is None:
-        raise UsageError("--api-key needs --reasoner-url or --reader-url")
+            raise UsageError(f"{_flag(key)} cannot be empty")
     if url is not None:
         reasoner = HttpReasoner(url, model=cfg["model"], api_key=cfg["api_key"])
         backends.callback(reasoner.close)
@@ -228,9 +232,6 @@ def _reasoner_factory(cfg: dict, backends: ExitStack) -> Callable[[], object]:
         # costs an extra parse).
         reasoner = SymbolicReasoner()
         return lambda: reasoner
-    if cfg["sc"] > 1:
-        # A replay script is one deterministic episode: there is nothing to vote over.
-        raise UsageError("--script cannot be combined with --sc above 1")
     lines = _read_json(script, "script")
     try:
         ScriptedReasoner(lines)  # checked once, before any episode or output
@@ -299,7 +300,7 @@ def cmd_datagen(cfg: dict) -> int:
     corpus = _load_corpus(cfg)
     out_dir = Path(cfg["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
-    pairs, manifest = generate_system1_corpus(corpus.charts, cfg["seed"])
+    pairs, manifest = generate_system1_corpus(corpus.charts)
     write_system1_jsonl(pairs, out_dir / "system1.jsonl")
     with open(out_dir / "manifest.json", "w", encoding="utf-8") as handle:
         json.dump(manifest, handle, indent=2, sort_keys=True)
@@ -377,15 +378,6 @@ def _synthetic_eval_set(cfg: dict) -> tuple[dict[str, ChartTable], Iterator[QAIn
 
 
 def cmd_eval(cfg: dict) -> int:
-    if cfg["synthetic"] > 0 and cfg["corpus"]:
-        raise UsageError("--corpus and --synthetic cannot be combined")
-    if cfg["synthetic"] == 0 and (cfg["templates"] is not None or cfg["per_template"] is not None):
-        raise UsageError("--templates and --per-template need --synthetic N")
-    if cfg["synthetic"] == 0 and cfg["sample"] == 0 and cfg["seed"] != 0:  # nothing to draw
-        raise UsageError("--seed needs --synthetic N or --sample N")
-    # Threads only overlap waits on a server; in-process backends hold the GIL.
-    if cfg["workers"] > 1 and cfg["reasoner_url"] is None and cfg["reader_url"] is None:
-        raise UsageError("--workers above 1 needs --reasoner-url or --reader-url")
     edges = _parse_buckets(cfg["buckets"])
     corpus = _load_corpus(cfg)
     if cfg["synthetic"] > 0:
@@ -505,7 +497,7 @@ def _output_flags(p: argparse.ArgumentParser) -> None:
 
 def _corpus_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--corpus", default=None)
-    p.add_argument("--format", choices=list(CORPUS_LAYOUTS), default=_DEFAULT_FORMAT)
+    p.add_argument("--format", choices=list(CORPUS_LAYOUTS), default="internal_json")
 
 
 def _episode_flags(p: argparse.ArgumentParser) -> None:
@@ -542,7 +534,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("datagen", cmd_datagen, "generate reader training pairs from a corpus")
     _corpus_flags(p)
-    p.add_argument("--seed", type=int, default=0, help="master random seed")
 
     p = command("run", cmd_run, "run a single question through the loop")
     p.add_argument("--question", default=None, help="question text (required)")
@@ -582,6 +573,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    defaults = {action.dest: action.default for action in args.subparser._actions}
     try:
         if args.config:
             # Config values become the subcommand's defaults; parsing again
@@ -593,9 +585,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         for key, lowest in _MINIMUMS.items():
             value = cfg.get(key)
             if type(value) is float and not math.isfinite(value):  # NaN is not JSON
-                raise UsageError(f"--{key.replace('_', '-')} must be a finite number")
+                raise UsageError(f"{_flag(key)} must be a finite number")
             if value is not None and value < lowest:
-                raise UsageError(f"--{key.replace('_', '-')} must be at least {lowest}")
+                raise UsageError(f"{_flag(key)} must be at least {lowest}")
+        given = {key for key, value in cfg.items() if value != defaults[key]}
+        for key, partners in _NEEDS.items():
+            if key in given and given.isdisjoint(partners):
+                raise UsageError(f"{_flag(key)} needs {' or '.join(map(_flag, partners))}")
+        for pair in _CONFLICTS:
+            if given.issuperset(pair):
+                raise UsageError(f"{_flag(pair[0])} and {_flag(pair[1])} cannot be combined")
         code = args.func(cfg)
         sys.stdout.flush()
         return code

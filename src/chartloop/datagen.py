@@ -102,9 +102,15 @@ def _add_rows(rows: Iterable[Row], add: Callable[[Any], None], issues: list[str]
 def _csv_chart(path: Path) -> dict:
     """A ChartQA table: a header row of series names, then one row per x-label."""
     with open(path, encoding="utf-8", newline="") as handle:
-        rows = [row for row in csv.reader(handle) if row]
+        reader = csv.reader(handle)
+        numbered = [(reader.line_num, row) for row in reader if row]
+    rows = [row for _, row in numbered]
     if len(rows) < 2 or len(rows[0]) < 2:
         raise TableError("need a header row plus data rows")
+    for line, row in numbered[1:]:
+        if len(row) != len(rows[0]):
+            raise TableError(f"the row on line {line} has {len(row)} cells, "
+                             f"the header {len(rows[0])}")
     return {
         "id": path.stem,
         "series": [{"name": name} for name in rows[0][1:]],

@@ -306,12 +306,12 @@ def _reduce(
     counts: Optional[tuple[int, int]],
 ) -> tuple[str, str]:
     """Fold one operand per data query, in query order, by the plan's row:
-    the reasoning sentence and the answer as printed.  A plan ending in a
-    point query folds its points' values, any other the group its last query
-    read; ``counts`` are the chart's series and x-label counts (None without
-    a figure description).  Raises UndefinedResult when the result is
-    undefined, DecimalException when it cannot be rounded at Decimal's
-    precision, and IndexError when the plan reads too few values.
+    the reasoning sentence and the answer as printed.  Point operands (each a
+    ``Value``) fold their values, a lone group operand its pairs; ``counts``
+    are the chart's series and x-label counts (None without a figure
+    description).  Raises UndefinedResult when the result is undefined or the
+    operands mix points and groups, DecimalException when it cannot be rounded
+    at Decimal's precision, and IndexError when the plan reads too few values.
     """
     key, slots = plan.key, dict(plan.slots)
     if key in ("count_series", "count_x_labels"):
@@ -319,10 +319,12 @@ def _reduce(
             raise UndefinedResult("counting labels needs the figure description")
         n, labels = (counts[0], "legend") if key == "count_series" else (counts[1], "x-axis")
         return f"There are {n} {labels} labels.", str(n)
-    if plan.queries[-1].op is QueryOp.EXTRACT_POINT:
+    if operands and all(isinstance(operand, Value) for operand in operands):
         values = operands
+    elif len(operands) == 1:
+        keys, values = zip(*operands[0])
     else:
-        keys, values = zip(*operands[-1])
+        raise UndefinedResult("a fold takes points or one group")
     if key == "value":
         return f"The value is {values[0].raw}.", values[0].raw
     numbers = _require_numbers(values)

@@ -8,7 +8,6 @@ import threading
 import time
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
@@ -24,88 +23,7 @@ from chartloop.protocol import describe_query
 from chartloop.symbolic import SymbolicReasoner, decompose
 from chartloop.synth import random_tables
 from chartloop.tables import Termination, Value
-
-
-def _serve(tables, protocol_version):
-    """Start a completion+reader server backed by the table oracle over
-    ``tables``; yields its base URL and a state dict the tests read and set."""
-    oracle = TableOracle(tables)
-    reasoner = SymbolicReasoner()
-    lock = threading.Lock()
-    state = {"requests": [], "fail_next": 0, "fail_status": 500, "fail_headers": {},
-             "malformed": "", "connections": 0, "drop_after_response": False}
-
-    class Handler(BaseHTTPRequestHandler):
-        # Headers and body go out as two writes; without this, Nagle's
-        # algorithm holds the body until the client's delayed ACK (about
-        # 40 ms) on a connection that stays open.
-        disable_nagle_algorithm = True
-
-        def setup(self):
-            super().setup()
-            with lock:
-                state["connections"] += 1
-
-        def do_POST(self):
-            length = int(self.headers.get("Content-Length", "0"))
-            payload = json.loads(self.rfile.read(length))
-            with lock:
-                state["requests"].append((self.path, payload, dict(self.headers)))
-                fail = state["fail_next"] > 0
-                state["fail_next"] -= fail
-            # Close after this response without saying so, as a server that
-            # times out idle connections does.
-            self.close_connection = state["drop_after_response"]
-            if fail:
-                self.send_response(state["fail_status"])
-                for name, value in state["fail_headers"].items():
-                    self.send_header(name, value)
-                self.send_header("Content-Length", "0")
-                self.end_headers()
-                return
-            if self.path == "/complete":
-                text = reasoner.complete(
-                    payload["prompt"], payload["stop"],
-                    payload["temperature"], payload["max_tokens"],
-                )
-                body = {"text": text}
-            elif self.path == "/complete-openai":
-                body = {"choices": [{"text": "The answer is 41."}]}
-            elif self.path == "/malformed":
-                data = state["malformed"].encode("utf-8")
-                self.send_response(200)
-                self.send_header("Content-Length", str(len(data)))
-                self.end_headers()
-                self.wfile.write(data)
-                return
-            elif self.path == "/read":
-                body = {"text": oracle.read(payload["chart_ref"], payload["query"])}
-            else:
-                self.send_error(404)
-                return
-            data = json.dumps(body).encode("utf-8")
-            self.send_response(200)
-            self.send_header("Content-Type", "application/json")
-            self.send_header("Content-Length", str(len(data)))
-            self.end_headers()
-            self.wfile.write(data)
-
-        def log_message(self, fmt, *args):
-            pass
-
-    Handler.protocol_version = protocol_version
-    server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
-    # A short poll keeps each teardown's shutdown() from waiting half a second.
-    thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.02},
-                              daemon=True)
-    thread.start()
-    try:
-        yield f"http://127.0.0.1:{server.server_address[1]}", state
-    finally:
-        server.shutdown()
-        server.server_close()
-        thread.join(timeout=10)
-        assert not thread.is_alive()
+from conftest import _serve
 
 
 @pytest.fixture
@@ -191,12 +109,6 @@ def tls_spy(monkeypatch):
 
     monkeypatch.setattr(ssl, "create_default_context", create_default_context)
     return wrapped
-
-
-@pytest.fixture
-def http_stub(costa_rica):
-    """HTTP/1.0 server: the connection closes after every response."""
-    yield from _serve([costa_rica], "HTTP/1.0")
 
 
 @pytest.fixture
@@ -436,7 +348,7 @@ def test_a_deplot_style_needs_a_reasoner_server_and_its_run_replays(keepalive_st
     url, state = keepalive_stub
     common = ["eval", "--synthetic", "3", "--prompt-style", "deplot5"]
     assert main([*common, "--out-dir", str(tmp_path / "symbolic")]) == 2
-    assert capsys.readouterr().err == "error: --prompt-style deplot5 needs --reasoner-url\n"
+    assert capsys.readouterr().err == "error: --prompt-style needs --reasoner-url\n"
     assert not (tmp_path / "symbolic").exists()
     first = tmp_path / "first"
     assert main([*common, "--reasoner-url", f"{url}/complete", "--out-dir", str(first)]) == 0

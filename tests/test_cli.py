@@ -8,6 +8,8 @@ import shlex
 import signal
 import subprocess
 import sys
+import tempfile
+import threading
 import time
 import tracemalloc
 from importlib import resources
@@ -16,11 +18,13 @@ from pathlib import Path
 import pytest
 
 import chartloop
+from chartloop import cli
 from chartloop.cli import build_parser, main
 from chartloop.datagen import example_from_trace, load_corpus
-from chartloop.symbolic import _FILLINGS, SkippedTemplate, SymbolicReasoner, gen_questions
+from chartloop.symbolic import _FILLINGS, SkippedTemplate, gen_questions
 from chartloop.synth import random_tables
 from chartloop.tables import ReasoningTrace, TemplateType
+from conftest import _serve
 
 
 def run_cli(args):
@@ -32,48 +36,27 @@ def read_jsonl(path):
 
 
 @pytest.fixture
-def reasoner_url(monkeypatch):
-    """A ``--reasoner-url`` served in process: its reasoner answers as the
-    symbolic one does and keeps the temperature of every completion.  Yields
-    the URL and that list."""
-    import chartloop.cli as cli
-
-    temperatures = []
-
-    class InProcessReasoner(SymbolicReasoner):
-        def __init__(self, url, model=None, api_key=None):
-            super().__init__()
-
-        def complete(self, prompt, stop_markers, temperature, max_tokens):
-            temperatures.append(temperature)
-            return super().complete(prompt, stop_markers, temperature, max_tokens)
-
-        def close(self):
-            pass
-
-    monkeypatch.setattr(cli, "HttpReasoner", InProcessReasoner)
-    return "http://127.0.0.1:9/complete", temperatures
+def server(small_corpus_path):
+    """A reasoner and reader server over the small corpus's charts and those
+    of ``eval --synthetic 2``: its URL and the state holding its requests."""
+    yield from _serve([*load_corpus(small_corpus_path).charts, *random_tables(0, 2)], "HTTP/1.1")
 
 
 def test_datagen_counts_and_determinism(small_corpus_path, tmp_path, capsys):
     out1 = tmp_path / "run1"
-    assert run_cli(["datagen", "--corpus", small_corpus_path, "--out-dir", out1,
-                    "--seed", 5]) == 0
+    assert run_cli(["datagen", "--corpus", small_corpus_path, "--out-dir", out1]) == 0
     printed = capsys.readouterr().out
     assert "charts=2 describe=2 point=10 group=6" in printed
     manifest = json.loads((out1 / "manifest.json").read_text())
     assert manifest == {"n_charts": 2, "n_describe": 2, "n_point": 10,
-                        "n_group": 6, "seed": 5}
+                        "n_group": 6, "seed": 0}
     out2 = tmp_path / "run2"
-    assert run_cli(["datagen", "--corpus", small_corpus_path, "--out-dir", out2,
-                    "--seed", 5]) == 0
+    assert run_cli(["datagen", "--corpus", small_corpus_path, "--out-dir", out2]) == 0
     assert (out1 / "system1.jsonl").read_bytes() == (out2 / "system1.jsonl").read_bytes()
     assert (out1 / "manifest.json").read_bytes() == (out2 / "manifest.json").read_bytes()
     assert hashlib.sha256((out1 / "manifest.json").read_bytes()).hexdigest() == \
-        "bca8c82a4f7c92b9fa9ef55262b9f81f9578e3503c8a20277136442145cc7071"
-    config = json.loads((out1 / "run_config.json").read_text())
-    assert config["command"] == "datagen"
-    assert config["seed"] == 5
+        "16d5a51af8ec4c4b44300ac62acc4db895a2090faac6287403380464034e15e3"
+    assert json.loads((out1 / "run_config.json").read_text())["command"] == "datagen"
 
 
 def test_datagen_missing_path_exits_2(tmp_path):
@@ -160,18 +143,6 @@ def test_run_backend_unreachable_exits_3(small_corpus_path, tmp_path):
     assert code == 3
 
 
-def test_http_model_and_key_recorded(small_corpus_path, tmp_path):
-    out = tmp_path / "run"
-    code = run_cli(["run", "--question", "q", "--chart", "solo-chart",
-                    "--corpus", small_corpus_path, "--reasoner-url", "http://127.0.0.1:9/complete",
-                    "--model", "local-7b", "--api-key", "tok",
-                    "--out-dir", out])
-    assert code == 3  # backend is unreachable, but the flags must be accepted
-    config = json.loads((out / "run_config.json").read_text())
-    assert config["model"] == "local-7b"
-    assert config["api_key"] == "tok"
-
-
 def test_run_reasoner_url_with_script_exits_2(small_corpus_path, tmp_path, capsys):
     code = run_cli(["run", "--question", "q", "--chart", "solo-chart",
                     "--corpus", small_corpus_path, "--reasoner-url", "http://127.0.0.1:9/complete",
@@ -253,10 +224,10 @@ def test_eval_scores_a_question_the_chart_cannot_fold(tmp_path, capsys):
     assert "overall accuracy: 0.5000" in capsys.readouterr().out
 
 
-def test_eval_synthetic_records_flags(tmp_path, reasoner_url):
+def test_eval_synthetic_records_flags(tmp_path, server):
     out = tmp_path / "eval"
     code = run_cli(["eval", "--synthetic", 3, "--out-dir", out, "--seed", 11,
-                    "--sc", 5, "--temperature", 0.4, "--reasoner-url", reasoner_url[0]])
+                    "--sc", 5, "--temperature", 0.4, "--reasoner-url", f"{server[0]}/complete"])
     assert code == 0
     config = json.loads((out / "run_config.json").read_text())
     assert config["sc"] == 5
@@ -492,20 +463,18 @@ def test_report_from_records(small_corpus_path, tmp_path, capsys):
 
 def test_config_file_with_flag_precedence(small_corpus_path, tmp_path):
     config_path = tmp_path / "config.json"
-    config_path.write_text(json.dumps({"seed": 3, "out_dir": str(tmp_path / "cfg_out")}),
-                           encoding="utf-8")
+    config_path.write_text(json.dumps({"corpus": str(small_corpus_path),
+                                       "out_dir": str(tmp_path / "cfg_out")}), encoding="utf-8")
     out = tmp_path / "flag_out"
-    assert run_cli(["datagen", "--corpus", small_corpus_path, "--config", config_path,
-                    "--out-dir", out]) == 0
+    assert run_cli(["datagen", "--config", config_path, "--out-dir", out]) == 0
     config = json.loads((out / "run_config.json").read_text())
-    assert config["seed"] == 3            # from the config file
-    assert config["out_dir"] == str(out)  # flag wins
+    assert config["corpus"] == str(small_corpus_path)  # from the config file
+    assert config["out_dir"] == str(out)                # flag wins
 
 
 def test_rerun_from_recorded_config(small_corpus_path, tmp_path):
     out1 = tmp_path / "first"
-    assert run_cli(["datagen", "--corpus", small_corpus_path, "--out-dir", out1,
-                    "--seed", 8]) == 0
+    assert run_cli(["datagen", "--corpus", small_corpus_path, "--out-dir", out1]) == 0
     out2 = tmp_path / "second"
     assert run_cli(["datagen", "--config", out1 / "run_config.json",
                     "--corpus", small_corpus_path, "--out-dir", out2]) == 0
@@ -616,9 +585,7 @@ def test_eval_into_closed_pipe_keeps_files(tmp_path, monkeypatch):
     (["--sc", 3], 0.4),
     (["--sc", 1], 0.0),
 ])
-def test_temperature_follows_sc_unless_given(tmp_path, monkeypatch, reasoner_url, flags, used):
-    import chartloop.cli as cli
-
+def test_temperature_follows_sc_unless_given(tmp_path, monkeypatch, server, flags, used):
     seen = []
     original = cli.run_self_consistency
 
@@ -628,10 +595,11 @@ def test_temperature_follows_sc_unless_given(tmp_path, monkeypatch, reasoner_url
 
     monkeypatch.setattr(cli, "run_self_consistency", spy)
     out = tmp_path / "eval"
-    url, temperatures = reasoner_url
-    assert run_cli(["eval", "--synthetic", 1, *flags, "--reasoner-url", url,
+    url, state = server
+    assert run_cli(["eval", "--synthetic", 1, *flags, "--reasoner-url", f"{url}/complete",
                     "--out-dir", out]) == 0
     assert seen and set(seen) == {used}
+    temperatures = [body["temperature"] for path, body, _ in state["requests"]]
     assert temperatures and set(temperatures) == {used}
     assert json.loads((out / "run_config.json").read_text())["temperature"] == used
 
@@ -666,7 +634,7 @@ def test_temperature_needs_a_reasoner_url(small_corpus_path, tmp_path, capsys, c
     '{"temperature": "-Infinity"}',
 ], ids=["flag-nan", "flag-inf", "flag-minus-inf", "config-nan-string", "config-1e400",
         "config-NaN", "config-minus-infinity"])
-def test_non_finite_temperature_exits_2(tmp_path, capsys, reasoner_url, given):
+def test_non_finite_temperature_exits_2(tmp_path, capsys, server, given):
     """No sampling temperature is NaN or infinite, and ``run_config.json``
     and every request body are strict JSON, which has no NaN."""
     if isinstance(given, str):
@@ -674,15 +642,13 @@ def test_non_finite_temperature_exits_2(tmp_path, capsys, reasoner_url, given):
                                               encoding="utf-8")
         given = ["--config", tmp_path / "config.json"]
     out = tmp_path / "out"
-    assert run_cli(["eval", "--synthetic", 1, "--reasoner-url", reasoner_url[0], *given,
+    assert run_cli(["eval", "--synthetic", 1, "--reasoner-url", f"{server[0]}/complete", *given,
                     "--out-dir", out]) == 2
     assert capsys.readouterr().err == "error: --temperature must be a finite number\n"
-    assert not out.exists() and reasoner_url[1] == []
+    assert not out.exists() and server[1]["requests"] == []
 
 
 def test_eval_interrupted_exits_130_with_one_line(tmp_path, monkeypatch, capsys):
-    import chartloop.cli as cli
-
     original, asked = cli.run_self_consistency, []
 
     def interrupt_third(*args, **kwargs):
@@ -700,8 +666,6 @@ def test_eval_interrupted_exits_130_with_one_line(tmp_path, monkeypatch, capsys)
 
 
 def test_eval_error_keeps_the_records_before_it(tmp_path, monkeypatch, capsys):
-    import chartloop.cli as cli
-
     original, asked = cli.run_self_consistency, []
 
     def fail_fifth(*args, **kwargs):
@@ -767,6 +731,7 @@ def test_eval_sigint_keeps_a_trace_line_for_every_record(tmp_path):
     (["eval", "--synthetic", 1], '{"workers": 0}'),
     (["eval", "--synthetic", 1], '{"no_describe": false}'),
     (["run", "--question", "q", "--chart", "c"], '{"no_describe": true}'),
+    (["datagen", "--corpus", "c"], '{"seed": 5}'),
 ])
 def test_bad_config_file_exits_2(tmp_path, capsys, command, content):
     config = tmp_path / "config.json"
@@ -779,10 +744,10 @@ def test_bad_config_file_exits_2(tmp_path, capsys, command, content):
     assert not (out / "run_config.json").exists()
 
 
-def test_config_strings_take_the_flag_type(tmp_path, reasoner_url):
+def test_config_strings_take_the_flag_type(tmp_path, server):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"sc": "3", "temperature": "0.2", "command": "eval",
-                                  "reasoner_url": reasoner_url[0]}), encoding="utf-8")
+                                  "reasoner_url": f"{server[0]}/complete"}), encoding="utf-8")
     out = tmp_path / "eval"
     assert run_cli(["eval", "--synthetic", 1, "--config", config, "--out-dir", out]) == 0
     recorded = json.loads((out / "run_config.json").read_text())
@@ -1071,11 +1036,15 @@ def test_scripted_eval_replays_the_script_for_each_question(small_corpus_path, t
 
 
 @pytest.mark.parametrize("command, artifact", [
-    (["datagen", "--seed", 4], "system1.jsonl"),
+    (["datagen"], "system1.jsonl"),
     (["run", "--question", "What is the value of Q3?", "--chart", "solo-chart"], "traces.jsonl"),
     (["report", "--buckets", "0,5"], "report.json"),
+    (["run", "--question", "What is the value of Q3?", "--chart", "solo-chart",
+      "--script", "{script}"], "traces.jsonl"),
 ])
 def test_recorded_config_alone_reruns_a_command(small_corpus_path, tmp_path, command, artifact):
+    (tmp_path / "script.json").write_text('["So the answer is 7."]', encoding="utf-8")
+    command = [arg.format(script=tmp_path / "script.json") for arg in command]
     if command[0] == "report":
         eval_out = tmp_path / "eval"
         assert run_cli(["eval", "--corpus", small_corpus_path, "--out-dir", eval_out]) == 0
@@ -1142,18 +1111,178 @@ def test_usage_error_is_one_line(small_corpus_path, tmp_path, capsys, argv):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("argv", [
-    ["datagen"],
-    ["run", "--question", "What is the value of Alpha in 2002?", "--chart", "pair-chart"],
-    ["eval"],
-    ["eval", "--synthetic", 2],
+@pytest.mark.parametrize("argv, message", [
+    (["datagen"], "--corpus cannot be empty"),
+    (["run", "--question", "What is the value of Alpha in 2002?", "--chart", "pair-chart"],
+     "--corpus cannot be empty"),
+    (["eval"], "--corpus cannot be empty"),
+    (["eval", "--synthetic", 2], "--corpus and --synthetic cannot be combined"),
 ], ids=["datagen", "run", "eval", "eval-synthetic"])
-def test_an_empty_corpus_exits_2(tmp_path, capsys, argv):
+def test_an_empty_corpus_exits_2(tmp_path, capsys, argv, message):
     """An empty ``--corpus`` names no corpus: one usage error line before
-    ``--out-dir`` exists, never a traceback or a run without the corpus."""
+    ``--out-dir`` exists, never a traceback or a run without the corpus.
+    It is still a ``--corpus`` given, so ``--synthetic`` cannot join it."""
     assert run_cli([*argv, "--corpus", "", "--out-dir", tmp_path / "out"]) == 2
-    assert capsys.readouterr().err == "error: --corpus cannot be empty\n"
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not (tmp_path / "out").exists()
+
+
+# Each command's default run, and the file it writes that most options change.
+_BASE = {"datagen": ("datagen --corpus {corpus}", "system1.jsonl"),
+         "run": ("run --question 'How many legend labels are there?' --chart solo-chart "
+                 "--corpus {corpus}", "traces.jsonl"),
+         "eval": ("eval --synthetic 2", "traces.jsonl"),
+         "export-ft": ("export-ft --traces {traces}", "system2.jsonl"),
+         "report": ("report --records {records}", "report.json")}
+_REASONER, _READER = "--reasoner-url {url}/complete", "--reader-url {url}/read"
+# One row per option of each command: the option with a value unlike its
+# default, the options it needs, and what it does against the default run
+# with those: "exit <message>" (exit 2 with that line, no --out-dir), "file
+# [<path>]" (other bytes there, by default out/ and the command's file),
+# "body <path> <field>" or "header <path> <name>" (other values in the HTTP
+# requests to <path>), or "in-flight" (more questions answered at once).
+_OPTION_ROWS = {
+    **{f"{command} {row}": (needs, outcome.format(file))
+       for command, (_, file) in _BASE.items() for row, needs, outcome in (
+           ("--config {config}", "", "file from-config/{}"),
+           ("--out-dir elsewhere", "", "file elsewhere/{}"))},
+    **{f"{command} {row}": outcome for command in ("run", "eval") for row, outcome in {
+        "--reasoner-url {url}/complete": ("", "body /complete prompt"),
+        "--reader-url {url}/read": ("", "body /read query"),
+        "--model m": (_REASONER, "body /complete model"),
+        "--api-key k": (_READER, "header /read Authorization"),
+        "--script {script}": ("", "file"),
+        "--sc 3": ("", "file"),
+        "--temperature 0.7": (_REASONER, "body /complete temperature"),
+        "--max-steps 1": ("", "file"),
+        "--prompt-style deplot1": (_REASONER, "body /complete prompt")}.items()},
+    "datagen --corpus {other}": ("", "file"),
+    "datagen --format chartqa_like": ("", "file"),
+    "run --question 'What is the value of Q3?'": ("", "file"),
+    "run --chart pair-chart": ("", "file"),
+    "run --corpus {other}": ("", "file"),
+    "run --format chartqa_like": ("", "file"),
+    "eval --corpus {corpus}": ("", "exit --corpus and --synthetic cannot be combined"),
+    "eval --format chartqa_like": ("", "exit --format needs --corpus"),
+    "eval --seed 1": ("", "file"),
+    "eval --synthetic 3": ("", "file"),
+    "eval --templates min_max": ("", "file"),
+    "eval --per-template 2": ("", "file"),
+    "eval --sample 1": ("", "file"),
+    "eval --workers 2": (_READER, "in-flight"),
+    "eval --buckets 0,1": ("", "file out/report.json"),
+    "export-ft --traces {traces2}": ("", "file"),
+    "export-ft --annotations {annotations}": ("", "file"),
+    "export-ft --tagged": ("", "file"),
+    "report --records {records2}": ("", "file"),
+    "report --buckets 0,1": ("", "file"),
+}
+
+
+def _options():
+    """Each command's option strings, --help aside."""
+    commands = next(action for action in build_parser()._actions
+                    if isinstance(action, argparse._SubParsersAction)).choices
+    return {name: {flag for action in sub._actions for flag in action.option_strings
+                   if flag.startswith("--")} - {"--help"} for name, sub in commands.items()}
+
+
+def test_every_option_acts_or_exits_2(small_corpus_path, server, tmp_path, monkeypatch, capsys):
+    """Walks every option of every command: each has one row, no command
+    takes an option only another command has, and each row's value does what
+    the row says against the default run."""
+    options, rows = _options(), [tuple(shlex.split(row)[:2]) for row in _OPTION_ROWS]
+    assert len(set(rows)) == len(rows)
+    for command, flags in options.items():
+        assert {flag for name, flag in rows if name == command} == flags, command
+        for flag in set().union(*options.values()) - flags:
+            with pytest.raises(SystemExit) as exited:
+                main([command, flag, "1"])
+            assert exited.value.code == 2, (command, flag)
+    url, state = server
+    paths = {"corpus": small_corpus_path, "other": tmp_path / "other.jsonl", "url": url,
+             "config": tmp_path / "config.json", "script": tmp_path / "script.json",
+             "annotations": resources.files("chartloop.data") / "annotated_examples.txt"}
+    for name, source in (("", ["--corpus", small_corpus_path]), ("2", ["--synthetic", 1])):
+        assert run_cli(["eval", *source, "--out-dir", tmp_path / f"eval{name}"]) == 0
+        paths.update({f"{kind}{name}": tmp_path / f"eval{name}" / f"{kind}.jsonl"
+                      for kind in ("traces", "records")})
+    paths["config"].write_text('{"out_dir": "from-config"}', encoding="utf-8")
+    paths["script"].write_text('["So the answer is 99."]', encoding="utf-8")
+    # Both other corpora hold a solo-chart with two legend labels, not one.
+    paths["other"].write_text('{"id": "solo-chart", "series": [{"name": "A"}, {"name": "B"}], '
+                              '"x_labels": ["Q3"], "cells": [["7"], ["1"]]}\n', encoding="utf-8")
+    (small_corpus_path / "tables").mkdir()
+    (small_corpus_path / "tables" / "solo-chart.csv").write_text("x,A,B\nQ3,7,1\n", encoding="utf-8")
+    lock, in_flight, answer = threading.Lock(), [0, 0], cli.run_self_consistency
+    overlap = threading.Event()
+
+    def counted(*args, **kwargs):  # in_flight: questions being answered now, and the most
+        with lock:
+            in_flight[:] = [in_flight[0] + 1, max(in_flight[1], in_flight[0] + 1)]
+            if in_flight[0] > 1:
+                overlap.set()
+        # On a worker thread, give a second question time to start, once.
+        if threading.current_thread() is not threading.main_thread() and not overlap.wait(10):
+            overlap.set()
+        try:
+            return answer(*args, **kwargs)
+        finally:
+            with lock:
+                in_flight[0] -= 1
+
+    monkeypatch.setattr(cli, "run_self_consistency", counted)
+    defaults = {}
+
+    def observe(command, argv, outcome):
+        """Run ``argv`` in a new directory: its exit code, stderr and what
+        ``outcome`` looks at."""
+        run_dir = Path(tempfile.mkdtemp(dir=tmp_path))
+        monkeypatch.chdir(run_dir)
+        state["requests"].clear()
+        in_flight[1] = 0
+        code = main([arg.format(**paths) for arg in argv])
+        kind, *what = outcome.split(" ")
+        if kind == "exit":
+            seen = (run_dir / "out").exists()
+        elif kind == "file":
+            file = run_dir / (what[0] if what else f"out/{_BASE[command][1]}")
+            seen = file.read_bytes() if file.exists() else None
+        elif kind == "in-flight":
+            seen = in_flight[1]
+        else:
+            seen = [(body if kind == "body" else headers).get(what[1])
+                    for path, body, headers in state["requests"] if path == what[0]]
+        return code, capsys.readouterr().err, seen
+
+    for row, (needs, outcome) in _OPTION_ROWS.items():
+        command, *option = shlex.split(row)
+        argv = [*shlex.split(_BASE[command][0]), *shlex.split(needs)]
+        code, err, seen = observe(command, [*argv, *option], outcome)
+        if outcome.startswith("exit "):
+            assert (code, err, seen) == (2, f"error: {outcome[5:]}\n", False), row
+            continue
+        if (key := (tuple(argv), outcome)) not in defaults:
+            defaults[key] = observe(command, argv, outcome)[2]
+        assert code != 2 and seen and seen != defaults[key], (row, err)
+
+
+def test_readme_lists_each_flag_rule_as_its_message(tmp_path, monkeypatch, capsys):
+    """Command line lists one line per flag rule, the message its breach
+    prints: on each command with its options, exit 2 before --out-dir exists."""
+    monkeypatch.chdir(tmp_path)
+    values = {tuple(shlex.split(row)[:2]): shlex.split(row)[2:] for row in _OPTION_ROWS}
+    printed = []
+    for command, flags in _options().items():
+        for rule in [(key,) for key in cli._NEEDS] + list(cli._CONFLICTS):
+            given = ["--" + key.replace("_", "-") for key in rule]
+            if set(given) <= flags:
+                argv = [arg for flag in given for arg in (flag, *values[command, flag])]
+                assert main([command, *argv]) == 2 and not (tmp_path / "out").exists()
+                printed.append(capsys.readouterr().err)
+    section = _readme().split("\n## Command line\n")[1].split("\n## ")[0]
+    listed = {f"error: {line.replace('`', '')}\n" for line in re.findall(r"^- (`--.*)", section, re.M)}
+    assert set(printed) == listed and len(listed) == len(cli._NEEDS) + len(cli._CONFLICTS)
 
 
 def _readme():
@@ -1172,11 +1301,9 @@ def _readme_commands():
 
 @pytest.mark.parametrize("flags, message", [
     (["--corpus", "corpus", "--synthetic", 2], "--corpus and --synthetic cannot be combined"),
-    (["--corpus", "corpus", "--templates", "structural"],
-     "--templates and --per-template need --synthetic N"),
-    (["--corpus", "corpus", "--per-template", 2],
-     "--templates and --per-template need --synthetic N"),
-    (["--per-template", 2], "--templates and --per-template need --synthetic N"),
+    (["--corpus", "corpus", "--templates", "structural"], "--templates needs --synthetic"),
+    (["--corpus", "corpus", "--per-template", 2], "--per-template needs --synthetic"),
+    (["--per-template", 2], "--per-template needs --synthetic"),
     (["--synthetic", 2, "--templates", "structural,min_max,structural"],
      "--templates names structural twice"),
 ], ids=["corpus-and-synthetic", "templates-without-synthetic", "per-template-without-synthetic",
@@ -1271,9 +1398,6 @@ def test_readme_names_every_option_and_no_other():
     named = {title: set(re.findall(r"--[a-z][a-z-]*[a-z]",
                                    readme.split(f"\n## {title}\n")[1].split("\n## ")[0]))
              for title in ("Command line", "Backends")}
-    commands = next(action for action in build_parser()._actions
-                    if isinstance(action, argparse._SubParsersAction))
-    options = {flag for parser in commands.choices.values() for action in parser._actions
-               for flag in action.option_strings if flag.startswith("--")} - {"--help"}
+    options = set().union(*_options().values())
     assert named["Command line"] | named["Backends"] <= options
     assert options <= named["Command line"]

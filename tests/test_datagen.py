@@ -146,6 +146,12 @@ def _write_layout(root, layout, charts, qa):
       for layout in ("internal_json", "plotqa_like")),
     pytest.param("chartqa_like", [CHART], [QA], ("tables/c2.csv", b"label,A\n\xff,1\n"), False,
                  id="chartqa_like-non-utf8-csv"),
+    pytest.param("chartqa_like", [CHART], [QA],
+                 ("tables/c2.csv", b"Year,A\n2000,1,9\n", "the row on line 2 has 3 cells, the header 2"),
+                 False, id="chartqa_like-row-wider-than-header"),
+    pytest.param("chartqa_like", [CHART], [QA],
+                 ("tables/c2.csv", b"Year,A,B\n\n2001,3\n", "the row on line 3 has 2 cells, the header 3"),
+                 False, id="chartqa_like-row-narrower-than-header"),
     pytest.param("chartqa_like", [CHART], [QA], ("qa.json", b'{"qa": []}'), "all_qa",
                  id="chartqa_like-qa-json-object"),
     pytest.param("plotqa_like", [CHART], [QA], ("plotqa.json", json.dumps([CHART]).encode()), "load",
@@ -172,8 +178,9 @@ def _write_layout(root, layout, charts, qa):
       for layout in ("internal_json", "plotqa_like")),
 ])
 def test_bad_rows_are_skipped_and_bad_files_are_fatal(tmp_path, layout, charts, qa, damage, fatal):
-    """``fatal`` names the call that raises: a chart file fails the load, a
-    QA file the first ``all_qa()``."""
+    """``damage`` overwrites a file with bytes, and may give the reason its
+    dropped row is reported with.  ``fatal`` names the call that raises: a
+    chart file fails the load, a QA file the first ``all_qa()``."""
     path = _write_layout(tmp_path / "corpus", layout, charts, qa)
     if damage:
         (tmp_path / "corpus" / damage[0]).write_bytes(damage[1])
@@ -189,6 +196,8 @@ def test_bad_rows_are_skipped_and_bad_files_are_fatal(tmp_path, layout, charts, 
         return
     qas = corpus.all_qa()
     assert len(corpus.issues) == 1
+    if damage and damage[2:]:
+        assert corpus.issues[0] == f"{tmp_path / 'corpus' / damage[0]}: {damage[2]}"
     assert [table.to_dict() for table in corpus.charts] == [CHART]
     assert [qa.question for qa in qas] == [QA["question"]]
 

@@ -332,7 +332,8 @@ def test_hand_table_answers_every_reduce():
 def test_deduce_never_raises():
     """Each plan the rows fill over small tables, with its queries answered
     in every combination of the shapes a reader line takes, concludes: what
-    cannot be folded concludes unknown rather than raising."""
+    cannot be folded concludes unknown rather than raising.  So does a
+    hand-built plan that reads a point and a group, in either order."""
     outcomes = Counter()
     for index, (n_series, n_x) in enumerate(product((1, 2), (3, 4))):
         table = random_table(39, index, n_series=n_series, n_x=n_x)
@@ -344,13 +345,17 @@ def test_deduce_never_raises():
             UNAVAILABLE_ANSWER, execute_query(table, describe_query()),
             "The data is n/a.", "The data is 0.", "The data is 9E+999998.",
             "Not a reader line.")]
-        for key, fill in _FILLINGS.items():
-            for slots in fill(table)[:2]:
-                plan = _TEMPLATES[key].plan(slots)
-                for answers in product(shapes, repeat=len(plan.queries)):
-                    sentence, final = deduce(plan, answers)
-                    assert sentence.endswith(f"So the answer is {final or 'unknown'}.")
-                    outcomes[final is None] += 1
+        plans = [(_TEMPLATES[key].plan(slots), False)
+                 for key, fill in _FILLINGS.items() for slots in fill(table)[:2]]
+        group, point = group_query(table.series[0].name), point_query(table.series[0].name, x[0])
+        plans += [(QuestionPlan(reads, key, (("op", "minimum"),)), True)
+                  for key in ("sum", "value", "extreme") for reads in ((group, point), (point, group))]
+        for plan, mixed in plans:
+            for answers in product(shapes, repeat=len(plan.queries)):
+                sentence, final = deduce(plan, answers)
+                assert sentence.endswith(f"So the answer is {final or 'unknown'}.")
+                assert not (mixed and final), (plan, answers)
+                outcomes[final is None] += 1
     assert outcomes[True] and outcomes[False]
 
 
